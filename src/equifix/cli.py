@@ -100,6 +100,14 @@ def _load_scenario(args, kind: str) -> Scenario:
     return Scenario.from_dict(data)
 
 
+def suite_label(scenario: Scenario) -> str:
+    """Output directory of a suite entry: its kind, with ``_tower`` for the
+    tower-pinned rep entry, so the two rep entries keep separate reports."""
+    if scenario.kind == "rep" and scenario.tower:
+        return "rep_tower"
+    return scenario.kind
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = _default_out(args)
@@ -110,11 +118,12 @@ def main(argv=None) -> int:
             for sc in scenarios:
                 if args.tolerance is not None:
                     sc.tolerance = args.tolerance
-                report = run_scenario(sc, out / sc.kind)
+                label = suite_label(sc)
+                report = run_scenario(sc, out / label)
                 status = "ok" if report.all_passed else "FAIL"
-                print(f"{sc.kind:<18} trials={sc.trials:<4} {status}")
+                print(f"{label:<18} trials={sc.trials:<4} {status}")
                 for line in report.failures:
-                    print(f"  {sc.kind}: {line}", file=sys.stderr)
+                    print(f"  {label}: {line}", file=sys.stderr)
                 ok = ok and report.all_passed
             return 0 if ok else 1
         kind = SUBCOMMAND_KINDS[args.command]

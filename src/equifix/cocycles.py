@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, haar_average
+from .groups import FiniteGroup
 from .matfun import (exp_skew, operator_norm, principal_log_unitary,
                      unitarity_defect)
 from .galgebra import GAlgebra
@@ -106,14 +106,11 @@ def one_step_cobound(w: Cocycle, v: np.ndarray, exact_tol: float = 1e-11) -> np.
             f"mismatch {r:.6g} exceeds 1/5 (attained at g={g})")
     A = w.algebra
     G = w.group
-
-    def integrand(h):
-        hinv = G.inverse(h)
-        inner = A.act(hinv, w.values[h].conj().T @ v)
-        return principal_log_unitary(v.conj().T @ inner)
-
-    x = haar_average(G, integrand)
-    return v @ exp_skew(x)
+    v_adj = v.conj().T
+    # One (|G|, n, n) stack over h: m[h] = v* alpha_h^{-1}(w(h)* v).
+    m = np.stack([v_adj @ A.act(G.inverse(h), w.values[h].conj().T @ v)
+                  for h in G.elements()])
+    return v @ exp_skew(principal_log_unitary(m).mean(axis=0))
 
 
 @dataclass
@@ -174,10 +171,6 @@ def trivialize(w: Cocycle, v0: Optional[np.ndarray] = None, tol: float = 1e-12,
             raise ConvergenceError(
                 f"mismatch still {trace[-1][1]:.3e} after {max_iter} iterations",
                 trace)
-        if trace[-1][1] > tol:
-            raise ConvergenceError(
-                f"mismatch still {trace[-1][1]:.3e} after {max_iter} iterations",
-                trace)
     drift = None
     if quotient is not None:
         drift = operator_norm(quotient(v) - quotient(v0))
@@ -195,13 +188,13 @@ def verify_integral_estimate(group: FiniteGroup, values: np.ndarray,
     || avg u || exceeds 1 (plus slack).
     """
     values = np.asarray(values, dtype=complex)
-    n = values.shape[1]
-    eye = np.eye(n)
-    r = max(operator_norm(values[g] - eye) for g in range(group.order))
+    if values.ndim != 3 or values.shape[0] != group.order:
+        raise ValueError(f"values shape {values.shape} does not match group order")
+    r = float(np.max(operator_norm(values - np.eye(values.shape[1]))))
     if r > 0.5:
         raise DefectTooLargeError(f"||u(g) - 1|| = {r:.6g} exceeds 1/2")
-    avg = haar_average(group, lambda g: values[g])
-    logavg = haar_average(group, lambda g: principal_log_unitary(values[g]))
+    avg = values.mean(axis=0)
+    logavg = principal_log_unitary(values).mean(axis=0)
     lhs = operator_norm(avg - exp_skew(logavg))
     bound = 5 * r ** 2 / (2 * (1 - 2 * r)) if r < 0.5 else np.inf
     if lhs > bound + slack:

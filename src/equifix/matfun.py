@@ -2,12 +2,28 @@
 correction pipelines: operator norm, polar part, principal logarithm of
 unitaries, exponential of skew-Hermitian matrices, spectral rounding.
 
-Matrices are plain complex numpy arrays.  All functional calculus goes
-through a unitary eigendecomposition of the (normal) input: the Hermitian
-and anti-Hermitian parts are diagonalized jointly, with a complex Schur
-fallback if the joint residual is too large.  This keeps algebraic
-identities of the calculus (conjugation covariance, phase equivariance of
-rounding) true to rounding error.
+Matrices are plain complex numpy arrays.  The norm, defect, log and exp
+kernels also accept stacks ``(..., n, n)`` and work slice by slice; a 2-D
+input gives the same result as before.
+
+The exponential of a skew-Hermitian x is a function of the Hermitian
+matrix -i x, so one batched ``eigh`` computes it for a whole stack.  The
+logarithm of a unitary u takes the same route on the half-plane: when
+||u - 1|| <= 1/2, every eigenvalue argument satisfies
+|theta| <= 2 arcsin(1/4) < pi/2, where sin is injective, so
+
+    log u = i arcsin((u - u*) / 2i)
+
+is again a function of a Hermitian matrix, with no eigenvalue clustering
+to resolve.  The correctors only take logs inside that disc: the one-step
+correctors log rho(k)* rho(kg) rho(g)* and its cocycle analogue, which are
+within the measured defect r <= 1/5 of 1, and the averaging estimate
+requires ||u - 1|| <= 1/2.  Any other unitary goes through
+:func:`normal_eigensystem`: the Hermitian and anti-Hermitian parts are
+diagonalized jointly, with a complex Schur fallback if the joint residual
+is too large.  Both routes keep the algebraic identities of the calculus
+(conjugation covariance, phase equivariance of rounding) true to rounding
+error.
 
 Equality of matrices is always tested through an explicit tolerance, never
 with exact float comparison; see :func:`close`.
@@ -15,6 +31,7 @@ with exact float comparison; see :func:`close`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +44,9 @@ import scipy.linalg
 # ||polar(a) - u|| <= ||polar(a) - a|| + ||a - u|| < 2 * UNITARIZE_EPS).
 EPS0 = 1.0 / (6 * 34)
 UNITARIZE_EPS = EPS0 / 2
+
+# Logs of unitaries within this distance of 1 take the half-plane route.
+HALF_PLANE_RADIUS = 0.5
 
 
 class BranchCutError(ValueError):
@@ -48,9 +68,44 @@ def require_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def operator_norm(a) -> float:
-    """Largest singular value."""
+def _require_square(a) -> np.ndarray:
     a = require_finite(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _at_slice(i: int, shape: tuple) -> str:
+    """Where flat index i lies in a stack of the given leading shape ('' for
+    a single matrix)."""
+    if not shape:
+        return ""
+    return f" at slice {tuple(int(j) for j in np.unravel_index(i, shape))}"
+
+
+def _reject_worst(defects, tol: float, message: str):
+    """Raise ValueError(message % worst) if any slice's defect exceeds tol;
+    for a stack, name the worst slice."""
+    d = np.asarray(defects)
+    if d.size == 0:
+        return
+    i = int(np.argmax(d))
+    if d.flat[i] > tol:
+        raise ValueError((message % d.flat[i]) + _at_slice(i, d.shape))
+
+
+def operator_norm(a):
+    """Largest singular value.  A stack (..., m, n) gives an array with one
+    norm per slice."""
+    a = require_finite(a)
+    if a.ndim > 2:
+        if a.size == 0:
+            return np.zeros(a.shape[:-2])
+        return np.linalg.svd(a, compute_uv=False)[..., 0]
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
@@ -61,9 +116,10 @@ def close(a, b, tol: float) -> bool:
     return operator_norm(np.asarray(a) - np.asarray(b)) <= tol
 
 
-def unitarity_defect(u) -> float:
+def unitarity_defect(u):
+    """||u*u - 1||, per slice for a stack."""
     u = np.asarray(u, dtype=complex)
-    return operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    return operator_norm(_adjoint(u) @ u - np.eye(u.shape[-1]))
 
 
 def hermiticity_defect(a) -> float:
@@ -71,9 +127,10 @@ def hermiticity_defect(a) -> float:
     return operator_norm(a - a.conj().T)
 
 
-def skewness_defect(x) -> float:
+def skewness_defect(x):
+    """||x + x*||, per slice for a stack."""
     x = np.asarray(x, dtype=complex)
-    return operator_norm(x + x.conj().T)
+    return operator_norm(x + _adjoint(x))
 
 
 @dataclass(frozen=True)
@@ -168,37 +225,52 @@ def polar_unitary(a, min_singular: float = 1e-10) -> np.ndarray:
 def principal_log_unitary(u, unitary_tol: float = 1e-10,
                           branch_gap: float = 1e-8) -> np.ndarray:
     """Principal logarithm of a unitary: the skew-Hermitian X with
-    exp(X) = u and eigenvalue arguments in (-pi, pi).
+    exp(X) = u and eigenvalue arguments in (-pi, pi).  A stack (..., n, n)
+    is taken slice by slice.
 
+    Slices within HALF_PLANE_RADIUS of 1 take the half-plane route through
+    one batched ``eigh``; the others go through :func:`normal_eigensystem`.
     Rejects inputs whose spectrum comes within ``branch_gap`` (in argument)
     of the branch cut at -1.
     """
-    u = require_finite(u)
-    defect = unitarity_defect(u)
-    if defect > unitary_tol:
-        raise ValueError(f"input is not unitary: ||u*u - 1|| = {defect:.3e}")
-    spec = normal_eigensystem(u)
-    args = np.angle(spec.eigenvalues)
-    gap = np.pi - np.max(np.abs(args)) if args.size else np.pi
-    if gap <= branch_gap:
-        worst = spec.eigenvalues[np.argmax(np.abs(args))]
-        raise BranchCutError(
-            f"eigenvalue {worst:.6g} is within {gap:.3e} of the branch cut at -1")
-    v = spec.eigenvectors
-    x = (v * (1j * args)) @ v.conj().T
-    return (x - x.conj().T) / 2
+    u = _require_square(u)
+    _reject_worst(unitarity_defect(u), unitary_tol,
+                  "input is not unitary: ||u*u - 1|| = %.3e")
+    n = u.shape[-1]
+    stack = u.reshape(math.prod(u.shape[:-2]), n, n)
+    args = np.empty(stack.shape[:2])
+    vecs = np.empty_like(stack)
+    near = operator_norm(stack - np.eye(n)) <= HALF_PLANE_RADIUS
+    fast = np.flatnonzero(near)
+    if fast.size:
+        s = stack[fast]
+        sines, vecs[fast] = np.linalg.eigh(-0.5j * (s - _adjoint(s)))
+        args[fast] = np.arcsin(np.clip(sines, -1.0, 1.0))
+    for i in np.flatnonzero(~near):
+        spec = normal_eigensystem(stack[i])
+        args[i] = np.angle(spec.eigenvalues)
+        vecs[i] = spec.eigenvectors
+    if args.size:
+        i = int(np.argmax(np.abs(args)))
+        gap = np.pi - abs(args.flat[i])
+        if gap <= branch_gap:
+            raise BranchCutError(
+                f"eigenvalue {np.exp(1j * args.flat[i]):.6g} is within {gap:.3e} "
+                f"of the branch cut at -1{_at_slice(i // n, u.shape[:-2])}")
+    x = (vecs * (1j * args)[:, None, :]) @ _adjoint(vecs)
+    return ((x - _adjoint(x)) / 2).reshape(u.shape)
 
 
 def exp_skew(x, skew_tol: float = 1e-10) -> np.ndarray:
-    """Exponential of a skew-Hermitian matrix; the result is unitary by
-    construction (eigendecomposition of the Hermitian matrix -i x)."""
-    x = require_finite(x)
-    defect = skewness_defect(x)
-    if defect > skew_tol:
-        raise ValueError(f"input is not skew-Hermitian: ||x + x*|| = {defect:.3e}")
-    x = (x - x.conj().T) / 2
+    """Exponential of a skew-Hermitian matrix, or of each slice of a stack;
+    the result is unitary by construction (batched eigendecomposition of
+    the Hermitian matrix -i x)."""
+    x = _require_square(x)
+    _reject_worst(skewness_defect(x), skew_tol,
+                  "input is not skew-Hermitian: ||x + x*|| = %.3e")
+    x = (x - _adjoint(x)) / 2
     theta, v = np.linalg.eigh(-1j * x)
-    return (v * np.exp(1j * theta)) @ v.conj().T
+    return (v * np.exp(1j * theta)[..., None, :]) @ _adjoint(v)
 
 
 def spectral_round_unitary(w, d: int, unitary_tol: float = 1e-10,

@@ -17,7 +17,7 @@ intertwining unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,20 +46,23 @@ class ConvergenceError(RuntimeError):
 @dataclass(eq=False)
 class ApproxRep:
     """A map from a finite group into square matrices with measured (never
-    assumed) multiplicativity defect."""
+    assumed) multiplicativity defect.  The values are copied and made
+    read-only, so the defect is measured once and cached."""
 
     group: FiniteGroup
     values: np.ndarray            # (|G|, n, n)
     unitary: bool = True
     unital: bool = True
+    _defect: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)
         if v.ndim != 3 or v.shape[0] != self.group.order or v.shape[1] != v.shape[2]:
             raise ValueError(f"values shape {v.shape} does not match group order")
+        v.flags.writeable = False
         self.values = v
         if self.unitary:
-            worst = max(unitarity_defect(v[g]) for g in range(self.group.order))
+            worst = float(np.max(unitarity_defect(v)))
             if worst > 1e-10:
                 raise ValueError(f"values flagged unitary but defect is {worst:.3e}")
         if self.unital:
@@ -77,18 +80,17 @@ class ApproxRep:
     def defect_with_argmax(self):
         """Max over pairs (g, h) of ||rho(gh) - rho(g) rho(h)|| and the
         attaining pair."""
-        G = self.group
-        v = self.values
-        prods = np.einsum("gij,hjk->ghik", v, v)
-        diff = v[G.mult] - prods
-        flat = diff.reshape(-1, self.dim, self.dim)
-        norms = np.linalg.svd(flat, compute_uv=False)[:, 0]
-        i = int(np.argmax(norms))
-        return float(norms[i]), (i // G.order, i % G.order)
+        if self._defect is None:
+            G = self.group
+            v = self.values
+            prods = np.einsum("gij,hjk->ghik", v, v)
+            norms = operator_norm(v[G.mult] - prods).ravel()
+            i = int(np.argmax(norms))
+            self._defect = (float(norms[i]), (i // G.order, i % G.order))
+        return self._defect
 
     def distance_to(self, other: "ApproxRep") -> float:
-        return max(operator_norm(self.values[g] - other.values[g])
-                   for g in range(self.group.order))
+        return float(np.max(operator_norm(self.values - other.values)))
 
     def conjugate(self, u: np.ndarray) -> "ApproxRep":
         u = np.asarray(u, dtype=complex)
@@ -105,15 +107,13 @@ def one_step(rep: ApproxRep) -> ApproxRep:
             f"defect {r:.6g} exceeds 1/5; attained at pair {pair}")
     G = rep.group
     v = rep.values
-    new = np.empty_like(v)
+    v_adj = v.conj().transpose(0, 2, 1)
+    x = np.empty_like(v)
+    # One (|G|, n, n) stack per g: m[k] = rho(k)* rho(kg) rho(g)*.
     for g in range(G.order):
-        def integrand(k, g=g):
-            kg = G.mul(k, g)
-            m = v[k].conj().T @ v[kg] @ v[g].conj().T
-            return principal_log_unitary(m)
-        x = haar_average(G, integrand)
-        new[g] = exp_skew(x) @ v[g]
-    return ApproxRep(G, new, unitary=rep.unitary, unital=rep.unital)
+        m = v_adj @ v[G.mult[:, g]] @ v_adj[g]
+        x[g] = principal_log_unitary(m).mean(axis=0)
+    return ApproxRep(G, exp_skew(x) @ v, unitary=rep.unitary, unital=rep.unital)
 
 
 @dataclass
@@ -172,15 +172,11 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
             raise ConvergenceError(
                 f"defect still {trace[-1][1]:.3e} after {max_iter} iterations",
                 trace)
-        if trace[-1][1] > tol:
-            raise ConvergenceError(
-                f"defect still {trace[-1][1]:.3e} after {max_iter} iterations",
-                trace)
     drift = None
     if quotient is not None:
-        drift = max(operator_norm(quotient(current.values[g]) -
-                                  quotient(start.values[g]))
-                    for g in range(rep.group.order))
+        moved = np.stack([quotient(c) - quotient(s)
+                          for c, s in zip(current.values, start.values)])
+        drift = float(np.max(operator_norm(moved)))
     return RepCorrection(rep=current, iterations=iterations, trace=trace,
                          quotient_drift=drift)
 

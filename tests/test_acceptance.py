@@ -2,6 +2,7 @@
 matrices and checked against its certified bound at the stated tolerance.
 One summary line is printed per criterion."""
 
+import json
 import subprocess
 import sys
 import time
@@ -369,5 +370,11 @@ def test_criterion_10_suite_subcommand(tmp_path):
     for kind in ("rep", "cocycle", "lift", "rokhlin", "tracial", "graded",
                  "integral_estimate"):
         assert (tmp_path / kind / "report.json").exists()
+    # The two rep entries keep separate reports, each with its own seed and
+    # trial count.
+    for label, seed, trials in (("rep", 0, 25), ("rep_tower", 1, 10)):
+        report = json.loads((tmp_path / label / "report.json").read_text())
+        assert report["scenario"]["seed"] == seed
+        assert len(report["trials"]) == trials
     _report("criterion 10 (suite subcommand)", True,
             f"exit 0 in {elapsed:.1f}s < 300s")
