@@ -43,7 +43,7 @@ DEFAULTS = {
                 "dimension": 6, "magnitude": 0.02, "trials": 20},
     "graded": {"kind": "graded", "seed": 0,
                "group": {"kind": "cyclic", "params": 4},
-               "magnitude": 0.002, "trials": 20},
+               "magnitude": 0.001, "trials": 20},
     "integral_estimate": {"kind": "integral_estimate", "seed": 0,
                           "group": {"kind": "cyclic", "params": 5},
                           "dimension": 4, "magnitude": 0.3, "trials": 25},

@@ -13,7 +13,7 @@ iterating from r < 1/10 produces an exact trivializer within 2r/(1-10r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .groups import FiniteGroup
 from .matfun import (exp_skew, operator_norm, principal_log_unitary,
                      unitarity_defect)
-from .galgebra import GAlgebra
+from .galgebra import GAlgebra, max_with_pair
 from .repcorrect import ConvergenceError, DefectTooLargeError, ITERATION_CAP
 
 ONE_STEP_MAX_MISMATCH = 1.0 / 5
@@ -31,21 +31,24 @@ TRIVIALIZE_MAX_MISMATCH = 1.0 / 10
 @dataclass(eq=False)
 class Cocycle:
     """Unitary-valued map on a group, measured against the cocycle identity
-    for the algebra's action."""
+    for the algebra's action.  The values are copied and made read-only, so
+    the cocycle defect is measured once and cached."""
 
     algebra: GAlgebra
     values: np.ndarray           # (|G|, n, n)
+    _defect: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)
         G = self.algebra.group
         if v.ndim != 3 or v.shape[0] != G.order or v.shape[1] != v.shape[2]:
             raise ValueError(f"values shape {v.shape} does not match group order")
         if v.shape[1] != self.algebra.dim:
             raise ValueError("value dimension does not match the algebra")
-        worst = max(unitarity_defect(v[g]) for g in range(G.order))
+        worst = float(np.max(unitarity_defect(v)))
         if worst > 1e-10:
             raise ValueError(f"cocycle values must be unitary; defect {worst:.3e}")
+        v.flags.writeable = False
         self.values = v
 
     @property
@@ -56,28 +59,21 @@ class Cocycle:
         return self.defect_with_argmax()[0]
 
     def defect_with_argmax(self):
-        """Max over (g, h) of || w(gh) - w(g) alpha_g(w(h)) ||."""
-        G = self.group
-        worst, arg = 0.0, (0, 0)
-        for g in range(G.order):
-            for h in range(G.order):
-                lhs = self.values[G.mul(g, h)]
-                rhs = self.values[g] @ self.algebra.act(g, self.values[h])
-                d = operator_norm(lhs - rhs)
-                if d > worst:
-                    worst, arg = d, (g, h)
-        return worst, arg
+        """Max over (g, h) of || w(gh) - w(g) alpha_g(w(h)) || and the
+        attaining pair."""
+        if self._defect is None:
+            v, mult, act = self.values, self.group.mult, self.algebra.act
+            # One (|G|, n, n) stack per g, over h.
+            self._defect = max_with_pair(np.stack(
+                [operator_norm(v[mult[g]] - v[g] @ act(g, v))
+                 for g in range(len(mult))]))
+        return self._defect
 
     def mismatch(self, v: np.ndarray):
         """Max over g of || v alpha_g(v)* - w(g) || and the attaining g."""
-        G = self.group
-        worst, arg = 0.0, 0
-        for g in range(G.order):
-            cob = v @ self.algebra.act(g, v).conj().T
-            d = operator_norm(cob - self.values[g])
-            if d > worst:
-                worst, arg = d, g
-        return worst, arg
+        d = operator_norm(coboundary_values(self.algebra, v) - self.values)
+        g = int(np.argmax(d))
+        return float(d[g]), g
 
 
 def cocycle_defect(w: Cocycle) -> float:
@@ -85,11 +81,15 @@ def cocycle_defect(w: Cocycle) -> float:
     return w.defect()
 
 
+def coboundary_values(algebra: GAlgebra, v: np.ndarray) -> np.ndarray:
+    """The (|G|, n, n) stack of v alpha_g(v)*."""
+    return np.stack([v @ algebra.act(g, v).conj().T
+                     for g in range(algebra.group.order)])
+
+
 def coboundary(algebra: GAlgebra, v: np.ndarray) -> Cocycle:
     """The cocycle g -> v alpha_g(v)* of a unitary v."""
-    G = algebra.group
-    vals = np.stack([v @ algebra.act(g, v).conj().T for g in range(G.order)])
-    return Cocycle(algebra=algebra, values=vals)
+    return Cocycle(algebra=algebra, values=coboundary_values(algebra, v))
 
 
 def one_step_cobound(w: Cocycle, v: np.ndarray, exact_tol: float = 1e-11) -> np.ndarray:

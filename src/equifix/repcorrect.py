@@ -26,7 +26,7 @@ from .groups import FiniteGroup, haar_average
 from .matfun import (EPS0, UNITARIZE_EPS, exp_skew, nearest_unitary_distance,
                      operator_norm, polar_unitary, principal_log_unitary,
                      unitarity_defect)
-from .galgebra import GHom, Tower
+from .galgebra import GHom, Tower, max_with_pair, mult_defect_norms
 
 ONE_STEP_MAX_DEFECT = 1.0 / 5
 ITERATE_MAX_DEFECT = 1.0 / 17
@@ -81,12 +81,8 @@ class ApproxRep:
         """Max over pairs (g, h) of ||rho(gh) - rho(g) rho(h)|| and the
         attaining pair."""
         if self._defect is None:
-            G = self.group
-            v = self.values
-            prods = np.einsum("gij,hjk->ghik", v, v)
-            norms = operator_norm(v[G.mult] - prods).ravel()
-            i = int(np.argmax(norms))
-            self._defect = (float(norms[i]), (i // G.order, i % G.order))
+            self._defect = max_with_pair(mult_defect_norms(self.values,
+                                                           self.group.mult))
         return self._defect
 
     def distance_to(self, other: "ApproxRep") -> float:
@@ -94,7 +90,7 @@ class ApproxRep:
 
     def conjugate(self, u: np.ndarray) -> "ApproxRep":
         u = np.asarray(u, dtype=complex)
-        vals = np.einsum("ij,gjk,lk->gil", u, self.values, u.conj())
+        vals = u @ self.values @ u.conj().T
         return ApproxRep(self.group, vals, unitary=self.unitary, unital=self.unital)
 
 
@@ -254,13 +250,15 @@ def translation_source_action(d: int, group: FiniteGroup,
 
 def equivariance_defect(values: np.ndarray, act: Callable[[int, np.ndarray], np.ndarray],
                         source_action: SourceAction) -> float:
-    """Max over (g, x) of || gamma_g(psi(u_x)) - psi(alpha_g(u_x)) ||."""
-    G, H = source_action.group, source_action.source
+    """Max over (g, x) of || gamma_g(psi(u_x)) - psi(alpha_g(u_x)) ||.
+    ``act(g, .)`` is applied to the whole (|H|, n, n) stack of values, with
+    one batched norm per g."""
+    values = np.asarray(values, dtype=complex)
+    perm, scalar = source_action.perm, source_action.scalar
     worst = 0.0
-    for g in range(G.order):
-        for x in range(H.order):
-            bx, c = source_action.apply_index(g, x)
-            worst = max(worst, operator_norm(act(g, values[x]) - c * values[bx]))
+    for g in range(source_action.group.order):
+        diff = act(g, values) - scalar[g][:, None, None] * values[perm[g]]
+        worst = max(worst, float(np.max(operator_norm(diff))))
     return worst
 
 
@@ -313,16 +311,15 @@ def intertwiner(rho: ApproxRep, sigma: ApproxRep,
         d = rep.defect()
         if d > exact_tol:
             raise DefectTooLargeError(f"{name} is not exact: defect {d:.3e}")
-    gap = rho.distance_to(sigma)
-    if gap >= 1.0:
-        dists = [operator_norm(rho.values[g] - sigma.values[g])
-                 for g in range(rho.group.order)]
-        g = int(np.argmax(dists))
+    dists = operator_norm(rho.values - sigma.values)
+    g = int(np.argmax(dists))
+    if dists[g] >= 1.0:
         raise DefectTooLargeError(
-            f"representations are at distance {gap:.6g} >= 1 (attained at g={g})")
+            f"representations are at distance {dists[g]:.6g} >= 1 (attained at g={g})")
     if quotient is not None:
-        mismatch = max(operator_norm(quotient(rho.values[g]) - quotient(sigma.values[g]))
-                       for g in range(rho.group.order))
+        moved = np.stack([quotient(r) - quotient(s)
+                          for r, s in zip(rho.values, sigma.values)])
+        mismatch = float(np.max(operator_norm(moved)))
         if mismatch > exact_tol:
             raise DefectTooLargeError(
                 f"quotients of rho and sigma differ by {mismatch:.3e}")
@@ -400,8 +397,7 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
         seed_vals = np.stack([phi_vals[x] + fill for x in range(H.order)])
     else:
         seed_vals = np.asarray(seed.values, dtype=complex)
-        mismatch = max(operator_norm(seed_vals[x] * top_mask - phi_vals[x])
-                       for x in range(H.order))
+        mismatch = float(np.max(operator_norm(seed_vals * top_mask - phi_vals)))
         if mismatch > 1e-11:
             raise ValueError(
                 f"seed does not project to phi at the top (off by {mismatch:.3e})")
@@ -418,7 +414,7 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
         # Unitarity is relative to the level unit (dropped blocks stay zero):
         # measure against the polar set inside the live corner.
         live = np.flatnonzero(np.diag(mask))
-        sub = sym[np.ix_(range(H.order), live, live)]
+        sub = sym[:, live[:, None], live]
         dists = [nearest_unitary_distance(sub[x]) for x in range(H.order)]
         unitarizable = max(dists) < UNITARIZE_EPS
         uni_defect = None
@@ -442,11 +438,12 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
     embed = np.zeros((A.dim, n_live), dtype=complex)
     embed[live, np.arange(n_live)] = 1.0
 
+    # Both take one matrix or a stack (..., n, n).
     def expand(sub):
         return embed @ sub @ embed.conj().T
 
     def compress(full):
-        return full[np.ix_(live, live)]
+        return full[..., live[:, None], live]
 
     def quotient_sub(sub):
         return compress(tower.project(top, level, expand(sub)))
@@ -460,22 +457,21 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
     # the corrected representation is returned either way.
     u_full = None
     final_sub = corrected.values
-    seed_sub = np.stack([compress(level_vals[x]) for x in range(H.order)])
+    seed_sub = compress(level_vals)
     seed_exact = GHom(H, seed_sub, level=level).mult_defect() <= 1e-11
-    seed_unitary = max(unitarity_defect(seed_sub[x]) for x in range(H.order)) <= 1e-10
+    seed_unitary = float(np.max(unitarity_defect(seed_sub))) <= 1e-10
     if seed_exact and seed_unitary and \
-            max(operator_norm(corrected.values[x] - seed_sub[x])
-                for x in range(H.order)) < 1.0:
+            float(np.max(operator_norm(corrected.values - seed_sub))) < 1.0:
         psi1 = ApproxRep(H, seed_sub, unitary=True, unital=True)
         u = intertwiner(psi1, corrected, quotient=quotient_sub)
-        final_sub = np.einsum("ij,gjk,lk->gil", u, seed_sub, u.conj())
+        final_sub = u @ seed_sub @ u.conj().T
         u_full = expand(u) + (np.eye(A.dim) - expand(np.eye(n_live)))
 
-    final_vals = np.stack([expand(final_sub[x]) for x in range(H.order)])
+    final_vals = expand(final_sub)
     act = lambda g, a: tower.act_at_level(level, g, a)
     eq_res = equivariance_defect(final_vals, act, source_action)
-    proj_res = max(operator_norm(tower.project(top, level, final_vals[x]) - phi_vals[x])
-                   for x in range(H.order))
+    proj_res = float(np.max(operator_norm(tower.project(top, level, final_vals)
+                                          - phi_vals)))
     return LiftResult(level=level, rep=GHom(H, final_vals, level=level),
                       intertwiner_unitary=u_full, table=table,
                       correction=correction, equivariance_residual=eq_res,

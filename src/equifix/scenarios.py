@@ -569,8 +569,6 @@ def build_rokhlin_scenario(d: int, block: int, magnitude: float,
 def run_rokhlin_trial(s: Scenario, trial: int) -> TrialReport:
     rng = trial_rng(s.seed, trial)
     d = int(s.group.get("params", 2))
-    if s.group["kind"] != "cyclic":
-        raise ScenarioError("rokhlin scenarios require a cyclic group")
     block = max(1, s.dimension // d)
     start = time.perf_counter()
     algebra, exact, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng)
@@ -589,8 +587,6 @@ def run_rokhlin_trial(s: Scenario, trial: int) -> TrialReport:
 def run_tracial_trial(s: Scenario, trial: int) -> TrialReport:
     rng = trial_rng(s.seed, trial)
     d = int(s.group.get("params", 2))
-    if s.group["kind"] != "cyclic":
-        raise ScenarioError("tracial scenarios require a cyclic group")
     block = max(1, (s.dimension - s.corner_corank) // d)
     corank = int(s.corner_corank)
     start = time.perf_counter()
@@ -703,9 +699,34 @@ class ScenarioReport:
     failures: list
 
 
+def _check_scenario(s: Scenario):
+    """Raise ScenarioError for what the schema cannot see: group params
+    that do not build a group, and a group the kind does not support.  Run
+    before any trial, since a ScenarioError inside a trial would be
+    recorded as a failed trial instead of rejecting the scenario."""
+    if s.kind == "lift":            # its groups come from the source model
+        return
+    kind, params = s.group["kind"], s.group.get("params")
+    if s.kind in ("rokhlin", "tracial"):
+        if kind != "cyclic":
+            raise ScenarioError(f"/group/kind: {s.kind} scenarios require a "
+                                f"cyclic group, got {kind!r}")
+        params = s.group.get("params", 2)
+    try:
+        group = make_group(kind, params)
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise ScenarioError(f"/group/params: {params!r} does not build a "
+                            f"{kind} group ({exc})") from None
+    if s.kind == "graded" and not group.is_abelian():
+        raise ScenarioError(f"/group: graded scenarios require an abelian "
+                            f"group, got {group.name}")
+
+
 def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
     """Run all trials of a scenario, write trace.csv and report.json into
-    ``out_dir``, and return the collected report."""
+    ``out_dir``, and return the collected report.  A scenario the trials
+    cannot run raises ScenarioError before anything is written."""
+    _check_scenario(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = TRIAL_RUNNERS[scenario.kind]
@@ -779,9 +800,11 @@ def suite_scenarios(seed: int = 0, trials: Optional[int] = None) -> List[Scenari
         Scenario(kind="tracial", seed=seed + 5,
                  group={"kind": "cyclic", "params": 2},
                  dimension=5, magnitude=0.02, trials=t or 10, corner_corank=1),
+        # Magnitude at most 1/816 keeps every value within the 1/408 the
+        # graded corrector requires of its distance to the grading component.
         Scenario(kind="graded", seed=seed + 6,
                  group={"kind": "cyclic", "params": 4},
-                 magnitude=0.002, trials=t or 15),
+                 magnitude=0.001, trials=t or 15),
         Scenario(kind="integral_estimate", seed=seed + 7,
                  group={"kind": "cyclic", "params": 5},
                  dimension=4, magnitude=0.3, trials=t or 25),

@@ -1,19 +1,24 @@
-"""Property tests for the stacked log/exp kernels and for the correctors that
-take one stack per group element.  Each fast path is compared with the
-route it replaced: the per-matrix joint eigensystem (with its Schur
-fallback) for the log, and the per-pair Python loop for the correctors."""
+"""Property tests for the stacked log/exp kernels, for the correctors that
+take one stack per group element, and for the stacked defect, conjugation
+and block-mask paths.  Each fast path is compared with the route it
+replaced: the per-matrix joint eigensystem (with its Schur fallback) for
+the log, the per-pair Python loop for the correctors and the defects, and
+the three-operand einsum for the conjugation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from equifix.cocycles import coboundary, one_step_cobound
-from equifix.galgebra import matrix_algebra
+from equifix.cocycles import Cocycle, coboundary, one_step_cobound
+from equifix.galgebra import (BlockMismatchError, GHom, Tower,
+                              matrix_algebra, mult_defect_norms,
+                              trivial_action_algebra)
 from equifix.groups import make_group
 from equifix.matfun import (BranchCutError, exp_skew, normal_eigensystem,
                             operator_norm, principal_log_unitary)
-from equifix.repcorrect import ApproxRep, one_step
+from equifix.repcorrect import (ApproxRep, equivariance_defect, one_step,
+                                translation_source_action)
 from equifix.scenarios import (exact_rep_values, perturb_rep_values,
                                random_skew, random_unitary, trial_rng)
 
@@ -181,3 +186,155 @@ def test_approx_rep_values_are_a_read_only_copy():
     assert rep.defect() <= 1e-12
     with pytest.raises(ValueError):
         rep.values[1] = 0.0
+
+
+# --- defects, conjugation and block masks -------------------------------------
+
+DEFECT_SPECS = GROUP_SPECS + [{"kind": "symmetric", "params": 4},
+                              {"kind": "product",
+                               "params": [["cyclic", 2], ["cyclic", 3]]}]
+
+
+def first_max(table):
+    """The largest entry of a {key: value} dict in insertion order and its
+    key; later equal entries do not replace it."""
+    worst, arg = -1.0, None
+    for key, value in table.items():
+        if value > worst:
+            worst, arg = value, key
+    return worst, arg
+
+
+def regular_rep(group):
+    """Permutation matrices of the left regular representation: products
+    are exact, so every defect is exactly 0 and all pairs tie."""
+    v = np.zeros((group.order, group.order, group.order), dtype=complex)
+    for g in group.elements():
+        v[g, group.mult[g], np.arange(group.order)] = 1.0
+    return v
+
+
+def family(seed, spec, dim, magnitude, regular):
+    rng = trial_rng(seed, 0)
+    group = make_group(spec["kind"], spec["params"])
+    exact = regular_rep(group) if regular else exact_rep_values(spec, group, dim, rng)
+    return group, rng, perturb_rep_values(exact, magnitude, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from(DEFECT_SPECS), st.integers(1, 5),
+       st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.1), st.booleans())
+def test_mult_defect_norms_match_per_pair_loop(seed, spec, dim, magnitude, regular):
+    group, _, vals = family(seed, spec, dim, magnitude, regular)
+    pairs = {(g, h): operator_norm(vals[group.mul(g, h)] - vals[g] @ vals[h])
+             for g in group.elements() for h in group.elements()}
+    norms = mult_defect_norms(vals, group.mult)
+    assert norms.shape == (group.order, group.order)
+    for (g, h), d in pairs.items():
+        assert abs(norms[g, h] - d) <= 1e-12
+    worst, pair = first_max(pairs)
+    rep = ApproxRep(group, vals)
+    assert rep.defect_with_argmax()[1] == pair
+    assert abs(rep.defect() - worst) <= 1e-12
+    assert abs(GHom(group, vals, level=0).mult_defect() - worst) <= 1e-12
+    if regular and magnitude == 0.0:
+        assert worst == 0.0 and pair == (0, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(DEFECT_SPECS), st.integers(1, 5),
+       st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.1))
+def test_cocycle_defect_and_mismatch_match_per_pair_loops(seed, spec, dim, magnitude):
+    rng = trial_rng(seed, 0)
+    group = make_group(spec["kind"], spec["params"])
+    alg = matrix_algebra(dim, group, list(exact_rep_values(spec, group, dim, rng)))
+    w = coboundary(alg, random_unitary(rng, dim))
+    w = Cocycle(alg, perturb_rep_values(w.values, magnitude, rng))
+    pairs = {(g, h): operator_norm(w.values[group.mul(g, h)] -
+                                   w.values[g] @ alg.act(g, w.values[h]))
+             for g in group.elements() for h in group.elements()}
+    worst, pair = first_max(pairs)
+    assert w.defect_with_argmax()[1] == pair
+    assert abs(w.defect() - worst) <= 1e-12
+    v = random_unitary(rng, dim)
+    per_g = {g: operator_norm(v @ alg.act(g, v).conj().T - w.values[g])
+             for g in group.elements()}
+    worst, g = first_max(per_g)
+    r, arg = w.mismatch(v)
+    assert arg == g and abs(r - worst) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(2, 5), st.floats(0.0, 0.1))
+def test_equivariance_defect_matches_per_pair_loop(seed, d, noise):
+    rng = trial_rng(seed, 0)
+    G = make_group("cyclic", d)
+    action = translation_source_action(d, G, G)
+    alg = matrix_algebra(d, G, [np.diag(np.exp(-2j * np.pi * g * np.arange(d) / d))
+                                for g in range(d)])
+    shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
+    q = expm(noise * random_skew(rng, d))
+    vals = np.stack([q @ np.linalg.matrix_power(shift, k) @ q.conj().T
+                     for k in range(d)])
+    loop = max(operator_norm(alg.act(g, vals[x]) -
+                             action.scalar[g, x] * vals[action.perm[g, x]])
+               for g in range(d) for x in range(d))
+    assert abs(equivariance_defect(vals, alg.act, action) - loop) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(DEFECT_SPECS), st.integers(1, 6))
+def test_matmul_conjugation_matches_einsum(seed, spec, dim):
+    group, rng, vals = family(seed, spec, dim, 0.01, False)
+    u = random_unitary(rng, dim)
+    want = np.einsum("ij,gjk,lk->gil", u, vals, u.conj())
+    got = ApproxRep(group, vals).conjugate(u).values
+    assert np.max(operator_norm(got - want)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from([(1, 2), (2, 3), (3, 1, 2)]),
+       st.sampled_from([1e-10, 1e-6]), st.sampled_from([(), (3,)]))
+def test_conform_gate_at_its_tolerance(seed, blocks, tol, lead):
+    rng = np.random.default_rng(seed)
+    alg = trivial_action_algebra(blocks, make_group("cyclic", 2))
+    n = alg.dim
+    mask = alg.block_mask()
+    shape = lead + (n, n)
+    inside = mask * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    off = (1 - mask) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    off = off / np.max(operator_norm(off))
+    with pytest.raises(BlockMismatchError, match="off-block mass"):
+        alg.conform(inside + tol * (1 + 1e-6) * off, tol=tol)
+    assert np.array_equal(alg.conform(inside + tol * (1 - 1e-6) * off, tol=tol),
+                          inside)
+    assert np.array_equal(alg.conform(inside, tol=tol), inside)
+
+
+def test_block_mask_is_a_fresh_writable_copy():
+    alg = trivial_action_algebra((2, 3), make_group("cyclic", 2))
+    tower = Tower(algebra=alg, ideals=(frozenset(), frozenset({0})))
+    first = alg.block_mask()
+    assert first.flags.writeable
+    assert alg.block_mask() is not first
+    want = first.copy()
+    first[:] = 1.0                     # scribbling on a copy changes nothing
+    tower.level_mask(1)[:] = 1.0
+    assert np.array_equal(alg.block_mask(), want)
+    a = np.ones((5, 5), dtype=complex) * want
+    assert np.array_equal(alg.conform(a), a)
+    want[:2, :2] = 0.0                 # level 1 drops block 0
+    assert np.array_equal(tower.level_mask(1), want)
+
+
+def test_cocycle_values_are_a_read_only_copy():
+    group = make_group("cyclic", 3)
+    rng = trial_rng(5, 0)
+    alg = matrix_algebra(2, group, list(exact_rep_values(
+        {"kind": "cyclic", "params": 3}, group, 2, rng)))
+    vals = coboundary(alg, random_unitary(rng, 2)).values.copy()
+    w = Cocycle(alg, vals)
+    vals[1] = 0.0                      # the caller's array stays writable
+    assert w.defect() <= 1e-12
+    with pytest.raises(ValueError):
+        w.values[1] = 0.0

@@ -165,3 +165,38 @@ def test_suite_battery_covers_all_kinds():
     kinds = {s.kind for s in suite_scenarios()}
     assert kinds == {"rep", "cocycle", "lift", "rokhlin", "tracial", "graded",
                      "integral_estimate"}
+
+
+def test_suite_graded_default_is_inside_the_corrector_domain(tmp_path):
+    # At magnitude 0.002 this seed put graded trial 0 at 0.00252606 from
+    # its grading component, past the corrector's 1/408 gate.
+    graded = [s for s in suite_scenarios(seed=2740136247) if s.kind == "graded"]
+    assert len(graded) == 1 and graded[0].magnitude <= 1 / 816
+    assert run_scenario(graded[0], tmp_path).all_passed
+
+
+@pytest.mark.parametrize("kind,group,message", [
+    ("rokhlin", {"kind": "dihedral", "params": 3}, "/group/kind: rokhlin .* cyclic"),
+    ("tracial", {"kind": "symmetric", "params": 3}, "/group/kind: tracial .* cyclic"),
+    ("rep", {"kind": "cyclic", "params": {}}, "/group/params"),
+    ("cocycle", {"kind": "product", "params": 5}, "/group/params"),
+    ("graded", {"kind": "dihedral", "params": 3}, "/group: graded .* abelian"),
+])
+def test_unrunnable_scenario_is_rejected_before_any_trial(tmp_path, kind, group,
+                                                          message):
+    s = Scenario(kind=kind, seed=0, group=group, trials=2)
+    with pytest.raises(ScenarioError, match=message):
+        run_scenario(s, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_dihedral_rokhlin_file_exits_two(tmp_path, capsys):
+    f = tmp_path / "rokhlin.json"
+    f.write_text(json.dumps({"kind": "rokhlin", "seed": 0,
+                             "group": {"kind": "dihedral", "params": 3},
+                             "dimension": 6, "trials": 2}))
+    rc = cli_main(["rokhlin", "--scenario", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "/group/kind" in err and "cyclic" in err
+    assert "Traceback" not in err
