@@ -4,9 +4,8 @@ matrix algebras to exact ones, with certified quantitative error bounds.
 Subpackages: finite groups and exact averaging (groups), matrix functional
 calculus (matfun), G-algebras and quotient towers (galgebra), representation
 correction and equivariant lifting (repcorrect), cocycle trivialization
-(cocycles), generators-and-relations with partition stabilization
-(relations), abelian gradings (graded), and the scenario runner
-(scenarios, cli).
+(cocycles), partition stabilization, plain and tracial (relations),
+abelian gradings (graded), and the scenario runner (scenarios, cli).
 """
 
 from .groups import (CircleAverage, CircleWeights, FiniteGroup, circle_average,
@@ -21,12 +20,10 @@ from .galgebra import (GAlgebra, GHom, Tower, commutant_expectation,
 from .repcorrect import (ApproxRep, SourceAction, correct_to_rep, intertwiner,
                          lift_group_rep, one_step, symmetrize,
                          translation_source_action, unitarize_values)
-from .cocycles import (Cocycle, coboundary, cocycle_defect, one_step_cobound,
-                       trivialize, verify_integral_estimate)
-from .relations import (Assignment, RelationSystem, StarPolynomial, eval_poly,
-                        rep_defect, stabilize_partition,
-                        stabilize_tracial_partition, symmetrize_assignment)
+from .cocycles import (Cocycle, coboundary, one_step_cobound, trivialize,
+                       verify_integral_estimate)
+from .relations import stabilize_partition, stabilize_tracial_partition
 from .graded import (GradedAlgebra, character_table, graded_correct,
-                     grading_projection, regular_graded_model)
+                     regular_graded_model)
 
 __version__ = "0.1.0"

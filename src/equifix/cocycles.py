@@ -22,7 +22,7 @@ from .groups import FiniteGroup
 from .matfun import (exp_skew, operator_norm, principal_log_unitary,
                      unitarity_defect)
 from .galgebra import GAlgebra, max_with_pair
-from .repcorrect import ConvergenceError, DefectTooLargeError, ITERATION_CAP
+from .repcorrect import DefectTooLargeError, ITERATION_CAP, _iterate
 
 ONE_STEP_MAX_MISMATCH = 1.0 / 5
 TRIVIALIZE_MAX_MISMATCH = 1.0 / 10
@@ -32,11 +32,14 @@ TRIVIALIZE_MAX_MISMATCH = 1.0 / 10
 class Cocycle:
     """Unitary-valued map on a group, measured against the cocycle identity
     for the algebra's action.  The values are copied and made read-only, so
-    the cocycle defect is measured once and cached."""
+    the cocycle defect is measured once and cached; so is the mismatch of
+    the last read-only unitary measured against it (the iterates of
+    ``trivialize``)."""
 
     algebra: GAlgebra
     values: np.ndarray           # (|G|, n, n)
     _defect: Optional[tuple] = field(default=None, init=False, repr=False)
+    _last: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
@@ -73,12 +76,11 @@ class Cocycle:
         """Max over g of || v alpha_g(v)* - w(g) || and the attaining g."""
         d = operator_norm(coboundary_values(self.algebra, v) - self.values)
         g = int(np.argmax(d))
-        return float(d[g]), g
-
-
-def cocycle_defect(w: Cocycle) -> float:
-    """Max over pairs of || w(gh) - w(g) alpha_g(w(h)) ||."""
-    return w.defect()
+        result = float(d[g]), g
+        # A read-only array that owns its data cannot change under the cache.
+        if isinstance(v, np.ndarray) and not v.flags.writeable and v.flags.owndata:
+            self._last = (v, result)
+        return result
 
 
 def coboundary_values(algebra: GAlgebra, v: np.ndarray) -> np.ndarray:
@@ -95,12 +97,14 @@ def coboundary(algebra: GAlgebra, v: np.ndarray) -> Cocycle:
 def one_step_cobound(w: Cocycle, v: np.ndarray, exact_tol: float = 1e-11) -> np.ndarray:
     """One coboundary-correction step.  Requires w exact (defect <= 1e-11)
     and mismatch r <= 1/5; the output z satisfies
-    || z alpha_g(z)* - w(g) || <= 10 r^2 and || z - v || <= 2r."""
+    || z alpha_g(z)* - w(g) || <= 10 r^2 and || z - v || <= 2r.  z is
+    read-only, so w keeps its mismatch once measured."""
     cd = w.defect()
     if cd > exact_tol:
         raise DefectTooLargeError(
             f"cocycle must be exact before correction (defect {cd:.3e})")
-    r, g = w.mismatch(v)
+    last = w._last            # the iterate trivialize has just measured
+    r, g = last[1] if last is not None and last[0] is v else w.mismatch(v)
     if r > ONE_STEP_MAX_MISMATCH:
         raise DefectTooLargeError(
             f"mismatch {r:.6g} exceeds 1/5 (attained at g={g})")
@@ -110,7 +114,9 @@ def one_step_cobound(w: Cocycle, v: np.ndarray, exact_tol: float = 1e-11) -> np.
     # One (|G|, n, n) stack over h: m[h] = v* alpha_h^{-1}(w(h)* v).
     m = np.stack([v_adj @ A.act(G.inverse(h), w.values[h].conj().T @ v)
                   for h in G.elements()])
-    return v @ exp_skew(principal_log_unitary(m).mean(axis=0))
+    z = v @ exp_skew(principal_log_unitary(m).mean(axis=0))
+    z.flags.writeable = False
+    return z
 
 
 @dataclass
@@ -142,9 +148,8 @@ def trivialize(w: Cocycle, v0: Optional[np.ndarray] = None, tol: float = 1e-12,
         raise DefectTooLargeError(
             f"cocycle must be exact before trivialization (defect {cd:.3e}); "
             f"approximately multiplicative cocycles are reported, not corrected")
-    if v0 is None:
-        v0 = np.eye(A.dim, dtype=complex)
-    v0 = np.asarray(v0, dtype=complex)
+    v0 = np.array(np.eye(A.dim) if v0 is None else v0, dtype=complex)
+    v0.flags.writeable = False
     r0, g = w.mismatch(v0)
     if r0 >= TRIVIALIZE_MAX_MISMATCH:
         raise DefectTooLargeError(
@@ -156,21 +161,10 @@ def trivialize(w: Cocycle, v0: Optional[np.ndarray] = None, tol: float = 1e-12,
         if down > 1e-12:
             raise DefectTooLargeError(
                 f"seed does not trivialize the cocycle downstairs (off by {down:.3e})")
-    v = v0
-    trace = [(0, r0, 0.0)]
-    iterations = 0
-    if r0 > tol:
-        for it in range(1, max_iter + 1):
-            v = one_step_cobound(w, v)
-            iterations = it
-            r, _ = w.mismatch(v)
-            trace.append((it, r, operator_norm(v - v0)))
-            if r <= tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"mismatch still {trace[-1][1]:.3e} after {max_iter} iterations",
-                trace)
+    v, iterations, trace = _iterate(
+        v0, r0, lambda it, v: one_step_cobound(w, v),
+        lambda v: w.mismatch(v)[0], lambda v: operator_norm(v - v0), tol,
+        max_iter, "mismatch")
     drift = None
     if quotient is not None:
         drift = operator_norm(quotient(v) - quotient(v0))

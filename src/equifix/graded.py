@@ -164,10 +164,6 @@ class GradedAlgebra:
         return operator_norm(np.asarray(x) - self.projection(g, x))
 
 
-def grading_projection(algebra: GradedAlgebra, g: int, x: np.ndarray) -> np.ndarray:
-    return algebra.projection(g, x)
-
-
 def regular_graded_model(group: FiniteGroup):
     """The group-algebra model: carrier M_|G| in the group-element basis,
     dual action by the diagonal character unitaries, and the left-regular

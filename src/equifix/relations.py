@@ -1,303 +1,26 @@
-"""Equivariant generators and relations: star polynomials, measured
-representation defects, group-averaging symmetrization, and the exact
-correction of approximately permuted partitions of unity (the Rokhlin-type
-families), including the corner-compressed tracial variant.
+"""Exact correction of approximately permuted partitions of unity over a
+cyclic group action (the Rokhlin-type families), including the
+corner-compressed tracial variant.
 
-Relations are formal *-polynomials in the generators, their adjoints, and
-formal action images of both; a relation system carries a set action of the
-group on the generators, a syntactic closure check of the relations under
-that action, and a stored exact model assignment witnessing admissibility.
+Both correctors measure the five partition defects of their seeds and
+their output with one kernel, ``measure_partition_seeds``: idempotency,
+self-adjointness, mutual orthogonality, equivariance under the group's
+permutation p_g -> p_{hg}, and the distance of the sum from the unit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass
+from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, haar_average
 from .matfun import (operator_norm, polar_unitary, round_to_projection,
                      spectral_round_unitary)
 from .galgebra import GAlgebra, matrix_algebra
 from .repcorrect import DefectTooLargeError
-
-# A symbol is (g, name, star): the formal image under the action of g of the
-# generator `name`, starred or not.  g is a group element index; the
-# identity index means the bare generator.
-Symbol = Tuple[int, str, bool]
-
-
-@dataclass(frozen=True)
-class StarPolynomial:
-    """Formal sum of scalar-weighted words in the symbols
-    { sigma_g(s), sigma_g(s)* , 1 }.  Terms are kept in a canonical sorted
-    order with merged coefficients; the empty word is the unit."""
-
-    terms: tuple   # tuple of (coefficient, word); word = tuple of Symbol
-
-    @staticmethod
-    def from_terms(terms) -> "StarPolynomial":
-        acc: Dict[tuple, complex] = {}
-        for coef, word in terms:
-            word = tuple((int(g), str(s), bool(star)) for (g, s, star) in word)
-            acc[word] = acc.get(word, 0.0) + complex(coef)
-        canon = tuple(sorted(((w, c) for w, c in acc.items() if abs(c) > 0.0),
-                             key=lambda t: t[0]))
-        return StarPolynomial(terms=tuple((c, w) for w, c in canon))
-
-    @staticmethod
-    def unit(coef=1.0) -> "StarPolynomial":
-        return StarPolynomial.from_terms([(coef, ())])
-
-    @staticmethod
-    def word(*symbols, coef=1.0) -> "StarPolynomial":
-        return StarPolynomial.from_terms([(coef, tuple(symbols))])
-
-    def __add__(self, other: "StarPolynomial") -> "StarPolynomial":
-        return StarPolynomial.from_terms(list(self.terms) + list(other.terms))
-
-    def scaled(self, c) -> "StarPolynomial":
-        return StarPolynomial.from_terms([(c * coef, w) for coef, w in self.terms])
-
-    def symbols(self):
-        for _, word in self.terms:
-            yield from word
-
-    def relabel(self, g: int, group: FiniteGroup, sigma: np.ndarray,
-                index: Dict[str, int], names: Sequence[str]) -> "StarPolynomial":
-        """Relabel by the action of g: the symbol sigma_h(s) becomes
-        sigma_{g h g^-1}(sigma_g(s)).  On action-free words this is the set
-        relabeling s -> sigma_g(s); evaluating the result at an exactly
-        equivariant assignment equals applying alpha_g to the evaluation."""
-        ginv = group.inverse(g)
-        out = []
-        for coef, word in self.terms:
-            new_word = tuple(
-                (group.mul(group.mul(g, h), ginv), names[sigma[g, index[s]]], star)
-                for (h, s, star) in word)
-            out.append((coef, new_word))
-        return StarPolynomial.from_terms(out)
-
-    def close_to(self, other: "StarPolynomial", tol: float = 1e-12) -> bool:
-        if len(self.terms) != len(other.terms):
-            return False
-        for (c1, w1), (c2, w2) in zip(self.terms, other.terms):
-            if w1 != w2 or abs(c1 - c2) > tol:
-                return False
-        return True
-
-
-def eval_poly(poly: StarPolynomial, assignment: Dict[str, np.ndarray],
-              act: Callable[[int, np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Evaluate a star polynomial: the symbol (g, s, star) becomes
-    alpha_g(rho(s)), starred symbols become adjoints, the empty word is the
-    identity."""
-    out = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for coef, word in poly.terms:
-        acc = eye
-        for g, s, star in word:
-            if s not in assignment:
-                raise KeyError(f"unknown generator symbol {s!r}")
-            m = act(g, assignment[s])
-            if star:
-                m = m.conj().T
-            acc = acc @ m
-        out = out + coef * acc
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class Assignment:
-    """Candidate matrix values for the generators, normalized ||rho(s)|| <= 2."""
-
-    values: dict    # name -> matrix
-
-    def __post_init__(self):
-        vals = {str(k): np.asarray(v, dtype=complex) for k, v in self.values.items()}
-        object.__setattr__(self, "values", vals)
-        for name, v in vals.items():
-            norm = operator_norm(v)
-            if norm > 2 + 1e-12:
-                raise ValueError(f"||rho({name})|| = {norm:.6g} exceeds the "
-                                 f"normalization bound 2")
-
-    def dim(self) -> int:
-        return next(iter(self.values.values())).shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class RelationSystem:
-    """Generators, a set action of the group on them, relations closed under
-    the action, and a stored exact model witnessing admissibility."""
-
-    generators: tuple
-    group: FiniteGroup
-    sigma: np.ndarray            # (|G|, |S|) permutations of the generator set
-    relations: tuple             # StarPolynomials
-    model: Assignment
-    model_algebra: GAlgebra
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.intp)
-        object.__setattr__(self, "sigma", sigma)
-        names = self.generators
-        S = len(names)
-        G = self.group
-        if sigma.shape != (G.order, S):
-            raise ValueError("sigma shape mismatch")
-        index = {s: i for i, s in enumerate(names)}
-        for g in range(G.order):
-            if sorted(sigma[g].tolist()) != list(range(S)):
-                raise ValueError(f"sigma[{g}] is not a permutation of the generators")
-            for h in range(G.order):
-                if np.any(sigma[G.mul(g, h)] != sigma[g][sigma[h]]):
-                    raise ValueError("sigma is not a group action on the generators")
-        for g in range(G.order):
-            for rel in self.relations:
-                moved = rel.relabel(g, G, sigma, index, names)
-                if not any(moved.close_to(other) for other in self.relations):
-                    raise ValueError(
-                        f"relations are not closed under the action (g={g})")
-        d_rel, d_eq = rep_defect(self, self.model,
-                                 lambda g, a: self.model_algebra.act(g, a))
-        if d_rel > 1e-12 or d_eq > 1e-12:
-            raise ValueError(
-                f"stored model is not an exact equivariant representation "
-                f"(relation defect {d_rel:.3e}, equivariance defect {d_eq:.3e})")
-
-    def index(self) -> Dict[str, int]:
-        return {s: i for i, s in enumerate(self.generators)}
-
-
-def rep_defect(system: RelationSystem, assignment: Assignment,
-               act: Callable[[int, np.ndarray], np.ndarray]):
-    """(delta_rel, delta_eq): the largest relation evaluation norm and the
-    largest equivariance mismatch max ||rho(sigma_g(s)) - alpha_g(rho(s))||."""
-    dim = assignment.dim()
-    d_rel = 0.0
-    for rel in system.relations:
-        d_rel = max(d_rel, operator_norm(eval_poly(rel, assignment.values, act, dim)))
-    d_eq = 0.0
-    names = system.generators
-    for g in range(system.group.order):
-        for i, s in enumerate(names):
-            moved = assignment.values[names[system.sigma[g, i]]]
-            d_eq = max(d_eq, operator_norm(moved - act(g, assignment.values[s])))
-    return d_rel, d_eq
-
-
-def symmetrize_assignment(system: RelationSystem, assignment: Assignment,
-                          act: Callable[[int, np.ndarray], np.ndarray]) -> Assignment:
-    """Group-average an assignment into an exactly equivariant one:
-    rho(s) = avg_g alpha_g( rho0( sigma_g^{-1}(s) ) ).  Moves each generator
-    by at most the input equivariance defect and preserves the norm bound."""
-    G = system.group
-    names = system.generators
-    idx = system.index()
-    out = {}
-    for i, s in enumerate(names):
-        acc = None
-        for g in range(G.order):
-            ginv = G.inverse(g)
-            pre = assignment.values[names[system.sigma[ginv, i]]]
-            term = act(g, pre)
-            acc = term if acc is None else acc + term
-        out[s] = acc / G.order
-    return Assignment(values=out)
-
-
-def partition_system(group: FiniteGroup, algebra: GAlgebra,
-                     model_values: Dict[str, np.ndarray]) -> RelationSystem:
-    """The partition-of-unity system: generators p_g, relations
-    p_g p_h = delta_{gh} p_g, p_g* = p_g, sum_g p_g = 1, with the group
-    permuting the generators by left translation."""
-    names = tuple(f"p{g}" for g in range(group.order))
-    e = group.identity
-    rels = []
-    for g in range(group.order):
-        for h in range(group.order):
-            prod = StarPolynomial.word((e, names[g], False), (e, names[h], False))
-            if g == h:
-                prod = prod + StarPolynomial.word((e, names[g], False), coef=-1.0)
-            rels.append(prod)
-    for g in range(group.order):
-        rels.append(StarPolynomial.word((e, names[g], True)) +
-                    StarPolynomial.word((e, names[g], False), coef=-1.0))
-    total = StarPolynomial.unit(-1.0)
-    for g in range(group.order):
-        total = total + StarPolynomial.word((e, names[g], False))
-    rels.append(total)
-    sigma = group.mult.copy()   # sigma_g(p_h) = p_{gh}
-    return RelationSystem(generators=names, group=group, sigma=sigma,
-                          relations=tuple(rels), model=Assignment(model_values),
-                          model_algebra=algebra)
-
-
-def _matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
-def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
-def system_to_json(system: RelationSystem) -> dict:
-    """Serialize a relation system: generators, group table, action
-    permutation, relations as coefficient/term lists, and the model
-    (algebra action data plus generator values); complex numbers are
-    [re, im] pairs."""
-    A = system.model_algebra
-    return {
-        "generators": list(system.generators),
-        "group": {"order": system.group.order,
-                  "mult": system.group.mult.tolist(),
-                  "inv": system.group.inv.tolist(),
-                  "name": system.group.name},
-        "sigma": system.sigma.tolist(),
-        "relations": [
-            [[[float(c.real), float(c.imag)],
-              [[int(g), s, bool(star)] for (g, s, star) in word]]
-             for c, word in rel.terms]
-            for rel in system.relations],
-        "model": {
-            "algebra": {
-                "blocks": list(A.blocks),
-                "perms": A.perms.tolist(),
-                "unitaries": [[_matrix_to_json(u) for u in us]
-                              for us in A.unitaries],
-            },
-            "values": {name: _matrix_to_json(v)
-                       for name, v in system.model.values.items()},
-        },
-    }
-
-
-def system_from_json(data: dict) -> RelationSystem:
-    group = FiniteGroup(order=int(data["group"]["order"]),
-                        mult=np.array(data["group"]["mult"]),
-                        inv=np.array(data["group"]["inv"]),
-                        name=data["group"].get("name", "group"))
-    relations = tuple(
-        StarPolynomial.from_terms(
-            [(complex(c[0], c[1]), tuple((int(g), s, bool(star))
-                                         for g, s, star in word))
-             for c, word in rel])
-        for rel in data["relations"])
-    alg_data = data["model"]["algebra"]
-    algebra = GAlgebra(
-        blocks=tuple(alg_data["blocks"]), group=group,
-        perms=np.array(alg_data["perms"]),
-        unitaries=tuple(tuple(_matrix_from_json(u) for u in us)
-                        for us in alg_data["unitaries"]))
-    model = Assignment({name: _matrix_from_json(v)
-                        for name, v in data["model"]["values"].items()})
-    return RelationSystem(generators=tuple(data["generators"]), group=group,
-                          sigma=np.array(data["sigma"]), relations=relations,
-                          model=model, model_algebra=algebra)
 
 
 @dataclass
@@ -314,18 +37,47 @@ class SeedDefects:
                    self.equivariance, self.unit_sum)
 
 
-def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray) -> SeedDefects:
+def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
+                            unit: Optional[np.ndarray] = None) -> SeedDefects:
+    """The five partition defects of a family p_g: ||p_g^2 - p_g||,
+    ||p_g - p_g*||, ||p_g p_h|| for g != h, ||alpha_g(p_h) - p_{gh}|| and
+    ||sum_g p_g - unit|| (unit defaults to 1), each maximized over the
+    family.  The norms are batched over the family, with one slab per g
+    for the two pairwise defects (so no (d, d, n, n) array is built) and
+    one action per g on the whole family."""
     G = algebra.group
-    d = G.order
     seeds = np.asarray(seeds, dtype=complex)
-    idem = max(operator_norm(seeds[g] @ seeds[g] - seeds[g]) for g in range(d))
-    sa = max(operator_norm(seeds[g] - seeds[g].conj().T) for g in range(d))
-    orth = max((operator_norm(seeds[g] @ seeds[h])
-                for g in range(d) for h in range(d) if g != h), default=0.0)
-    eq = max(operator_norm(algebra.act(g, seeds[h]) - seeds[G.mul(g, h)])
-             for g in range(d) for h in range(d))
-    unit = operator_norm(seeds.sum(axis=0) - np.eye(algebra.dim))
-    return SeedDefects(idem, sa, orth, eq, unit)
+    if unit is None:
+        unit = np.eye(algebra.dim)
+    orth = eq = 0.0
+    for g in range(G.order):
+        others = np.delete(seeds, g, axis=0)
+        orth = max(orth, float(np.max(operator_norm(seeds[g] @ others),
+                                      initial=0.0)))
+        eq = max(eq, float(np.max(operator_norm(
+            algebra.act(g, seeds) - seeds[G.mult[g]]))))
+    return SeedDefects(
+        idempotency=float(np.max(operator_norm(seeds @ seeds - seeds))),
+        self_adjointness=float(np.max(operator_norm(
+            seeds - seeds.conj().transpose(0, 2, 1)))),
+        orthogonality=orth, equivariance=eq,
+        unit_sum=operator_norm(seeds.sum(axis=0) - unit))
+
+
+def _residuals(algebra: GAlgebra, family: np.ndarray,
+               unit: Optional[np.ndarray] = None) -> dict:
+    """The five defects of a corrected family, under the names reported."""
+    keys = ("projection", "self_adjoint", "orthogonality", "equivariance",
+            "unit_sum")
+    return dict(zip(keys, astuple(measure_partition_seeds(algebra, family, unit))))
+
+
+def _averaged_seeds(algebra: GAlgebra, seeds: np.ndarray) -> np.ndarray:
+    """The exactly permuted family b_g = avg_h alpha_h(p_{h^-1 g}) (one
+    action per h on the whole family), made self-adjoint."""
+    G = algebra.group
+    sym = haar_average(G, lambda h: algebra.act(h, seeds[G.mult[G.inverse(h)]]))
+    return (sym + sym.conj().transpose(0, 2, 1)) / 2
 
 
 def partition_admissibility_threshold(d: int) -> float:
@@ -401,10 +153,7 @@ def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray,
     certificate = {"seed_defect": defects.overall,
                    "a_priori_threshold": threshold}
 
-    sym = np.stack([
-        sum(algebra.act(h, seeds[G.mul(G.inverse(h), g)]) for h in range(d)) / d
-        for g in range(d)])
-    sym = np.stack([(b + b.conj().T) / 2 for b in sym])
+    sym = _averaged_seeds(algebra, seeds)
 
     zeta = np.exp(2j * np.pi / d)
     w0 = sum((zeta ** g) * sym[g] for g in range(d))
@@ -442,32 +191,11 @@ def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray,
         cols = v[:, ks == g]
         projections[g] = cols @ cols.conj().T
 
-    residuals = _partition_residuals(algebra, projections)
+    residuals = _residuals(algebra, projections)
     displacement = max(operator_norm(projections[g] - seeds[g]) for g in range(d))
     return PartitionCorrection(projections=projections, displacement=displacement,
                                seed_defects=defects, certificate=certificate,
                                residuals=residuals)
-
-
-def _partition_residuals(algebra: GAlgebra, family: np.ndarray,
-                         unit: Optional[np.ndarray] = None) -> dict:
-    G = algebra.group
-    d = G.order
-    if unit is None:
-        unit = np.eye(algebra.dim)
-    return {
-        "projection": max(operator_norm(family[g] @ family[g] - family[g])
-                          for g in range(d)),
-        "self_adjoint": max(operator_norm(family[g] - family[g].conj().T)
-                            for g in range(d)),
-        "orthogonality": max((operator_norm(family[g] @ family[h])
-                              for g in range(d) for h in range(d) if g != h),
-                             default=0.0),
-        "equivariance": max(operator_norm(algebra.act(g, family[h]) -
-                                          family[G.mul(g, h)])
-                            for g in range(d) for h in range(d)),
-        "unit_sum": operator_norm(family.sum(axis=0) - unit),
-    }
 
 
 @dataclass
@@ -500,10 +228,7 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
         raise ValueError("witness must be positive with norm 1")
     defects = measure_partition_seeds(algebra, seeds)   # unit_sum is vs 1 here
 
-    sym = np.stack([
-        sum(algebra.act(h, seeds[G.mul(G.inverse(h), g)]) for h in range(d)) / d
-        for g in range(d)])
-    sym = np.stack([(b + b.conj().T) / 2 for b in sym])
+    sym = _averaged_seeds(algebra, seeds)
     s = sym.sum(axis=0)
     inv_gap = max(operator_norm(algebra.act(g, s) - s) for g in range(d))
     if inv_gap > 1e-10:
@@ -528,7 +253,7 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     projections = np.stack([iso @ inner.projections[g] @ iso.conj().T
                             for g in range(d)])
 
-    residuals = _partition_residuals(algebra, projections, unit=q)
+    residuals = _residuals(algebra, projections, unit=q)
     exe = operator_norm(q @ witness @ q)
     displacement = max(operator_norm(projections[g] - seeds[g]) for g in range(d))
     certificate = dict(inner.certificate)

@@ -124,6 +124,24 @@ class RepCorrection:
         return self.trace[-1][1]
 
 
+def _iterate(x, r0, step, measure, distance, tol, max_iter, what):
+    """Apply ``step(it, x)`` until ``measure(x)`` is at most tol, measuring
+    each iterate once.  Returns the last iterate, the iteration count and
+    the trace of (iteration, measured, distance(x)) rows starting from
+    (0, r0, 0.0); raises ConvergenceError after max_iter steps."""
+    trace = [(0, r0, 0.0)]
+    it = 0
+    while trace[-1][1] > tol:
+        if it == max_iter:
+            raise ConvergenceError(
+                f"{what} still {trace[-1][1]:.3e} after {max_iter} iterations",
+                trace)
+        it += 1
+        x = step(it, x)
+        trace.append((it, measure(x), distance(x)))
+    return x, it, trace
+
+
 def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
                    quotient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                    max_iter: int = ITERATION_CAP,
@@ -150,28 +168,20 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
             raise DefectTooLargeError(
                 f"quotient of the input is not an exact representation "
                 f"(defect {dd:.3e})")
-    start = rep
-    trace = [(0, r0, 0.0)]
-    current = rep
-    iterations = 0
-    if r0 > tol:
-        for it in range(1, max_iter + 1):
-            current = one_step(current)
-            iterations = it
-            if on_iterate is not None:
-                on_iterate(it, current)
-            r = current.defect()
-            trace.append((it, r, start.distance_to(current)))
-            if r <= tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"defect still {trace[-1][1]:.3e} after {max_iter} iterations",
-                trace)
+
+    def step(it, current):
+        current = one_step(current)
+        if on_iterate is not None:
+            on_iterate(it, current)
+        return current
+
+    current, iterations, trace = _iterate(rep, r0, step, ApproxRep.defect,
+                                          rep.distance_to, tol, max_iter,
+                                          "defect")
     drift = None
     if quotient is not None:
         moved = np.stack([quotient(c) - quotient(s)
-                          for c, s in zip(current.values, start.values)])
+                          for c, s in zip(current.values, rep.values)])
         drift = float(np.max(operator_norm(moved)))
     return RepCorrection(rep=current, iterations=iterations, trace=trace,
                          quotient_drift=drift)
@@ -223,9 +233,6 @@ class SourceAction:
                 if np.max(np.abs(lhs - rhs)) > tol:
                     raise ValueError("scalar fails the composition rule")
 
-    def apply_index(self, g: int, x: int):
-        return int(self.perm[g, x]), self.scalar[g, x]
-
 
 def trivial_source_action(group: FiniteGroup, source: FiniteGroup) -> SourceAction:
     perm = np.tile(np.arange(source.order, dtype=np.intp), (group.order, 1))
@@ -269,16 +276,16 @@ def symmetrize(values: np.ndarray, act: Callable[[int, np.ndarray], np.ndarray],
 
     When the composition with a quotient under which the target action
     descends is already equivariant, that composition is unchanged.
+    ``act(g, .)`` is applied once per g, to the whole (|H|, n, n) stack.
     """
-    G, H = source_action.group, source_action.source
-    out = np.zeros_like(np.asarray(values, dtype=complex))
-    for x in range(H.order):
-        def term(g, x=x):
-            ginv = G.inverse(g)
-            bx, c = source_action.apply_index(ginv, x)
-            return act(g, c * values[bx])
-        out[x] = haar_average(G, term)
-    return out
+    G = source_action.group
+    perm, scalar = source_action.perm, source_action.scalar
+    values = np.asarray(values, dtype=complex)
+
+    def term(g):
+        ginv = G.inverse(g)
+        return act(g, scalar[ginv][:, None, None] * values[perm[ginv]])
+    return haar_average(G, term)
 
 
 def unitarize_values(values: np.ndarray, eps: float = UNITARIZE_EPS) -> np.ndarray:

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
+from scipy.linalg import expm
 
 from .groups import FiniteGroup, cyclic_group, make_group
 from .matfun import EPS0, operator_norm
@@ -30,6 +31,14 @@ from .graded import graded_correct, regular_graded_model
 
 SCENARIO_KINDS = ("rep", "cocycle", "lift", "rokhlin", "tracial", "graded",
                   "integral_estimate")
+
+# A matrix is an array of rows; each entry is an [re, im] pair.
+MATRIX_SCHEMA = {
+    "type": "array", "minItems": 1,
+    "items": {"type": "array", "minItems": 1,
+              "items": {"type": "array", "items": {"type": "number"},
+                        "minItems": 2, "maxItems": 2}},
+}
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -74,11 +83,10 @@ SCENARIO_SCHEMA = {
             "required": ["dual_unitaries", "seeds"],
             "additionalProperties": False,
             "properties": {
-                # Matrices with entries encoded as [re, im] pairs; one dual
-                # unitary per character (trivial first), one seed per group
-                # element.
-                "dual_unitaries": {"type": "array"},
-                "seeds": {"type": "array"},
+                # One dual unitary per character (trivial first), one seed
+                # per group element.
+                "dual_unitaries": {"type": "array", "items": MATRIX_SCHEMA},
+                "seeds": {"type": "array", "items": MATRIX_SCHEMA},
             },
         },
     },
@@ -87,6 +95,27 @@ SCENARIO_SCHEMA = {
 
 def matrix_from_json(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
+
+
+def _graded_matrices(graded_data: dict, group: FiniteGroup):
+    """Decode ``graded_data`` into its (dual unitaries, seeds) stacks.  Each
+    list must hold one square matrix per group element, all of one
+    dimension; otherwise ScenarioError names the offending entry."""
+    stacks = []
+    dim = None
+    for key in ("dual_unitaries", "seeds"):
+        mats = graded_data[key]
+        if len(mats) != group.order:
+            raise ScenarioError(
+                f"/graded_data/{key}: {len(mats)} matrices, expected one per "
+                f"element of {group.name} ({group.order})")
+        for i, m in enumerate(mats):
+            dim = len(m) if dim is None else dim
+            if len(m) != dim or any(len(row) != dim for row in m):
+                raise ScenarioError(f"/graded_data/{key}/{i}: expected a "
+                                    f"square {dim}x{dim} matrix")
+        stacks.append(np.stack([matrix_from_json(m) for m in mats]))
+    return stacks
 
 
 @dataclass
@@ -155,11 +184,22 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_skew(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_skew(rng: np.random.Generator, n: int,
+                support: Optional[np.ndarray] = None) -> np.ndarray:
+    """A random skew-Hermitian n x n matrix of unit norm; with a 0/1
+    ``support`` mask it is masked and normalized again (so it moves only
+    the masked entries, e.g. the blocks a quotient kills)."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     k = (a - a.conj().T) / 2
     norm = operator_norm(k)
-    return k / norm if norm > 0 else k
+    if norm > 0:
+        k = k / norm
+    if support is not None:
+        k = k * support
+        norm = operator_norm(k)
+        if norm > 0:
+            k = k / norm
+    return k
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -294,24 +334,16 @@ def perturb_rep_values(values: np.ndarray, magnitude: float,
                        rng: np.random.Generator,
                        skip_identity: int = 0,
                        support: Optional[np.ndarray] = None) -> np.ndarray:
-    """Multiply each value by exp(magnitude * K) with K random skew of unit
-    norm (projected onto ``support`` when given, e.g. to perturb only the
-    blocks a quotient kills).  The identity slot is left alone so the family
-    stays unital."""
+    """Multiply each value by exp(magnitude * K) with K a ``random_skew``
+    (on ``support`` when given).  The identity slot is left alone so the
+    family stays unital."""
     values = np.asarray(values, dtype=complex)
     out = values.copy()
     n = values.shape[1]
-    from scipy.linalg import expm
     for g in range(values.shape[0]):
         if g == skip_identity:
             continue
-        k = random_skew(rng, n)
-        if support is not None:
-            k = k * support
-            norm = operator_norm(k)
-            if norm > 0:
-                k = k / norm
-        out[g] = values[g] @ expm(magnitude * k)
+        out[g] = values[g] @ expm(magnitude * random_skew(rng, n, support))
     return out
 
 
@@ -420,14 +452,7 @@ def run_cocycle_trial(s: Scenario, trial: int) -> TrialReport:
         support = None
         v = random_unitary(rng, n)
     w = coboundary(algebra, v)
-    from scipy.linalg import expm
-    k = random_skew(rng, n)
-    if support is not None:
-        k = k * support
-        norm = operator_norm(k)
-        if norm > 0:
-            k = k / norm
-    v0 = v @ expm(s.magnitude * k)
+    v0 = v @ expm(s.magnitude * random_skew(rng, n, support))
     r, _ = w.mismatch(v0)
     measured = {"r": r}
     bounds = {"one_step_mismatch": 10 * r ** 2, "one_step_distance": 2 * r,
@@ -460,7 +485,6 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     """A tower of stage algebras, each with a conjugated copy of a known
     exact covariant representation, with geometrically decaying conjugation
     angles; the top stage is the exact answer."""
-    from scipy.linalg import expm
     src = s.source or {"model": "translation", "order": 3}
     tower_spec = s.tower or {"levels": 8, "base": 0.2, "ratio": 0.2}
     levels = int(tower_spec.get("levels", 8))
@@ -548,12 +572,20 @@ def run_lift_trial(s: Scenario, trial: int) -> TrialReport:
 
 
 def build_rokhlin_scenario(d: int, block: int, magnitude: float,
-                           rng: np.random.Generator):
-    from scipy.linalg import expm
+                           rng: np.random.Generator, corank: int = 0):
+    """Z/d acting on M_n, n = d * block + corank, by cyclically shifting d
+    blocks of size ``block`` and fixing the last ``corank`` coordinates;
+    the exact partition puts p_g on the g-th block (so it sums to 1 only
+    for corank 0), and the seeds are its randomly rotated copies."""
     G = cyclic_group(d)
-    n = d * block
-    shift = np.kron(np.roll(np.eye(d), 1, axis=0), np.eye(block)).astype(complex)
-    unitaries = [np.linalg.matrix_power(shift, g) for g in range(d)]
+    n = d * block + corank
+    shift = np.kron(np.roll(np.eye(d), 1, axis=0), np.eye(block))
+    unitaries = []
+    for g in range(d):
+        u = np.zeros((n, n), dtype=complex)
+        u[:d * block, :d * block] = np.linalg.matrix_power(shift, g)
+        u[d * block:, d * block:] = np.eye(corank)
+        unitaries.append(u)
     algebra = matrix_algebra(n, G, unitaries)
     exact = np.zeros((d, n, n), dtype=complex)
     for g in range(d):
@@ -590,23 +622,8 @@ def run_tracial_trial(s: Scenario, trial: int) -> TrialReport:
     block = max(1, (s.dimension - s.corner_corank) // d)
     corank = int(s.corner_corank)
     start = time.perf_counter()
-    from scipy.linalg import expm
-    G = cyclic_group(d)
-    n = d * block + corank
-    corner_shift = np.kron(np.roll(np.eye(d), 1, axis=0), np.eye(block))
-    unitaries = []
-    for g in range(d):
-        u = np.zeros((n, n), dtype=complex)
-        u[:d * block, :d * block] = np.linalg.matrix_power(corner_shift, g)
-        u[d * block:, d * block:] = np.eye(corank)
-        unitaries.append(u)
-    algebra = matrix_algebra(n, G, unitaries)
-    exact = np.zeros((d, n, n), dtype=complex)
-    for g in range(d):
-        exact[g, g * block:(g + 1) * block, g * block:(g + 1) * block] = np.eye(block)
-    seeds = np.stack([
-        (lambda q: q @ exact[g] @ q.conj().T)(expm(s.magnitude * random_skew(rng, n)))
-        for g in range(d)])
+    algebra, _, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng, corank)
+    n = algebra.dim
     y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = y @ y.conj().T
     x = x / operator_norm(x)
@@ -631,12 +648,10 @@ def run_graded_trial(s: Scenario, trial: int) -> TrialReport:
     start = time.perf_counter()
     if s.graded_data is not None:
         from .graded import GradedAlgebra, character_table
-        dual = np.stack([matrix_from_json(u)
-                         for u in s.graded_data["dual_unitaries"]])
+        dual, values = _graded_matrices(s.graded_data, group)
         algebra = GradedAlgebra(group=group, dim=dual.shape[1],
                                 dual_unitaries=dual,
                                 chars=character_table(group))
-        values = np.stack([matrix_from_json(v) for v in s.graded_data["seeds"]])
     else:
         algebra, exact = regular_graded_model(group)
         values = perturb_rep_values(exact, s.magnitude, rng,
@@ -663,7 +678,6 @@ def run_integral_estimate_trial(s: Scenario, trial: int) -> TrialReport:
     group = make_group(s.group["kind"], s.group.get("params"))
     start = time.perf_counter()
     n = s.dimension
-    from scipy.linalg import expm
     theta = 2 * np.arcsin(min(s.magnitude, 1.0) / 2)
     values = np.stack([expm(theta * random_skew(rng, n))
                        for _ in range(group.order)])
@@ -701,7 +715,8 @@ class ScenarioReport:
 
 def _check_scenario(s: Scenario):
     """Raise ScenarioError for what the schema cannot see: group params
-    that do not build a group, and a group the kind does not support.  Run
+    that do not build a group, a group or dimension the kind does not
+    support, and graded_data matrices that do not fit the group.  Run
     before any trial, since a ScenarioError inside a trial would be
     recorded as a failed trial instead of rejecting the scenario."""
     if s.kind == "lift":            # its groups come from the source model
@@ -720,6 +735,16 @@ def _check_scenario(s: Scenario):
     if s.kind == "graded" and not group.is_abelian():
         raise ScenarioError(f"/group: graded scenarios require an abelian "
                             f"group, got {group.name}")
+    if s.kind == "graded" and s.graded_data is not None:
+        _graded_matrices(s.graded_data, group)
+    # Every action of the trivial group, and every action on C^1, is
+    # scalar, so no trial could draw the nontrivial action it needs.
+    if s.kind == "cocycle" and group.order == 1:
+        raise ScenarioError(f"/group: cocycle scenarios need a nontrivial "
+                            f"group, got {group.name}")
+    if s.kind == "cocycle" and s.dimension == 1:
+        raise ScenarioError("/dimension: cocycle scenarios need dimension at "
+                            "least 2")
 
 
 def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:

@@ -1,25 +1,34 @@
 """Property tests for the stacked log/exp kernels, for the correctors that
-take one stack per group element, and for the stacked defect, conjugation
-and block-mask paths.  Each fast path is compared with the route it
-replaced: the per-matrix joint eigensystem (with its Schur fallback) for
-the log, the per-pair Python loop for the correctors and the defects, and
-the three-operand einsum for the conjugation."""
+take one stack per group element, for the stacked defect, conjugation,
+block-mask, group-average and partition-defect paths, and for the shared
+iteration driver.  Each fast path is compared with the route it replaced:
+the per-matrix joint eigensystem (with its Schur fallback) for the log,
+the per-pair Python loop for the correctors, the defects and the averages,
+the three-operand einsum for the conjugation, and each corrector's own
+loop for the driver."""
+
+from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from equifix.cocycles import Cocycle, coboundary, one_step_cobound
+from equifix.cocycles import Cocycle, coboundary, one_step_cobound, trivialize
 from equifix.galgebra import (BlockMismatchError, GHom, Tower,
                               matrix_algebra, mult_defect_norms,
                               trivial_action_algebra)
 from equifix.groups import make_group
 from equifix.matfun import (BranchCutError, exp_skew, normal_eigensystem,
                             operator_norm, principal_log_unitary)
-from equifix.repcorrect import (ApproxRep, equivariance_defect, one_step,
-                                translation_source_action)
-from equifix.scenarios import (exact_rep_values, perturb_rep_values,
+from equifix.relations import _averaged_seeds, measure_partition_seeds
+from equifix.repcorrect import (ApproxRep, ConvergenceError, DefectTooLargeError,
+                                correct_to_rep, equivariance_defect, one_step,
+                                symmetrize, translation_source_action)
+from equifix.scenarios import (Scenario, build_lift_scenario,
+                               build_rokhlin_scenario, exact_rep_values,
+                               perturb_rep_values, random_hermitian,
                                random_skew, random_unitary, trial_rng)
 
 GROUP_SPECS = [{"kind": "cyclic", "params": 2}, {"kind": "cyclic", "params": 5},
@@ -338,3 +347,217 @@ def test_cocycle_values_are_a_read_only_copy():
     assert w.defect() <= 1e-12
     with pytest.raises(ValueError):
         w.values[1] = 0.0
+
+
+# --- the shared iteration driver ------------------------------------------------
+
+def outcome(run):
+    """(iterations, trace, result) of a corrector run, or the message and
+    trace of its ConvergenceError."""
+    try:
+        result = run()
+    except ConvergenceError as exc:
+        return str(exc), exc.trace
+    return result.iterations, result.trace, result
+
+
+def reference_correct_to_rep(rep, tol, max_iter):
+    """The loop correct_to_rep ran before the shared driver."""
+    trace = [(0, rep.defect(), 0.0)]
+    current, iterations = rep, 0
+    if trace[0][1] > tol:
+        for it in range(1, max_iter + 1):
+            current = one_step(current)
+            iterations = it
+            r = current.defect()
+            trace.append((it, r, rep.distance_to(current)))
+            if r <= tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"defect still {trace[-1][1]:.3e} after {max_iter} iterations",
+                trace)
+    return SimpleNamespace(iterations=iterations, trace=trace, rep=current)
+
+
+def reference_trivialize(w, v0, tol, max_iter):
+    """The loop trivialize ran before the shared driver, measuring each
+    iterate after the step and again on entry to the next step."""
+    v = v0
+    trace = [(0, w.mismatch(v0)[0], 0.0)]
+    iterations = 0
+    if trace[0][1] > tol:
+        for it in range(1, max_iter + 1):
+            v = one_step_cobound(w, np.array(v))
+            iterations = it
+            r, _ = w.mismatch(v)
+            trace.append((it, r, operator_norm(v - v0)))
+            if r <= tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"mismatch still {trace[-1][1]:.3e} after {max_iter} iterations",
+                trace)
+    return SimpleNamespace(iterations=iterations, trace=trace, unitary=v)
+
+
+tolerances = st.sampled_from([1e-12, 1e-300])
+caps = st.sampled_from([0, 1, 2, 64])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(GROUP_SPECS), st.integers(1, 4),
+       st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.02), tolerances, caps)
+def test_correct_to_rep_trace_matches_its_loop(seed, spec, dim, magnitude, tol,
+                                               max_iter):
+    group, _, vals = family(seed, spec, dim, magnitude, False)
+    rep = ApproxRep(group, vals)
+    got = outcome(lambda: correct_to_rep(rep, tol=tol, max_iter=max_iter))
+    want = outcome(lambda: reference_correct_to_rep(rep, tol, max_iter))
+    assert got[:2] == want[:2]
+    if len(got) == 3:
+        assert np.array_equal(got[2].rep.values, want[2].rep.values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(GROUP_SPECS), st.integers(1, 4),
+       st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.02), tolerances, caps)
+def test_trivialize_trace_matches_its_loop(seed, spec, dim, magnitude, tol,
+                                           max_iter):
+    rng = trial_rng(seed, 0)
+    group = make_group(spec["kind"], spec["params"])
+    alg = matrix_algebra(dim, group, list(exact_rep_values(spec, group, dim, rng)))
+    v = random_unitary(rng, dim)
+    w = coboundary(alg, v)
+    v0 = v @ expm(magnitude * random_skew(rng, dim))
+    got = outcome(lambda: trivialize(w, v0, tol=tol, max_iter=max_iter))
+    want = outcome(lambda: reference_trivialize(w, v0, tol, max_iter))
+    assert got[:2] == want[:2]
+    if len(got) == 3:
+        assert np.array_equal(got[2].unitary, want[2].unitary)
+
+
+def cocycle_case(seed=11, magnitude=0.02):
+    spec = {"kind": "cyclic", "params": 3}
+    rng = trial_rng(seed, 0)
+    group = make_group(spec["kind"], spec["params"])
+    alg = matrix_algebra(3, group, list(exact_rep_values(spec, group, 3, rng)))
+    v = random_unitary(rng, 3)
+    return coboundary(alg, v), v @ expm(magnitude * random_skew(rng, 3)), rng
+
+
+def test_one_iteration_cap_raises_with_the_first_step_traced():
+    w, v0, _ = cocycle_case()
+    group, _, vals = family(12, {"kind": "cyclic", "params": 3}, 3, 0.02, False)
+    runs = [(lambda: correct_to_rep(ApproxRep(group, vals), tol=1e-300, max_iter=1),
+             lambda: reference_correct_to_rep(ApproxRep(group, vals), 1e-300, 1),
+             "defect"),
+            (lambda: trivialize(w, v0, tol=1e-300, max_iter=1),
+             lambda: reference_trivialize(w, v0, 1e-300, 1), "mismatch")]
+    for run, reference, what in runs:
+        with pytest.raises(ConvergenceError,
+                           match=f"{what} still .* after 1 iterations") as got:
+            run()
+        with pytest.raises(ConvergenceError) as want:
+            reference()
+        assert str(got.value) == str(want.value)
+        assert got.value.trace == want.value.trace and len(got.value.trace) == 2
+
+
+def test_trivialize_measures_each_iterate_once(monkeypatch):
+    measured = []
+    mismatch = Cocycle.mismatch
+
+    def counted(self, v):
+        measured.append(v)
+        return mismatch(self, v)
+
+    monkeypatch.setattr(Cocycle, "mismatch", counted)
+    w, v0, _ = cocycle_case()
+    result = trivialize(w, v0)
+    assert result.iterations >= 2
+    assert len(measured) == result.iterations + 1
+    assert len({id(v) for v in measured}) == len(measured)
+    # A writable unitary is measured on every step.
+    measured.clear()
+    one_step_cobound(w, v0)
+    one_step_cobound(w, v0)
+    assert len(measured) == 2
+
+
+def test_cached_mismatch_still_gates_the_step():
+    w, v0, rng = cocycle_case()
+    far = v0 @ expm(1.5 * random_skew(rng, 3))
+    far.flags.writeable = False
+    assert w.mismatch(far)[0] > 1 / 5
+    with pytest.raises(DefectTooLargeError, match="exceeds 1/5"):
+        one_step_cobound(w, far)
+
+
+# --- stacked group averages and the partition-defect kernel ------------------
+
+def reference_symmetrize(values, act, source_action):
+    """avg_g gamma_g(psi(alpha_{g^-1}(u_x))), one term per (x, g)."""
+    G, H = source_action.group, source_action.source
+    out = np.zeros_like(values)
+    for x in range(H.order):
+        terms = []
+        for g in G.elements():
+            ginv = G.inverse(g)
+            c = source_action.scalar[ginv, x]
+            terms.append(act(g, c * values[source_action.perm[ginv, x]]))
+        out[x] = np.mean(terms, axis=0)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.sampled_from(["translation", "inversion"]), st.integers(2, 5),
+       st.floats(0.0, 0.3))
+def test_stacked_symmetrize_matches_per_pair_loop(seed, model, order, noise):
+    s = Scenario(kind="lift", seed=seed, source={"model": model, "order": order},
+                 tower={"levels": 3, "base": 0.2, "ratio": 0.2})
+    rng = trial_rng(seed, 0)
+    tower, _, source_action, lift_seed = build_lift_scenario(s, rng)
+    for level in range(tower.top + 1):
+        vals = lift_seed.values * tower.level_mask(level)
+        vals = vals + noise * tower.level_mask(level) * rng.standard_normal(vals.shape)
+        act = lambda g, a: tower.act_at_level(level, g, a)
+        got = symmetrize(vals, act, source_action)
+        assert np.max(operator_norm(got - reference_symmetrize(vals, act,
+                                                               source_action))) <= 1e-12
+
+
+def reference_partition_defects(algebra, fam, unit):
+    """The five partition defects, one norm per element or pair."""
+    G = algebra.group
+    d = G.order
+    return (max(operator_norm(fam[g] @ fam[g] - fam[g]) for g in range(d)),
+            max(operator_norm(fam[g] - fam[g].conj().T) for g in range(d)),
+            max((operator_norm(fam[g] @ fam[h])
+                 for g in range(d) for h in range(d) if g != h), default=0.0),
+            max(operator_norm(algebra.act(g, fam[h]) - fam[G.mul(g, h)])
+                for g in range(d) for h in range(d)),
+            operator_norm(fam.sum(axis=0) - unit))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(1, 5), st.integers(1, 3), st.integers(0, 2),
+       st.sampled_from([0.0, 0.02]) | st.floats(0.0, 0.2), st.floats(0.0, 0.1))
+def test_partition_defects_match_per_pair_loop(seed, d, block, corank, magnitude,
+                                               noise):
+    rng = trial_rng(seed, 0)
+    algebra, exact, fam = build_rokhlin_scenario(d, block, magnitude, rng, corank)
+    fam = fam + noise * np.stack([random_hermitian(rng, algebra.dim)
+                                  for _ in range(d)])
+    q = exact.sum(axis=0)
+    for unit in (None, q):
+        got = astuple(measure_partition_seeds(algebra, fam, unit))
+        want = reference_partition_defects(
+            algebra, fam, np.eye(algebra.dim) if unit is None else unit)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+    G = algebra.group
+    averaged = np.stack([
+        sum(algebra.act(h, fam[G.mul(G.inverse(h), g)]) for h in range(d)) / d
+        for g in range(d)])
+    averaged = (averaged + averaged.conj().transpose(0, 2, 1)) / 2
+    assert np.max(operator_norm(_averaged_seeds(algebra, fam) - averaged)) <= 1e-12

@@ -5,8 +5,7 @@ from scipy.linalg import expm
 from equifix.groups import cyclic_group, make_group
 from equifix.matfun import EPS0, operator_norm
 from equifix.graded import (GradedAlgebra, NonAbelianError, character_table,
-                            graded_correct, grading_projection,
-                            regular_graded_model)
+                            graded_correct, regular_graded_model)
 from equifix.repcorrect import DefectTooLargeError
 from equifix.scenarios import perturb_rep_values, random_skew, trial_rng
 
@@ -49,8 +48,8 @@ def test_z2_model_projections():
     dual = np.stack([np.eye(2, dtype=complex), x])
     alg = GradedAlgebra(group=g, dim=2, dual_unitaries=dual, chars=chars)
     u1 = np.diag([1.0, -1.0]).astype(complex)
-    assert operator_norm(grading_projection(alg, 1, u1) - u1) <= 1e-14
-    assert operator_norm(grading_projection(alg, 0, u1)) <= 1e-14
+    assert operator_norm(alg.projection(1, u1) - u1) <= 1e-14
+    assert operator_norm(alg.projection(0, u1)) <= 1e-14
 
 
 def test_component_recovery():
@@ -62,7 +61,7 @@ def test_component_recovery():
     parts = [coeffs[k] * left[k] for k in range(4)]
     x = sum(parts)
     for k in range(4):
-        assert operator_norm(grading_projection(alg, k, x) - parts[k]) <= 1e-12
+        assert operator_norm(alg.projection(k, x) - parts[k]) <= 1e-12
 
 
 def test_projection_identities():
@@ -70,15 +69,15 @@ def test_projection_identities():
     alg, _ = regular_graded_model(g)
     rng = trial_rng(1, 0)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    ps = [grading_projection(alg, k, x) for k in range(3)]
+    ps = [alg.projection(k, x) for k in range(3)]
     # completeness, idempotence, mutual annihilation, contractivity
     assert operator_norm(sum(ps) - x) <= 1e-12
     for k in range(3):
-        assert operator_norm(grading_projection(alg, k, ps[k]) - ps[k]) <= 1e-12
+        assert operator_norm(alg.projection(k, ps[k]) - ps[k]) <= 1e-12
         assert operator_norm(ps[k]) <= operator_norm(x) + 1e-12
         for l in range(3):
             if l != k:
-                assert operator_norm(grading_projection(alg, l, ps[k])) <= 1e-12
+                assert operator_norm(alg.projection(l, ps[k])) <= 1e-12
 
 
 def test_component_multiplication_and_star():
@@ -89,13 +88,13 @@ def test_component_multiplication_and_star():
     y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     for a in range(4):
         for b in range(4):
-            prod = grading_projection(alg, a, x) @ grading_projection(alg, b, y)
+            prod = alg.projection(a, x) @ alg.projection(b, y)
             ab = g.mul(a, b)
             for k in range(4):
                 if k != ab:
-                    assert operator_norm(grading_projection(alg, k, prod)) <= 1e-12
-        xa = grading_projection(alg, a, x)
-        assert operator_norm(grading_projection(alg, g.inverse(a), x.conj().T) -
+                    assert operator_norm(alg.projection(k, prod)) <= 1e-12
+        xa = alg.projection(a, x)
+        assert operator_norm(alg.projection(g.inverse(a), x.conj().T) -
                              xa.conj().T) <= 1e-12
 
 

@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
 
 from equifix.groups import cyclic_group
 from equifix.galgebra import matrix_algebra
 from equifix.matfun import operator_norm
-from equifix.relations import (Assignment, RelationSystem, StarPolynomial,
-                               eval_poly, measure_partition_seeds,
+from equifix.relations import (measure_partition_seeds,
                                partition_admissibility_threshold,
-                               partition_system, rep_defect,
-                               stabilize_partition, stabilize_tracial_partition,
-                               symmetrize_assignment, system_from_json,
-                               system_to_json)
+                               stabilize_partition, stabilize_tracial_partition)
 from equifix.repcorrect import DefectTooLargeError
-from equifix.scenarios import (build_rokhlin_scenario, random_skew,
-                               random_unitary, trial_rng)
+from equifix.scenarios import (build_rokhlin_scenario, random_unitary,
+                               trial_rng)
 
 
 def swap_action_algebra():
@@ -29,185 +23,6 @@ def rotated_projection(theta):
     c, s = np.cos(theta), np.sin(theta)
     r = np.array([[c, -s], [s, c]], dtype=complex)
     return r @ np.diag([1.0, 0.0]).astype(complex) @ r.conj().T
-
-
-def exact_swap_system():
-    alg = swap_action_algebra()
-    model = {"p0": np.diag([1.0, 0.0]).astype(complex),
-             "p1": np.diag([0.0, 1.0]).astype(complex)}
-    return partition_system(alg.group, alg, model), alg
-
-
-# --- star polynomials and evaluation -----------------------------------------
-
-def test_eval_unit():
-    sys_, alg = exact_swap_system()
-    p = StarPolynomial.unit()
-    out = eval_poly(p, sys_.model.values, alg.act, 2)
-    assert operator_norm(out - np.eye(2)) == 0.0
-
-
-def test_eval_unitary_relation():
-    alg = swap_action_algebra()
-    rng = trial_rng(0, 0)
-    u = random_unitary(rng, 2)
-    p = StarPolynomial.word((0, "s", True), (0, "s", False)) + \
-        StarPolynomial.unit(-1.0)
-    out = eval_poly(p, {"s": u}, alg.act, 2)
-    assert operator_norm(out) <= 1e-14
-
-
-def test_eval_unknown_symbol():
-    alg = swap_action_algebra()
-    p = StarPolynomial.word((0, "nope", False))
-    with pytest.raises(KeyError):
-        eval_poly(p, {"s": np.eye(2)}, alg.act, 2)
-
-
-def eval_poly_treewalk(poly, assignment, act, dim):
-    """Second, independently structured evaluator (recursive, right-to-left)."""
-    def word_value(word):
-        if not word:
-            return np.eye(dim, dtype=complex)
-        g, s, star = word[0]
-        m = act(g, assignment[s])
-        if star:
-            m = m.conj().T
-        return m @ word_value(word[1:])
-    total = np.zeros((dim, dim), dtype=complex)
-    for coef, word in poly.terms:
-        total = total + coef * word_value(word)
-    return total
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_eval_matches_duplicate_evaluator(seed):
-    rng = np.random.default_rng(seed)
-    alg = swap_action_algebra()
-    assignment = {
-        "a": rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-        "b": rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-    }
-    terms = []
-    for _ in range(int(rng.integers(1, 5))):
-        word = tuple((int(rng.integers(0, 2)),
-                      "a" if rng.random() < 0.5 else "b",
-                      bool(rng.random() < 0.5))
-                     for _ in range(int(rng.integers(0, 4))))
-        coef = complex(rng.standard_normal(), rng.standard_normal())
-        terms.append((coef, word))
-    p = StarPolynomial.from_terms(terms)
-    got = eval_poly(p, assignment, alg.act, 2)
-    want = eval_poly_treewalk(p, assignment, alg.act, 2)
-    assert operator_norm(got - want) <= 1e-12
-
-
-# --- relation systems ----------------------------------------------------------
-
-def test_partition_system_validates():
-    sys_, alg = exact_swap_system()
-    d_rel, d_eq = rep_defect(sys_, sys_.model, alg.act)
-    assert d_rel <= 1e-12 and d_eq <= 1e-12
-
-
-def test_model_must_be_exact():
-    alg = swap_action_algebra()
-    bad = {"p0": rotated_projection(0.3),
-           "p1": np.eye(2, dtype=complex) - rotated_projection(0.3)}
-    with pytest.raises(ValueError, match="exact equivariant"):
-        partition_system(alg.group, alg, bad)
-
-
-def test_relations_closure_check():
-    alg = swap_action_algebra()
-    g = alg.group
-    names = ("p0", "p1")
-    sigma = g.mult.copy()
-    # a single non-invariant relation: p0 alone
-    rel = StarPolynomial.word((0, "p0", False))
-    model = Assignment({"p0": np.diag([1.0, 0.0]).astype(complex),
-                        "p1": np.diag([0.0, 1.0]).astype(complex)})
-    with pytest.raises(ValueError, match="closed"):
-        RelationSystem(generators=names, group=g, sigma=sigma,
-                       relations=(rel,), model=model, model_algebra=alg)
-
-
-def test_assignment_norm_bound():
-    with pytest.raises(ValueError, match="normalization"):
-        Assignment({"s": 3.0 * np.eye(2)})
-
-
-def test_rep_defect_unsymmetrized_exact():
-    # rotated partition: relations exact, equivariance broken
-    sys_, alg = exact_swap_system()
-    theta = 0.1
-    rho = Assignment({"p0": rotated_projection(theta),
-                      "p1": np.eye(2) - rotated_projection(theta)})
-    d_rel, d_eq = rep_defect(sys_, rho, alg.act)
-    assert d_rel <= 1e-12
-    assert d_eq > 1e-3
-    # brute-force maxima oracle
-    worst = 0.0
-    names = sys_.generators
-    for g in range(2):
-        for i, s in enumerate(names):
-            moved = rho.values[names[sys_.sigma[g, i]]]
-            worst = max(worst, operator_norm(moved - alg.act(g, rho.values[s])))
-    assert d_eq == pytest.approx(worst, abs=1e-14)
-
-
-def test_rep_defect_scaled_projection():
-    # rho' = (1 + delta) rho on the idempotency relation: hand expansion gives
-    # p(rho') = (delta + delta^2) e
-    sys_, alg = exact_swap_system()
-    delta = 0.05
-    rho = Assignment({"p0": (1 + delta) * np.diag([1.0, 0.0]),
-                      "p1": (1 + delta) * np.diag([0.0, 1.0])})
-    d_rel, _ = rep_defect(sys_, rho, alg.act)
-    # the largest violated relation here is the unit sum: ||(1+d)1 - 1|| = d,
-    # while the idempotency relations give d + d^2
-    assert d_rel == pytest.approx(delta + delta ** 2, abs=1e-12)
-
-
-def test_symmetrize_assignment_fixed_point():
-    sys_, alg = exact_swap_system()
-    out = symmetrize_assignment(sys_, sys_.model, alg.act)
-    for name in sys_.generators:
-        assert operator_norm(out.values[name] - sys_.model.values[name]) <= 1e-14
-
-
-def test_symmetrize_assignment_rokhlin_seed():
-    sys_, alg = exact_swap_system()
-    theta = 0.03
-    rho = Assignment({"p0": rotated_projection(theta),
-                      "p1": np.eye(2) - rotated_projection(theta)})
-    _, before = rep_defect(sys_, rho, alg.act)
-    out = symmetrize_assignment(sys_, rho, alg.act)
-    _, after = rep_defect(sys_, out, alg.act)
-    assert after <= 1e-12
-    peak = max(operator_norm(v) for v in rho.values.values())
-    for name in sys_.generators:
-        assert operator_norm(out.values[name] - rho.values[name]) <= before + 1e-12
-        assert operator_norm(out.values[name]) <= peak + 1e-12
-    # idempotent
-    again = symmetrize_assignment(sys_, out, alg.act)
-    for name in sys_.generators:
-        assert operator_norm(again.values[name] - out.values[name]) <= 1e-13
-
-
-def test_system_json_roundtrip():
-    sys_, alg = exact_swap_system()
-    data = system_to_json(sys_)
-    back = system_from_json(data)
-    assert back.generators == sys_.generators
-    assert np.array_equal(back.sigma, sys_.sigma)
-    assert len(back.relations) == len(sys_.relations)
-    for name in sys_.generators:
-        assert operator_norm(back.model.values[name] -
-                             sys_.model.values[name]) <= 1e-15
-    import json
-    json.dumps(data)   # actually serializable
 
 
 # --- partition stabilization ----------------------------------------------------
@@ -297,22 +112,8 @@ def test_measured_seed_defects():
 
 def corner_model(d, block, corank, magnitude, seed):
     rng = trial_rng(seed, 0)
-    g = cyclic_group(d)
-    n = d * block + corank
-    corner_shift = np.kron(np.roll(np.eye(d), 1, axis=0), np.eye(block))
-    unitaries = []
-    for k in range(d):
-        u = np.zeros((n, n), dtype=complex)
-        u[:d * block, :d * block] = np.linalg.matrix_power(corner_shift, k)
-        u[d * block:, d * block:] = np.eye(corank)
-        unitaries.append(u)
-    algebra = matrix_algebra(n, g, unitaries)
-    exact = np.zeros((d, n, n), dtype=complex)
-    for k in range(d):
-        exact[k, k * block:(k + 1) * block, k * block:(k + 1) * block] = np.eye(block)
-    seeds = np.stack([
-        (lambda q: q @ exact[k] @ q.conj().T)(expm(magnitude * random_skew(rng, n)))
-        for k in range(d)])
+    algebra, exact, seeds = build_rokhlin_scenario(d, block, magnitude, rng,
+                                                   corank)
     return algebra, exact, seeds, rng
 
 

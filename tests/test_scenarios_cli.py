@@ -200,3 +200,67 @@ def test_cli_dihedral_rokhlin_file_exits_two(tmp_path, capsys):
     assert rc == 2
     assert "/group/kind" in err and "cyclic" in err
     assert "Traceback" not in err
+
+
+def one_by_one(z):
+    return [[[z.real, z.imag]]]
+
+
+@pytest.mark.parametrize("fields,subcommand,pointer", [
+    ({"kind": "graded", "group": {"kind": "cyclic", "params": 2},
+      "graded_data": {"dual_unitaries": [[[1]]], "seeds": [[[1]]]}},
+     "graded", "/graded_data/dual_unitaries/0/0/0"),
+    ({"kind": "graded", "group": {"kind": "cyclic", "params": 2},
+      "graded_data": {"dual_unitaries": [one_by_one(1), one_by_one(1)],
+                      "seeds": [one_by_one(1)]}},
+     "graded", "/graded_data/seeds: 1 matrices"),
+    ({"kind": "graded", "group": {"kind": "cyclic", "params": 2},
+      "graded_data": {"dual_unitaries": [one_by_one(1), [[[1, 0], [0, 0]]]],
+                      "seeds": [one_by_one(1), one_by_one(-1)]}},
+     "graded", "/graded_data/dual_unitaries/1: expected a square 1x1"),
+    ({"kind": "cocycle", "group": {"kind": "cyclic", "params": 1}},
+     "cocycle", "/group: cocycle"),
+    ({"kind": "cocycle", "group": {"kind": "cyclic", "params": 3}, "dimension": 1},
+     "cocycle", "/dimension: cocycle"),
+])
+def test_cli_rejects_unrunnable_input_with_exit_two(tmp_path, capsys, fields,
+                                                    subcommand, pointer):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"seed": 0, "trials": 2, **fields}))
+    rc = cli_main([subcommand, "--scenario", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert pointer in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+EDGE_CASES = {
+    "rep-trivial-group": {"kind": "rep", "group": {"kind": "cyclic", "params": 1}},
+    "rokhlin-trivial-group": {"kind": "rokhlin",
+                              "group": {"kind": "cyclic", "params": 1}},
+    "tracial-trivial-group": {"kind": "tracial",
+                              "group": {"kind": "cyclic", "params": 1}},
+    "graded-trivial-group": {"kind": "graded", "magnitude": 0.001,
+                             "group": {"kind": "cyclic", "params": 1}},
+    "estimate-trivial-group": {"kind": "integral_estimate",
+                               "group": {"kind": "cyclic", "params": 1}},
+    "rep-dim1": {"kind": "rep", "dimension": 1},
+    "rokhlin-dim1": {"kind": "rokhlin", "dimension": 1},
+    "estimate-dim1": {"kind": "integral_estimate", "dimension": 1},
+    "rep-tower-magnitude0": {"kind": "rep", "magnitude": 0.0, "tower": {"levels": 2}},
+    "cocycle-magnitude0": {"kind": "cocycle", "magnitude": 0.0},
+    "rokhlin-magnitude0": {"kind": "rokhlin", "magnitude": 0.0},
+    "tracial-magnitude0": {"kind": "tracial", "magnitude": 0.0},
+    "graded-magnitude0": {"kind": "graded", "magnitude": 0.0},
+    "estimate-magnitude0": {"kind": "integral_estimate", "magnitude": 0.0},
+    "lift-32-levels": {"kind": "lift",
+                       "tower": {"levels": 32, "base": 0.2, "ratio": 0.2}},
+}
+
+
+@pytest.mark.parametrize("fields", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
+def test_edge_case_scenarios_pass(tmp_path, fields):
+    s = Scenario.from_dict({"seed": 3, "trials": 2, **fields})
+    report = run_scenario(s, tmp_path)
+    assert report.all_passed, report.failures
