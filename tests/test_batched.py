@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from equifix.cocycles import Cocycle, coboundary, one_step_cobound, trivialize
+from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, Cocycle, coboundary,
+                              one_step_cobound, trivialize)
 from equifix.galgebra import (BlockMismatchError, GHom, Tower,
                               matrix_algebra, mult_defect_norms,
                               trivial_action_algebra)
@@ -23,8 +24,8 @@ from equifix.groups import make_group
 from equifix.matfun import (BranchCutError, exp_skew, normal_eigensystem,
                             operator_norm, principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
-from equifix.repcorrect import (ApproxRep, ConvergenceError, DefectTooLargeError,
-                                correct_to_rep, equivariance_defect, one_step,
+from equifix.repcorrect import (ITERATE_MAX_DEFECT, ApproxRep, ConvergenceError,
+                                DefectTooLargeError, correct_to_rep, equivariance_defect, one_step,
                                 symmetrize, translation_source_action)
 from equifix.scenarios import (Scenario, build_lift_scenario,
                                build_rokhlin_scenario, exact_rep_values,
@@ -352,18 +353,25 @@ def test_cocycle_values_are_a_read_only_copy():
 # --- the shared iteration driver ------------------------------------------------
 
 def outcome(run):
-    """(iterations, trace, result) of a corrector run, or the message and
-    trace of its ConvergenceError."""
+    """(iterations, trace, result) of a corrector run, the message and
+    trace of its ConvergenceError, or the message of its DefectTooLargeError."""
     try:
         result = run()
     except ConvergenceError as exc:
         return str(exc), exc.trace
+    except DefectTooLargeError as exc:
+        return "too large", str(exc)
     return result.iterations, result.trace, result
 
 
 def reference_correct_to_rep(rep, tol, max_iter):
-    """The loop correct_to_rep ran before the shared driver."""
-    trace = [(0, rep.defect(), 0.0)]
+    """The admission bound and loop correct_to_rep ran before the shared
+    driver."""
+    r0, pair = rep.defect_with_argmax()
+    if r0 >= ITERATE_MAX_DEFECT:
+        raise DefectTooLargeError(
+            f"defect {r0:.6g} is not below 1/17; attained at pair {pair}")
+    trace = [(0, r0, 0.0)]
     current, iterations = rep, 0
     if trace[0][1] > tol:
         for it in range(1, max_iter + 1):
@@ -381,10 +389,15 @@ def reference_correct_to_rep(rep, tol, max_iter):
 
 
 def reference_trivialize(w, v0, tol, max_iter):
-    """The loop trivialize ran before the shared driver, measuring each
-    iterate after the step and again on entry to the next step."""
+    """The admission bound and loop trivialize ran before the shared
+    driver, measuring each iterate after the step and again on entry to the
+    next step."""
+    r0, g = w.mismatch(v0)
+    if r0 >= TRIVIALIZE_MAX_MISMATCH:
+        raise DefectTooLargeError(
+            f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
     v = v0
-    trace = [(0, w.mismatch(v0)[0], 0.0)]
+    trace = [(0, r0, 0.0)]
     iterations = 0
     if trace[0][1] > tol:
         for it in range(1, max_iter + 1):
