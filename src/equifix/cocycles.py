@@ -32,9 +32,9 @@ TRIVIALIZE_MAX_MISMATCH = 1.0 / 10
 class Cocycle:
     """Unitary-valued map on a group, measured against the cocycle identity
     for the algebra's action.  The values are copied and made read-only, so
-    the cocycle defect is measured once and cached; so is the mismatch of
-    the last read-only unitary measured against it (the iterates of
-    ``trivialize``)."""
+    the cocycle defect is measured once and cached.  While ``trivialize``
+    runs, ``_last`` holds its current iterate and that iterate's mismatch,
+    so ``one_step_cobound`` does not measure it again."""
 
     algebra: GAlgebra
     values: np.ndarray           # (|G|, n, n)
@@ -76,11 +76,7 @@ class Cocycle:
         """Max over g of || v alpha_g(v)* - w(g) || and the attaining g."""
         d = operator_norm(coboundary_values(self.algebra, v) - self.values)
         g = int(np.argmax(d))
-        result = float(d[g]), g
-        # A read-only array that owns its data cannot change under the cache.
-        if isinstance(v, np.ndarray) and not v.flags.writeable and v.flags.owndata:
-            self._last = (v, result)
-        return result
+        return float(d[g]), g
 
 
 def coboundary_values(algebra: GAlgebra, v: np.ndarray) -> np.ndarray:
@@ -97,8 +93,7 @@ def coboundary(algebra: GAlgebra, v: np.ndarray) -> Cocycle:
 def one_step_cobound(w: Cocycle, v: np.ndarray, exact_tol: float = 1e-11) -> np.ndarray:
     """One coboundary-correction step.  Requires w exact (defect <= 1e-11)
     and mismatch r <= 1/5; the output z satisfies
-    || z alpha_g(z)* - w(g) || <= 10 r^2 and || z - v || <= 2r.  z is
-    read-only, so w keeps its mismatch once measured."""
+    || z alpha_g(z)* - w(g) || <= 10 r^2 and || z - v || <= 2r."""
     cd = w.defect()
     if cd > exact_tol:
         raise DefectTooLargeError(
@@ -114,9 +109,7 @@ def one_step_cobound(w: Cocycle, v: np.ndarray, exact_tol: float = 1e-11) -> np.
     # One (|G|, n, n) stack over h: m[h] = v* alpha_h^{-1}(w(h)* v).
     m = np.stack([v_adj @ A.act(G.inverse(h), w.values[h].conj().T @ v)
                   for h in G.elements()])
-    z = v @ exp_skew(principal_log_unitary(m).mean(axis=0))
-    z.flags.writeable = False
-    return z
+    return v @ exp_skew(principal_log_unitary(m).mean(axis=0))
 
 
 @dataclass
@@ -148,23 +141,30 @@ def trivialize(w: Cocycle, v0: Optional[np.ndarray] = None, tol: float = 1e-12,
         raise DefectTooLargeError(
             f"cocycle must be exact before trivialization (defect {cd:.3e}); "
             f"approximately multiplicative cocycles are reported, not corrected")
-    v0 = np.array(np.eye(A.dim) if v0 is None else v0, dtype=complex)
-    v0.flags.writeable = False
-    r0, g = w.mismatch(v0)
-    if r0 >= TRIVIALIZE_MAX_MISMATCH:
-        raise DefectTooLargeError(
-            f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
-    if quotient is not None:
-        down = max(operator_norm(quotient(v0 @ A.act(g, v0).conj().T) -
-                                 quotient(w.values[g]))
-                   for g in range(G.order))
-        if down > 1e-12:
+    v0 = np.asarray(np.eye(A.dim) if v0 is None else v0, dtype=complex)
+
+    def measure(v):
+        w._last = (v, w.mismatch(v))    # the next step on v reads it
+        return w._last[1]
+
+    try:
+        r0, g = measure(v0)
+        if r0 >= TRIVIALIZE_MAX_MISMATCH:
             raise DefectTooLargeError(
-                f"seed does not trivialize the cocycle downstairs (off by {down:.3e})")
-    v, iterations, trace = _iterate(
-        v0, r0, lambda it, v: one_step_cobound(w, v),
-        lambda v: w.mismatch(v)[0], lambda v: operator_norm(v - v0), tol,
-        max_iter, "mismatch")
+                f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
+        if quotient is not None:
+            down = max(operator_norm(quotient(v0 @ A.act(g, v0).conj().T) -
+                                     quotient(w.values[g]))
+                       for g in range(G.order))
+            if down > 1e-12:
+                raise DefectTooLargeError(
+                    f"seed does not trivialize the cocycle downstairs (off by {down:.3e})")
+        v, iterations, trace = _iterate(
+            v0, r0, lambda it, v: one_step_cobound(w, v),
+            lambda v: measure(v)[0], lambda v: operator_norm(v - v0), tol,
+            max_iter, "mismatch")
+    finally:
+        w._last = None
     drift = None
     if quotient is not None:
         drift = operator_norm(quotient(v) - quotient(v0))

@@ -230,13 +230,15 @@ def make_group(kind: str, params, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
 
 
 def haar_average(group: FiniteGroup, f: Callable[[int], np.ndarray]) -> np.ndarray:
-    """Average f over the group: (1/|G|) sum_g f(g).  Exact, no quadrature."""
-    values = [np.asarray(f(g), dtype=complex) for g in group.elements()]
-    shape = values[0].shape
-    for g, v in enumerate(values):
-        if v.shape != shape:
-            raise ValueError(f"f({g}) has shape {v.shape}, expected {shape}")
-    return np.mean(values, axis=0)
+    """Average f over the group: (1/|G|) sum_g f(g), summed one term at a
+    time in group order.  Exact, no quadrature."""
+    total = np.array(f(0), dtype=complex)
+    for g in range(1, group.order):
+        v = np.asarray(f(g), dtype=complex)
+        if v.shape != total.shape:
+            raise ValueError(f"f({g}) has shape {v.shape}, expected {total.shape}")
+        total += v
+    return total / group.order
 
 
 @dataclass(frozen=True)

@@ -491,7 +491,8 @@ def test_trivialize_measures_each_iterate_once(monkeypatch):
     assert result.iterations >= 2
     assert len(measured) == result.iterations + 1
     assert len({id(v) for v in measured}) == len(measured)
-    # A writable unitary is measured on every step.
+    # Outside trivialize nothing is cached: every step measures its input.
+    assert w._last is None
     measured.clear()
     one_step_cobound(w, v0)
     one_step_cobound(w, v0)
@@ -501,10 +502,15 @@ def test_trivialize_measures_each_iterate_once(monkeypatch):
 def test_cached_mismatch_still_gates_the_step():
     w, v0, rng = cocycle_case()
     far = v0 @ expm(1.5 * random_skew(rng, 3))
-    far.flags.writeable = False
-    assert w.mismatch(far)[0] > 1 / 5
+    w._last = (far, w.mismatch(far))     # as trivialize leaves its iterate
+    assert w._last[1][0] > 1 / 5
     with pytest.raises(DefectTooLargeError, match="exceeds 1/5"):
         one_step_cobound(w, far)
+    # A rejected trivialize leaves no cached iterate behind.
+    w._last = None
+    with pytest.raises(DefectTooLargeError, match="not below 1/10"):
+        trivialize(w, far)
+    assert w._last is None
 
 
 # --- stacked group averages and the partition-defect kernel ------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,3 +265,20 @@ def test_edge_case_scenarios_pass(tmp_path, fields):
     s = Scenario.from_dict({"seed": 3, "trials": 2, **fields})
     report = run_scenario(s, tmp_path)
     assert report.all_passed, report.failures
+
+
+@pytest.mark.parametrize("kind", ["rokhlin", "tracial"])
+def test_partition_average_memory_is_linear_in_the_order(tmp_path, kind):
+    # cyclic(32) on M_32: one (d, n, n) family is 0.5 MB, while holding all
+    # |G| averaged terms at once, a (d, d, n, n) array, takes 16.8 MB.
+    d = 32
+    s = Scenario(kind=kind, seed=0, group={"kind": "cyclic", "params": d},
+                 dimension=d, magnitude=1e-4, trials=1)
+    tracemalloc.start()
+    try:
+        report = run_scenario(s, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed, report.failures
+    assert peak < 12e6
