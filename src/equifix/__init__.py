@@ -8,9 +8,9 @@ correction and equivariant lifting (repcorrect), cocycle trivialization
 abelian gradings (graded), and the scenario runner (scenarios, cli).
 """
 
-from .groups import (CircleAverage, CircleWeights, FiniteGroup, circle_average,
-                     circle_average_certified, cyclic_group, dihedral_group,
-                     haar_average, make_group, product_group, symmetric_group)
+from .groups import (CircleWeights, FiniteGroup, circle_average, cyclic_group,
+                     dihedral_group, haar_average, make_group, product_group,
+                     symmetric_group)
 from .matfun import (EPS0, UNITARIZE_EPS, SpectralData, close, exp_skew,
                      normal_eigensystem, operator_norm, polar_unitary,
                      principal_log_unitary, round_to_projection,

@@ -136,10 +136,6 @@ class GAlgebra:
         """A fresh writable copy of the 0/1 block-diagonal mask."""
         return self._mask.copy()
 
-    def get_block(self, a, j: int) -> np.ndarray:
-        offs = self.offsets
-        return np.asarray(a)[offs[j]:offs[j + 1], offs[j]:offs[j + 1]]
-
     def embed_blocks(self, block_values: Sequence[np.ndarray]) -> np.ndarray:
         offs = self.offsets
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -255,15 +251,11 @@ class Tower:
     def project_to_top(self, m: int, a: np.ndarray) -> np.ndarray:
         return self.project(self.top, m, a)
 
-    def act_at_level(self, n: int, g: int, a: np.ndarray) -> np.ndarray:
+    def invariance_defect_at_top(self, x: np.ndarray) -> float:
         # The induced action on a quotient is the same conjugation; invariant
         # ideals stay zeroed because the block permutation preserves them.
-        return self.algebra.act(g, a)
-
-    def invariance_defect_at_top(self, x: np.ndarray) -> float:
-        G = self.algebra.group
-        return max(operator_norm(self.act_at_level(self.top, g, x) - x)
-                   for g in range(G.order))
+        A = self.algebra
+        return max(operator_norm(A.act(g, x) - x) for g in range(A.group.order))
 
 
 def invariant_lift(tower: Tower, x: np.ndarray,
@@ -354,13 +346,6 @@ class GHom:
 
     def mult_defect(self) -> float:
         return float(np.max(mult_defect_norms(self.values, self.source.mult)))
-
-    def unital_defect(self, unit: Optional[np.ndarray] = None) -> float:
-        """Distance of the identity value from the unit (of the level it
-        lives at; defaults to the full identity matrix)."""
-        if unit is None:
-            unit = np.eye(self.values.shape[1])
-        return operator_norm(self.values[self.source.identity] - unit)
 
 
 def mult_defect_norms(values: np.ndarray, mult: np.ndarray) -> np.ndarray:

@@ -271,27 +271,6 @@ class CircleWeights:
         return np.diag([zeta ** k for k in self.weights]).astype(complex)
 
 
-@dataclass(frozen=True)
-class CircleAverage:
-    """Result of an exact circle average, with the quadrature node count and
-    certified degree bound recorded alongside the value."""
-
-    value: np.ndarray
-    nodes: int
-    degree: int
-
-
-def circle_average_certified(weights: CircleWeights, v: np.ndarray,
-                             monomial: int = 0,
-                             nodes: Optional[int] = None) -> CircleAverage:
-    """Like :func:`circle_average`, returning the node count and degree
-    bound together with the value."""
-    degree = weights.degree_bound(monomial)
-    used = int(nodes) if nodes is not None else weights.default_nodes(monomial)
-    value = circle_average(weights, v, monomial, nodes=used)
-    return CircleAverage(value=value, nodes=used, degree=degree)
-
-
 def circle_average(weights: CircleWeights, v: np.ndarray, monomial: int = 0,
                    nodes: Optional[int] = None) -> np.ndarray:
     """Exact circle average of the structured integrand

@@ -18,12 +18,13 @@ is again a function of a Hermitian matrix, with no eigenvalue clustering
 to resolve.  The correctors only take logs inside that disc: the one-step
 correctors log rho(k)* rho(kg) rho(g)* and its cocycle analogue, which are
 within the measured defect r <= 1/5 of 1, and the averaging estimate
-requires ||u - 1|| <= 1/2.  Any other unitary goes through
-:func:`normal_eigensystem`: the Hermitian and anti-Hermitian parts are
-diagonalized jointly, with a complex Schur fallback if the joint residual
-is too large.  Both routes keep the algebraic identities of the calculus
-(conjugation covariance, phase equivariance of rounding) true to rounding
-error.
+requires ||u - 1|| <= 1/2.  Any other unitary, and every spectral
+rounding, goes through :func:`normal_eigensystem`: one complex Schur form,
+whose triangular factor is diagonal (to a relative residual gate) exactly
+when the input is normal, so its unitary factor is an orthonormal
+eigenbasis however the eigenvalues cluster.  Both routes keep the
+algebraic identities of the calculus (conjugation covariance, phase
+equivariance of rounding) true to rounding error.
 
 Equality of matrices is always tested through an explicit tolerance, never
 with exact float comparison; see :func:`close`.
@@ -141,74 +142,26 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-    def residual_against(self, a) -> float:
-        return operator_norm(self.reconstruct() - a)
-
-
-def _refine_clusters(vecs, vals, other, cluster_tol, depth):
-    """Rotate eigenvector columns so that near-degenerate clusters of `vals`
-    also diagonalize `other`, recursing once more on the first matrix to
-    clean up spread inside the new subclusters."""
-    n = vals.size
-    order = np.argsort(vals)
-    vecs[:] = vecs[:, order]
-    vals = vals[order]
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or vals[i] - vals[i - 1] > cluster_tol:
-            if i - start > 1 and depth > 0:
-                block = vecs[:, start:i]
-                ob = block.conj().T @ other[0] @ block
-                ob = (ob + ob.conj().T) / 2
-                sub_vals, rot = np.linalg.eigh(ob)
-                vecs[:, start:i] = block @ rot
-                if len(other) > 1:
-                    _refine_clusters(vecs[:, start:i], sub_vals, other[1:],
-                                     cluster_tol, depth - 1)
-            start = i
-
 
 def normal_eigensystem(a, residual_tol: float = 1e-9) -> SpectralData:
-    """Unitary diagonalization of a normal matrix.
-
-    Diagonalizes the Hermitian part, then recursively splits near-degenerate
-    clusters with the anti-Hermitian part (and re-splits by the Hermitian
-    part inside those, so that pairs with equal real parts but distant
-    arguments are resolved).  Falls back to a complex Schur form when the
-    joint residual exceeds 1e-12 relative, and raises NotNormalError when
-    even the Schur form is not diagonal to ``residual_tol`` (relative) -- the
-    gate for inputs that are genuinely not normal.
+    """Unitary diagonalization of a normal matrix through its complex Schur
+    form a = Z T Z*.  Raises NotNormalError when T is not diagonal to
+    ``residual_tol`` (relative to max(1, ||a||)) -- the gate for inputs
+    that are genuinely not normal.
     """
     a = require_finite(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, operator_norm(a))
-    h = (a + a.conj().T) / 2
-    k = (a - a.conj().T) / 2j
-    vals, vecs = np.linalg.eigh(h)
-    # Aggressive clustering: eigenvector error of a lone eigh is eps/gap, so
-    # anything closer than ~1e-3 must be split through the other part.
-    _refine_clusters(vecs, vals, (k, h), cluster_tol=1e-3 * scale, depth=2)
-    d = vecs.conj().T @ a @ vecs
-    lam = np.diag(d).copy()
-    off = operator_norm(d - np.diag(lam))
-    if off <= 1e-12 * scale:
-        return SpectralData(eigenvalues=lam, eigenvectors=vecs)
     t, z = scipy.linalg.schur(a, output="complex")
-    lam2 = np.diag(t).copy()
-    off2 = operator_norm(t - np.diag(lam2))
-    if min(off, off2) > residual_tol * scale:
+    lam = np.diag(t).copy()
+    off = operator_norm(t - np.diag(lam))
+    if off > residual_tol * scale:
         raise NotNormalError(
-            f"matrix is not normal: diagonalization residual {min(off, off2):.3e} "
+            f"matrix is not normal: diagonalization residual {off:.3e} "
             f"exceeds {residual_tol:.1e} * scale")
-    if off2 <= off:
-        return SpectralData(eigenvalues=lam2, eigenvectors=z)
-    return SpectralData(eigenvalues=lam, eigenvectors=vecs)
+    return SpectralData(eigenvalues=lam, eigenvectors=z)
 
 
 def polar_unitary(a, min_singular: float = 1e-10) -> np.ndarray:
@@ -282,7 +235,9 @@ def spectral_round_unitary(w, d: int, unitary_tol: float = 1e-10,
     reused, so the output z satisfies z^d = 1 and commutes with w.  The map
     is phase-equivariant: rounding lam*w equals lam times rounding w for
     any d-th root of unity lam.  Eigenvalues within ``midpoint_gap`` (in
-    argument) of a cell midpoint exp(i*pi*(2k+1)/d) are rejected.
+    argument) of a cell midpoint exp(i*pi*(2k+1)/d) are rejected.  With
+    ``return_spectral`` the result is (z, the eigensystem of w, ks), where
+    eigenvalue j of w is rounded to exp(2 pi i ks[j] / d).
     """
     w = require_finite(w)
     if d < 1:
@@ -305,7 +260,7 @@ def spectral_round_unitary(w, d: int, unitary_tol: float = 1e-10,
     v = spec.eigenvectors
     z = (v * rounded) @ v.conj().T
     if return_spectral:
-        return z, SpectralData(eigenvalues=rounded, eigenvectors=v), ks
+        return z, spec, ks
     return z
 
 
@@ -330,10 +285,3 @@ def round_to_projection(b, hermitian_tol: float = 1e-10,
     keep = vals > 0.5
     return (vecs[:, keep]) @ (vecs[:, keep].conj().T)
 
-
-def nearest_unitary_distance(a) -> float:
-    """Distance from a to the set of unitaries: max |sigma_i - 1| over the
-    singular values (attained by the polar part)."""
-    a = require_finite(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(np.max(np.abs(s - 1.0))) if s.size else 0.0

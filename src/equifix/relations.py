@@ -128,8 +128,7 @@ def _require_standard_cyclic(group: FiniteGroup):
                          "standard form (element i = generator**i)")
 
 
-def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray,
-                        rounding_margin: Optional[float] = None) -> PartitionCorrection:
+def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrection:
     """Correct an approximately permuted approximate partition of unity over
     a cyclic group action into an exact one.
 
@@ -170,20 +169,21 @@ def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray,
               for g in range(d))
     certificate["covariance_residual"] = cov
 
-    if rounding_margin is None:
-        rounding_margin = np.pi / (2 * d)
-    z, spec, ks = spectral_round_unitary(w, d, midpoint_gap=1e-6,
+    # The half-gap condition: every eigenvalue argument within pi/(2d) of a
+    # d-th root.
+    half_gap = np.pi / (2 * d)
+    _, spec, ks = spectral_round_unitary(w, d, midpoint_gap=1e-6,
                                          return_spectral=True)
-    args = np.angle(np.linalg.eigvals(w))
+    args = np.angle(spec.eigenvalues)
     cell = 2 * np.pi / d
     margin = float(np.min(np.abs(np.mod(args, cell) - cell / 2)))
     certificate["midpoint_margin"] = margin
-    certificate["required_arg_margin"] = float(rounding_margin)
+    certificate["required_arg_margin"] = half_gap
     arg_dev = float(np.max(np.minimum(np.mod(args, cell), cell - np.mod(args, cell))))
-    if arg_dev >= rounding_margin:
+    if arg_dev >= half_gap:
         raise DefectTooLargeError(
             f"spectrum of the encoded unitary strays {arg_dev:.6g} rad from the "
-            f"d-th roots, beyond the admissible margin {rounding_margin:.6g}")
+            f"d-th roots, beyond the admissible margin {half_gap:.6g}")
 
     v = spec.eigenvectors
     projections = np.empty((d, n, n), dtype=complex)

@@ -23,8 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import FiniteGroup, haar_average
-from .matfun import (EPS0, UNITARIZE_EPS, exp_skew, nearest_unitary_distance,
-                     operator_norm, polar_unitary, principal_log_unitary,
+from .matfun import (EPS0, UNITARIZE_EPS, exp_skew, operator_norm,
+                     polar_unitary, principal_log_unitary, require_finite,
                      unitarity_defect)
 from .galgebra import GHom, Tower, max_with_pair, mult_defect_norms
 
@@ -234,12 +234,6 @@ class SourceAction:
                     raise ValueError("scalar fails the composition rule")
 
 
-def trivial_source_action(group: FiniteGroup, source: FiniteGroup) -> SourceAction:
-    perm = np.tile(np.arange(source.order, dtype=np.intp), (group.order, 1))
-    scalar = np.ones((group.order, source.order), dtype=complex)
-    return SourceAction(group=group, source=source, perm=perm, scalar=scalar)
-
-
 def translation_source_action(d: int, group: FiniteGroup,
                               source: FiniteGroup) -> SourceAction:
     """The dual-translation action of Z/d on the group algebra of Z/d:
@@ -290,19 +284,20 @@ def symmetrize(values: np.ndarray, act: Callable[[int, np.ndarray], np.ndarray],
 
 def unitarize_values(values: np.ndarray, eps: float = UNITARIZE_EPS) -> np.ndarray:
     """Replace each value by its polar part.  Every value must be within
-    eps (default eps0/2, eps0 = 1/(6*34)) of a unitary, measured through
-    its singular values; the polar parts then move each value by less than
-    eps0."""
-    values = np.asarray(values, dtype=complex)
-    out = np.empty_like(values)
-    for i in range(values.shape[0]):
-        dist = nearest_unitary_distance(values[i])
-        if dist >= eps:
-            raise DefectTooLargeError(
-                f"value {i} is at distance {dist:.6g} from the unitaries; "
-                f"unitarization requires < {eps:.6g}")
-        out[i] = polar_unitary(values[i])
-    return out
+    eps (default eps0/2, eps0 = 1/(6*34)) of a unitary, measured as
+    max |s - 1| over its singular values s; the polar parts then move each
+    value by less than eps0.  One batched SVD u diag(s) vh gives both the
+    distances and the polar parts u vh; a rejection names the first value
+    that is too far."""
+    u, s, vh = np.linalg.svd(require_finite(values))
+    dists = np.max(np.abs(s - 1.0), axis=-1, initial=0.0)
+    far = np.flatnonzero(dists >= eps)
+    if far.size:
+        i = int(far[0])
+        raise DefectTooLargeError(
+            f"value {i} is at distance {dists[i]:.6g} from the unitaries; "
+            f"unitarization requires < {eps:.6g}")
+    return u @ vh
 
 
 def intertwiner(rho: ApproxRep, sigma: ApproxRep,
@@ -390,9 +385,7 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
     phi_vals = np.asarray(phi.values, dtype=complex)
 
     phi_rep_defect = GHom(H, phi_vals, level=top).mult_defect()
-    phi_eq = equivariance_defect(phi_vals,
-                                 lambda g, a: tower.act_at_level(top, g, a),
-                                 source_action)
+    phi_eq = equivariance_defect(phi_vals, A.act, source_action)
     if phi_rep_defect > 1e-11 or phi_eq > 1e-11:
         raise DefectTooLargeError(
             f"phi must be exact and equivariant at the top "
@@ -414,21 +407,20 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
     for level in range(top):
         mask = tower.level_mask(level)
         level_vals = seed_vals * mask
-        act = lambda g, a: tower.act_at_level(level, g, a)
-        eq = equivariance_defect(level_vals, act, source_action)
+        eq = equivariance_defect(level_vals, A.act, source_action)
         mult = GHom(H, level_vals, level=level).mult_defect()
-        sym = symmetrize(level_vals, act, source_action)
+        sym = symmetrize(level_vals, A.act, source_action)
         # Unitarity is relative to the level unit (dropped blocks stay zero):
         # measure against the polar set inside the live corner.
         live = np.flatnonzero(np.diag(mask))
-        sub = sym[:, live[:, None], live]
-        dists = [nearest_unitary_distance(sub[x]) for x in range(H.order)]
-        unitarizable = max(dists) < UNITARIZE_EPS
+        try:
+            rho0_sub = unitarize_values(sym[:, live[:, None], live])
+        except DefectTooLargeError:
+            rho0_sub = None
+        unitarizable = rho0_sub is not None
         uni_defect = None
         accepted = False
-        rho0_sub = None
         if unitarizable:
-            rho0_sub = np.stack([polar_unitary(sub[x]) for x in range(H.order)])
             uni_defect = GHom(H, rho0_sub, level=level).mult_defect()
             accepted = uni_defect < LEVEL_ACCEPT_THRESHOLD
         table.append(LevelReport(level, eq, mult, unitarizable, uni_defect, accepted))
@@ -475,8 +467,7 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
         u_full = expand(u) + (np.eye(A.dim) - expand(np.eye(n_live)))
 
     final_vals = expand(final_sub)
-    act = lambda g, a: tower.act_at_level(level, g, a)
-    eq_res = equivariance_defect(final_vals, act, source_action)
+    eq_res = equivariance_defect(final_vals, A.act, source_action)
     proj_res = float(np.max(operator_norm(tower.project(top, level, final_vals)
                                           - phi_vals)))
     return LiftResult(level=level, rep=GHom(H, final_vals, level=level),

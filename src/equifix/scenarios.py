@@ -27,7 +27,8 @@ from .repcorrect import (ApproxRep, SourceAction, correct_to_rep,
 from .cocycles import coboundary, one_step_cobound, trivialize, \
     verify_integral_estimate
 from .relations import stabilize_partition, stabilize_tracial_partition
-from .graded import graded_correct, regular_graded_model
+from .graded import (GradedAlgebra, character_table, graded_correct,
+                     regular_graded_model)
 
 SCENARIO_KINDS = ("rep", "cocycle", "lift", "rokhlin", "tracial", "graded",
                   "integral_estimate")
@@ -97,10 +98,12 @@ def matrix_from_json(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
-def _graded_matrices(graded_data: dict, group: FiniteGroup):
-    """Decode ``graded_data`` into its (dual unitaries, seeds) stacks.  Each
+def _graded_input(graded_data: dict, group: FiniteGroup):
+    """Decode ``graded_data`` into its grading and its stack of seeds.  Each
     list must hold one square matrix per group element, all of one
-    dimension; otherwise ScenarioError names the offending entry."""
+    dimension, and the dual unitaries must define a grading (the trivial
+    character acting as the identity, the dual action a homomorphism);
+    otherwise ScenarioError names the offending entry."""
     stacks = []
     dim = None
     for key in ("dual_unitaries", "seeds"):
@@ -115,7 +118,14 @@ def _graded_matrices(graded_data: dict, group: FiniteGroup):
                 raise ScenarioError(f"/graded_data/{key}/{i}: expected a "
                                     f"square {dim}x{dim} matrix")
         stacks.append(np.stack([matrix_from_json(m) for m in mats]))
-    return stacks
+    dual, seeds = stacks
+    chars = character_table(group)
+    try:
+        algebra = GradedAlgebra(group=group, dim=dim, dual_unitaries=dual,
+                                chars=chars)
+    except ValueError as exc:
+        raise ScenarioError(f"/graded_data/dual_unitaries: {exc}") from None
+    return algebra, seeds
 
 
 @dataclass
@@ -317,13 +327,10 @@ def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
     cocycle scenarios."""
     for _ in range(attempts):
         vals = exact_rep_values(group_spec, group, dim, rng)
-        dist = 0.0
-        for g in range(group.order):
-            if g == group.identity:
-                continue
-            u = vals[g]
-            mean = np.trace(u) / dim
-            dist = max(dist, operator_norm(u - mean * np.eye(dim)))
+        others = np.delete(vals, group.identity, axis=0)
+        means = np.trace(others, axis1=1, axis2=2) / dim
+        dist = np.max(operator_norm(others - means[:, None, None] * np.eye(dim)),
+                      initial=0.0)
         if dist > 0.3:
             return vals
     raise ScenarioError(
@@ -367,12 +374,11 @@ def _bound_pass(value, bound, slack):
 # ---------------------------------------------------------------------------
 # Per-kind trial runners.
 
-def _two_block_tower(group_spec, group, dim, rng):
+def _two_block_tower(group, dim):
     """Two copies of M_dim; the quotient kills the first block.  Used for
     the kappa-pinned variants of the correctors."""
     algebra = trivial_action_algebra((dim, dim), group)
-    tower = Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
-    return algebra, tower
+    return Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
 
 
 def run_rep_trial(s: Scenario, trial: int) -> TrialReport:
@@ -381,7 +387,7 @@ def run_rep_trial(s: Scenario, trial: int) -> TrialReport:
     start = time.perf_counter()
     if s.tower:
         dim = s.dimension
-        algebra, tower = _two_block_tower(s.group, group, dim, rng)
+        tower = _two_block_tower(group, dim)
         base = exact_rep_values(s.group, group, dim, rng)
         full = np.stack([np.block([[base[g], np.zeros((dim, dim))],
                                    [np.zeros((dim, dim)), base[g]]])
@@ -395,17 +401,22 @@ def run_rep_trial(s: Scenario, trial: int) -> TrialReport:
         quotient = None
     rep = ApproxRep(group, vals, unitary=True, unital=True)
     r = rep.defect()
-    measured = {"r": r}
     bounds = {"one_step_defect": 17 * r ** 2, "one_step_distance": 2 * r,
               "final_distance": 2 * r / (1 - 17 * r) if r < 1 / 17 else float("inf"),
               "final_defect": s.tolerance}
-    stepped = one_step(rep)
-    measured["one_step_defect"] = stepped.defect()
-    measured["one_step_distance"] = rep.distance_to(stepped)
     result = correct_to_rep(rep, tol=s.tolerance, quotient=quotient)
-    measured["final_defect"] = result.rep.defect()
-    measured["final_distance"] = rep.distance_to(result.rep)
-    measured["iterations"] = result.iterations
+    # The first iterate is one_step(rep); only an input already within
+    # tolerance takes that step here.
+    if result.iterations:
+        step_defect, step_distance = result.trace[1][1:]
+    else:
+        stepped = one_step(rep)
+        step_defect, step_distance = stepped.defect(), rep.distance_to(stepped)
+    measured = {"r": r, "one_step_defect": step_defect,
+                "one_step_distance": step_distance,
+                "final_defect": result.rep.defect(),
+                "final_distance": result.trace[-1][2],
+                "iterations": result.iterations}
     passes = {
         "one_step_defect": _bound_pass(measured["one_step_defect"],
                                        bounds["one_step_defect"], 1e-10),
@@ -453,18 +464,23 @@ def run_cocycle_trial(s: Scenario, trial: int) -> TrialReport:
         v = random_unitary(rng, n)
     w = coboundary(algebra, v)
     v0 = v @ expm(s.magnitude * random_skew(rng, n, support))
-    r, _ = w.mismatch(v0)
-    measured = {"r": r}
+    result = trivialize(w, v0, tol=s.tolerance, quotient=quotient)
+    r = result.trace[0][1]
     bounds = {"one_step_mismatch": 10 * r ** 2, "one_step_distance": 2 * r,
               "final_distance": 2 * r / (1 - 10 * r) if r < 0.1 else float("inf"),
               "final_mismatch": s.tolerance}
-    z = one_step_cobound(w, v0)
-    measured["one_step_mismatch"] = w.mismatch(z)[0]
-    measured["one_step_distance"] = operator_norm(z - v0)
-    result = trivialize(w, v0, tol=s.tolerance, quotient=quotient)
-    measured["final_mismatch"] = result.mismatch
-    measured["final_distance"] = operator_norm(result.unitary - v0)
-    measured["iterations"] = result.iterations
+    # The first iterate is one_step_cobound(w, v0); only a seed already
+    # within tolerance takes that step here.
+    if result.iterations:
+        step_mismatch, step_distance = result.trace[1][1:]
+    else:
+        z = one_step_cobound(w, v0)
+        step_mismatch, step_distance = w.mismatch(z)[0], operator_norm(z - v0)
+    measured = {"r": r, "one_step_mismatch": step_mismatch,
+                "one_step_distance": step_distance,
+                "final_mismatch": result.mismatch,
+                "final_distance": result.trace[-1][2],
+                "iterations": result.iterations}
     passes = {
         "one_step_mismatch": _bound_pass(measured["one_step_mismatch"],
                                          bounds["one_step_mismatch"], 1e-10),
@@ -491,8 +507,9 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     base = float(tower_spec.get("base", 0.2))
     ratio = float(tower_spec.get("ratio", 0.2))
     order = int(src.get("order", 3))
+    model = src.get("model", "translation")
 
-    if src["model"] == "translation":
+    if model == "translation":
         d = order
         G = cyclic_group(d)
         H = cyclic_group(d)
@@ -503,7 +520,7 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
         stage_unitaries = [np.linalg.matrix_power(dstage, a) for a in range(d)]
         shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
         stage_rep = np.stack([np.linalg.matrix_power(shift, k) for k in range(d)])
-    elif src["model"] == "inversion":
+    elif model == "inversion":
         m = order
         G = cyclic_group(2)
         H = cyclic_group(m)
@@ -518,7 +535,7 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
         shift = np.roll(np.eye(m), 1, axis=0).astype(complex)
         stage_rep = np.stack([np.linalg.matrix_power(shift, k) for k in range(m)])
     else:
-        raise ScenarioError(f"unknown lift source model {src['model']!r}")
+        raise ScenarioError(f"unknown lift source model {model!r}")
 
     blocks = tuple(stage_dim for _ in range(levels))
     perms = np.tile(np.arange(levels, dtype=np.intp), (G.order, 1))
@@ -647,11 +664,7 @@ def run_graded_trial(s: Scenario, trial: int) -> TrialReport:
     group = make_group(s.group["kind"], s.group.get("params"))
     start = time.perf_counter()
     if s.graded_data is not None:
-        from .graded import GradedAlgebra, character_table
-        dual, values = _graded_matrices(s.graded_data, group)
-        algebra = GradedAlgebra(group=group, dim=dual.shape[1],
-                                dual_unitaries=dual,
-                                chars=character_table(group))
+        algebra, values = _graded_input(s.graded_data, group)
     else:
         algebra, exact = regular_graded_model(group)
         values = perturb_rep_values(exact, s.magnitude, rng,
@@ -681,8 +694,7 @@ def run_integral_estimate_trial(s: Scenario, trial: int) -> TrialReport:
     theta = 2 * np.arcsin(min(s.magnitude, 1.0) / 2)
     values = np.stack([expm(theta * random_skew(rng, n))
                        for _ in range(group.order)])
-    eye = np.eye(n)
-    r = max(operator_norm(values[g] - eye) for g in range(group.order))
+    r = np.max(operator_norm(values - np.eye(n)))
     lhs, bound = verify_integral_estimate(group, values)
     avg_norm = operator_norm(values.mean(axis=0))
     measured = {"r": r, "lhs": lhs, "avg_norm": avg_norm}
@@ -716,7 +728,7 @@ class ScenarioReport:
 def _check_scenario(s: Scenario):
     """Raise ScenarioError for what the schema cannot see: group params
     that do not build a group, a group or dimension the kind does not
-    support, and graded_data matrices that do not fit the group.  Run
+    support, and graded_data that is not a grading of the group.  Run
     before any trial, since a ScenarioError inside a trial would be
     recorded as a failed trial instead of rejecting the scenario."""
     if s.kind == "lift":            # its groups come from the source model
@@ -736,7 +748,7 @@ def _check_scenario(s: Scenario):
         raise ScenarioError(f"/group: graded scenarios require an abelian "
                             f"group, got {group.name}")
     if s.kind == "graded" and s.graded_data is not None:
-        _graded_matrices(s.graded_data, group)
+        _graded_input(s.graded_data, group)
     # Every action of the trivial group, and every action on C^1, is
     # scalar, so no trial could draw the nontrivial action it needs.
     if s.kind == "cocycle" and group.order == 1:

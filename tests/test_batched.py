@@ -1,14 +1,17 @@
 """Property tests for the stacked log/exp kernels, for the correctors that
 take one stack per group element, for the stacked defect, conjugation,
-block-mask, group-average and partition-defect paths, and for the shared
-iteration driver.  Each fast path is compared with the route it replaced:
-the per-matrix joint eigensystem (with its Schur fallback) for the log,
-the per-pair Python loop for the correctors, the defects and the averages,
-the three-operand einsum for the conjugation, and each corrector's own
-loop for the driver."""
+block-mask, group-average, partition-defect and unitarization paths, for
+the shared iteration driver, and for the one-step figures the trial
+runners read off it.  Each fast path is compared with the route it
+replaced: the per-matrix Schur eigensystem for the log, the per-pair
+Python loop for the correctors, the defects and the averages, the
+three-operand einsum for the conjugation, each corrector's own loop for
+the driver, an explicit first step for the one-step figures, and a
+per-value SVD loop for the unitarization."""
 
 from dataclasses import astuple
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,12 +24,15 @@ from equifix.galgebra import (BlockMismatchError, GHom, Tower,
                               matrix_algebra, mult_defect_norms,
                               trivial_action_algebra)
 from equifix.groups import make_group
-from equifix.matfun import (BranchCutError, exp_skew, normal_eigensystem,
-                            operator_norm, principal_log_unitary)
+from equifix.matfun import (UNITARIZE_EPS, BranchCutError, exp_skew,
+                            normal_eigensystem, operator_norm, polar_unitary,
+                            principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
 from equifix.repcorrect import (ITERATE_MAX_DEFECT, ApproxRep, ConvergenceError,
                                 DefectTooLargeError, correct_to_rep, equivariance_defect, one_step,
-                                symmetrize, translation_source_action)
+                                symmetrize, translation_source_action,
+                                unitarize_values)
+from equifix import scenarios
 from equifix.scenarios import (Scenario, build_lift_scenario,
                                build_rokhlin_scenario, exact_rep_values,
                                perturb_rep_values, random_hermitian,
@@ -44,7 +50,7 @@ radii = st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.9),
 
 
 def reference_log(u):
-    """Principal log of one unitary through the joint eigensystem."""
+    """Principal log of one unitary through its Schur eigensystem."""
     spec = normal_eigensystem(u)
     v = spec.eigenvectors
     x = (v * (1j * np.angle(spec.eigenvalues))) @ v.conj().T
@@ -540,7 +546,7 @@ def test_stacked_symmetrize_matches_per_pair_loop(seed, model, order, noise):
     for level in range(tower.top + 1):
         vals = lift_seed.values * tower.level_mask(level)
         vals = vals + noise * tower.level_mask(level) * rng.standard_normal(vals.shape)
-        act = lambda g, a: tower.act_at_level(level, g, a)
+        act = tower.algebra.act
         got = symmetrize(vals, act, source_action)
         assert np.max(operator_norm(got - reference_symmetrize(vals, act,
                                                                source_action))) <= 1e-12
@@ -580,3 +586,71 @@ def test_partition_defects_match_per_pair_loop(seed, d, block, corank, magnitude
         for g in range(d)])
     averaged = (averaged + averaged.conj().transpose(0, 2, 1)) / 2
     assert np.max(operator_norm(_averaged_seeds(algebra, fam) - averaged)) <= 1e-12
+
+
+# --- one-step figures read off the corrector's trace -------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(["rep", "cocycle"]), st.sampled_from(GROUP_SPECS),
+       st.integers(2, 4), st.booleans(),
+       st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.02))
+def test_one_step_figures_match_an_explicit_step(seed, kind, spec, dim, tower,
+                                                 magnitude):
+    s = Scenario(kind=kind, seed=seed, group=spec, dimension=dim,
+                 magnitude=magnitude, trials=1,
+                 tower={"levels": 2} if tower else None)
+    corrector = scenarios.correct_to_rep if kind == "rep" else scenarios.trivialize
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, corrector(*args, **kwargs)))
+        return calls[-1][1]
+
+    with mock.patch.object(scenarios, corrector.__name__, spy):
+        measured = scenarios.TRIAL_RUNNERS[kind](s, 0).measured
+    [(args, result)] = calls
+    if kind == "rep":
+        rep, = args
+        stepped = one_step(rep)
+        want = {"one_step_defect": stepped.defect(),
+                "one_step_distance": rep.distance_to(stepped),
+                "final_distance": rep.distance_to(result.rep)}
+    else:
+        w, v0 = args
+        z = one_step_cobound(w, v0)
+        want = {"r": w.mismatch(v0)[0], "one_step_mismatch": w.mismatch(z)[0],
+                "one_step_distance": operator_norm(z - v0),
+                "final_distance": operator_norm(result.unitary - v0)}
+    assert {k: measured[k] for k in want} == want
+
+
+# --- unitarization against the per-value loop --------------------------------
+
+def reference_unitarize(values, eps):
+    """Polar parts one value at a time, or the first value farther than eps
+    from the unitaries and its distance."""
+    out = np.empty_like(values)
+    for i, a in enumerate(values):
+        dist = float(np.max(np.abs(np.linalg.svd(a, compute_uv=False) - 1.0)))
+        if dist >= eps:
+            return i, dist
+        out[i] = polar_unitary(a)
+    return None, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 6), st.integers(1, 5),
+       st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6))
+def test_unitarize_values_matches_per_value_loop(seed, count, n, scales):
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    noise *= (UNITARIZE_EPS * np.array(scales[:count]) /
+              operator_norm(noise))[:, None, None]
+    values = np.stack([random_unitary(rng, n) for _ in range(count)]) + noise
+    bad, want = reference_unitarize(values, UNITARIZE_EPS)
+    if bad is None:
+        assert np.max(operator_norm(unitarize_values(values) - want)) <= 1e-14
+    else:
+        with pytest.raises(DefectTooLargeError, match=f"value {bad} is at "
+                                                      f"distance {want:.6g} "):
+            unitarize_values(values)

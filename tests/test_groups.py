@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equifix.groups import (CircleWeights, GroupConstructionError, circle_average,
-                            circle_average_certified, cyclic_group, haar_average,
-                            make_group)
+                            cyclic_group, haar_average, make_group)
 
 GROUP_SPECS = [
     ("cyclic", 1), ("cyclic", 4), ("cyclic", 6),
@@ -176,19 +175,13 @@ def test_circle_covariance():
         assert np.linalg.norm(lhs - eta ** (-m) * a, 2) <= 1e-12
 
 
-def test_circle_certified_record():
-    w = CircleWeights((0, 1, -2))
-    v = np.eye(3, dtype=complex)
-    res = circle_average_certified(w, v, -1)
-    assert res.degree == (1 - (-2)) + 1
-    assert res.nodes == 2 * res.degree + 3
-    assert np.allclose(res.value, circle_average(w, v, -1), atol=0)
-    assert circle_average_certified(w, v, -1, nodes=20).nodes == 20
-
-
 def test_circle_rejects_uncertified():
     w = CircleWeights((0, 3))
     v = np.eye(2, dtype=complex)
+    # D = max|k_i - k_j| + |m|, and the default rule takes 2D + 3 nodes.
+    assert (w.degree_bound(0), w.default_nodes(0)) == (3, 9)
+    assert (CircleWeights((0, 1, -2)).degree_bound(-1),
+            CircleWeights((0, 1, -2)).default_nodes(-1)) == (4, 11)
     with pytest.raises(ValueError):
         circle_average(w, v, 0, nodes=4)    # degree 3 needs > 6 nodes
     with pytest.raises(TypeError):

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from equifix.cli import main as cli_main
-from equifix.scenarios import (Scenario, ScenarioError, run_scenario,
-                               suite_scenarios, trial_rng, validate_scenario)
+from equifix.cli import SUBCOMMAND_KINDS, main as cli_main
+from equifix.scenarios import (SCENARIO_KINDS, Scenario, ScenarioError,
+                               run_scenario, suite_scenarios, trial_rng,
+                               validate_scenario)
 
 
 def test_schema_rejects_unknown_kind():
@@ -223,6 +229,16 @@ def one_by_one(z):
      "cocycle", "/group: cocycle"),
     ({"kind": "cocycle", "group": {"kind": "cyclic", "params": 3}, "dimension": 1},
      "cocycle", "/dimension: cocycle"),
+    ({"kind": "graded", "group": {"kind": "cyclic", "params": 2},
+      "graded_data": {"dual_unitaries": [one_by_one(-1), one_by_one(1)],
+                      "seeds": [one_by_one(1), one_by_one(1)]}},
+     "graded", "/graded_data/dual_unitaries: dual_unitaries[0] must be the identity"),
+    # diag(1, i) squares to diag(1, -1), not a phase times the identity.
+    ({"kind": "graded", "group": {"kind": "cyclic", "params": 2},
+      "graded_data": {"dual_unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                         [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]],
+                      "seeds": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 2}},
+     "graded", "/graded_data/dual_unitaries: dual action is not a homomorphism"),
 ])
 def test_cli_rejects_unrunnable_input_with_exit_two(tmp_path, capsys, fields,
                                                     subcommand, pointer):
@@ -257,6 +273,9 @@ EDGE_CASES = {
     "estimate-magnitude0": {"kind": "integral_estimate", "magnitude": 0.0},
     "lift-32-levels": {"kind": "lift",
                        "tower": {"levels": 32, "base": 0.2, "ratio": 0.2}},
+    # The schema leaves source.model optional; like source, it defaults to
+    # translation.
+    "lift-source-without-model": {"kind": "lift", "source": {"order": 3}},
 }
 
 
@@ -282,3 +301,110 @@ def test_partition_average_memory_is_linear_in_the_order(tmp_path, kind):
         tracemalloc.stop()
     assert report.all_passed, report.failures
     assert peak < 12e6
+
+
+# --- scenario fuzzing ---------------------------------------------------------
+
+SUBCOMMAND_OF = {kind: sub for sub, kind in SUBCOMMAND_KINDS.items()}
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                 st.integers(-3, 3), st.lists(st.integers(0, 2), max_size=2))
+
+
+def mostly(valid, malformed=JUNK):
+    """valid seven times in eight, else malformed, so that most drawn
+    scenarios still get past the schema to their trials."""
+    three = st.tuples(st.booleans(), st.booleans(), st.booleans())
+    return three.flatmap(lambda coins: malformed if all(coins) else valid)
+
+
+# Every built-in group of order at most 6; then params that build nothing.
+GROUPS = st.sampled_from(
+    [{"kind": "cyclic", "params": d} for d in range(1, 7)]
+    + [{"kind": "dihedral", "params": n} for n in (1, 2, 3)]
+    + [{"kind": "symmetric", "params": n} for n in (1, 2, 3)]
+    + [{"kind": "product", "params": [["cyclic", 2], ["cyclic", 3]]},
+       {"kind": "product", "params": [["cyclic", 2], ["cyclic", 2]]},
+       {"kind": "product", "params": [["cyclic", 1], ["dihedral", 3]]}])
+BAD_GROUPS = st.sampled_from([
+    {"kind": "cyclic"}, {"kind": "cyclic", "params": 0},
+    {"kind": "cyclic", "params": -2}, {"kind": "cyclic", "params": "x"},
+    {"kind": "cyclic", "params": [2]}, {"kind": "dihedral", "params": None},
+    {"kind": "symmetric", "params": 9}, {"kind": "product", "params": 5},
+    {"kind": "product", "params": [["cyclic", 2]]},
+    {"kind": "product", "params": [["bogus", 2], ["cyclic", 2]]},
+    {"kind": "bogus", "params": 2}, {"params": 2}, [], "cyclic"])
+
+
+def json_matrices(count, dim):
+    entry = st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2)
+    return st.lists(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                             min_size=dim, max_size=dim),
+                    min_size=count, max_size=count)
+
+
+@st.composite
+def graded_data(draw):
+    count, dim = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    return {"dual_unitaries": draw(json_matrices(count, dim)),
+            "seeds": draw(json_matrices(count, dim))}
+
+
+FIELDS = {
+    "group": mostly(GROUPS, BAD_GROUPS | JUNK),
+    "dimension": mostly(st.integers(1, 4), st.sampled_from([-1, 0, 65, 2.5])),
+    "magnitude": mostly(st.sampled_from([0.0, 0.001, 0.01]) | st.floats(0.0, 1.0),
+                        st.floats(-1.0, 3.0) | st.just(float("nan")) | JUNK),
+    "tolerance": mostly(st.sampled_from([1e-12, 1e-8]),
+                        st.floats(-1.0, 0.0) | JUNK),
+    "tower": mostly(st.fixed_dictionaries(
+        {"levels": st.integers(2, 4)},
+        optional={"base": st.floats(0.0, 0.5), "ratio": st.floats(0.01, 1.0)}),
+        st.sampled_from([{}, {"levels": 1}, {"levels": 2, "bogus": 1},
+                         {"base": -1}, {"ratio": 0}]) | JUNK),
+    "source": mostly(st.fixed_dictionaries(
+        {"model": st.sampled_from(["translation", "inversion"])},
+        optional={"order": st.integers(1, 6)}),
+        st.sampled_from([{}, {"order": 3}, {"model": "bogus"},
+                         {"model": "translation", "order": 0}]) | JUNK),
+    "corner_corank": mostly(st.integers(0, 3), st.integers(-2, -1) | JUNK),
+    "graded_data": mostly(graded_data(),
+                          st.sampled_from([{}, {"seeds": []}]) | JUNK),
+}
+
+
+@st.composite
+def scenario_files(draw):
+    """A scenario dict, each optional field present or not and now and then
+    malformed (plus, rarely, an unknown field), and the subcommand to run it
+    with: its own, or now and then another.  ``tracial`` has no subcommand,
+    so its dicts also run through ``run_scenario`` directly."""
+    data = {"kind": draw(mostly(st.sampled_from(SCENARIO_KINDS))),
+            "seed": draw(mostly(st.integers(0, 2 ** 32), st.integers(-3, -1))),
+            "trials": draw(mostly(st.just(1), st.integers(-1, 0)))}
+    for key, values in FIELDS.items():
+        if draw(st.booleans()):
+            data[key] = draw(values)
+    if draw(mostly(st.just(False), st.just(True))):
+        data["bogus"] = 1
+    own = SUBCOMMAND_OF.get(data["kind"]) if isinstance(data["kind"], str) else None
+    if own is None or draw(mostly(st.just(False), st.just(True))):
+        own = draw(st.sampled_from(sorted(SUBCOMMAND_KINDS)))
+    return data, own
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario_files())
+def test_fuzzed_scenarios_exit_0_1_or_2(case):
+    data, subcommand = case
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "s.json"
+        f.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli_main([subcommand, "--scenario", str(f),
+                             "--out", str(Path(tmp) / "o")]) in (0, 1, 2)
+        if data["kind"] == "tracial":
+            try:
+                run_scenario(Scenario.from_dict(data), Path(tmp) / "t")
+            except ScenarioError:
+                pass
