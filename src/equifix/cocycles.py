@@ -19,9 +19,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import (exp_skew, operator_norm, principal_log_unitary,
+from .matfun import (Blocks, adjoint, exp_skew, identity_like, operator_norm,
+                     principal_log_unitary, read_only_copy, stack,
                      unitarity_defect)
-from .galgebra import GAlgebra, max_with_pair
+from .galgebra import GAlgebra, group_stack, max_with_pair
 from .repcorrect import DefectTooLargeError, ITERATION_CAP, _iterate
 
 ONE_STEP_MAX_MISMATCH = 1.0 / 5
@@ -31,27 +32,23 @@ TRIVIALIZE_MAX_MISMATCH = 1.0 / 10
 @dataclass(eq=False)
 class Cocycle:
     """Unitary-valued map on a group, measured against the cocycle identity
-    for the algebra's action.  The values are copied and made read-only, so
-    the cocycle defect is measured once and cached.  While ``trivialize``
-    runs, ``_last`` holds its current iterate and that iterate's mismatch,
-    so ``one_step_cobound`` does not measure it again."""
+    for the algebra's action; the values are Blocks of the algebra, or
+    dense matrices for a one-block algebra.  They are copied and made
+    read-only, so the cocycle defect is measured once and cached.  While
+    ``trivialize`` runs, ``_last`` holds its current iterate and that
+    iterate's mismatch, so ``one_step_cobound`` does not measure it again."""
 
     algebra: GAlgebra
-    values: np.ndarray           # (|G|, n, n)
+    values: object               # (|G|, ...) Blocks, or (|G|, n, n)
     _defect: Optional[tuple] = field(default=None, init=False, repr=False)
     _last: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        G = self.algebra.group
-        if v.ndim != 3 or v.shape[0] != G.order or v.shape[1] != v.shape[2]:
-            raise ValueError(f"values shape {v.shape} does not match group order")
-        if v.shape[1] != self.algebra.dim:
-            raise ValueError("value dimension does not match the algebra")
+        v = read_only_copy(group_stack(self.values, self.algebra.group.order))
+        self.algebra.as_blocks(v)      # raises unless v fits the algebra
         worst = float(np.max(unitarity_defect(v)))
         if worst > 1e-10:
             raise ValueError(f"cocycle values must be unitary; defect {worst:.3e}")
-        v.flags.writeable = False
         self.values = v
 
     @property
@@ -66,7 +63,7 @@ class Cocycle:
         attaining pair."""
         if self._defect is None:
             v, mult, act = self.values, self.group.mult, self.algebra.act
-            # One (|G|, n, n) stack per g, over h.
+            # One (|G|, ...) stack per g, over h.
             self._defect = max_with_pair(np.stack(
                 [operator_norm(v[mult[g]] - v[g] @ act(g, v))
                  for g in range(len(mult))]))
@@ -79,18 +76,18 @@ class Cocycle:
         return float(d[g]), g
 
 
-def coboundary_values(algebra: GAlgebra, v: np.ndarray) -> np.ndarray:
-    """The (|G|, n, n) stack of v alpha_g(v)*."""
-    return np.stack([v @ algebra.act(g, v).conj().T
-                     for g in range(algebra.group.order)])
+def coboundary_values(algebra: GAlgebra, v):
+    """The (|G|, ...) stack of v alpha_g(v)*."""
+    return stack([v @ adjoint(algebra.act(g, v))
+                  for g in range(algebra.group.order)])
 
 
-def coboundary(algebra: GAlgebra, v: np.ndarray) -> Cocycle:
+def coboundary(algebra: GAlgebra, v) -> Cocycle:
     """The cocycle g -> v alpha_g(v)* of a unitary v."""
     return Cocycle(algebra=algebra, values=coboundary_values(algebra, v))
 
 
-def one_step_cobound(w: Cocycle, v: np.ndarray, exact_tol: float = 1e-11) -> np.ndarray:
+def one_step_cobound(w: Cocycle, v, exact_tol: float = 1e-11):
     """One coboundary-correction step.  Requires w exact (defect <= 1e-11)
     and mismatch r <= 1/5; the output z satisfies
     || z alpha_g(z)* - w(g) || <= 10 r^2 and || z - v || <= 2r."""
@@ -105,16 +102,16 @@ def one_step_cobound(w: Cocycle, v: np.ndarray, exact_tol: float = 1e-11) -> np.
             f"mismatch {r:.6g} exceeds 1/5 (attained at g={g})")
     A = w.algebra
     G = w.group
-    v_adj = v.conj().T
-    # One (|G|, n, n) stack over h: m[h] = v* alpha_h^{-1}(w(h)* v).
-    m = np.stack([v_adj @ A.act(G.inverse(h), w.values[h].conj().T @ v)
-                  for h in G.elements()])
+    v_adj = adjoint(v)
+    # One (|G|, ...) stack over h: m[h] = v* alpha_h^{-1}(w(h)* v).
+    m = stack([v_adj @ A.act(G.inverse(h), adjoint(w.values[h]) @ v)
+               for h in G.elements()])
     return v @ exp_skew(principal_log_unitary(m).mean(axis=0))
 
 
 @dataclass
 class Trivialization:
-    unitary: np.ndarray
+    unitary: object
     iterations: int
     trace: list                     # (iteration, mismatch, distance_from_seed)
     quotient_drift: Optional[float] = None
@@ -124,24 +121,27 @@ class Trivialization:
         return self.trace[-1][1]
 
 
-def trivialize(w: Cocycle, v0: Optional[np.ndarray] = None, tol: float = 1e-12,
-               quotient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+def trivialize(w: Cocycle, v0=None, tol: float = 1e-12,
+               quotient: Optional[Callable] = None,
                max_iter: int = ITERATION_CAP) -> Trivialization:
     """Iterate the coboundary correction until v alpha_g(v)* = w(g) to tol.
 
     The seed defaults to the identity, which is admissible when the cocycle
     is within 1/10 of trivial; otherwise the caller supplies a seed with
     mismatch below 1/10.  With a quotient map kappa whose downstairs seed
-    already trivializes kappa(w) exactly, kappa(v) = kappa(v0) is preserved.
+    already trivializes kappa(w) exactly, kappa(v) = kappa(v0) is preserved;
+    kappa takes one element or a stack.
     """
     A = w.algebra
-    G = w.group
     cd = w.defect()
     if cd > 1e-11:
         raise DefectTooLargeError(
             f"cocycle must be exact before trivialization (defect {cd:.3e}); "
             f"approximately multiplicative cocycles are reported, not corrected")
-    v0 = np.asarray(np.eye(A.dim) if v0 is None else v0, dtype=complex)
+    if v0 is None:
+        v0 = identity_like(w.values[0])
+    elif not isinstance(v0, Blocks):
+        v0 = np.asarray(v0, dtype=complex)
 
     def measure(v):
         w._last = (v, w.mismatch(v))    # the next step on v reads it
@@ -153,9 +153,8 @@ def trivialize(w: Cocycle, v0: Optional[np.ndarray] = None, tol: float = 1e-12,
             raise DefectTooLargeError(
                 f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
         if quotient is not None:
-            down = max(operator_norm(quotient(v0 @ A.act(g, v0).conj().T) -
-                                     quotient(w.values[g]))
-                       for g in range(G.order))
+            down = float(np.max(operator_norm(
+                quotient(coboundary_values(A, v0)) - quotient(w.values))))
             if down > 1e-12:
                 raise DefectTooLargeError(
                     f"seed does not trivialize the cocycle downstairs (off by {down:.3e})")
@@ -176,8 +175,8 @@ def verify_integral_estimate(group: FiniteGroup, values: np.ndarray,
                              slack: float = 1e-11):
     """Check the averaging estimate behind the one-step corrections.
 
-    For unitaries u(g) with r = max ||u(g) - 1|| <= 1/2, returns the pair
-    (lhs, bound) where lhs = || avg u - exp(avg log u) || and
+    For unitaries u(g) with r = max ||u(g) - 1|| <= 1/2, returns
+    (lhs, bound, r, ||avg u||) where lhs = || avg u - exp(avg log u) || and
     bound = 5 r^2 / (2 (1 - 2r)), raising if lhs exceeds the bound or if
     || avg u || exceeds 1 (plus slack).
     """
@@ -197,4 +196,4 @@ def verify_integral_estimate(group: FiniteGroup, values: np.ndarray,
     norm_avg = operator_norm(avg)
     if norm_avg > 1 + 1e-12:
         raise AssertionError(f"||avg u|| = {norm_avg:.12f} exceeds 1")
-    return lhs, bound
+    return lhs, bound, r, norm_avg

@@ -1,42 +1,35 @@
-"""Finite-dimensional unital G-algebras and quotient towers.
+"""Finite-dimensional unital G-algebras and quotient towers, stored block by
+block.
 
 A G-algebra here is a block direct sum of matrix algebras carrying a group
 action given per group element by a block permutation plus per-block
 unitaries; every automorphism of a finite-dimensional C*-algebra has this
-form.  Elements are dense complex matrices of the full dimension with
-block-diagonal support.  A Tower adds an increasing chain of invariant
-ideals (unions of blocks); quotients are realized by zeroing the blocks of
-the ideal, which makes the compatibility of the quotient maps exact.
+form.  An element is stored as :class:`~equifix.matfun.Blocks`: the blocks
+of one size b_s share one stack ``(..., K_s, b_s, b_s)``.  The action of g
+gathers each stack by the block permutation and conjugates every block by
+its unitary, one batched product per block size; the norm of an element is
+its largest block norm.  A one-block algebra (``matrix_algebra``) also
+takes a dense matrix or stack ``(..., n, n)`` as its only block.
 
-The block mask is built once per algebra and kept read-only;
-``block_mask()`` hands out a writable copy.  ``act`` and ``conform`` take a
-single element or a stack ``(..., n, n)``.  Every action still checks that
-its argument is block-diagonal, but ``conform`` measures the off-block part
-with an SVD only when that part has a non-zero entry, so an element that
-is already block-diagonal costs a few elementwise passes and no SVD.  ``mult_defect_norms`` measures ||v(gh) - v(g) v(h)|| for
-every pair with one stacked product and one batched norm per g.
+A Tower adds an increasing chain of invariant ideals (unions of blocks).
+The quotient at level n is the G-algebra on the blocks outside J_n, and
+the quotient maps drop blocks, which makes their compatibility exact.
+``mult_defect_norms`` measures ||v(gh) - v(g) v(h)|| for every pair with
+one stacked product and one batched norm per g.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, haar_average
-from .matfun import operator_norm
+from .groups import FiniteGroup
+from .matfun import Blocks, adjoint, operator_norm, stack
 
 
 class BlockMismatchError(ValueError):
     pass
-
-
-def _block_offsets(blocks):
-    offs = [0]
-    for b in blocks:
-        offs.append(offs[-1] + b)
-    return offs
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +38,10 @@ class GAlgebra:
 
     ``perms[g][j]`` is the target position of block j under the action of g;
     ``unitaries[g][p]`` is the unitary applied at target position p.  The
-    automorphism of g acts as a |-> W_g a W_g* where W_g is the product of
-    the block permutation and the block-diagonal unitary.
+    automorphism of g moves block j to position p and conjugates it by the
+    unitary there.  Stacks hold the blocks of one size in position order,
+    sizes ascending.  ``check=False`` skips the composition self-check, for
+    restrictions of a checked action.
     """
 
     blocks: tuple
@@ -54,45 +49,44 @@ class GAlgebra:
     perms: np.ndarray          # (|G|, K) int
     unitaries: tuple           # per g: tuple of per-target-block unitaries
     action_tol: float = 1e-12
-    _full: tuple = field(default=None, repr=False)
-    _mask: np.ndarray = field(default=None, init=False, repr=False)
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check):
         blocks = tuple(int(b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         perms = np.asarray(self.perms, dtype=np.intp)
         object.__setattr__(self, "perms", perms)
-        K = len(blocks)
-        if perms.shape != (self.group.order, K):
-            raise ValueError(f"perms shape {perms.shape}, expected {(self.group.order, K)}")
-        offs = _block_offsets(blocks)
-        n = offs[-1]
-        mask = np.zeros((n, n))
-        for j in range(K):
-            mask[offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = 1.0
-        mask.flags.writeable = False
-        object.__setattr__(self, "_mask", mask)
-        full = []
-        for g in range(self.group.order):
-            perm = perms[g]
-            if sorted(perm.tolist()) != list(range(K)):
+        K, order = len(blocks), self.group.order
+        if perms.shape != (order, K):
+            raise ValueError(f"perms shape {perms.shape}, expected {(order, K)}")
+        classes = tuple(tuple(j for j in range(K) if blocks[j] == b)
+                        for b in sorted(set(blocks)))
+        local = {j: k for cls in classes for k, j in enumerate(cls)}
+        for g in range(order):
+            if sorted(perms[g].tolist()) != list(range(K)):
                 raise ValueError(f"perms[{g}] is not a permutation of blocks")
-            w = np.zeros((n, n), dtype=complex)
             for j in range(K):
-                p = int(perm[j])
+                p = int(perms[g, j])
                 if blocks[p] != blocks[j]:
                     raise BlockMismatchError(
                         f"action of g={g} maps block {j} (dim {blocks[j]}) to "
                         f"position {p} (dim {blocks[p]})")
-                u = np.asarray(self.unitaries[g][p], dtype=complex)
-                if u.shape != (blocks[p], blocks[p]):
-                    raise ValueError(f"unitaries[{g}][{p}] has shape {u.shape}")
-                w[offs[p]:offs[p + 1], offs[j]:offs[j + 1]] = u
-            full.append(w)
-        object.__setattr__(self, "_full", tuple(full))
+                if np.shape(self.unitaries[g][p]) != (blocks[p], blocks[p]):
+                    raise ValueError(f"unitaries[{g}][{p}] has shape "
+                                     f"{np.shape(self.unitaries[g][p])}")
+        inv = np.argsort(perms, axis=1)     # inv[g, p]: the block g moves to p
+        us = tuple(np.array([[self.unitaries[g][p] for p in cls] for g in range(order)],
+                            dtype=complex) for cls in classes)
+        object.__setattr__(self, "_classes", classes)
+        object.__setattr__(self, "_src", tuple(
+            np.array([[local[inv[g, p]] for p in cls] for g in range(order)])
+            for cls in classes))
+        object.__setattr__(self, "_u", us)
+        object.__setattr__(self, "_uh", tuple(adjoint(u) for u in us))
+        object.__setattr__(self, "_shapes", tuple(u.shape[1:] for u in us))
         # The stored data must compose: Ad(W_g) Ad(W_h) = Ad(W_gh).  Checked
-        # on random block-diagonal elements; skipped for very large groups.
-        if self.group.order <= 64:
+        # on a random element; skipped for very large groups.
+        if check and order <= 64:
             defect = self.action_defect(samples=1)
             if defect > self.action_tol:
                 raise ValueError(
@@ -102,77 +96,73 @@ class GAlgebra:
     def dim(self) -> int:
         return sum(self.blocks)
 
-    @property
-    def offsets(self):
-        return _block_offsets(self.blocks)
-
-    def action_unitary(self, g: int) -> np.ndarray:
-        return self._full[g]
-
-    def act(self, g: int, a: np.ndarray) -> np.ndarray:
-        """Apply the automorphism of g: block permutation then conjugation.
-        ``a`` is one element or a stack (..., n, n) of elements."""
-        a = self.conform(a)
-        w = self._full[g]
-        return w @ a @ w.conj().T
-
-    def conform(self, a, tol: float = 1e-10) -> np.ndarray:
-        """Check that a (one element or a stack) is block-diagonal for this
-        algebra within tol, and return it with the off-block part zeroed.
-        The off-block norm is only computed when that part is non-zero."""
+    def as_blocks(self, a) -> Blocks:
+        """a as Blocks of this algebra; a dense ``(..., n, n)`` array is the
+        only block of a one-block algebra."""
+        if isinstance(a, Blocks):
+            shapes = tuple(p.shape[-3:] for p in a.parts)
+            if shapes != self._shapes:
+                raise BlockMismatchError(f"element blocks {shapes}, algebra "
+                                         f"blocks {self._shapes}")
+            return a
         a = np.asarray(a, dtype=complex)
-        n = self.dim
-        if a.ndim < 2 or a.shape[-2:] != (n, n):
-            raise BlockMismatchError(f"element shape {a.shape}, algebra dim {n}")
-        off = a * (1 - self._mask)
-        if np.any(off):
-            worst = float(np.max(operator_norm(off)))
-            if worst > tol:
-                raise BlockMismatchError(
-                    f"element has off-block mass {worst:.3e} (tol {tol:.1e})")
-        return a * self._mask
+        if len(self.blocks) != 1 or a.ndim < 2 or a.shape[-2:] != (self.dim,) * 2:
+            raise BlockMismatchError(f"dense element of shape {a.shape} for an "
+                                     f"algebra with blocks {self.blocks}")
+        return Blocks((a[..., None, :, :],))
 
-    def block_mask(self) -> np.ndarray:
-        """A fresh writable copy of the 0/1 block-diagonal mask."""
-        return self._mask.copy()
-
-    def embed_blocks(self, block_values: Sequence[np.ndarray]) -> np.ndarray:
-        offs = self.offsets
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for j, v in enumerate(block_values):
-            if v is None:
-                continue
-            v = np.asarray(v, dtype=complex)
-            out[offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = v
-        return out
-
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
+    def act(self, g: int, a):
+        """Apply the automorphism of g to one element or a stack: gather the
+        blocks by the permutation, then conjugate each by its unitary.  A
+        dense argument gives a dense result."""
+        x = self.as_blocks(a)
+        out = Blocks(u[g] @ p[..., s[g], :, :] @ uh[g] for p, s, u, uh
+                     in zip(x.parts, self._src, self._u, self._uh))
+        return out if isinstance(a, Blocks) else out.parts[0][..., 0, :, :]
 
     def action_defect(self, rng_seed: int = 0, samples: int = 2) -> float:
-        """Max over (g, h) of ||act(g, act(h, a)) - act(gh, a)|| on random
-        block-diagonal test elements, plus the identity-acts-trivially
-        defect.  Should be at rounding level for a genuine action."""
+        """Max over (g, h) of ||act(h, act(g, a)) - act(hg, a)|| on random
+        elements a, plus the identity-acts-trivially defect.  Each h acts
+        once on the stack of images of a and takes one batched norm over g.
+        Should be at rounding level for a genuine action."""
         rng = np.random.default_rng(rng_seed)
+        G = self.group
         worst = 0.0
-        mask = self._mask
-        n = self.dim
-        tests = [mask * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-                 for _ in range(samples)]
-        e = self.group.identity
-        for a in tests:
-            worst = max(worst, operator_norm(self.act(e, a) - a))
-            for g in range(self.group.order):
-                ga = self.act(g, a)
-                for h in range(self.group.order):
-                    lhs = self.act(h, ga)
-                    rhs = self.act(self.group.mul(h, g), a)
-                    worst = max(worst, operator_norm(lhs - rhs))
+        for _ in range(samples):
+            a = Blocks(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                       for shape in self._shapes)
+            images = stack([self.act(g, a) for g in range(G.order)])
+            worst = max(worst, operator_norm(images[G.identity] - a))
+            for h in range(G.order):
+                worst = max(worst, float(np.max(operator_norm(
+                    self.act(h, images) - images[G.mult[h]]))))
         return worst
 
+    def restrict(self, keep) -> "GAlgebra":
+        """The G-algebra on the blocks ``keep`` (a sorted, invariant list of
+        block positions), with the restricted action."""
+        pos = {j: i for i, j in enumerate(keep)}
+        perms = [[pos[int(self.perms[g, j])] for j in keep]
+                 for g in range(self.group.order)]
+        unitaries = tuple(tuple(self.unitaries[g][j] for j in keep)
+                          for g in range(self.group.order))
+        return GAlgebra(tuple(self.blocks[j] for j in keep), self.group,
+                        np.reshape(perms, (self.group.order, len(keep))),
+                        unitaries, self.action_tol, check=False)
 
-def matrix_algebra(n: int, group: FiniteGroup,
-                   action_unitaries: Optional[Sequence[np.ndarray]] = None,
+    def take(self, a: Blocks, keep) -> Blocks:
+        """A fresh copy of the blocks at the sorted positions ``keep`` of a
+        (an element or a stack), as an element of ``restrict(keep)``."""
+        keep = set(keep)
+        parts = []
+        for p, cls in zip(a.parts, self._classes):
+            idx = [k for k, j in enumerate(cls) if j in keep]
+            if idx:
+                parts.append(p[..., idx, :, :])
+        return Blocks(parts)
+
+
+def matrix_algebra(n: int, group: FiniteGroup, action_unitaries=None,
                    action_tol: float = 1e-12) -> GAlgebra:
     """Single-block M_n with the action g |-> Ad(u_g) (trivial if omitted)."""
     if action_unitaries is None:
@@ -194,11 +184,12 @@ def trivial_action_algebra(blocks, group: FiniteGroup) -> GAlgebra:
 @dataclass(frozen=True, eq=False)
 class Tower:
     """A G-algebra with an increasing chain of invariant block ideals
-    J_0 <= J_1 <= ... <= J_N; the quotient at level n zeroes the blocks of
-    J_n, and the top quotient is by J_N."""
+    J_0 <= J_1 <= ... <= J_N.  The quotient at level n, ``level(n)``, is
+    the G-algebra on the blocks outside J_n; the top quotient is by J_N."""
 
     algebra: GAlgebra
     ideals: tuple   # tuple of frozensets of block indices
+    _levels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ideals = tuple(frozenset(int(b) for b in j) for j in self.ideals)
@@ -230,101 +221,42 @@ class Tower:
         """Index of the top quotient level (quotient by the largest ideal)."""
         return len(self.ideals) - 1
 
-    def level_mask(self, n: int) -> np.ndarray:
-        A = self.algebra
-        mask = A.block_mask()
-        offs = A.offsets
-        for b in self.ideals[n]:
-            mask[offs[b]:offs[b + 1], offs[b]:offs[b + 1]] = 0.0
-        return mask
+    def _live(self, n: int) -> list:
+        return [j for j in range(len(self.algebra.blocks)) if j not in self.ideals[n]]
 
-    def project(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
-        """Quotient map pi_{n,m} from level m to level n (m <= n): zeroes the
+    def level(self, n: int) -> GAlgebra:
+        """The quotient G-algebra at level n (built once)."""
+        if n not in self._levels:
+            self._levels[n] = self.algebra.restrict(self._live(n))
+        return self._levels[n]
+
+    def project(self, n: int, m: int, a: Blocks) -> Blocks:
+        """Quotient map pi_{n,m} from level m to level n (m <= n): drops the
         blocks of J_n.  Compositions pi_{n,m} o pi_{m,l} = pi_{n,l} hold
-        exactly because zeroing is nested."""
+        exactly because dropping is nested."""
         if not 0 <= m <= n <= self.top:
             raise ValueError(f"levels must satisfy 0 <= m <= n <= {self.top}, "
                              f"got (n={n}, m={m})")
-        a = self.algebra.conform(a)
-        return a * self.level_mask(n)
+        keep = [i for i, j in enumerate(self._live(m)) if j not in self.ideals[n]]
+        return self.level(m).take(self.level(m).as_blocks(a), keep)
 
-    def project_to_top(self, m: int, a: np.ndarray) -> np.ndarray:
+    def project_to_top(self, m: int, a: Blocks) -> Blocks:
         return self.project(self.top, m, a)
 
-    def invariance_defect_at_top(self, x: np.ndarray) -> float:
-        # The induced action on a quotient is the same conjugation; invariant
-        # ideals stay zeroed because the block permutation preserves them.
-        A = self.algebra
-        return max(operator_norm(A.act(g, x) - x) for g in range(A.group.order))
 
-
-def invariant_lift(tower: Tower, x: np.ndarray,
-                   lift: Optional[np.ndarray] = None,
-                   invariance_tol: float = 1e-10) -> np.ndarray:
-    """Lift an invariant element of the top quotient to an invariant element
-    of the full algebra, by averaging an arbitrary set-theoretic lift.
-
-    The result a satisfies act(g, a) = a for all g (to rounding) and
-    projects to the average of the orbit of x; when x is exactly invariant
-    this equals x itself, in general it is within the measured invariance
-    defect of x.
-    """
-    A = tower.algebra
-    x = A.conform(x) * tower.level_mask(tower.top)
-    defect = tower.invariance_defect_at_top(x)
-    if defect > invariance_tol:
-        raise ValueError(
-            f"element is not invariant at the top quotient: defect {defect:.3e}")
-    if lift is None:
-        lift = x
+def group_stack(values, order: int):
+    """values as a stack with one element per group element: Blocks as
+    they are, anything else as a complex (|G|, n, n) array."""
+    if isinstance(values, Blocks):
+        lead = values.lead
     else:
-        lift = A.conform(lift)
-        if operator_norm(tower.project_to_top(0, lift) - x) > invariance_tol:
-            raise ValueError("supplied lift does not project to x")
-    return haar_average(A.group, lambda g: A.act(g, lift))
-
-
-def commutant_expectation(images, a, relation_tol: float = 1e-10) -> np.ndarray:
-    """Conditional expectation onto the relative commutant of a unital copy
-    of a finite-dimensional algebra.
-
-    ``images`` is a list, one entry per matrix summand, each an array of
-    shape (r, r, n, n) whose (j, k) slot is the image of the matrix unit
-    e_{j+1,k+1} of that summand.  The images must satisfy the matrix-unit
-    relations and their diagonals must sum to the identity.  Returns
-    E(a) = sum_l sum_k  lam(e^{(l)}_{k,1}) a lam(e^{(l)}_{1,k}).
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    diag_sum = np.zeros((n, n), dtype=complex)
-    for l, block in enumerate(images):
-        block = np.asarray(block, dtype=complex)
-        r = block.shape[0]
-        if block.shape != (r, r, n, n):
-            raise ValueError(f"summand {l} has shape {block.shape}")
-        for j in range(r):
-            for k in range(r):
-                if operator_norm(block[j, k].conj().T - block[k, j]) > relation_tol:
-                    raise ValueError(
-                        f"summand {l}: adjoint relation fails at ({j},{k})")
-                for p in range(r):
-                    for q in range(r):
-                        prod = block[j, k] @ block[p, q]
-                        want = block[j, q] if k == p else np.zeros((n, n))
-                        if operator_norm(prod - want) > relation_tol:
-                            raise ValueError(
-                                f"summand {l}: matrix-unit product relation "
-                                f"fails at ({j},{k})({p},{q})")
-            diag_sum += block[j, j]
-    if operator_norm(diag_sum - np.eye(n)) > relation_tol:
-        raise ValueError("matrix-unit diagonals do not sum to the identity")
-    out = np.zeros((n, n), dtype=complex)
-    for block in images:
-        block = np.asarray(block, dtype=complex)
-        r = block.shape[0]
-        for k in range(r):
-            out += block[k, 0] @ a @ block[0, k]
-    return out
+        values = np.asarray(values, dtype=complex)
+        square = values.ndim == 3 and values.shape[1] == values.shape[2]
+        lead = values.shape[:1] if square else None
+    if lead != (order,):
+        raise ValueError(f"values shape {values.shape} does not match group "
+                         f"order {order}")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,25 +266,22 @@ class GHom:
     equivariance defects are measured, not taken on faith."""
 
     source: FiniteGroup
-    values: np.ndarray          # (|H|, n, n)
+    values: object              # (|H|, n, n) array or Blocks
     level: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 3 or v.shape[0] != self.source.order or v.shape[1] != v.shape[2]:
-            raise ValueError(f"values shape {v.shape} does not match group order "
-                             f"{self.source.order}")
+        object.__setattr__(self, "values",
+                           group_stack(self.values, self.source.order))
 
     def mult_defect(self) -> float:
         return float(np.max(mult_defect_norms(self.values, self.source.mult)))
 
 
-def mult_defect_norms(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+def mult_defect_norms(values, mult: np.ndarray) -> np.ndarray:
     """The (|G|, |G|) array of ||v(gh) - v(g) v(h)||, with ``mult[g, h]``
-    the index of gh.  Each g takes one (|G|, n, n) slab and one batched
-    norm, so the full (|G|, |G|, n, n) product array is never built."""
-    v = np.asarray(values)
+    the index of gh.  Each g takes one (|G|, ...) slab and one batched
+    norm, so the full (|G|, |G|, ...) product array is never built."""
+    v = values if isinstance(values, Blocks) else np.asarray(values)
     return np.stack([operator_norm(v[mult[g]] - v[g] @ v)
                      for g in range(len(mult))])
 

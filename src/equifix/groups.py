@@ -17,6 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .matfun import Blocks
+
 DEFAULT_ORDER_CAP = 720
 
 
@@ -231,10 +233,15 @@ def make_group(kind: str, params, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
 
 def haar_average(group: FiniteGroup, f: Callable[[int], np.ndarray]) -> np.ndarray:
     """Average f over the group: (1/|G|) sum_g f(g), summed one term at a
-    time in group order.  Exact, no quadrature."""
-    total = np.array(f(0), dtype=complex)
+    time in group order.  Exact, no quadrature.  f may return arrays or
+    Blocks."""
+    def term(g):
+        v = f(g)
+        return v if isinstance(v, Blocks) else np.asarray(v, dtype=complex)
+
+    total = term(0).copy()
     for g in range(1, group.order):
-        v = np.asarray(f(g), dtype=complex)
+        v = term(g)
         if v.shape != total.shape:
             raise ValueError(f"f({g}) has shape {v.shape}, expected {total.shape}")
         total += v

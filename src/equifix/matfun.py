@@ -1,10 +1,12 @@
-"""Dense complex matrix arithmetic and the functional calculus used by the
+"""Complex matrix arithmetic and the functional calculus used by the
 correction pipelines: operator norm, polar part, principal logarithm of
 unitaries, exponential of skew-Hermitian matrices, spectral rounding.
 
-Matrices are plain complex numpy arrays.  The norm, defect, log and exp
-kernels also accept stacks ``(..., n, n)`` and work slice by slice; a 2-D
-input gives the same result as before.
+Matrices are plain complex numpy arrays.  The norm, defect, log, exp and
+polar kernels also accept stacks ``(..., n, n)`` and work slice by slice,
+and block-diagonal elements stored block by block (:class:`Blocks`), which
+they take one batched call per block size; the norm of such an element is
+its largest block norm.
 
 The exponential of a skew-Hermitian x is a function of the Hermitian
 matrix -i x, so one batched ``eigh`` computes it for a whole stack.  The
@@ -62,6 +64,109 @@ class NotNormalError(ValueError):
     """Input is too far from normal for eigenvector-based calculus."""
 
 
+class Blocks:
+    """A block-diagonal element, or a stack of them, stored block by block:
+    one complex array ``(..., K_s, b_s, b_s)`` per block size ``b_s``, all
+    with the same leading axes.  Arithmetic, indexing and ``mean`` act on
+    the leading axes of every size at once.  A coefficient array shaped
+    for a stack of dense matrices, ``(..., 1, 1)``, gains the block axis
+    before it broadcasts."""
+
+    __array_ufunc__ = None          # ndarray (op) Blocks defers to Blocks
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(p.shape for p in self.parts)
+
+    @property
+    def lead(self) -> tuple:
+        """The leading (stack) axes."""
+        return self.parts[0].shape[:-3] if self.parts else ()
+
+    def map(self, f, *others) -> "Blocks":
+        """f applied to the parts of self (and of others), size by size."""
+        return Blocks(f(*ps) for ps in zip(self.parts, *(o.parts for o in others)))
+
+    def reduce(self, f):
+        """The largest block value of f, which maps a part (..., K, b, b)
+        to one value per block (..., K): one value per element."""
+        out = 0.0
+        for p in self.parts:
+            out = np.maximum(out, f(p).max(axis=-1))
+        return out if np.ndim(out) else float(out)
+
+    def _with(self, other, op) -> "Blocks":
+        if isinstance(other, Blocks):
+            return self.map(op, other)
+        c = np.asarray(other)
+        c = c[..., None, :, :] if c.ndim >= 2 else c
+        return Blocks(op(p, c) for p in self.parts)
+
+    def __add__(self, other):
+        return self._with(other, np.add)
+
+    def __sub__(self, other):
+        return self._with(other, np.subtract)
+
+    def __mul__(self, other):
+        return self._with(other, np.multiply)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._with(other, np.true_divide)
+
+    def __matmul__(self, other):
+        return self.map(np.matmul, other)
+
+    def __getitem__(self, index) -> "Blocks":
+        return Blocks(p[index] for p in self.parts)
+
+    def conj(self) -> "Blocks":
+        return Blocks(p.conj() for p in self.parts)
+
+    def swapaxes(self, a: int, b: int) -> "Blocks":
+        """Swap two axes counted from the end (the matrix axes)."""
+        return Blocks(p.swapaxes(a, b) for p in self.parts)
+
+    def mean(self, axis: int) -> "Blocks":
+        return Blocks(p.mean(axis=axis) for p in self.parts)
+
+    def copy(self) -> "Blocks":
+        return Blocks(p.copy() for p in self.parts)
+
+
+def stack(elements):
+    """np.stack for arrays, and part by part for Blocks."""
+    if isinstance(elements[0], Blocks):
+        return Blocks(np.stack(ps) for ps in zip(*(e.parts for e in elements)))
+    return np.stack(elements)
+
+
+def read_only_copy(a):
+    """A complex copy of an array or of Blocks, made read-only."""
+    if isinstance(a, Blocks):
+        return a.map(read_only_copy)
+    v = np.array(a, dtype=complex)
+    v.flags.writeable = False
+    return v
+
+
+def identity_like(a):
+    """The identity, shaped like the element or stack a."""
+    if isinstance(a, Blocks):
+        return a.map(identity_like)
+    return np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+
+
+def adjoint(a):
+    """Conjugate transpose of the matrix axes, slice by slice."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def require_finite(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -74,10 +179,6 @@ def _require_square(a) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     return a
-
-
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
 
 
 def _at_slice(i: int, shape: tuple) -> str:
@@ -101,7 +202,9 @@ def _reject_worst(defects, tol: float, message: str):
 
 def operator_norm(a):
     """Largest singular value.  A stack (..., m, n) gives an array with one
-    norm per slice."""
+    norm per slice, and Blocks the largest block norm per element."""
+    if isinstance(a, Blocks):
+        return a.reduce(operator_norm)
     a = require_finite(a)
     if a.ndim > 2:
         if a.size == 0:
@@ -119,8 +222,10 @@ def close(a, b, tol: float) -> bool:
 
 def unitarity_defect(u):
     """||u*u - 1||, per slice for a stack."""
+    if isinstance(u, Blocks):
+        return u.reduce(unitarity_defect)
     u = np.asarray(u, dtype=complex)
-    return operator_norm(_adjoint(u) @ u - np.eye(u.shape[-1]))
+    return operator_norm(adjoint(u) @ u - np.eye(u.shape[-1]))
 
 
 def hermiticity_defect(a) -> float:
@@ -131,7 +236,7 @@ def hermiticity_defect(a) -> float:
 def skewness_defect(x):
     """||x + x*||, per slice for a stack."""
     x = np.asarray(x, dtype=complex)
-    return operator_norm(x + _adjoint(x))
+    return operator_norm(x + adjoint(x))
 
 
 @dataclass(frozen=True)
@@ -165,13 +270,17 @@ def normal_eigensystem(a, residual_tol: float = 1e-9) -> SpectralData:
 
 
 def polar_unitary(a, min_singular: float = 1e-10) -> np.ndarray:
-    """Polar part a (a*a)^(-1/2) of an invertible matrix, via SVD."""
+    """Polar part a (a*a)^(-1/2) of an invertible matrix, via SVD; slice by
+    slice for a stack or Blocks."""
+    if isinstance(a, Blocks):
+        return a.map(polar_unitary)
     a = require_finite(a)
     u, s, vh = np.linalg.svd(a)
-    if s[-1] <= min_singular:
+    smallest = np.min(s[..., -1])
+    if smallest <= min_singular:
         raise ValueError(
             f"matrix is numerically singular: smallest singular value "
-            f"{s[-1]:.3e} <= {min_singular:.1e}")
+            f"{smallest:.3e} <= {min_singular:.1e}")
     return u @ vh
 
 
@@ -186,6 +295,8 @@ def principal_log_unitary(u, unitary_tol: float = 1e-10,
     Rejects inputs whose spectrum comes within ``branch_gap`` (in argument)
     of the branch cut at -1.
     """
+    if isinstance(u, Blocks):
+        return u.map(principal_log_unitary)
     u = _require_square(u)
     _reject_worst(unitarity_defect(u), unitary_tol,
                   "input is not unitary: ||u*u - 1|| = %.3e")
@@ -197,7 +308,7 @@ def principal_log_unitary(u, unitary_tol: float = 1e-10,
     fast = np.flatnonzero(near)
     if fast.size:
         s = stack[fast]
-        sines, vecs[fast] = np.linalg.eigh(-0.5j * (s - _adjoint(s)))
+        sines, vecs[fast] = np.linalg.eigh(-0.5j * (s - adjoint(s)))
         args[fast] = np.arcsin(np.clip(sines, -1.0, 1.0))
     for i in np.flatnonzero(~near):
         spec = normal_eigensystem(stack[i])
@@ -210,20 +321,22 @@ def principal_log_unitary(u, unitary_tol: float = 1e-10,
             raise BranchCutError(
                 f"eigenvalue {np.exp(1j * args.flat[i]):.6g} is within {gap:.3e} "
                 f"of the branch cut at -1{_at_slice(i // n, u.shape[:-2])}")
-    x = (vecs * (1j * args)[:, None, :]) @ _adjoint(vecs)
-    return ((x - _adjoint(x)) / 2).reshape(u.shape)
+    x = (vecs * (1j * args)[:, None, :]) @ adjoint(vecs)
+    return ((x - adjoint(x)) / 2).reshape(u.shape)
 
 
 def exp_skew(x, skew_tol: float = 1e-10) -> np.ndarray:
     """Exponential of a skew-Hermitian matrix, or of each slice of a stack;
     the result is unitary by construction (batched eigendecomposition of
     the Hermitian matrix -i x)."""
+    if isinstance(x, Blocks):
+        return x.map(exp_skew)
     x = _require_square(x)
     _reject_worst(skewness_defect(x), skew_tol,
                   "input is not skew-Hermitian: ||x + x*|| = %.3e")
-    x = (x - _adjoint(x)) / 2
+    x = (x - adjoint(x)) / 2
     theta, v = np.linalg.eigh(-1j * x)
-    return (v * np.exp(1j * theta)[..., None, :]) @ _adjoint(v)
+    return (v * np.exp(1j * theta)[..., None, :]) @ adjoint(v)
 
 
 def spectral_round_unitary(w, d: int, unitary_tol: float = 1e-10,

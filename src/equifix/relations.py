@@ -242,7 +242,7 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     r = iso.shape[1]
     corner_unitaries = []
     for g in range(d):
-        u = algebra.action_unitary(g)
+        u = algebra.unitaries[g][0]    # dense seeds: a one-block algebra
         cu = iso.conj().T @ u @ iso
         corner_unitaries.append(polar_unitary(cu))
     corner = matrix_algebra(r, G, corner_unitaries, action_tol=1e-10)

@@ -23,10 +23,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import FiniteGroup, haar_average
-from .matfun import (EPS0, UNITARIZE_EPS, exp_skew, operator_norm,
-                     polar_unitary, principal_log_unitary, require_finite,
-                     unitarity_defect)
-from .galgebra import GHom, Tower, max_with_pair, mult_defect_norms
+from .matfun import (EPS0, UNITARIZE_EPS, Blocks, adjoint, exp_skew,
+                     identity_like, operator_norm, polar_unitary,
+                     principal_log_unitary, read_only_copy, require_finite,
+                     stack, unitarity_defect)
+from .galgebra import GHom, Tower, group_stack, max_with_pair, mult_defect_norms
 
 ONE_STEP_MAX_DEFECT = 1.0 / 5
 ITERATE_MAX_DEFECT = 1.0 / 17
@@ -45,34 +46,29 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(eq=False)
 class ApproxRep:
-    """A map from a finite group into square matrices with measured (never
-    assumed) multiplicativity defect.  The values are copied and made
-    read-only, so the defect is measured once and cached."""
+    """A map from a finite group into square matrices, or into a block
+    algebra (values as Blocks), with measured (never assumed)
+    multiplicativity defect.  The values are copied and made read-only, so
+    the defect is measured once and cached."""
 
     group: FiniteGroup
-    values: np.ndarray            # (|G|, n, n)
+    values: object                # (|G|, n, n) array or Blocks
     unitary: bool = True
     unital: bool = True
     _defect: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        if v.ndim != 3 or v.shape[0] != self.group.order or v.shape[1] != v.shape[2]:
-            raise ValueError(f"values shape {v.shape} does not match group order")
-        v.flags.writeable = False
+        v = read_only_copy(group_stack(self.values, self.group.order))
         self.values = v
         if self.unitary:
             worst = float(np.max(unitarity_defect(v)))
             if worst > 1e-10:
                 raise ValueError(f"values flagged unitary but defect is {worst:.3e}")
         if self.unital:
-            err = operator_norm(v[self.group.identity] - np.eye(v.shape[1]))
+            e = v[self.group.identity]
+            err = operator_norm(e - identity_like(e))
             if err > 1e-10:
                 raise ValueError(f"values flagged unital but rho(e) is off by {err:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
     def defect(self) -> float:
         return self.defect_with_argmax()[0]
@@ -103,12 +99,10 @@ def one_step(rep: ApproxRep) -> ApproxRep:
             f"defect {r:.6g} exceeds 1/5; attained at pair {pair}")
     G = rep.group
     v = rep.values
-    v_adj = v.conj().transpose(0, 2, 1)
-    x = np.empty_like(v)
-    # One (|G|, n, n) stack per g: m[k] = rho(k)* rho(kg) rho(g)*.
-    for g in range(G.order):
-        m = v_adj @ v[G.mult[:, g]] @ v_adj[g]
-        x[g] = principal_log_unitary(m).mean(axis=0)
+    v_adj = adjoint(v)
+    # One (|G|, ...) stack per g: m[k] = rho(k)* rho(kg) rho(g)*.
+    x = stack([principal_log_unitary(v_adj @ v[G.mult[:, g]] @ v_adj[g]).mean(axis=0)
+               for g in range(G.order)])
     return ApproxRep(G, exp_skew(x) @ v, unitary=rep.unitary, unital=rep.unital)
 
 
@@ -152,16 +146,14 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
     If a quotient map kappa is supplied, kappa o rep must already be an
     exact representation (defect <= 1e-12 downstairs); the iteration then
     leaves the downstairs image unchanged, and the drift is measured and
-    returned.
+    returned.  kappa takes the whole (|G|, ...) stack of values.
     """
     r0, pair = rep.defect_with_argmax()
     if r0 >= ITERATE_MAX_DEFECT:
         raise DefectTooLargeError(
             f"defect {r0:.6g} is not below 1/17; attained at pair {pair}")
     if quotient is not None:
-        down = ApproxRep(rep.group,
-                         np.stack([quotient(rep.values[g])
-                                   for g in range(rep.group.order)]),
+        down = ApproxRep(rep.group, quotient(rep.values),
                          unitary=False, unital=False)
         dd = down.defect()
         if dd > 1e-12:
@@ -180,9 +172,8 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
                                           "defect")
     drift = None
     if quotient is not None:
-        moved = np.stack([quotient(c) - quotient(s)
-                          for c, s in zip(current.values, rep.values)])
-        drift = float(np.max(operator_norm(moved)))
+        drift = float(np.max(operator_norm(quotient(current.values) -
+                                           quotient(rep.values))))
     return RepCorrection(rep=current, iterations=iterations, trace=trace,
                          quotient_drift=drift)
 
@@ -249,12 +240,11 @@ def translation_source_action(d: int, group: FiniteGroup,
     return SourceAction(group=group, source=source, perm=perm, scalar=scalar)
 
 
-def equivariance_defect(values: np.ndarray, act: Callable[[int, np.ndarray], np.ndarray],
-                        source_action: SourceAction) -> float:
+def equivariance_defect(values, act: Callable, source_action: SourceAction) -> float:
     """Max over (g, x) of || gamma_g(psi(u_x)) - psi(alpha_g(u_x)) ||.
-    ``act(g, .)`` is applied to the whole (|H|, n, n) stack of values, with
-    one batched norm per g."""
-    values = np.asarray(values, dtype=complex)
+    ``act(g, .)`` is applied to the whole (|H|, ...) stack of values (an
+    array or Blocks), with one batched norm per g."""
+    values = group_stack(values, source_action.source.order)
     perm, scalar = source_action.perm, source_action.scalar
     worst = 0.0
     for g in range(source_action.group.order):
@@ -263,18 +253,17 @@ def equivariance_defect(values: np.ndarray, act: Callable[[int, np.ndarray], np.
     return worst
 
 
-def symmetrize(values: np.ndarray, act: Callable[[int, np.ndarray], np.ndarray],
-               source_action: SourceAction) -> np.ndarray:
+def symmetrize(values, act: Callable, source_action: SourceAction):
     """Group-average a map on the canonical unitaries to make it exactly
     equivariant:  T(u_x) = avg_g gamma_g( psi( alpha_{g^-1}(u_x) ) ).
 
     When the composition with a quotient under which the target action
     descends is already equivariant, that composition is unchanged.
-    ``act(g, .)`` is applied once per g, to the whole (|H|, n, n) stack.
+    ``act(g, .)`` is applied once per g, to the whole (|H|, ...) stack.
     """
     G = source_action.group
     perm, scalar = source_action.perm, source_action.scalar
-    values = np.asarray(values, dtype=complex)
+    values = group_stack(values, source_action.source.order)
 
     def term(g):
         ginv = G.inverse(g)
@@ -282,22 +271,30 @@ def symmetrize(values: np.ndarray, act: Callable[[int, np.ndarray], np.ndarray],
     return haar_average(G, term)
 
 
-def unitarize_values(values: np.ndarray, eps: float = UNITARIZE_EPS) -> np.ndarray:
+def unitarize_values(values, eps: float = UNITARIZE_EPS):
     """Replace each value by its polar part.  Every value must be within
     eps (default eps0/2, eps0 = 1/(6*34)) of a unitary, measured as
     max |s - 1| over its singular values s; the polar parts then move each
-    value by less than eps0.  One batched SVD u diag(s) vh gives both the
-    distances and the polar parts u vh; a rejection names the first value
-    that is too far."""
-    u, s, vh = np.linalg.svd(require_finite(values))
-    dists = np.max(np.abs(s - 1.0), axis=-1, initial=0.0)
+    value by less than eps0.  One batched SVD u diag(s) vh per block size
+    gives both the distances and the polar parts u vh; a rejection names
+    the first value that is too far."""
+    def polar(a):
+        u, s, vh = np.linalg.svd(require_finite(a))
+        return u @ vh, np.max(np.abs(s - 1.0), axis=-1, initial=0.0)
+
+    if isinstance(values, Blocks):
+        pairs = [polar(p) for p in values.parts]
+        out = Blocks(q for q, _ in pairs)
+        dists = np.max([d.max(axis=-1) for _, d in pairs], axis=0)
+    else:
+        out, dists = polar(values)
     far = np.flatnonzero(dists >= eps)
     if far.size:
         i = int(far[0])
         raise DefectTooLargeError(
             f"value {i} is at distance {dists[i]:.6g} from the unitaries; "
             f"unitarization requires < {eps:.6g}")
-    return u @ vh
+    return out
 
 
 def intertwiner(rho: ApproxRep, sigma: ApproxRep,
@@ -306,8 +303,8 @@ def intertwiner(rho: ApproxRep, sigma: ApproxRep,
     """Unitary u with u rho(g) u* = sigma(g) for two exact representations
     at pointwise distance < 1: the polar part of avg_h sigma(h)* rho(h).
 
-    When a quotient map kappa with kappa o rho = kappa o sigma is supplied,
-    u satisfies kappa(u) = 1.
+    When a quotient map kappa (taking a stack of values) with
+    kappa o rho = kappa o sigma is supplied, u satisfies kappa(u) = 1.
     """
     for name, rep in (("rho", rho), ("sigma", sigma)):
         d = rep.defect()
@@ -319,14 +316,13 @@ def intertwiner(rho: ApproxRep, sigma: ApproxRep,
         raise DefectTooLargeError(
             f"representations are at distance {dists[g]:.6g} >= 1 (attained at g={g})")
     if quotient is not None:
-        moved = np.stack([quotient(r) - quotient(s)
-                          for r, s in zip(rho.values, sigma.values)])
-        mismatch = float(np.max(operator_norm(moved)))
+        mismatch = float(np.max(operator_norm(quotient(rho.values) -
+                                              quotient(sigma.values))))
         if mismatch > exact_tol:
             raise DefectTooLargeError(
                 f"quotients of rho and sigma differ by {mismatch:.3e}")
     a = haar_average(rho.group,
-                     lambda h: sigma.values[h].conj().T @ rho.values[h])
+                     lambda h: adjoint(sigma.values[h]) @ rho.values[h])
     return polar_unitary(a)
 
 
@@ -352,7 +348,7 @@ class LiftError(RuntimeError):
 class LiftResult:
     level: int
     rep: GHom
-    intertwiner_unitary: Optional[np.ndarray]
+    intertwiner_unitary: Optional[Blocks]
     table: list
     correction: RepCorrection
     equivariance_residual: float
@@ -365,112 +361,78 @@ LEVEL_ACCEPT_THRESHOLD = min(1.0 / (2 * 17), EPS0)
 
 
 def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
-                   seed: Optional[GHom] = None, tol: float = 1e-12) -> LiftResult:
+                   seed: GHom, tol: float = 1e-12) -> LiftResult:
     """Lift an exact equivariant representation phi of a finite group H at
     the top of a tower to an exact equivariant representation at a finite
     level below the top.
 
-    Pipeline: nonequivariant seed at level 0 (supplied, or phi extended by
-    the identity representation on the dropped blocks) -> scan levels in
-    increasing order, accepting the first whose symmetrized and unitarized
-    family has defect below min(1/34, eps0) -> iterated correction with the
-    top quotient pinned -> conjugation by an intertwiner back onto the seed
-    (when the seed restricts to an exact representation, as it does for the
-    classical pipeline).
+    Every stage runs on the blocks live at its level.  Pipeline: a
+    nonequivariant seed at level 0 -> scan levels in increasing order,
+    accepting the first whose symmetrized and unitarized family has defect
+    below min(1/34, eps0) -> iterated correction with the top quotient
+    pinned -> conjugation by an intertwiner back onto the seed (when the
+    seed restricts to an exact representation, as it does for the classical
+    pipeline).
     """
-    A = tower.algebra
     H = source_action.source
     top = tower.top
-    top_mask = tower.level_mask(top)
-    phi_vals = np.asarray(phi.values, dtype=complex)
-
-    phi_rep_defect = GHom(H, phi_vals, level=top).mult_defect()
-    phi_eq = equivariance_defect(phi_vals, A.act, source_action)
+    phi_vals = phi.values
+    phi_rep_defect = phi.mult_defect()
+    phi_eq = equivariance_defect(phi_vals, tower.level(top).act, source_action)
     if phi_rep_defect > 1e-11 or phi_eq > 1e-11:
         raise DefectTooLargeError(
             f"phi must be exact and equivariant at the top "
             f"(defect {phi_rep_defect:.3e}, equivariance {phi_eq:.3e})")
-
-    if seed is None:
-        # Identity representation on every block the top quotient drops.
-        fill = A.identity() * (A.block_mask() - top_mask)
-        seed_vals = np.stack([phi_vals[x] + fill for x in range(H.order)])
-    else:
-        seed_vals = np.asarray(seed.values, dtype=complex)
-        mismatch = float(np.max(operator_norm(seed_vals * top_mask - phi_vals)))
-        if mismatch > 1e-11:
-            raise ValueError(
-                f"seed does not project to phi at the top (off by {mismatch:.3e})")
+    mismatch = float(np.max(operator_norm(tower.project(top, 0, seed.values) -
+                                          phi_vals)))
+    if mismatch > 1e-11:
+        raise ValueError(
+            f"seed does not project to phi at the top (off by {mismatch:.3e})")
 
     table = []
-    chosen = None
     for level in range(top):
-        mask = tower.level_mask(level)
-        level_vals = seed_vals * mask
-        eq = equivariance_defect(level_vals, A.act, source_action)
-        mult = GHom(H, level_vals, level=level).mult_defect()
-        sym = symmetrize(level_vals, A.act, source_action)
-        # Unitarity is relative to the level unit (dropped blocks stay zero):
-        # measure against the polar set inside the live corner.
-        live = np.flatnonzero(np.diag(mask))
+        act = tower.level(level).act
+        # Each defect is measured once: the reps cache it for the corrector
+        # and the intertwiner.
+        seed_rep = ApproxRep(H, tower.project(level, 0, seed.values),
+                             unitary=False, unital=False)
+        eq = equivariance_defect(seed_rep.values, act, source_action)
         try:
-            rho0_sub = unitarize_values(sym[:, live[:, None], live])
+            rho0 = ApproxRep(H, unitarize_values(symmetrize(seed_rep.values, act,
+                                                            source_action)))
         except DefectTooLargeError:
-            rho0_sub = None
-        unitarizable = rho0_sub is not None
-        uni_defect = None
-        accepted = False
-        if unitarizable:
-            uni_defect = GHom(H, rho0_sub, level=level).mult_defect()
-            accepted = uni_defect < LEVEL_ACCEPT_THRESHOLD
-        table.append(LevelReport(level, eq, mult, unitarizable, uni_defect, accepted))
+            rho0 = None
+        uni_defect = None if rho0 is None else rho0.defect()
+        accepted = uni_defect is not None and uni_defect < LEVEL_ACCEPT_THRESHOLD
+        table.append(LevelReport(level, eq, seed_rep.defect(), rho0 is not None,
+                                 uni_defect, accepted))
         if accepted:
-            chosen = (level, live, rho0_sub, level_vals, mask)
             break
-
-    if chosen is None:
+    else:
         raise LiftError("no tower level admits the correction "
                         "(tower too coarse for the defect threshold)", table)
 
-    level, live, rho0_sub, level_vals, mask = chosen
-    n_live = live.size
-    embed = np.zeros((A.dim, n_live), dtype=complex)
-    embed[live, np.arange(n_live)] = 1.0
+    def quotient(a):
+        return tower.project(top, level, a)
 
-    # Both take one matrix or a stack (..., n, n).
-    def expand(sub):
-        return embed @ sub @ embed.conj().T
-
-    def compress(full):
-        return full[..., live[:, None], live]
-
-    def quotient_sub(sub):
-        return compress(tower.project(top, level, expand(sub)))
-
-    rho0 = ApproxRep(H, rho0_sub, unitary=True, unital=True)
-    correction = correct_to_rep(rho0, tol=tol, quotient=quotient_sub)
+    correction = correct_to_rep(rho0, tol=tol, quotient=quotient)
     corrected = correction.rep
 
     # Conjugate the seed restriction onto the corrected representation when
     # the seed is itself an exact representation (the classical situation);
     # the corrected representation is returned either way.
-    u_full = None
-    final_sub = corrected.values
-    seed_sub = compress(level_vals)
-    seed_exact = GHom(H, seed_sub, level=level).mult_defect() <= 1e-11
-    seed_unitary = float(np.max(unitarity_defect(seed_sub))) <= 1e-10
-    if seed_exact and seed_unitary and \
-            float(np.max(operator_norm(corrected.values - seed_sub))) < 1.0:
-        psi1 = ApproxRep(H, seed_sub, unitary=True, unital=True)
-        u = intertwiner(psi1, corrected, quotient=quotient_sub)
-        final_sub = u @ seed_sub @ u.conj().T
-        u_full = expand(u) + (np.eye(A.dim) - expand(np.eye(n_live)))
+    u = None
+    final_vals = corrected.values
+    seed_vals = seed_rep.values
+    if seed_rep.defect() <= 1e-11 and \
+            float(np.max(unitarity_defect(seed_vals))) <= 1e-10 and \
+            float(np.max(operator_norm(corrected.values - seed_vals))) < 1.0:
+        u = intertwiner(seed_rep, corrected, quotient=quotient)
+        final_vals = u @ seed_vals @ adjoint(u)
 
-    final_vals = expand(final_sub)
-    eq_res = equivariance_defect(final_vals, A.act, source_action)
-    proj_res = float(np.max(operator_norm(tower.project(top, level, final_vals)
-                                          - phi_vals)))
+    eq_res = equivariance_defect(final_vals, act, source_action)
+    proj_res = float(np.max(operator_norm(quotient(final_vals) - phi_vals)))
     return LiftResult(level=level, rep=GHom(H, final_vals, level=level),
-                      intertwiner_unitary=u_full, table=table,
+                      intertwiner_unitary=u, table=table,
                       correction=correction, equivariance_residual=eq_res,
                       projection_residual=proj_res)

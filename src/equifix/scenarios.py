@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .groups import FiniteGroup, cyclic_group, make_group
-from .matfun import EPS0, operator_norm
-from .galgebra import GAlgebra, GHom, Tower, matrix_algebra, trivial_action_algebra
+from .matfun import EPS0, Blocks, operator_norm
+from .galgebra import GAlgebra, GHom, Tower, matrix_algebra
 from .repcorrect import (ApproxRep, SourceAction, correct_to_rep,
                          lift_group_rep, one_step, translation_source_action)
 from .cocycles import coboundary, one_step_cobound, trivialize, \
@@ -78,7 +78,7 @@ SCENARIO_SCHEMA = {
                 "order": {"type": "integer", "minimum": 1, "maximum": 24},
             },
         },
-        "corner_corank": {"type": "integer", "minimum": 0},
+        "corner_corank": {"type": "integer", "minimum": 0, "maximum": 64},
         "graded_data": {
             "type": "object",
             "required": ["dual_unitaries", "seeds"],
@@ -195,17 +195,18 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_skew(rng: np.random.Generator, n: int,
-                support: Optional[np.ndarray] = None) -> np.ndarray:
-    """A random skew-Hermitian n x n matrix of unit norm; with a 0/1
-    ``support`` mask it is masked and normalized again (so it moves only
-    the masked entries, e.g. the blocks a quotient kills)."""
+                corner: Optional[int] = None) -> np.ndarray:
+    """A random skew-Hermitian n x n matrix of unit norm; with ``corner``
+    its leading corner x corner block, normalized again.  The draw is that
+    of the n x n matrix either way, so a trial that keeps only the block a
+    quotient kills draws the same numbers as one that keeps it all."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     k = (a - a.conj().T) / 2
     norm = operator_norm(k)
     if norm > 0:
         k = k / norm
-    if support is not None:
-        k = k * support
+    if corner is not None:
+        k = k[:corner, :corner]
         norm = operator_norm(k)
         if norm > 0:
             k = k / norm
@@ -338,19 +339,20 @@ def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
 
 
 def perturb_rep_values(values: np.ndarray, magnitude: float,
-                       rng: np.random.Generator,
-                       skip_identity: int = 0,
-                       support: Optional[np.ndarray] = None) -> np.ndarray:
-    """Multiply each value by exp(magnitude * K) with K a ``random_skew``
-    (on ``support`` when given).  The identity slot is left alone so the
-    family stays unital."""
+                       rng: np.random.Generator, skip_identity: int = 0,
+                       draw: Optional[int] = None) -> np.ndarray:
+    """Multiply each value by exp(magnitude * K) with K a ``random_skew``;
+    with ``draw`` each K is the corner of a draw of that size (see
+    ``random_skew``).  The identity slot is left alone so the family stays
+    unital."""
     values = np.asarray(values, dtype=complex)
     out = values.copy()
     n = values.shape[1]
     for g in range(values.shape[0]):
         if g == skip_identity:
             continue
-        out[g] = values[g] @ expm(magnitude * random_skew(rng, n, support))
+        k = random_skew(rng, n) if draw is None else random_skew(rng, draw, n)
+        out[g] = values[g] @ expm(magnitude * k)
     return out
 
 
@@ -374,10 +376,13 @@ def _bound_pass(value, bound, slack):
 # ---------------------------------------------------------------------------
 # Per-kind trial runners.
 
-def _two_block_tower(group, dim):
-    """Two copies of M_dim; the quotient kills the first block.  Used for
-    the kappa-pinned variants of the correctors."""
-    algebra = trivial_action_algebra((dim, dim), group)
+def _two_block_tower(group, unitaries):
+    """Two copies of M_dim, each acted on by Ad(unitaries[g]); the quotient
+    kills the first block.  Used for the kappa-pinned variants of the
+    correctors."""
+    perms = np.tile(np.arange(2, dtype=np.intp), (group.order, 1))
+    algebra = GAlgebra(blocks=(len(unitaries[0]),) * 2, group=group, perms=perms,
+                       unitaries=tuple((u, u) for u in unitaries))
     return Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
 
 
@@ -387,13 +392,11 @@ def run_rep_trial(s: Scenario, trial: int) -> TrialReport:
     start = time.perf_counter()
     if s.tower:
         dim = s.dimension
-        tower = _two_block_tower(group, dim)
+        tower = _two_block_tower(group, [np.eye(dim)] * group.order)
         base = exact_rep_values(s.group, group, dim, rng)
-        full = np.stack([np.block([[base[g], np.zeros((dim, dim))],
-                                   [np.zeros((dim, dim)), base[g]]])
-                         for g in range(group.order)])
-        support = tower.algebra.block_mask() - tower.level_mask(tower.top)
-        vals = perturb_rep_values(full, s.magnitude, rng, support=support)
+        # Only the first block, which the quotient kills, is perturbed.
+        vals = Blocks((np.stack([perturb_rep_values(base, s.magnitude, rng,
+                                                    draw=2 * dim), base], axis=1),))
         quotient = lambda a: tower.project_to_top(0, a)
     else:
         vals = exact_rep_values(s.group, group, s.dimension, rng)
@@ -442,28 +445,21 @@ def run_cocycle_trial(s: Scenario, trial: int) -> TrialReport:
     dim = s.dimension
     action = nontrivial_action_rep(s.group, group, dim, rng)
     if s.tower:
-        # Block-diagonal two-copy algebra: the quotient kills the first copy,
-        # which is a homomorphism on block-diagonal elements, and every value
-        # in the trial is block-diagonal.
-        n = 2 * dim
-        unitaries = [np.block([[action[g], np.zeros((dim, dim))],
-                               [np.zeros((dim, dim)), action[g]]])
-                     for g in range(group.order)]
-        algebra = matrix_algebra(n, group, unitaries)
-        mask = np.zeros((n, n))
-        mask[:dim, :dim] = 1.0
-        quotient = lambda a, m=mask: a * (1 - m)
-        support = mask
-        v1, v2 = random_unitary(rng, dim), random_unitary(rng, dim)
-        v = np.block([[v1, np.zeros((dim, dim))], [np.zeros((dim, dim)), v2]])
+        # Two copies of M_dim under the same action; the quotient kills the
+        # first, and only that block of the seed is moved.
+        tower = _two_block_tower(group, action)
+        algebra = tower.algebra
+        quotient = lambda a: tower.project_to_top(0, a)
+        v = np.stack([random_unitary(rng, dim), random_unitary(rng, dim)])
+        v0 = v.copy()
+        v0[0] = v[0] @ expm(s.magnitude * random_skew(rng, 2 * dim, dim))
+        v, v0 = Blocks((v,)), Blocks((v0,))
     else:
-        n = dim
-        algebra = matrix_algebra(n, group, list(action))
+        algebra = matrix_algebra(dim, group, list(action))
         quotient = None
-        support = None
-        v = random_unitary(rng, n)
+        v = random_unitary(rng, dim)
+        v0 = v @ expm(s.magnitude * random_skew(rng, dim))
     w = coboundary(algebra, v)
-    v0 = v @ expm(s.magnitude * random_skew(rng, n, support))
     result = trivialize(w, v0, tol=s.tolerance, quotient=quotient)
     r = result.trace[0][1]
     bounds = {"one_step_mismatch": 10 * r ** 2, "one_step_distance": 2 * r,
@@ -546,19 +542,16 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     tower = Tower(algebra=algebra, ideals=ideals)
 
     eps = [base * ratio ** j for j in range(levels - 1)]
-    seed_vals = np.zeros((H.order, algebra.dim, algebra.dim), dtype=complex)
-    offs = algebra.offsets
+    seed_vals = np.empty((H.order, levels, stage_dim, stage_dim), dtype=complex)
     for j in range(levels):
         if j < levels - 1:
             q = expm(eps[j] * random_skew(rng, stage_dim))
         else:
             q = np.eye(stage_dim)
-        for x in range(H.order):
-            block = q @ stage_rep[x] @ q.conj().T
-            seed_vals[x, offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = block
-    phi_vals = seed_vals * tower.level_mask(tower.top)
-    phi = GHom(source=H, values=phi_vals, level=tower.top)
-    seed = GHom(source=H, values=seed_vals, level=0)
+        seed_vals[:, j] = q @ stage_rep @ q.conj().T
+    seed = GHom(source=H, values=Blocks((seed_vals,)), level=0)
+    phi = GHom(source=H, values=tower.project_to_top(0, seed.values),
+               level=tower.top)
     return tower, phi, source_action, seed
 
 
@@ -568,11 +561,9 @@ def run_lift_trial(s: Scenario, trial: int) -> TrialReport:
     tower, phi, source_action, seed = build_lift_scenario(s, rng)
     result = lift_group_rep(tower, phi, source_action, seed=seed,
                             tol=s.tolerance)
-    H = source_action.source
-    final = GHom(H, result.rep.values, level=result.level)
     measured = {
         "level": result.level,
-        "rep_defect": final.mult_defect(),
+        "rep_defect": result.rep.mult_defect(),
         "equivariance": result.equivariance_residual,
         "projection": result.projection_residual,
         "iterations": result.correction.iterations,
@@ -694,9 +685,7 @@ def run_integral_estimate_trial(s: Scenario, trial: int) -> TrialReport:
     theta = 2 * np.arcsin(min(s.magnitude, 1.0) / 2)
     values = np.stack([expm(theta * random_skew(rng, n))
                        for _ in range(group.order)])
-    r = np.max(operator_norm(values - np.eye(n)))
-    lhs, bound = verify_integral_estimate(group, values)
-    avg_norm = operator_norm(values.mean(axis=0))
+    lhs, bound, r, avg_norm = verify_integral_estimate(group, values)
     measured = {"r": r, "lhs": lhs, "avg_norm": avg_norm}
     passes = {
         "integral_estimate": _bound_pass(lhs, bound, 1e-10),

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from equifix.groups import CircleWeights, circle_average, cyclic_group, make_group
-from equifix.matfun import operator_norm
+from equifix.matfun import Blocks, adjoint, identity_like, operator_norm
 from equifix.galgebra import GHom, Tower, trivial_action_algebra
 from equifix.repcorrect import (ApproxRep, correct_to_rep, intertwiner,
                                 lift_group_rep, one_step)
@@ -110,17 +110,13 @@ def test_criterion_2_full_correction(rep_trials):
         tower = Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
         base = exact_rep_values({"kind": spec[0], "params": spec[1]},
                                 group, dim, rng)
-        full = np.stack([algebra.embed_blocks([base[g], base[g]])
-                         for g in range(group.order)])
-        support = algebra.block_mask() - tower.level_mask(tower.top)
-        vals = full.copy()
+        vals = np.stack([base, base], axis=1)
         for g in range(group.order):
             if g == group.identity:
                 continue
-            k = random_skew(rng, 2 * dim) * support
-            k /= operator_norm(k)
-            vals[g] = full[g] @ expm(0.02 * k)
-        rep = ApproxRep(group, vals)
+            # the block the quotient kills
+            vals[g, 0] = base[g] @ expm(0.02 * random_skew(rng, 2 * dim, dim))
+        rep = ApproxRep(group, Blocks((vals,)))
         res = correct_to_rep(rep, tol=1e-12,
                              quotient=lambda a: tower.project_to_top(0, a))
         assert res.rep.defect() <= 1e-12
@@ -145,7 +141,7 @@ def test_criterion_3_integral_estimate():
         r = max(operator_norm(vals[g] - np.eye(dim))
                 for g in range(group.order))
         assert r <= 0.5
-        lhs, bound = verify_integral_estimate(group, vals)
+        lhs, bound = verify_integral_estimate(group, vals)[:2]
         assert lhs <= bound + 1e-10
         avg = operator_norm(vals.mean(axis=0))
         assert avg <= 1 + 1e-12
@@ -203,28 +199,27 @@ def test_criterion_5_intertwiner():
             tower = Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
             base = exact_rep_values({"kind": spec[0], "params": spec[1]},
                                     group, dim, rng)
-            vals = np.stack([algebra.embed_blocks([base[g], base[g]])
-                             for g in range(group.order)])
-            support = algebra.block_mask() - tower.level_mask(tower.top)
-            k = random_skew(rng, 2 * dim) * support
-            k /= operator_norm(k)
+            k = random_skew(rng, 2 * dim, dim)      # the block the quotient kills
+            v = expm(rng.uniform(0.05, 0.4) * k)
+            rho = ApproxRep(group, Blocks((np.stack([base, base], axis=1),)))
+            sigma = ApproxRep(group, Blocks((np.stack(
+                [v @ base @ v.conj().T, base], axis=1),)))
             quotient = lambda a: tower.project_to_top(0, a)
         else:
             vals = exact_rep_values({"kind": spec[0], "params": spec[1]},
                                     group, dim, rng)
             k = random_skew(rng, dim)
+            rho = ApproxRep(group, vals)
+            sigma = rho.conjugate(expm(rng.uniform(0.05, 0.4) * k))
             quotient = None
-        v = expm(rng.uniform(0.05, 0.4) * k)
-        rho = ApproxRep(group, vals)
-        sigma = rho.conjugate(v)
         assert rho.distance_to(sigma) < 1.0
         u = intertwiner(rho, sigma, quotient=quotient)
-        conj = max(operator_norm(u @ rho.values[g] @ u.conj().T - sigma.values[g])
+        conj = max(operator_norm(u @ rho.values[g] @ adjoint(u) - sigma.values[g])
                    for g in range(group.order))
         assert conj <= 1e-11
         worst_conj = max(worst_conj, conj)
         if quotient is not None:
-            down = operator_norm(quotient(u) - quotient(np.eye(u.shape[0])))
+            down = operator_norm(quotient(u) - quotient(identity_like(u)))
             assert down <= 1e-11
             worst_down = max(worst_down, down)
     _report("criterion 5 (intertwiner)", True,

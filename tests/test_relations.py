@@ -67,7 +67,7 @@ def test_stabilize_gauge_covariance():
     rng = trial_rng(4, 0)
     algebra, exact, seeds = build_rokhlin_scenario(2, 2, 0.02, rng)
     u = random_unitary(rng, 4)
-    conj_unitaries = [u @ algebra.action_unitary(g) @ u.conj().T for g in range(2)]
+    conj_unitaries = [u @ algebra.unitaries[g][0] @ u.conj().T for g in range(2)]
     conj_alg = matrix_algebra(4, algebra.group, conj_unitaries)
     conj_seeds = np.stack([u @ seeds[g] @ u.conj().T for g in range(2)])
     res = stabilize_partition(algebra, seeds)

@@ -3,7 +3,7 @@ import pytest
 
 from equifix.groups import cyclic_group, make_group
 from equifix.galgebra import GHom, Tower, trivial_action_algebra
-from equifix.matfun import operator_norm
+from equifix.matfun import Blocks, identity_like, operator_norm
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError,
                                 LiftError, SourceAction, correct_to_rep,
                                 equivariance_defect, intertwiner, lift_group_rep,
@@ -130,11 +130,8 @@ def test_correct_quotient_pinned():
     algebra = trivial_action_algebra((dim, dim), group)
     tower = Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
     base = exact_rep_values(s.group, group, dim, rng)
-    full = np.stack([algebra.embed_blocks([base[g], base[g]])
-                     for g in range(group.order)])
-    support = algebra.block_mask() - tower.level_mask(tower.top)
-    vals = perturb_rep_values(full, 0.02, rng, support=support)
-    rep = ApproxRep(group, vals)
+    moved = perturb_rep_values(base, 0.02, rng)       # the block the quotient kills
+    rep = ApproxRep(group, Blocks((np.stack([moved, base], axis=1),)))
     quotient = lambda a: tower.project_to_top(0, a)
     res = correct_to_rep(rep, quotient=quotient)
     assert res.quotient_drift <= 1e-12
@@ -255,19 +252,15 @@ def test_intertwiner_tower_quotient_is_one():
     tower = Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
     rng = trial_rng(20, 0)
     base = exact_rep_values({"kind": "cyclic", "params": 3}, group, dim, rng)
-    full = np.stack([algebra.embed_blocks([base[g], base[g]])
-                     for g in range(group.order)])
-    support = algebra.block_mask() - tower.level_mask(tower.top)
-    k = random_skew(rng, 2 * dim) * support
-    k = k / operator_norm(k)
-    v = expm(0.3 * k)
-    rho = ApproxRep(group, full)
-    sigma = rho.conjugate(v)
+    v = expm(0.3 * random_skew(rng, dim))            # moves the killed block only
+    rho = ApproxRep(group, Blocks((np.stack([base, base], axis=1),)))
+    sigma = ApproxRep(group, Blocks((np.stack([v @ base @ v.conj().T, base],
+                                              axis=1),)))
     quotient = lambda a: tower.project_to_top(0, a)
     u = intertwiner(rho, sigma, quotient=quotient)
-    assert operator_norm(quotient(u) - quotient(np.eye(2 * dim))) <= 1e-11
-    worst = max(operator_norm(u @ rho.values[g] @ u.conj().T - sigma.values[g])
-                for g in range(group.order))
+    assert operator_norm(quotient(u) - quotient(identity_like(u))) <= 1e-11
+    worst = np.max(operator_norm(u @ rho.values @ u.conj().swapaxes(-1, -2) -
+                                 sigma.values))
     assert worst <= 1e-11
 
 
@@ -313,12 +306,12 @@ def test_lift_translation_covariance_realized():
     res = lift_group_rep(tower, phi, action, seed=seed)
     z = res.rep.values[1]
     zeta = np.exp(2j * np.pi / d)
+    algebra = tower.level(res.level)
     for a in range(d):
-        lhs = tower.algebra.act(a, z)
+        lhs = algebra.act(a, z)
         assert operator_norm(lhs - zeta ** (-a) * z) <= 1e-11
-    live = tower.level_mask(res.level)
-    assert operator_norm(np.linalg.matrix_power(z, d) - np.eye(z.shape[0]) * live) \
-        <= 1e-11
+    z_d = z.map(lambda p: np.linalg.matrix_power(p, d))
+    assert operator_norm(z_d - identity_like(z_d)) <= 1e-11
 
 
 def test_lift_too_coarse_tower_fails_with_table():
@@ -339,7 +332,7 @@ def test_lift_rejects_inexact_phi():
     rng = trial_rng(s.seed, 0)
     tower, phi, action, seed = build_lift_scenario(s, rng)
     bad = phi.values.copy()
-    bad[1] *= np.exp(0.2j)
+    bad.parts[0][1] *= np.exp(0.2j)
     with pytest.raises(DefectTooLargeError):
         lift_group_rep(tower, GHom(action.source, bad, level=tower.top),
                        action, seed=seed)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equifix import scenarios as scenarios_module
 from equifix.cli import SUBCOMMAND_KINDS, main as cli_main
 from equifix.scenarios import (SCENARIO_KINDS, Scenario, ScenarioError,
                                run_scenario, suite_scenarios, trial_rng,
@@ -207,6 +208,24 @@ def test_cli_dihedral_rokhlin_file_exits_two(tmp_path, capsys):
     assert rc == 2
     assert "/group/kind" in err and "cyclic" in err
     assert "Traceback" not in err
+
+
+def test_cli_corner_corank_over_the_cap_exits_two(tmp_path, capsys, monkeypatch):
+    # The tracial trial builds M_(d*block + corank), so the schema caps the
+    # corank like the dimension; no trial may start on such a file.
+    def refuse(s, trial):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(scenarios_module, "TRIAL_RUNNERS",
+                        {kind: refuse for kind in SCENARIO_KINDS})
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"kind": "rep", "seed": 0, "trials": 1,
+                             "corner_corank": 65}))
+    rc = cli_main(["stabilize", "--scenario", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "/corner_corank: 65 is greater than the maximum of 64" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def one_by_one(z):
