@@ -11,9 +11,9 @@ abelian gradings (graded), and the scenario runner (scenarios, cli).
 from .groups import (CircleWeights, FiniteGroup, circle_average, cyclic_group,
                      dihedral_group, haar_average, make_group, product_group,
                      symmetric_group)
-from .matfun import (EPS0, UNITARIZE_EPS, Blocks, SpectralData, close,
-                     exp_skew, normal_eigensystem, operator_norm, polar_unitary,
-                     principal_log_unitary, round_to_projection,
+from .matfun import (EPS0, UNITARIZE_EPS, Blocks, SpectralData, exp_skew,
+                     largest_norm, normal_eigensystem, operator_norm,
+                     polar_unitary, principal_log_unitary, round_to_projection,
                      spectral_round_unitary)
 from .galgebra import (GAlgebra, GHom, Tower, matrix_algebra,
                        trivial_action_algebra)

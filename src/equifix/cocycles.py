@@ -19,10 +19,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import (Blocks, adjoint, exp_skew, identity_like, operator_norm,
-                     principal_log_unitary, read_only_copy, stack,
-                     unitarity_defect)
-from .galgebra import GAlgebra, group_stack, max_with_pair
+from .matfun import (Blocks, adjoint, exp_skew, identity_like, largest_norm,
+                     operator_norm, principal_log_unitary, read_only_copy,
+                     stack)
+from .galgebra import GAlgebra, group_stack, max_pair_defect
 from .repcorrect import DefectTooLargeError, ITERATION_CAP, _iterate
 
 ONE_STEP_MAX_MISMATCH = 1.0 / 5
@@ -46,7 +46,7 @@ class Cocycle:
     def __post_init__(self):
         v = read_only_copy(group_stack(self.values, self.algebra.group.order))
         self.algebra.as_blocks(v)      # raises unless v fits the algebra
-        worst = float(np.max(unitarity_defect(v)))
+        worst = largest_norm(adjoint(v) @ v - identity_like(v), 1e-10)[0]
         if worst > 1e-10:
             raise ValueError(f"cocycle values must be unitary; defect {worst:.3e}")
         self.values = v
@@ -62,18 +62,13 @@ class Cocycle:
         """Max over (g, h) of || w(gh) - w(g) alpha_g(w(h)) || and the
         attaining pair."""
         if self._defect is None:
-            v, mult, act = self.values, self.group.mult, self.algebra.act
-            # One (|G|, ...) stack per g, over h.
-            self._defect = max_with_pair(np.stack(
-                [operator_norm(v[mult[g]] - v[g] @ act(g, v))
-                 for g in range(len(mult))]))
+            self._defect = max_pair_defect(self.values, self.group.mult,
+                                           self.algebra.act)
         return self._defect
 
     def mismatch(self, v: np.ndarray):
         """Max over g of || v alpha_g(v)* - w(g) || and the attaining g."""
-        d = operator_norm(coboundary_values(self.algebra, v) - self.values)
-        g = int(np.argmax(d))
-        return float(d[g]), g
+        return largest_norm(coboundary_values(self.algebra, v) - self.values, -1.0)
 
 
 def coboundary_values(algebra: GAlgebra, v):
@@ -153,20 +148,20 @@ def trivialize(w: Cocycle, v0=None, tol: float = 1e-12,
             raise DefectTooLargeError(
                 f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
         if quotient is not None:
-            down = float(np.max(operator_norm(
-                quotient(coboundary_values(A, v0)) - quotient(w.values))))
+            down = largest_norm(quotient(coboundary_values(A, v0)) -
+                                quotient(w.values), 1e-12)[0]
             if down > 1e-12:
                 raise DefectTooLargeError(
                     f"seed does not trivialize the cocycle downstairs (off by {down:.3e})")
         v, iterations, trace = _iterate(
             v0, r0, lambda it, v: one_step_cobound(w, v),
-            lambda v: measure(v)[0], lambda v: operator_norm(v - v0), tol,
+            lambda v: measure(v)[0], lambda v: largest_norm(v - v0)[0], tol,
             max_iter, "mismatch")
     finally:
         w._last = None
     drift = None
     if quotient is not None:
-        drift = operator_norm(quotient(v) - quotient(v0))
+        drift = largest_norm(quotient(v) - quotient(v0))[0]
     return Trivialization(unitary=v, iterations=iterations, trace=trace,
                           quotient_drift=drift)
 
@@ -183,7 +178,7 @@ def verify_integral_estimate(group: FiniteGroup, values: np.ndarray,
     values = np.asarray(values, dtype=complex)
     if values.ndim != 3 or values.shape[0] != group.order:
         raise ValueError(f"values shape {values.shape} does not match group order")
-    r = float(np.max(operator_norm(values - np.eye(values.shape[1]))))
+    r = largest_norm(values - np.eye(values.shape[1]))[0]
     if r > 0.5:
         raise DefectTooLargeError(f"||u(g) - 1|| = {r:.6g} exceeds 1/2")
     avg = values.mean(axis=0)

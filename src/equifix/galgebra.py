@@ -14,8 +14,9 @@ takes a dense matrix or stack ``(..., n, n)`` as its only block.
 A Tower adds an increasing chain of invariant ideals (unions of blocks).
 The quotient at level n is the G-algebra on the blocks outside J_n, and
 the quotient maps drop blocks, which makes their compatibility exact.
-``mult_defect_norms`` measures ||v(gh) - v(g) v(h)|| for every pair with
-one stacked product and one batched norm per g.
+``max_pair_defect`` measures the largest ||v(gh) - v(g) v(h)|| over all
+pairs, and its twisted (cocycle) form, with one stacked product and one
+screened norm per g.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import Blocks, adjoint, operator_norm, stack
+from .matfun import Blocks, adjoint, largest_norm, stack
 
 
 class BlockMismatchError(ValueError):
@@ -87,7 +88,7 @@ class GAlgebra:
         # The stored data must compose: Ad(W_g) Ad(W_h) = Ad(W_gh).  Checked
         # on a random element; skipped for very large groups.
         if check and order <= 64:
-            defect = self.action_defect(samples=1)
+            defect = self.action_defect(samples=1, floor=self.action_tol)
             if defect > self.action_tol:
                 raise ValueError(
                     f"action data is not a homomorphism (defect {defect:.3e})")
@@ -120,22 +121,25 @@ class GAlgebra:
                      in zip(x.parts, self._src, self._u, self._uh))
         return out if isinstance(a, Blocks) else out.parts[0][..., 0, :, :]
 
-    def action_defect(self, rng_seed: int = 0, samples: int = 2) -> float:
+    def action_defect(self, rng_seed: int = 0, samples: int = 2,
+                      floor: float = 0.0) -> float:
         """Max over (g, h) of ||act(h, act(g, a)) - act(hg, a)|| on random
-        elements a, plus the identity-acts-trivially defect.  Each h acts
-        once on the stack of images of a and takes one batched norm over g.
-        Should be at rounding level for a genuine action."""
+        elements a, plus the identity-acts-trivially defect, or ``floor``
+        if that is larger: a gate at tolerance ``floor`` takes no SVD for
+        slices that are screened under it.  Each h acts once on the stack
+        of images of a and takes one screened norm over g.  Should be at
+        rounding level for a genuine action."""
         rng = np.random.default_rng(rng_seed)
         G = self.group
-        worst = 0.0
+        worst = floor
         for _ in range(samples):
             a = Blocks(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                        for shape in self._shapes)
             images = stack([self.act(g, a) for g in range(G.order)])
-            worst = max(worst, operator_norm(images[G.identity] - a))
+            worst = largest_norm(images[G.identity] - a, worst)[0]
             for h in range(G.order):
-                worst = max(worst, float(np.max(operator_norm(
-                    self.act(h, images) - images[G.mult[h]]))))
+                worst = largest_norm(self.act(h, images) - images[G.mult[h]],
+                                     worst)[0]
         return worst
 
     def restrict(self, keep) -> "GAlgebra":
@@ -274,21 +278,20 @@ class GHom:
                            group_stack(self.values, self.source.order))
 
     def mult_defect(self) -> float:
-        return float(np.max(mult_defect_norms(self.values, self.source.mult)))
+        return max_pair_defect(self.values, self.source.mult)[0]
 
 
-def mult_defect_norms(values, mult: np.ndarray) -> np.ndarray:
-    """The (|G|, |G|) array of ||v(gh) - v(g) v(h)||, with ``mult[g, h]``
-    the index of gh.  Each g takes one (|G|, ...) slab and one batched
-    norm, so the full (|G|, |G|, ...) product array is never built."""
-    v = values if isinstance(values, Blocks) else np.asarray(values)
-    return np.stack([operator_norm(v[mult[g]] - v[g] @ v)
-                     for g in range(len(mult))])
-
-
-def max_with_pair(norms: np.ndarray):
-    """The largest entry of a (|G|, |G|) array and its pair (g, h); ties go
-    to the first pair in row-major order."""
-    i = int(np.argmax(norms))
-    g, h = divmod(i, norms.shape[1])
-    return float(norms[g, h]), (g, h)
+def max_pair_defect(values, mult: np.ndarray, act=None):
+    """The largest ||v(gh) - v(g) a_g(v(h))|| over pairs (g, h) and the
+    first pair (row-major) attaining it, with ``mult[g, h]`` the index of
+    gh and a_g = ``act(g, .)``, or the identity when act is None.  Each g
+    takes one (|G|, ...) slab, so the full (|G|, |G|, ...) product array is
+    never built, and one screened norm whose floor is the running maximum,
+    so a slab takes an SVD only for slices that may beat earlier slabs."""
+    worst, pair = -1.0, None
+    for g in range(len(mult)):
+        twisted = values if act is None else act(g, values)
+        worst, h = largest_norm(values[mult[g]] - values[g] @ twisted, worst)
+        if h is not None:
+            pair = (g, h)
+    return worst, pair

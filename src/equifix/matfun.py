@@ -28,8 +28,20 @@ eigenbasis however the eigenvalues cluster.  Both routes keep the
 algebraic identities of the calculus (conjugation covariance, phase
 equivariance of rounding) true to rounding error.
 
-Equality of matrices is always tested through an explicit tolerance, never
-with exact float comparison; see :func:`close`.
+Every maximum of norms and every norm gate goes through one screened
+kernel, :func:`largest_norm`.  A slice's Frobenius norm F bounds its
+operator norm from both sides, ||x|| <= F <= sqrt(rank) ||x|| (Golub and
+Van Loan, Matrix Computations, 2.3), and costs one pass over the entries.
+A slice with F at or under a gate's tolerance passes it, and a slice with
+F under the largest lower bound F/sqrt(rank) of any slice cannot be the
+maximum; one batched SVD then takes only the slices left.  The screen is
+exact: both comparisons carry the relative margin SCREEN_MARGIN (plus
+1e-14 per entry), far above the rounding of either computed norm, and an
+absolute 1e-150 for underflow in the squared entries, so a skipped slice
+is one whose computed operator norm could not have changed the answer.
+Values and first maximizing slices are bit for bit those of a full batched
+SVD, whose slices do not depend on the rest of the stack.  The Frobenius
+pass is also the finiteness check of the kernel's input.
 """
 
 from __future__ import annotations
@@ -50,6 +62,10 @@ UNITARIZE_EPS = EPS0 / 2
 
 # Logs of unitaries within this distance of 1 take the half-plane route.
 HALF_PLANE_RADIUS = 0.5
+
+# Relative margin of the Frobenius screen (module docstring).
+SCREEN_MARGIN = 1e-10
+_UNDERFLOW = 1e-150
 
 
 class BranchCutError(ValueError):
@@ -89,14 +105,6 @@ class Blocks:
     def map(self, f, *others) -> "Blocks":
         """f applied to the parts of self (and of others), size by size."""
         return Blocks(f(*ps) for ps in zip(self.parts, *(o.parts for o in others)))
-
-    def reduce(self, f):
-        """The largest block value of f, which maps a part (..., K, b, b)
-        to one value per block (..., K): one value per element."""
-        out = 0.0
-        for p in self.parts:
-            out = np.maximum(out, f(p).max(axis=-1))
-        return out if np.ndim(out) else float(out)
 
     def _with(self, other, op) -> "Blocks":
         if isinstance(other, Blocks):
@@ -175,8 +183,12 @@ def require_finite(a: np.ndarray) -> np.ndarray:
 
 
 def _require_square(a) -> np.ndarray:
-    a = require_finite(a)
+    """a as a complex array of square matrices.  Finiteness is left to the
+    gate that follows, except that a non-finite entry is reported before a
+    bad shape."""
+    a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        require_finite(a)
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     return a
 
@@ -189,54 +201,89 @@ def _at_slice(i: int, shape: tuple) -> str:
     return f" at slice {tuple(int(j) for j in np.unravel_index(i, shape))}"
 
 
-def _reject_worst(defects, tol: float, message: str):
-    """Raise ValueError(message % worst) if any slice's defect exceeds tol;
-    for a stack, name the worst slice."""
-    d = np.asarray(defects)
-    if d.size == 0:
-        return
-    i = int(np.argmax(d))
-    if d.flat[i] > tol:
-        raise ValueError((message % d.flat[i]) + _at_slice(i, d.shape))
+def _svd_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each slice of a stack (0 for empty slices);
+    an empty stack takes no SVD."""
+    if a.size == 0:
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def _screen(a: np.ndarray):
+    """The squared Frobenius norms of the slices of a complex stack
+    (..., m, n), flattened to (k,), the largest of them, the stack's float
+    view (k, m, 2n) and the screen's factor 1 + margin.  Raises ValueError
+    on a non-finite entry; squares that overflow give an infinite norm."""
+    m, n = a.shape[-2:]
+    x = np.ascontiguousarray(a).reshape(math.prod(a.shape[:-2]), m, n).view(np.float64)
+    f2 = np.einsum("kij,kij->k", x, x)
+    top = float(f2.max()) if f2.size else 0.0
+    if not math.isfinite(top) and not np.isfinite(x).all():
+        raise ValueError("matrix has non-finite entries")
+    return f2, top, x, 1 + SCREEN_MARGIN + 1e-14 * m * n
+
+
+def largest_norm(a, floor: float = 0.0):
+    """The largest operator norm over the slices of a stack (..., m, n), or
+    over the elements of Blocks (an element's norm is its largest block
+    norm), and the flat index of the first slice attaining it; (floor, None)
+    when no norm exceeds ``floor``.  A single matrix is a stack of one.
+
+    Screened by Frobenius norms (module docstring): a slice is taken into
+    the one batched SVD per block size only if its upper bound exceeds
+    ``floor`` and reaches the largest lower bound, and an exactly zero
+    slice takes none.  So ``largest_norm(x, tol)`` is a gate that takes no
+    SVD when every slice is well under tol, and a loop over slabs that
+    passes its running maximum as ``floor`` skips the slices that cannot
+    beat earlier slabs (ties go to the earlier slab)."""
+    blocks = isinstance(a, Blocks)
+    parts = [np.asarray(p, dtype=complex) for p in (a.parts if blocks else (a,))]
+    screens = [_screen(p) for p in parts]
+    # A slice is kept when its upper bound f (1 + margin) + _UNDERFLOW
+    # beats max(floor, 0), or reaches the largest lower bound on the
+    # maximum, f (1 - margin) / sqrt(min(m, n)) - _UNDERFLOW, if higher.
+    lo, strict = max(floor, 0.0), True
+    for p, (_, top, _, scale) in zip(parts, screens):
+        bound = (math.sqrt(top) * (2 - scale) - _UNDERFLOW) / math.sqrt(
+            max(1, min(p.shape[-2:])))
+        if bound > lo and math.isfinite(bound):
+            lo, strict = bound, False
+    best, first = -math.inf, None
+    for p, (f2, top, x, scale) in zip(parts, screens):
+        cut = (lo - _UNDERFLOW) / scale
+        if cut >= 0 and math.isfinite(top):
+            keep = f2 > cut * cut if strict else f2 >= cut * cut
+        else:                 # every nonzero slice, also when squares overflow
+            keep = x.any(axis=(1, 2))
+        index = keep.nonzero()[0]
+        if index.size:
+            norms = _svd_norms(x.view(complex)[index])
+            i = int(norms.argmax())
+            at = int(index[i]) // (p.shape[-3] if blocks else 1)
+            if norms[i] > best or (norms[i] == best and at < first):
+                best, first = float(norms[i]), at
+    if first is None and floor < 0 and any(s[0].size for s in screens):
+        return 0.0, 0         # every slice is exactly zero
+    return (best, first) if best > floor else (floor, None)
+
+
+def _reject_worst(x, tol: float, message: str):
+    """Raise ValueError(message % worst) if a slice of the stack x has norm
+    over tol; for a stack, name the worst slice."""
+    worst, i = largest_norm(x, tol)
+    if i is not None:
+        raise ValueError((message % worst) + _at_slice(i, x.shape[:-2]))
 
 
 def operator_norm(a):
     """Largest singular value.  A stack (..., m, n) gives an array with one
     norm per slice, and Blocks the largest block norm per element."""
     if isinstance(a, Blocks):
-        return a.reduce(operator_norm)
+        norms = np.concatenate([operator_norm(p) for p in a.parts], axis=-1)
+        return norms.max(axis=-1) if a.lead else float(norms.max())
     a = require_finite(a)
-    if a.ndim > 2:
-        if a.size == 0:
-            return np.zeros(a.shape[:-2])
-        return np.linalg.svd(a, compute_uv=False)[..., 0]
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
-def close(a, b, tol: float) -> bool:
-    """Tolerance-based equality in operator norm."""
-    return operator_norm(np.asarray(a) - np.asarray(b)) <= tol
-
-
-def unitarity_defect(u):
-    """||u*u - 1||, per slice for a stack."""
-    if isinstance(u, Blocks):
-        return u.reduce(unitarity_defect)
-    u = np.asarray(u, dtype=complex)
-    return operator_norm(adjoint(u) @ u - np.eye(u.shape[-1]))
-
-
-def hermiticity_defect(a) -> float:
-    a = np.asarray(a, dtype=complex)
-    return operator_norm(a - a.conj().T)
-
-
-def skewness_defect(x):
-    """||x + x*||, per slice for a stack."""
-    x = np.asarray(x, dtype=complex)
-    return operator_norm(x + adjoint(x))
+    norms = _svd_norms(a)
+    return norms if a.ndim > 2 else float(norms)
 
 
 @dataclass(frozen=True)
@@ -258,11 +305,11 @@ def normal_eigensystem(a, residual_tol: float = 1e-9) -> SpectralData:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, operator_norm(a))
+    scale = largest_norm(a, 1.0)[0]
     t, z = scipy.linalg.schur(a, output="complex")
     lam = np.diag(t).copy()
-    off = operator_norm(t - np.diag(lam))
-    if off > residual_tol * scale:
+    off, bad = largest_norm(t - np.diag(lam), residual_tol * scale)
+    if bad is not None:
         raise NotNormalError(
             f"matrix is not normal: diagonalization residual {off:.3e} "
             f"exceeds {residual_tol:.1e} * scale")
@@ -298,13 +345,18 @@ def principal_log_unitary(u, unitary_tol: float = 1e-10,
     if isinstance(u, Blocks):
         return u.map(principal_log_unitary)
     u = _require_square(u)
-    _reject_worst(unitarity_defect(u), unitary_tol,
-                  "input is not unitary: ||u*u - 1|| = %.3e")
     n = u.shape[-1]
+    _reject_worst(adjoint(u) @ u - np.eye(n), unitary_tol,
+                  "input is not unitary: ||u*u - 1|| = %.3e")
     stack = u.reshape(math.prod(u.shape[:-2]), n, n)
     args = np.empty(stack.shape[:2])
     vecs = np.empty_like(stack)
-    near = operator_norm(stack - np.eye(n)) <= HALF_PLANE_RADIUS
+    # Only slices the Frobenius screen cannot place inside the disc take an SVD.
+    gap = stack - np.eye(n)
+    f2, _, _, scale = _screen(gap)
+    near = f2 <= ((HALF_PLANE_RADIUS - _UNDERFLOW) / scale) ** 2
+    unsure = np.flatnonzero(~near)
+    near[unsure] = _svd_norms(gap[unsure]) <= HALF_PLANE_RADIUS
     fast = np.flatnonzero(near)
     if fast.size:
         s = stack[fast]
@@ -332,7 +384,7 @@ def exp_skew(x, skew_tol: float = 1e-10) -> np.ndarray:
     if isinstance(x, Blocks):
         return x.map(exp_skew)
     x = _require_square(x)
-    _reject_worst(skewness_defect(x), skew_tol,
+    _reject_worst(x + adjoint(x), skew_tol,
                   "input is not skew-Hermitian: ||x + x*|| = %.3e")
     x = (x - adjoint(x)) / 2
     theta, v = np.linalg.eigh(-1j * x)
@@ -355,9 +407,8 @@ def spectral_round_unitary(w, d: int, unitary_tol: float = 1e-10,
     w = require_finite(w)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    defect = unitarity_defect(w)
-    if defect > unitary_tol:
-        raise ValueError(f"input is not unitary: ||w*w - 1|| = {defect:.3e}")
+    _reject_worst(adjoint(w) @ w - np.eye(w.shape[-1]), unitary_tol,
+                  "input is not unitary: ||w*w - 1|| = %.3e")
     spec = normal_eigensystem(w)
     args = np.angle(spec.eigenvalues)
     cell = 2 * np.pi / d
@@ -385,9 +436,8 @@ def round_to_projection(b, hermitian_tol: float = 1e-10,
     where the cut would be unstable.
     """
     b = require_finite(b)
-    defect = hermiticity_defect(b)
-    if defect > hermitian_tol:
-        raise ValueError(f"input is not self-adjoint: ||b - b*|| = {defect:.3e}")
+    _reject_worst(b - adjoint(b), hermitian_tol,
+                  "input is not self-adjoint: ||b - b*|| = %.3e")
     vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
     lo, hi = band
     inside = (vals >= lo) & (vals <= hi)

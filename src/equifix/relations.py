@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .groups import FiniteGroup, haar_average
-from .matfun import (operator_norm, polar_unitary, round_to_projection,
-                     spectral_round_unitary)
+from .matfun import (largest_norm, operator_norm, polar_unitary,
+                     round_to_projection, spectral_round_unitary)
 from .galgebra import GAlgebra, matrix_algebra
 from .repcorrect import DefectTooLargeError
 
@@ -42,7 +42,7 @@ def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
     """The five partition defects of a family p_g: ||p_g^2 - p_g||,
     ||p_g - p_g*||, ||p_g p_h|| for g != h, ||alpha_g(p_h) - p_{gh}|| and
     ||sum_g p_g - unit|| (unit defaults to 1), each maximized over the
-    family.  The norms are batched over the family, with one slab per g
+    family.  The norms are screened over the family, with one slab per g
     for the two pairwise defects (so no (d, d, n, n) array is built) and
     one action per g on the whole family."""
     G = algebra.group
@@ -51,15 +51,11 @@ def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
         unit = np.eye(algebra.dim)
     orth = eq = 0.0
     for g in range(G.order):
-        others = np.delete(seeds, g, axis=0)
-        orth = max(orth, float(np.max(operator_norm(seeds[g] @ others),
-                                      initial=0.0)))
-        eq = max(eq, float(np.max(operator_norm(
-            algebra.act(g, seeds) - seeds[G.mult[g]]))))
+        orth = largest_norm(seeds[g] @ np.delete(seeds, g, axis=0), orth)[0]
+        eq = largest_norm(algebra.act(g, seeds) - seeds[G.mult[g]], eq)[0]
     return SeedDefects(
-        idempotency=float(np.max(operator_norm(seeds @ seeds - seeds))),
-        self_adjointness=float(np.max(operator_norm(
-            seeds - seeds.conj().transpose(0, 2, 1)))),
+        idempotency=largest_norm(seeds @ seeds - seeds)[0],
+        self_adjointness=largest_norm(seeds - seeds.conj().transpose(0, 2, 1))[0],
         orthogonality=orth, equivariance=eq,
         unit_sum=operator_norm(seeds.sum(axis=0) - unit))
 
@@ -165,8 +161,8 @@ def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrec
             f"seeds too rough: ||w0* w0 - 1|| = {eta:.6g} >= 0.75 "
             f"(seed defect {defects.overall:.6g}, a-priori threshold {threshold:.6g})")
     w = polar_unitary(a)
-    cov = max(operator_norm(algebra.act(g, w) - (zeta ** (-g)) * w)
-              for g in range(d))
+    cov = largest_norm(np.stack([algebra.act(g, w) - (zeta ** (-g)) * w
+                                 for g in range(d)]))[0]
     certificate["covariance_residual"] = cov
 
     # The half-gap condition: every eigenvalue argument within pi/(2d) of a
@@ -192,7 +188,7 @@ def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrec
         projections[g] = cols @ cols.conj().T
 
     residuals = _residuals(algebra, projections)
-    displacement = max(operator_norm(projections[g] - seeds[g]) for g in range(d))
+    displacement = largest_norm(projections - seeds)[0]
     return PartitionCorrection(projections=projections, displacement=displacement,
                                seed_defects=defects, certificate=certificate,
                                residuals=residuals)
@@ -224,13 +220,15 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     seeds = np.asarray(seeds, dtype=complex)
     witness = np.asarray(witness, dtype=complex)
     wnorm = operator_norm(witness)
-    if operator_norm(witness - witness.conj().T) > 1e-10 or abs(wnorm - 1) > 1e-10:
+    if largest_norm(witness - witness.conj().T, 1e-10)[0] > 1e-10 or \
+            abs(wnorm - 1) > 1e-10:
         raise ValueError("witness must be positive with norm 1")
     defects = measure_partition_seeds(algebra, seeds)   # unit_sum is vs 1 here
 
     sym = _averaged_seeds(algebra, seeds)
     s = sym.sum(axis=0)
-    inv_gap = max(operator_norm(algebra.act(g, s) - s) for g in range(d))
+    inv_gap = largest_norm(np.stack([algebra.act(g, s) - s for g in range(d)]),
+                           1e-10)[0]
     if inv_gap > 1e-10:
         raise DefectTooLargeError(
             f"summed seeds not invariant after averaging (gap {inv_gap:.3e})")
@@ -246,7 +244,6 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
         cu = iso.conj().T @ u @ iso
         corner_unitaries.append(polar_unitary(cu))
     corner = matrix_algebra(r, G, corner_unitaries, action_tol=1e-10)
-    corner_defect = corner.action_defect()
     corner_seeds = np.stack([iso.conj().T @ sym[g] @ iso for g in range(d)])
 
     inner = stabilize_partition(corner, corner_seeds)
@@ -255,9 +252,8 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
 
     residuals = _residuals(algebra, projections, unit=q)
     exe = operator_norm(q @ witness @ q)
-    displacement = max(operator_norm(projections[g] - seeds[g]) for g in range(d))
+    displacement = largest_norm(projections - seeds)[0]
     certificate = dict(inner.certificate)
-    certificate["corner_action_defect"] = corner_defect
     certificate["corner_rank"] = r
     return TracialPartitionCorrection(
         projections=projections, corner_projection=q,

@@ -24,14 +24,16 @@ import numpy as np
 
 from .groups import FiniteGroup, haar_average
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, adjoint, exp_skew,
-                     identity_like, operator_norm, polar_unitary,
+                     identity_like, largest_norm, polar_unitary,
                      principal_log_unitary, read_only_copy, require_finite,
-                     stack, unitarity_defect)
-from .galgebra import GHom, Tower, group_stack, max_with_pair, mult_defect_norms
+                     stack)
+from .galgebra import GHom, Tower, group_stack, max_pair_defect
 
 ONE_STEP_MAX_DEFECT = 1.0 / 5
 ITERATE_MAX_DEFECT = 1.0 / 17
 ITERATION_CAP = 64
+# The largest float below 1: a norm exceeds it exactly when it is >= 1.
+BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class DefectTooLargeError(ValueError):
@@ -61,12 +63,12 @@ class ApproxRep:
         v = read_only_copy(group_stack(self.values, self.group.order))
         self.values = v
         if self.unitary:
-            worst = float(np.max(unitarity_defect(v)))
+            worst = largest_norm(adjoint(v) @ v - identity_like(v), 1e-10)[0]
             if worst > 1e-10:
                 raise ValueError(f"values flagged unitary but defect is {worst:.3e}")
         if self.unital:
             e = v[self.group.identity]
-            err = operator_norm(e - identity_like(e))
+            err = largest_norm(e - identity_like(e), 1e-10)[0]
             if err > 1e-10:
                 raise ValueError(f"values flagged unital but rho(e) is off by {err:.3e}")
 
@@ -77,12 +79,11 @@ class ApproxRep:
         """Max over pairs (g, h) of ||rho(gh) - rho(g) rho(h)|| and the
         attaining pair."""
         if self._defect is None:
-            self._defect = max_with_pair(mult_defect_norms(self.values,
-                                                           self.group.mult))
+            self._defect = max_pair_defect(self.values, self.group.mult)
         return self._defect
 
     def distance_to(self, other: "ApproxRep") -> float:
-        return float(np.max(operator_norm(self.values - other.values)))
+        return largest_norm(self.values - other.values)[0]
 
     def conjugate(self, u: np.ndarray) -> "ApproxRep":
         u = np.asarray(u, dtype=complex)
@@ -172,8 +173,7 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
                                           "defect")
     drift = None
     if quotient is not None:
-        drift = float(np.max(operator_norm(quotient(current.values) -
-                                           quotient(rep.values))))
+        drift = largest_norm(quotient(current.values) - quotient(rep.values))[0]
     return RepCorrection(rep=current, iterations=iterations, trace=trace,
                          quotient_drift=drift)
 
@@ -243,13 +243,13 @@ def translation_source_action(d: int, group: FiniteGroup,
 def equivariance_defect(values, act: Callable, source_action: SourceAction) -> float:
     """Max over (g, x) of || gamma_g(psi(u_x)) - psi(alpha_g(u_x)) ||.
     ``act(g, .)`` is applied to the whole (|H|, ...) stack of values (an
-    array or Blocks), with one batched norm per g."""
+    array or Blocks), with one screened norm per g over the running maximum."""
     values = group_stack(values, source_action.source.order)
     perm, scalar = source_action.perm, source_action.scalar
     worst = 0.0
     for g in range(source_action.group.order):
         diff = act(g, values) - scalar[g][:, None, None] * values[perm[g]]
-        worst = max(worst, float(np.max(operator_norm(diff))))
+        worst = largest_norm(diff, worst)[0]
     return worst
 
 
@@ -310,14 +310,13 @@ def intertwiner(rho: ApproxRep, sigma: ApproxRep,
         d = rep.defect()
         if d > exact_tol:
             raise DefectTooLargeError(f"{name} is not exact: defect {d:.3e}")
-    dists = operator_norm(rho.values - sigma.values)
-    g = int(np.argmax(dists))
-    if dists[g] >= 1.0:
+    dist, g = largest_norm(rho.values - sigma.values, BELOW_ONE)
+    if g is not None:
         raise DefectTooLargeError(
-            f"representations are at distance {dists[g]:.6g} >= 1 (attained at g={g})")
+            f"representations are at distance {dist:.6g} >= 1 (attained at g={g})")
     if quotient is not None:
-        mismatch = float(np.max(operator_norm(quotient(rho.values) -
-                                              quotient(sigma.values))))
+        mismatch = largest_norm(quotient(rho.values) - quotient(sigma.values),
+                                exact_tol)[0]
         if mismatch > exact_tol:
             raise DefectTooLargeError(
                 f"quotients of rho and sigma differ by {mismatch:.3e}")
@@ -383,8 +382,8 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
         raise DefectTooLargeError(
             f"phi must be exact and equivariant at the top "
             f"(defect {phi_rep_defect:.3e}, equivariance {phi_eq:.3e})")
-    mismatch = float(np.max(operator_norm(tower.project(top, 0, seed.values) -
-                                          phi_vals)))
+    mismatch = largest_norm(tower.project(top, 0, seed.values) - phi_vals,
+                            1e-11)[0]
     if mismatch > 1e-11:
         raise ValueError(
             f"seed does not project to phi at the top (off by {mismatch:.3e})")
@@ -425,13 +424,14 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
     final_vals = corrected.values
     seed_vals = seed_rep.values
     if seed_rep.defect() <= 1e-11 and \
-            float(np.max(unitarity_defect(seed_vals))) <= 1e-10 and \
-            float(np.max(operator_norm(corrected.values - seed_vals))) < 1.0:
+            largest_norm(adjoint(seed_vals) @ seed_vals - identity_like(seed_vals),
+                         1e-10)[0] <= 1e-10 and \
+            largest_norm(corrected.values - seed_vals, BELOW_ONE)[1] is None:
         u = intertwiner(seed_rep, corrected, quotient=quotient)
         final_vals = u @ seed_vals @ adjoint(u)
 
     eq_res = equivariance_defect(final_vals, act, source_action)
-    proj_res = float(np.max(operator_norm(quotient(final_vals) - phi_vals)))
+    proj_res = largest_norm(quotient(final_vals) - phi_vals)[0]
     return LiftResult(level=level, rep=GHom(H, final_vals, level=level),
                       intertwiner_unitary=u, table=table,
                       correction=correction, equivariance_residual=eq_res,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .groups import FiniteGroup, cyclic_group, make_group
-from .matfun import EPS0, Blocks, operator_norm
+from .matfun import EPS0, Blocks, largest_norm, operator_norm
 from .galgebra import GAlgebra, GHom, Tower, matrix_algebra
 from .repcorrect import (ApproxRep, SourceAction, correct_to_rep,
                          lift_group_rep, one_step, translation_source_action)
@@ -330,8 +330,7 @@ def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
         vals = exact_rep_values(group_spec, group, dim, rng)
         others = np.delete(vals, group.identity, axis=0)
         means = np.trace(others, axis1=1, axis2=2) / dim
-        dist = np.max(operator_norm(others - means[:, None, None] * np.eye(dim)),
-                      initial=0.0)
+        dist = largest_norm(others - means[:, None, None] * np.eye(dim), 0.3)[0]
         if dist > 0.3:
             return vals
     raise ScenarioError(

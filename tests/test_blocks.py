@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dense_reference import (cocycle_tower_trace, dense_act, embed,
                              level_mask, lift_trace, random_blocks,
                              rep_tower_trace)
-from equifix.galgebra import GAlgebra, Tower, mult_defect_norms
+from equifix.galgebra import GAlgebra, Tower, max_pair_defect
 from equifix.groups import cyclic_group
 from equifix.matfun import operator_norm
 from equifix.repcorrect import (equivariance_defect, lift_group_rep,
@@ -108,7 +108,14 @@ def test_group_defects_and_averages_match_the_dense_route(seed, config, noise):
 
     pairs = np.array([[operator_norm(dense[G.mul(g, h)] - dense[g] @ dense[h])
                        for h in range(d)] for g in range(d)])
-    assert np.max(np.abs(mult_defect_norms(values, G.mult) - pairs)) <= 1e-12
+    per_pair = np.array([[operator_norm(values[G.mul(g, h)] - values[g] @ values[h])
+                          for h in range(d)] for g in range(d)])
+    assert np.max(np.abs(per_pair - pairs)) <= 1e-12
+    # The two routes round differently, so the first pair is checked on the
+    # block route's own per-pair loop.
+    worst, pair = max_pair_defect(values, G.mult)
+    assert worst == per_pair.max()
+    assert pair == divmod(int(np.argmax(per_pair)), d)
 
     loop = max(operator_norm(act(g, dense[x]) -
                              action.scalar[g, x] * dense[action.perm[g, x]])

@@ -117,8 +117,7 @@ def test_graded_correct_perturbed_z4():
     # per-iterate component membership, not just at the limit
     assert len(res.component_residuals) == res.iterations + 1
     assert max(res.component_residuals) <= 1e-12
-    for k in range(4):
-        assert alg.component_residual(k, res.rep.values[k]) <= 1e-12
+    assert alg.component_residual(res.rep.values) <= 1e-12
     cap = 2 * (6 * EPS0) / (1 - 17 * 6 * EPS0)
     assert res.distance <= cap + 1e-10
 

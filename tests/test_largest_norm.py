@@ -1,0 +1,236 @@
+"""Property tests for the screened norm kernel ``largest_norm`` against a
+full batched SVD of every slice, and guard tests that the correctors'
+gates take no SVD on valid input yet still reject input just over them
+with the same message."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from equifix.galgebra import matrix_algebra
+from equifix.groups import cyclic_group
+from equifix.matfun import (Blocks, adjoint, exp_skew, largest_norm,
+                            principal_log_unitary)
+from equifix.repcorrect import ApproxRep
+from equifix.scenarios import random_skew, random_unitary, trial_rng
+
+seeds = st.integers(0, 2 ** 32 - 1)
+# Slice kinds: generic, rank one (||x|| = ||x||_F, the edge of the screen),
+# exact zero, rounding level, and huge entries whose squares overflow.
+kinds = st.sampled_from(["generic", "rank1", "zero", "rounding", "huge"])
+
+
+def draw_slice(rng, kind, m, n):
+    x = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    if kind == "rank1":
+        x = np.outer(x[:, 0], x[0].conj())
+    scale = {"generic": 1.0, "rank1": 1.0, "zero": 0.0, "rounding": 1e-16,
+             "huge": 1e200}[kind]
+    return scale * x
+
+
+def draw_stack(rng, kinds, m, n, ties):
+    """A stack of slices of the given kinds; with ``ties`` later slices
+    repeat earlier ones exactly."""
+    a = np.stack([draw_slice(rng, k, m, n) for k in kinds]) if kinds else \
+        np.zeros((0, m, n), dtype=complex)
+    if ties and len(a) > 1:
+        a[rng.integers(1, len(a))::2] = a[0]
+    return a
+
+
+def reference(norms, floor):
+    """What largest_norm must return, from the full per-slice norms."""
+    if norms.size == 0:
+        return floor, None
+    i = int(np.argmax(norms))
+    top = float(norms.flat[i])
+    return (top, i) if top > floor else (floor, None)
+
+
+def full_norms(a):
+    """Largest singular value of every slice: one SVD of the whole stack."""
+    if a.shape[-1] * a.shape[-2] == 0 or a.size == 0:
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def floors(norms, rng):
+    """Floors on both sides of the largest norm, at it, and well below."""
+    top = float(norms.max()) if norms.size else 1.0
+    return [-1.0, 0.0, top, top * (1 - 1e-12), top * (1 + 1e-12),
+            float(rng.choice(norms.ravel())) if norms.size else 0.5, 1e-10]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.lists(kinds, max_size=7), st.integers(1, 5), st.integers(1, 5),
+       st.booleans())
+def test_stack_matches_full_svd(seed, slice_kinds, m, n, ties):
+    rng = np.random.default_rng(seed)
+    a = draw_stack(rng, slice_kinds, m, n, ties)
+    norms = full_norms(a)
+    for floor in floors(norms, rng):
+        assert largest_norm(a, floor) == reference(norms, floor)
+    if len(a):
+        single = full_norms(a[:1])
+        for floor in floors(single, rng):
+            got = largest_norm(a[0], floor)
+            want = reference(single, floor)
+            assert got == want
+    # Leading axes are kept: the index is flat over them.
+    if len(a) and len(a) % 2 == 0:
+        b = a.reshape(2, len(a) // 2, m, n)
+        assert largest_norm(b, -1.0) == reference(full_norms(b), -1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(0, 4), st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       st.lists(kinds, min_size=1, max_size=6), st.booleans())
+def test_blocks_match_full_svd(seed, count, sizes, block_kinds, ties):
+    """Mixed block sizes: an element's norm is its largest block norm."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for b in sorted(set(sizes)):
+        k = sizes.count(b)
+        p = np.stack([np.stack([draw_slice(rng, block_kinds[(i + j) % len(block_kinds)],
+                                           b, b) for j in range(k)])
+                      for i in range(count)]) if count else \
+            np.zeros((0, k, b, b), dtype=complex)
+        if ties and count > 1:
+            p[1] = p[0]
+        parts.append(p)
+    x = Blocks(parts)
+    norms = np.max([full_norms(p).max(axis=-1) for p in parts], axis=0)
+    for floor in floors(norms, rng):
+        assert largest_norm(x, floor) == reference(norms, floor)
+    if count:
+        single = np.array(norms[count - 1])
+        for floor in floors(single, rng):
+            assert largest_norm(x[count - 1], floor) == reference(single, floor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(1, 5), st.integers(1, 4),
+       st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf]))
+def test_non_finite_entries_are_rejected(seed, count, n, bad):
+    rng = np.random.default_rng(seed)
+    a = draw_stack(rng, ["generic"] * count, n, n, False)
+    a[rng.integers(count), rng.integers(n), rng.integers(n)] = bad
+    for floor in (-1.0, 0.0, 1e300):
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            largest_norm(a, floor)
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        largest_norm(Blocks([a[:, None]]), 0.0)
+
+
+def test_empty_stacks():
+    assert largest_norm(np.zeros((0, 3, 3)), 0.5) == (0.5, None)
+    assert largest_norm(np.zeros((0, 3, 3)), -1.0) == (-1.0, None)
+    assert largest_norm(np.zeros((2, 0, 0)), -1.0) == (0.0, 0)
+    assert largest_norm(Blocks([np.zeros((0, 2, 3, 3))]), 0.0) == (0.0, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 6), st.integers(1, 5),
+       st.floats(0.5, 2.0), st.booleans())
+def test_gate_rejection_names_the_worst_slice(seed, count, n, ratio, rank1):
+    """exp_skew's gate on stacks whose skewness defects straddle the
+    tolerance: the message and slice are those of the full SVD."""
+    rng = np.random.default_rng(seed)
+    tol = 1e-10
+    x = np.stack([random_skew(rng, n) for _ in range(count)])
+    g = draw_stack(rng, ["generic"] * count, n, n, False)
+    h = g[..., :1] @ adjoint(g[..., :1]) if rank1 else g + adjoint(g)
+    h *= (tol * ratio * rng.uniform(0.5, 1.0, count) / 2 /
+          full_norms(h))[:, None, None]
+    x = x + h
+    norms = full_norms(x + adjoint(x))
+    worst, i = reference(norms, tol)
+    if i is None:
+        exp_skew(x)
+    else:
+        with pytest.raises(ValueError) as err:
+            exp_skew(x)
+        assert str(err.value) == (f"input is not skew-Hermitian: ||x + x*|| = "
+                                  f"{worst:.3e} at slice ({i},)")
+
+
+# --- no SVD on valid input -------------------------------------------------
+
+def test_log_and_exp_of_valid_half_plane_input_take_no_svd(svd_counter):
+    rng = trial_rng(3, 0)
+    x = np.stack([0.05 * random_skew(rng, 6) for _ in range(12)])
+    svd_counter.clear()            # the draw normalizes by operator norms
+    u = exp_skew(x)
+    principal_log_unitary(u)
+    principal_log_unitary(u.reshape(3, 4, 6, 6))
+    assert svd_counter == []
+
+
+def test_approx_rep_of_unitary_values_takes_no_svd(svd_counter):
+    rng = trial_rng(5, 0)
+    values = np.stack([np.eye(5)] + [random_unitary(rng, 5) for _ in range(5)])
+    svd_counter.clear()
+    ApproxRep(cyclic_group(6), values)
+    assert svd_counter == []
+
+
+def test_matrix_algebra_self_check_takes_no_svd(svd_counter):
+    rng = trial_rng(7, 0)
+    v = random_unitary(rng, 8)
+    u = (v * 1j ** rng.integers(0, 4, 8)) @ v.conj().T      # u^4 = 1
+    svd_counter.clear()
+    matrix_algebra(8, cyclic_group(4), [np.linalg.matrix_power(u, k) for k in range(4)])
+    assert svd_counter == []
+
+
+# --- just over each gate: rejected with the same message --------------------
+
+def over(tol):
+    """(a, defect) with a = 1 + m 2^-52, whose square rounds to exactly
+    1 + defect, defect = 2m 2^-52: the first such defect at or above
+    (1 + 1e-6) tol."""
+    m = math.ceil(tol * (1 + 1e-6) * 2.0 ** 51)
+    return 1 + m * 2.0 ** -52, 2 * m * 2.0 ** -52
+
+
+def test_log_rejects_input_just_over_its_unitarity_gate():
+    a, defect = over(1e-10)
+    assert 1e-10 < defect <= 1e-10 * (1 + 1e-5)
+    u = np.stack([np.eye(3), np.diag([1.0, a, 1.0])]).astype(complex)
+    with pytest.raises(ValueError) as err:
+        principal_log_unitary(u)
+    assert str(err.value) == (f"input is not unitary: ||u*u - 1|| = "
+                              f"{defect:.3e} at slice (1,)")
+
+
+def test_exp_rejects_input_just_over_its_skewness_gate():
+    delta = 1e-10 * (1 + 1e-6)
+    x = np.diag([delta / 2, 0.0, 1j]).astype(complex)
+    with pytest.raises(ValueError) as err:
+        exp_skew(x)
+    assert str(err.value) == f"input is not skew-Hermitian: ||x + x*|| = {delta:.3e}"
+    exp_skew(np.diag([1e-10 / 2, 0.0, 1j]).astype(complex))
+
+
+def test_approx_rep_rejects_values_just_over_its_unitarity_gate():
+    a, defect = over(1e-10)
+    values = np.stack([np.eye(2), np.diag([a, 1.0])]).astype(complex)
+    with pytest.raises(ValueError) as err:
+        ApproxRep(cyclic_group(2), values)
+    assert str(err.value) == f"values flagged unitary but defect is {defect:.3e}"
+
+
+def test_matrix_algebra_rejects_action_just_over_its_tolerance():
+    """An action of Z/2 by Ad(u) with u^2 = diag(1, e^{i t}) composes only up
+    to a defect D; action_tol D passes and D / (1 + 1e-6) is rejected."""
+    u = np.diag([1.0, np.exp(5e-6j)])
+    G = cyclic_group(2)
+    defect = matrix_algebra(2, G, [np.eye(2), u], action_tol=1.0).action_defect(samples=1)
+    assert defect > 1e-8
+    matrix_algebra(2, G, [np.eye(2), u], action_tol=defect)
+    with pytest.raises(ValueError) as err:
+        matrix_algebra(2, G, [np.eye(2), u], action_tol=defect / (1 + 1e-6))
+    assert str(err.value) == f"action data is not a homomorphism (defect {defect:.3e})"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equifix.matfun import (EPS0, UNITARIZE_EPS, BranchCutError, MidpointError,
-                            NotNormalError, close, exp_skew, normal_eigensystem,
+                            NotNormalError, exp_skew, normal_eigensystem,
                             operator_norm, polar_unitary, principal_log_unitary,
                             round_to_projection, spectral_round_unitary)
 
@@ -55,12 +55,6 @@ def test_operator_norm_rejects_nan():
     a = np.array([[np.nan, 0], [0, 1]], dtype=complex)
     with pytest.raises(ValueError):
         operator_norm(a)
-
-
-def test_close_uses_tolerance():
-    a = np.eye(2)
-    assert close(a, a + 1e-13, 1e-12)
-    assert not close(a, a + 1e-3, 1e-12)
 
 
 # --- polar ------------------------------------------------------------------
