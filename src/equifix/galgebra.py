@@ -16,17 +16,24 @@ The quotient at level n is the G-algebra on the blocks outside J_n, and
 the quotient maps drop blocks, which makes their compatibility exact.
 ``max_pair_defect`` measures the largest ||v(gh) - v(g) v(h)|| over all
 pairs, and its twisted (cocycle) form, with one stacked product and one
-screened norm per g.
+screened norm over the whole (|G|, |G|, ...) stack of pairs.  Such pair
+stacks are taken g by g in chunks (``pair_chunks``) of about SLAB_ENTRIES
+entries, so a large group at a large dimension never holds all pairs at
+once; every group the benchmarks run fits one chunk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .groups import FiniteGroup
 from .matfun import Blocks, adjoint, largest_norm, stack
+
+# The most matrix entries one stacked call over a family of pairs holds.
+SLAB_ENTRIES = 2 ** 20
 
 
 class BlockMismatchError(ValueError):
@@ -281,17 +288,36 @@ class GHom:
         return max_pair_defect(self.values, self.source.mult)[0]
 
 
+def chunks(count: int, per_item: int) -> list:
+    """Slices covering range(count), each of max(1, SLAB_ENTRIES //
+    per_item) items: a stack with per_item entries per item stays near
+    SLAB_ENTRIES entries per chunk."""
+    step = max(1, SLAB_ENTRIES // max(1, per_item))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def pair_chunks(values) -> list:
+    """Chunks of g for the (g, k) pair stacks of a group-indexed family:
+    each g brings |G| values of the family's size."""
+    parts = values.parts if isinstance(values, Blocks) else (values,)
+    order = parts[0].shape[0]
+    return chunks(order, order * sum(math.prod(p.shape[1:]) for p in parts))
+
+
 def max_pair_defect(values, mult: np.ndarray, act=None):
     """The largest ||v(gh) - v(g) a_g(v(h))|| over pairs (g, h) and the
     first pair (row-major) attaining it, with ``mult[g, h]`` the index of
-    gh and a_g = ``act(g, .)``, or the identity when act is None.  Each g
-    takes one (|G|, ...) slab, so the full (|G|, |G|, ...) product array is
-    never built, and one screened norm whose floor is the running maximum,
-    so a slab takes an SVD only for slices that may beat earlier slabs."""
+    gh and a_g = ``act(g, .)``, or the identity when act is None.  Each
+    chunk of g takes one stacked product over its (g, h) pairs and one
+    screened norm whose floor is the running maximum of earlier chunks, so
+    ties go to the first pair."""
+    order = len(mult)
     worst, pair = -1.0, None
-    for g in range(len(mult)):
-        twisted = values if act is None else act(g, values)
-        worst, h = largest_norm(values[mult[g]] - values[g] @ twisted, worst)
-        if h is not None:
-            pair = (g, h)
+    for c in pair_chunks(values):
+        twisted = values[None] if act is None else \
+            stack([act(g, values) for g in range(order)[c]])
+        worst, i = largest_norm(values[mult[c]] - values[c, None] @ twisted, worst)
+        if i is not None:
+            g, h = divmod(i, order)
+            pair = (c.start + g, h)
     return worst, pair

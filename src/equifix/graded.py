@@ -7,20 +7,23 @@ an action of the dual group; the Fourier projections
 
     P_g(x) = (1/|G^|) sum_tau  conj(tau(g)) beta_tau(x)
 
-recover them.  The graded corrector projects each value onto its component,
-unitarizes, and runs the iterated representation correction, whose steps
-provably stay inside the components.
+recover them.  A projection takes an index array g over a stack of values
+as well, with one stacked conjugation per character.  The graded corrector
+projects the whole family onto its components at once, gates the gaps
+with one screened norm, unitarizes with one batched SVD, and runs the
+iterated representation correction, whose steps provably stay inside the
+components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 import numpy as np
 
+from .galgebra import chunks
 from .groups import FiniteGroup
-from .matfun import UNITARIZE_EPS, largest_norm, polar_unitary
+from .matfun import UNITARIZE_EPS, adjoint, largest_norm, operator_norm
 from .repcorrect import (ApproxRep, DefectTooLargeError, correct_to_rep,
                          ITERATION_CAP)
 
@@ -41,34 +44,32 @@ def character_table(group: FiniteGroup, tol: float = 1e-10) -> np.ndarray:
     if not group.is_abelian():
         raise NonAbelianError(f"{group.name} is not abelian")
     n = group.order
-    left = np.zeros((n, n, n))
-    for g in range(n):
-        for h in range(n):
-            left[g, group.mul(g, h), h] = 1.0
+    ids = np.arange(n)
+    orders = [group.element_order(g) for g in range(n)]
+    # roots[m][k] = exp(2 pi i k / m), for each element order m.
+    roots = {m: np.array([np.exp(2j * np.pi * k / m) for k in range(m)])
+             for m in set(orders)}
     rng = np.random.default_rng(7)
     for _ in range(8):
         coeffs = rng.standard_normal(n)
-        combo = np.tensordot(coeffs, left, axes=(0, 0))
+        # sum_g coeffs[g] L_g, with L_g the left-regular permutation matrix
+        # of g: entry (gh, h) is coeffs[g].
+        combo = np.zeros((n, n))
+        combo[group.mult, ids] = coeffs[:, None]
         # Permutation matrices are real-orthogonal and commute; the combo is
         # normal, and generically has simple spectrum.
         vals, vecs = np.linalg.eig(combo)
-        chars = np.empty((n, n), dtype=complex)
-        ok = True
-        for t in range(n):
-            v = vecs[:, t]
-            v = v / np.linalg.norm(v)
-            for g in range(n):
-                lam = v.conj() @ (left[g] @ v)
-                if abs(abs(lam) - 1) > 1e-6:
-                    ok = False
-                    break
-                order = group.element_order(g)
-                k = int(np.round(np.angle(lam) * order / (2 * np.pi))) % order
-                chars[t, g] = np.exp(2j * np.pi * k / order)
-            if not ok:
-                break
-        if not ok:
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        # lam[t, g] = v_t* L_g v_t = sum_h conj(v_t[gh]) v_t[h], for a chunk
+        # of g at a time.
+        lam = np.concatenate([np.einsum("ght,ht->tg", vecs[group.mult[c]].conj(),
+                                        vecs) for c in chunks(n, n * n)], axis=1)
+        if np.any(np.abs(np.abs(lam) - 1) > 1e-6):
             continue
+        chars = np.empty((n, n), dtype=complex)
+        for g, m in enumerate(orders):
+            k = np.round(np.angle(lam[:, g]) * m / (2 * np.pi)).astype(int) % m
+            chars[:, g] = roots[m][k]
         # Deduplicate and validate.
         rows = []
         for t in range(n):
@@ -86,12 +87,14 @@ def character_table(group: FiniteGroup, tol: float = 1e-10) -> np.ndarray:
 
 
 def _validate_characters(group, table, tol):
+    """Every row multiplicative, chi(gh) = chi(g) chi(h), to tol, and the
+    rows orthonormal; one broadcast comparison per chunk of rows."""
     n = group.order
-    for t in range(n):
-        for g in range(n):
-            for h in range(n):
-                if abs(table[t, group.mul(g, h)] - table[t, g] * table[t, h]) > tol:
-                    return False
+    for c in chunks(n, n * n):
+        rows = table[c]
+        if np.any(np.abs(rows[:, group.mult] -
+                         rows[:, :, None] * rows[:, None, :]) > tol):
+            return False
     gram = table @ table.conj().T / n
     return bool(np.max(np.abs(gram - np.eye(n))) < tol)
 
@@ -122,48 +125,60 @@ class GradedAlgebra:
                              "(trivial character)")
         dm = self._dual_mult()
         object.__setattr__(self, "_dual_mult_table", dm)
+        # Homomorphism of automorphisms: du[s] du[t] equals du[dm[s, t]] up
+        # to a phase, checked over a chunk of s at a time; a failure names
+        # the first (s, t) in row-major order.
         tol = 1e-12
-        for s in range(n):
-            for t in range(n):
-                prod = du[s] @ du[t]
-                target = du[dm[s, t]]
-                # Homomorphism of automorphisms: equal up to a phase.
-                phase = np.trace(target.conj().T @ prod) / self.dim
-                if abs(abs(phase) - 1) > 1e-9 or \
-                        largest_norm(prod - phase * target, tol * 10)[0] > tol * 10:
-                    raise ValueError(
-                        f"dual action is not a homomorphism at ({s},{t})")
+        for c in chunks(n, n * self.dim ** 2):
+            prod = du[c, None] @ du[None]
+            target = du[dm[c]]
+            phase = np.trace(adjoint(target) @ prod, axis1=-2, axis2=-1) / self.dim
+            off = prod - phase[..., None, None] * target
+            bad = np.abs(np.abs(phase) - 1) > 1e-9
+            if bad.any() or largest_norm(off, tol * 10)[1] is not None:
+                bad |= operator_norm(off) > tol * 10
+                s, t = divmod(int(np.flatnonzero(bad)[0]), n)
+                raise ValueError(
+                    f"dual action is not a homomorphism at ({c.start + s},{t})")
 
     def _dual_mult(self):
+        """dm[s, t]: the one row of the table within 1e-8 of the product of
+        rows s and t, matched for a chunk of (s, t) pairs at a time."""
+        chars = self.chars
         n = self.group.order
-        dm = np.empty((n, n), dtype=np.intp)
-        for s in range(n):
-            for t in range(n):
-                prod = self.chars[s] * self.chars[t]
-                hits = [r for r in range(n)
-                        if np.max(np.abs(self.chars[r] - prod)) < 1e-8]
-                if len(hits) != 1:
-                    raise ValueError("character table is not closed under products")
-                dm[s, t] = hits[0]
-        return dm
+        dm = np.empty(n * n, dtype=np.intp)
+        pairs = np.arange(n * n)
+        for c in chunks(n * n, n * chars.shape[1]):
+            s, t = divmod(pairs[c], n)
+            prod = chars[s] * chars[t]
+            hits = np.max(np.abs(chars[None] - prod[:, None]), axis=-1) < 1e-8
+            if np.any(hits.sum(axis=-1) != 1):
+                raise ValueError("character table is not closed under products")
+            dm[c] = hits.argmax(axis=-1)
+        return dm.reshape(n, n)
 
     def dual_act(self, tau: int, x: np.ndarray) -> np.ndarray:
         u = self.dual_unitaries[tau]
         return u @ np.asarray(x, dtype=complex) @ u.conj().T
 
-    def projection(self, g: int, x: np.ndarray) -> np.ndarray:
+    def projection(self, g, x: np.ndarray) -> np.ndarray:
         """Fourier projection onto the g-component:
-        P_g(x) = (1/|G^|) sum_tau conj(chi_tau(g)) beta_tau(x)."""
+        P_g(x) = (1/|G^|) sum_tau conj(chi_tau(g)) beta_tau(x).
+        With an index array g and a stack x, x[i] is projected onto the
+        g[i]-component; each character acts once on the whole stack."""
         n = self.group.order
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        x = np.asarray(x, dtype=complex)
+        coef = np.conj(self.chars[:, g])[..., None, None]
+        acc = np.zeros(x.shape, dtype=complex)
         for t in range(n):
-            acc += np.conj(self.chars[t, g]) * self.dual_act(t, x)
+            acc += coef[t] * self.dual_act(t, x)
         return acc / n
 
     def component_residual(self, values) -> float:
         """max_g ||x_g - P_g(x_g)|| over a family x indexed by the group."""
-        return largest_norm(np.stack([x - self.projection(g, x)
-                                      for g, x in enumerate(values)]))[0]
+        values = np.asarray(values, dtype=complex)
+        return largest_norm(values - self.projection(np.arange(len(values)),
+                                                     values))[0]
 
 
 def regular_graded_model(group: FiniteGroup):
@@ -176,9 +191,8 @@ def regular_graded_model(group: FiniteGroup):
     dual = np.stack([np.diag(chars[t]) for t in range(n)])
     algebra = GradedAlgebra(group=group, dim=n, dual_unitaries=dual, chars=chars)
     left = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        for h in range(n):
-            left[g, group.mul(g, h), h] = 1.0
+    ids = np.arange(n)
+    left[ids[:, None], group.mult, ids] = 1.0
     return algebra, left
 
 
@@ -200,27 +214,32 @@ def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
 
     For each g the component part c_g = P_g(psi(g)) must be within eps of
     psi(g) and invertible; the polar parts seed the iterated corrector, and
-    every iterate is checked to stay in its component.
+    every iterate is checked to stay in its component.  The parts of the
+    whole family come from one stacked projection, their gaps from one
+    screened norm, and their smallest singular values and polar parts from
+    one batched SVD; a rejection names the first g that fails.
     """
     G = algebra.group
     values = np.asarray(values, dtype=complex)
     if values.shape != (G.order, algebra.dim, algebra.dim):
         raise ValueError(f"values shape {values.shape}")
-    comps = np.empty_like(values)
-    for g in range(G.order):
-        c = algebra.projection(g, values[g])
-        # A norm exceeds the float below eps exactly when it is >= eps.
-        gap = largest_norm(values[g] - c, np.nextafter(eps, 0.0))[0]
-        if gap >= eps:
+    parts = algebra.projection(np.arange(G.order), values)
+    # A norm exceeds the float below eps exactly when it is >= eps.
+    far = largest_norm(values - parts, np.nextafter(eps, 0.0))[1] is not None
+    u, s, vh = np.linalg.svd(parts)
+    singular = s[:, -1] <= 1e-10
+    if far or singular.any():
+        # Name the first g that fails either test, as a loop over g would.
+        gaps = operator_norm(values - parts)
+        g = int(np.flatnonzero((gaps >= eps) | singular)[0])
+        if gaps[g] >= eps:
             raise DefectTooLargeError(
-                f"value at g={g} is {gap:.6g} away from its grading component "
-                f"(needs < {eps:.6g})")
-        s = np.linalg.svd(c, compute_uv=False)
-        if s[-1] <= 1e-10:
-            raise DefectTooLargeError(
-                f"component part at g={g} is numerically singular "
-                f"(sigma_min = {s[-1]:.3e})")
-        comps[g] = polar_unitary(c)
+                f"value at g={g} is {gaps[g]:.6g} away from its grading "
+                f"component (needs < {eps:.6g})")
+        raise DefectTooLargeError(
+            f"component part at g={g} is numerically singular "
+            f"(sigma_min = {s[g, -1]:.3e})")
+    comps = u @ vh
 
     unital_gap = largest_norm(comps[G.identity] - np.eye(algebra.dim), 1e-10)[0]
     rho0 = ApproxRep(G, comps, unitary=True, unital=unital_gap <= 1e-10)

@@ -154,6 +154,13 @@ def stack(elements):
     return np.stack(elements)
 
 
+def concatenate(elements):
+    """np.concatenate along the first axis, part by part for Blocks."""
+    if isinstance(elements[0], Blocks):
+        return Blocks(np.concatenate(ps) for ps in zip(*(e.parts for e in elements)))
+    return np.concatenate(elements)
+
+
 def read_only_copy(a):
     """A complex copy of an array or of Blocks, made read-only."""
     if isinstance(a, Blocks):

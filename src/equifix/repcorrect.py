@@ -23,11 +23,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import FiniteGroup, haar_average
-from .matfun import (EPS0, UNITARIZE_EPS, Blocks, adjoint, exp_skew,
-                     identity_like, largest_norm, polar_unitary,
-                     principal_log_unitary, read_only_copy, require_finite,
-                     stack)
-from .galgebra import GHom, Tower, group_stack, max_pair_defect
+from .matfun import (EPS0, UNITARIZE_EPS, Blocks, adjoint, concatenate,
+                     exp_skew, identity_like, largest_norm, polar_unitary,
+                     principal_log_unitary, read_only_copy, require_finite)
+from .galgebra import (GHom, Tower, group_stack, max_pair_defect,
+                       pair_chunks)
 
 ONE_STEP_MAX_DEFECT = 1.0 / 5
 ITERATE_MAX_DEFECT = 1.0 / 17
@@ -101,9 +101,11 @@ def one_step(rep: ApproxRep) -> ApproxRep:
     G = rep.group
     v = rep.values
     v_adj = adjoint(v)
-    # One (|G|, ...) stack per g: m[k] = rho(k)* rho(kg) rho(g)*.
-    x = stack([principal_log_unitary(v_adj @ v[G.mult[:, g]] @ v_adj[g]).mean(axis=0)
-               for g in range(G.order)])
+    # One (g, k) stack per chunk of g, m[g, k] = rho(k)* rho(kg) rho(g)*:
+    # one log of the whole stack and one mean over k.
+    x = concatenate([principal_log_unitary(
+        v_adj[None] @ v[G.mult.T[c]] @ v_adj[c, None]).mean(axis=1)
+        for c in pair_chunks(v)])
     return ApproxRep(G, exp_skew(x) @ v, unitary=rep.unitary, unital=rep.unital)
 
 
@@ -204,25 +206,33 @@ class SourceAction:
         if np.any(np.abs(np.abs(scalar) - 1.0) > 1e-12):
             raise ValueError("scalars must have unit modulus")
         tol = 1e-12
-        for g in range(G.order):
-            p = perm[g]
-            if sorted(p.tolist()) != list(range(H.order)):
+        # Each g in turn: perm[g] a permutation, then pairs (x, y) in
+        # row-major order, an automorphism failure at a pair named before a
+        # multiplicativity failure at it.  Rows that are not permutations
+        # index H through the identity instead, and are reported first.
+        ids = np.arange(H.order)
+        not_perm = np.any(np.sort(perm, axis=1) != ids, axis=1)
+        p = np.where(not_perm[:, None], ids, perm)
+        auto = p[:, H.mult] != H.mult[p[:, :, None], p[:, None, :]]
+        mult = np.abs(scalar[:, H.mult] - scalar[:, :, None] * scalar[:, None, :]) > tol
+        auto, mult = auto.reshape(G.order, -1), mult.reshape(G.order, -1)
+        rows = np.flatnonzero(not_perm | np.any(auto | mult, axis=1))
+        if rows.size:
+            g = int(rows[0])
+            if not_perm[g]:
                 raise ValueError(f"perm[{g}] is not a permutation of H")
-            for x in range(H.order):
-                for y in range(H.order):
-                    if p[H.mul(x, y)] != H.mul(p[x], p[y]):
-                        raise ValueError(f"perm[{g}] is not an automorphism of H")
-                    if abs(scalar[g, H.mul(x, y)] - scalar[g, x] * scalar[g, y]) > tol:
-                        raise ValueError(f"scalar[{g}] is not multiplicative over H")
-        for g in range(G.order):
-            for h in range(G.order):
-                gh = G.mul(g, h)
-                if np.any(perm[gh] != perm[g][perm[h]]):
-                    raise ValueError("perm is not a homomorphism in g")
-                lhs = scalar[gh]
-                rhs = scalar[g][perm[h]] * scalar[h]
-                if np.max(np.abs(lhs - rhs)) > tol:
-                    raise ValueError("scalar fails the composition rule")
+            if auto[g, np.argmax(auto[g] | mult[g])]:
+                raise ValueError(f"perm[{g}] is not an automorphism of H")
+            raise ValueError(f"scalar[{g}] is not multiplicative over H")
+        # Then pairs (g, h) in row-major order: perm[gh] = perm[g] o perm[h]
+        # before scalar[gh, x] = scalar[g, perm[h, x]] scalar[h, x].
+        hom = np.any(perm[G.mult] != perm[:, perm], axis=-1).ravel()
+        rule = (np.max(np.abs(scalar[G.mult] - scalar[:, perm] * scalar), axis=-1)
+                > tol).ravel()
+        if np.any(hom | rule):
+            if hom[np.argmax(hom | rule)]:
+                raise ValueError("perm is not a homomorphism in g")
+            raise ValueError("scalar fails the composition rule")
 
 
 def translation_source_action(d: int, group: FiniteGroup,

@@ -1,5 +1,5 @@
 """Property tests for the stacked log/exp kernels, for the correctors that
-take one stack per group element, for the stacked defect, conjugation,
+take one stacked log per step, for the stacked defect, conjugation,
 group-average, partition-defect and unitarization paths, for
 the shared iteration driver, for the one-step figures the trial
 runners read off it, and for the block-fit gate and the fresh copies
