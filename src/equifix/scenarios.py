@@ -3,6 +3,13 @@
 A scenario describes a family of randomized trials for one corrector:
 build an exact structure, perturb it by a prescribed magnitude, run the
 correction, and check every quantitative bound the corrector certifies.
+Each kind has a trial body that returns its measured figures, its checks
+as (name, measured, bound, slack) rows and its trace rows; one wrapper
+draws the trial's generator, times the body and passes a check iff
+measured <= bound + slack.  ``SUITE`` is the one table of default
+scenarios: the ``suite`` battery runs every entry, and each CLI
+subcommand runs its own.
+
 Randomness comes from the counter-based Philox generator keyed by the
 scenario seed with the trial index as a counter offset, so identical
 scenario + seed reproduce identical outputs byte for byte.
@@ -10,11 +17,14 @@ scenario + seed reproduce identical outputs byte for byte.
 
 from __future__ import annotations
 
+import copy
+import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -30,8 +40,41 @@ from .relations import stabilize_partition, stabilize_tracial_partition
 from .graded import (GradedAlgebra, character_table, graded_correct,
                      regular_graded_model)
 
-SCENARIO_KINDS = ("rep", "cocycle", "lift", "rokhlin", "tracial", "graded",
-                  "integral_estimate")
+# The default battery, keyed by suite label: the subcommand that runs the
+# entry alone (None for the tower-pinned rep, which only the suite runs) and
+# its scenario fields.  ``equifix suite --seed s`` runs entry k at seed
+# s + k; a subcommand runs its entry at seed 0 unless given --seed.
+SUITE = {
+    "rep": ("stabilize", {"kind": "rep", "group": {"kind": "cyclic", "params": 4},
+                          "dimension": 4, "magnitude": 0.01, "trials": 25}),
+    "rep_tower": (None, {"kind": "rep", "group": {"kind": "dihedral", "params": 4},
+                         "dimension": 4, "magnitude": 0.005, "trials": 10,
+                         "tower": {"levels": 2}}),
+    "cocycle": ("cocycle", {"kind": "cocycle",
+                            "group": {"kind": "cyclic", "params": 3},
+                            "dimension": 4, "magnitude": 0.01, "trials": 25}),
+    "lift": ("lift", {"kind": "lift", "group": {"kind": "cyclic", "params": 3},
+                      "source": {"model": "translation", "order": 3},
+                      "tower": {"levels": 8, "base": 0.2, "ratio": 0.2},
+                      "trials": 10}),
+    "rokhlin": ("rokhlin", {"kind": "rokhlin",
+                            "group": {"kind": "cyclic", "params": 3},
+                            "dimension": 6, "magnitude": 0.02, "trials": 15}),
+    "tracial": ("tracial", {"kind": "tracial",
+                            "group": {"kind": "cyclic", "params": 2},
+                            "dimension": 5, "magnitude": 0.02, "trials": 10,
+                            "corner_corank": 1}),
+    # Magnitude at most 1/816 keeps every value within the 1/408 the graded
+    # corrector requires of its distance to the grading component.
+    "graded": ("graded", {"kind": "graded", "group": {"kind": "cyclic", "params": 4},
+                          "magnitude": 0.001, "trials": 15}),
+    "integral_estimate": ("estimate", {"kind": "integral_estimate",
+                                       "group": {"kind": "cyclic", "params": 5},
+                                       "dimension": 4, "magnitude": 0.3,
+                                       "trials": 25}),
+}
+
+SCENARIO_KINDS = tuple(dict.fromkeys(fields["kind"] for _, fields in SUITE.values()))
 
 # A matrix is an array of rows; each entry is an [re, im] pair.
 MATRIX_SCHEMA = {
@@ -58,7 +101,8 @@ SCENARIO_SCHEMA = {
         },
         "dimension": {"type": "integer", "minimum": 1, "maximum": 64},
         "magnitude": {"type": "number", "minimum": 0, "maximum": 1},
-        "seed": {"type": "integer", "minimum": 0},
+        # The seed keys the 64-bit Philox generator.
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2 ** 64 - 1},
         "trials": {"type": "integer", "minimum": 1, "maximum": 100000},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
         "tower": {
@@ -94,10 +138,6 @@ SCENARIO_SCHEMA = {
 }
 
 
-def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
 def _graded_input(graded_data: dict, group: FiniteGroup):
     """Decode ``graded_data`` into its grading and its stack of seeds.  Each
     list must hold one square matrix per group element, all of one
@@ -117,7 +157,8 @@ def _graded_input(graded_data: dict, group: FiniteGroup):
             if len(m) != dim or any(len(row) != dim for row in m):
                 raise ScenarioError(f"/graded_data/{key}/{i}: expected a "
                                     f"square {dim}x{dim} matrix")
-        stacks.append(np.stack([matrix_from_json(m) for m in mats]))
+        stacks.append(np.array([[[complex(re, im) for re, im in row] for row in m]
+                                for m in mats]))
     dual, seeds = stacks
     chars = character_table(group)
     try:
@@ -143,7 +184,11 @@ class Scenario:
     graded_data: Optional[dict] = None
 
     @staticmethod
-    def from_dict(data: dict) -> "Scenario":
+    def from_dict(data: dict, **overrides) -> "Scenario":
+        """The scenario of ``data`` with every override that is not None,
+        checked by the schema; ``data`` itself is left alone."""
+        data = copy.deepcopy(data)
+        data.update((k, v) for k, v in overrides.items() if v is not None)
         validate_scenario(data)
         known = {f for f in Scenario.__dataclass_fields__}
         return Scenario(**{k: v for k, v in data.items() if k in known})
@@ -172,11 +217,41 @@ def validate_scenario(data: dict):
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
-        lines = []
-        for e in errors:
-            pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-            lines.append(f"{pointer}: {e.message}")
-        raise ScenarioError("scenario schema violations:\n" + "\n".join(lines))
+        raise ScenarioError("scenario schema violations:" + "".join(
+            f"\n/{'/'.join(str(p) for p in e.absolute_path)}: {e.message}"
+            for e in errors))
+
+
+def suite_scenarios(seed: int = 0, **overrides) -> List[Tuple[str, Scenario]]:
+    """The default battery as (label, scenario) pairs, entry k of ``SUITE``
+    at seed + k, with the ``overrides`` of ``Scenario.from_dict``."""
+    entries = []
+    for k, (label, (_, fields)) in enumerate(SUITE.items()):
+        try:
+            entries.append((label, Scenario.from_dict(fields, seed=seed + k,
+                                                      **overrides)))
+        except ScenarioError as exc:
+            raise ScenarioError(f"suite entry {label}: {exc}") from None
+    return entries
+
+
+@functools.lru_cache(maxsize=32)
+def _built(spec: str, graded: bool):
+    """The group a JSON group spec builds or, with ``graded``, that group's
+    regular graded model: each built once per spec, since every trial of a
+    scenario, and its check, asks for the same."""
+    if graded:
+        algebra, exact = regular_graded_model(_built(spec, False))
+        exact.flags.writeable = False       # shared by every trial
+        return algebra, exact
+    spec = json.loads(spec)
+    return make_group(spec["kind"], spec.get("params"))
+
+
+def group_of(spec: dict, graded: bool = False):
+    """The group of a JSON group spec or, with ``graded``, its regular graded
+    model (algebra, exact values), built once per spec."""
+    return _built(json.dumps(spec, sort_keys=True), graded)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -213,31 +288,8 @@ def random_skew(rng: np.random.Generator, n: int,
     return k
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (a + a.conj().T) / 2
-    norm = operator_norm(h)
-    return h / norm if norm > 0 else h
-
-
-def rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def _perm_parity(perm) -> int:
-    seen = [False] * len(perm)
-    parity = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) & 1
 
 
 def _irrep_menu(kind: str, params) -> List:
@@ -245,52 +297,33 @@ def _irrep_menu(kind: str, params) -> List:
     fn maps an element index to a matrix."""
     if kind == "cyclic":
         d = int(params)
-        menu = []
-        for a in range(d):
-            menu.append((1, lambda g, a=a, d=d:
-                         np.array([[np.exp(2j * np.pi * a * g / d)]])))
-        return menu
+        return [(1, lambda g, a=a: np.array([[np.exp(2j * np.pi * a * g / d)]]))
+                for a in range(d)]
     if kind == "dihedral":
         n = int(params)
-        menu = [(1, lambda g: np.eye(1, dtype=complex))]
-        menu.append((1, lambda g, n=n: np.array([[(-1.0 + 0j) ** (g // n)]])))
+        menu = [(1, lambda g: np.eye(1, dtype=complex)),
+                (1, lambda g: np.array([[(-1.0 + 0j) ** (g // n)]]))]
         for k in range(1, n):
-            def two_dim(g, k=k, n=n):
-                a, b = g % n, g // n
-                s = np.array([[1, 0], [0, -1]], dtype=complex)
-                m = rotation(2 * np.pi * k * a / n)
-                return m @ s if b else m
+            def two_dim(g, k=k):
+                t = 2 * np.pi * k * (g % n) / n
+                m = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]],
+                             dtype=complex)
+                return m @ np.diag([1, -1]).astype(complex) if g // n else m
             menu.append((2, two_dim))
         return menu
     if kind == "symmetric":
-        import itertools
         m = int(params)
         elems = sorted(itertools.permutations(range(m)))
-        menu = [(1, lambda g: np.eye(1, dtype=complex))]
-        menu.append((1, lambda g, elems=elems:
-                     np.array([[(-1.0 + 0j) ** _perm_parity(elems[g])]])))
-
-        def natural(g, elems=elems, m=m):
-            p = elems[g]
-            out = np.zeros((m, m), dtype=complex)
-            for j in range(m):
-                out[p[j], j] = 1.0
-            return out
-        menu.append((m, natural))
-        return menu
+        return [(1, lambda g: np.eye(1, dtype=complex)),
+                (1, lambda g: np.array([[(-1.0 + 0j) ** _perm_parity(elems[g])]])),
+                # The natural representation: e_j goes to e_p(j).
+                (m, lambda g: np.eye(m, dtype=complex)[:, list(elems[g])])]
     if kind == "product":
         spec_a, spec_b = params
-        ga = make_group(spec_a[0], spec_a[1])
-        gb = make_group(spec_b[0], spec_b[1])
-        menu_a = _irrep_menu(spec_a[0], spec_a[1])
-        menu_b = _irrep_menu(spec_b[0], spec_b[1])
-        menu = []
-        for da, fa in menu_a:
-            for db, fb in menu_b:
-                def tensor(g, fa=fa, fb=fb, nb=gb.order):
-                    return np.kron(fa(g // nb), fb(g % nb))
-                menu.append((da * db, tensor))
-        return menu
+        nb = group_of({"kind": spec_b[0], "params": spec_b[1]}).order
+        return [(da * db, lambda g, fa=fa, fb=fb: np.kron(fa(g // nb), fb(g % nb)))
+                for da, fa in _irrep_menu(spec_a[0], spec_a[1])
+                for db, fb in _irrep_menu(spec_b[0], spec_b[1])]
     raise ScenarioError(f"no representation menu for group kind {kind!r}")
 
 
@@ -307,17 +340,12 @@ def exact_rep_values(group_spec: dict, group: FiniteGroup, dim: int,
         chosen.append(options[idx])
         remaining -= options[idx][0]
     v = random_unitary(rng, dim)
-    values = np.empty((group.order, dim, dim), dtype=complex)
-    for g in range(group.order):
-        blocks = [fn(g) for _, fn in chosen]
-        full = np.zeros((dim, dim), dtype=complex)
-        at = 0
-        for b in blocks:
-            k = b.shape[0]
-            full[at:at + k, at:at + k] = b
-            at += k
-        values[g] = v @ full @ v.conj().T
-    return values
+    full = np.zeros((group.order, dim, dim), dtype=complex)
+    at = 0
+    for k, fn in chosen:
+        full[:, at:at + k, at:at + k] = [fn(g) for g in range(group.order)]
+        at += k
+    return np.stack([v @ f @ v.conj().T for f in full])
 
 
 def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
@@ -344,14 +372,12 @@ def perturb_rep_values(values: np.ndarray, magnitude: float,
     with ``draw`` each K is the corner of a draw of that size (see
     ``random_skew``).  The identity slot is left alone so the family stays
     unital."""
-    values = np.asarray(values, dtype=complex)
-    out = values.copy()
-    n = values.shape[1]
-    for g in range(values.shape[0]):
-        if g == skip_identity:
-            continue
-        k = random_skew(rng, n) if draw is None else random_skew(rng, draw, n)
-        out[g] = values[g] @ expm(magnitude * k)
+    out = np.array(values, dtype=complex)
+    n = out.shape[1]
+    for g in range(len(out)):
+        if g != skip_identity:
+            k = random_skew(rng, n) if draw is None else random_skew(rng, draw, n)
+            out[g] = out[g] @ expm(magnitude * k)
     return out
 
 
@@ -359,21 +385,52 @@ def perturb_rep_values(values: np.ndarray, magnitude: float,
 class TrialReport:
     trial: int
     measured: dict
-    bounds: dict
-    passes: dict
+    checks: list        # (name, measured, bound, slack)
     wall_time: float
     rows: list          # (iteration, defect, distance)
+    error: Optional[str] = None     # the message of a trial that raised
+
+    @property
+    def bounds(self) -> dict:
+        return {name: bound for name, _, bound, _ in self.checks}
+
+    @property
+    def passes(self) -> dict:
+        if self.error is not None:
+            return {"completed": False}
+        return {name: bool(value <= bound + slack)
+                for name, value, bound, slack in self.checks}
 
     def all_passed(self) -> bool:
         return all(self.passes.values())
 
+    def failures(self) -> List[str]:
+        if self.error is not None:
+            return [f"trial {self.trial}: did not complete: {self.error}"]
+        passes = self.passes
+        return [f"trial {self.trial}: bound {name} violated (measured "
+                f"{value:.10g} > bound {bound:.10g})"
+                for name, value, bound, _ in self.checks if not passes[name]]
 
-def _bound_pass(value, bound, slack):
-    return bool(value <= bound + slack)
+
+def _trial_runner(body):
+    """Decorator turning a trial body ``body(s, rng) -> (measured, checks,
+    rows)`` into a runner ``(s, trial) -> TrialReport``: it draws the
+    trial's generator, times the body and reports its checks, each a
+    (name, measured, bound, slack) row that passes iff measured <= bound +
+    slack."""
+    @functools.wraps(body)
+    def run(s: Scenario, trial: int) -> TrialReport:
+        rng = trial_rng(s.seed, trial)
+        start = time.perf_counter()
+        measured, checks, rows = body(s, rng)
+        return TrialReport(trial, measured, checks,
+                           time.perf_counter() - start, list(rows))
+    return run
 
 
 # ---------------------------------------------------------------------------
-# Per-kind trial runners.
+# Per-kind trial bodies.
 
 def _two_block_tower(group, unitaries):
     """Two copies of M_dim, each acted on by Ad(unitaries[g]); the quotient
@@ -385,10 +442,33 @@ def _two_block_tower(group, unitaries):
     return Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
 
 
-def run_rep_trial(s: Scenario, trial: int) -> TrialReport:
-    rng = trial_rng(s.seed, trial)
-    group = make_group(s.group["kind"], s.group.get("params"))
-    start = time.perf_counter()
+def _iterated_checks(word, c, result, tol, first_step):
+    """Measured figures and checks of an iterated corrector (the defect or
+    mismatch ``word`` with constant ``c``) from an input off by r, the first
+    row of its trace: one step within c r^2 and 2r, the last iterate within
+    tol and 2r/(1-c r), and a pinned quotient kept to rounding.  The first
+    step is read off the trace; ``first_step()`` measures it for an input
+    already within tolerance, which the corrector leaves alone."""
+    r = result.trace[0][1]
+    step, step_distance = result.trace[1][1:] if result.iterations else first_step()
+    final, final_distance = result.trace[-1][1:]
+    measured = {"r": r, f"one_step_{word}": step, "one_step_distance": step_distance,
+                f"final_{word}": final, "final_distance": final_distance,
+                "iterations": result.iterations}
+    checks = [(f"one_step_{word}", step, c * r ** 2, 1e-10),
+              ("one_step_distance", step_distance, 2 * r, 1e-10),
+              (f"final_{word}", final, tol, 0.0),
+              ("final_distance", final_distance,
+               2 * r / (1 - c * r) if r < 1 / c else float("inf"), 1e-9)]
+    if result.quotient_drift is not None:
+        measured["quotient_drift"] = result.quotient_drift
+        checks.append(("quotient_drift", result.quotient_drift, 1e-12, 0.0))
+    return measured, checks
+
+
+@_trial_runner
+def run_rep_trial(s: Scenario, rng):
+    group = group_of(s.group)
     if s.tower:
         dim = s.dimension
         tower = _two_block_tower(group, [np.eye(dim)] * group.order)
@@ -402,45 +482,21 @@ def run_rep_trial(s: Scenario, trial: int) -> TrialReport:
         vals = perturb_rep_values(vals, s.magnitude, rng)
         quotient = None
     rep = ApproxRep(group, vals, unitary=True, unital=True)
-    r = rep.defect()
-    bounds = {"one_step_defect": 17 * r ** 2, "one_step_distance": 2 * r,
-              "final_distance": 2 * r / (1 - 17 * r) if r < 1 / 17 else float("inf"),
-              "final_defect": s.tolerance}
     result = correct_to_rep(rep, tol=s.tolerance, quotient=quotient)
-    # The first iterate is one_step(rep); only an input already within
-    # tolerance takes that step here.
-    if result.iterations:
-        step_defect, step_distance = result.trace[1][1:]
-    else:
+
+    def first_step():
         stepped = one_step(rep)
-        step_defect, step_distance = stepped.defect(), rep.distance_to(stepped)
-    measured = {"r": r, "one_step_defect": step_defect,
-                "one_step_distance": step_distance,
-                "final_defect": result.rep.defect(),
-                "final_distance": result.trace[-1][2],
-                "iterations": result.iterations}
-    passes = {
-        "one_step_defect": _bound_pass(measured["one_step_defect"],
-                                       bounds["one_step_defect"], 1e-10),
-        "one_step_distance": _bound_pass(measured["one_step_distance"],
-                                         bounds["one_step_distance"], 1e-10),
-        "final_defect": _bound_pass(measured["final_defect"], s.tolerance, 0.0),
-        "final_distance": _bound_pass(measured["final_distance"],
-                                      bounds["final_distance"], 1e-9),
-        "iterations": result.iterations <= 20,
-    }
-    if quotient is not None:
-        measured["quotient_drift"] = result.quotient_drift
-        passes["quotient_drift"] = result.quotient_drift <= 1e-12
-    rows = list(result.trace)
-    return TrialReport(trial, measured, bounds, passes,
-                       time.perf_counter() - start, rows)
+        return stepped.defect(), rep.distance_to(stepped)
+
+    measured, checks = _iterated_checks("defect", 17, result, s.tolerance,
+                                        first_step)
+    checks.append(("iterations", result.iterations, 20, 0))
+    return measured, checks, result.trace
 
 
-def run_cocycle_trial(s: Scenario, trial: int) -> TrialReport:
-    rng = trial_rng(s.seed, trial)
-    group = make_group(s.group["kind"], s.group.get("params"))
-    start = time.perf_counter()
+@_trial_runner
+def run_cocycle_trial(s: Scenario, rng):
+    group = group_of(s.group)
     dim = s.dimension
     action = nontrivial_action_rep(s.group, group, dim, rng)
     if s.tower:
@@ -460,36 +516,14 @@ def run_cocycle_trial(s: Scenario, trial: int) -> TrialReport:
         v0 = v @ expm(s.magnitude * random_skew(rng, dim))
     w = coboundary(algebra, v)
     result = trivialize(w, v0, tol=s.tolerance, quotient=quotient)
-    r = result.trace[0][1]
-    bounds = {"one_step_mismatch": 10 * r ** 2, "one_step_distance": 2 * r,
-              "final_distance": 2 * r / (1 - 10 * r) if r < 0.1 else float("inf"),
-              "final_mismatch": s.tolerance}
-    # The first iterate is one_step_cobound(w, v0); only a seed already
-    # within tolerance takes that step here.
-    if result.iterations:
-        step_mismatch, step_distance = result.trace[1][1:]
-    else:
+
+    def first_step():
         z = one_step_cobound(w, v0)
-        step_mismatch, step_distance = w.mismatch(z)[0], operator_norm(z - v0)
-    measured = {"r": r, "one_step_mismatch": step_mismatch,
-                "one_step_distance": step_distance,
-                "final_mismatch": result.mismatch,
-                "final_distance": result.trace[-1][2],
-                "iterations": result.iterations}
-    passes = {
-        "one_step_mismatch": _bound_pass(measured["one_step_mismatch"],
-                                         bounds["one_step_mismatch"], 1e-10),
-        "one_step_distance": _bound_pass(measured["one_step_distance"],
-                                         bounds["one_step_distance"], 1e-10),
-        "final_mismatch": _bound_pass(measured["final_mismatch"], s.tolerance, 0.0),
-        "final_distance": _bound_pass(measured["final_distance"],
-                                      bounds["final_distance"], 1e-9),
-    }
-    if quotient is not None:
-        measured["quotient_drift"] = result.quotient_drift
-        passes["quotient_drift"] = result.quotient_drift <= 1e-12
-    return TrialReport(trial, measured, bounds, passes,
-                       time.perf_counter() - start, list(result.trace))
+        return w.mismatch(z)[0], operator_norm(z - v0)
+
+    measured, checks = _iterated_checks("mismatch", 10, result, s.tolerance,
+                                        first_step)
+    return measured, checks, result.trace
 
 
 def build_lift_scenario(s: Scenario, rng: np.random.Generator):
@@ -501,52 +535,38 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     levels = int(tower_spec.get("levels", 8))
     base = float(tower_spec.get("base", 0.2))
     ratio = float(tower_spec.get("ratio", 0.2))
-    order = int(src.get("order", 3))
+    n = int(src.get("order", 3))
     model = src.get("model", "translation")
-
+    H = cyclic_group(n)
     if model == "translation":
-        d = order
-        G = cyclic_group(d)
-        H = cyclic_group(d)
-        source_action = translation_source_action(d, G, H)
-        stage_dim = d
-        zeta = np.exp(2j * np.pi / d)
-        dstage = np.diag(zeta ** (-np.arange(d)))
-        stage_unitaries = [np.linalg.matrix_power(dstage, a) for a in range(d)]
-        shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
-        stage_rep = np.stack([np.linalg.matrix_power(shift, k) for k in range(d)])
+        G = cyclic_group(n)
+        source_action = translation_source_action(n, G, H)
+        dstage = np.diag(np.exp(2j * np.pi / n) ** (-np.arange(n)))
+        stage_unitaries = [np.linalg.matrix_power(dstage, a) for a in range(n)]
     elif model == "inversion":
-        m = order
         G = cyclic_group(2)
-        H = cyclic_group(m)
-        perm = np.stack([np.arange(m), (-np.arange(m)) % m]).astype(np.intp)
-        scalar = np.ones((2, m), dtype=complex)
-        source_action = SourceAction(group=G, source=H, perm=perm, scalar=scalar)
-        stage_dim = m
-        flip = np.zeros((m, m), dtype=complex)
-        for y in range(m):
-            flip[(-y) % m, y] = 1.0
-        stage_unitaries = [np.eye(m, dtype=complex), flip]
-        shift = np.roll(np.eye(m), 1, axis=0).astype(complex)
-        stage_rep = np.stack([np.linalg.matrix_power(shift, k) for k in range(m)])
+        perm = np.stack([np.arange(n), (-np.arange(n)) % n]).astype(np.intp)
+        source_action = SourceAction(group=G, source=H, perm=perm,
+                                     scalar=np.ones((2, n), dtype=complex))
+        # The flip sends e_y to e_(-y).
+        flip = np.eye(n, dtype=complex)[:, perm[1]]
+        stage_unitaries = [np.eye(n, dtype=complex), flip]
     else:
         raise ScenarioError(f"unknown lift source model {model!r}")
+    shift = np.roll(np.eye(n), 1, axis=0).astype(complex)
+    stage_rep = np.stack([np.linalg.matrix_power(shift, k) for k in range(n)])
 
-    blocks = tuple(stage_dim for _ in range(levels))
     perms = np.tile(np.arange(levels, dtype=np.intp), (G.order, 1))
-    unitaries = tuple(tuple(stage_unitaries[g] for _ in range(levels))
-                      for g in range(G.order))
-    algebra = GAlgebra(blocks=blocks, group=G, perms=perms, unitaries=unitaries)
+    unitaries = tuple((stage_unitaries[g],) * levels for g in range(G.order))
+    algebra = GAlgebra(blocks=(n,) * levels, group=G, perms=perms, unitaries=unitaries)
     ideals = tuple(frozenset(range(j)) for j in range(levels))
     tower = Tower(algebra=algebra, ideals=ideals)
 
-    eps = [base * ratio ** j for j in range(levels - 1)]
-    seed_vals = np.empty((H.order, levels, stage_dim, stage_dim), dtype=complex)
+    seed_vals = np.empty((H.order, levels, n, n), dtype=complex)
     for j in range(levels):
-        if j < levels - 1:
-            q = expm(eps[j] * random_skew(rng, stage_dim))
-        else:
-            q = np.eye(stage_dim)
+        # Stage j is conjugated by an angle base * ratio^j; the top is exact.
+        top = j == levels - 1
+        q = np.eye(n) if top else expm(base * ratio ** j * random_skew(rng, n))
         seed_vals[:, j] = q @ stage_rep @ q.conj().T
     seed = GHom(source=H, values=Blocks((seed_vals,)), level=0)
     phi = GHom(source=H, values=tower.project_to_top(0, seed.values),
@@ -554,9 +574,8 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     return tower, phi, source_action, seed
 
 
-def run_lift_trial(s: Scenario, trial: int) -> TrialReport:
-    rng = trial_rng(s.seed, trial)
-    start = time.perf_counter()
+@_trial_runner
+def run_lift_trial(s: Scenario, rng):
     tower, phi, source_action, seed = build_lift_scenario(s, rng)
     result = lift_group_rep(tower, phi, source_action, seed=seed,
                             tol=s.tolerance)
@@ -567,15 +586,11 @@ def run_lift_trial(s: Scenario, trial: int) -> TrialReport:
         "projection": result.projection_residual,
         "iterations": result.correction.iterations,
     }
-    passes = {
-        "rep_defect": measured["rep_defect"] <= 1e-11,
-        "equivariance": measured["equivariance"] <= 1e-11,
-        "projection": measured["projection"] <= 1e-11,
-        "finite_level": result.level < tower.top,
-    }
-    rows = list(result.correction.trace)
-    return TrialReport(trial, measured, {"defect": 1e-11}, passes,
-                       time.perf_counter() - start, rows)
+    checks = [(name, measured[name], 1e-11, 0.0)
+              for name in ("rep_defect", "equivariance", "projection")]
+    # The lift is found below the top, whose stage is exact by construction.
+    checks.append(("finite_level", result.level, tower.top - 1, 0))
+    return measured, checks, result.correction.trace
 
 
 def build_rokhlin_scenario(d: int, block: int, magnitude: float,
@@ -605,11 +620,14 @@ def build_rokhlin_scenario(d: int, block: int, magnitude: float,
     return algebra, exact, seeds
 
 
-def run_rokhlin_trial(s: Scenario, trial: int) -> TrialReport:
-    rng = trial_rng(s.seed, trial)
+def _residual_checks(result, names):
+    return [(f"residual_{k}", result.residuals[k], 1e-12, 0.0) for k in names]
+
+
+@_trial_runner
+def run_rokhlin_trial(s: Scenario, rng):
     d = int(s.group.get("params", 2))
     block = max(1, s.dimension // d)
-    start = time.perf_counter()
     algebra, exact, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng)
     result = stabilize_partition(algebra, seeds)
     measured = {
@@ -617,18 +635,15 @@ def run_rokhlin_trial(s: Scenario, trial: int) -> TrialReport:
         "displacement": result.displacement,
         **{f"residual_{k}": v for k, v in result.residuals.items()},
     }
-    passes = {f"residual_{k}": v <= 1e-12 for k, v in result.residuals.items()}
     rows = [(0, max(result.residuals.values()), result.displacement)]
-    return TrialReport(trial, measured, {"residuals": 1e-12}, passes,
-                       time.perf_counter() - start, rows)
+    return measured, _residual_checks(result, result.residuals), rows
 
 
-def run_tracial_trial(s: Scenario, trial: int) -> TrialReport:
-    rng = trial_rng(s.seed, trial)
+@_trial_runner
+def run_tracial_trial(s: Scenario, rng):
     d = int(s.group.get("params", 2))
     block = max(1, (s.dimension - s.corner_corank) // d)
     corank = int(s.corner_corank)
-    start = time.perf_counter()
     algebra, _, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng, corank)
     n = algebra.dim
     y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -641,22 +656,19 @@ def run_tracial_trial(s: Scenario, trial: int) -> TrialReport:
         "complement_rank": result.complement_rank,
         **{f"residual_{k}": v for k, v in result.residuals.items()},
     }
-    checked = ("projection", "self_adjoint", "orthogonality", "equivariance",
-               "unit_sum")
-    passes = {f"residual_{k}": result.residuals[k] <= 1e-12 for k in checked}
+    checks = _residual_checks(result, ("projection", "self_adjoint", "orthogonality",
+                                       "equivariance", "unit_sum"))
     rows = [(0, max(result.residuals.values()), result.displacement)]
-    return TrialReport(trial, measured, {"residuals": 1e-12}, passes,
-                       time.perf_counter() - start, rows)
+    return measured, checks, rows
 
 
-def run_graded_trial(s: Scenario, trial: int) -> TrialReport:
-    rng = trial_rng(s.seed, trial)
-    group = make_group(s.group["kind"], s.group.get("params"))
-    start = time.perf_counter()
+@_trial_runner
+def run_graded_trial(s: Scenario, rng):
+    group = group_of(s.group)
     if s.graded_data is not None:
         algebra, values = _graded_input(s.graded_data, group)
     else:
-        algebra, exact = regular_graded_model(group)
+        algebra, exact = group_of(s.group, graded=True)
         values = perturb_rep_values(exact, s.magnitude, rng,
                                     skip_identity=group.identity)
     result = graded_correct(algebra, values, tol=s.tolerance)
@@ -667,31 +679,24 @@ def run_graded_trial(s: Scenario, trial: int) -> TrialReport:
         "iterations": result.iterations,
     }
     cap = 2 * (6 * EPS0) / (1 - 17 * 6 * EPS0)
-    passes = {
-        "final_defect": measured["final_defect"] <= s.tolerance,
-        "component_residual": measured["component_residual"] <= 1e-12,
-        "distance": measured["distance"] <= cap + 1e-10,
-    }
-    return TrialReport(trial, measured, {"distance": cap}, passes,
-                       time.perf_counter() - start, list(result.trace))
+    checks = [("final_defect", measured["final_defect"], s.tolerance, 0.0),
+              ("component_residual", measured["component_residual"], 1e-12, 0.0),
+              ("distance", measured["distance"], cap, 1e-10)]
+    return measured, checks, result.trace
 
 
-def run_integral_estimate_trial(s: Scenario, trial: int) -> TrialReport:
-    rng = trial_rng(s.seed, trial)
-    group = make_group(s.group["kind"], s.group.get("params"))
-    start = time.perf_counter()
+@_trial_runner
+def run_integral_estimate_trial(s: Scenario, rng):
+    group = group_of(s.group)
     n = s.dimension
     theta = 2 * np.arcsin(min(s.magnitude, 1.0) / 2)
     values = np.stack([expm(theta * random_skew(rng, n))
                        for _ in range(group.order)])
     lhs, bound, r, avg_norm = verify_integral_estimate(group, values)
     measured = {"r": r, "lhs": lhs, "avg_norm": avg_norm}
-    passes = {
-        "integral_estimate": _bound_pass(lhs, bound, 1e-10),
-        "avg_contractive": avg_norm <= 1 + 1e-12,
-    }
-    return TrialReport(trial, measured, {"integral_estimate": bound}, passes,
-                       time.perf_counter() - start, [(0, lhs, 0.0)])
+    checks = [("integral_estimate", lhs, bound, 1e-10),
+              ("avg_contractive", avg_norm, 1.0, 1e-12)]
+    return measured, checks, [(0, lhs, 0.0)]
 
 
 TRIAL_RUNNERS: Dict[str, Callable[[Scenario, int], TrialReport]] = {
@@ -721,17 +726,17 @@ def _check_scenario(s: Scenario):
     recorded as a failed trial instead of rejecting the scenario."""
     if s.kind == "lift":            # its groups come from the source model
         return
-    kind, params = s.group["kind"], s.group.get("params")
+    spec = s.group
     if s.kind in ("rokhlin", "tracial"):
-        if kind != "cyclic":
+        if spec["kind"] != "cyclic":
             raise ScenarioError(f"/group/kind: {s.kind} scenarios require a "
-                                f"cyclic group, got {kind!r}")
-        params = s.group.get("params", 2)
+                                f"cyclic group, got {spec['kind']!r}")
+        spec = {"params": 2, **spec}
     try:
-        group = make_group(kind, params)
+        group = group_of(spec)
     except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise ScenarioError(f"/group/params: {params!r} does not build a "
-                            f"{kind} group ({exc})") from None
+        raise ScenarioError(f"/group/params: {spec.get('params')!r} does not "
+                            f"build a {spec['kind']} group ({exc})") from None
     if s.kind == "graded" and not group.is_abelian():
         raise ScenarioError(f"/group: graded scenarios require an abelian "
                             f"group, got {group.name}")
@@ -763,13 +768,10 @@ def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
         except (ValueError, RuntimeError) as exc:
             # Precondition or convergence failures are certification
             # failures, not crashes: record and keep running.
-            rep = TrialReport(trial, {"error": str(exc)}, {},
-                              {"completed": False}, 0.0, [])
+            rep = TrialReport(trial, {"error": str(exc)}, [], 0.0, [],
+                              error=str(exc))
         reports.append(rep)
-        for name, ok in rep.passes.items():
-            if not ok:
-                failures.append(f"trial {trial}: bound {name} violated "
-                                f"(measured {rep.measured.get(name, rep.measured)})")
+        failures.extend(rep.failures())
     lines = ["trial,iteration,defect,distance"]
     for rep in reports:
         for it, defect, dist in rep.rows:
@@ -791,46 +793,4 @@ def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
 
 
 def _jsonify(d: dict) -> dict:
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, (np.floating, float)):
-            out[k] = float(v)
-        elif isinstance(v, (np.integer, int)):
-            out[k] = int(v)
-        elif v is None or isinstance(v, (str, bool)):
-            out[k] = v
-        else:
-            out[k] = repr(v)
-    return out
-
-
-def suite_scenarios(seed: int = 0, trials: Optional[int] = None) -> List[Scenario]:
-    """The default battery exercising every corrector once."""
-    t = trials
-    return [
-        Scenario(kind="rep", seed=seed, group={"kind": "cyclic", "params": 4},
-                 dimension=4, magnitude=0.01, trials=t or 25),
-        Scenario(kind="rep", seed=seed + 1, group={"kind": "dihedral", "params": 4},
-                 dimension=4, magnitude=0.005, trials=t or 10,
-                 tower={"levels": 2}),
-        Scenario(kind="cocycle", seed=seed + 2,
-                 group={"kind": "cyclic", "params": 3},
-                 dimension=4, magnitude=0.01, trials=t or 25),
-        Scenario(kind="lift", seed=seed + 3, group={"kind": "cyclic", "params": 3},
-                 source={"model": "translation", "order": 3},
-                 tower={"levels": 8, "base": 0.2, "ratio": 0.2}, trials=t or 10),
-        Scenario(kind="rokhlin", seed=seed + 4,
-                 group={"kind": "cyclic", "params": 3},
-                 dimension=6, magnitude=0.02, trials=t or 15),
-        Scenario(kind="tracial", seed=seed + 5,
-                 group={"kind": "cyclic", "params": 2},
-                 dimension=5, magnitude=0.02, trials=t or 10, corner_corank=1),
-        # Magnitude at most 1/816 keeps every value within the 1/408 the
-        # graded corrector requires of its distance to the grading component.
-        Scenario(kind="graded", seed=seed + 6,
-                 group={"kind": "cyclic", "params": 4},
-                 magnitude=0.001, trials=t or 15),
-        Scenario(kind="integral_estimate", seed=seed + 7,
-                 group={"kind": "cyclic", "params": 5},
-                 dimension=4, magnitude=0.3, trials=t or 25),
-    ]
+    return {k: v.item() if isinstance(v, np.generic) else v for k, v in d.items()}

@@ -37,13 +37,22 @@ from equifix.repcorrect import (ITERATE_MAX_DEFECT, ApproxRep, ConvergenceError,
 from equifix import scenarios
 from equifix.scenarios import (Scenario, build_lift_scenario,
                                build_rokhlin_scenario, exact_rep_values,
-                               perturb_rep_values, random_hermitian,
-                               random_skew, random_unitary, trial_rng)
+                               perturb_rep_values, random_skew,
+                               random_unitary, trial_rng)
 
 GROUP_SPECS = [{"kind": "cyclic", "params": 2}, {"kind": "cyclic", "params": 5},
                {"kind": "dihedral", "params": 3}, {"kind": "symmetric", "params": 3}]
 
 seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def random_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (a + a.conj().T) / 2
+    norm = operator_norm(h)
+    return h / norm if norm > 0 else h
+
+
 # None: generic spectrum; a float: three repeated levels, jittered by that much.
 clusters = st.sampled_from([None, 0.0, 1e-9, 1e-4])
 # Distances ||u - 1|| on both sides of the half-plane radius 1/2.

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equifix import scenarios as scenarios_module
-from equifix.cli import SUBCOMMAND_KINDS, main as cli_main
-from equifix.scenarios import (SCENARIO_KINDS, Scenario, ScenarioError,
+from equifix import cli as cli_module, scenarios as scenarios_module
+from equifix.cli import SUBCOMMANDS, main as cli_main
+from equifix.scenarios import (SCENARIO_KINDS, SUITE, Scenario, ScenarioError,
                                run_scenario, suite_scenarios, trial_rng,
                                validate_scenario)
 
@@ -170,15 +171,18 @@ def test_precondition_violation_gives_exit_one(tmp_path):
 
 
 def test_suite_battery_covers_all_kinds():
-    kinds = {s.kind for s in suite_scenarios()}
-    assert kinds == {"rep", "cocycle", "lift", "rokhlin", "tracial", "graded",
-                     "integral_estimate"}
+    entries = suite_scenarios()
+    assert [label for label, _ in entries] == list(SUITE)
+    assert {s.kind for _, s in entries} == set(SCENARIO_KINDS) == {
+        "rep", "cocycle", "lift", "rokhlin", "tracial", "graded",
+        "integral_estimate"}
+    assert [s.seed for _, s in entries] == list(range(len(SUITE)))
 
 
 def test_suite_graded_default_is_inside_the_corrector_domain(tmp_path):
     # At magnitude 0.002 this seed put graded trial 0 at 0.00252606 from
     # its grading component, past the corrector's 1/408 gate.
-    graded = [s for s in suite_scenarios(seed=2740136247) if s.kind == "graded"]
+    graded = [s for _, s in suite_scenarios(seed=2740136247) if s.kind == "graded"]
     assert len(graded) == 1 and graded[0].magnitude <= 1 / 816
     assert run_scenario(graded[0], tmp_path).all_passed
 
@@ -271,6 +275,116 @@ def test_cli_rejects_unrunnable_input_with_exit_two(tmp_path, capsys, fields,
     assert not (tmp_path / "o").exists()
 
 
+
+@pytest.mark.parametrize("argv,message", [
+    (["suite", "--trials", "-1"], "/trials: "),
+    (["suite", "--trials", "0"], "/trials: "),
+    (["suite", "--seed", "-1"], "/seed: "),
+    (["suite", "--tolerance", "-1"], "/tolerance: "),
+    # Entry k of the suite runs at seed + k, so entry 3 (lift) would need 2**64.
+    (["suite", "--seed", str(2 ** 64 - 3)], "suite entry lift: "),
+] + [([sub, "--seed", str(2 ** 64)], f"/seed: {2 ** 64} is greater than the maximum")
+     for sub in [*SUBCOMMANDS, "suite"]])
+def test_overrides_outside_the_schema_exit_two(tmp_path, capsys, argv, message):
+    rc = cli_main([*argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_file_seed_must_fit_the_philox_key(tmp_path):
+    f = tmp_path / "s.json"
+    for seed, code in ((2 ** 64, 2), (2 ** 64 - 1, 0)):
+        f.write_text(json.dumps({"kind": "rep", "seed": seed, "trials": 1}))
+        assert cli_main(["stabilize", "--scenario", str(f),
+                         "--out", str(tmp_path / "o")]) == code
+
+
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"],
+                         ids=["missing", "not-json", "not-utf8"])
+def test_unreadable_scenario_file_exits_two(tmp_path, capsys, content):
+    f = tmp_path / "s.json"
+    if isinstance(content, str):
+        f.write_text(content)
+    elif content is not None:
+        f.write_bytes(content)
+    rc = cli_main(["stabilize", "--scenario", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(f) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_failure_lines_name_the_failed_check(tmp_path, monkeypatch):
+    real = scenarios_module.lift_group_rep
+
+    def at_the_top(tower, *args, **kwargs):
+        return dataclasses.replace(real(tower, *args, **kwargs), level=tower.top)
+
+    monkeypatch.setattr(scenarios_module, "lift_group_rep", at_the_top)
+    report = run_scenario(Scenario.from_dict(SUITE["lift"][1], seed=0, trials=1),
+                          tmp_path / "lift")
+    assert report.failures == [
+        "trial 0: bound finite_level violated (measured 7 > bound 6)"]
+    # A trial that raised gives its error message.
+    s = Scenario(kind="graded", seed=0, group={"kind": "cyclic", "params": 3},
+                 magnitude=0.05, trials=1)
+    report = run_scenario(s, tmp_path / "graded")
+    error = report.trials[0].measured["error"]
+    assert "grading component" in error
+    assert report.failures == [f"trial 0: did not complete: {error}"]
+
+
+def test_group_and_graded_model_are_built_once_per_spec(tmp_path, monkeypatch):
+    calls = []
+    for name in ("make_group", "regular_graded_model"):
+        real = getattr(scenarios_module, name)
+        monkeypatch.setattr(scenarios_module, name,
+                            lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    scenarios_module._built.cache_clear()
+    s = Scenario(kind="graded", seed=0, group={"kind": "cyclic", "params": 4},
+                 magnitude=0.001, trials=3)
+    assert run_scenario(s, tmp_path).all_passed
+    assert calls == ["make_group", "regular_graded_model"]
+
+
+@pytest.mark.parametrize("label", list(SUITE))
+def test_report_bounds_name_every_check(tmp_path, label):
+    run_scenario(Scenario.from_dict(SUITE[label][1], seed=0, trials=2), tmp_path)
+    trials = json.loads((tmp_path / "report.json").read_text())["trials"]
+    assert trials
+    for t in trials:
+        assert t["bounds"] and set(t["bounds"]) == set(t["passes"])
+
+
+def scenario_of(out_dir):
+    return json.loads((out_dir / "report.json").read_text())["scenario"]
+
+
+def test_subcommand_defaults_are_the_suite_entries(tmp_path, monkeypatch):
+    # The suite calls the module-level run_scenario once per entry, in order.
+    dirs = []
+    real = cli_module.run_scenario
+    monkeypatch.setattr(cli_module, "run_scenario",
+                        lambda s, out: dirs.append(out) or real(s, out))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["suite", "--trials", "3", "--out", str(tmp_path / "suite")]) == 0
+        assert dirs == [tmp_path / "suite" / label for label in SUITE]
+        for k, (label, (sub, _)) in enumerate(SUITE.items()):
+            if sub is None:
+                continue
+            assert cli_main([sub, "--seed", str(k), "--trials", "3",
+                             "--out", str(tmp_path / sub)]) == 0
+            got, want = tmp_path / sub, tmp_path / "suite" / label
+            assert (got / "trace.csv").read_bytes() == \
+                (want / "trace.csv").read_bytes(), sub
+            assert scenario_of(got) == scenario_of(want), sub
+
+
 EDGE_CASES = {
     "rep-trivial-group": {"kind": "rep", "group": {"kind": "cyclic", "params": 1}},
     "rokhlin-trivial-group": {"kind": "rokhlin",
@@ -324,7 +438,7 @@ def test_partition_average_memory_is_linear_in_the_order(tmp_path, kind):
 
 # --- scenario fuzzing ---------------------------------------------------------
 
-SUBCOMMAND_OF = {kind: sub for sub, kind in SUBCOMMAND_KINDS.items()}
+SUBCOMMAND_OF = {SUITE[label][1]["kind"]: sub for sub, label in SUBCOMMANDS.items()}
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                  st.integers(-3, 3), st.lists(st.integers(0, 2), max_size=2))
 
@@ -395,8 +509,7 @@ FIELDS = {
 def scenario_files(draw):
     """A scenario dict, each optional field present or not and now and then
     malformed (plus, rarely, an unknown field), and the subcommand to run it
-    with: its own, or now and then another.  ``tracial`` has no subcommand,
-    so its dicts also run through ``run_scenario`` directly."""
+    with: its own, or now and then another."""
     data = {"kind": draw(mostly(st.sampled_from(SCENARIO_KINDS))),
             "seed": draw(mostly(st.integers(0, 2 ** 32), st.integers(-3, -1))),
             "trials": draw(mostly(st.just(1), st.integers(-1, 0)))}
@@ -407,7 +520,7 @@ def scenario_files(draw):
         data["bogus"] = 1
     own = SUBCOMMAND_OF.get(data["kind"]) if isinstance(data["kind"], str) else None
     if own is None or draw(mostly(st.just(False), st.just(True))):
-        own = draw(st.sampled_from(sorted(SUBCOMMAND_KINDS)))
+        own = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     return data, own
 
 
@@ -422,8 +535,3 @@ def test_fuzzed_scenarios_exit_0_1_or_2(case):
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli_main([subcommand, "--scenario", str(f),
                              "--out", str(Path(tmp) / "o")]) in (0, 1, 2)
-        if data["kind"] == "tracial":
-            try:
-                run_scenario(Scenario.from_dict(data), Path(tmp) / "t")
-            except ScenarioError:
-                pass
