@@ -10,23 +10,40 @@ its largest block norm.
 
 The exponential of a skew-Hermitian x is a function of the Hermitian
 matrix -i x, so one batched ``eigh`` computes it for a whole stack.  The
-logarithm of a unitary u takes the same route on the half-plane: when
-||u - 1|| <= 1/2, every eigenvalue argument satisfies
-|theta| <= 2 arcsin(1/4) < pi/2, where sin is injective, so
+logarithm of a unitary u within HALF_PLANE_RADIUS = 1/2 of 1 is an odd
+power series, with no eigensystem.  On that disc every eigenvalue argument
+satisfies |theta| <= 2 arcsin(1/4) < pi/2, where sin is injective, so the
+Hermitian h = (u - u*) / 2i, whose eigenvalues are sin(theta), gives
 
-    log u = i arcsin((u - u*) / 2i)
+    log u = i arcsin(h) = i h p(h^2),   p(y) = sum_k c_k y^k,
+    c_k = C(2k, k) / (4^k (2k + 1)),
 
-is again a function of a Hermitian matrix, with no eigenvalue clustering
-to resolve.  The correctors only take logs inside that disc: the one-step
-correctors log rho(k)* rho(kg) rho(g)* and its cocycle analogue, which are
-within the measured defect r <= 1/5 of 1, and the averaging estimate
-requires ||u - 1|| <= 1/2.  Any other unitary, and every spectral
-rounding, goes through :func:`normal_eigensystem`: one complex Schur form,
-whose triangular factor is diagonal (to a relative residual gate) exactly
-when the input is normal, so its unitary factor is an orthonormal
-eigenbasis however the eigenvalues cluster.  Both routes keep the
-algebraic identities of the calculus (conjugation covariance, phase
-equivariance of rounding) true to rounding error.
+with ||h||^2 <= sin^2(2 arcsin(1/4)) = 15/64 (ARCSIN_CAP).  The kernel
+takes a = i h = (u - u*) / 2 and log u = a q(a^2), q(z) = p(-z), so that
+no complex scalar enters.  Each slice takes its own degree K from a bound
+rho^2 >= ||h||^2 = ||h^2||: its ||h^2||_F times the Frobenius screen's
+rounding margin.  The c_k decrease, so the terms past K weigh at most
+rho c_{K+1} rho^(2K+2) / (1 - rho^2); K is the least degree with
+c_{K+1} rho^(2K+2) / (1 - rho^2) <= 2^-53, which keeps the remainder
+under the rounding of ||log u||.  A bound over the cap counts as the cap,
+whose degree is K = 21: its remainder factor, 4.8e-17, leaves room for
+the rounding of the radius test and a unitarity defect of 1e-10.  One
+Paterson-Stockmeyer evaluation (SIAM J. Comput. 2, 1973) in the powers
+z, z^2, z^3 takes a stack to its largest K, in at most 9 products, with
+each slice's coefficients above its own K set to zero.  The terms so
+added are exact zeros and come after the slice's own, so a slice's
+result (its zeros made +0) does not depend on the rest of its stack.
+
+The correctors only take logs inside that disc: the one-step correctors
+log rho(k)* rho(kg) rho(g)* and its cocycle analogue, which are within
+the measured defect r <= 1/5 of 1, and the averaging estimate requires
+||u - 1|| <= 1/2.  Any other unitary, and every spectral rounding, goes
+through :func:`normal_eigensystem`: one complex Schur form, whose
+triangular factor is diagonal (to a relative residual gate) exactly when
+the input is normal, so its unitary factor is an orthonormal eigenbasis
+however the eigenvalues cluster.  Both routes keep the algebraic
+identities of the calculus (conjugation covariance, phase equivariance
+of rounding) true to rounding error.
 
 Every maximum of norms and every norm gate goes through one screened
 kernel, :func:`largest_norm`.  A slice's Frobenius norm F bounds its
@@ -60,8 +77,38 @@ import scipy.linalg
 EPS0 = 1.0 / (6 * 34)
 UNITARIZE_EPS = EPS0 / 2
 
-# Logs of unitaries within this distance of 1 take the half-plane route.
+# Logs of unitaries within this distance of 1 take the half-plane series.
 HALF_PLANE_RADIUS = 0.5
+# ||h||^2 = sin^2(2 arcsin(1/4)) on the rim of that disc (module docstring).
+ARCSIN_CAP = 15 / 64
+# Paterson-Stockmeyer block size: the powers z, z^2, z^3 are kept, and the
+# cap's degree takes 9 products.
+_SERIES_STEP = 3
+
+
+def _arcsin_series():
+    """The coefficients (-1)^k c_k, k = 0 .. K, of q(z) = p(-z) (module
+    docstring), and for each degree k < K the largest rho^2 (to 2^-60) at
+    which the remainder bound c_{k+1} rho^(2k+2) / (1 - rho^2) is at most
+    2^-53; K is the first degree whose bound holds at ARCSIN_CAP."""
+    coef, limits = [1.0], []
+    while True:
+        k = len(coef)
+        c = math.comb(2 * k, k) / (4 ** k * (2 * k + 1))
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if c * mid ** k / (1 - mid) <= 2.0 ** -53:
+                lo = mid
+            else:
+                hi = mid
+        if lo >= ARCSIN_CAP:
+            return np.array(coef), np.array(limits)
+        coef.append((-1) ** k * c)
+        limits.append(lo)
+
+
+_SERIES, _RHO2_LIMITS = _arcsin_series()
 
 # Relative margin of the Frobenius screen (module docstring).
 SCREEN_MARGIN = 1e-10
@@ -338,50 +385,99 @@ def polar_unitary(a, min_singular: float = 1e-10) -> np.ndarray:
     return u @ vh
 
 
+def _half_plane_log(s: np.ndarray) -> np.ndarray:
+    """a q(a^2), a = (u - u*) / 2, for a stack (m, n, n) of unitaries within
+    HALF_PLANE_RADIUS of 1: the series of the module docstring, each slice
+    to its own degree, made skew-Hermitian with its zeros made +0."""
+    m, n = s.shape[0], s.shape[-1]
+    a = s - adjoint(s)
+    a *= 0.5
+    z = a @ a
+    del a
+    f2, _, _, scale = _screen(z)
+    degree = np.searchsorted(_RHO2_LIMITS, np.sqrt(f2) * scale)
+    top = int(degree.max(initial=0))
+    coef = np.where(np.arange(top + 1) <= degree[:, None], _SERIES[:top + 1], 0.0)
+    coef = coef[:, :, None, None]
+    powers = [None, z]
+    while len(powers) <= min(top, _SERIES_STEP):
+        powers.append(powers[-1] @ z)
+    # Horner in z^step over the blocks sum_i coef[j + i] z^i, from the top
+    # block down; tmp takes each term, and each product by z^step.
+    p, tmp = np.zeros_like(z), np.empty_like(z)
+    for j in reversed(range(0, top + 1, _SERIES_STEP)):
+        if j + _SERIES_STEP <= top:
+            np.matmul(p, powers[_SERIES_STEP], out=tmp)
+            p, tmp = tmp, p
+        p.reshape(m, n * n)[:, ::n + 1] += coef[:, j, :, 0]
+        for i in range(1, min(_SERIES_STEP, top + 1 - j)):
+            np.multiply(powers[i], coef[:, j + i], out=tmp)
+            p += tmp
+    del powers, z, _
+    np.subtract(s, adjoint(s), out=tmp)
+    tmp *= 0.5
+    x = tmp @ p
+    np.subtract(x, adjoint(x), out=p)
+    p *= 0.5
+    p += 0.0
+    return p
+
+
 def principal_log_unitary(u, unitary_tol: float = 1e-10,
                           branch_gap: float = 1e-8) -> np.ndarray:
     """Principal logarithm of a unitary: the skew-Hermitian X with
     exp(X) = u and eigenvalue arguments in (-pi, pi).  A stack (..., n, n)
-    is taken slice by slice.
+    is taken slice by slice, and Blocks block by block.
 
-    Slices within HALF_PLANE_RADIUS of 1 take the half-plane route through
-    one batched ``eigh``; the others go through :func:`normal_eigensystem`.
-    Rejects inputs whose spectrum comes within ``branch_gap`` (in argument)
-    of the branch cut at -1.
+    Rejects inputs that are not unitary to ``unitary_tol``.  Slices within
+    HALF_PLANE_RADIUS of 1 (the Frobenius screen places most, an SVD the
+    rest) take the series of the module docstring in one evaluation:
+    log u = i h p(h^2), h = (u - u*) / 2i, with p the arcsin series cut at
+    the least degree K whose remainder bound c_{K+1} rho^(2K+2) /
+    (1 - rho^2) is at most 2^-53, for rho^2 = ||h^2||_F (1 + margin) capped
+    at sin^2(2 arcsin(1/4)) = 15/64.  The other slices go through
+    :func:`normal_eigensystem`, and a BranchCutError rejects one whose
+    spectrum comes within ``branch_gap`` (in argument) of the cut at -1.
     """
     if isinstance(u, Blocks):
         return u.map(principal_log_unitary)
     u = _require_square(u)
     n = u.shape[-1]
-    _reject_worst(adjoint(u) @ u - np.eye(n), unitary_tol,
-                  "input is not unitary: ||u*u - 1|| = %.3e")
+    defect = adjoint(u) @ u
+    defect -= np.eye(n)
+    _reject_worst(defect, unitary_tol, "input is not unitary: ||u*u - 1|| = %.3e")
+    del defect
     stack = u.reshape(math.prod(u.shape[:-2]), n, n)
-    args = np.empty(stack.shape[:2])
-    vecs = np.empty_like(stack)
     # Only slices the Frobenius screen cannot place inside the disc take an SVD.
     gap = stack - np.eye(n)
     f2, _, _, scale = _screen(gap)
     near = f2 <= ((HALF_PLANE_RADIUS - _UNDERFLOW) / scale) ** 2
     unsure = np.flatnonzero(~near)
-    near[unsure] = _svd_norms(gap[unsure]) <= HALF_PLANE_RADIUS
+    if unsure.size:
+        near[unsure] = _svd_norms(gap[unsure]) <= HALF_PLANE_RADIUS
+    del gap, _
+    far = np.flatnonzero(~near)
+    if not far.size:
+        return _half_plane_log(stack).reshape(u.shape)
+    args = np.empty((far.size, n))
+    vecs = np.empty((far.size, n, n), dtype=complex)
+    for j, i in enumerate(far):
+        spec = normal_eigensystem(stack[i])
+        args[j] = np.angle(spec.eigenvalues)
+        vecs[j] = spec.eigenvectors
+    j = int(np.argmax(np.abs(args)))
+    gap = np.pi - abs(args.flat[j])
+    if gap <= branch_gap:
+        raise BranchCutError(
+            f"eigenvalue {np.exp(1j * args.flat[j]):.6g} is within {gap:.3e} "
+            f"of the branch cut at -1{_at_slice(far[j // n], u.shape[:-2])}")
+    x = np.empty_like(stack)
     fast = np.flatnonzero(near)
     if fast.size:
-        s = stack[fast]
-        sines, vecs[fast] = np.linalg.eigh(-0.5j * (s - adjoint(s)))
-        args[fast] = np.arcsin(np.clip(sines, -1.0, 1.0))
-    for i in np.flatnonzero(~near):
-        spec = normal_eigensystem(stack[i])
-        args[i] = np.angle(spec.eigenvalues)
-        vecs[i] = spec.eigenvectors
-    if args.size:
-        i = int(np.argmax(np.abs(args)))
-        gap = np.pi - abs(args.flat[i])
-        if gap <= branch_gap:
-            raise BranchCutError(
-                f"eigenvalue {np.exp(1j * args.flat[i]):.6g} is within {gap:.3e} "
-                f"of the branch cut at -1{_at_slice(i // n, u.shape[:-2])}")
-    x = (vecs * (1j * args)[:, None, :]) @ adjoint(vecs)
-    return ((x - adjoint(x)) / 2).reshape(u.shape)
+        x[fast] = _half_plane_log(stack[fast])
+    y = (vecs * (1j * args)[:, None, :]) @ adjoint(vecs)
+    x[far] = (y - adjoint(y)) / 2
+    return x.reshape(u.shape)
 
 
 def exp_skew(x, skew_tol: float = 1e-10) -> np.ndarray:

@@ -124,25 +124,13 @@ def _require_standard_cyclic(group: FiniteGroup):
                          "standard form (element i = generator**i)")
 
 
-def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrection:
-    """Correct an approximately permuted approximate partition of unity over
-    a cyclic group action into an exact one.
-
-    Pipeline: group-average the seeds into an exactly permuted family, encode
-    it as w0 = sum_g zeta^g b_g (zeta = exp(2 pi i / d)), average to the
-    exactly covariant a = (1/d) sum_lambda lambda gamma_lambda(w0), take the
-    polar unitary, round its spectrum onto the d-th roots of unity, and read
-    off the eigenprojections.  The output family consists of exact mutually
-    orthogonal projections summing to one and exactly permuted by the
-    action; each stage validates its own measured precondition.
-    """
+def _round_partition(algebra: GAlgebra, seeds: np.ndarray):
+    """The rounding core of both correctors: the seeds' defects, and the
+    exact partition their averaged family rounds to with its certificate
+    (the stages of ``stabilize_partition``)."""
     G = algebra.group
-    _require_standard_cyclic(G)
     d = G.order
     n = algebra.dim
-    seeds = np.asarray(seeds, dtype=complex)
-    if seeds.shape != (d, n, n):
-        raise ValueError(f"seeds shape {seeds.shape}, expected {(d, n, n)}")
     defects = measure_partition_seeds(algebra, seeds)
     threshold = partition_admissibility_threshold(d)
     certificate = {"seed_defect": defects.overall,
@@ -186,7 +174,29 @@ def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrec
     for g in range(d):
         cols = v[:, ks == g]
         projections[g] = cols @ cols.conj().T
+    return projections, defects, certificate
 
+
+def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrection:
+    """Correct an approximately permuted approximate partition of unity over
+    a cyclic group action into an exact one.
+
+    Pipeline: group-average the seeds into an exactly permuted family, encode
+    it as w0 = sum_g zeta^g b_g (zeta = exp(2 pi i / d)), average to the
+    exactly covariant a = (1/d) sum_lambda lambda gamma_lambda(w0), take the
+    polar unitary, round its spectrum onto the d-th roots of unity, and read
+    off the eigenprojections.  The output family consists of exact mutually
+    orthogonal projections summing to one and exactly permuted by the
+    action; each stage validates its own measured precondition.
+    """
+    G = algebra.group
+    _require_standard_cyclic(G)
+    d = G.order
+    n = algebra.dim
+    seeds = np.asarray(seeds, dtype=complex)
+    if seeds.shape != (d, n, n):
+        raise ValueError(f"seeds shape {seeds.shape}, expected {(d, n, n)}")
+    projections, defects, certificate = _round_partition(algebra, seeds)
     residuals = _residuals(algebra, projections)
     displacement = largest_norm(projections - seeds)[0]
     return PartitionCorrection(projections=projections, displacement=displacement,
@@ -246,14 +256,12 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     corner = matrix_algebra(r, G, corner_unitaries, action_tol=1e-10)
     corner_seeds = np.stack([iso.conj().T @ sym[g] @ iso for g in range(d)])
 
-    inner = stabilize_partition(corner, corner_seeds)
-    projections = np.stack([iso @ inner.projections[g] @ iso.conj().T
-                            for g in range(d)])
+    inner, _, certificate = _round_partition(corner, corner_seeds)
+    projections = iso @ inner @ iso.conj().T
 
     residuals = _residuals(algebra, projections, unit=q)
     exe = operator_norm(q @ witness @ q)
     displacement = largest_norm(projections - seeds)[0]
-    certificate = dict(inner.certificate)
     certificate["corner_rank"] = r
     return TracialPartitionCorrection(
         projections=projections, corner_projection=q,

@@ -21,6 +21,7 @@ import copy
 import functools
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -212,13 +213,33 @@ class ScenarioError(ValueError):
     pass
 
 
-def validate_scenario(data: dict):
+@functools.lru_cache(maxsize=None)
+def _validator():
+    """The schema's validator, with an integer only an int (Draft 2020-12
+    also counts 2.0) and a number only a finite one (Python's JSON reader
+    takes NaN and Infinity)."""
     import jsonschema
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, x: isinstance(x, int) and not isinstance(x, bool),
+        "number": lambda _, x: not isinstance(x, bool) and (
+            isinstance(x, int) or isinstance(x, float) and math.isfinite(x)),
+    })
+    return jsonschema.validators.extend(base, type_checker=checker)(SCENARIO_SCHEMA)
+
+
+def _message(error) -> str:
+    x = error.instance
+    if isinstance(x, float) and not math.isfinite(x):
+        return f"{x!r} is not a finite number"
+    return error.message
+
+
+def validate_scenario(data: dict):
+    errors = sorted(_validator().iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
         raise ScenarioError("scenario schema violations:" + "".join(
-            f"\n/{'/'.join(str(p) for p in e.absolute_path)}: {e.message}"
+            f"\n/{'/'.join(str(p) for p in e.absolute_path)}: {_message(e)}"
             for e in errors))
 
 
@@ -236,22 +257,29 @@ def suite_scenarios(seed: int = 0, **overrides) -> List[Tuple[str, Scenario]]:
 
 
 @functools.lru_cache(maxsize=32)
-def _built(spec: str, graded: bool):
-    """The group a JSON group spec builds or, with ``graded``, that group's
-    regular graded model: each built once per spec, since every trial of a
-    scenario, and its check, asks for the same."""
-    if graded:
-        algebra, exact = regular_graded_model(_built(spec, False))
-        exact.flags.writeable = False       # shared by every trial
-        return algebra, exact
-    spec = json.loads(spec)
-    return make_group(spec["kind"], spec.get("params"))
+def _built(spec: str, graded: bool, data: Optional[str]):
+    """The group a JSON group spec builds or, with ``graded``, a graded model
+    over it: the one the JSON ``data`` describes (``_graded_input``), or
+    else the regular one.  Each is built once per spec and data, since every
+    trial of a scenario, and its check, asks for the same."""
+    if not graded:
+        spec = json.loads(spec)
+        return make_group(spec["kind"], spec.get("params"))
+    group = _built(spec, False, None)
+    if data is None:
+        algebra, values = regular_graded_model(group)
+    else:
+        algebra, values = _graded_input(json.loads(data), group)
+    values.flags.writeable = False          # shared by every trial
+    return algebra, values
 
 
-def group_of(spec: dict, graded: bool = False):
-    """The group of a JSON group spec or, with ``graded``, its regular graded
-    model (algebra, exact values), built once per spec."""
-    return _built(json.dumps(spec, sort_keys=True), graded)
+def group_of(spec: dict, graded: bool = False, data: Optional[dict] = None):
+    """The group of a JSON group spec or, with ``graded``, its graded model
+    (algebra, values): the one ``data`` (a scenario's ``graded_data``)
+    describes, or else the regular one.  Built once per spec and data."""
+    return _built(json.dumps(spec, sort_keys=True), graded,
+                  None if data is None else json.dumps(data, sort_keys=True))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -664,13 +692,10 @@ def run_tracial_trial(s: Scenario, rng):
 
 @_trial_runner
 def run_graded_trial(s: Scenario, rng):
-    group = group_of(s.group)
-    if s.graded_data is not None:
-        algebra, values = _graded_input(s.graded_data, group)
-    else:
-        algebra, exact = group_of(s.group, graded=True)
-        values = perturb_rep_values(exact, s.magnitude, rng,
-                                    skip_identity=group.identity)
+    algebra, values = group_of(s.group, graded=True, data=s.graded_data)
+    if s.graded_data is None:
+        values = perturb_rep_values(values, s.magnitude, rng,
+                                    skip_identity=algebra.group.identity)
     result = graded_correct(algebra, values, tol=s.tolerance)
     measured = {
         "final_defect": result.rep.defect(),
@@ -741,7 +766,7 @@ def _check_scenario(s: Scenario):
         raise ScenarioError(f"/group: graded scenarios require an abelian "
                             f"group, got {group.name}")
     if s.kind == "graded" and s.graded_data is not None:
-        _graded_input(s.graded_data, group)
+        group_of(spec, graded=True, data=s.graded_data)
     # Every action of the trivial group, and every action on C^1, is
     # scalar, so no trial could draw the nontrivial action it needs.
     if s.kind == "cocycle" and group.order == 1:

@@ -1,4 +1,5 @@
-"""A small dense reference for the block-stored G-algebras.
+"""Small references for the property tests: the dense route for the
+block-stored G-algebras, and the ``eigh`` route for the half-plane log.
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -20,6 +21,17 @@ from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
 from equifix.scenarios import (exact_rep_values, make_group,
                                nontrivial_action_rep, random_skew,
                                random_unitary, trial_rng)
+
+
+def eigh_half_plane_log(u):
+    """Principal log of a stack (..., n, n) of unitaries within 1/2 of 1
+    through one batched ``eigh``: there every eigenvalue argument is below
+    2 arcsin(1/4) < pi/2, so log u = i arcsin((u - u*) / 2i) is a function of
+    a Hermitian matrix.  The route the arcsin series replaced."""
+    sines, v = np.linalg.eigh(-0.5j * (u - u.conj().swapaxes(-1, -2)))
+    args = np.arcsin(np.clip(sines, -1.0, 1.0))
+    x = (v * (1j * args)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (x - x.conj().swapaxes(-1, -2)) / 2
 
 
 def offsets(blocks):

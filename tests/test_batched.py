@@ -4,7 +4,8 @@ group-average, partition-defect and unitarization paths, for
 the shared iteration driver, for the one-step figures the trial
 runners read off it, and for the block-fit gate and the fresh copies
 tower projections return.  Each fast path is compared with the route it
-replaced: the per-matrix Schur eigensystem for the log, the per-pair
+replaced: the per-matrix Schur eigensystem and the batched ``eigh``
+half-plane route for the log, the per-pair
 Python loop for the correctors, the defects and the averages, the
 three-operand einsum for the conjugation, each corrector's own loop for
 the driver, an explicit first step for the one-step figures, and a
@@ -21,12 +22,13 @@ from scipy.linalg import expm
 
 from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, Cocycle, coboundary,
                               one_step_cobound, trivialize)
-from dense_reference import dense_act, embed, random_blocks
+from dense_reference import dense_act, eigh_half_plane_log, embed, random_blocks
 from equifix.galgebra import (BlockMismatchError, GHom, Tower,
                               matrix_algebra, max_pair_defect,
                               trivial_action_algebra)
 from equifix.groups import make_group
-from equifix.matfun import (UNITARIZE_EPS, BranchCutError, exp_skew,
+from equifix import matfun
+from equifix.matfun import (UNITARIZE_EPS, Blocks, BranchCutError, exp_skew,
                             normal_eigensystem, operator_norm, polar_unitary,
                             principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
@@ -123,6 +125,50 @@ def test_stacked_log_keeps_leading_axes():
     assert x.shape == u.shape
     assert operator_norm(x[1, 2] - reference_log(u[1, 2])) <= 1e-12
     assert np.max(operator_norm(exp_skew(x) - u)) <= 1e-12
+
+
+# ||u - 1|| from 0 to exactly 1/2: the half-plane series.
+disc_radii = st.lists(st.sampled_from([0.0, 1e-9, 0.5]) | st.floats(0.0, 0.5),
+                      min_size=1, max_size=6)
+
+
+def assert_slices_close(x, want):
+    """Each slice of x within 1e-14 (1 + ||x||) of the reference."""
+    assert np.all(operator_norm(x - want) <= 1e-14 * (1 + operator_norm(x)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(1, 12), st.integers(1, 12), disc_radii, clusters)
+def test_series_log_matches_eigh_and_schur_references(seed, n, m, rs, cluster):
+    rng = np.random.default_rng(seed)
+    u = np.stack([unitary_at_radius(rng, n, r, cluster) for r in rs])
+    w = np.stack([unitary_at_radius(rng, m, r, cluster) for r in rs])
+    xs = []
+    for a in (u, w):
+        x = principal_log_unitary(a)
+        assert_slices_close(x, eigh_half_plane_log(a))
+        assert_slices_close(x, np.stack([reference_log(s) for s in a]))
+        # A slice's bits do not depend on the rest of its stack.
+        for i in range(len(a)):
+            assert np.array_equal(x[i], principal_log_unitary(a[i]))
+        xs.append(x)
+    got = principal_log_unitary(Blocks((u[:, None], w[:, None])))
+    assert np.array_equal(got.parts[0], xs[0][:, None])
+    assert np.array_equal(got.parts[1], xs[1][:, None])
+
+
+def test_only_slices_outside_the_disc_take_the_schur_route(monkeypatch):
+    rng = np.random.default_rng(4)
+    u = np.stack([unitary_at_radius(rng, 4, r, None)
+                  for r in (0.1, 0.9, 0.5 * (1 - 1e-9), 1.5, 0.0)])
+    seen = []
+    real = matfun.normal_eigensystem
+    monkeypatch.setattr(matfun, "normal_eigensystem",
+                        lambda a: seen.append(a) or real(a))
+    x = principal_log_unitary(u)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], u[1]) and np.array_equal(seen[1], u[3])
+    assert_slices_close(x, np.stack([reference_log(s) for s in u]))
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])

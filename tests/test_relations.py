@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equifix import relations
 from equifix.groups import cyclic_group
 from equifix.galgebra import matrix_algebra
 from equifix.matfun import operator_norm
@@ -8,8 +9,8 @@ from equifix.relations import (measure_partition_seeds,
                                partition_admissibility_threshold,
                                stabilize_partition, stabilize_tracial_partition)
 from equifix.repcorrect import DefectTooLargeError
-from equifix.scenarios import (build_rokhlin_scenario, random_unitary,
-                               trial_rng)
+from equifix.scenarios import (SUITE, Scenario, build_rokhlin_scenario,
+                               random_unitary, run_tracial_trial, trial_rng)
 
 
 def swap_action_algebra():
@@ -149,3 +150,15 @@ def test_tracial_rejects_bad_witness():
     algebra, exact, seeds, _ = corner_model(2, 2, 1, 0.02, 8)
     with pytest.raises(ValueError, match="witness"):
         stabilize_tracial_partition(algebra, seeds, 2 * np.eye(5, dtype=complex))
+
+
+def test_tracial_trial_measures_three_families(monkeypatch):
+    # The seeds, the corner seeds and the output; the corner's own output
+    # is not measured, since the tracial corrector reports only the output.
+    calls = []
+    real = relations.measure_partition_seeds
+    monkeypatch.setattr(relations, "measure_partition_seeds",
+                        lambda *args: calls.append(1) or real(*args))
+    report = run_tracial_trial(Scenario.from_dict(SUITE["tracial"][1], seed=0), 0)
+    assert report.all_passed()
+    assert len(calls) == 3

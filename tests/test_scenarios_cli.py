@@ -138,7 +138,7 @@ def test_cli_entry_point_installed(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_graded_data_scenario(tmp_path):
+def test_graded_data_scenario(tmp_path, monkeypatch):
     # explicit graded data through the scenario schema
     from equifix.graded import regular_graded_model
     from equifix.groups import cyclic_group
@@ -146,14 +146,21 @@ def test_graded_data_scenario(tmp_path):
     enc = lambda m: [[[float(x.real), float(x.imag)] for x in row] for row in m]
     scen = {"kind": "graded", "seed": 0,
             "group": {"kind": "cyclic", "params": 2},
-            "trials": 1,
+            "trials": 3,
             "graded_data": {
                 "dual_unitaries": [enc(u) for u in alg.dual_unitaries],
                 "seeds": [enc(v) for v in left]}}
     validate_scenario(scen)
     s = Scenario.from_dict(scen)
+    decoded = []
+    real = scenarios_module._graded_input
+    monkeypatch.setattr(scenarios_module, "_graded_input",
+                        lambda *a: decoded.append(1) or real(*a))
+    scenarios_module._built.cache_clear()
     report = run_scenario(s, tmp_path)
     assert report.all_passed
+    # Decoded and checked once for the scenario check and all three trials.
+    assert len(decoded) == 1
 
 
 def test_precondition_violation_gives_exit_one(tmp_path):
@@ -284,12 +291,58 @@ def test_cli_rejects_unrunnable_input_with_exit_two(tmp_path, capsys, fields,
     # Entry k of the suite runs at seed + k, so entry 3 (lift) would need 2**64.
     (["suite", "--seed", str(2 ** 64 - 3)], "suite entry lift: "),
 ] + [([sub, "--seed", str(2 ** 64)], f"/seed: {2 ** 64} is greater than the maximum")
-     for sub in [*SUBCOMMANDS, "suite"]])
+     for sub in [*SUBCOMMANDS, "suite"]] + [
+    (["suite", "--tolerance", "nan"], "/tolerance: nan is not a finite number"),
+    (["stabilize", "--tolerance", "inf"], "/tolerance: inf is not a finite number"),
+    (["graded", "--tolerance=-inf"], "/tolerance: -inf is not a finite number")])
 def test_overrides_outside_the_schema_exit_two(tmp_path, capsys, argv, message):
     rc = cli_main([*argv, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
     assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def scenario_with(kind, pointer, value):
+    """A minimal scenario of the kind with ``value`` at the JSON pointer."""
+    data = {"kind": kind, "seed": 0, "trials": 1}
+    *path, key = pointer.strip("/").split("/")
+    node = data
+    for part in path:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return data
+
+
+def run_file(tmp_path, capsys, data):
+    """Exit code and stderr of the kind's subcommand on the scenario file."""
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(data))
+    rc = cli_main([SUBCOMMAND_OF[data["kind"]], "--scenario", str(f),
+                   "--out", str(tmp_path / "o")])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,pointer", [
+    ("rep", "/seed"), ("rep", "/trials"), ("rep", "/dimension"),
+    ("rep", "/tower/levels"), ("lift", "/source/order"),
+    ("tracial", "/corner_corank")])
+def test_integer_fields_refuse_integral_floats(tmp_path, capsys, kind, pointer):
+    rc, err = run_file(tmp_path, capsys, scenario_with(kind, pointer, 3.0))
+    assert rc == 2
+    assert f"{pointer}: 3.0 is not of type 'integer'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pointer", ["/tolerance", "/magnitude", "/tower/base",
+                                     "/tower/ratio"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_are_refused(tmp_path, capsys, pointer, value):
+    rc, err = run_file(tmp_path, capsys, scenario_with("rep", pointer, value))
+    assert rc == 2
+    assert f"{pointer}: {value!r} is not a finite number" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -4,7 +4,8 @@ chunked by ``SLAB_ENTRIES`` against one chunk and against the per-pair
 loops, the stacked Fourier projection against its per-character loop, the
 character table and the broadcast character checks against their loops,
 the batched graded gates' messages, and ``SourceAction``'s stacked checks
-against its loop."""
+against its loop; and guards on the memory and the ``eigh`` calls of the
+log that ``one_step`` takes."""
 
 import tracemalloc
 from unittest import mock
@@ -19,7 +20,8 @@ from equifix.graded import (GradedAlgebra, _validate_characters,
                             character_table, graded_correct,
                             regular_graded_model)
 from equifix.groups import cyclic_group, make_group
-from equifix.matfun import Blocks, exp_skew, operator_norm
+from equifix.matfun import (Blocks, adjoint, exp_skew, operator_norm,
+                            principal_log_unitary)
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError, SourceAction,
                                 one_step, translation_source_action)
 from equifix.scenarios import (exact_rep_values, perturb_rep_values,
@@ -164,6 +166,40 @@ def test_one_step_memory_stays_near_the_slab(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 16 * entries
+
+
+def test_log_memory_stays_under_the_eigh_route():
+    # one_step's (g, k) stack on symmetric(4) at dim 32 in one chunk: 576
+    # slices of 32 x 32, 9.4 MB.  The batched eigh route this log replaced
+    # peaked at 6.05 such stacks (57.1 MB); the series keeps z, z^2, z^3
+    # and two work stacks.
+    group, _, values = near_rep(0, {"kind": "symmetric", "params": 4}, 32, 0.01, None)
+    v_adj = adjoint(values)
+    m = v_adj[None] @ values[group.mult.T] @ v_adj[:, None]
+    tracemalloc.start()
+    try:
+        principal_log_unitary(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.05 * m.nbytes
+
+
+def test_one_step_log_takes_no_eigh(monkeypatch, eigh_counter):
+    group, _, values = near_rep(0, {"kind": "symmetric", "params": 3}, 6, 0.01, None)
+    inside = []
+    real = repcorrect.principal_log_unitary
+
+    def log(u):
+        before = len(eigh_counter)
+        x = real(u)
+        inside.append(len(eigh_counter) - before)
+        return x
+
+    monkeypatch.setattr(repcorrect, "principal_log_unitary", log)
+    one_step(ApproxRep(group, values))
+    assert inside == [0]
+    assert eigh_counter == [(6, 6, 6)]        # the exponential's
 
 
 # --- the graded path --------------------------------------------------------------
