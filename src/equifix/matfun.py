@@ -8,42 +8,52 @@ and block-diagonal elements stored block by block (:class:`Blocks`), which
 they take one batched call per block size; the norm of such an element is
 its largest block norm.
 
-The exponential of a skew-Hermitian x is a function of the Hermitian
-matrix -i x, so one batched ``eigh`` computes it for a whole stack.  The
-logarithm of a unitary u within HALF_PLANE_RADIUS = 1/2 of 1 is an odd
-power series, with no eigensystem.  On that disc every eigenvalue argument
-satisfies |theta| <= 2 arcsin(1/4) < pi/2, where sin is injective, so the
-Hermitian h = (u - u*) / 2i, whose eigenvalues are sin(theta), gives
+The log and the exp are truncated power series, evaluated by one
+Paterson-Stockmeyer kernel (SIAM J. Comput. 2, 1973): the powers z and z^2
+are kept, each block of three coefficients is one contraction over them
+(and the Horner product of the blocks above), and Horner runs in z^3.  Each
+slice takes its own degree; one evaluation takes a stack to its largest,
+with a slice's coefficients past its own degree set to zero.  The terms so
+added are exact zeros, so a slice's result (its zeros made +0) does not
+depend on the rest of its stack.
+
+The correctors only take logs within HALF_PLANE_RADIUS = 1/2 of 1: the
+one-step correctors log rho(k)* rho(kg) rho(g)* and its cocycle analogue,
+within the measured defect r <= 1/5 of 1, and the averaging estimate
+requires ||u - 1|| <= 1/2.  The log refuses any other slice.  On that disc
+every eigenvalue argument satisfies |theta| <= 2 arcsin(1/4) < pi/2, where
+sin is injective, so the Hermitian h = (u - u*) / 2i, whose eigenvalues
+are sin(theta), gives
 
     log u = i arcsin(h) = i h p(h^2),   p(y) = sum_k c_k y^k,
     c_k = C(2k, k) / (4^k (2k + 1)),
 
 with ||h||^2 <= sin^2(2 arcsin(1/4)) = 15/64 (ARCSIN_CAP).  The kernel
 takes a = i h = (u - u*) / 2 and log u = a q(a^2), q(z) = p(-z), so that
-no complex scalar enters.  Each slice takes its own degree K from a bound
-rho^2 >= ||h||^2 = ||h^2||: its ||h^2||_F times the Frobenius screen's
-rounding margin.  The c_k decrease, so the terms past K weigh at most
-rho c_{K+1} rho^(2K+2) / (1 - rho^2); K is the least degree with
-c_{K+1} rho^(2K+2) / (1 - rho^2) <= 2^-53, which keeps the remainder
-under the rounding of ||log u||.  A bound over the cap counts as the cap,
-whose degree is K = 21: its remainder factor, 4.8e-17, leaves room for
-the rounding of the radius test and a unitarity defect of 1e-10.  One
-Paterson-Stockmeyer evaluation (SIAM J. Comput. 2, 1973) in the powers
-z, z^2, z^3 takes a stack to its largest K, in at most 9 products, with
-each slice's coefficients above its own K set to zero.  The terms so
-added are exact zeros and come after the slice's own, so a slice's
-result (its zeros made +0) does not depend on the rest of its stack.
+no complex scalar enters.  With rho^2 = ||h^2||_F times the Frobenius
+screen's rounding margin, the terms past degree K weigh at most
+rho c_{K+1} rho^(2K+2) / (1 - rho^2) (the c_k decrease), and each slice
+takes the least K with c_{K+1} rho^(2K+2) / (1 - rho^2) <= 2^-53, under
+the rounding of ||log u||.  A bound over the cap counts as the cap, whose
+degree is K = 21: its remainder factor, 4.8e-17, leaves room for the
+rounding of the radius test and a unitarity defect of 1e-10.
 
-The correctors only take logs inside that disc: the one-step correctors
-log rho(k)* rho(kg) rho(g)* and its cocycle analogue, which are within
-the measured defect r <= 1/5 of 1, and the averaging estimate requires
-||u - 1|| <= 1/2.  Any other unitary, and every spectral rounding, goes
-through :func:`normal_eigensystem`: one complex Schur form, whose
-triangular factor is diagonal (to a relative residual gate) exactly when
-the input is normal, so its unitary factor is an orthonormal eigenbasis
-however the eigenvalues cluster.  Both routes keep the algebraic
-identities of the calculus (conjugation covariance, phase equivariance
-of rounding) true to rounding error.
+The exponential of a skew-Hermitian x is its Taylor series (Higham,
+Functions of Matrices, SIAM 2008, ch. 10; Moler and Van Loan, SIAM Rev.
+45, 2003).  With rho = ||x||_F times the screen's margin, the terms past
+degree K weigh at most rho^(K+1) / (K+1)! e^rho, and each slice takes the
+least K that puts this under 2^-53, the rounding of ||exp x|| = 1.  A
+slice with rho over EXP_CAP = 1 (K = 18) is scaled by the least 2^-s that
+brings it under, and its series squared s times.  A squaring doubles the
+departure from unitarity, so each is followed by one Newton-Schulz step
+f - f (f* f - 1) / 2 (Higham, ch. 8), which takes a departure d to about
+3 d^2 / 4 plus rounding: the result stays unitary to rounding at any norm.
+
+Spectral rounding goes through :func:`normal_eigensystem`: one complex
+Schur form (SciPy's, imported on the first call), whose triangular factor
+is diagonal (to a relative residual gate) exactly when the input is
+normal, so its unitary factor is an orthonormal eigenbasis however the
+eigenvalues cluster.
 
 Every maximum of norms and every norm gate goes through one screened
 kernel, :func:`largest_norm`.  A slice's Frobenius norm F bounds its
@@ -67,7 +77,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Unitarization constants used by the lifting pipelines.  EPS0 is the polar
 # target radius; values are unitarized only when within UNITARIZE_EPS of a
@@ -77,46 +86,52 @@ import scipy.linalg
 EPS0 = 1.0 / (6 * 34)
 UNITARIZE_EPS = EPS0 / 2
 
-# Logs of unitaries within this distance of 1 take the half-plane series.
+# Logs are taken of unitaries within this distance of 1.
 HALF_PLANE_RADIUS = 0.5
 # ||h||^2 = sin^2(2 arcsin(1/4)) on the rim of that disc (module docstring).
 ARCSIN_CAP = 15 / 64
-# Paterson-Stockmeyer block size: the powers z, z^2, z^3 are kept, and the
-# cap's degree takes 9 products.
+# The exp's series takes rho <= EXP_CAP; a larger slice is scaled into it.
+EXP_CAP = 1.0
+# Paterson-Stockmeyer block size: the log's cap degree takes 9 products.
 _SERIES_STEP = 3
 
 
-def _arcsin_series():
-    """The coefficients (-1)^k c_k, k = 0 .. K, of q(z) = p(-z) (module
-    docstring), and for each degree k < K the largest rho^2 (to 2^-60) at
-    which the remainder bound c_{k+1} rho^(2k+2) / (1 - rho^2) is at most
-    2^-53; K is the first degree whose bound holds at ARCSIN_CAP."""
-    coef, limits = [1.0], []
+def _truncation(term, factor, cap):
+    """The coefficient rows of a series and its degree limits.  Row d, block
+    j holds term(k), k = 3j, 3j + 1, 3j + 2 (zero past d), and 1, the weight
+    of the Horner product (``_series``).  Limit k is the largest t (to
+    2^-60 of 2 cap) at which |term(k + 1)| t^(k + 1) factor(t), a bound on
+    the terms past degree k, is at most 2^-53; the last degree K is the
+    first whose bound holds at t = cap."""
+    coef, limits = [term(0)], []
     while True:
-        k = len(coef)
-        c = math.comb(2 * k, k) / (4 ** k * (2 * k + 1))
-        lo, hi = 0.0, 1.0
+        k, lo, hi = len(coef) - 1, 0.0, 2 * cap
+        c = abs(term(k + 1))
         for _ in range(60):
             mid = (lo + hi) / 2
-            if c * mid ** k / (1 - mid) <= 2.0 ** -53:
-                lo = mid
-            else:
-                hi = mid
-        if lo >= ARCSIN_CAP:
-            return np.array(coef), np.array(limits)
-        coef.append((-1) ** k * c)
+            fits = c * mid ** (k + 1) * factor(mid) <= 2.0 ** -53
+            lo, hi = (mid, hi) if fits else (lo, mid)
+        if lo >= cap:
+            break
+        coef.append(term(k + 1))
         limits.append(lo)
+    rows = np.tril(np.tile(coef, (k + 1, 1)))
+    rows = np.pad(rows, ((0, 0), (0, -(k + 1) % _SERIES_STEP)))
+    rows = np.pad(rows.reshape(k + 1, -1, _SERIES_STEP), ((0, 0), (0, 0), (0, 1)),
+                  constant_values=1)
+    return rows.astype(complex), np.array(limits)
 
 
-_SERIES, _RHO2_LIMITS = _arcsin_series()
+# The rows of q(z) = p(-z) and its degree limits in rho^2, and those of the
+# Taylor series of exp and its degree limits in rho (module docstring).
+_ARCSIN, _RHO2_LIMITS = _truncation(
+    lambda k: (-1) ** k * math.comb(2 * k, k) / (4 ** k * (2 * k + 1)),
+    lambda t: 1 / (1 - t), ARCSIN_CAP)
+_EXP, _RHO_LIMITS = _truncation(lambda k: 1 / math.factorial(k), math.exp, EXP_CAP)
 
 # Relative margin of the Frobenius screen (module docstring).
 SCREEN_MARGIN = 1e-10
 _UNDERFLOW = 1e-150
-
-
-class BranchCutError(ValueError):
-    """Spectrum too close to -1 for a principal logarithm."""
 
 
 class MidpointError(ValueError):
@@ -359,6 +374,8 @@ def normal_eigensystem(a, residual_tol: float = 1e-9) -> SpectralData:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    import scipy.linalg
+
     scale = largest_norm(a, 1.0)[0]
     t, z = scipy.linalg.schur(a, output="complex")
     lam = np.diag(t).copy()
@@ -385,113 +402,85 @@ def polar_unitary(a, min_singular: float = 1e-10) -> np.ndarray:
     return u @ vh
 
 
-def _half_plane_log(s: np.ndarray) -> np.ndarray:
-    """a q(a^2), a = (u - u*) / 2, for a stack (m, n, n) of unitaries within
-    HALF_PLANE_RADIUS of 1: the series of the module docstring, each slice
-    to its own degree, made skew-Hermitian with its zeros made +0."""
-    m, n = s.shape[0], s.shape[-1]
-    a = s - adjoint(s)
-    a *= 0.5
-    z = a @ a
-    del a
-    f2, _, _, scale = _screen(z)
-    degree = np.searchsorted(_RHO2_LIMITS, np.sqrt(f2) * scale)
-    top = int(degree.max(initial=0))
-    coef = np.where(np.arange(top + 1) <= degree[:, None], _SERIES[:top + 1], 0.0)
-    coef = coef[:, :, None, None]
-    powers = [None, z]
-    while len(powers) <= min(top, _SERIES_STEP):
-        powers.append(powers[-1] @ z)
-    # Horner in z^step over the blocks sum_i coef[j + i] z^i, from the top
-    # block down; tmp takes each term, and each product by z^step.
-    p, tmp = np.zeros_like(z), np.empty_like(z)
-    for j in reversed(range(0, top + 1, _SERIES_STEP)):
-        if j + _SERIES_STEP <= top:
-            np.matmul(p, powers[_SERIES_STEP], out=tmp)
-            p, tmp = tmp, p
-        p.reshape(m, n * n)[:, ::n + 1] += coef[:, j, :, 0]
-        for i in range(1, min(_SERIES_STEP, top + 1 - j)):
-            np.multiply(powers[i], coef[:, j + i], out=tmp)
-            p += tmp
-    del powers, z, _
-    np.subtract(s, adjoint(s), out=tmp)
-    tmp *= 0.5
-    x = tmp @ p
-    np.subtract(x, adjoint(x), out=p)
-    p *= 0.5
-    p += 0.0
-    return p
+def _series(z: np.ndarray, coef: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """sum_k c_k z^k for each slice of a stack (m, n, n), with c its row of
+    ``coef`` (``_truncation``) at its entry of ``degree``: one
+    Paterson-Stockmeyer evaluation to the largest degree (module
+    docstring).  The result is written over z."""
+    m, n = z.shape[0], z.shape[-1]
+    blocks = -(-(int(degree.max(initial=0)) + 1) // _SERIES_STEP)
+    c = coef[degree, :blocks]
+    # Each slice's kept powers z, z^2 and the Horner product of the blocks
+    # above side by side, so that a block is one contraction.
+    powers = np.zeros((m, _SERIES_STEP, n, n), dtype=complex)
+    powers[:, 0] = z
+    for i in range(1, _SERIES_STEP - 1):
+        np.matmul(powers[:, i - 1], z, out=powers[:, i])
+    step = powers[:, -2] @ z if blocks > 1 else None
+    horner = powers[:, -1]
+    flat, diag = z.reshape(m, 1, n * n), z.reshape(m, n * n)[:, ::n + 1]
+    powers = powers.reshape(m, _SERIES_STEP, n * n)
+    for j in reversed(range(blocks)):
+        if j < blocks - 1:
+            np.matmul(z, step, out=horner)
+        np.matmul(c[:, None, j, 1:], powers, out=flat)
+        diag += c[:, j, :1]
+    return z
 
 
-def principal_log_unitary(u, unitary_tol: float = 1e-10,
-                          branch_gap: float = 1e-8) -> np.ndarray:
-    """Principal logarithm of a unitary: the skew-Hermitian X with
-    exp(X) = u and eigenvalue arguments in (-pi, pi).  A stack (..., n, n)
-    is taken slice by slice, and Blocks block by block.
-
-    Rejects inputs that are not unitary to ``unitary_tol``.  Slices within
-    HALF_PLANE_RADIUS of 1 (the Frobenius screen places most, an SVD the
-    rest) take the series of the module docstring in one evaluation:
-    log u = i h p(h^2), h = (u - u*) / 2i, with p the arcsin series cut at
-    the least degree K whose remainder bound c_{K+1} rho^(2K+2) /
-    (1 - rho^2) is at most 2^-53, for rho^2 = ||h^2||_F (1 + margin) capped
-    at sin^2(2 arcsin(1/4)) = 15/64.  The other slices go through
-    :func:`normal_eigensystem`, and a BranchCutError rejects one whose
-    spectrum comes within ``branch_gap`` (in argument) of the cut at -1.
-    """
+def principal_log_unitary(u, unitary_tol: float = 1e-10) -> np.ndarray:
+    """Principal logarithm of a unitary within HALF_PLANE_RADIUS of 1, whose
+    eigenvalue arguments lie in (-pi/2, pi/2): the arcsin series of the
+    module docstring, slice by slice for a stack (..., n, n) and block by
+    block for Blocks.  Rejects inputs that are not unitary to
+    ``unitary_tol``, and slices with ||u - 1|| over 1/2, naming the worst."""
     if isinstance(u, Blocks):
         return u.map(principal_log_unitary)
     u = _require_square(u)
     n = u.shape[-1]
-    defect = adjoint(u) @ u
-    defect -= np.eye(n)
-    _reject_worst(defect, unitary_tol, "input is not unitary: ||u*u - 1|| = %.3e")
-    del defect
-    stack = u.reshape(math.prod(u.shape[:-2]), n, n)
-    # Only slices the Frobenius screen cannot place inside the disc take an SVD.
-    gap = stack - np.eye(n)
-    f2, _, _, scale = _screen(gap)
-    near = f2 <= ((HALF_PLANE_RADIUS - _UNDERFLOW) / scale) ** 2
-    unsure = np.flatnonzero(~near)
-    if unsure.size:
-        near[unsure] = _svd_norms(gap[unsure]) <= HALF_PLANE_RADIUS
-    del gap, _
-    far = np.flatnonzero(~near)
-    if not far.size:
-        return _half_plane_log(stack).reshape(u.shape)
-    args = np.empty((far.size, n))
-    vecs = np.empty((far.size, n, n), dtype=complex)
-    for j, i in enumerate(far):
-        spec = normal_eigensystem(stack[i])
-        args[j] = np.angle(spec.eigenvalues)
-        vecs[j] = spec.eigenvectors
-    j = int(np.argmax(np.abs(args)))
-    gap = np.pi - abs(args.flat[j])
-    if gap <= branch_gap:
-        raise BranchCutError(
-            f"eigenvalue {np.exp(1j * args.flat[j]):.6g} is within {gap:.3e} "
-            f"of the branch cut at -1{_at_slice(far[j // n], u.shape[:-2])}")
-    x = np.empty_like(stack)
-    fast = np.flatnonzero(near)
-    if fast.size:
-        x[fast] = _half_plane_log(stack[fast])
-    y = (vecs * (1j * args)[:, None, :]) @ adjoint(vecs)
-    x[far] = (y - adjoint(y)) / 2
-    return x.reshape(u.shape)
+    _reject_worst(adjoint(u) @ u - np.eye(n), unitary_tol,
+                  "input is not unitary: ||u*u - 1|| = %.3e")
+    _reject_worst(u - np.eye(n), HALF_PLANE_RADIUS,
+                  "unitary outside the log's disc: ||u - 1|| = %.3e > 1/2")
+    s = u.reshape(math.prod(u.shape[:-2]), n, n)
+    a = (s - adjoint(s)) * 0.5
+    z = a @ a
+    del a
+    f2, _, _, scale = _screen(z)
+    p = _series(z, _ARCSIN, np.searchsorted(_RHO2_LIMITS, np.sqrt(f2) * scale))
+    x = ((s - adjoint(s)) * 0.5) @ p
+    np.subtract(x, adjoint(x), out=p)
+    p *= 0.5
+    p += 0.0
+    return p.reshape(u.shape)
 
 
 def exp_skew(x, skew_tol: float = 1e-10) -> np.ndarray:
-    """Exponential of a skew-Hermitian matrix, or of each slice of a stack;
-    the result is unitary by construction (batched eigendecomposition of
-    the Hermitian matrix -i x)."""
+    """Exponential of a skew-Hermitian matrix, slice by slice for a stack and
+    block by block for Blocks: the Taylor series of the module docstring,
+    scaled and squared over EXP_CAP.  Rejects inputs that are not
+    skew-Hermitian to ``skew_tol``, and a slice whose ||x||_F overflows."""
     if isinstance(x, Blocks):
         return x.map(exp_skew)
     x = _require_square(x)
     _reject_worst(x + adjoint(x), skew_tol,
                   "input is not skew-Hermitian: ||x + x*|| = %.3e")
-    x = (x - adjoint(x)) / 2
-    theta, v = np.linalg.eigh(-1j * x)
-    return (v * np.exp(1j * theta)[..., None, :]) @ adjoint(v)
+    n = x.shape[-1]
+    y = (x - adjoint(x)).reshape(math.prod(x.shape[:-2]), n, n) * 0.5
+    f2, top, _, scale = _screen(y)
+    if not math.isfinite(top):
+        raise ValueError("input too large to exponentiate: ||x||_F overflows"
+                         + _at_slice(int(np.argmax(f2)), x.shape[:-2]))
+    rho = np.sqrt(f2) * scale
+    squarings = np.where(rho > EXP_CAP, np.frexp(rho / EXP_CAP)[1], 0)
+    y *= np.ldexp(1.0, -squarings)[:, None, None]
+    e = _series(y, _EXP, np.searchsorted(_RHO_LIMITS, np.ldexp(rho, -squarings)))
+    for t in range(int(squarings.max(initial=0))):
+        i = np.flatnonzero(squarings > t)
+        f = e[i] @ e[i]
+        e[i] = f - 0.5 * (f @ (adjoint(f) @ f - np.eye(n)))
+    e += 0.0
+    return e.reshape(x.shape)
 
 
 def spectral_round_unitary(w, d: int, unitary_tol: float = 1e-10,

@@ -28,10 +28,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .groups import FiniteGroup, cyclic_group, make_group
-from .matfun import EPS0, Blocks, largest_norm, operator_norm
+from .matfun import EPS0, Blocks, adjoint, exp_skew, largest_norm, operator_norm
 from .galgebra import GAlgebra, GHom, Tower, matrix_algebra
 from .repcorrect import (ApproxRep, SourceAction, correct_to_rep,
                          lift_group_rep, one_step, translation_source_action)
@@ -193,6 +192,12 @@ class Scenario:
         validate_scenario(data)
         known = {f for f in Scenario.__dataclass_fields__}
         return Scenario(**{k: v for k, v in data.items() if k in known})
+
+    @functools.cached_property
+    def graded_model(self):
+        """``group_of(group, graded=True, data=graded_data)``, looked up once
+        per scenario rather than once per trial."""
+        return group_of(self.group, graded=True, data=self.graded_data)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "seed": self.seed, "group": self.group,
@@ -396,16 +401,17 @@ def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
 def perturb_rep_values(values: np.ndarray, magnitude: float,
                        rng: np.random.Generator, skip_identity: int = 0,
                        draw: Optional[int] = None) -> np.ndarray:
-    """Multiply each value by exp(magnitude * K) with K a ``random_skew``;
+    """Multiply each value by exp(magnitude * K) with K a ``random_skew``,
+    drawn in the order of the values and exponentiated in one stacked call;
     with ``draw`` each K is the corner of a draw of that size (see
     ``random_skew``).  The identity slot is left alone so the family stays
     unital."""
     out = np.array(values, dtype=complex)
     n = out.shape[1]
-    for g in range(len(out)):
-        if g != skip_identity:
-            k = random_skew(rng, n) if draw is None else random_skew(rng, draw, n)
-            out[g] = out[g] @ expm(magnitude * k)
+    moved = [g for g in range(len(out)) if g != skip_identity]
+    k = np.array([random_skew(rng, n) if draw is None else random_skew(rng, draw, n)
+                  for _ in moved]).reshape(-1, n, n)
+    out[moved] = out[moved] @ exp_skew(magnitude * k)
     return out
 
 
@@ -535,13 +541,13 @@ def run_cocycle_trial(s: Scenario, rng):
         quotient = lambda a: tower.project_to_top(0, a)
         v = np.stack([random_unitary(rng, dim), random_unitary(rng, dim)])
         v0 = v.copy()
-        v0[0] = v[0] @ expm(s.magnitude * random_skew(rng, 2 * dim, dim))
+        v0[0] = v[0] @ exp_skew(s.magnitude * random_skew(rng, 2 * dim, dim))
         v, v0 = Blocks((v,)), Blocks((v0,))
     else:
         algebra = matrix_algebra(dim, group, list(action))
         quotient = None
         v = random_unitary(rng, dim)
-        v0 = v @ expm(s.magnitude * random_skew(rng, dim))
+        v0 = v @ exp_skew(s.magnitude * random_skew(rng, dim))
     w = coboundary(algebra, v)
     result = trivialize(w, v0, tol=s.tolerance, quotient=quotient)
 
@@ -590,12 +596,12 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     ideals = tuple(frozenset(range(j)) for j in range(levels))
     tower = Tower(algebra=algebra, ideals=ideals)
 
-    seed_vals = np.empty((H.order, levels, n, n), dtype=complex)
-    for j in range(levels):
-        # Stage j is conjugated by an angle base * ratio^j; the top is exact.
-        top = j == levels - 1
-        q = np.eye(n) if top else expm(base * ratio ** j * random_skew(rng, n))
-        seed_vals[:, j] = q @ stage_rep @ q.conj().T
+    # Stage j is conjugated by an angle base * ratio^j; the top is exact.
+    angles = np.zeros((levels, n, n), dtype=complex)
+    for j in range(levels - 1):
+        angles[j] = base * ratio ** j * random_skew(rng, n)
+    q = exp_skew(angles)
+    seed_vals = q @ stage_rep[:, None] @ adjoint(q)
     seed = GHom(source=H, values=Blocks((seed_vals,)), level=0)
     phi = GHom(source=H, values=tower.project_to_top(0, seed.values),
                level=tower.top)
@@ -642,9 +648,8 @@ def build_rokhlin_scenario(d: int, block: int, magnitude: float,
         exact[g, g * block:(g + 1) * block, g * block:(g + 1) * block] = np.eye(block)
     # Conjugating each seed by its own rotation keeps it an exact projection
     # while breaking orthogonality, equivariance and the unit sum.
-    seeds = np.stack([
-        (lambda q: q @ exact[g] @ q.conj().T)(expm(magnitude * random_skew(rng, n)))
-        for g in range(d)])
+    q = exp_skew(magnitude * np.stack([random_skew(rng, n) for _ in range(d)]))
+    seeds = q @ exact @ adjoint(q)
     return algebra, exact, seeds
 
 
@@ -692,7 +697,7 @@ def run_tracial_trial(s: Scenario, rng):
 
 @_trial_runner
 def run_graded_trial(s: Scenario, rng):
-    algebra, values = group_of(s.group, graded=True, data=s.graded_data)
+    algebra, values = s.graded_model
     if s.graded_data is None:
         values = perturb_rep_values(values, s.magnitude, rng,
                                     skip_identity=algebra.group.identity)
@@ -715,8 +720,8 @@ def run_integral_estimate_trial(s: Scenario, rng):
     group = group_of(s.group)
     n = s.dimension
     theta = 2 * np.arcsin(min(s.magnitude, 1.0) / 2)
-    values = np.stack([expm(theta * random_skew(rng, n))
-                       for _ in range(group.order)])
+    values = exp_skew(theta * np.stack([random_skew(rng, n)
+                                        for _ in range(group.order)]))
     lhs, bound, r, avg_norm = verify_integral_estimate(group, values)
     measured = {"r": r, "lhs": lhs, "avg_norm": avg_norm}
     checks = [("integral_estimate", lhs, bound, 1e-10),
@@ -765,8 +770,8 @@ def _check_scenario(s: Scenario):
     if s.kind == "graded" and not group.is_abelian():
         raise ScenarioError(f"/group: graded scenarios require an abelian "
                             f"group, got {group.name}")
-    if s.kind == "graded" and s.graded_data is not None:
-        group_of(spec, graded=True, data=s.graded_data)
+    if s.kind == "graded":
+        s.graded_model                  # builds the model, or checks graded_data
     # Every action of the trivial group, and every action on C^1, is
     # scalar, so no trial could draw the nontrivial action it needs.
     if s.kind == "cocycle" and group.order == 1:

@@ -1,5 +1,6 @@
 """Small references for the property tests: the dense route for the
-block-stored G-algebras, and the ``eigh`` route for the half-plane log.
+block-stored G-algebras, and the ``eigh`` routes for the half-plane log and
+the exponential of skew-Hermitian matrices.
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -32,6 +33,15 @@ def eigh_half_plane_log(u):
     args = np.arcsin(np.clip(sines, -1.0, 1.0))
     x = (v * (1j * args)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (x - x.conj().swapaxes(-1, -2)) / 2
+
+
+def eigh_exp_skew(x):
+    """Exponential of a stack (..., n, n) of skew-Hermitian matrices through
+    one batched ``eigh`` of the Hermitian -i x: unitary by construction.
+    The route the Taylor series replaced."""
+    x = (x - x.conj().swapaxes(-1, -2)) / 2
+    theta, v = np.linalg.eigh(-1j * x)
+    return (v * np.exp(1j * theta)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def offsets(blocks):

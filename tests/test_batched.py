@@ -5,7 +5,8 @@ the shared iteration driver, for the one-step figures the trial
 runners read off it, and for the block-fit gate and the fresh copies
 tower projections return.  Each fast path is compared with the route it
 replaced: the per-matrix Schur eigensystem and the batched ``eigh``
-half-plane route for the log, the per-pair
+half-plane route for the log, the batched ``eigh`` route and SciPy's
+``expm`` for the exp, the per-pair
 Python loop for the correctors, the defects and the averages, the
 three-operand einsum for the conjugation, each corrector's own loop for
 the driver, an explicit first step for the one-step figures, and a
@@ -22,13 +23,13 @@ from scipy.linalg import expm
 
 from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, Cocycle, coboundary,
                               one_step_cobound, trivialize)
-from dense_reference import dense_act, eigh_half_plane_log, embed, random_blocks
+from dense_reference import (dense_act, eigh_exp_skew, eigh_half_plane_log, embed,
+                             random_blocks)
 from equifix.galgebra import (BlockMismatchError, GHom, Tower,
                               matrix_algebra, max_pair_defect,
                               trivial_action_algebra)
 from equifix.groups import make_group
-from equifix import matfun
-from equifix.matfun import (UNITARIZE_EPS, Blocks, BranchCutError, exp_skew,
+from equifix.matfun import (EXP_CAP, UNITARIZE_EPS, Blocks, exp_skew,
                             normal_eigensystem, operator_norm, polar_unitary,
                             principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
@@ -57,9 +58,13 @@ def random_hermitian(rng, n):
 
 # None: generic spectrum; a float: three repeated levels, jittered by that much.
 clusters = st.sampled_from([None, 0.0, 1e-9, 1e-4])
-# Distances ||u - 1|| on both sides of the half-plane radius 1/2.
-radii = st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.9),
-                 min_size=1, max_size=6)
+# The rim of the log's disc, less a margin for the rounding of a drawn
+# unitary's ||u - 1||: the log refuses a slice whose computed distance
+# exceeds 1/2.
+RIM = 0.5 * (1 - 1e-12)
+# ||u - 1|| from 0 to the rim: the half-plane series.
+disc_radii = st.lists(st.sampled_from([0.0, 1e-9, RIM]) | st.floats(0.0, RIM),
+                      min_size=1, max_size=6)
 
 
 def reference_log(u):
@@ -89,47 +94,59 @@ def unitary_at_radius(rng, n, radius, cluster):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seeds, st.integers(1, 6), radii, clusters)
+@given(seeds, st.integers(1, 6), disc_radii, clusters)
 def test_stacked_log_matches_per_slice_routes(seed, n, rs, cluster):
     rng = np.random.default_rng(seed)
     u = np.stack([unitary_at_radius(rng, n, r, cluster) for r in rs])
     x = principal_log_unitary(u)
     assert x.shape == u.shape
     for i in range(len(rs)):
-        assert operator_norm(x[i] - principal_log_unitary(u[i])) <= 1e-12
+        assert np.array_equal(x[i], principal_log_unitary(u[i]))
         assert operator_norm(x[i] - reference_log(u[i])) <= 1e-12
 
 
-@settings(max_examples=60, deadline=None)
-@given(seeds, st.integers(1, 6), st.lists(st.floats(0.0, 3.0), min_size=1,
-                                          max_size=6), clusters)
+def skew_with_norm(rng, n, norm, cluster):
+    """Skew-Hermitian matrix, exactly, with ||x|| = norm (to rounding)."""
+    v = random_unitary(rng, n)
+    x = (v * (1j * spectrum(rng, n, norm, cluster))) @ v.conj().T
+    return (x - x.conj().T) / 2
+
+
+# Norms ||x|| below the exponential's series cap, at it, and above it up to
+# 1e6, where the slice is scaled and squared.
+exp_norms = st.lists(st.sampled_from([0.0, 1e-9, EXP_CAP, 1e6]) |
+                     st.floats(0.0, 2 * EXP_CAP) | st.floats(0.0, 1e6),
+                     min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(1, 6), exp_norms, clusters)
 def test_stacked_exp_matches_per_slice_routes(seed, n, norms, cluster):
     rng = np.random.default_rng(seed)
-    xs = []
-    for t in norms:
-        v = random_unitary(rng, n)
-        xs.append((v * (1j * spectrum(rng, n, t, cluster))) @ v.conj().T)
-    x = np.stack(xs)
+    x = np.stack([skew_with_norm(rng, n, t, cluster) for t in norms])
     u = exp_skew(x)
     assert u.shape == x.shape
+    allowed = 1e-13 * np.maximum(1.0, operator_norm(x))
+    assert np.all(operator_norm(u - eigh_exp_skew(x)) <= allowed)
+    # Unitary to rounding at every norm, also after 20 squarings.
+    assert np.all(operator_norm(u.conj().swapaxes(-1, -2) @ u - np.eye(n)) <= 1e-14)
     for i in range(len(norms)):
-        assert operator_norm(u[i] - exp_skew(x[i])) <= 1e-12
-        assert operator_norm(u[i] - expm(x[i])) <= 1e-12
+        # A slice's bits do not depend on the rest of its stack.
+        assert np.array_equal(u[i], exp_skew(x[i]))
+        assert operator_norm(u[i] - expm(x[i])) <= allowed[i]
+    got = exp_skew(Blocks((x[:, None], x[:, None, :1, :1])))
+    assert np.array_equal(got.parts[0], u[:, None])
+    assert np.array_equal(got.parts[1], exp_skew(x[:, None, :1, :1]))
 
 
 def test_stacked_log_keeps_leading_axes():
     rng = np.random.default_rng(0)
     u = np.stack([unitary_at_radius(rng, 3, r, None)
-                  for r in (0.1, 0.4, 0.9, 1.5, 0.0, 1.2)]).reshape(2, 3, 3, 3)
+                  for r in (0.1, 0.4, 0.2, RIM, 0.0, 0.3)]).reshape(2, 3, 3, 3)
     x = principal_log_unitary(u)
     assert x.shape == u.shape
     assert operator_norm(x[1, 2] - reference_log(u[1, 2])) <= 1e-12
     assert np.max(operator_norm(exp_skew(x) - u)) <= 1e-12
-
-
-# ||u - 1|| from 0 to exactly 1/2: the half-plane series.
-disc_radii = st.lists(st.sampled_from([0.0, 1e-9, 0.5]) | st.floats(0.0, 0.5),
-                      min_size=1, max_size=6)
 
 
 def assert_slices_close(x, want):
@@ -157,34 +174,24 @@ def test_series_log_matches_eigh_and_schur_references(seed, n, m, rs, cluster):
     assert np.array_equal(got.parts[1], xs[1][:, None])
 
 
-def test_only_slices_outside_the_disc_take_the_schur_route(monkeypatch):
-    rng = np.random.default_rng(4)
-    u = np.stack([unitary_at_radius(rng, 4, r, None)
-                  for r in (0.1, 0.9, 0.5 * (1 - 1e-9), 1.5, 0.0)])
-    seen = []
-    real = matfun.normal_eigensystem
-    monkeypatch.setattr(matfun, "normal_eigensystem",
-                        lambda a: seen.append(a) or real(a))
-    x = principal_log_unitary(u)
-    assert len(seen) == 2
-    assert np.array_equal(seen[0], u[1]) and np.array_equal(seen[1], u[3])
-    assert_slices_close(x, np.stack([reference_log(s) for s in u]))
-
-
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
 def test_empty_inputs_keep_their_shape(shape):
     z = np.zeros(shape, dtype=complex)
     assert principal_log_unitary(z).shape == shape
     assert exp_skew(z).shape == shape
+    assert exp_skew(Blocks((z[..., None, :, :],))).parts[0].shape == \
+        shape[:-2] + (1,) + shape[-2:]
 
 
 def test_stack_with_slice_at_minus_one_is_rejected():
     rng = np.random.default_rng(1)
     u = np.stack([unitary_at_radius(rng, 3, 0.1, None),
                   np.diag([-1.0, 1.0, 1.0]).astype(complex),
-                  unitary_at_radius(rng, 3, 0.3, None)])
-    with pytest.raises(BranchCutError, match=r"slice \(1,\)"):
+                  unitary_at_radius(rng, 3, 0.5 * (1 + 1e-9), None)])
+    with pytest.raises(ValueError, match=r"outside the log's disc.*slice \(1,\)"):
         principal_log_unitary(u)
+    with pytest.raises(ValueError, match=r"outside the log's disc.*slice \(2,\)"):
+        principal_log_unitary(u[[0, 2]][[0, 0, 1]])
 
 
 def test_stack_with_nonunitary_slice_is_rejected():
@@ -201,6 +208,36 @@ def test_stack_with_nonskew_slice_is_rejected():
     x[1] += 1e-6 * np.eye(3)
     with pytest.raises(ValueError, match=r"skew.*slice \(1,\)"):
         exp_skew(x)
+
+
+def test_exp_of_a_slice_whose_frobenius_square_overflows_is_rejected():
+    rng = np.random.default_rng(5)
+    x = np.stack([random_skew(rng, 3) for _ in range(3)])
+    x[2] *= 1e300                      # entries finite, ||x||_F^2 not
+    with pytest.raises(ValueError, match=r"overflows at slice \(2,\)"):
+        exp_skew(x)
+
+
+def test_lift_with_an_overflowing_tower_base_fails_every_trial(tmp_path):
+    s = Scenario.from_dict(scenarios.SUITE["lift"][1], seed=0, trials=3,
+                           tower={"levels": 4, "base": 1e300, "ratio": 0.5})
+    report = scenarios.run_scenario(s, tmp_path)
+    assert not report.all_passed
+    assert [t.error for t in report.trials] == [
+        "input too large to exponentiate: ||x||_F overflows at slice (0,)"] * 3
+
+
+@pytest.mark.parametrize("base, ratio, levels", [
+    (1e4, 1e-6, [1, 1, 1]), (1e6, 1e-8, [1, 1, 1]), (1e6, 1e-6, [2, 2, 2])])
+def test_lift_with_a_large_finite_tower_base_passes(tmp_path, base, ratio, levels):
+    """Stage 0 is conjugated by the exponential of a skew of norm about
+    base, taken by scaling and squaring; the trials pass at the levels the
+    eigh exponential gave."""
+    s = Scenario.from_dict(scenarios.SUITE["lift"][1], seed=0, trials=3,
+                           tower={"levels": 4, "base": base, "ratio": ratio})
+    report = scenarios.run_scenario(s, tmp_path)
+    assert report.all_passed
+    assert [t.measured["level"] for t in report.trials] == levels
 
 
 # --- correctors against the per-pair loop -------------------------------------

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equifix.matfun import (EPS0, UNITARIZE_EPS, BranchCutError, MidpointError,
-                            NotNormalError, exp_skew, normal_eigensystem,
-                            operator_norm, polar_unitary, principal_log_unitary,
+from equifix.matfun import (EPS0, UNITARIZE_EPS, MidpointError, NotNormalError,
+                            exp_skew, normal_eigensystem, operator_norm,
+                            polar_unitary, principal_log_unitary,
                             round_to_projection, spectral_round_unitary)
 
 
@@ -116,7 +116,7 @@ def test_log_identity():
 
 
 def test_log_diagonal():
-    thetas = np.array([0.3, -1.2])
+    thetas = np.array([0.3, -0.45])        # ||u - 1|| = 2 sin(0.225) < 1/2
     u = np.diag(np.exp(1j * thetas))
     x = principal_log_unitary(u)
     assert operator_norm(x - np.diag(1j * thetas)) <= 1e-13
@@ -135,9 +135,13 @@ def test_log_linearization_bound():
         assert lhs <= r ** 2 / (2 * (1 - r)) + 1e-12
 
 
-def test_log_branch_cut_rejected():
+def test_log_rejects_unitary_outside_the_disc():
     u = np.diag([np.exp(1j * (np.pi - 1e-9)), 1.0])
-    with pytest.raises(BranchCutError):
+    with pytest.raises(ValueError, match=r"outside the log's disc: \|\|u - 1\|\| = 2\.000e\+00"):
+        principal_log_unitary(u)
+    # Just outside the rim: eigenvalue argument 2 arcsin(1/4) (1 + 1e-9).
+    u = np.diag([np.exp(2j * np.arcsin(0.25) * (1 + 1e-9)), 1.0])
+    with pytest.raises(ValueError, match="outside the log's disc"):
         principal_log_unitary(u)
 
 
@@ -287,7 +291,7 @@ def test_projection_round_band_rejected():
 def test_calculus_conjugation_covariance(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
-    u = exp_skew(rand_skew(rng, n, norm=0.6))
+    u = exp_skew(rand_skew(rng, n, norm=0.45))     # ||u - 1|| < 1/2
     v = rand_unitary(rng, n)
     conj_u = v @ u @ v.conj().T
     assert operator_norm(principal_log_unitary(conj_u) -

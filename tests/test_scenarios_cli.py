@@ -138,20 +138,26 @@ def test_cli_entry_point_installed(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_graded_data_scenario(tmp_path, monkeypatch):
-    # explicit graded data through the scenario schema
+def explicit_graded_scenario(order, trials):
+    """A graded scenario on cyclic(order) with the regular model written out
+    as its ``graded_data``."""
     from equifix.graded import regular_graded_model
     from equifix.groups import cyclic_group
-    alg, left = regular_graded_model(cyclic_group(2))
+    alg, left = regular_graded_model(cyclic_group(order))
     enc = lambda m: [[[float(x.real), float(x.imag)] for x in row] for row in m]
     scen = {"kind": "graded", "seed": 0,
-            "group": {"kind": "cyclic", "params": 2},
-            "trials": 3,
+            "group": {"kind": "cyclic", "params": order},
+            "trials": trials,
             "graded_data": {
                 "dual_unitaries": [enc(u) for u in alg.dual_unitaries],
                 "seeds": [enc(v) for v in left]}}
     validate_scenario(scen)
-    s = Scenario.from_dict(scen)
+    return Scenario.from_dict(scen)
+
+
+def test_graded_data_scenario(tmp_path, monkeypatch):
+    # explicit graded data through the scenario schema
+    s = explicit_graded_scenario(2, 3)
     decoded = []
     real = scenarios_module._graded_input
     monkeypatch.setattr(scenarios_module, "_graded_input",
@@ -403,6 +409,33 @@ def test_group_and_graded_model_are_built_once_per_spec(tmp_path, monkeypatch):
                  magnitude=0.001, trials=3)
     assert run_scenario(s, tmp_path).all_passed
     assert calls == ["make_group", "regular_graded_model"]
+
+
+def test_graded_data_key_is_formed_once_per_scenario(tmp_path, monkeypatch):
+    # The cache key of explicit graded_data is its JSON text, formed once for
+    # the scenario check and all four trials.
+    s = explicit_graded_scenario(4, 4)
+    keyed = []
+    real = json.dumps
+    monkeypatch.setattr(scenarios_module.json, "dumps",
+                        lambda obj, *a, **k: keyed.append(obj is s.graded_data)
+                        or real(obj, *a, **k))
+    assert run_scenario(s, tmp_path).all_passed
+    assert keyed.count(True) == 1
+
+
+def test_cli_scenarios_without_spectral_rounding_never_import_scipy(tmp_path):
+    # SciPy is imported only for spectral rounding (rokhlin, tracial).
+    code = f"""
+import sys
+from equifix.cli import main
+for name in ("stabilize", "cocycle", "lift", "graded", "estimate"):
+    assert main([name, "--trials", "2", "--out", {str(tmp_path)!r} + "/" + name]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("label", list(SUITE))

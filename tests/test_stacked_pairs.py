@@ -185,21 +185,11 @@ def test_log_memory_stays_under_the_eigh_route():
     assert peak <= 6.05 * m.nbytes
 
 
-def test_one_step_log_takes_no_eigh(monkeypatch, eigh_counter):
+def test_one_step_log_takes_no_eigh(eigh_counter):
+    # Neither the log nor the exponential takes an eigensystem.
     group, _, values = near_rep(0, {"kind": "symmetric", "params": 3}, 6, 0.01, None)
-    inside = []
-    real = repcorrect.principal_log_unitary
-
-    def log(u):
-        before = len(eigh_counter)
-        x = real(u)
-        inside.append(len(eigh_counter) - before)
-        return x
-
-    monkeypatch.setattr(repcorrect, "principal_log_unitary", log)
     one_step(ApproxRep(group, values))
-    assert inside == [0]
-    assert eigh_counter == [(6, 6, 6)]        # the exponential's
+    assert eigh_counter == []
 
 
 # --- the graded path --------------------------------------------------------------
