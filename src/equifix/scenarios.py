@@ -261,6 +261,24 @@ def suite_scenarios(seed: int = 0, **overrides) -> List[Tuple[str, Scenario]]:
     return entries
 
 
+# Each cache of models that do not depend on the trial (a group's menu, the
+# pinned rep's tower, the Rokhlin and lift models) keeps its last MODELS.
+MODELS = 8
+_key = functools.partial(json.dumps, sort_keys=True)     # a JSON spec's cache key
+
+
+def _read_only(model):
+    """``model``, with every array it holds (through tuples, lists and
+    object fields) made read-only: a cached model is shared by every
+    trial, so a trial that writes to it raises instead."""
+    if isinstance(model, np.ndarray):
+        model.flags.writeable = False
+    elif isinstance(model, (tuple, list)) or hasattr(model, "__dict__"):
+        for part in vars(model).values() if hasattr(model, "__dict__") else model:
+            _read_only(part)
+    return model
+
+
 @functools.lru_cache(maxsize=32)
 def _built(spec: str, graded: bool, data: Optional[str]):
     """The group a JSON group spec builds or, with ``graded``, a graded model
@@ -275,8 +293,7 @@ def _built(spec: str, graded: bool, data: Optional[str]):
         algebra, values = regular_graded_model(group)
     else:
         algebra, values = _graded_input(json.loads(data), group)
-    values.flags.writeable = False          # shared by every trial
-    return algebra, values
+    return algebra, _read_only(values)          # shared by every trial
 
 
 def group_of(spec: dict, graded: bool = False, data: Optional[dict] = None):
@@ -302,61 +319,63 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_skew(rng: np.random.Generator, n: int,
-                corner: Optional[int] = None) -> np.ndarray:
+def random_skew(rng: np.random.Generator, n: int, corner: Optional[int] = None,
+                count: Optional[int] = None) -> np.ndarray:
     """A random skew-Hermitian n x n matrix of unit norm; with ``corner``
     its leading corner x corner block, normalized again.  The draw is that
     of the n x n matrix either way, so a trial that keeps only the block a
-    quotient kills draws the same numbers as one that keeps it all."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    k = (a - a.conj().T) / 2
-    norm = operator_norm(k)
-    if norm > 0:
-        k = k / norm
-    if corner is not None:
-        k = k[:corner, :corner]
-        norm = operator_norm(k)
-        if norm > 0:
-            k = k / norm
-    return k
+    quotient kills draws the same numbers as one that keeps it all.  With
+    ``count``, a (count, ...) stack of such matrices from one draw, holding
+    the numbers ``count`` separate calls would draw, in their order."""
+    a = rng.standard_normal((1 if count is None else count, 2, n, n))
+    a = a[:, 0] + 1j * a[:, 1]
+    k = (a - adjoint(a)) / 2
+    for size in (n,) if corner is None else (n, corner):
+        k = k[:, :size, :size]
+        norm = operator_norm(k)[:, None, None]
+        k = k / np.where(norm > 0, norm, 1.0)
+    return k[0] if count is None else k
 
 
-def _perm_parity(perm) -> int:
-    return sum(a > b for a, b in itertools.combinations(perm, 2)) & 1
-
-
-def _irrep_menu(kind: str, params) -> List:
-    """List of (dim, fn) homomorphism pieces for the supported group kinds;
-    fn maps an element index to a matrix."""
+@functools.lru_cache(maxsize=MODELS)
+def _menu(spec: str) -> tuple:
+    """The pieces ``exact_rep_values`` sums for a JSON group spec:
+    homomorphisms into U(k), each the read-only (|G|, k, k) stack of its
+    values on the group elements."""
+    spec = json.loads(spec)
+    kind, params = spec["kind"], spec.get("params")
     if kind == "cyclic":
         d = int(params)
-        return [(1, lambda g, a=a: np.array([[np.exp(2j * np.pi * a * g / d)]]))
-                for a in range(d)]
+        return _read_only(tuple(np.exp(1j * (2 * np.pi * np.arange(d)[:, None]
+                                             * np.arange(d) / d))[..., None, None]))
     if kind == "dihedral":
         n = int(params)
-        menu = [(1, lambda g: np.eye(1, dtype=complex)),
-                (1, lambda g: np.array([[(-1.0 + 0j) ** (g // n)]]))]
+        g = np.arange(2 * n)
+        flip = np.where(g // n, -1.0, 1.0)
+        menu = [np.ones((2 * n, 1, 1), dtype=complex), flip[:, None, None] + 0j]
         for k in range(1, n):
-            def two_dim(g, k=k):
-                t = 2 * np.pi * k * (g % n) / n
-                m = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]],
-                             dtype=complex)
-                return m @ np.diag([1, -1]).astype(complex) if g // n else m
-            menu.append((2, two_dim))
-        return menu
+            # The rotation by t, times diag(1, -1) on the reflections.
+            t = 2 * np.pi * k * (g % n) / n
+            c, s = np.cos(t), np.sin(t)
+            menu.append(np.stack([c, -s * flip, s, c * flip], -1).reshape(-1, 2, 2)
+                        .astype(complex))
+        return _read_only(tuple(menu))
     if kind == "symmetric":
         m = int(params)
-        elems = sorted(itertools.permutations(range(m)))
-        return [(1, lambda g: np.eye(1, dtype=complex)),
-                (1, lambda g: np.array([[(-1.0 + 0j) ** _perm_parity(elems[g])]])),
-                # The natural representation: e_j goes to e_p(j).
-                (m, lambda g: np.eye(m, dtype=complex)[:, list(elems[g])])]
+        elems = np.array(sorted(itertools.permutations(range(m))))
+        sign = np.array([(-1.0) ** sum(a > b for a, b in itertools.combinations(p, 2))
+                         for p in elems.tolist()])
+        # The natural representation: e_j goes to e_p(j).
+        return _read_only((np.ones((len(elems), 1, 1), dtype=complex),
+                           sign[:, None, None] + 0j,
+                           np.eye(m, dtype=complex)[:, elems].transpose(1, 0, 2)))
     if kind == "product":
-        spec_a, spec_b = params
-        nb = group_of({"kind": spec_b[0], "params": spec_b[1]}).order
-        return [(da * db, lambda g, fa=fa, fb=fb: np.kron(fa(g // nb), fb(g % nb)))
-                for da, fa in _irrep_menu(spec_a[0], spec_a[1])
-                for db, fb in _irrep_menu(spec_b[0], spec_b[1])]
+        menu_a, menu_b = (_menu(_key({"kind": k, "params": p})) for k, p in params)
+        nb = len(menu_b[0])
+        g = np.arange(len(menu_a[0]) * nb)
+        return _read_only(tuple(
+            (a[g // nb, :, None, :, None] * b[g % nb, None, :, None, :]).reshape(
+                len(g), a.shape[1] * b.shape[1], -1) for a in menu_a for b in menu_b))
     raise ScenarioError(f"no representation menu for group kind {kind!r}")
 
 
@@ -364,21 +383,17 @@ def exact_rep_values(group_spec: dict, group: FiniteGroup, dim: int,
                      rng: np.random.Generator) -> np.ndarray:
     """An exact (to rounding) unitary representation of the group on C^dim:
     a random direct sum of menu pieces conjugated by a random unitary."""
-    menu = _irrep_menu(group_spec["kind"], group_spec.get("params"))
-    chosen = []
-    remaining = dim
-    while remaining > 0:
-        options = [item for item in menu if item[0] <= remaining]
-        idx = int(rng.integers(0, len(options)))
-        chosen.append(options[idx])
-        remaining -= options[idx][0]
-    v = random_unitary(rng, dim)
+    menu = _menu(_key(group_spec))
     full = np.zeros((group.order, dim, dim), dtype=complex)
     at = 0
-    for k, fn in chosen:
-        full[:, at:at + k, at:at + k] = [fn(g) for g in range(group.order)]
+    while at < dim:
+        options = [piece for piece in menu if piece.shape[1] <= dim - at]
+        piece = options[int(rng.integers(0, len(options)))]
+        k = piece.shape[1]
+        full[:, at:at + k, at:at + k] = piece
         at += k
-    return np.stack([v @ f @ v.conj().T for f in full])
+    v = random_unitary(rng, dim)
+    return v @ full @ v.conj().T
 
 
 def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
@@ -401,16 +416,14 @@ def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
 def perturb_rep_values(values: np.ndarray, magnitude: float,
                        rng: np.random.Generator, skip_identity: int = 0,
                        draw: Optional[int] = None) -> np.ndarray:
-    """Multiply each value by exp(magnitude * K) with K a ``random_skew``,
-    drawn in the order of the values and exponentiated in one stacked call;
-    with ``draw`` each K is the corner of a draw of that size (see
-    ``random_skew``).  The identity slot is left alone so the family stays
-    unital."""
+    """Multiply each value by exp(magnitude * K), the Ks drawn by one counted
+    ``random_skew`` call in the order of the values and exponentiated in one
+    stacked call; with ``draw`` each K is the corner of a draw of that size.
+    The identity slot is left alone so the family stays unital."""
     out = np.array(values, dtype=complex)
     n = out.shape[1]
     moved = [g for g in range(len(out)) if g != skip_identity]
-    k = np.array([random_skew(rng, n) if draw is None else random_skew(rng, draw, n)
-                  for _ in moved]).reshape(-1, n, n)
+    k = random_skew(rng, draw or n, None if draw is None else n, count=len(moved))
     out[moved] = out[moved] @ exp_skew(magnitude * k)
     return out
 
@@ -476,6 +489,13 @@ def _two_block_tower(group, unitaries):
     return Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
 
 
+@functools.lru_cache(maxsize=MODELS)
+def _identity_tower(spec: str, dim: int) -> Tower:
+    """The pinned rep scenario's two-block tower under the trivial action."""
+    group = _built(spec, False, None)
+    return _read_only(_two_block_tower(group, [np.eye(dim)] * group.order))
+
+
 def _iterated_checks(word, c, result, tol, first_step):
     """Measured figures and checks of an iterated corrector (the defect or
     mismatch ``word`` with constant ``c``) from an input off by r, the first
@@ -505,7 +525,7 @@ def run_rep_trial(s: Scenario, rng):
     group = group_of(s.group)
     if s.tower:
         dim = s.dimension
-        tower = _two_block_tower(group, [np.eye(dim)] * group.order)
+        tower = _identity_tower(_key(s.group), dim)
         base = exact_rep_values(s.group, group, dim, rng)
         # Only the first block, which the quotient kills, is perturbed.
         vals = Blocks((np.stack([perturb_rep_values(base, s.magnitude, rng,
@@ -560,17 +580,11 @@ def run_cocycle_trial(s: Scenario, rng):
     return measured, checks, result.trace
 
 
-def build_lift_scenario(s: Scenario, rng: np.random.Generator):
-    """A tower of stage algebras, each with a conjugated copy of a known
-    exact covariant representation, with geometrically decaying conjugation
-    angles; the top stage is the exact answer."""
-    src = s.source or {"model": "translation", "order": 3}
-    tower_spec = s.tower or {"levels": 8, "base": 0.2, "ratio": 0.2}
-    levels = int(tower_spec.get("levels", 8))
-    base = float(tower_spec.get("base", 0.2))
-    ratio = float(tower_spec.get("ratio", 0.2))
-    n = int(src.get("order", 3))
-    model = src.get("model", "translation")
+@functools.lru_cache(maxsize=MODELS)
+def _lift_model(model: str, n: int, levels: int):
+    """The lift's tower (``levels`` stages of M_n), source action and stage
+    representation, which depend on the source model, its order and the
+    level count alone."""
     H = cyclic_group(n)
     if model == "translation":
         G = cyclic_group(n)
@@ -594,12 +608,26 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     unitaries = tuple((stage_unitaries[g],) * levels for g in range(G.order))
     algebra = GAlgebra(blocks=(n,) * levels, group=G, perms=perms, unitaries=unitaries)
     ideals = tuple(frozenset(range(j)) for j in range(levels))
-    tower = Tower(algebra=algebra, ideals=ideals)
+    return _read_only((Tower(algebra=algebra, ideals=ideals), source_action, stage_rep))
+
+
+def build_lift_scenario(s: Scenario, rng: np.random.Generator):
+    """A tower of stage algebras, each with a conjugated copy of a known
+    exact covariant representation, with geometrically decaying conjugation
+    angles; the top stage is the exact answer."""
+    src = s.source or {"model": "translation", "order": 3}
+    tower_spec = s.tower or {"levels": 8, "base": 0.2, "ratio": 0.2}
+    levels = int(tower_spec.get("levels", 8))
+    base = float(tower_spec.get("base", 0.2))
+    ratio = float(tower_spec.get("ratio", 0.2))
+    tower, source_action, stage_rep = _lift_model(
+        src.get("model", "translation"), int(src.get("order", 3)), levels)
+    n, H = len(stage_rep), source_action.source
 
     # Stage j is conjugated by an angle base * ratio^j; the top is exact.
+    scales = np.array([base * ratio ** j for j in range(levels - 1)])
     angles = np.zeros((levels, n, n), dtype=complex)
-    for j in range(levels - 1):
-        angles[j] = base * ratio ** j * random_skew(rng, n)
+    angles[:-1] = scales[:, None, None] * random_skew(rng, n, count=levels - 1)
     q = exp_skew(angles)
     seed_vals = q @ stage_rep[:, None] @ adjoint(q)
     seed = GHom(source=H, values=Blocks((seed_vals,)), level=0)
@@ -627,30 +655,31 @@ def run_lift_trial(s: Scenario, rng):
     return measured, checks, result.correction.trace
 
 
+@functools.lru_cache(maxsize=MODELS)
+def _rokhlin_model(d: int, block: int, corank: int):
+    """The Rokhlin G-algebra and exact partition of ``build_rokhlin_scenario``."""
+    G = cyclic_group(d)
+    n = d * block + corank
+    # g sends coordinate c of block j to block j + g and fixes the corank.
+    c, g = np.arange(n), np.arange(d)[:, None]
+    to = np.where(c < d * block, (c // block + g) % d * block + c % block, c)
+    exact = np.zeros((d, n, n), dtype=complex)
+    exact[:, c, c] = c // block == g
+    unitaries = np.eye(n, dtype=complex)[:, to].transpose(1, 0, 2)
+    return _read_only((matrix_algebra(n, G, unitaries), exact))
+
+
 def build_rokhlin_scenario(d: int, block: int, magnitude: float,
                            rng: np.random.Generator, corank: int = 0):
     """Z/d acting on M_n, n = d * block + corank, by cyclically shifting d
     blocks of size ``block`` and fixing the last ``corank`` coordinates;
     the exact partition puts p_g on the g-th block (so it sums to 1 only
     for corank 0), and the seeds are its randomly rotated copies."""
-    G = cyclic_group(d)
-    n = d * block + corank
-    shift = np.kron(np.roll(np.eye(d), 1, axis=0), np.eye(block))
-    unitaries = []
-    for g in range(d):
-        u = np.zeros((n, n), dtype=complex)
-        u[:d * block, :d * block] = np.linalg.matrix_power(shift, g)
-        u[d * block:, d * block:] = np.eye(corank)
-        unitaries.append(u)
-    algebra = matrix_algebra(n, G, unitaries)
-    exact = np.zeros((d, n, n), dtype=complex)
-    for g in range(d):
-        exact[g, g * block:(g + 1) * block, g * block:(g + 1) * block] = np.eye(block)
+    algebra, exact = _rokhlin_model(d, block, corank)
     # Conjugating each seed by its own rotation keeps it an exact projection
     # while breaking orthogonality, equivariance and the unit sum.
-    q = exp_skew(magnitude * np.stack([random_skew(rng, n) for _ in range(d)]))
-    seeds = q @ exact @ adjoint(q)
-    return algebra, exact, seeds
+    q = exp_skew(magnitude * random_skew(rng, algebra.dim, count=d))
+    return algebra, exact, q @ exact @ adjoint(q)
 
 
 def _residual_checks(result, names):
@@ -720,8 +749,7 @@ def run_integral_estimate_trial(s: Scenario, rng):
     group = group_of(s.group)
     n = s.dimension
     theta = 2 * np.arcsin(min(s.magnitude, 1.0) / 2)
-    values = exp_skew(theta * np.stack([random_skew(rng, n)
-                                        for _ in range(group.order)]))
+    values = exp_skew(theta * random_skew(rng, n, count=group.order))
     lhs, bound, r, avg_norm = verify_integral_estimate(group, values)
     measured = {"r": r, "lhs": lhs, "avg_norm": avg_norm}
     checks = [("integral_estimate", lhs, bound, 1e-10),
@@ -798,8 +826,8 @@ def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
         except (ValueError, RuntimeError) as exc:
             # Precondition or convergence failures are certification
             # failures, not crashes: record and keep running.
-            rep = TrialReport(trial, {"error": str(exc)}, [], 0.0, [],
-                              error=str(exc))
+            rep = TrialReport(trial, {"error": str(exc), "error_class":
+                                      type(exc).__name__}, [], 0.0, [], error=str(exc))
         reports.append(rep)
         failures.extend(rep.failures())
     lines = ["trial,iteration,defect,distance"]

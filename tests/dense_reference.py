@@ -1,6 +1,7 @@
 """Small references for the property tests: the dense route for the
-block-stored G-algebras, and the ``eigh`` routes for the half-plane log and
-the exponential of skew-Hermitian matrices.
+block-stored G-algebras, the ``eigh`` routes for the half-plane log and
+the exponential of skew-Hermitian matrices, and the per-element loops the
+stacked scenario builders replaced.
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -9,12 +10,14 @@ storage replaced; the property tests compare the two.  The lift, tower-rep
 and tower-cocycle references are that route's trial runners.
 """
 
+import itertools
+
 import numpy as np
 from scipy.linalg import expm
 
 from equifix.cocycles import coboundary, trivialize
 from equifix.galgebra import GHom, matrix_algebra
-from equifix.matfun import Blocks, operator_norm
+from equifix.matfun import Blocks, adjoint, exp_skew, operator_norm
 from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
                                 DefectTooLargeError, correct_to_rep,
                                 equivariance_defect, intertwiner, symmetrize,
@@ -172,3 +175,113 @@ def cocycle_tower_trace(s, trial):
     w = coboundary(algebra, v)
     v0 = v @ expm(s.magnitude * masked_skew(rng, 2 * dim, dim))
     return trivialize(w, v0, tol=s.tolerance, quotient=lambda a: a * keep).trace
+
+
+def loop_menu(kind, params):
+    """(dim, fn) homomorphism pieces of a group kind, fn mapping an element
+    index to its matrix: the per-element menu the cached stacks replaced."""
+    if kind == "cyclic":
+        d = int(params)
+        return [(1, lambda g, a=a: np.array([[np.exp(2j * np.pi * a * g / d)]]))
+                for a in range(d)]
+    if kind == "dihedral":
+        n = int(params)
+        menu = [(1, lambda g: np.eye(1, dtype=complex)),
+                (1, lambda g: np.array([[(-1.0 + 0j) ** (g // n)]]))]
+        for k in range(1, n):
+            def two_dim(g, k=k):
+                t = 2 * np.pi * k * (g % n) / n
+                m = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]],
+                             dtype=complex)
+                return m @ np.diag([1, -1]).astype(complex) if g // n else m
+            menu.append((2, two_dim))
+        return menu
+    if kind == "symmetric":
+        m = int(params)
+        elems = sorted(itertools.permutations(range(m)))
+        parity = [sum(a > b for a, b in itertools.combinations(p, 2)) & 1
+                  for p in elems]
+        return [(1, lambda g: np.eye(1, dtype=complex)),
+                (1, lambda g: np.array([[(-1.0 + 0j) ** parity[g]]])),
+                (m, lambda g: np.eye(m, dtype=complex)[:, list(elems[g])])]
+    if kind == "product":
+        spec_a, spec_b = params
+        nb = make_group(spec_b[0], spec_b[1]).order
+        return [(da * db, lambda g, fa=fa, fb=fb: np.kron(fa(g // nb), fb(g % nb)))
+                for da, fa in loop_menu(spec_a[0], spec_a[1])
+                for db, fb in loop_menu(spec_b[0], spec_b[1])]
+    raise ValueError(kind)
+
+
+def loop_exact_rep_values(group_spec, group, dim, rng):
+    """exact_rep_values with one menu call per element and one conjugation
+    per element."""
+    menu = loop_menu(group_spec["kind"], group_spec.get("params"))
+    chosen = []
+    remaining = dim
+    while remaining > 0:
+        options = [item for item in menu if item[0] <= remaining]
+        chosen.append(options[int(rng.integers(0, len(options)))])
+        remaining -= chosen[-1][0]
+    v = random_unitary(rng, dim)
+    full = np.zeros((group.order, dim, dim), dtype=complex)
+    at = 0
+    for k, fn in chosen:
+        full[:, at:at + k, at:at + k] = [fn(g) for g in range(group.order)]
+        at += k
+    return np.stack([v @ f @ v.conj().T for f in full])
+
+
+def loop_random_skew(rng, n, corner=None):
+    """One random_skew draw: two n x n normal draws, an SVD norm each time
+    it normalizes."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = (a - a.conj().T) / 2
+    norm = operator_norm(k)
+    if norm > 0:
+        k = k / norm
+    if corner is not None:
+        k = k[:corner, :corner]
+        norm = operator_norm(k)
+        if norm > 0:
+            k = k / norm
+    return k
+
+
+def loop_perturb_rep_values(values, magnitude, rng, skip_identity=0, draw=None):
+    """perturb_rep_values with one random_skew draw per moved value."""
+    out = np.array(values, dtype=complex)
+    n = out.shape[1]
+    moved = [g for g in range(len(out)) if g != skip_identity]
+    k = np.array([loop_random_skew(rng, n) if draw is None else
+                  loop_random_skew(rng, draw, n) for _ in moved]).reshape(-1, n, n)
+    out[moved] = out[moved] @ exp_skew(magnitude * k)
+    return out
+
+
+def loop_rokhlin(d, block, magnitude, rng, corank=0):
+    """(unitaries, exact partition, seeds) of build_rokhlin_scenario, built
+    element by element with one random_skew draw per seed."""
+    n = d * block + corank
+    shift = np.kron(np.roll(np.eye(d), 1, axis=0), np.eye(block))
+    unitaries = np.zeros((d, n, n), dtype=complex)
+    exact = np.zeros((d, n, n), dtype=complex)
+    for g in range(d):
+        unitaries[g, :d * block, :d * block] = np.linalg.matrix_power(shift, g)
+        unitaries[g, d * block:, d * block:] = np.eye(corank)
+        exact[g, g * block:(g + 1) * block, g * block:(g + 1) * block] = np.eye(block)
+    q = exp_skew(magnitude * np.stack([loop_random_skew(rng, n) for _ in range(d)]))
+    return unitaries, exact, q @ exact @ adjoint(q)
+
+
+def loop_lift_seed_values(n, levels, base, ratio, rng):
+    """The lift seed's values: stage j of the shift representation of Z/n
+    conjugated by exp(base ratio^j K_j), one random_skew K_j per stage below
+    the top."""
+    angles = np.zeros((levels, n, n), dtype=complex)
+    for j in range(levels - 1):
+        angles[j] = base * ratio ** j * loop_random_skew(rng, n)
+    q = exp_skew(angles)
+    shift = np.roll(np.eye(n), 1, axis=0).astype(complex)
+    stage_rep = np.stack([np.linalg.matrix_power(shift, k) for k in range(n)])
+    return q @ stage_rep[:, None] @ adjoint(q)

@@ -12,6 +12,7 @@ three-operand einsum for the conjugation, each corrector's own loop for
 the driver, an explicit first step for the one-step figures, and a
 per-value SVD loop for the unitarization."""
 
+import json
 from dataclasses import astuple
 from types import SimpleNamespace
 from unittest import mock
@@ -223,8 +224,12 @@ def test_lift_with_an_overflowing_tower_base_fails_every_trial(tmp_path):
                            tower={"levels": 4, "base": 1e300, "ratio": 0.5})
     report = scenarios.run_scenario(s, tmp_path)
     assert not report.all_passed
-    assert [t.error for t in report.trials] == [
-        "input too large to exponentiate: ||x||_F overflows at slice (0,)"] * 3
+    message = "input too large to exponentiate: ||x||_F overflows at slice (0,)"
+    assert [t.error for t in report.trials] == [message] * 3
+    # report.json records each error's class next to its message.
+    trials = json.loads((tmp_path / "report.json").read_text())["trials"]
+    assert [t["measured"] for t in trials] == [
+        {"error": message, "error_class": "ValueError"}] * 3
 
 
 @pytest.mark.parametrize("base, ratio, levels", [
@@ -238,6 +243,7 @@ def test_lift_with_a_large_finite_tower_base_passes(tmp_path, base, ratio, level
     report = scenarios.run_scenario(s, tmp_path)
     assert report.all_passed
     assert [t.measured["level"] for t in report.trials] == levels
+    assert "error" not in (tmp_path / "report.json").read_text()
 
 
 # --- correctors against the per-pair loop -------------------------------------
