@@ -6,17 +6,18 @@ calculus (matfun), G-algebras and quotient towers (galgebra), representation
 correction and equivariant lifting (repcorrect), cocycle trivialization
 (cocycles), partition stabilization, plain and tracial (relations),
 abelian gradings (graded), and the scenario runner (scenarios, cli).
+Each gate's tolerance is a constant of the kernel that gates with it, and
+a map from a group, exact or not, is an ApproxRep.
 """
 
 from .groups import (CircleWeights, FiniteGroup, circle_average, cyclic_group,
                      dihedral_group, haar_average, make_group, product_group,
                      symmetric_group)
-from .matfun import (EPS0, UNITARIZE_EPS, Blocks, SpectralData, exp_skew,
-                     largest_norm, normal_eigensystem, operator_norm,
-                     polar_unitary, principal_log_unitary, round_to_projection,
+from .matfun import (EPS0, UNITARIZE_EPS, Blocks, exp_skew, largest_norm,
+                     normal_eigensystem, operator_norm, polar_unitary,
+                     principal_log_unitary, round_to_projection,
                      spectral_round_unitary)
-from .galgebra import (GAlgebra, GHom, Tower, matrix_algebra,
-                       trivial_action_algebra)
+from .galgebra import GAlgebra, Tower, matrix_algebra, trivial_action_algebra
 from .repcorrect import (ApproxRep, SourceAction, correct_to_rep, intertwiner,
                          lift_group_rep, one_step, symmetrize,
                          translation_source_action, unitarize_values)

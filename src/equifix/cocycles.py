@@ -34,14 +34,11 @@ class Cocycle:
     """Unitary-valued map on a group, measured against the cocycle identity
     for the algebra's action; the values are Blocks of the algebra, or
     dense matrices for a one-block algebra.  They are copied and made
-    read-only, so the cocycle defect is measured once and cached.  While
-    ``trivialize`` runs, ``_last`` holds its current iterate and that
-    iterate's mismatch, so ``one_step_cobound`` does not measure it again."""
+    read-only, so the cocycle defect is measured once and cached."""
 
     algebra: GAlgebra
     values: object               # (|G|, ...) Blocks, or (|G|, n, n)
     _defect: Optional[tuple] = field(default=None, init=False, repr=False)
-    _last: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         v = read_only_copy(group_stack(self.values, self.algebra.group.order))
@@ -82,16 +79,20 @@ def coboundary(algebra: GAlgebra, v) -> Cocycle:
     return Cocycle(algebra=algebra, values=coboundary_values(algebra, v))
 
 
-def one_step_cobound(w: Cocycle, v, exact_tol: float = 1e-11):
+def one_step_cobound(w: Cocycle, v):
     """One coboundary-correction step.  Requires w exact (defect <= 1e-11)
     and mismatch r <= 1/5; the output z satisfies
     || z alpha_g(z)* - w(g) || <= 10 r^2 and || z - v || <= 2r."""
+    return _cobound_step(w, v, w.mismatch(v))
+
+
+def _cobound_step(w: Cocycle, v, mismatch):
+    """``one_step_cobound(w, v)``, given ``mismatch = w.mismatch(v)``."""
     cd = w.defect()
-    if cd > exact_tol:
+    if cd > 1e-11:
         raise DefectTooLargeError(
             f"cocycle must be exact before correction (defect {cd:.3e})")
-    last = w._last            # the iterate trivialize has just measured
-    r, g = last[1] if last is not None and last[0] is v else w.mismatch(v)
+    r, g = mismatch
     if r > ONE_STEP_MAX_MISMATCH:
         raise DefectTooLargeError(
             f"mismatch {r:.6g} exceeds 1/5 (attained at g={g})")
@@ -138,27 +139,25 @@ def trivialize(w: Cocycle, v0=None, tol: float = 1e-12,
     elif not isinstance(v0, Blocks):
         v0 = np.asarray(v0, dtype=complex)
 
-    def measure(v):
-        w._last = (v, w.mismatch(v))    # the next step on v reads it
-        return w._last[1]
-
-    try:
-        r0, g = measure(v0)
-        if r0 >= TRIVIALIZE_MAX_MISMATCH:
+    r0, g = last = w.mismatch(v0)     # the newest iterate's, for its step
+    if r0 >= TRIVIALIZE_MAX_MISMATCH:
+        raise DefectTooLargeError(
+            f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
+    if quotient is not None:
+        down = largest_norm(quotient(coboundary_values(A, v0)) -
+                            quotient(w.values), 1e-12)[0]
+        if down > 1e-12:
             raise DefectTooLargeError(
-                f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
-        if quotient is not None:
-            down = largest_norm(quotient(coboundary_values(A, v0)) -
-                                quotient(w.values), 1e-12)[0]
-            if down > 1e-12:
-                raise DefectTooLargeError(
-                    f"seed does not trivialize the cocycle downstairs (off by {down:.3e})")
-        v, iterations, trace = _iterate(
-            v0, r0, lambda it, v: one_step_cobound(w, v),
-            lambda v: measure(v)[0], lambda v: largest_norm(v - v0)[0], tol,
-            max_iter, "mismatch")
-    finally:
-        w._last = None
+                f"seed does not trivialize the cocycle downstairs (off by {down:.3e})")
+
+    def measure(v):
+        nonlocal last
+        last = w.mismatch(v)
+        return last[0]
+
+    v, iterations, trace = _iterate(
+        v0, r0, lambda it, v: _cobound_step(w, v, last), measure,
+        lambda v: largest_norm(v - v0)[0], tol, max_iter, "mismatch")
     drift = None
     if quotient is not None:
         drift = largest_norm(quotient(v) - quotient(v0))[0]
@@ -166,14 +165,13 @@ def trivialize(w: Cocycle, v0=None, tol: float = 1e-12,
                           quotient_drift=drift)
 
 
-def verify_integral_estimate(group: FiniteGroup, values: np.ndarray,
-                             slack: float = 1e-11):
+def verify_integral_estimate(group: FiniteGroup, values: np.ndarray):
     """Check the averaging estimate behind the one-step corrections.
 
     For unitaries u(g) with r = max ||u(g) - 1|| <= 1/2, returns
     (lhs, bound, r, ||avg u||) where lhs = || avg u - exp(avg log u) || and
-    bound = 5 r^2 / (2 (1 - 2r)), raising if lhs exceeds the bound or if
-    || avg u || exceeds 1 (plus slack).
+    bound = 5 r^2 / (2 (1 - 2r)), raising if lhs exceeds the bound by more
+    than 1e-11 or if || avg u || exceeds 1 by more than 1e-12.
     """
     values = np.asarray(values, dtype=complex)
     if values.ndim != 3 or values.shape[0] != group.order:
@@ -185,9 +183,9 @@ def verify_integral_estimate(group: FiniteGroup, values: np.ndarray,
     logavg = principal_log_unitary(values).mean(axis=0)
     lhs = operator_norm(avg - exp_skew(logavg))
     bound = 5 * r ** 2 / (2 * (1 - 2 * r)) if r < 0.5 else np.inf
-    if lhs > bound + slack:
+    if lhs > bound + 1e-11:
         raise AssertionError(
-            f"integral estimate violated: {lhs:.6e} > {bound:.6e} + slack")
+            f"integral estimate violated: {lhs:.6e} > {bound:.6e} + 1e-11")
     norm_avg = operator_norm(avg)
     if norm_avg > 1 + 1e-12:
         raise AssertionError(f"||avg u|| = {norm_avg:.12f} exceeds 1")

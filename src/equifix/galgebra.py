@@ -19,7 +19,9 @@ pairs, and its twisted (cocycle) form, with one stacked product and one
 screened norm over the whole (|G|, |G|, ...) stack of pairs.  Such pair
 stacks are taken g by g in chunks (``pair_chunks``) of about SLAB_ENTRIES
 entries, so a large group at a large dimension never holds all pairs at
-once; every group the benchmarks run fits one chunk.
+once; every group the benchmarks run fits one chunk.  A map from a group
+into a level is such a family, held as an ``ApproxRep`` (unitary=False,
+unital=False).  The action's self-check tolerance is ``action_tol``.
 """
 
 from __future__ import annotations
@@ -128,15 +130,14 @@ class GAlgebra:
                      in zip(x.parts, self._src, self._u, self._uh))
         return out if isinstance(a, Blocks) else out.parts[0][..., 0, :, :]
 
-    def action_defect(self, rng_seed: int = 0, samples: int = 2,
-                      floor: float = 0.0) -> float:
+    def action_defect(self, samples: int = 2, floor: float = 0.0) -> float:
         """Max over (g, h) of ||act(h, act(g, a)) - act(hg, a)|| on random
-        elements a, plus the identity-acts-trivially defect, or ``floor``
-        if that is larger: a gate at tolerance ``floor`` takes no SVD for
-        slices that are screened under it.  Each h acts once on the stack
+        elements a (seed 0), plus the identity-acts-trivially defect, or
+        ``floor`` if that is larger: a gate at tolerance ``floor`` takes no
+        SVD for slices that are screened under it.  Each h acts once on the stack
         of images of a and takes one screened norm over g.  Should be at
         rounding level for a genuine action."""
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(0)
         G = self.group
         worst = floor
         for _ in range(samples):
@@ -151,15 +152,20 @@ class GAlgebra:
 
     def restrict(self, keep) -> "GAlgebra":
         """The G-algebra on the blocks ``keep`` (a sorted, invariant list of
-        block positions), with the restricted action."""
+        block positions), with the restricted action; read-only, like a
+        cached algebra, when this algebra's ``perms`` are."""
         pos = {j: i for i, j in enumerate(keep)}
         perms = [[pos[int(self.perms[g, j])] for j in keep]
                  for g in range(self.group.order)]
         unitaries = tuple(tuple(self.unitaries[g][j] for j in keep)
                           for g in range(self.group.order))
-        return GAlgebra(tuple(self.blocks[j] for j in keep), self.group,
-                        np.reshape(perms, (self.group.order, len(keep))),
-                        unitaries, self.action_tol, check=False)
+        quotient = GAlgebra(tuple(self.blocks[j] for j in keep), self.group,
+                            np.reshape(perms, (self.group.order, len(keep))),
+                            unitaries, self.action_tol, check=False)
+        if not self.perms.flags.writeable:
+            for a in (quotient.perms, *quotient._u, *quotient._uh, *quotient._src):
+                a.flags.writeable = False
+        return quotient
 
     def take(self, a: Blocks, keep) -> Blocks:
         """A fresh copy of the blocks at the sorted positions ``keep`` of a
@@ -224,10 +230,6 @@ class Tower:
                         f"ideal {i} is not invariant under the action of g={g}")
 
     @property
-    def levels(self) -> int:
-        return len(self.ideals)
-
-    @property
     def top(self) -> int:
         """Index of the top quotient level (quotient by the largest ideal)."""
         return len(self.ideals) - 1
@@ -268,24 +270,6 @@ def group_stack(values, order: int):
         raise ValueError(f"values shape {values.shape} does not match group "
                          f"order {order}")
     return values
-
-
-@dataclass(frozen=True, eq=False)
-class GHom:
-    """A map from a finite group into a G-algebra level, given by its values
-    on the group elements.  Nothing is assumed: multiplicativity and
-    equivariance defects are measured, not taken on faith."""
-
-    source: FiniteGroup
-    values: object              # (|H|, n, n) array or Blocks
-    level: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           group_stack(self.values, self.source.order))
-
-    def mult_defect(self) -> float:
-        return max_pair_defect(self.values, self.source.mult)[0]
 
 
 def chunks(count: int, per_item: int) -> list:

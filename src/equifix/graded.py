@@ -32,14 +32,15 @@ class NonAbelianError(ValueError):
     pass
 
 
-def character_table(group: FiniteGroup, tol: float = 1e-10) -> np.ndarray:
+def character_table(group: FiniteGroup) -> np.ndarray:
     """Character table chi[tau, g] of a finite abelian group, with entries
     rounded to exact roots of unity.
 
     Computed by simultaneously diagonalizing the commuting left-regular
     permutation matrices: a random real combination splits the common
     eigenspaces, each common eigenvector carries one character.  The table
-    is validated for multiplicativity and row orthogonality after rounding.
+    is validated for multiplicativity and row orthogonality, to 1e-10,
+    after rounding.
     """
     if not group.is_abelian():
         raise NonAbelianError(f"{group.name} is not abelian")
@@ -81,7 +82,7 @@ def character_table(group: FiniteGroup, tol: float = 1e-10) -> np.ndarray:
         # Put the trivial character first.
         triv = np.argmin([np.max(np.abs(r - 1)) for r in table])
         table[[0, triv]] = table[[triv, 0]]
-        if _validate_characters(group, table, tol):
+        if _validate_characters(group, table, 1e-10):
             return table
     raise RuntimeError("failed to compute a valid character table")
 
@@ -206,20 +207,20 @@ class GradedCorrection:
 
 
 def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
-                   tol: float = 1e-12, component_tol: float = 1e-12,
-                   eps: float = UNITARIZE_EPS) -> GradedCorrection:
+                   tol: float = 1e-12) -> GradedCorrection:
     """Correct an approximately graded approximately multiplicative unitary
     family into an exact representation with each value exactly in its
     grading component.
 
-    For each g the component part c_g = P_g(psi(g)) must be within eps of
-    psi(g) and invertible; the polar parts seed the iterated corrector, and
-    every iterate is checked to stay in its component.  The parts of the
-    whole family come from one stacked projection, their gaps from one
-    screened norm, and their smallest singular values and polar parts from
-    one batched SVD; a rejection names the first g that fails.
+    For each g the component part c_g = P_g(psi(g)) must be within eps =
+    UNITARIZE_EPS of psi(g) and invertible; the polar parts seed the
+    iterated corrector, and every iterate is checked to stay in its
+    component to 1e-12.  The parts of the whole family come from one
+    stacked projection, their gaps from one screened norm, and their
+    smallest singular values and polar parts from one batched SVD; a
+    rejection names the first g that fails.
     """
-    G = algebra.group
+    G, eps = algebra.group, UNITARIZE_EPS
     values = np.asarray(values, dtype=complex)
     if values.shape != (G.order, algebra.dim, algebra.dim):
         raise ValueError(f"values shape {values.shape}")
@@ -248,7 +249,7 @@ def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
     def check_components(iteration, rep):
         res = algebra.component_residual(rep.values)
         residuals.append(res)
-        if res > component_tol:
+        if res > 1e-12:
             raise DefectTooLargeError(
                 f"iterate {iteration} left its grading component "
                 f"(residual {res:.3e})")

@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .matfun import Blocks
 
-DEFAULT_ORDER_CAP = 720
+# make_group rejects any group of a larger order.
+ORDER_CAP = 720
 
 
 class GroupConstructionError(ValueError):
@@ -39,9 +40,7 @@ class FiniteGroup:
     inv : (order,) int array
         ``inv[g]`` is the index of the inverse of g.
     identity : int
-        Index of the identity element (always 0 for built-in constructors).
-    labels : tuple of str
-        Optional element names, used only for reporting.
+        Index of the identity element, always 0.
     name : str
         Short description, e.g. ``"cyclic(4)"``.
     """
@@ -49,8 +48,7 @@ class FiniteGroup:
     order: int
     mult: np.ndarray
     inv: np.ndarray
-    identity: int = 0
-    labels: tuple = ()
+    identity: ClassVar[int] = 0
     name: str = "group"
 
     def __post_init__(self):
@@ -122,7 +120,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def _group_from_elements(elems, compose, invert, name, labels=None):
+def _group_from_elements(elems, compose, invert, name):
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
     mult = np.empty((n, n), dtype=np.intp)
@@ -130,9 +128,7 @@ def _group_from_elements(elems, compose, invert, name, labels=None):
         for j, b in enumerate(elems):
             mult[i, j] = index[compose(a, b)]
     inv = np.array([index[invert(a)] for a in elems], dtype=np.intp)
-    return FiniteGroup(order=n, mult=mult, inv=inv, identity=0,
-                       labels=tuple(labels) if labels else tuple(map(str, elems)),
-                       name=name)
+    return FiniteGroup(order=n, mult=mult, inv=inv, name=name)
 
 
 def cyclic_group(d: int) -> FiniteGroup:
@@ -141,8 +137,7 @@ def cyclic_group(d: int) -> FiniteGroup:
     i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     mult = (i + j) % d
     inv = (-np.arange(d)) % d
-    return FiniteGroup(order=d, mult=mult, inv=inv,
-                       labels=tuple(str(k) for k in range(d)), name=f"cyclic({d})")
+    return FiniteGroup(order=d, mult=mult, inv=inv, name=f"cyclic({d})")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -161,8 +156,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         a, b = x
         return ((-a) % n, 0) if b == 0 else (a, 1)
 
-    labels = [f"r{a}" if b == 0 else f"r{a}f" for a, b in elems]
-    return _group_from_elements(elems, compose, invert, f"dihedral({n})", labels)
+    return _group_from_elements(elems, compose, invert, f"dihedral({n})")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -190,43 +184,42 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     x1, x2 = a // n2, a % n2
     mult = (g1.mult[np.ix_(x1, x1)] * n2 + g2.mult[np.ix_(x2, x2)])
     inv = g1.inv[x1] * n2 + g2.inv[x2]
-    labels = tuple(f"({i},{j})" for i in range(n1) for j in range(n2))
-    return FiniteGroup(order=n, mult=mult, inv=inv, labels=labels,
+    return FiniteGroup(order=n, mult=mult, inv=inv,
                        name=f"product({g1.name},{g2.name})")
 
 
-def make_group(kind: str, params, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def make_group(kind: str, params) -> FiniteGroup:
     """Build a finite group by kind: cyclic, dihedral, symmetric or product.
 
     ``params`` is an int for cyclic/dihedral/symmetric and a pair of
     FiniteGroups (or (kind, params) specs) for product.  Rejects any request
-    whose resulting order exceeds ``order_cap``.
+    whose resulting order exceeds ORDER_CAP.
     """
     if kind == "cyclic":
         d = int(params)
-        if d > order_cap:
-            raise GroupConstructionError(f"order {d} exceeds cap {order_cap}")
+        if d > ORDER_CAP:
+            raise GroupConstructionError(f"order {d} exceeds cap {ORDER_CAP}")
         return cyclic_group(d)
     if kind == "dihedral":
         n = int(params)
-        if 2 * n > order_cap:
-            raise GroupConstructionError(f"order {2 * n} exceeds cap {order_cap}")
+        if 2 * n > ORDER_CAP:
+            raise GroupConstructionError(f"order {2 * n} exceeds cap {ORDER_CAP}")
         return dihedral_group(n)
     if kind == "symmetric":
         n = int(params)
-        order = math.factorial(n) if n <= 6 else order_cap + 1
-        if order > order_cap:
-            raise GroupConstructionError(f"symmetric({n}) exceeds cap {order_cap}")
+        order = math.factorial(n) if n <= 6 else ORDER_CAP + 1
+        if order > ORDER_CAP:
+            raise GroupConstructionError(f"symmetric({n}) exceeds cap {ORDER_CAP}")
         return symmetric_group(n)
     if kind == "product":
         a, b = params
         if not isinstance(a, FiniteGroup):
-            a = make_group(a[0], a[1], order_cap)
+            a = make_group(a[0], a[1])
         if not isinstance(b, FiniteGroup):
-            b = make_group(b[0], b[1], order_cap)
-        if a.order * b.order > order_cap:
+            b = make_group(b[0], b[1])
+        if a.order * b.order > ORDER_CAP:
             raise GroupConstructionError(
-                f"order {a.order * b.order} exceeds cap {order_cap}")
+                f"order {a.order * b.order} exceeds cap {ORDER_CAP}")
         return product_group(a, b)
     raise GroupConstructionError(f"unknown group kind {kind!r}")
 

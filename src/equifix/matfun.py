@@ -6,7 +6,8 @@ Matrices are plain complex numpy arrays.  The norm, defect, log, exp and
 polar kernels also accept stacks ``(..., n, n)`` and work slice by slice,
 and block-diagonal elements stored block by block (:class:`Blocks`), which
 they take one batched call per block size; the norm of such an element is
-its largest block norm.
+its largest block norm.  Each gate's tolerance is a constant of the kernel
+that gates with it, and its docstring names it.
 
 The log and the exp are truncated power series, evaluated by one
 Paterson-Stockmeyer kernel (SIAM J. Comput. 2, 1973): the powers z and z^2
@@ -74,7 +75,6 @@ pass is also the finiteness check of the kernel's input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,20 +355,11 @@ def operator_norm(a):
     return norms if a.ndim > 2 else float(norms)
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigendecomposition a = V diag(eigenvalues) V* of a normal matrix,
-    with V unitary."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def normal_eigensystem(a, residual_tol: float = 1e-9) -> SpectralData:
-    """Unitary diagonalization of a normal matrix through its complex Schur
-    form a = Z T Z*.  Raises NotNormalError when T is not diagonal to
-    ``residual_tol`` (relative to max(1, ||a||)) -- the gate for inputs
-    that are genuinely not normal.
+def normal_eigensystem(a):
+    """Unitary diagonalization a = V diag(eigenvalues) V* of a normal matrix
+    through its complex Schur form a = Z T Z*, as (eigenvalues, V = Z).
+    Raises NotNormalError when T is not diagonal to 1e-9 relative to
+    max(1, ||a||) -- the gate for inputs that are genuinely not normal.
     """
     a = require_finite(a)
     n = a.shape[0]
@@ -379,26 +370,27 @@ def normal_eigensystem(a, residual_tol: float = 1e-9) -> SpectralData:
     scale = largest_norm(a, 1.0)[0]
     t, z = scipy.linalg.schur(a, output="complex")
     lam = np.diag(t).copy()
-    off, bad = largest_norm(t - np.diag(lam), residual_tol * scale)
+    off, bad = largest_norm(t - np.diag(lam), 1e-9 * scale)
     if bad is not None:
         raise NotNormalError(
             f"matrix is not normal: diagonalization residual {off:.3e} "
-            f"exceeds {residual_tol:.1e} * scale")
-    return SpectralData(eigenvalues=lam, eigenvectors=z)
+            f"exceeds 1e-9 * scale")
+    return lam, z
 
 
-def polar_unitary(a, min_singular: float = 1e-10) -> np.ndarray:
+def polar_unitary(a) -> np.ndarray:
     """Polar part a (a*a)^(-1/2) of an invertible matrix, via SVD; slice by
-    slice for a stack or Blocks."""
+    slice for a stack or Blocks.  Rejects a smallest singular value at or
+    under 1e-10."""
     if isinstance(a, Blocks):
         return a.map(polar_unitary)
     a = require_finite(a)
     u, s, vh = np.linalg.svd(a)
     smallest = np.min(s[..., -1])
-    if smallest <= min_singular:
+    if smallest <= 1e-10:
         raise ValueError(
             f"matrix is numerically singular: smallest singular value "
-            f"{smallest:.3e} <= {min_singular:.1e}")
+            f"{smallest:.3e} <= 1e-10")
     return u @ vh
 
 
@@ -428,17 +420,17 @@ def _series(z: np.ndarray, coef: np.ndarray, degree: np.ndarray) -> np.ndarray:
     return z
 
 
-def principal_log_unitary(u, unitary_tol: float = 1e-10) -> np.ndarray:
+def principal_log_unitary(u) -> np.ndarray:
     """Principal logarithm of a unitary within HALF_PLANE_RADIUS of 1, whose
     eigenvalue arguments lie in (-pi/2, pi/2): the arcsin series of the
     module docstring, slice by slice for a stack (..., n, n) and block by
-    block for Blocks.  Rejects inputs that are not unitary to
-    ``unitary_tol``, and slices with ||u - 1|| over 1/2, naming the worst."""
+    block for Blocks.  Rejects inputs that are not unitary to 1e-10, and
+    slices with ||u - 1|| over 1/2, naming the worst."""
     if isinstance(u, Blocks):
         return u.map(principal_log_unitary)
     u = _require_square(u)
     n = u.shape[-1]
-    _reject_worst(adjoint(u) @ u - np.eye(n), unitary_tol,
+    _reject_worst(adjoint(u) @ u - np.eye(n), 1e-10,
                   "input is not unitary: ||u*u - 1|| = %.3e")
     _reject_worst(u - np.eye(n), HALF_PLANE_RADIUS,
                   "unitary outside the log's disc: ||u - 1|| = %.3e > 1/2")
@@ -455,15 +447,15 @@ def principal_log_unitary(u, unitary_tol: float = 1e-10) -> np.ndarray:
     return p.reshape(u.shape)
 
 
-def exp_skew(x, skew_tol: float = 1e-10) -> np.ndarray:
+def exp_skew(x) -> np.ndarray:
     """Exponential of a skew-Hermitian matrix, slice by slice for a stack and
     block by block for Blocks: the Taylor series of the module docstring,
     scaled and squared over EXP_CAP.  Rejects inputs that are not
-    skew-Hermitian to ``skew_tol``, and a slice whose ||x||_F overflows."""
+    skew-Hermitian to 1e-10, and a slice whose ||x||_F overflows."""
     if isinstance(x, Blocks):
         return x.map(exp_skew)
     x = _require_square(x)
-    _reject_worst(x + adjoint(x), skew_tol,
+    _reject_worst(x + adjoint(x), 1e-10,
                   "input is not skew-Hermitian: ||x + x*|| = %.3e")
     n = x.shape[-1]
     y = (x - adjoint(x)).reshape(math.prod(x.shape[:-2]), n, n) * 0.5
@@ -483,60 +475,53 @@ def exp_skew(x, skew_tol: float = 1e-10) -> np.ndarray:
     return e.reshape(x.shape)
 
 
-def spectral_round_unitary(w, d: int, unitary_tol: float = 1e-10,
-                           midpoint_gap: float = 1e-6,
-                           return_spectral: bool = False):
+def spectral_round_unitary(w, d: int):
     """Round the spectrum of a unitary to the d-th roots of unity.
 
     Each eigenvalue is replaced by the nearest d-th root; eigenvectors are
     reused, so the output z satisfies z^d = 1 and commutes with w.  The map
     is phase-equivariant: rounding lam*w equals lam times rounding w for
-    any d-th root of unity lam.  Eigenvalues within ``midpoint_gap`` (in
-    argument) of a cell midpoint exp(i*pi*(2k+1)/d) are rejected.  With
-    ``return_spectral`` the result is (z, the eigensystem of w, ks), where
-    eigenvalue j of w is rounded to exp(2 pi i ks[j] / d).
+    any d-th root of unity lam.  Returns (z, the eigenvectors of w, ks,
+    margin): eigenvalue j is rounded to exp(2 pi i ks[j] / d), and margin,
+    over 1e-6, is the least argument distance of an eigenvalue to a cell
+    midpoint exp(i pi (2k+1) / d).  w must be unitary to 1e-10.
     """
     w = require_finite(w)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    _reject_worst(adjoint(w) @ w - np.eye(w.shape[-1]), unitary_tol,
+    _reject_worst(adjoint(w) @ w - np.eye(w.shape[-1]), 1e-10,
                   "input is not unitary: ||w*w - 1|| = %.3e")
-    spec = normal_eigensystem(w)
-    args = np.angle(spec.eigenvalues)
+    lam, v = normal_eigensystem(w)
+    args = np.angle(lam)
     cell = 2 * np.pi / d
-    pos = np.mod(args, cell)
-    margin = np.abs(pos - cell / 2)
-    if np.any(margin <= midpoint_gap):
+    margin = np.abs(np.mod(args, cell) - cell / 2)
+    if np.any(margin <= 1e-6):
         i = int(np.argmin(margin))
         raise MidpointError(
-            f"eigenvalue {spec.eigenvalues[i]:.8g} is within {margin[i]:.3e} "
+            f"eigenvalue {lam[i]:.8g} is within {margin[i]:.3e} "
             f"of a rounding midpoint for d = {d}")
     ks = np.round(args / cell).astype(int) % d
-    rounded = np.exp(2j * np.pi * ks / d)
-    v = spec.eigenvectors
-    z = (v * rounded) @ v.conj().T
-    if return_spectral:
-        return z, spec, ks
-    return z
+    z = (v * np.exp(2j * np.pi * ks / d)) @ v.conj().T
+    return z, v, ks, float(margin.min(initial=cell / 2))
 
 
-def round_to_projection(b, hermitian_tol: float = 1e-10,
-                        band: tuple = (0.4, 0.6)) -> np.ndarray:
-    """Spectral projection of a self-adjoint matrix onto eigenvalues > 1/2.
-
-    Rejects inputs with an eigenvalue inside the forbidden band around 1/2,
-    where the cut would be unstable.
-    """
+def _range_isometry(b) -> np.ndarray:
+    """An isometry onto the eigenvalues > 1/2 of a self-adjoint matrix (to
+    1e-10), from one eigh; an eigenvalue in the band [0.4, 0.6] around 1/2,
+    where the cut would be unstable, is rejected."""
     b = require_finite(b)
-    _reject_worst(b - adjoint(b), hermitian_tol,
+    _reject_worst(b - adjoint(b), 1e-10,
                   "input is not self-adjoint: ||b - b*|| = %.3e")
     vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-    lo, hi = band
-    inside = (vals >= lo) & (vals <= hi)
+    inside = (vals >= 0.4) & (vals <= 0.6)
     if inside.any():
-        bad = vals[inside][0]
         raise ValueError(
-            f"eigenvalue {bad:.6g} lies in the forbidden band [{lo}, {hi}]")
-    keep = vals > 0.5
-    return (vecs[:, keep]) @ (vecs[:, keep].conj().T)
+            f"eigenvalue {vals[inside][0]:.6g} lies in the forbidden band [0.4, 0.6]")
+    return vecs[:, vals > 0.5]
 
+
+def round_to_projection(b) -> np.ndarray:
+    """Spectral projection iso iso* of a self-adjoint matrix onto its
+    eigenvalues > 1/2, iso the isometry of ``_range_isometry``."""
+    iso = _range_isometry(b)
+    return iso @ iso.conj().T

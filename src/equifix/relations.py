@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .groups import FiniteGroup, haar_average
-from .matfun import (largest_norm, operator_norm, polar_unitary,
-                     round_to_projection, spectral_round_unitary)
+from .matfun import (_range_isometry, adjoint, largest_norm, operator_norm,
+                     polar_unitary, spectral_round_unitary)
 from .galgebra import GAlgebra, matrix_algebra
 from .repcorrect import DefectTooLargeError
 
@@ -154,26 +154,17 @@ def _round_partition(algebra: GAlgebra, seeds: np.ndarray):
     certificate["covariance_residual"] = cov
 
     # The half-gap condition: every eigenvalue argument within pi/(2d) of a
-    # d-th root.
+    # d-th root; one at m from its cell's midpoint is pi/d - m from its root.
     half_gap = np.pi / (2 * d)
-    _, spec, ks = spectral_round_unitary(w, d, midpoint_gap=1e-6,
-                                         return_spectral=True)
-    args = np.angle(spec.eigenvalues)
-    cell = 2 * np.pi / d
-    margin = float(np.min(np.abs(np.mod(args, cell) - cell / 2)))
+    _, v, ks, margin = spectral_round_unitary(w, d)
     certificate["midpoint_margin"] = margin
     certificate["required_arg_margin"] = half_gap
-    arg_dev = float(np.max(np.minimum(np.mod(args, cell), cell - np.mod(args, cell))))
-    if arg_dev >= half_gap:
+    if margin <= half_gap:
         raise DefectTooLargeError(
-            f"spectrum of the encoded unitary strays {arg_dev:.6g} rad from the "
-            f"d-th roots, beyond the admissible margin {half_gap:.6g}")
+            f"spectrum of the encoded unitary strays {np.pi / d - margin:.6g} rad "
+            f"from the d-th roots, beyond the admissible margin {half_gap:.6g}")
 
-    v = spec.eigenvectors
-    projections = np.empty((d, n, n), dtype=complex)
-    for g in range(d):
-        cols = v[:, ks == g]
-        projections[g] = cols @ cols.conj().T
+    projections = np.stack([v[:, ks == g] @ v[:, ks == g].conj().T for g in range(d)])
     return projections, defects, certificate
 
 
@@ -242,19 +233,14 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     if inv_gap > 1e-10:
         raise DefectTooLargeError(
             f"summed seeds not invariant after averaging (gap {inv_gap:.3e})")
-    q = round_to_projection(s)
-
-    vals, vecs = np.linalg.eigh((q + q.conj().T) / 2)
-    live = vals > 0.5
-    iso = vecs[:, live]                      # n x r isometry onto the corner
+    iso = _range_isometry(s)                 # n x r isometry onto the corner
+    q = iso @ adjoint(iso)                   # round_to_projection(s)
     r = iso.shape[1]
-    corner_unitaries = []
-    for g in range(d):
-        u = algebra.unitaries[g][0]    # dense seeds: a one-block algebra
-        cu = iso.conj().T @ u @ iso
-        corner_unitaries.append(polar_unitary(cu))
-    corner = matrix_algebra(r, G, corner_unitaries, action_tol=1e-10)
-    corner_seeds = np.stack([iso.conj().T @ sym[g] @ iso for g in range(d)])
+    # Dense seeds: a one-block algebra, whose unitaries compress to the corner.
+    u = np.stack([algebra.unitaries[g][0] for g in range(d)])
+    corner = matrix_algebra(r, G, polar_unitary(adjoint(iso) @ u @ iso),
+                            action_tol=1e-10)
+    corner_seeds = adjoint(iso) @ sym @ iso
 
     inner, _, certificate = _round_partition(corner, corner_seeds)
     projections = iso @ inner @ iso.conj().T

@@ -26,8 +26,7 @@ from .groups import FiniteGroup, haar_average
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, adjoint, concatenate,
                      exp_skew, identity_like, largest_norm, polar_unitary,
                      principal_log_unitary, read_only_copy, require_finite)
-from .galgebra import (GHom, Tower, group_stack, max_pair_defect,
-                       pair_chunks)
+from .galgebra import Tower, group_stack, max_pair_defect, pair_chunks
 
 ONE_STEP_MAX_DEFECT = 1.0 / 5
 ITERATE_MAX_DEFECT = 1.0 / 17
@@ -281,9 +280,9 @@ def symmetrize(values, act: Callable, source_action: SourceAction):
     return haar_average(G, term)
 
 
-def unitarize_values(values, eps: float = UNITARIZE_EPS):
+def unitarize_values(values):
     """Replace each value by its polar part.  Every value must be within
-    eps (default eps0/2, eps0 = 1/(6*34)) of a unitary, measured as
+    UNITARIZE_EPS = eps0/2 (eps0 = 1/(6*34)) of a unitary, measured as
     max |s - 1| over its singular values s; the polar parts then move each
     value by less than eps0.  One batched SVD u diag(s) vh per block size
     gives both the distances and the polar parts u vh; a rejection names
@@ -298,27 +297,27 @@ def unitarize_values(values, eps: float = UNITARIZE_EPS):
         dists = np.max([d.max(axis=-1) for _, d in pairs], axis=0)
     else:
         out, dists = polar(values)
-    far = np.flatnonzero(dists >= eps)
+    far = np.flatnonzero(dists >= UNITARIZE_EPS)
     if far.size:
         i = int(far[0])
         raise DefectTooLargeError(
             f"value {i} is at distance {dists[i]:.6g} from the unitaries; "
-            f"unitarization requires < {eps:.6g}")
+            f"unitarization requires < {UNITARIZE_EPS:.6g}")
     return out
 
 
 def intertwiner(rho: ApproxRep, sigma: ApproxRep,
-                quotient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                exact_tol: float = 1e-11) -> np.ndarray:
-    """Unitary u with u rho(g) u* = sigma(g) for two exact representations
-    at pointwise distance < 1: the polar part of avg_h sigma(h)* rho(h).
+                quotient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                ) -> np.ndarray:
+    """Unitary u with u rho(g) u* = sigma(g) for two representations, exact
+    to 1e-11, at pointwise distance < 1: the polar part of avg_h sigma(h)* rho(h).
 
     When a quotient map kappa (taking a stack of values) with
     kappa o rho = kappa o sigma is supplied, u satisfies kappa(u) = 1.
     """
     for name, rep in (("rho", rho), ("sigma", sigma)):
         d = rep.defect()
-        if d > exact_tol:
+        if d > 1e-11:
             raise DefectTooLargeError(f"{name} is not exact: defect {d:.3e}")
     dist, g = largest_norm(rho.values - sigma.values, BELOW_ONE)
     if g is not None:
@@ -326,8 +325,8 @@ def intertwiner(rho: ApproxRep, sigma: ApproxRep,
             f"representations are at distance {dist:.6g} >= 1 (attained at g={g})")
     if quotient is not None:
         mismatch = largest_norm(quotient(rho.values) - quotient(sigma.values),
-                                exact_tol)[0]
-        if mismatch > exact_tol:
+                                1e-11)[0]
+        if mismatch > 1e-11:
             raise DefectTooLargeError(
                 f"quotients of rho and sigma differ by {mismatch:.3e}")
     a = haar_average(rho.group,
@@ -356,8 +355,7 @@ class LiftError(RuntimeError):
 @dataclass
 class LiftResult:
     level: int
-    rep: GHom
-    intertwiner_unitary: Optional[Blocks]
+    rep: ApproxRep
     table: list
     correction: RepCorrection
     equivariance_residual: float
@@ -369,11 +367,12 @@ class LiftResult:
 LEVEL_ACCEPT_THRESHOLD = min(1.0 / (2 * 17), EPS0)
 
 
-def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
-                   seed: GHom, tol: float = 1e-12) -> LiftResult:
+def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
+                   seed: ApproxRep, tol: float = 1e-12) -> LiftResult:
     """Lift an exact equivariant representation phi of a finite group H at
     the top of a tower to an exact equivariant representation at a finite
-    level below the top.
+    level below the top.  phi, seed and the result are ApproxReps with
+    unitary=False and unital=False: the lift's own gates decide.
 
     Every stage runs on the blocks live at its level.  Pipeline: a
     nonequivariant seed at level 0 -> scan levels in increasing order,
@@ -386,7 +385,7 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
     H = source_action.source
     top = tower.top
     phi_vals = phi.values
-    phi_rep_defect = phi.mult_defect()
+    phi_rep_defect = phi.defect()
     phi_eq = equivariance_defect(phi_vals, tower.level(top).act, source_action)
     if phi_rep_defect > 1e-11 or phi_eq > 1e-11:
         raise DefectTooLargeError(
@@ -430,7 +429,6 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
     # Conjugate the seed restriction onto the corrected representation when
     # the seed is itself an exact representation (the classical situation);
     # the corrected representation is returned either way.
-    u = None
     final_vals = corrected.values
     seed_vals = seed_rep.values
     if seed_rep.defect() <= 1e-11 and \
@@ -442,7 +440,7 @@ def lift_group_rep(tower: Tower, phi: GHom, source_action: SourceAction,
 
     eq_res = equivariance_defect(final_vals, act, source_action)
     proj_res = largest_norm(quotient(final_vals) - phi_vals)[0]
-    return LiftResult(level=level, rep=GHom(H, final_vals, level=level),
-                      intertwiner_unitary=u, table=table,
-                      correction=correction, equivariance_residual=eq_res,
-                      projection_residual=proj_res)
+    return LiftResult(level=level,
+                      rep=ApproxRep(H, final_vals, unitary=False, unital=False),
+                      table=table, correction=correction,
+                      equivariance_residual=eq_res, projection_residual=proj_res)

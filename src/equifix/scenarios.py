@@ -31,7 +31,7 @@ import numpy as np
 
 from .groups import FiniteGroup, cyclic_group, make_group
 from .matfun import EPS0, Blocks, adjoint, exp_skew, largest_norm, operator_norm
-from .galgebra import GAlgebra, GHom, Tower, matrix_algebra
+from .galgebra import GAlgebra, Tower, matrix_algebra
 from .repcorrect import (ApproxRep, SourceAction, correct_to_rep,
                          lift_group_rep, one_step, translation_source_action)
 from .cocycles import coboundary, one_step_cobound, trivialize, \
@@ -397,12 +397,12 @@ def exact_rep_values(group_spec: dict, group: FiniteGroup, dim: int,
 
 
 def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
-                          rng: np.random.Generator, attempts: int = 16) -> np.ndarray:
+                          rng: np.random.Generator) -> np.ndarray:
     """An exact representation whose adjoint action is nontrivial: some
-    non-identity element is kept away from the scalars.  A scalar action
-    makes coboundary mismatches vanish identically, which degenerates the
-    cocycle scenarios."""
-    for _ in range(attempts):
+    non-identity element is kept away from the scalars, in the first of 16
+    draws that does.  A scalar action makes coboundary mismatches vanish
+    identically, which degenerates the cocycle scenarios."""
+    for _ in range(16):
         vals = exact_rep_values(group_spec, group, dim, rng)
         others = np.delete(vals, group.identity, axis=0)
         means = np.trace(others, axis1=1, axis2=2) / dim
@@ -630,9 +630,9 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     angles[:-1] = scales[:, None, None] * random_skew(rng, n, count=levels - 1)
     q = exp_skew(angles)
     seed_vals = q @ stage_rep[:, None] @ adjoint(q)
-    seed = GHom(source=H, values=Blocks((seed_vals,)), level=0)
-    phi = GHom(source=H, values=tower.project_to_top(0, seed.values),
-               level=tower.top)
+    seed = ApproxRep(H, Blocks((seed_vals,)), unitary=False, unital=False)
+    phi = ApproxRep(H, tower.project_to_top(0, seed.values), unitary=False,
+                    unital=False)
     return tower, phi, source_action, seed
 
 
@@ -643,7 +643,7 @@ def run_lift_trial(s: Scenario, rng):
                             tol=s.tolerance)
     measured = {
         "level": result.level,
-        "rep_defect": result.rep.mult_defect(),
+        "rep_defect": result.rep.defect(),
         "equivariance": result.equivariance_residual,
         "projection": result.projection_residual,
         "iterations": result.correction.iterations,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from equifix.cocycles import coboundary, trivialize
-from equifix.galgebra import GHom, matrix_algebra
+from equifix.galgebra import matrix_algebra
 from equifix.matfun import Blocks, adjoint, exp_skew, operator_norm
 from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
                                 DefectTooLargeError, correct_to_rep,
@@ -120,7 +120,8 @@ def lift_trace(tower, phi, source_action, seed, tol=1e-12):
                                     [:, live[:, None], live])
         except DefectTooLargeError:
             continue
-        if GHom(H, rho0, level=level).mult_defect() < LEVEL_ACCEPT_THRESHOLD:
+        if ApproxRep(H, rho0, unitary=False,
+                     unital=False).defect() < LEVEL_ACCEPT_THRESHOLD:
             break
     embedding = np.zeros((A.dim, live.size))
     embedding[live, np.arange(live.size)] = 1.0

@@ -22,13 +22,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, Cocycle, coboundary,
-                              one_step_cobound, trivialize)
+from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, Cocycle, _cobound_step,
+                              coboundary, one_step_cobound, trivialize)
 from dense_reference import (dense_act, eigh_exp_skew, eigh_half_plane_log, embed,
                              random_blocks)
-from equifix.galgebra import (BlockMismatchError, GHom, Tower,
-                              matrix_algebra, max_pair_defect,
-                              trivial_action_algebra)
+from equifix.galgebra import (BlockMismatchError, Tower, matrix_algebra,
+                              max_pair_defect, trivial_action_algebra)
 from equifix.groups import make_group
 from equifix.matfun import (EXP_CAP, UNITARIZE_EPS, Blocks, exp_skew,
                             normal_eigensystem, operator_norm, polar_unitary,
@@ -70,9 +69,8 @@ disc_radii = st.lists(st.sampled_from([0.0, 1e-9, RIM]) | st.floats(0.0, RIM),
 
 def reference_log(u):
     """Principal log of one unitary through its Schur eigensystem."""
-    spec = normal_eigensystem(u)
-    v = spec.eigenvectors
-    x = (v * (1j * np.angle(spec.eigenvalues))) @ v.conj().T
+    lam, v = normal_eigensystem(u)
+    x = (v * (1j * np.angle(lam))) @ v.conj().T
     return (x - x.conj().T) / 2
 
 
@@ -350,7 +348,8 @@ def test_max_pair_defect_matches_per_pair_loop(seed, spec, dim, magnitude, regul
     rep = ApproxRep(group, vals)
     assert rep.defect_with_argmax()[1] == pair
     assert abs(rep.defect() - worst) <= 1e-12
-    assert abs(GHom(group, vals, level=0).mult_defect() - worst) <= 1e-12
+    assert abs(ApproxRep(group, vals, unitary=False, unital=False).defect()
+               - worst) <= 1e-12
     if regular and magnitude == 0.0:
         assert worst == 0.0 and pair == (0, 0)
 
@@ -597,8 +596,9 @@ def test_trivialize_measures_each_iterate_once(monkeypatch):
     assert result.iterations >= 2
     assert len(measured) == result.iterations + 1
     assert len({id(v) for v in measured}) == len(measured)
-    # Outside trivialize nothing is cached: every step measures its input.
-    assert w._last is None
+    # Outside trivialize nothing is cached: the cocycle holds no iterate,
+    # and every step measures its input.
+    assert set(vars(w)) == {"algebra", "values", "_defect"}
     measured.clear()
     one_step_cobound(w, v0)
     one_step_cobound(w, v0)
@@ -608,15 +608,14 @@ def test_trivialize_measures_each_iterate_once(monkeypatch):
 def test_cached_mismatch_still_gates_the_step():
     w, v0, rng = cocycle_case()
     far = v0 @ expm(1.5 * random_skew(rng, 3))
-    w._last = (far, w.mismatch(far))     # as trivialize leaves its iterate
-    assert w._last[1][0] > 1 / 5
+    measured = w.mismatch(far)         # as trivialize passes its iterate's
+    assert measured[0] > 1 / 5
+    with pytest.raises(DefectTooLargeError, match="exceeds 1/5"):
+        _cobound_step(w, far, measured)
     with pytest.raises(DefectTooLargeError, match="exceeds 1/5"):
         one_step_cobound(w, far)
-    # A rejected trivialize leaves no cached iterate behind.
-    w._last = None
     with pytest.raises(DefectTooLargeError, match="not below 1/10"):
         trivialize(w, far)
-    assert w._last is None
 
 
 # --- stacked group averages and the partition-defect kernel ------------------

@@ -127,13 +127,19 @@ MODEL_CACHES = (scenarios._menu, scenarios._identity_tower, scenarios._lift_mode
 def test_cached_models_are_read_only():
     menu = scenarios._menu(scenarios._key({"kind": "dihedral", "params": 3}))
     algebra, exact, _ = build_rokhlin_scenario(3, 2, 0.02, trial_rng(0, 0))
-    tower, _, action, _ = build_lift_scenario(
-        Scenario.from_dict(SUITE["lift"][1], seed=0), trial_rng(0, 0))
+    lift = Scenario.from_dict(SUITE["lift"][1], seed=0)
+    tower, _, action, _ = build_lift_scenario(lift, trial_rng(0, 0))
     rep_tower = scenarios._identity_tower(
         scenarios._key(SUITE["rep_tower"][1]["group"]), 4)
+    # The level quotients a trial builds in a cached tower are cached too.
+    assert scenarios.run_lift_trial(lift, 0).all_passed()
+    assert scenarios.run_rep_trial(
+        Scenario.from_dict(SUITE["rep_tower"][1], seed=0), 0).all_passed()
+    levels = (tower.level(0), rep_tower.level(1))
     for x in (*menu, exact, algebra.perms, algebra.unitaries[1][0], algebra._u[0],
               tower.algebra.unitaries[1][0], tower.algebra._uh[0], action.scalar,
-              action.perm, rep_tower.algebra._u[0], rep_tower.algebra.group.mult):
+              action.perm, rep_tower.algebra._u[0], rep_tower.algebra.group.mult,
+              *(a for q in levels for a in (q.perms, q._u[0], q._uh[0], q._src[0]))):
         with pytest.raises(ValueError, match="read-only"):
             x[(0,) * x.ndim] = 2
 

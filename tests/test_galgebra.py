@@ -3,9 +3,10 @@ import pytest
 
 from dense_reference import random_blocks
 from equifix.groups import cyclic_group
-from equifix.galgebra import (BlockMismatchError, GAlgebra, GHom, Tower,
+from equifix.galgebra import (BlockMismatchError, GAlgebra, Tower,
                               trivial_action_algebra)
 from equifix.matfun import Blocks, operator_norm
+from equifix.repcorrect import ApproxRep
 
 
 def rand_unitary(rng, n):
@@ -153,11 +154,11 @@ def test_nonincreasing_chain_rejected():
         Tower(algebra=alg, ideals=(frozenset({0}), frozenset({1})))
 
 
-def test_ghom_defect_measurement():
+def test_group_map_defect_measurement():
     g = cyclic_group(2)
     vals = np.stack([np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)])
-    h = GHom(source=g, values=vals, level=0)
-    assert h.mult_defect() <= 1e-15
+    h = ApproxRep(g, vals, unitary=False, unital=False)
+    assert h.defect() <= 1e-15
     bad = np.stack([np.eye(2, dtype=complex), np.diag([1.0, np.exp(0.3j)])])
-    h2 = GHom(source=g, values=bad, level=0)
-    assert h2.mult_defect() == pytest.approx(abs(np.exp(0.6j) - 1), abs=1e-12)
+    h2 = ApproxRep(g, bad, unitary=False, unital=False)
+    assert h2.defect() == pytest.approx(abs(np.exp(0.6j) - 1), abs=1e-12)

@@ -192,18 +192,18 @@ def test_round_fixes_exact_spectrum():
     rng = np.random.default_rng(8)
     v = rand_unitary(rng, 4)
     w = v @ np.diag(np.exp(2j * np.pi * np.array([0, 1, 1, 2]) / 3)) @ v.conj().T
-    assert operator_norm(spectral_round_unitary(w, 3) - w) <= 1e-12
+    assert operator_norm(spectral_round_unitary(w, 3)[0] - w) <= 1e-12
 
 
 def test_round_two_by_two():
     w = np.diag([np.exp(0.1j), np.exp(1j * (np.pi - 0.2))])
-    z = spectral_round_unitary(w, 2)
+    z = spectral_round_unitary(w, 2)[0]
     assert operator_norm(z - np.diag([1.0, -1.0])) <= 1e-12
 
 
 def test_round_scalar_case():
     w = np.exp(0.3j) * np.eye(2)
-    z = spectral_round_unitary(w, 4)
+    z = spectral_round_unitary(w, 4)[0]
     assert operator_norm(z - np.eye(2)) <= 1e-12
     assert scalar_round(0.3, 4) == 1.0
 
@@ -215,9 +215,14 @@ def test_round_matches_scalar_oracle():
         2 * np.pi * rng.integers(0, d, size=4) / d
     v = rand_unitary(rng, 4)
     w = v @ np.diag(np.exp(1j * thetas)) @ v.conj().T
-    z = spectral_round_unitary(w, d)
+    z, vecs, ks, margin = spectral_round_unitary(w, d)
     want = v @ np.diag([scalar_round(t, d) for t in thetas]) @ v.conj().T
     assert operator_norm(z - want) <= 1e-11
+    assert operator_norm((vecs * np.exp(2j * np.pi * ks / d)) @ vecs.conj().T - z) <= 1e-12
+    # The margin is the least distance of an argument to a cell midpoint.
+    cell = 2 * np.pi / d
+    assert margin == pytest.approx(np.min(np.abs(np.mod(thetas, cell) - cell / 2)),
+                                   abs=1e-12)
 
 
 def test_round_properties():
@@ -227,15 +232,15 @@ def test_round_properties():
         2 * np.pi * rng.integers(0, d, size=5) / d
     v = rand_unitary(rng, 5)
     w = v @ np.diag(np.exp(1j * thetas)) @ v.conj().T
-    z = spectral_round_unitary(w, d)
+    z = spectral_round_unitary(w, d)[0]
     # order d, idempotent, commutes with the input
     assert operator_norm(np.linalg.matrix_power(z, d) - np.eye(5)) <= 1e-11
-    assert operator_norm(spectral_round_unitary(z, d) - z) <= 1e-11
+    assert operator_norm(spectral_round_unitary(z, d)[0] - z) <= 1e-11
     assert operator_norm(z @ w - w @ z) <= 1e-11
     # phase equivariance: round(lam w) = lam round(w) for d-th roots lam
     for k in range(1, d):
         lam = np.exp(2j * np.pi * k / d)
-        assert operator_norm(spectral_round_unitary(lam * w, d) - lam * z) <= 1e-11
+        assert operator_norm(spectral_round_unitary(lam * w, d)[0] - lam * z) <= 1e-11
 
 
 def test_round_midpoint_rejected():
@@ -296,8 +301,8 @@ def test_calculus_conjugation_covariance(seed):
     conj_u = v @ u @ v.conj().T
     assert operator_norm(principal_log_unitary(conj_u) -
                          v @ principal_log_unitary(u) @ v.conj().T) <= 1e-11
-    assert operator_norm(spectral_round_unitary(conj_u, 5) -
-                         v @ spectral_round_unitary(u, 5) @ v.conj().T) <= 1e-11
+    assert operator_norm(spectral_round_unitary(conj_u, 5)[0] -
+                         v @ spectral_round_unitary(u, 5)[0] @ v.conj().T) <= 1e-11
     a = np.eye(n) + 0.2 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     assert operator_norm(polar_unitary(v @ a @ v.conj().T) -
                          v @ polar_unitary(a) @ v.conj().T) <= 1e-11
@@ -315,9 +320,8 @@ def test_eigensystem_quality_on_cos_collisions():
     v = rand_unitary(rng, 6)
     thetas = np.array([0.7, -0.7 + 3e-6, 0.7 + 2e-6, -0.7, 2.2, -2.2 + 1e-6])
     u = v @ np.diag(np.exp(1j * thetas)) @ v.conj().T
-    spec = normal_eigensystem(u)
-    vv = spec.eigenvectors
-    assert operator_norm((vv * spec.eigenvalues) @ vv.conj().T - u) <= 1e-12
+    lam, vv = normal_eigensystem(u)
+    assert operator_norm((vv * lam) @ vv.conj().T - u) <= 1e-12
     assert operator_norm(vv.conj().T @ vv - np.eye(6)) <= 1e-12
 
 

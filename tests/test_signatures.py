@@ -1,0 +1,72 @@
+"""The settable surface of the library.  Every defaulted parameter of a
+public function or method of an ``equifix`` module is one that a scenario,
+a CLI path or a test sets to a value other than its default; a gate's
+tolerance is a constant of the kernel that gates with it.  A defaulted
+parameter added anywhere fails here until it is listed with its caller."""
+
+import importlib
+import inspect
+
+MODULES = ("groups", "matfun", "galgebra", "repcorrect", "cocycles",
+           "relations", "graded", "scenarios", "cli")
+
+# Each function or method with defaulted parameters, and who sets them.
+SETTABLE = {
+    "groups.FiniteGroup.__init__": {"name"},          # every constructor
+    "groups.CircleWeights.degree_bound": {"monomial"},     # circle_average
+    "groups.CircleWeights.default_nodes": {"monomial"},
+    "groups.circle_average": {"monomial", "nodes"},   # the criterion 9 tests
+    "matfun.largest_norm": {"floor"},                 # every screened gate
+    "galgebra.GAlgebra.__init__": {"action_tol", "check"},  # restrict: no check
+    "galgebra.GAlgebra.action_defect": {"samples", "floor"},   # its self-check
+    "galgebra.matrix_algebra": {"action_unitaries", "action_tol"},  # the corner
+    "galgebra.max_pair_defect": {"act"},              # the cocycle defect
+    "repcorrect.ApproxRep.__init__": {"unitary", "unital"},   # the lift's maps
+    "repcorrect.RepCorrection.__init__": {"quotient_drift"},
+    "repcorrect.correct_to_rep": {"tol", "quotient", "max_iter", "on_iterate"},
+    "repcorrect.intertwiner": {"quotient"},           # the lift
+    "repcorrect.lift_group_rep": {"tol"},             # a scenario's tolerance
+    "cocycles.Trivialization.__init__": {"quotient_drift"},
+    "cocycles.trivialize": {"v0", "tol", "quotient", "max_iter"},
+    "relations.measure_partition_seeds": {"unit"},    # the tracial residuals
+    "graded.graded_correct": {"tol"},
+    "scenarios.Scenario.__init__": {"group", "dimension", "magnitude", "trials",
+                                    "tolerance", "tower", "source",
+                                    "corner_corank", "graded_data"},
+    "scenarios.suite_scenarios": {"seed"},            # equifix suite --seed
+    "scenarios.group_of": {"graded", "data"},
+    "scenarios.random_skew": {"corner", "count"},
+    "scenarios.perturb_rep_values": {"skip_identity", "draw"},
+    "scenarios.TrialReport.__init__": {"error"},      # a trial that raised
+    "scenarios.build_rokhlin_scenario": {"corank"},   # the tracial trials
+    "cli.main": {"argv"},
+}
+
+
+def public_callables(module):
+    """(qualified name, callable) for the functions a module defines and
+    the public methods (and __init__) of the classes it defines."""
+    short = module.__name__.rsplit(".", 1)[-1]
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{short}.{name}", obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") and attr != "__init__":
+                    continue
+                if inspect.isfunction(member) or \
+                        isinstance(member, (staticmethod, classmethod)):
+                    yield f"{short}.{name}.{attr}", getattr(obj, attr)
+
+
+def test_defaulted_parameters_are_the_ones_callers_set():
+    found = {}
+    for m in MODULES:
+        for name, f in public_callables(importlib.import_module(f"equifix.{m}")):
+            params = {p.name for p in inspect.signature(f).parameters.values()
+                      if p.default is not p.empty}
+            if params:
+                found[name] = params
+    assert found == SETTABLE
