@@ -70,8 +70,7 @@ class Cocycle:
 
 def coboundary_values(algebra: GAlgebra, v):
     """The (|G|, ...) stack of v alpha_g(v)*."""
-    return stack([v @ adjoint(algebra.act(g, v))
-                  for g in range(algebra.group.order)])
+    return v @ adjoint(algebra.act(np.arange(algebra.group.order), v))
 
 
 def coboundary(algebra: GAlgebra, v) -> Cocycle:

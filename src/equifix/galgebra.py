@@ -7,17 +7,18 @@ unitaries; every automorphism of a finite-dimensional C*-algebra has this
 form.  An element is stored as :class:`~equifix.matfun.Blocks`: the blocks
 of one size b_s share one stack ``(..., K_s, b_s, b_s)``.  The action of g
 gathers each stack by the block permutation and conjugates every block by
-its unitary, one batched product per block size; the norm of an element is
-its largest block norm.  A one-block algebra (``matrix_algebra``) also
-takes a dense matrix or stack ``(..., n, n)`` as its only block.
+its unitary, one batched product per block size, for one g or for an
+array of g at once; an element's norm is its largest block norm.  A
+one-block algebra (``matrix_algebra``) takes a dense ``(..., n, n)`` too.
 
 A Tower adds an increasing chain of invariant ideals (unions of blocks).
 The quotient at level n is the G-algebra on the blocks outside J_n, and
 the quotient maps drop blocks, which makes their compatibility exact.
 ``max_pair_defect`` measures the largest ||v(gh) - v(g) v(h)|| over all
 pairs, and its twisted (cocycle) form, with one stacked product and one
-screened norm over the whole (|G|, |G|, ...) stack of pairs.  Such pair
-stacks are taken g by g in chunks (``pair_chunks``) of about SLAB_ENTRIES
+screened norm over the (|G|, |G|, ...) stack of pairs, as do the action's
+self-check and the equivariance and partition defects.  Such stacks take
+one stacked call per chunk of g (``pair_chunks``) of about SLAB_ENTRIES
 entries, so a large group at a large dimension never holds all pairs at
 once; every group the benchmarks run fits one chunk.  A map from a group
 into a level is such a family, held as an ``ApproxRep`` (unitary=False,
@@ -32,10 +33,10 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import Blocks, adjoint, largest_norm, stack
+from .matfun import Blocks, adjoint, largest_norm
 
 # The most matrix entries one stacked call over a family of pairs holds.
-SLAB_ENTRIES = 2 ** 20
+SLAB_ENTRIES = 2 ** 16
 
 
 class BlockMismatchError(ValueError):
@@ -121,33 +122,37 @@ class GAlgebra:
                                      f"algebra with blocks {self.blocks}")
         return Blocks((a[..., None, :, :],))
 
-    def act(self, g: int, a):
+    def act(self, g, a):
         """Apply the automorphism of g to one element or a stack: gather the
-        blocks by the permutation, then conjugate each by its unitary.  A
-        dense argument gives a dense result."""
+        blocks by the permutation, then conjugate each by its unitary, one
+        batched product per block size.  An index array g of shape (k,)
+        gives the (k, ...) stack of act(g_i, a), outer over g; an int g is
+        its rank-0 case.  A dense argument gives a dense result."""
         x = self.as_blocks(a)
-        out = Blocks(u[g] @ p[..., s[g], :, :] @ uh[g] for p, s, u, uh
-                     in zip(x.parts, self._src, self._u, self._uh))
+        g, n = np.asarray(g), len(x.lead)
+        out = Blocks(np.moveaxis(u[g] @ p[..., s[g], :, :] @ uh[g],
+                                 range(n, n + g.ndim), range(g.ndim))
+                     for p, s, u, uh in zip(x.parts, self._src, self._u, self._uh))
         return out if isinstance(a, Blocks) else out.parts[0][..., 0, :, :]
 
     def action_defect(self, samples: int = 2, floor: float = 0.0) -> float:
         """Max over (g, h) of ||act(h, act(g, a)) - act(hg, a)|| on random
         elements a (seed 0), plus the identity-acts-trivially defect, or
         ``floor`` if that is larger: a gate at tolerance ``floor`` takes no
-        SVD for slices that are screened under it.  Each h acts once on the stack
-        of images of a and takes one screened norm over g.  Should be at
-        rounding level for a genuine action."""
+        SVD for slices that are screened under it.  One stacked action and
+        one screened norm per chunk of h, over the stack of images of a.
+        Should be at rounding level for a genuine action."""
         rng = np.random.default_rng(0)
         G = self.group
         worst = floor
         for _ in range(samples):
             a = Blocks(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                        for shape in self._shapes)
-            images = stack([self.act(g, a) for g in range(G.order)])
+            images = self.act(np.arange(G.order), a)
             worst = largest_norm(images[G.identity] - a, worst)[0]
-            for h in range(G.order):
-                worst = largest_norm(self.act(h, images) - images[G.mult[h]],
-                                     worst)[0]
+            for c in pair_chunks(images, G.order):
+                worst = largest_norm(self.act(np.arange(G.order)[c], images) -
+                                     images[G.mult[c]], worst)[0]
         return worst
 
     def restrict(self, keep) -> "GAlgebra":
@@ -280,12 +285,11 @@ def chunks(count: int, per_item: int) -> list:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def pair_chunks(values) -> list:
-    """Chunks of g for the (g, k) pair stacks of a group-indexed family:
-    each g brings |G| values of the family's size."""
+def pair_chunks(values, count: int) -> list:
+    """Chunks of g in range(count) for the (g, k) stacks over a
+    group-indexed family: each g brings the whole family."""
     parts = values.parts if isinstance(values, Blocks) else (values,)
-    order = parts[0].shape[0]
-    return chunks(order, order * sum(math.prod(p.shape[1:]) for p in parts))
+    return chunks(count, len(parts[0]) * sum(math.prod(p.shape[1:]) for p in parts))
 
 
 def max_pair_defect(values, mult: np.ndarray, act=None):
@@ -297,9 +301,8 @@ def max_pair_defect(values, mult: np.ndarray, act=None):
     ties go to the first pair."""
     order = len(mult)
     worst, pair = -1.0, None
-    for c in pair_chunks(values):
-        twisted = values[None] if act is None else \
-            stack([act(g, values) for g in range(order)[c]])
+    for c in pair_chunks(values, order):
+        twisted = values[None] if act is None else act(np.arange(order)[c], values)
         worst, i = largest_norm(values[mult[c]] - values[c, None] @ twisted, worst)
         if i is not None:
             g, h = divmod(i, order)

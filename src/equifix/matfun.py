@@ -60,13 +60,16 @@ Every maximum of norms and every norm gate goes through one screened
 kernel, :func:`largest_norm`.  A slice's Frobenius norm F bounds its
 operator norm from both sides, ||x|| <= F <= sqrt(rank) ||x|| (Golub and
 Van Loan, Matrix Computations, 2.3), and costs one pass over the entries.
-A slice with F at or under a gate's tolerance passes it, and a slice with
-F under the largest lower bound F/sqrt(rank) of any slice cannot be the
-maximum; one batched SVD then takes only the slices left.  The screen is
-exact: both comparisons carry the relative margin SCREEN_MARGIN (plus
-1e-14 per entry), far above the rounding of either computed norm, and an
-absolute 1e-150 for underflow in the squared entries, so a skipped slice
-is one whose computed operator norm could not have changed the answer.
+A slice with F at or under a gate's tolerance passes it.  The slice of
+largest lower bound F/sqrt(rank) (in a stack of one shape, of largest F)
+is SVD'd alone first; a slice with F under its exact norm cannot be the
+maximum, and one batched SVD then takes only the slices left.  That extra
+SVD pays where a maximum over g is one stacked call per chunk of g, not
+one per g.  The screen is exact: both comparisons carry the relative
+margin SCREEN_MARGIN (plus 1e-14 per entry), far above the rounding of
+either computed norm, and an absolute 1e-150 for underflow in the squared
+entries, so a skipped slice is one whose computed operator norm could not
+have changed the answer.
 Values and first maximizing slices are bit for bit those of a full batched
 SVD, whose slices do not depend on the rest of the stack.  The Frobenius
 pass is also the finiteness check of the kernel's input.
@@ -298,37 +301,45 @@ def largest_norm(a, floor: float = 0.0):
     norm), and the flat index of the first slice attaining it; (floor, None)
     when no norm exceeds ``floor``.  A single matrix is a stack of one.
 
-    Screened by Frobenius norms (module docstring): a slice is taken into
-    the one batched SVD per block size only if its upper bound exceeds
-    ``floor`` and reaches the largest lower bound, and an exactly zero
-    slice takes none.  So ``largest_norm(x, tol)`` is a gate that takes no
-    SVD when every slice is well under tol, and a loop over slabs that
-    passes its running maximum as ``floor`` skips the slices that cannot
-    beat earlier slabs (ties go to the earlier slab)."""
+    Screened by Frobenius norms (module docstring): a slice is SVD'd only
+    if its upper bound exceeds ``floor`` and reaches the exact norm of the
+    slice of largest lower bound, SVD'd first; an exactly zero slice takes none.
+    So ``largest_norm(x, tol)`` is a gate that takes no SVD when every
+    slice is well under tol, and a loop over slabs that passes its running
+    maximum as ``floor`` skips the slices that cannot beat earlier slabs
+    (ties go to the earlier slab)."""
     blocks = isinstance(a, Blocks)
     parts = [np.asarray(p, dtype=complex) for p in (a.parts if blocks else (a,))]
     screens = [_screen(p) for p in parts]
+    per = [p.shape[-3] if blocks else 1 for p in parts]    # slices per element
     # A slice is kept when its upper bound f (1 + margin) + _UNDERFLOW
-    # beats max(floor, 0), or reaches the largest lower bound on the
-    # maximum, f (1 - margin) / sqrt(min(m, n)) - _UNDERFLOW, if higher.
+    # beats max(floor, 0), or reaches the exact norm, if higher, of the
+    # slice of largest lower bound f (1 - margin) / sqrt(min(m, n)), SVD'd
+    # alone first: no slice has a larger lower bound.
     lo, strict = max(floor, 0.0), True
-    for p, (_, top, _, scale) in zip(parts, screens):
-        bound = (math.sqrt(top) * (2 - scale) - _UNDERFLOW) / math.sqrt(
-            max(1, min(p.shape[-2:])))
-        if bound > lo and math.isfinite(bound):
-            lo, strict = bound, False
-    best, first = -math.inf, None
-    for p, (f2, top, x, scale) in zip(parts, screens):
+    best, first, done = -math.inf, None, (-1, -1)
+    lows = [math.sqrt(top) * (2 - scale) / math.sqrt(max(1, min(p.shape[-2:])))
+            for p, (_, top, _, scale) in zip(parts, screens)]
+    s = int(np.argmax(lows or [0.0]))
+    f2, top, x, scale = screens[s] if screens else (None, 0.0, None, 1.0)
+    if 0 < top and math.sqrt(top) * scale + _UNDERFLOW > lo:
+        done = s, int(f2.argmax())
+        best = float(_svd_norms(x.view(complex)[done[1]]))
+        first = done[1] // per[s]
+        lo, strict = (best, False) if best > lo else (lo, strict)
+    for s, (f2, top, x, scale) in enumerate(screens):
         cut = (lo - _UNDERFLOW) / scale
         if cut >= 0 and math.isfinite(top):
             keep = f2 > cut * cut if strict else f2 >= cut * cut
         else:                 # every nonzero slice, also when squares overflow
             keep = x.any(axis=(1, 2))
+        if s == done[0]:
+            keep[done[1]] = False
         index = keep.nonzero()[0]
         if index.size:
             norms = _svd_norms(x.view(complex)[index])
             i = int(norms.argmax())
-            at = int(index[i]) // (p.shape[-3] if blocks else 1)
+            at = int(index[i]) // per[s]
             if norms[i] > best or (norms[i] == best and at < first):
                 best, first = float(norms[i]), at
     if first is None and floor < 0 and any(s[0].size for s in screens):

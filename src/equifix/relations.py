@@ -19,7 +19,7 @@ import numpy as np
 from .groups import FiniteGroup, haar_average
 from .matfun import (_range_isometry, adjoint, largest_norm, operator_norm,
                      polar_unitary, spectral_round_unitary)
-from .galgebra import GAlgebra, matrix_algebra
+from .galgebra import GAlgebra, matrix_algebra, pair_chunks
 from .repcorrect import DefectTooLargeError
 
 
@@ -42,17 +42,20 @@ def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
     """The five partition defects of a family p_g: ||p_g^2 - p_g||,
     ||p_g - p_g*||, ||p_g p_h|| for g != h, ||alpha_g(p_h) - p_{gh}|| and
     ||sum_g p_g - unit|| (unit defaults to 1), each maximized over the
-    family.  The norms are screened over the family, with one slab per g
-    for the two pairwise defects (so no (d, d, n, n) array is built) and
-    one action per g on the whole family."""
+    family.  The two pairwise defects take one stacked call per chunk of g
+    (``pair_chunks``), the products p_g p_h and one stacked action on the
+    whole family, so no (d, d, n, n) array larger than a chunk is built."""
     G = algebra.group
     seeds = np.asarray(seeds, dtype=complex)
     if unit is None:
         unit = np.eye(algebra.dim)
     orth = eq = 0.0
-    for g in range(G.order):
-        orth = largest_norm(seeds[g] @ np.delete(seeds, g, axis=0), orth)[0]
-        eq = largest_norm(algebra.act(g, seeds) - seeds[G.mult[g]], eq)[0]
+    for c in pair_chunks(seeds, G.order):
+        g = np.arange(G.order)[c]
+        products = seeds[c, None] @ seeds
+        products[np.arange(len(g)), g] = 0.0     # p_g p_g is not a pair
+        orth = largest_norm(products, orth)[0]
+        eq = largest_norm(algebra.act(g, seeds) - seeds[G.mult[c]], eq)[0]
     return SeedDefects(
         idempotency=largest_norm(seeds @ seeds - seeds)[0],
         self_adjointness=largest_norm(seeds - seeds.conj().transpose(0, 2, 1))[0],
@@ -141,7 +144,8 @@ def _round_partition(algebra: GAlgebra, seeds: np.ndarray):
     zeta = np.exp(2j * np.pi / d)
     w0 = sum((zeta ** g) * sym[g] for g in range(d))
     # Covariance averaging (idempotent once the family is exactly permuted).
-    a = sum((zeta ** g) * algebra.act(g, w0) for g in range(d)) / d
+    images = algebra.act(np.arange(d), w0)
+    a = sum((zeta ** g) * images[g] for g in range(d)) / d
     eta = operator_norm(a.conj().T @ a - np.eye(n))
     certificate["encoded_unitarity_gap"] = eta
     if eta >= 0.75:
@@ -149,8 +153,8 @@ def _round_partition(algebra: GAlgebra, seeds: np.ndarray):
             f"seeds too rough: ||w0* w0 - 1|| = {eta:.6g} >= 0.75 "
             f"(seed defect {defects.overall:.6g}, a-priori threshold {threshold:.6g})")
     w = polar_unitary(a)
-    cov = largest_norm(np.stack([algebra.act(g, w) - (zeta ** (-g)) * w
-                                 for g in range(d)]))[0]
+    cov = largest_norm(algebra.act(np.arange(d), w) -
+                       np.stack([(zeta ** (-g)) * w for g in range(d)]))[0]
     certificate["covariance_residual"] = cov
 
     # The half-gap condition: every eigenvalue argument within pi/(2d) of a
@@ -228,8 +232,7 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
 
     sym = _averaged_seeds(algebra, seeds)
     s = sym.sum(axis=0)
-    inv_gap = largest_norm(np.stack([algebra.act(g, s) - s for g in range(d)]),
-                           1e-10)[0]
+    inv_gap = largest_norm(algebra.act(np.arange(d), s) - s, 1e-10)[0]
     if inv_gap > 1e-10:
         raise DefectTooLargeError(
             f"summed seeds not invariant after averaging (gap {inv_gap:.3e})")

@@ -104,7 +104,7 @@ def one_step(rep: ApproxRep) -> ApproxRep:
     # one log of the whole stack and one mean over k.
     x = concatenate([principal_log_unitary(
         v_adj[None] @ v[G.mult.T[c]] @ v_adj[c, None]).mean(axis=1)
-        for c in pair_chunks(v)])
+        for c in pair_chunks(v, G.order)])
     return ApproxRep(G, exp_skew(x) @ v, unitary=rep.unitary, unital=rep.unital)
 
 
@@ -250,15 +250,16 @@ def translation_source_action(d: int, group: FiniteGroup,
 
 
 def equivariance_defect(values, act: Callable, source_action: SourceAction) -> float:
-    """Max over (g, x) of || gamma_g(psi(u_x)) - psi(alpha_g(u_x)) ||.
-    ``act(g, .)`` is applied to the whole (|H|, ...) stack of values (an
-    array or Blocks), with one screened norm per g over the running maximum."""
+    """Max over (g, x) of || gamma_g(psi(u_x)) - psi(alpha_g(u_x)) ||: per
+    chunk of g, one stacked call ``act(g, values)`` over an index array g
+    (the (k, |H|, ...) stack, as ``GAlgebra.act`` gives it, of an array or
+    Blocks) and one screened norm over the running maximum."""
     values = group_stack(values, source_action.source.order)
     perm, scalar = source_action.perm, source_action.scalar
-    worst = 0.0
-    for g in range(source_action.group.order):
-        diff = act(g, values) - scalar[g][:, None, None] * values[perm[g]]
-        worst = largest_norm(diff, worst)[0]
+    worst, order = 0.0, source_action.group.order
+    for c in pair_chunks(values, order):
+        worst = largest_norm(act(np.arange(order)[c], values) -
+                             scalar[c, :, None, None] * values[perm[c]], worst)[0]
     return worst
 
 

@@ -88,8 +88,14 @@ def full_unitary(algebra, g):
 
 
 def dense_act(algebra):
-    ws = [full_unitary(algebra, g) for g in range(algebra.group.order)]
-    return lambda g, a: ws[g] @ a @ ws[g].conj().T
+    """a -> W_g a W_g*, for an int g, or for an index array g of shape (k,)
+    as the (k, ...) stack over g, like ``GAlgebra.act``."""
+    ws = np.stack([full_unitary(algebra, g) for g in range(algebra.group.order)])
+
+    def act(g, a):
+        w = ws[g].reshape(np.shape(g) + (1,) * (np.ndim(a) - 2) + ws.shape[1:])
+        return w @ a @ adjoint(w)
+    return act
 
 
 def level_mask(tower, n):

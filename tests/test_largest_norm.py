@@ -1,7 +1,8 @@
 """Property tests for the screened norm kernel ``largest_norm`` against a
-full batched SVD of every slice, and guard tests that the correctors'
-gates take no SVD on valid input yet still reject input just over them
-with the same message."""
+full batched SVD of every slice, cases for its exact floor (the slice of
+largest Frobenius norm, SVD'd first), and guard tests that the
+correctors' gates take no SVD on valid input yet still reject input just
+over them with the same message."""
 
 import math
 
@@ -155,6 +156,49 @@ def test_gate_rejection_names_the_worst_slice(seed, count, n, ratio, rank1):
             exp_skew(x)
         assert str(err.value) == (f"input is not skew-Hermitian: ||x + x*|| = "
                                   f"{worst:.3e} at slice ({i},)")
+
+
+# --- the exact floor ----------------------------------------------------------
+
+def test_tie_with_the_largest_frobenius_slice_goes_to_the_earlier_slice():
+    # Slice 2 has the largest Frobenius norm and is SVD'd first; slice 1
+    # ties it in operator norm (1), and the earlier slice wins.
+    a = np.stack([np.diag([0.5, 0.0]), np.diag([1.0, 0.0]),
+                  np.diag([1.0, 0.75]), np.diag([1.0, 0.5])]).astype(complex)
+    norms = full_norms(a)
+    assert norms[1] == norms[2] == norms[3] == 1.0
+    for floor in (-1.0, 0.0, 0.5):
+        assert largest_norm(a, floor) == reference(norms, floor) == (1.0, 1)
+    assert largest_norm(a, 1.0) == (1.0, None)
+
+
+@pytest.mark.parametrize("tie", [False, True])
+def test_blocks_whose_largest_frobenius_slice_is_in_a_later_size(tie):
+    # Element 1's 3 x 3 block has the largest Frobenius norm (sqrt(3)) but
+    # operator norm 1.  The largest norm is element 0's 1 x 1 block, 1.5,
+    # or with ``tie`` 1, which ties element 1 and element 0 wins.
+    one = np.array([[[[1.0 if tie else 1.5]]], [[[0.5]]]], dtype=complex)
+    three = np.stack([0.1 * np.eye(3), np.eye(3)])[:, None].astype(complex)
+    x = Blocks([one, three])
+    norms = np.max([full_norms(p).max(axis=-1) for p in x.parts], axis=0)
+    for floor in (-1.0, 0.0, 0.9):
+        assert largest_norm(x, floor) == reference(norms, floor) == \
+            (1.0 if tie else 1.5, 0)
+
+
+def test_dominant_slice_takes_fewer_svd_slices(svd_counter):
+    # 19 generic 4 x 4 slices with Frobenius norm 8 (operator norm under 8)
+    # and a rank-one slice of norm 10.  The lower bound F / sqrt(4) = 5
+    # leaves every slice to the SVD; the rank-one slice's exact norm, 10,
+    # leaves none of the others.
+    rng = np.random.default_rng(0)
+    a = draw_stack(rng, ["generic"] * 19 + ["rank1"], 4, 4, False)
+    a *= (np.array([8.0] * 19 + [10.0]) / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
+    assert np.all(np.linalg.norm(a, axis=(1, 2)) >= 10.0 / 2)
+    svd_counter.clear()
+    assert largest_norm(a) == reference(full_norms(a), 0.0)
+    svd_counter.pop()                  # the reference's
+    assert sum(math.prod(s[:-2]) for s in svd_counter) == 1
 
 
 # --- no SVD on valid input -------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equifix.groups import cyclic_group, make_group
-from equifix.galgebra import Tower, trivial_action_algebra
+from equifix.galgebra import Tower, matrix_algebra, trivial_action_algebra
 from equifix.matfun import Blocks, identity_like, operator_norm
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError,
                                 LiftError, SourceAction, correct_to_rep,
@@ -156,8 +156,7 @@ def translation_setup(d, seed, stage_noise):
     action = translation_source_action(d, G, H)
     zeta = np.exp(2j * np.pi / d)
     dmat = np.diag(zeta ** (-np.arange(d)))
-    act = lambda g, a: np.linalg.matrix_power(dmat, g) @ a @ \
-        np.linalg.matrix_power(dmat, g).conj().T
+    act = matrix_algebra(d, G, [np.linalg.matrix_power(dmat, g) for g in range(d)]).act
     shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
     stage = np.stack([np.linalg.matrix_power(shift, k) for k in range(d)])
     q = expm(stage_noise * random_skew(rng, d))

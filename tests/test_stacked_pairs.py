@@ -1,11 +1,14 @@
 """Property and guard tests for the correctors that take one stacked call
 over all pairs of group elements: ``one_step`` and ``max_pair_defect``
 chunked by ``SLAB_ENTRIES`` against one chunk and against the per-pair
-loops, the stacked Fourier projection against its per-character loop, the
-character table and the broadcast character checks against their loops,
-the batched graded gates' messages, and ``SourceAction``'s stacked checks
-against its loop; and guards on the memory and the ``eigh`` calls of the
-log that ``one_step`` takes."""
+loops, the stacked action ``GAlgebra.act`` over an index array of g
+against its loop over g, the partition, equivariance and action defects
+chunked against one chunk, the stacked Fourier projection against its
+per-character loop, the character table and the broadcast character
+checks against their loops, the batched graded gates' messages, and
+``SourceAction``'s stacked checks against its loop; and guards on the
+memory and the ``eigh`` calls of the log that ``one_step`` takes, and on
+the memory and the norm calls of ``measure_partition_seeds``."""
 
 import tracemalloc
 from unittest import mock
@@ -14,19 +17,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equifix import galgebra, repcorrect
-from equifix.galgebra import GAlgebra, matrix_algebra, max_pair_defect
+from dataclasses import astuple
+
+from dense_reference import dense_act, embed, random_blocks
+from equifix import galgebra, relations, repcorrect
+from equifix.galgebra import (GAlgebra, matrix_algebra, max_pair_defect,
+                              pair_chunks)
 from equifix.graded import (GradedAlgebra, _validate_characters,
                             character_table, graded_correct,
                             regular_graded_model)
 from equifix.groups import cyclic_group, make_group
 from equifix.matfun import (Blocks, adjoint, exp_skew, operator_norm,
-                            principal_log_unitary)
+                            principal_log_unitary, stack)
+from equifix.relations import measure_partition_seeds
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError, SourceAction,
-                                one_step, translation_source_action)
-from equifix.scenarios import (exact_rep_values, perturb_rep_values,
-                               random_skew, random_unitary, trial_rng)
+                                equivariance_defect, one_step,
+                                translation_source_action)
+from equifix.scenarios import (Scenario, build_lift_scenario,
+                               build_rokhlin_scenario, exact_rep_values,
+                               perturb_rep_values, random_skew,
+                               random_unitary, trial_rng)
 from test_batched import GROUP_SPECS, first_max, reference_one_step
+from test_blocks import CONFIGS, orbit_tower, permuted_algebra
 
 seeds = st.integers(0, 2 ** 32 - 1)
 # One g per chunk, a few g per chunk (the last chunk short), one chunk.
@@ -190,6 +202,150 @@ def test_one_step_log_takes_no_eigh(eigh_counter):
     group, _, values = near_rep(0, {"kind": "symmetric", "params": 3}, 6, 0.01, None)
     one_step(ApproxRep(group, values))
     assert eigh_counter == []
+
+
+# --- the stacked action and the defects that take it ----------------------------
+
+def looped_act(act, idx, a):
+    """act(g, a) for each g of idx, stacked; for an empty idx, the stack of
+    act(0, a) cut to length zero."""
+    return stack([act(int(g), a) for g in idx] or [act(0, a)])[:len(idx)]
+
+
+def index_arrays(order):
+    """Index arrays of g: empty, one g, repeated g, every g."""
+    return st.lists(st.integers(0, order - 1), max_size=6).map(
+        lambda ix: np.array(ix, dtype=np.intp))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from(GROUP_SPECS), st.integers(1, 4), layouts,
+       st.sampled_from([(), (3,), (2, 3)]), st.data())
+def test_stacked_act_is_bit_equal_to_the_loop(seed, spec, dim, blocks, lead, data):
+    group, rng, _ = near_rep(seed, spec, dim, 0.0, blocks)
+    algebra = algebra_for(spec, group, rng, dim, blocks)
+    blocks = blocks or (dim,)
+    a = random_blocks(blocks, rng, lead)
+    idx = data.draw(index_arrays(group.order))
+    # A one-block algebra also takes the dense form of the element.
+    for x in [a] + ([a.parts[0][..., 0, :, :]] if len(blocks) == 1 else []):
+        got = algebra.act(idx, x)
+        assert same(got, looped_act(algebra.act, idx, x))
+        # The dense reference takes index arrays too.
+        dense = embed(blocks, x) if isinstance(x, Blocks) else x
+        want = dense_act(algebra)(idx, dense)
+        got = embed(blocks, got) if isinstance(x, Blocks) else got
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(CONFIGS), st.sampled_from([(), (2,)]), st.data())
+def test_stacked_act_on_tower_levels_is_bit_equal_to_the_loop(seed, config, lead,
+                                                              data):
+    rng = np.random.default_rng(seed)
+    tower = orbit_tower(permuted_algebra(config, rng))
+    x = random_blocks(tower.algebra.blocks, rng, lead)
+    for n in range(tower.top + 1):
+        level = tower.level(n)
+        idx = data.draw(index_arrays(level.group.order))
+        xn = tower.project(n, 0, x)
+        assert same(level.act(idx, xn), looped_act(level.act, idx, xn))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(["rokhlin", "random"]), st.integers(1, 6),
+       st.floats(0.0, 0.2), slabs)
+def test_chunked_partition_defects_are_bit_equal_to_one_chunk(seed, family, d,
+                                                               magnitude, entries):
+    rng = trial_rng(seed, 0)
+    if family == "rokhlin":
+        algebra, exact, fam = build_rokhlin_scenario(d, 2, magnitude, rng, 1)
+        units = (None, exact.sum(axis=0))
+    else:
+        spec = GROUP_SPECS[d % len(GROUP_SPECS)]
+        group = make_group(spec["kind"], spec["params"])
+        algebra = algebra_for(spec, group, rng, 3, None)
+        fam = rng.standard_normal((group.order, 3, 3)) + \
+            1j * rng.standard_normal((group.order, 3, 3))
+        units = (None,)
+    for unit in units:
+        whole = astuple(measure_partition_seeds(algebra, fam, unit))
+        with slab(entries):
+            assert astuple(measure_partition_seeds(algebra, fam, unit)) == whole
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.sampled_from(["translation", "inversion"]), st.integers(2, 5),
+       st.floats(0.0, 0.3), slabs)
+def test_chunked_equivariance_defect_is_bit_equal_to_one_chunk(seed, model, order,
+                                                                noise, entries):
+    # The inversion model acts by a group of order 2 on a source of order
+    # ``order``: the chunks run over the acting group.
+    s = Scenario(kind="lift", seed=seed, source={"model": model, "order": order},
+                 tower={"levels": 3, "base": 0.2, "ratio": 0.2})
+    rng = trial_rng(seed, 0)
+    tower, _, source_action, lift_seed = build_lift_scenario(s, rng)
+    for level in range(tower.top + 1):
+        vals = tower.project(level, 0, lift_seed.values)
+        vals = vals + noise * vals.map(lambda p: rng.standard_normal(p.shape))
+        act = tower.level(level).act
+        whole = equivariance_defect(vals, act, source_action)
+        with slab(entries):
+            assert equivariance_defect(vals, act, source_action) == whole
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(GROUP_SPECS), st.integers(1, 4), layouts,
+       st.sampled_from([None, 0]), slabs)
+def test_chunked_action_defect_is_bit_equal_to_one_chunk(seed, spec, dim, blocks,
+                                                         config, entries):
+    # config 0: a permuted algebra from the block tests instead of a spec's.
+    if config is None:
+        group, rng, _ = near_rep(seed, spec, dim, 0.0, blocks)
+        algebra = algebra_for(spec, group, rng, dim, blocks)
+    else:
+        algebra = permuted_algebra(CONFIGS[seed % len(CONFIGS)],
+                                   np.random.default_rng(seed))
+    whole = algebra.action_defect()
+    with slab(entries):
+        assert algebra.action_defect() == whole
+
+
+def test_partition_defects_memory_stays_near_the_slab(monkeypatch):
+    # cyclic(32) on M_32: the (d, d, n, n) stack of all pairs is 16.8 MB.
+    # With a slab of 2**16 entries two g go in a chunk, and the peak stays
+    # within six slabs' worth of complex entries (6.3 MB).
+    entries = 2 ** 16
+    monkeypatch.setattr(galgebra, "SLAB_ENTRIES", entries)
+    algebra, _, seeds = build_rokhlin_scenario(32, 1, 1e-4, trial_rng(0, 0))
+    tracemalloc.start()
+    try:
+        measure_partition_seeds(algebra, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 16 * entries < seeds.nbytes * len(seeds)
+
+
+@pytest.mark.parametrize("entries", [1, 200, None])
+def test_partition_defects_take_two_norms_per_chunk(monkeypatch, entries):
+    # Orthogonality and equivariance take one screened norm per chunk of g
+    # each, and idempotency and self-adjointness one each: 4 calls in one
+    # chunk on cyclic(6), where one norm per g took 2d + 2 = 14.
+    algebra, _, seeds = build_rokhlin_scenario(6, 2, 0.01, trial_rng(1, 0))
+    calls, real = [], relations.largest_norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relations, "largest_norm", counted)
+    with slab(entries):
+        measure_partition_seeds(algebra, seeds)
+        assert len(calls) == 2 * len(pair_chunks(seeds, 6)) + 2
+    if entries is None:
+        assert len(calls) == 4
 
 
 # --- the graded path --------------------------------------------------------------
