@@ -1,18 +1,18 @@
 """equifix: correct approximate equivariant structures on finite-dimensional
 matrix algebras to exact ones, with certified quantitative error bounds.
 
-Subpackages: finite groups and exact averaging (groups), matrix functional
-calculus (matfun), G-algebras and quotient towers (galgebra), representation
-correction and equivariant lifting (repcorrect), cocycle trivialization
-(cocycles), partition stabilization, plain and tracial (relations),
-abelian gradings (graded), and the scenario runner (scenarios, cli).
+Subpackages: finite groups and exact circle averaging (groups), matrix
+functional calculus (matfun), G-algebras, quotient towers and group
+averages (galgebra), representation correction and equivariant lifting
+(repcorrect), cocycle trivialization (cocycles), partition stabilization,
+plain and tracial (relations), abelian gradings (graded), and the scenario
+runner (scenarios, cli).
 Each gate's tolerance is a constant of the kernel that gates with it, and
 a map from a group, exact or not, is an ApproxRep.
 """
 
 from .groups import (CircleWeights, FiniteGroup, circle_average, cyclic_group,
-                     dihedral_group, haar_average, make_group, product_group,
-                     symmetric_group)
+                     dihedral_group, make_group, product_group, symmetric_group)
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, exp_skew, largest_norm,
                      normal_eigensystem, operator_norm, polar_unitary,
                      principal_log_unitary, round_to_projection,

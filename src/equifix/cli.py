@@ -8,9 +8,9 @@ entry, and ``suite`` runs every entry, entry k at seed ``--seed`` + k.
 Each accepts ``--scenario FILE`` to load a JSON scenario instead, plus
 ``--out``, ``--seed``, ``--trials`` and ``--tolerance`` overrides, which
 the scenario schema checks like the file.  The default output directory
-is taken from the EQUIFIX_OUT environment variable when set.  Exit code is
-0 iff every checked bound passed; violated bounds are named to stderr
-(exit 1), and input that cannot run exits 2.
+is $EQUIFIX_OUT when set.  Exit code is 0 iff every checked bound
+passed; violated bounds are named to stderr (exit 1), and input that
+cannot run, or an output that cannot be made or written, exits 2.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .matfun import (Blocks, adjoint, exp_skew, identity_like, largest_norm,
-                     operator_norm, principal_log_unitary, read_only_copy,
-                     stack)
+                     operator_norm, principal_log_unitary, read_only_copy)
 from .galgebra import GAlgebra, group_stack, max_pair_defect
 from .repcorrect import DefectTooLargeError, ITERATION_CAP, _iterate
 
@@ -95,12 +94,9 @@ def _cobound_step(w: Cocycle, v, mismatch):
     if r > ONE_STEP_MAX_MISMATCH:
         raise DefectTooLargeError(
             f"mismatch {r:.6g} exceeds 1/5 (attained at g={g})")
-    A = w.algebra
-    G = w.group
-    v_adj = adjoint(v)
-    # One (|G|, ...) stack over h: m[h] = v* alpha_h^{-1}(w(h)* v).
-    m = stack([v_adj @ A.act(G.inverse(h), adjoint(w.values[h]) @ v)
-               for h in G.elements()])
+    # One (|G|, ...) stack over h, m[h] = v* alpha_h^{-1}(w(h)* v): one
+    # paired action, one log and one mean over h.
+    m = adjoint(v) @ w.algebra.act(w.group.inv, adjoint(w.values) @ v)
     return v @ exp_skew(principal_log_unitary(m).mean(axis=0))
 
 

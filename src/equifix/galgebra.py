@@ -8,8 +8,8 @@ form.  An element is stored as :class:`~equifix.matfun.Blocks`: the blocks
 of one size b_s share one stack ``(..., K_s, b_s, b_s)``.  The action of g
 gathers each stack by the block permutation and conjugates every block by
 its unitary, one batched product per block size, for one g or for an
-array of g at once; an element's norm is its largest block norm.  A
-one-block algebra (``matrix_algebra``) takes a dense ``(..., n, n)`` too.
+array of g broadcast against the stack; an element's norm is its largest
+block norm.  A one-block algebra takes a dense ``(..., n, n)`` too.
 
 A Tower adds an increasing chain of invariant ideals (unions of blocks).
 The quotient at level n is the G-algebra on the blocks outside J_n, and
@@ -20,14 +20,13 @@ screened norm over the (|G|, |G|, ...) stack of pairs, as do the action's
 self-check and the equivariance and partition defects.  Such stacks take
 one stacked call per chunk of g (``pair_chunks``) of about SLAB_ENTRIES
 entries, so a large group at a large dimension never holds all pairs at
-once; every group the benchmarks run fits one chunk.  A map from a group
-into a level is such a family, held as an ``ApproxRep`` (unitary=False,
-unital=False).  The action's self-check tolerance is ``action_tol``.
+once; every group the benchmarks run fits one chunk.  Every average over
+a group is ``group_mean``, a running sum of such chunks' term stacks.  A
+map from a group into a level is held as an ``ApproxRep``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -125,13 +124,16 @@ class GAlgebra:
     def act(self, g, a):
         """Apply the automorphism of g to one element or a stack: gather the
         blocks by the permutation, then conjugate each by its unitary, one
-        batched product per block size.  An index array g of shape (k,)
-        gives the (k, ...) stack of act(g_i, a), outer over g; an int g is
-        its rank-0 case.  A dense argument gives a dense result."""
+        batched product per block size.  An index array g broadcasts against
+        the leading axes of a, as numpy index arrays do: g of shape (k,)
+        with a (k, ...) stack pairs them, act(g, a)[i] = act(g[i], a[i]),
+        and g[:, None] with an (m, ...) stack gives the (k, m, ...) stack of
+        act(g[i], a[j]).  A dense argument gives a dense result."""
         x = self.as_blocks(a)
-        g, n = np.asarray(g), len(x.lead)
-        out = Blocks(np.moveaxis(u[g] @ p[..., s[g], :, :] @ uh[g],
-                                 range(n, n + g.ndim), range(g.ndim))
+        # Open grids over the leading axes of a and the block index s[g]
+        # broadcast as g does against a, and gather whole blocks.
+        ix = np.indices(x.lead + (1,), sparse=True)[:-1]
+        out = Blocks(u[g] @ p[(*ix, s[g])] @ uh[g]
                      for p, s, u, uh in zip(x.parts, self._src, self._u, self._uh))
         return out if isinstance(a, Blocks) else out.parts[0][..., 0, :, :]
 
@@ -151,7 +153,7 @@ class GAlgebra:
             images = self.act(np.arange(G.order), a)
             worst = largest_norm(images[G.identity] - a, worst)[0]
             for c in pair_chunks(images, G.order):
-                worst = largest_norm(self.act(np.arange(G.order)[c], images) -
+                worst = largest_norm(self.act(np.arange(G.order)[c, None], images) -
                                      images[G.mult[c]], worst)[0]
         return worst
 
@@ -286,10 +288,25 @@ def chunks(count: int, per_item: int) -> list:
 
 
 def pair_chunks(values, count: int) -> list:
-    """Chunks of g in range(count) for the (g, k) stacks over a
-    group-indexed family: each g brings the whole family."""
+    """Chunks of g in range(count) for stacks in which each g brings a term
+    shaped like ``values``: the whole family, for the (g, k) stacks over a
+    group-indexed family."""
     parts = values.parts if isinstance(values, Blocks) else (values,)
-    return chunks(count, len(parts[0]) * sum(math.prod(p.shape[1:]) for p in parts))
+    return chunks(count, sum(p.size for p in parts))
+
+
+def group_mean(f, family, count: int):
+    """The mean over g in range(count) of the terms f(g): f takes the index
+    array g of one chunk (``pair_chunks(family, count)``, each term shaped
+    like ``family``) and returns the (k, ...) stack of its terms.  They are
+    added one at a time in the order of g, so the bits do not depend on the
+    chunking (numpy's sum over an axis may pair its terms instead)."""
+    total = None
+    for c in pair_chunks(family, count):
+        terms = f(np.arange(count)[c])
+        for i in range(c.stop - c.start):
+            total = terms[i] if total is None else total + terms[i]
+    return total / count
 
 
 def max_pair_defect(values, mult: np.ndarray, act=None):
@@ -302,7 +319,7 @@ def max_pair_defect(values, mult: np.ndarray, act=None):
     order = len(mult)
     worst, pair = -1.0, None
     for c in pair_chunks(values, order):
-        twisted = values[None] if act is None else act(np.arange(order)[c], values)
+        twisted = values[None] if act is None else act(np.arange(order)[c, None], values)
         worst, i = largest_norm(values[mult[c]] - values[c, None] @ twisted, worst)
         if i is not None:
             g, h = divmod(i, order)

@@ -8,7 +8,7 @@ an action of the dual group; the Fourier projections
     P_g(x) = (1/|G^|) sum_tau  conj(tau(g)) beta_tau(x)
 
 recover them.  A projection takes an index array g over a stack of values
-as well, with one stacked conjugation per character.  The graded corrector
+as well, as one stacked mean over the characters.  The graded corrector
 projects the whole family onto its components at once, gates the gaps
 with one screened norm, unitarizes with one batched SVD, and runs the
 iterated representation correction, whose steps provably stay inside the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galgebra import chunks
+from .galgebra import chunks, group_mean
 from .groups import FiniteGroup
 from .matfun import UNITARIZE_EPS, adjoint, largest_norm, operator_norm
 from .repcorrect import (ApproxRep, DefectTooLargeError, correct_to_rep,
@@ -158,22 +158,17 @@ class GradedAlgebra:
             dm[c] = hits.argmax(axis=-1)
         return dm.reshape(n, n)
 
-    def dual_act(self, tau: int, x: np.ndarray) -> np.ndarray:
-        u = self.dual_unitaries[tau]
-        return u @ np.asarray(x, dtype=complex) @ u.conj().T
-
     def projection(self, g, x: np.ndarray) -> np.ndarray:
         """Fourier projection onto the g-component:
         P_g(x) = (1/|G^|) sum_tau conj(chi_tau(g)) beta_tau(x).
         With an index array g and a stack x, x[i] is projected onto the
-        g[i]-component; each character acts once on the whole stack."""
-        n = self.group.order
+        g[i]-component.  The average over characters is a ``group_mean``:
+        one stacked conjugation per chunk of characters, each acting on the
+        whole stack."""
         x = np.asarray(x, dtype=complex)
-        coef = np.conj(self.chars[:, g])[..., None, None]
-        acc = np.zeros(x.shape, dtype=complex)
-        for t in range(n):
-            acc += coef[t] * self.dual_act(t, x)
-        return acc / n
+        u = np.expand_dims(self.dual_unitaries, tuple(range(1, x.ndim - 1)))
+        return group_mean(lambda t: np.conj(self.chars[t][:, g])[..., None, None] *
+                          (u[t] @ x @ adjoint(u[t])), x, self.group.order)
 
     def component_residual(self, values) -> float:
         """max_g ||x_g - P_g(x_g)|| over a family x indexed by the group."""

@@ -1,11 +1,13 @@
-"""Finite groups as dense multiplication tables, with Haar averaging of
-matrix-valued functions and exact circle averaging for integer-weight
-diagonal circle actions.
+"""Finite groups as dense multiplication tables, built with array
+arithmetic, and exact circle averaging for integer-weight diagonal circle
+actions.
 
 Elements of a finite group are indices ``0 .. order-1``; the identity is
-always index 0.  Haar measure is the uniform average.  Circle integrals are
-restricted to integrands that are certified trigonometric polynomials, so
-an equally spaced quadrature rule is exact rather than approximate.
+always index 0.  An average over a finite group (its Haar measure is the
+uniform average) is ``galgebra.group_mean``, one stacked mean per chunk
+of g.  Circle integrals are restricted to integrands that are certified
+trigonometric polynomials, so an equally spaced quadrature rule is exact
+rather than approximate.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
-
-from .matfun import Blocks
 
 # make_group rejects any group of a larger order.
 ORDER_CAP = 720
@@ -57,21 +57,20 @@ class FiniteGroup:
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=np.intp))
         if m.shape != (self.order, self.order):
             raise GroupConstructionError(
-                f"mult table has shape {m.shape}, expected {(self.order, self.order)}"
-            )
-        e = self.identity
-        if not (np.all(m[e, :] == np.arange(self.order)) and np.all(m[:, e] == np.arange(self.order))):
+                f"mult table has shape {m.shape}, expected {(self.order, self.order)}")
+        ids, e = np.arange(self.order), self.identity
+        if not (np.all(m[e, :] == ids) and np.all(m[:, e] == ids)):
             raise GroupConstructionError("identity is not a two-sided unit")
-        rng_ok = (m >= 0).all() and (m < self.order).all()
-        if not rng_ok:
+        if not ((m >= 0).all() and (m < self.order).all()):
             raise GroupConstructionError("mult table entries out of range")
         # Latin-square property: every row and column is a permutation.
-        for g in range(self.order):
-            if len(set(m[g, :])) != self.order or len(set(m[:, g])) != self.order:
-                raise GroupConstructionError(f"row/column {g} of mult is not a permutation")
-        if not np.all(m[np.arange(self.order), self.inv] == e):
+        bad = np.any(np.sort(m, 1) != ids, 1) | np.any(np.sort(m, 0).T != ids, 1)
+        if bad.any():
+            raise GroupConstructionError(
+                f"row/column {np.argmax(bad)} of mult is not a permutation")
+        if not np.all(m[ids, self.inv] == e):
             raise GroupConstructionError("inv is not a right inverse")
-        if not np.all(m[self.inv, np.arange(self.order)] == e):
+        if not np.all(m[self.inv, ids] == e):
             raise GroupConstructionError("inv is not a left inverse")
         self._check_associativity()
 
@@ -80,8 +79,7 @@ class FiniteGroup:
         m = self.mult
         n = self.order
         if n <= 64:
-            g, h, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-            bad = m[m[g, h], k] != m[g, m[h, k]]
+            bad = m[m] != m[:, m]          # (g, h, k): (gh)k against g(hk)
             if bad.any():
                 i = np.argwhere(bad)[0]
                 raise GroupConstructionError(f"mult not associative at triple {tuple(i)}")
@@ -113,68 +111,47 @@ class FiniteGroup:
 
     def is_cyclic_standard(self) -> bool:
         """True iff element i equals generator**i, i.e. mult[i,j] = (i+j) mod order."""
-        i, j = np.meshgrid(np.arange(self.order), np.arange(self.order), indexing="ij")
-        return bool(np.all(self.mult == (i + j) % self.order))
+        ids = np.arange(self.order)
+        return bool(np.all(self.mult == np.add.outer(ids, ids) % self.order))
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def _group_from_elements(elems, compose, invert, name):
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    mult = np.empty((n, n), dtype=np.intp)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            mult[i, j] = index[compose(a, b)]
-    inv = np.array([index[invert(a)] for a in elems], dtype=np.intp)
-    return FiniteGroup(order=n, mult=mult, inv=inv, name=name)
-
-
 def cyclic_group(d: int) -> FiniteGroup:
     if d < 1:
         raise GroupConstructionError(f"cyclic order must be >= 1, got {d}")
-    i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    mult = (i + j) % d
-    inv = (-np.arange(d)) % d
-    return FiniteGroup(order=d, mult=mult, inv=inv, name=f"cyclic({d})")
+    ids = np.arange(d)
+    return FiniteGroup(order=d, mult=np.add.outer(ids, ids) % d, inv=-ids % d,
+                       name=f"cyclic({d})")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; element r^a f^b is encoded as a + n*b."""
     if n < 1:
         raise GroupConstructionError(f"dihedral parameter must be >= 1, got {n}")
-    elems = [(a, b) for b in (0, 1) for a in range(n)]
-
-    def compose(x, y):
-        a1, b1 = x
-        a2, b2 = y
-        a = (a1 + (a2 if b1 == 0 else -a2)) % n
-        return (a, (b1 + b2) % 2)
-
-    def invert(x):
-        a, b = x
-        return ((-a) % n, 0) if b == 0 else (a, 1)
-
-    return _group_from_elements(elems, compose, invert, f"dihedral({n})")
+    x = np.arange(2 * n)
+    a, b = x % n, x // n
+    mult = (a[:, None] + np.where(b[:, None], -a, a)) % n + n * ((b[:, None] + b) % 2)
+    inv = np.where(b, x, -a % n)
+    return FiniteGroup(order=2 * n, mult=mult, inv=inv, name=f"dihedral({n})")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
+    """The permutations of range(n) in lexicographic order, so index 0 is
+    the identity; p q is the permutation i -> p[q[i]], and a permutation's
+    index is the rank of its base-n code among those of the elements."""
     if not 1 <= n <= 6:
         raise GroupConstructionError(f"symmetric group supported for n <= 6, got {n}")
-    elems = sorted(itertools.permutations(range(n)))
-    # identity permutation sorts first, so index 0 is the unit.
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    weights = n ** np.arange(n - 1, -1, -1)
+    codes = perms @ weights
 
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(n))
+    def rank(p):
+        return np.searchsorted(codes, p @ weights)
 
-    def invert(p):
-        out = [0] * n
-        for i, pi in enumerate(p):
-            out[pi] = i
-        return tuple(out)
-
-    return _group_from_elements(elems, compose, invert, f"symmetric({n})")
+    return FiniteGroup(order=len(perms), mult=rank(perms[:, perms]),
+                       inv=rank(np.argsort(perms, axis=1)), name=f"symmetric({n})")
 
 
 def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -222,23 +199,6 @@ def make_group(kind: str, params) -> FiniteGroup:
                 f"order {a.order * b.order} exceeds cap {ORDER_CAP}")
         return product_group(a, b)
     raise GroupConstructionError(f"unknown group kind {kind!r}")
-
-
-def haar_average(group: FiniteGroup, f: Callable[[int], np.ndarray]) -> np.ndarray:
-    """Average f over the group: (1/|G|) sum_g f(g), summed one term at a
-    time in group order.  Exact, no quadrature.  f may return arrays or
-    Blocks."""
-    def term(g):
-        v = f(g)
-        return v if isinstance(v, Blocks) else np.asarray(v, dtype=complex)
-
-    total = term(0).copy()
-    for g in range(1, group.order):
-        v = term(g)
-        if v.shape != total.shape:
-            raise ValueError(f"f({g}) has shape {v.shape}, expected {total.shape}")
-        total += v
-    return total / group.order
 
 
 @dataclass(frozen=True)

@@ -208,16 +208,6 @@ class Blocks:
     def mean(self, axis: int) -> "Blocks":
         return Blocks(p.mean(axis=axis) for p in self.parts)
 
-    def copy(self) -> "Blocks":
-        return Blocks(p.copy() for p in self.parts)
-
-
-def stack(elements):
-    """np.stack for arrays, and part by part for Blocks."""
-    if isinstance(elements[0], Blocks):
-        return Blocks(np.stack(ps) for ps in zip(*(e.parts for e in elements)))
-    return np.stack(elements)
-
 
 def concatenate(elements):
     """np.concatenate along the first axis, part by part for Blocks."""

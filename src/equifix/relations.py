@@ -3,48 +3,37 @@ cyclic group action (the Rokhlin-type families), including the
 corner-compressed tracial variant.
 
 Both correctors measure the five partition defects of their seeds and
-their output with one kernel, ``measure_partition_seeds``: idempotency,
-self-adjointness, mutual orthogonality, equivariance under the group's
-permutation p_g -> p_{hg}, and the distance of the sum from the unit.
+their output with one kernel, ``measure_partition_seeds``, under the names
+reported: ``projection`` (idempotency), ``self_adjoint``,
+``orthogonality``, ``equivariance`` under the group's permutation
+p_g -> p_{hg}, and ``unit_sum``, the distance of the sum from the unit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, haar_average
+from .groups import FiniteGroup
 from .matfun import (_range_isometry, adjoint, largest_norm, operator_norm,
                      polar_unitary, spectral_round_unitary)
-from .galgebra import GAlgebra, matrix_algebra, pair_chunks
+from .galgebra import GAlgebra, group_mean, matrix_algebra, pair_chunks
 from .repcorrect import DefectTooLargeError
 
 
-@dataclass
-class SeedDefects:
-    idempotency: float
-    self_adjointness: float
-    orthogonality: float
-    equivariance: float
-    unit_sum: float
-
-    @property
-    def overall(self) -> float:
-        return max(self.idempotency, self.self_adjointness, self.orthogonality,
-                   self.equivariance, self.unit_sum)
-
-
 def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
-                            unit: Optional[np.ndarray] = None) -> SeedDefects:
-    """The five partition defects of a family p_g: ||p_g^2 - p_g||,
-    ||p_g - p_g*||, ||p_g p_h|| for g != h, ||alpha_g(p_h) - p_{gh}|| and
-    ||sum_g p_g - unit|| (unit defaults to 1), each maximized over the
-    family.  The two pairwise defects take one stacked call per chunk of g
-    (``pair_chunks``), the products p_g p_h and one stacked action on the
-    whole family, so no (d, d, n, n) array larger than a chunk is built."""
+                            unit: Optional[np.ndarray] = None) -> dict:
+    """The five partition defects of a family p_g, by name: ``projection``
+    ||p_g^2 - p_g||, ``self_adjoint`` ||p_g - p_g*||, ``orthogonality``
+    ||p_g p_h|| for g != h, ``equivariance`` ||alpha_g(p_h) - p_{gh}|| and
+    ``unit_sum`` ||sum_g p_g - unit|| (unit defaults to 1), each maximized
+    over the family.  The two pairwise defects take one stacked call per
+    chunk of g (``pair_chunks``), the products p_g p_h and one stacked
+    action on the whole family, so no (d, d, n, n) array larger than a
+    chunk is built."""
     G = algebra.group
     seeds = np.asarray(seeds, dtype=complex)
     if unit is None:
@@ -55,27 +44,20 @@ def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
         products = seeds[c, None] @ seeds
         products[np.arange(len(g)), g] = 0.0     # p_g p_g is not a pair
         orth = largest_norm(products, orth)[0]
-        eq = largest_norm(algebra.act(g, seeds) - seeds[G.mult[c]], eq)[0]
-    return SeedDefects(
-        idempotency=largest_norm(seeds @ seeds - seeds)[0],
-        self_adjointness=largest_norm(seeds - seeds.conj().transpose(0, 2, 1))[0],
-        orthogonality=orth, equivariance=eq,
-        unit_sum=operator_norm(seeds.sum(axis=0) - unit))
-
-
-def _residuals(algebra: GAlgebra, family: np.ndarray,
-               unit: Optional[np.ndarray] = None) -> dict:
-    """The five defects of a corrected family, under the names reported."""
-    keys = ("projection", "self_adjoint", "orthogonality", "equivariance",
-            "unit_sum")
-    return dict(zip(keys, astuple(measure_partition_seeds(algebra, family, unit))))
+        eq = largest_norm(algebra.act(g[:, None], seeds) - seeds[G.mult[c]], eq)[0]
+    return {"projection": largest_norm(seeds @ seeds - seeds)[0],
+            "self_adjoint": largest_norm(seeds - seeds.conj().transpose(0, 2, 1))[0],
+            "orthogonality": orth, "equivariance": eq,
+            "unit_sum": operator_norm(seeds.sum(axis=0) - unit)}
 
 
 def _averaged_seeds(algebra: GAlgebra, seeds: np.ndarray) -> np.ndarray:
     """The exactly permuted family b_g = avg_h alpha_h(p_{h^-1 g}) (one
-    action per h on the whole family), made self-adjoint."""
+    stacked action per chunk of h, on the (k, d, ...) stack of permuted
+    families), made self-adjoint."""
     G = algebra.group
-    sym = haar_average(G, lambda h: algebra.act(h, seeds[G.mult[G.inverse(h)]]))
+    sym = group_mean(lambda h: algebra.act(h[:, None], seeds[G.mult[G.inv[h]]]),
+                     seeds, G.order)
     return (sym + sym.conj().transpose(0, 2, 1)) / 2
 
 
@@ -116,7 +98,7 @@ def partition_admissibility_threshold(d: int) -> float:
 class PartitionCorrection:
     projections: np.ndarray
     displacement: float
-    seed_defects: SeedDefects
+    seed_defects: dict
     certificate: dict
     residuals: dict
 
@@ -131,27 +113,25 @@ def _round_partition(algebra: GAlgebra, seeds: np.ndarray):
     """The rounding core of both correctors: the seeds' defects, and the
     exact partition their averaged family rounds to with its certificate
     (the stages of ``stabilize_partition``)."""
-    G = algebra.group
-    d = G.order
-    n = algebra.dim
+    d, n = algebra.group.order, algebra.dim
     defects = measure_partition_seeds(algebra, seeds)
+    seed_defect = max(defects.values())
     threshold = partition_admissibility_threshold(d)
-    certificate = {"seed_defect": defects.overall,
-                   "a_priori_threshold": threshold}
+    certificate = {"seed_defect": seed_defect, "a_priori_threshold": threshold}
 
     sym = _averaged_seeds(algebra, seeds)
 
     zeta = np.exp(2j * np.pi / d)
-    w0 = sum((zeta ** g) * sym[g] for g in range(d))
+    phase = np.array([zeta ** g for g in range(d)])[:, None, None]
+    w0 = sum(phase * sym)
     # Covariance averaging (idempotent once the family is exactly permuted).
-    images = algebra.act(np.arange(d), w0)
-    a = sum((zeta ** g) * images[g] for g in range(d)) / d
+    a = group_mean(lambda g: phase[g] * algebra.act(g, w0), w0, d)
     eta = operator_norm(a.conj().T @ a - np.eye(n))
     certificate["encoded_unitarity_gap"] = eta
     if eta >= 0.75:
         raise DefectTooLargeError(
             f"seeds too rough: ||w0* w0 - 1|| = {eta:.6g} >= 0.75 "
-            f"(seed defect {defects.overall:.6g}, a-priori threshold {threshold:.6g})")
+            f"(seed defect {seed_defect:.6g}, a-priori threshold {threshold:.6g})")
     w = polar_unitary(a)
     cov = largest_norm(algebra.act(np.arange(d), w) -
                        np.stack([(zeta ** (-g)) * w for g in range(d)]))[0]
@@ -184,15 +164,13 @@ def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrec
     orthogonal projections summing to one and exactly permuted by the
     action; each stage validates its own measured precondition.
     """
-    G = algebra.group
-    _require_standard_cyclic(G)
-    d = G.order
-    n = algebra.dim
+    _require_standard_cyclic(algebra.group)
+    d, n = algebra.group.order, algebra.dim
     seeds = np.asarray(seeds, dtype=complex)
     if seeds.shape != (d, n, n):
         raise ValueError(f"seeds shape {seeds.shape}, expected {(d, n, n)}")
     projections, defects, certificate = _round_partition(algebra, seeds)
-    residuals = _residuals(algebra, projections)
+    residuals = measure_partition_seeds(algebra, projections)
     displacement = largest_norm(projections - seeds)[0]
     return PartitionCorrection(projections=projections, displacement=displacement,
                                seed_defects=defects, certificate=certificate,
@@ -206,7 +184,7 @@ class TracialPartitionCorrection:
     witness_compression_norm: float
     complement_rank: int
     displacement: float
-    seed_defects: SeedDefects
+    seed_defects: dict
     certificate: dict
     residuals: dict
 
@@ -220,8 +198,7 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     compression norm ||e x e|| and the rank of 1 - e for the caller."""
     G = algebra.group
     _require_standard_cyclic(G)
-    d = G.order
-    n = algebra.dim
+    d, n = G.order, algebra.dim
     seeds = np.asarray(seeds, dtype=complex)
     witness = np.asarray(witness, dtype=complex)
     wnorm = operator_norm(witness)
@@ -248,7 +225,7 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     inner, _, certificate = _round_partition(corner, corner_seeds)
     projections = iso @ inner @ iso.conj().T
 
-    residuals = _residuals(algebra, projections, unit=q)
+    residuals = measure_partition_seeds(algebra, projections, q)
     exe = operator_norm(q @ witness @ q)
     displacement = largest_norm(projections - seeds)[0]
     certificate["corner_rank"] = r

@@ -22,11 +22,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, haar_average
+from .groups import FiniteGroup
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, adjoint, concatenate,
                      exp_skew, identity_like, largest_norm, polar_unitary,
                      principal_log_unitary, read_only_copy, require_finite)
-from .galgebra import Tower, group_stack, max_pair_defect, pair_chunks
+from .galgebra import (Tower, group_mean, group_stack, max_pair_defect,
+                       pair_chunks)
 
 ONE_STEP_MAX_DEFECT = 1.0 / 5
 ITERATE_MAX_DEFECT = 1.0 / 17
@@ -251,14 +252,15 @@ def translation_source_action(d: int, group: FiniteGroup,
 
 def equivariance_defect(values, act: Callable, source_action: SourceAction) -> float:
     """Max over (g, x) of || gamma_g(psi(u_x)) - psi(alpha_g(u_x)) ||: per
-    chunk of g, one stacked call ``act(g, values)`` over an index array g
-    (the (k, |H|, ...) stack, as ``GAlgebra.act`` gives it, of an array or
-    Blocks) and one screened norm over the running maximum."""
+    chunk of g, one stacked call ``act(g[:, None], values)``, the (k, |H|,
+    ...) stack of an array or Blocks that ``GAlgebra.act`` gives for an
+    index array broadcast against the values, and one screened norm over
+    the running maximum."""
     values = group_stack(values, source_action.source.order)
     perm, scalar = source_action.perm, source_action.scalar
     worst, order = 0.0, source_action.group.order
     for c in pair_chunks(values, order):
-        worst = largest_norm(act(np.arange(order)[c], values) -
+        worst = largest_norm(act(np.arange(order)[c, None], values) -
                              scalar[c, :, None, None] * values[perm[c]], worst)[0]
     return worst
 
@@ -268,17 +270,18 @@ def symmetrize(values, act: Callable, source_action: SourceAction):
     equivariant:  T(u_x) = avg_g gamma_g( psi( alpha_{g^-1}(u_x) ) ).
 
     When the composition with a quotient under which the target action
-    descends is already equivariant, that composition is unchanged.
-    ``act(g, .)`` is applied once per g, to the whole (|H|, ...) stack.
+    descends is already equivariant, that composition is unchanged.  One
+    stacked call ``act(g[:, None], .)`` per chunk of g (``group_mean``)
+    acts on the (k, |H|, ...) stack of the terms' arguments.
     """
     G = source_action.group
     perm, scalar = source_action.perm, source_action.scalar
     values = group_stack(values, source_action.source.order)
 
-    def term(g):
-        ginv = G.inverse(g)
-        return act(g, scalar[ginv][:, None, None] * values[perm[ginv]])
-    return haar_average(G, term)
+    def terms(g):
+        ginv = G.inv[g]
+        return act(g[:, None], scalar[ginv][..., None, None] * values[perm[ginv]])
+    return group_mean(terms, values, G.order)
 
 
 def unitarize_values(values):
@@ -330,9 +333,7 @@ def intertwiner(rho: ApproxRep, sigma: ApproxRep,
         if mismatch > 1e-11:
             raise DefectTooLargeError(
                 f"quotients of rho and sigma differ by {mismatch:.3e}")
-    a = haar_average(rho.group,
-                     lambda h: adjoint(sigma.values[h]) @ rho.values[h])
-    return polar_unitary(a)
+    return polar_unitary((adjoint(sigma.values) @ rho.values).mean(axis=0))
 
 
 @dataclass

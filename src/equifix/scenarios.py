@@ -195,9 +195,11 @@ class Scenario:
 
     @functools.cached_property
     def graded_model(self):
-        """``group_of(group, graded=True, data=graded_data)``, looked up once
-        per scenario rather than once per trial."""
-        return group_of(self.group, graded=True, data=self.graded_data)
+        """``_graded`` of the group and graded_data, keyed by their JSON text
+        and looked up once per scenario rather than once per trial."""
+        data = self.graded_data
+        return _graded(json.dumps(self.group, sort_keys=True),
+                       None if data is None else json.dumps(data, sort_keys=True))
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "seed": self.seed, "group": self.group,
@@ -280,28 +282,28 @@ def _read_only(model):
 
 
 @functools.lru_cache(maxsize=32)
-def _built(spec: str, graded: bool, data: Optional[str]):
-    """The group a JSON group spec builds or, with ``graded``, a graded model
-    over it: the one the JSON ``data`` describes (``_graded_input``), or
-    else the regular one.  Each is built once per spec and data, since every
-    trial of a scenario, and its check, asks for the same."""
-    if not graded:
-        spec = json.loads(spec)
-        return make_group(spec["kind"], spec.get("params"))
-    group = _built(spec, False, None)
+def _built(spec: str) -> FiniteGroup:
+    """The group a JSON group spec builds, once per spec, since every trial
+    of a scenario, and its check, asks for the same."""
+    spec = json.loads(spec)
+    return make_group(spec["kind"], spec.get("params"))
+
+
+def group_of(spec: dict) -> FiniteGroup:
+    """The group of a JSON group spec, built once per spec."""
+    return _built(_key(spec))
+
+
+@functools.lru_cache(maxsize=MODELS)
+def _graded(spec: str, data: Optional[str]):
+    """The graded model (algebra, values) over a JSON group spec's group: the
+    one JSON ``data`` describes (``_graded_input``), else the regular one."""
+    group = _built(spec)
     if data is None:
         algebra, values = regular_graded_model(group)
     else:
         algebra, values = _graded_input(json.loads(data), group)
     return algebra, _read_only(values)          # shared by every trial
-
-
-def group_of(spec: dict, graded: bool = False, data: Optional[dict] = None):
-    """The group of a JSON group spec or, with ``graded``, its graded model
-    (algebra, values): the one ``data`` (a scenario's ``graded_data``)
-    describes, or else the regular one.  Built once per spec and data."""
-    return _built(json.dumps(spec, sort_keys=True), graded,
-                  None if data is None else json.dumps(data, sort_keys=True))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -492,7 +494,7 @@ def _two_block_tower(group, unitaries):
 @functools.lru_cache(maxsize=MODELS)
 def _identity_tower(spec: str, dim: int) -> Tower:
     """The pinned rep scenario's two-block tower under the trivial action."""
-    group = _built(spec, False, None)
+    group = _built(spec)
     return _read_only(_two_block_tower(group, [np.eye(dim)] * group.order))
 
 
@@ -693,7 +695,7 @@ def run_rokhlin_trial(s: Scenario, rng):
     algebra, exact, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng)
     result = stabilize_partition(algebra, seeds)
     measured = {
-        "seed_defect": result.seed_defects.overall,
+        "seed_defect": max(result.seed_defects.values()),
         "displacement": result.displacement,
         **{f"residual_{k}": v for k, v in result.residuals.items()},
     }
@@ -813,10 +815,14 @@ def _check_scenario(s: Scenario):
 def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
     """Run all trials of a scenario, write trace.csv and report.json into
     ``out_dir``, and return the collected report.  A scenario the trials
-    cannot run raises ScenarioError before anything is written."""
+    cannot run, or an unusable ``out_dir``, raises ScenarioError before
+    anything is written, and a file that cannot be written raises it too."""
     _check_scenario(scenario)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"{out}: cannot make the directory ({exc.strerror})") from None
     runner = TRIAL_RUNNERS[scenario.kind]
     reports = []
     failures = []
@@ -834,7 +840,6 @@ def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
     for rep in reports:
         for it, defect, dist in rep.rows:
             lines.append(f"{rep.trial},{it},{float(defect)!r},{float(dist)!r}")
-    (out / "trace.csv").write_text("\n".join(lines) + "\n")
     payload = {
         "scenario": scenario.to_dict(),
         "trials": [
@@ -845,7 +850,12 @@ def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
         "all_passed": not failures,
         "failures": failures,
     }
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    for name, text in (("trace.csv", "\n".join(lines) + "\n"),
+                       ("report.json", json.dumps(payload, indent=2, sort_keys=True))):
+        try:
+            (out / name).write_text(text)
+        except OSError as exc:
+            raise ScenarioError(f"{out / name}: cannot write ({exc.strerror})") from None
     return ScenarioReport(scenario=scenario, trials=reports,
                           all_passed=not failures, failures=failures)
 

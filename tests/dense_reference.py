@@ -88,13 +88,12 @@ def full_unitary(algebra, g):
 
 
 def dense_act(algebra):
-    """a -> W_g a W_g*, for an int g, or for an index array g of shape (k,)
-    as the (k, ...) stack over g, like ``GAlgebra.act``."""
+    """a -> W_g a W_g*, for an int g or an index array g broadcast against
+    the leading axes of a, like ``GAlgebra.act``."""
     ws = np.stack([full_unitary(algebra, g) for g in range(algebra.group.order)])
 
     def act(g, a):
-        w = ws[g].reshape(np.shape(g) + (1,) * (np.ndim(a) - 2) + ws.shape[1:])
-        return w @ a @ adjoint(w)
+        return ws[g] @ a @ adjoint(ws[g])
     return act
 
 

@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equifix import galgebra
+from equifix.galgebra import group_mean
 from equifix.groups import (CircleWeights, GroupConstructionError, circle_average,
-                            cyclic_group, haar_average, make_group)
+                            cyclic_group, make_group)
+from equifix.matfun import Blocks
 
 GROUP_SPECS = [
     ("cyclic", 1), ("cyclic", 4), ("cyclic", 6),
@@ -82,28 +87,22 @@ def test_bad_table_rejected():
 def test_haar_constant():
     g = make_group("dihedral", 3)
     c = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert np.allclose(haar_average(g, lambda _: c), c, atol=1e-15)
+    avg = group_mean(lambda x: np.broadcast_to(c, (len(x), 2, 2)), c, g.order)
+    assert np.allclose(avg, c, atol=1e-15)
 
 
 def test_haar_z2_projection():
     g = cyclic_group(2)
-    vals = [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
-    avg = haar_average(g, lambda x: vals[x])
+    vals = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)
+    avg = group_mean(lambda x: vals[x], vals[0], g.order)
     assert np.allclose(avg, np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_haar_z3_root_of_unity():
     g = cyclic_group(3)
     omega = np.exp(2j * np.pi / 3)
-    avg = haar_average(g, lambda x: np.array([[omega ** x]]))
+    avg = group_mean(lambda x: (omega ** x)[:, None, None], np.eye(1), g.order)
     assert abs(avg[0, 0]) < 1e-15
-
-
-def test_haar_dimension_mismatch():
-    g = cyclic_group(2)
-    vals = [np.eye(2, dtype=complex), np.eye(3, dtype=complex)]
-    with pytest.raises(ValueError):
-        haar_average(g, lambda x: vals[x])
 
 
 @settings(max_examples=25, deadline=None)
@@ -112,11 +111,32 @@ def test_haar_linear_and_contractive(seed):
     rng = np.random.default_rng(seed)
     g = cyclic_group(int(rng.integers(1, 6)))
     mats = rng.standard_normal((g.order, 3, 3)) + 1j * rng.standard_normal((g.order, 3, 3))
-    a = haar_average(g, lambda x: mats[x])
-    b = haar_average(g, lambda x: 2.5 * mats[x])
+    a = group_mean(lambda x: mats[x], mats[0], g.order)
+    b = group_mean(lambda x: 2.5 * mats[x], mats[0], g.order)
     assert np.allclose(b, 2.5 * a, atol=1e-12)
     assert np.linalg.norm(a, 2) <= max(np.linalg.norm(mats[x], 2)
                                        for x in g.elements()) + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 40), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 7, 200, None]), st.booleans())
+def test_haar_is_a_running_sum_whatever_the_chunks(seed, order, dim, entries, blocks):
+    # One term at a time in the order of g, also for 1x1 terms, where numpy's
+    # sum over the leading axis is pairwise instead.
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((order, dim, dim)) + \
+        1j * rng.standard_normal((order, dim, dim))
+    want = mats[0].copy()
+    for m in mats[1:]:
+        want += m
+    want /= order
+    family = Blocks((mats[0, None],)) if blocks else mats[0]
+    slab = galgebra.SLAB_ENTRIES if entries is None else entries
+    with mock.patch.object(galgebra, "SLAB_ENTRIES", slab):
+        got = group_mean(lambda x: Blocks((mats[x, None],)) if blocks else mats[x],
+                         family, order)
+    assert np.array_equal(got.parts[0][0] if blocks else got, want)
 
 
 # --- circle averaging ------------------------------------------------------

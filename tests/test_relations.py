@@ -104,9 +104,9 @@ def test_measured_seed_defects():
     rng = trial_rng(5, 0)
     algebra, exact, seeds = build_rokhlin_scenario(2, 3, 0.04, rng)
     d = measure_partition_seeds(algebra, seeds)
-    assert d.idempotency <= 1e-12          # conjugated projections stay exact
-    assert d.self_adjointness <= 1e-12
-    assert 0 < d.overall < 0.3
+    assert d["projection"] <= 1e-12          # conjugated projections stay exact
+    assert d["self_adjoint"] <= 1e-12
+    assert 0 < max(d.values()) < 0.3
 
 
 # --- tracial variant -------------------------------------------------------------

@@ -178,8 +178,10 @@ def test_symmetrize_trivial_action_invariance():
     rng = trial_rng(13, 0)
     v = random_unitary(rng, 3)
     u = v @ np.diag(np.exp(2j * np.pi * np.array([0, 1, 2]) / 3)) @ v.conj().T
-    act = lambda k, a: np.linalg.matrix_power(u, k) @ a @ \
-        np.linalg.matrix_power(u, k).conj().T
+    # act takes an index array k broadcast against the stack, as
+    # GAlgebra.act does.
+    us = np.stack([np.linalg.matrix_power(u, k) for k in range(3)])
+    act = lambda k, a: us[k] @ a @ us[k].conj().swapaxes(-1, -2)
     vals = np.stack([np.eye(3, dtype=complex), random_unitary(rng, 3)])
     out = symmetrize(vals, act, action)
     for x in range(2):
@@ -329,7 +331,7 @@ def test_lift_rejects_inexact_phi():
                  tower={"levels": 4, "base": 0.1, "ratio": 0.2}, trials=1)
     rng = trial_rng(s.seed, 0)
     tower, phi, action, seed = build_lift_scenario(s, rng)
-    bad = phi.values.copy()
+    bad = phi.values.map(np.copy)
     bad.parts[0][1] *= np.exp(0.2j)
     with pytest.raises(DefectTooLargeError):
         lift_group_rep(tower, ApproxRep(action.source, bad, unitary=False,

@@ -162,7 +162,7 @@ def test_graded_data_scenario(tmp_path, monkeypatch):
     real = scenarios_module._graded_input
     monkeypatch.setattr(scenarios_module, "_graded_input",
                         lambda *a: decoded.append(1) or real(*a))
-    scenarios_module._built.cache_clear()
+    scenarios_module._graded.cache_clear()
     report = run_scenario(s, tmp_path)
     assert report.all_passed
     # Decoded and checked once for the scenario check and all three trials.
@@ -377,6 +377,29 @@ def test_unreadable_scenario_file_exits_two(tmp_path, capsys, content):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["rokhlin", "--trials", "1"],
+                                  ["suite", "--trials", "1"]],
+                         ids=["subcommand", "suite"])
+def test_unusable_out_exits_two_naming_the_path(tmp_path, capsys, argv):
+    # A file where the output directory should be: no directory can be
+    # made there, nor, for the suite, below it.
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    rc = cli_main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(out) in err and "Traceback" not in err
+    assert out.read_text() == "keep"
+
+
+def test_unwritable_output_file_exits_two_naming_it(tmp_path, capsys):
+    (tmp_path / "trace.csv").mkdir()
+    rc = cli_main(["estimate", "--trials", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(tmp_path / "trace.csv") in err and "Traceback" not in err
+
+
 def test_failure_lines_name_the_failed_check(tmp_path, monkeypatch):
     real = scenarios_module.lift_group_rep
 
@@ -405,6 +428,7 @@ def test_group_and_graded_model_are_built_once_per_spec(tmp_path, monkeypatch):
                             lambda *a, real=real, name=name:
                             calls.append(name) or real(*a))
     scenarios_module._built.cache_clear()
+    scenarios_module._graded.cache_clear()
     s = Scenario(kind="graded", seed=0, group={"kind": "cyclic", "params": 4},
                  magnitude=0.001, trials=3)
     assert run_scenario(s, tmp_path).all_passed

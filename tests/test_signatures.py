@@ -34,7 +34,6 @@ SETTABLE = {
                                     "tolerance", "tower", "source",
                                     "corner_corank", "graded_data"},
     "scenarios.suite_scenarios": {"seed"},            # equifix suite --seed
-    "scenarios.group_of": {"graded", "data"},
     "scenarios.random_skew": {"corner", "count"},
     "scenarios.perturb_rep_values": {"skip_identity", "draw"},
     "scenarios.TrialReport.__init__": {"error"},      # a trial that raised

@@ -1,11 +1,13 @@
 """Property and guard tests for the correctors that take one stacked call
 over all pairs of group elements: ``one_step`` and ``max_pair_defect``
 chunked by ``SLAB_ENTRIES`` against one chunk and against the per-pair
-loops, the stacked action ``GAlgebra.act`` over an index array of g
-against its loop over g, the partition, equivariance and action defects
-chunked against one chunk, the stacked Fourier projection against its
-per-character loop, the character table and the broadcast character
-checks against their loops, the batched graded gates' messages, and
+loops, the stacked action ``GAlgebra.act`` over an index array of g, in
+its outer and its paired form, against its loop over g, the partition,
+equivariance and action defects and the group averages (``symmetrize``,
+``stabilize_partition``, the Fourier projection) chunked against one
+chunk, the stacked Fourier projection against its per-character loop,
+the character table and the broadcast character checks against their
+loops, the batched graded gates' messages, and
 ``SourceAction``'s stacked checks against its loop; and guards on the
 memory and the ``eigh`` calls of the log that ``one_step`` takes, and on
 the memory and the norm calls of ``measure_partition_seeds``."""
@@ -17,8 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dataclasses import astuple
-
 from dense_reference import dense_act, embed, random_blocks
 from equifix import galgebra, relations, repcorrect
 from equifix.galgebra import (GAlgebra, matrix_algebra, max_pair_defect,
@@ -28,10 +28,10 @@ from equifix.graded import (GradedAlgebra, _validate_characters,
                             regular_graded_model)
 from equifix.groups import cyclic_group, make_group
 from equifix.matfun import (Blocks, adjoint, exp_skew, operator_norm,
-                            principal_log_unitary, stack)
-from equifix.relations import measure_partition_seeds
+                            principal_log_unitary)
+from equifix.relations import measure_partition_seeds, stabilize_partition
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError, SourceAction,
-                                equivariance_defect, one_step,
+                                equivariance_defect, one_step, symmetrize,
                                 translation_source_action)
 from equifix.scenarios import (Scenario, build_lift_scenario,
                                build_rokhlin_scenario, exact_rep_values,
@@ -207,9 +207,26 @@ def test_one_step_log_takes_no_eigh(eigh_counter):
 # --- the stacked action and the defects that take it ----------------------------
 
 def looped_act(act, idx, a):
-    """act(g, a) for each g of idx, stacked; for an empty idx, the stack of
-    act(0, a) cut to length zero."""
-    return stack([act(int(g), a) for g in idx] or [act(0, a)])[:len(idx)]
+    """act(g, a) for each g of idx, stacked (part by part for Blocks); for
+    an empty idx, the stack of act(0, a) cut to length zero."""
+    images = [act(int(g), a) for g in idx] or [act(0, a)]
+    if isinstance(a, Blocks):
+        return Blocks(np.stack(ps) for ps in zip(*(e.parts for e in images)))[:len(idx)]
+    return np.stack(images)[:len(idx)]
+
+
+def outer(idx, lead):
+    """idx with one axis per leading axis of the stack appended: the outer
+    form of the action, (k, *lead, ...)."""
+    return idx.reshape((-1,) + (1,) * len(lead))
+
+
+def assert_paired(act, idx, a, lead):
+    """act(idx, a) with idx broadcast against the leading axes of a is, at
+    each leading index m, act(idx[m], a[m]), bit for bit."""
+    got, idx = act(idx, a), np.broadcast_to(idx, lead)
+    for m in np.ndindex(lead):
+        assert same(got[m], act(int(idx[m]), a[m]))
 
 
 def index_arrays(order):
@@ -229,11 +246,33 @@ def test_stacked_act_is_bit_equal_to_the_loop(seed, spec, dim, blocks, lead, dat
     idx = data.draw(index_arrays(group.order))
     # A one-block algebra also takes the dense form of the element.
     for x in [a] + ([a.parts[0][..., 0, :, :]] if len(blocks) == 1 else []):
-        got = algebra.act(idx, x)
+        got = algebra.act(outer(idx, lead), x)
         assert same(got, looped_act(algebra.act, idx, x))
         # The dense reference takes index arrays too.
         dense = embed(blocks, x) if isinstance(x, Blocks) else x
+        want = dense_act(algebra)(outer(idx, lead), dense)
+        got = embed(blocks, got) if isinstance(x, Blocks) else got
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from(GROUP_SPECS), st.integers(1, 4), layouts,
+       st.sampled_from([(), (3,), (2, 3)]), st.data())
+def test_paired_act_is_bit_equal_to_the_loop(seed, spec, dim, blocks, lead, data):
+    # g of the stack's leading shape pairs each g with its element; g of a
+    # trailing part of that shape, or an int, broadcasts over the rest.
+    group, rng, _ = near_rep(seed, spec, dim, 0.0, blocks)
+    algebra = algebra_for(spec, group, rng, dim, blocks)
+    blocks = blocks or (dim,)
+    a = random_blocks(blocks, rng, lead)
+    shape = data.draw(st.sampled_from([lead, lead[-1:], ()]))
+    idx = rng.integers(0, group.order, shape)
+    for x in [a] + ([a.parts[0][..., 0, :, :]] if len(blocks) == 1 else []):
+        assert_paired(algebra.act, idx, x, lead)
+        dense = embed(blocks, x) if isinstance(x, Blocks) else x
         want = dense_act(algebra)(idx, dense)
+        got = algebra.act(idx, x)
         got = embed(blocks, got) if isinstance(x, Blocks) else got
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
@@ -250,7 +289,9 @@ def test_stacked_act_on_tower_levels_is_bit_equal_to_the_loop(seed, config, lead
         level = tower.level(n)
         idx = data.draw(index_arrays(level.group.order))
         xn = tower.project(n, 0, x)
-        assert same(level.act(idx, xn), looped_act(level.act, idx, xn))
+        assert same(level.act(outer(idx, lead), xn), looped_act(level.act, idx, xn))
+        paired = rng.integers(0, level.group.order, lead)
+        assert_paired(level.act, paired, xn, lead)
 
 
 @settings(max_examples=30, deadline=None)
@@ -270,9 +311,9 @@ def test_chunked_partition_defects_are_bit_equal_to_one_chunk(seed, family, d,
             1j * rng.standard_normal((group.order, 3, 3))
         units = (None,)
     for unit in units:
-        whole = astuple(measure_partition_seeds(algebra, fam, unit))
+        whole = measure_partition_seeds(algebra, fam, unit)
         with slab(entries):
-            assert astuple(measure_partition_seeds(algebra, fam, unit)) == whole
+            assert measure_partition_seeds(algebra, fam, unit) == whole
 
 
 @settings(max_examples=20, deadline=None)
@@ -293,6 +334,51 @@ def test_chunked_equivariance_defect_is_bit_equal_to_one_chunk(seed, model, orde
         whole = equivariance_defect(vals, act, source_action)
         with slab(entries):
             assert equivariance_defect(vals, act, source_action) == whole
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.sampled_from(["translation", "inversion"]), st.integers(2, 5),
+       st.floats(0.0, 0.3), slabs)
+def test_chunked_symmetrize_is_bit_equal_to_one_chunk(seed, model, order, noise,
+                                                      entries):
+    s = Scenario(kind="lift", seed=seed, source={"model": model, "order": order},
+                 tower={"levels": 3, "base": 0.2, "ratio": 0.2})
+    rng = trial_rng(seed, 0)
+    tower, _, source_action, lift_seed = build_lift_scenario(s, rng)
+    for level in range(tower.top + 1):
+        vals = tower.project(level, 0, lift_seed.values)
+        vals = vals + noise * vals.map(lambda p: rng.standard_normal(p.shape))
+        act = tower.level(level).act
+        whole = symmetrize(vals, act, source_action)
+        with slab(entries):
+            assert same(symmetrize(vals, act, source_action), whole)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(1, 6), st.integers(1, 3), st.floats(0.0, 0.02), slabs)
+def test_chunked_stabilize_partition_is_bit_equal_to_one_chunk(seed, d, block,
+                                                               magnitude, entries):
+    algebra, _, fam = build_rokhlin_scenario(d, block, magnitude, trial_rng(seed, 0))
+    whole = stabilize_partition(algebra, fam)
+    with slab(entries):
+        chunked = stabilize_partition(algebra, fam)
+    assert same(chunked.projections, whole.projections)
+    assert (chunked.seed_defects, chunked.certificate, chunked.residuals) == \
+        (whole.seed_defects, whole.certificate, whole.residuals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(ABELIAN_SPECS), st.integers(1, 6), slabs)
+def test_chunked_projection_is_bit_equal_to_one_chunk(seed, spec, count, entries):
+    algebra, _ = regular_graded_model(make_group(*spec))
+    rng = np.random.default_rng(seed)
+    n = algebra.dim
+    x = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    g = rng.integers(0, algebra.group.order, count)
+    whole = algebra.projection(g, x), algebra.projection(int(g[0]), x[0])
+    with slab(entries):
+        chunked = algebra.projection(g, x), algebra.projection(int(g[0]), x[0])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(chunked, whole))
 
 
 @settings(max_examples=30, deadline=None)
@@ -354,7 +440,8 @@ def reference_projection(algebra, g, x):
     """P_g(x) one character at a time, for one g and one matrix."""
     acc = np.zeros((algebra.dim, algebra.dim), dtype=complex)
     for t in range(algebra.group.order):
-        acc += np.conj(algebra.chars[t, g]) * algebra.dual_act(t, x)
+        u = algebra.dual_unitaries[t]
+        acc += np.conj(algebra.chars[t, g]) * (u @ x @ u.conj().T)
     return acc / algebra.group.order
 
 
