@@ -10,7 +10,8 @@ process importing that tree's ``src/`` with one BLAS thread: the
 0-2, and the ``suite`` battery at seeds 0 and 11.  It then reports
 
 * how many ``trace.csv`` files, and how many ``report.json`` files with
-  their ``wall_time`` fields left out, are byte-identical;
+  their ``wall_time`` fields left out, are byte-identical, and the
+  scenarios where either is not;
 * every difference in trace rows, iteration counts, ``passes``, bound
   names, measured names, errors or ``failures``;
 * the worst value excess: the largest |a - b| / (1e-14 + 1e-12 |b|) over
@@ -158,20 +159,26 @@ def main(argv):
         diff = Diff()
         dirs = sorted(p.parent.relative_to(outs[1]) for p in outs[1].rglob("trace.csv"))
         same_trace = same_report = 0
+        changed = []
         for d in dirs:
             a, b = outs[0] / d, outs[1] / d
             if not (a / "trace.csv").exists():
                 diff.note(str(d), "missing in this checkout")
                 continue
-            same_trace += (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+            trace_same = (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
             ra, rb = (without_wall_time(json.loads((x / "report.json").read_text()))
                       for x in (a, b))
+            same_trace += trace_same
             same_report += ra == rb
+            if not (trace_same and ra == rb):
+                changed.append(str(d))
             compare_trace(diff, str(d), a / "trace.csv", b / "trace.csv")
             compare_report(diff, str(d), ra, rb)
     print(f"scenarios: {len(dirs)}")
     print(f"byte-identical: trace.csv {same_trace}/{len(dirs)}, "
           f"report.json without wall_time {same_report}/{len(dirs)}")
+    for name in changed:
+        print(f"  not identical: {name}")
     print(f"differences other than values: {len(diff.problems)}")
     for line in diff.problems[:50]:
         print(f"  {line}")

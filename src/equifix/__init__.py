@@ -14,9 +14,8 @@ a map from a group, exact or not, is an ApproxRep.
 from .groups import (CircleWeights, FiniteGroup, circle_average, cyclic_group,
                      dihedral_group, make_group, product_group, symmetric_group)
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, exp_skew, largest_norm,
-                     normal_eigensystem, operator_norm, polar_unitary,
-                     principal_log_unitary, round_to_projection,
-                     spectral_round_unitary)
+                     operator_norm, polar_unitary, principal_log_unitary,
+                     round_to_projection, spectral_round_unitary)
 from .galgebra import GAlgebra, Tower, matrix_algebra, trivial_action_algebra
 from .repcorrect import (ApproxRep, SourceAction, correct_to_rep, intertwiner,
                          lift_group_rep, one_step, symmetrize,

@@ -50,11 +50,16 @@ departure from unitarity, so each is followed by one Newton-Schulz step
 f - f (f* f - 1) / 2 (Higham, ch. 8), which takes a departure d to about
 3 d^2 / 4 plus rounding: the result stays unitary to rounding at any norm.
 
-Spectral rounding goes through :func:`normal_eigensystem`: one complex
-Schur form (SciPy's, imported on the first call), whose triangular factor
-is diagonal (to a relative residual gate) exactly when the input is
-normal, so its unitary factor is an orthonormal eigenbasis however the
-eigenvalues cluster.
+Spectral rounding takes one ``eigh`` of the Hermitian part of
+exp(-i pi/(2d)) w, whose eigenvalues are cos(theta - pi/(2d)), and reads
+each eigenvalue of w off as (V* w V)_jj.  The correctors admit only
+spectra with every argument within pi/(2d) of a d-th root; there
+theta - pi/(2d) lies on one of the arcs [2 pi k/d - pi/d, 2 pi k/d],
+which with their mirror images tile the circle, so the cosine is
+one-to-one and the eigenspaces of the Hermitian part are those of w.  A
+residual gate ||w V - V diag(lam)|| <= 1e-9 max(1, ||w||) refuses what it
+cannot separate: near collisions cos(x) = cos(-x) outside that set or
+within about 1e-7 of its edge.
 
 Every maximum of norms and every norm gate goes through one screened
 kernel, :func:`largest_norm`.  A slice's Frobenius norm F bounds its
@@ -139,10 +144,6 @@ _UNDERFLOW = 1e-150
 
 class MidpointError(ValueError):
     """An eigenvalue sits on a rounding-cell boundary."""
-
-
-class NotNormalError(ValueError):
-    """Input is too far from normal for eigenvector-based calculus."""
 
 
 class Blocks:
@@ -356,29 +357,6 @@ def operator_norm(a):
     return norms if a.ndim > 2 else float(norms)
 
 
-def normal_eigensystem(a):
-    """Unitary diagonalization a = V diag(eigenvalues) V* of a normal matrix
-    through its complex Schur form a = Z T Z*, as (eigenvalues, V = Z).
-    Raises NotNormalError when T is not diagonal to 1e-9 relative to
-    max(1, ||a||) -- the gate for inputs that are genuinely not normal.
-    """
-    a = require_finite(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    import scipy.linalg
-
-    scale = largest_norm(a, 1.0)[0]
-    t, z = scipy.linalg.schur(a, output="complex")
-    lam = np.diag(t).copy()
-    off, bad = largest_norm(t - np.diag(lam), 1e-9 * scale)
-    if bad is not None:
-        raise NotNormalError(
-            f"matrix is not normal: diagonalization residual {off:.3e} "
-            f"exceeds 1e-9 * scale")
-    return lam, z
-
-
 def polar_unitary(a) -> np.ndarray:
     """Polar part a (a*a)^(-1/2) of an invertible matrix, via SVD; slice by
     slice for a stack or Blocks.  Rejects a smallest singular value at or
@@ -486,13 +464,22 @@ def spectral_round_unitary(w, d: int):
     margin): eigenvalue j is rounded to exp(2 pi i ks[j] / d), and margin,
     over 1e-6, is the least argument distance of an eigenvalue to a cell
     midpoint exp(i pi (2k+1) / d).  w must be unitary to 1e-10.
+
+    Exact on the admitted set, margin > pi/(2d) (module docstring); a
+    ValueError names the residual where the rotated eigenbasis fails the
+    gate ||w V - V diag|| <= 1e-9 max(1, ||w||).
     """
-    w = require_finite(w)
+    w = _require_square(w)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     _reject_worst(adjoint(w) @ w - np.eye(w.shape[-1]), 1e-10,
                   "input is not unitary: ||w*w - 1|| = %.3e")
-    lam, v = normal_eigensystem(w)
+    h = np.exp(-0.5j * np.pi / d) * w
+    v = np.linalg.eigh((h + adjoint(h)) / 2)[1]
+    wv = w @ v
+    lam = np.einsum("ij,ij->j", v.conj(), wv)
+    _reject_worst(wv - v * lam, 1e-9 * largest_norm(w, 1.0)[0], "eigenvalues not "
+                  "separated after the rotation: residual ||w V - V diag|| = %.3e")
     args = np.angle(lam)
     cell = 2 * np.pi / d
     margin = np.abs(np.mod(args, cell) - cell / 2)

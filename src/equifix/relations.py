@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import (_range_isometry, adjoint, largest_norm, operator_norm,
-                     polar_unitary, spectral_round_unitary)
+from .matfun import (MidpointError, _range_isometry, adjoint, largest_norm,
+                     operator_norm, polar_unitary, spectral_round_unitary)
 from .galgebra import GAlgebra, group_mean, matrix_algebra, pair_chunks
 from .repcorrect import DefectTooLargeError
 
@@ -139,8 +139,17 @@ def _round_partition(algebra: GAlgebra, seeds: np.ndarray):
 
     # The half-gap condition: every eigenvalue argument within pi/(2d) of a
     # d-th root; one at m from its cell's midpoint is pi/d - m from its root.
+    # The rounding's residual gate refuses only spectra outside that set or
+    # within about 1e-7 of its edge: a defect too large as well.
     half_gap = np.pi / (2 * d)
-    _, v, ks, margin = spectral_round_unitary(w, d)
+    try:
+        _, v, ks, margin = spectral_round_unitary(w, d)
+    except MidpointError:
+        raise
+    except ValueError as exc:
+        raise DefectTooLargeError(
+            f"spectrum of the encoded unitary strays beyond the admissible "
+            f"margin {half_gap:.6g} from the d-th roots: {exc}") from None
     certificate["midpoint_margin"] = margin
     certificate["required_arg_margin"] = half_gap
     if margin <= half_gap:

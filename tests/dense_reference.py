@@ -1,7 +1,8 @@
 """Small references for the property tests: the dense route for the
 block-stored G-algebras, the ``eigh`` routes for the half-plane log and
-the exponential of skew-Hermitian matrices, and the per-element loops the
-stacked scenario builders replaced.
+the exponential of skew-Hermitian matrices, the Schur route for the
+eigensystem of a unitary and its spectral rounding, and the per-element
+loops the stacked scenario builders replaced.
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -13,6 +14,7 @@ and tower-cocycle references are that route's trial runners.
 import itertools
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import expm
 
 from equifix.cocycles import coboundary, trivialize
@@ -25,6 +27,36 @@ from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
 from equifix.scenarios import (exact_rep_values, make_group,
                                nontrivial_action_rep, random_skew,
                                random_unitary, trial_rng)
+
+
+def schur_eigensystem(a):
+    """Unitary diagonalization a = V diag(eigenvalues) V* of a normal matrix
+    through its complex Schur form a = Z T Z*, as (eigenvalues, V = Z),
+    however the eigenvalues cluster; asserts that T is diagonal to 1e-9
+    max(1, ||a||).  The route the rotated ``eigh`` of spectral rounding
+    replaced."""
+    t, z = scipy.linalg.schur(a, output="complex")
+    lam = np.diag(t).copy()
+    assert operator_norm(t - np.diag(lam)) <= 1e-9 * max(1.0, operator_norm(a))
+    return lam, z
+
+
+def schur_round_unitary(w, d):
+    """Spectral rounding of a unitary onto the d-th roots through its Schur
+    eigensystem: (z, ks, margin) as ``spectral_round_unitary`` returns them,
+    and the eigenprojection onto each root, a (d, n, n) stack."""
+    lam, v = schur_eigensystem(w)
+    cell = 2 * np.pi / d
+    args = np.angle(lam)
+    ks = np.round(args / cell).astype(int) % d
+    z = (v * np.exp(2j * np.pi * ks / d)) @ v.conj().T
+    margin = float(np.abs(np.mod(args, cell) - cell / 2).min())
+    return z, ks, margin, root_projections(v, ks, d)
+
+
+def root_projections(v, ks, d):
+    """The projection onto the columns of v rounded to each d-th root."""
+    return np.stack([v[:, ks == k] @ v[:, ks == k].conj().T for k in range(d)])
 
 
 def eigh_half_plane_log(u):

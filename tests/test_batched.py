@@ -24,13 +24,12 @@ from scipy.linalg import expm
 from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, Cocycle, _cobound_step,
                               coboundary, one_step_cobound, trivialize)
 from dense_reference import (dense_act, eigh_exp_skew, eigh_half_plane_log, embed,
-                             random_blocks)
+                             random_blocks, schur_eigensystem)
 from equifix.galgebra import (BlockMismatchError, Tower, matrix_algebra,
                               max_pair_defect, trivial_action_algebra)
 from equifix.groups import make_group
 from equifix.matfun import (EXP_CAP, UNITARIZE_EPS, Blocks, exp_skew,
-                            normal_eigensystem, operator_norm, polar_unitary,
-                            principal_log_unitary)
+                            operator_norm, polar_unitary, principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
 from equifix.repcorrect import (ITERATE_MAX_DEFECT, ApproxRep, ConvergenceError,
                                 DefectTooLargeError, correct_to_rep, equivariance_defect, one_step,
@@ -68,7 +67,7 @@ disc_radii = st.lists(st.sampled_from([0.0, 1e-9, RIM]) | st.floats(0.0, RIM),
 
 def reference_log(u):
     """Principal log of one unitary through its Schur eigensystem."""
-    lam, v = normal_eigensystem(u)
+    lam, v = schur_eigensystem(u)
     x = (v * (1j * np.angle(lam))) @ v.conj().T
     return (x - x.conj().T) / 2
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equifix.matfun import (EPS0, UNITARIZE_EPS, MidpointError, NotNormalError,
-                            exp_skew, normal_eigensystem, operator_norm,
-                            polar_unitary, principal_log_unitary,
-                            round_to_projection, spectral_round_unitary)
+from dense_reference import root_projections, schur_round_unitary
+from equifix.matfun import (EPS0, UNITARIZE_EPS, MidpointError, exp_skew,
+                            largest_norm, operator_norm, polar_unitary,
+                            principal_log_unitary, round_to_projection,
+                            spectral_round_unitary)
 
 
 def rand_unitary(rng, n):
@@ -289,7 +290,7 @@ def test_projection_round_band_rejected():
         round_to_projection(np.array([[0j, 1], [0, 0]]))
 
 
-# --- conjugation covariance and eigensystem ---------------------------------
+# --- conjugation covariance and the rounding's eigenvectors -----------------
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
@@ -314,18 +315,62 @@ def test_calculus_conjugation_covariance(seed):
 
 
 def test_eigensystem_quality_on_cos_collisions():
-    # eigenvalue pairs with equal real parts but opposite arguments must be
-    # separated through the anti-Hermitian part
+    # Pairs +-theta, exact or 1e-6 apart, which the unrotated Hermitian part
+    # cannot split: the eigenvectors returned still diagonalize u.
     rng = np.random.default_rng(13)
     v = rand_unitary(rng, 6)
-    thetas = np.array([0.7, -0.7 + 3e-6, 0.7 + 2e-6, -0.7, 2.2, -2.2 + 1e-6])
+    thetas = np.array([0.7, -0.7 + 3e-6, 0.7 + 2e-6, -0.7,
+                       np.pi - 0.6, -np.pi + 0.6 + 1e-6])
     u = v @ np.diag(np.exp(1j * thetas)) @ v.conj().T
-    lam, vv = normal_eigensystem(u)
-    assert operator_norm((vv * lam) @ vv.conj().T - u) <= 1e-12
+    z, vv, ks, _ = spectral_round_unitary(u, 2)
+    diag = vv.conj().T @ u @ vv
+    assert operator_norm(diag - np.diag(np.diag(diag))) <= 1e-12
     assert operator_norm(vv.conj().T @ vv - np.eye(6)) <= 1e-12
+    want = v @ np.diag([scalar_round(t, 2) for t in thetas]) @ v.conj().T
+    assert operator_norm(z - want) <= 1e-12
 
 
 def test_eigensystem_rejects_nonnormal():
+    # A square w with w* w = 1 is normal: the unitarity gate refuses every
+    # input that is not.
     a = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(NotNormalError):
-        normal_eigensystem(a)
+    with pytest.raises(ValueError, match="not unitary"):
+        spectral_round_unitary(a, 2)
+
+
+def test_residual_gate_refuses_a_collision_outside_the_admitted_set():
+    # Arguments pi/4 +- 1.2 have one cosine after the rotation by -pi/4, and
+    # both lie outside the admitted set for d = 2.
+    rng = np.random.default_rng(14)
+    v = rand_unitary(rng, 4)
+    thetas = np.array([np.pi / 4 + 1.2, np.pi / 4 - 1.2, 0.0, np.pi])
+    u = v @ np.diag(np.exp(1j * thetas)) @ v.conj().T
+    with pytest.raises(ValueError, match="residual"):
+        spectral_round_unitary(u, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 8),
+       st.sampled_from([None, 0.0, 1e-9, 1e-4]), st.booleans())
+def test_rounding_matches_the_schur_reference(seed, d, n, cluster, mirrored):
+    # Admitted spectra, each argument within 0.9 pi/(2d) of a d-th root (the
+    # boundary tests in test_relations take the edge): generic, or levels
+    # repeated and jittered by `cluster`, and with pairs +-theta.
+    rng = np.random.default_rng(seed)
+    half_gap = np.pi / (2 * d)
+    offsets = rng.uniform(-0.9, 0.9, size=n) * half_gap
+    offsets[0] = rng.choice([-0.9, 0.0, 0.9]) * half_gap
+    args = 2 * np.pi * rng.integers(0, d, size=n) / d + offsets
+    if cluster is not None:
+        args = rng.choice(args[:2], size=n) + cluster * rng.standard_normal(n)
+    if mirrored:
+        args[n // 2:2 * (n // 2)] = -args[:n // 2]
+    v = rand_unitary(rng, n)
+    w = (v * np.exp(1j * args)) @ v.conj().T
+    z, vecs, ks, margin = spectral_round_unitary(w, d)
+    z_ref, ks_ref, margin_ref, projections = schur_round_unitary(w, d)
+    assert margin > half_gap
+    assert operator_norm(z - z_ref) <= 1e-12
+    assert np.array_equal(np.bincount(ks, minlength=d), np.bincount(ks_ref, minlength=d))
+    assert largest_norm(root_projections(vecs, ks, d) - projections)[0] <= 1e-12
+    assert abs(margin - margin_ref) <= 1e-14

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from dense_reference import schur_round_unitary
 from equifix import relations
 from equifix.groups import cyclic_group
 from equifix.galgebra import matrix_algebra
-from equifix.matfun import operator_norm
+from equifix.matfun import largest_norm, operator_norm, spectral_round_unitary
 from equifix.relations import (measure_partition_seeds,
                                partition_admissibility_threshold,
                                stabilize_partition, stabilize_tracial_partition)
@@ -107,6 +110,80 @@ def test_measured_seed_defects():
     assert d["projection"] <= 1e-12          # conjugated projections stay exact
     assert d["self_adjoint"] <= 1e-12
     assert 0 < max(d.values()) < 0.3
+
+
+# --- the edges of the admitted set ---------------------------------------------
+
+def with_spectrum(rng, args):
+    v = random_unitary(rng, len(args))
+    return (v * np.exp(1j * np.asarray(args))) @ v.conj().T
+
+
+def rounded_as_encoded(monkeypatch, w, d):
+    """stabilize_partition on exact seeds of Z/d on M_n (n = len(w)), with
+    its encoded unitary, the polar step's output, replaced by w."""
+    algebra, exact, _ = build_rokhlin_scenario(d, len(w) // d, 0.0, trial_rng(0, 0))
+    monkeypatch.setattr(relations, "polar_unitary", lambda a: w)
+    return stabilize_partition(algebra, exact)
+
+
+def half_gap_message(margin, d):
+    return (f"spectrum of the encoded unitary strays {np.pi / d - margin:.6g} rad "
+            f"from the d-th roots, beyond the admissible margin {np.pi / (2 * d):.6g}")
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_rounding_at_the_edges_of_the_admitted_set(monkeypatch, d):
+    # One argument 1e-9 inside or outside each edge, pi/(2d) either side of
+    # each root, the rest well inside: inside, the rounding is the Schur
+    # reference's; outside, the half-gap check refuses it as before.
+    rng = np.random.default_rng(d)
+    half_gap = np.pi / (2 * d)
+    for k, side in itertools.product(range(d), (-1, 1)):
+        edge = 2 * np.pi * k / d + side * half_gap
+        rest = 2 * np.pi * rng.integers(0, d, size=2 * d - 1) / d + \
+            rng.uniform(-0.5, 0.5, size=2 * d - 1) * half_gap
+        inside = with_spectrum(rng, np.append(edge - side * 1e-9, rest))
+        z_ref, ks_ref, margin_ref, projections = schur_round_unitary(inside, d)
+        z, _, ks, margin = spectral_round_unitary(inside, d)
+        assert operator_norm(z - z_ref) <= 1e-12
+        assert np.array_equal(np.sort(ks), np.sort(ks_ref))
+        assert abs(margin - margin_ref) <= 1e-14
+        res = rounded_as_encoded(monkeypatch, inside, d)
+        assert largest_norm(res.projections - projections)[0] <= 1e-12
+
+        outside = with_spectrum(rng, np.append(edge + side * 1e-9, rest))
+        with pytest.raises(DefectTooLargeError) as refused:
+            rounded_as_encoded(monkeypatch, outside, d)
+        assert str(refused.value) == \
+            half_gap_message(schur_round_unitary(outside, d)[2], d)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_residual_refusal_is_a_defect_too_large(monkeypatch, d):
+    # A pair 1e-9 either side of the left edge of root 0, mirrored about
+    # pi/(2d): one cosine after the rotation, which the residual gate
+    # refuses.  The outer one fails the half-gap check in the reference.
+    half_gap = np.pi / (2 * d)
+    rng = np.random.default_rng(d)
+    rest = 2 * np.pi * rng.integers(0, d, size=2 * d - 2) / d + \
+        rng.uniform(-0.5, 0.5, size=2 * d - 2) * half_gap
+    args = np.append([-half_gap + 1e-9, 3 * half_gap - 1e-9], rest)
+    w = with_spectrum(rng, args)
+    assert schur_round_unitary(w, d)[2] <= half_gap
+    with pytest.raises(DefectTooLargeError, match="residual"):
+        rounded_as_encoded(monkeypatch, w, d)
+
+
+def test_an_argument_on_the_edge_is_refused(monkeypatch):
+    # Argument exactly pi/4 for d = 2, so margin == pi/(2d) in floating
+    # point: the edge, where the rotated cosine is no longer one-to-one, is
+    # not admitted.
+    w = np.diag([(1 + 1j) / np.sqrt(2), 1, -1, 1]).astype(complex)
+    assert spectral_round_unitary(w, 2)[3] == np.pi / 4
+    with pytest.raises(DefectTooLargeError) as refused:
+        rounded_as_encoded(monkeypatch, w, 2)
+    assert str(refused.value) == half_gap_message(np.pi / 4, 2)
 
 
 # --- tracial variant -------------------------------------------------------------

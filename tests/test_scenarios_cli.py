@@ -448,13 +448,15 @@ def test_graded_data_key_is_formed_once_per_scenario(tmp_path, monkeypatch):
     assert keyed.count(True) == 1
 
 
-def test_cli_scenarios_without_spectral_rounding_never_import_scipy(tmp_path):
-    # SciPy is imported only for spectral rounding (rokhlin, tracial).
+def test_no_cli_run_imports_scipy(tmp_path):
+    # Every subcommand, spectral rounding (rokhlin, tracial) included, and
+    # the suite run on numpy alone.
+    assert {"rokhlin", "tracial"} <= set(cli_module.SUBCOMMANDS)
     code = f"""
 import sys
-from equifix.cli import main
-for name in ("stabilize", "cocycle", "lift", "graded", "estimate"):
-    assert main([name, "--trials", "2", "--out", {str(tmp_path)!r} + "/" + name]) == 0
+from equifix.cli import SUBCOMMANDS, main
+for name in [*SUBCOMMANDS, "suite"]:
+    assert main([name, "--trials", "2", "--out", {str(tmp_path)!r} + "/" + name]) == 0, name
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
