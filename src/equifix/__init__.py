@@ -1,27 +1,27 @@
 """equifix: correct approximate equivariant structures on finite-dimensional
 matrix algebras to exact ones, with certified quantitative error bounds.
 
-Subpackages: finite groups and exact circle averaging (groups), matrix
-functional calculus (matfun), G-algebras, quotient towers and group
-averages (galgebra), representation correction and equivariant lifting
-(repcorrect), cocycle trivialization (cocycles), partition stabilization,
-plain and tracial (relations), abelian gradings (graded), and the scenario
-runner (scenarios, cli).
-Each gate's tolerance is a constant of the kernel that gates with it, and
-a map from a group, exact or not, is an ApproxRep.
+Subpackages: finite groups (groups), matrix functional calculus (matfun),
+G-algebras, quotient towers and group averages (galgebra), representation
+correction and equivariant lifting (repcorrect), cocycle trivialization
+(cocycles), partition stabilization, plain and tracial (relations),
+abelian gradings (graded), and the scenario runner (scenarios, cli).
+Each gate's tolerance is a constant of the kernel that gates with it; a
+map from a group, exact or not, a representation or a cocycle, is an
+ApproxRep, and both iterated correctors return a Correction.
 """
 
-from .groups import (CircleWeights, FiniteGroup, circle_average, cyclic_group,
-                     dihedral_group, make_group, product_group, symmetric_group)
+from .groups import (FiniteGroup, cyclic_group, dihedral_group, make_group,
+                     product_group, symmetric_group)
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, exp_skew, largest_norm,
                      operator_norm, polar_unitary, principal_log_unitary,
                      round_to_projection, spectral_round_unitary)
-from .galgebra import GAlgebra, Tower, matrix_algebra, trivial_action_algebra
-from .repcorrect import (ApproxRep, SourceAction, correct_to_rep, intertwiner,
-                         lift_group_rep, one_step, symmetrize,
+from .galgebra import GAlgebra, Tower, matrix_algebra
+from .repcorrect import (ApproxRep, Correction, SourceAction, correct_to_rep,
+                         intertwiner, lift_group_rep, one_step, symmetrize,
                          translation_source_action, unitarize_values)
-from .cocycles import (Cocycle, coboundary, one_step_cobound, trivialize,
-                       verify_integral_estimate)
+from .cocycles import (coboundary, cocycle, mismatch, one_step_cobound,
+                       trivialize, verify_integral_estimate)
 from .relations import stabilize_partition, stabilize_tracial_partition
 from .graded import (GradedAlgebra, character_table, graded_correct,
                      regular_graded_model)

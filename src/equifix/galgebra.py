@@ -197,14 +197,6 @@ def matrix_algebra(n: int, group: FiniteGroup, action_unitaries=None,
                     action_tol=action_tol)
 
 
-def trivial_action_algebra(blocks, group: FiniteGroup) -> GAlgebra:
-    K = len(blocks)
-    perms = np.tile(np.arange(K, dtype=np.intp), (group.order, 1))
-    unitaries = tuple(tuple(np.eye(int(b), dtype=complex) for b in blocks)
-                      for _ in range(group.order))
-    return GAlgebra(blocks=tuple(blocks), group=group, perms=perms, unitaries=unitaries)
-
-
 @dataclass(frozen=True, eq=False)
 class Tower:
     """A G-algebra with an increasing chain of invariant block ideals

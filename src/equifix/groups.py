@@ -1,13 +1,10 @@
 """Finite groups as dense multiplication tables, built with array
-arithmetic, and exact circle averaging for integer-weight diagonal circle
-actions.
+arithmetic.
 
 Elements of a finite group are indices ``0 .. order-1``; the identity is
 always index 0.  An average over a finite group (its Haar measure is the
 uniform average) is ``galgebra.group_mean``, one stacked mean per chunk
-of g.  Circle integrals are restricted to integrands that are certified
-trigonometric polynomials, so an equally spaced quadrature rule is exact
-rather than approximate.
+of g.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -199,69 +196,3 @@ def make_group(kind: str, params) -> FiniteGroup:
                 f"order {a.order * b.order} exceeds cap {ORDER_CAP}")
         return product_group(a, b)
     raise GroupConstructionError(f"unknown group kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class CircleWeights:
-    """Integer weights (k_1, ..., k_n) of the diagonal circle action
-    zeta -> diag(zeta**k_j) on n-by-n matrices."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        w = tuple(int(k) for k in self.weights)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
-    def degree_bound(self, monomial: int = 0) -> int:
-        """Trig-polynomial degree bound D = max|k_i - k_j| + |m| of the
-        structured integrand zeta^m U(zeta) v U(zeta)^*."""
-        w = self.weights
-        spread = max(w) - min(w) if w else 0
-        return spread + abs(int(monomial))
-
-    def default_nodes(self, monomial: int = 0) -> int:
-        # 2D+3 keeps an odd safety margin above the exactness bound 2D+1.
-        return 2 * self.degree_bound(monomial) + 3
-
-    def unitary_at(self, zeta: complex) -> np.ndarray:
-        return np.diag([zeta ** k for k in self.weights]).astype(complex)
-
-
-def circle_average(weights: CircleWeights, v: np.ndarray, monomial: int = 0,
-                   nodes: Optional[int] = None) -> np.ndarray:
-    """Exact circle average of the structured integrand
-    f(zeta) = zeta^m * U(zeta) v U(zeta)^*, with U(zeta) = diag(zeta^{k_j}).
-
-    Every entry of f is a trigonometric monomial of degree k_i - k_j + m, so
-    an equally spaced N-node rule with N > 2D (D the degree bound) computes
-    the integral exactly.  Only this structured form is accepted: a generic
-    callable cannot be certified, so it is rejected.
-
-    The result a satisfies the covariance gamma_eta(a) = eta^{-m} a enforced
-    by the integral.
-    """
-    if callable(v):
-        raise TypeError("circle_average requires the structured (weights, v, m) "
-                        "form; arbitrary callables cannot be certified exact")
-    v = np.asarray(v, dtype=complex)
-    n = weights.dim
-    if v.shape != (n, n):
-        raise ValueError(f"matrix shape {v.shape} does not match {n} weights")
-    degree = weights.degree_bound(monomial)
-    if nodes is None:
-        nodes = weights.default_nodes(monomial)
-    nodes = int(nodes)
-    if nodes <= 2 * degree:
-        raise ValueError(
-            f"{nodes} nodes cannot be certified exact for degree {degree}; "
-            f"need more than {2 * degree}")
-    acc = np.zeros_like(v)
-    for j in range(nodes):
-        zeta = np.exp(2j * np.pi * j / nodes)
-        u = weights.unitary_at(zeta)
-        acc += (zeta ** monomial) * (u @ v @ u.conj().T)
-    return acc / nodes

@@ -48,15 +48,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(eq=False)
 class ApproxRep:
-    """A map from a finite group into square matrices, or into a block
-    algebra (values as Blocks), with measured (never assumed)
-    multiplicativity defect.  The values are copied and made read-only, so
-    the defect is measured once and cached."""
+    """A map v from a finite group into square matrices, or into a block
+    algebra (values as Blocks), with measured (never assumed) defect: the
+    largest ||v(gh) - v(g) a_g(v(h))||, where a_g is the identity for a
+    representation and ``act(g, .)`` for a cocycle over an action.  The
+    values are copied and made read-only, so the defect is measured once
+    and cached."""
 
     group: FiniteGroup
     values: object                # (|G|, n, n) array or Blocks
     unitary: bool = True
     unital: bool = True
+    act: Optional[Callable] = None
     _defect: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -76,10 +79,10 @@ class ApproxRep:
         return self.defect_with_argmax()[0]
 
     def defect_with_argmax(self):
-        """Max over pairs (g, h) of ||rho(gh) - rho(g) rho(h)|| and the
+        """Max over pairs (g, h) of ||v(gh) - v(g) a_g(v(h))|| and the
         attaining pair."""
         if self._defect is None:
-            self._defect = max_pair_defect(self.values, self.group.mult)
+            self._defect = max_pair_defect(self.values, self.group.mult, self.act)
         return self._defect
 
     def distance_to(self, other: "ApproxRep") -> float:
@@ -110,24 +113,25 @@ def one_step(rep: ApproxRep) -> ApproxRep:
 
 
 @dataclass
-class RepCorrection:
-    rep: ApproxRep
+class Correction:
+    """What an iterated corrector returns: its last iterate, the iteration
+    count, the trace of (iteration, measured, distance from the input)
+    rows, and how far a pinned quotient image moved, when one is pinned."""
+
+    last: object
     iterations: int
-    trace: list                       # (iteration, defect, distance_from_input)
+    trace: list
     quotient_drift: Optional[float] = None
 
-    @property
-    def defect(self) -> float:
-        return self.trace[-1][1]
 
-
-def _iterate(x, r0, step, measure, distance, tol, max_iter, what):
-    """Apply ``step(it, x)`` until ``measure(x)`` is at most tol, measuring
-    each iterate once.  Returns the last iterate, the iteration count and
-    the trace of (iteration, measured, distance(x)) rows starting from
-    (0, r0, 0.0); raises ConvergenceError after max_iter steps."""
+def _iterate(x0, r0, step, measure, distance, tol, max_iter, what, image=None):
+    """Apply ``step(it, x)`` from x0 until ``measure(x)`` is at most tol,
+    measuring each iterate once.  The trace of (iteration, measured,
+    distance(x)) rows starts from (0, r0, 0.0); with an image map, the
+    drift ||image(x) - image(x0)|| of the last iterate is measured too.
+    Raises ConvergenceError after max_iter steps."""
     trace = [(0, r0, 0.0)]
-    it = 0
+    x, it = x0, 0
     while trace[-1][1] > tol:
         if it == max_iter:
             raise ConvergenceError(
@@ -136,14 +140,15 @@ def _iterate(x, r0, step, measure, distance, tol, max_iter, what):
         it += 1
         x = step(it, x)
         trace.append((it, measure(x), distance(x)))
-    return x, it, trace
+    drift = None if image is None else largest_norm(image(x) - image(x0))[0]
+    return Correction(last=x, iterations=it, trace=trace, quotient_drift=drift)
 
 
 def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
                    quotient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                    max_iter: int = ITERATION_CAP,
                    on_iterate: Optional[Callable[[int, ApproxRep], None]] = None
-                   ) -> RepCorrection:
+                   ) -> Correction:
     """Iterate the one-step corrector until the defect is below tol.
 
     If a quotient map kappa is supplied, kappa o rep must already be an
@@ -170,14 +175,9 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
             on_iterate(it, current)
         return current
 
-    current, iterations, trace = _iterate(rep, r0, step, ApproxRep.defect,
-                                          rep.distance_to, tol, max_iter,
-                                          "defect")
-    drift = None
-    if quotient is not None:
-        drift = largest_norm(quotient(current.values) - quotient(rep.values))[0]
-    return RepCorrection(rep=current, iterations=iterations, trace=trace,
-                         quotient_drift=drift)
+    image = None if quotient is None else lambda current: quotient(current.values)
+    return _iterate(rep, r0, step, ApproxRep.defect, rep.distance_to, tol,
+                    max_iter, "defect", image)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +359,7 @@ class LiftResult:
     level: int
     rep: ApproxRep
     table: list
-    correction: RepCorrection
+    correction: Correction
     equivariance_residual: float
     projection_residual: float
 
@@ -426,7 +426,7 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
         return tower.project(top, level, a)
 
     correction = correct_to_rep(rho0, tol=tol, quotient=quotient)
-    corrected = correction.rep
+    corrected = correction.last
 
     # Conjugate the seed restriction onto the corrected representation when
     # the seed is itself an exact representation (the classical situation);

@@ -18,7 +18,7 @@ import scipy.linalg
 from scipy.linalg import expm
 
 from equifix.cocycles import coboundary, trivialize
-from equifix.galgebra import matrix_algebra
+from equifix.galgebra import GAlgebra, matrix_algebra
 from equifix.matfun import Blocks, adjoint, exp_skew, operator_norm
 from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
                                 DefectTooLargeError, correct_to_rep,
@@ -110,6 +110,12 @@ def random_blocks(blocks, rng, lead=()):
                   for b, pos in layout(blocks))
 
 
+def trivial_algebra(blocks, group):
+    """The G-algebra on ``blocks`` on which every g acts as the identity."""
+    return GAlgebra(blocks, group, np.tile(np.arange(len(blocks)), (group.order, 1)),
+                    tuple(tuple(np.eye(b) for b in blocks) for _ in group.elements()))
+
+
 def full_unitary(algebra, g):
     """W_g: block (perms[g][j], j) holds the unitary at the target."""
     offs = offsets(algebra.blocks)
@@ -171,7 +177,7 @@ def lift_trace(tower, phi, source_action, seed, tol=1e-12):
 
     correction = correct_to_rep(ApproxRep(H, rho0), tol=tol, quotient=quotient)
     seed_sub = level_vals[:, live[:, None], live]
-    u = intertwiner(ApproxRep(H, seed_sub), correction.rep, quotient=quotient)
+    u = intertwiner(ApproxRep(H, seed_sub), correction.last, quotient=quotient)
     final = expand(u @ seed_sub @ u.conj().T)
     return (level, correction.trace, equivariance_defect(final, act, source_action),
             float(np.max(operator_norm(final * top_mask - phi_vals))))

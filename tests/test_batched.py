@@ -21,18 +21,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, Cocycle, _cobound_step,
-                              coboundary, one_step_cobound, trivialize)
+from equifix import cocycles
+from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, _cobound_step, coboundary,
+                              cocycle, mismatch, one_step_cobound, trivialize)
 from dense_reference import (dense_act, eigh_exp_skew, eigh_half_plane_log, embed,
-                             random_blocks, schur_eigensystem)
+                             random_blocks, schur_eigensystem, trivial_algebra)
 from equifix.galgebra import (BlockMismatchError, Tower, matrix_algebra,
-                              max_pair_defect, trivial_action_algebra)
+                              max_pair_defect)
 from equifix.groups import make_group
 from equifix.matfun import (EXP_CAP, UNITARIZE_EPS, Blocks, exp_skew,
                             operator_norm, polar_unitary, principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
-from equifix.repcorrect import (ITERATE_MAX_DEFECT, ApproxRep, ConvergenceError,
-                                DefectTooLargeError, correct_to_rep, equivariance_defect, one_step,
+from equifix.repcorrect import (ITERATE_MAX_DEFECT, ITERATION_CAP, ApproxRep,
+                                ConvergenceError, DefectTooLargeError, _iterate,
+                                correct_to_rep, equivariance_defect, one_step,
                                 symmetrize, translation_source_action,
                                 unitarize_values)
 from equifix import scenarios
@@ -257,8 +259,8 @@ def reference_one_step(rep):
 
 def reference_one_step_cobound(w, v):
     """One coboundary-correction step, one log per group element h."""
-    A, G = w.algebra, w.group
-    logs = [reference_log(v.conj().T @ A.act(G.inverse(h), w.values[h].conj().T @ v))
+    G = w.group
+    logs = [reference_log(v.conj().T @ w.act(G.inverse(h), w.values[h].conj().T @ v))
             for h in G.elements()]
     return v @ expm(np.mean(logs, axis=0))
 
@@ -360,7 +362,7 @@ def test_cocycle_defect_and_mismatch_match_per_pair_loops(seed, spec, dim, magni
     group = make_group(spec["kind"], spec["params"])
     alg = matrix_algebra(dim, group, list(exact_rep_values(spec, group, dim, rng)))
     w = coboundary(alg, random_unitary(rng, dim))
-    w = Cocycle(alg, perturb_rep_values(w.values, magnitude, rng))
+    w = cocycle(alg, perturb_rep_values(w.values, magnitude, rng))
     pairs = {(g, h): operator_norm(w.values[group.mul(g, h)] -
                                    w.values[g] @ alg.act(g, w.values[h]))
              for g in group.elements() for h in group.elements()}
@@ -371,7 +373,7 @@ def test_cocycle_defect_and_mismatch_match_per_pair_loops(seed, spec, dim, magni
     per_g = {g: operator_norm(v @ alg.act(g, v).conj().T - w.values[g])
              for g in group.elements()}
     worst, g = first_max(per_g)
-    r, arg = w.mismatch(v)
+    r, arg = mismatch(w, v)
     assert arg == g and abs(r - worst) <= 1e-12
 
 
@@ -412,7 +414,7 @@ def test_conform_gate_at_its_tolerance(seed, blocks, lead):
     # one block too few or one block too large is refused, and so is a
     # dense matrix for an algebra of more than one block.
     rng = np.random.default_rng(seed)
-    alg = trivial_action_algebra(blocks, make_group("cyclic", 2))
+    alg = trivial_algebra(blocks, make_group("cyclic", 2))
     a = random_blocks(blocks, rng, lead)
     assert alg.as_blocks(a) is a
     for other in (blocks[1:], blocks[:-1] + (blocks[-1] + 1,)):
@@ -426,7 +428,7 @@ def test_block_mask_is_a_fresh_writable_copy():
     # The level blocks Tower.project returns are a fresh writable copy:
     # scribbling on them changes neither the element nor a later
     # projection.
-    alg = trivial_action_algebra((2, 3), make_group("cyclic", 2))
+    alg = trivial_algebra((2, 3), make_group("cyclic", 2))
     tower = Tower(algebra=alg, ideals=(frozenset(), frozenset({0})))
     a = random_blocks(alg.blocks, np.random.default_rng(0))
     want = [p.copy() for p in a.parts]
@@ -446,7 +448,7 @@ def test_cocycle_values_are_a_read_only_copy():
     alg = matrix_algebra(2, group, list(exact_rep_values(
         {"kind": "cyclic", "params": 3}, group, 2, rng)))
     vals = coboundary(alg, random_unitary(rng, 2)).values.copy()
-    w = Cocycle(alg, vals)
+    w = cocycle(alg, vals)
     vals[1] = 0.0                      # the caller's array stays writable
     assert w.defect() <= 1e-12
     with pytest.raises(ValueError):
@@ -488,14 +490,14 @@ def reference_correct_to_rep(rep, tol, max_iter):
             raise ConvergenceError(
                 f"defect still {trace[-1][1]:.3e} after {max_iter} iterations",
                 trace)
-    return SimpleNamespace(iterations=iterations, trace=trace, rep=current)
+    return SimpleNamespace(iterations=iterations, trace=trace, last=current)
 
 
 def reference_trivialize(w, v0, tol, max_iter):
     """The admission bound and loop trivialize ran before the shared
     driver, measuring each iterate after the step and again on entry to the
     next step."""
-    r0, g = w.mismatch(v0)
+    r0, g = mismatch(w, v0)
     if r0 >= TRIVIALIZE_MAX_MISMATCH:
         raise DefectTooLargeError(
             f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
@@ -506,7 +508,7 @@ def reference_trivialize(w, v0, tol, max_iter):
         for it in range(1, max_iter + 1):
             v = one_step_cobound(w, np.array(v))
             iterations = it
-            r, _ = w.mismatch(v)
+            r, _ = mismatch(w, v)
             trace.append((it, r, operator_norm(v - v0)))
             if r <= tol:
                 break
@@ -514,7 +516,7 @@ def reference_trivialize(w, v0, tol, max_iter):
             raise ConvergenceError(
                 f"mismatch still {trace[-1][1]:.3e} after {max_iter} iterations",
                 trace)
-    return SimpleNamespace(iterations=iterations, trace=trace, unitary=v)
+    return SimpleNamespace(iterations=iterations, trace=trace, last=v)
 
 
 tolerances = st.sampled_from([1e-12, 1e-300])
@@ -532,7 +534,7 @@ def test_correct_to_rep_trace_matches_its_loop(seed, spec, dim, magnitude, tol,
     want = outcome(lambda: reference_correct_to_rep(rep, tol, max_iter))
     assert got[:2] == want[:2]
     if len(got) == 3:
-        assert np.array_equal(got[2].rep.values, want[2].rep.values)
+        assert np.array_equal(got[2].last.values, want[2].last.values)
 
 
 @settings(max_examples=30, deadline=None)
@@ -550,7 +552,7 @@ def test_trivialize_trace_matches_its_loop(seed, spec, dim, magnitude, tol,
     want = outcome(lambda: reference_trivialize(w, v0, tol, max_iter))
     assert got[:2] == want[:2]
     if len(got) == 3:
-        assert np.array_equal(got[2].unitary, want[2].unitary)
+        assert np.array_equal(got[2].last, want[2].last)
 
 
 def cocycle_case(seed=11, magnitude=0.02):
@@ -580,15 +582,24 @@ def test_one_iteration_cap_raises_with_the_first_step_traced():
         assert got.value.trace == want.value.trace and len(got.value.trace) == 2
 
 
+def test_driver_measures_the_drift_from_the_input():
+    # The drift compares the last iterate's image with the input's, not
+    # with its own.
+    result = _iterate(np.zeros((1, 2, 2)), 1.0, lambda it, x: x + np.eye(2),
+                      lambda x: 0.0, lambda x: 0.0, 1e-12, ITERATION_CAP,
+                      "defect", lambda x: 2 * x)
+    assert result.iterations == 1 and result.trace == [(0, 1.0, 0.0), (1, 0.0, 0.0)]
+    assert result.quotient_drift == 2.0
+
+
 def test_trivialize_measures_each_iterate_once(monkeypatch):
     measured = []
-    mismatch = Cocycle.mismatch
 
-    def counted(self, v):
+    def counted(w, v):
         measured.append(v)
-        return mismatch(self, v)
+        return mismatch(w, v)
 
-    monkeypatch.setattr(Cocycle, "mismatch", counted)
+    monkeypatch.setattr(cocycles, "mismatch", counted)
     w, v0, _ = cocycle_case()
     result = trivialize(w, v0)
     assert result.iterations >= 2
@@ -596,7 +607,7 @@ def test_trivialize_measures_each_iterate_once(monkeypatch):
     assert len({id(v) for v in measured}) == len(measured)
     # Outside trivialize nothing is cached: the cocycle holds no iterate,
     # and every step measures its input.
-    assert set(vars(w)) == {"algebra", "values", "_defect"}
+    assert set(vars(w)) == {"group", "values", "unitary", "unital", "act", "_defect"}
     measured.clear()
     one_step_cobound(w, v0)
     one_step_cobound(w, v0)
@@ -606,7 +617,7 @@ def test_trivialize_measures_each_iterate_once(monkeypatch):
 def test_cached_mismatch_still_gates_the_step():
     w, v0, rng = cocycle_case()
     far = v0 @ expm(1.5 * random_skew(rng, 3))
-    measured = w.mismatch(far)         # as trivialize passes its iterate's
+    measured = mismatch(w, far)        # as trivialize passes its iterate's
     assert measured[0] > 1 / 5
     with pytest.raises(DefectTooLargeError, match="exceeds 1/5"):
         _cobound_step(w, far, measured)
@@ -713,13 +724,13 @@ def test_one_step_figures_match_an_explicit_step(seed, kind, spec, dim, tower,
         stepped = one_step(rep)
         want = {"one_step_defect": stepped.defect(),
                 "one_step_distance": rep.distance_to(stepped),
-                "final_distance": rep.distance_to(result.rep)}
+                "final_distance": rep.distance_to(result.last)}
     else:
         w, v0 = args
         z = one_step_cobound(w, v0)
-        want = {"r": w.mismatch(v0)[0], "one_step_mismatch": w.mismatch(z)[0],
+        want = {"r": mismatch(w, v0)[0], "one_step_mismatch": mismatch(w, z)[0],
                 "one_step_distance": operator_norm(z - v0),
-                "final_distance": operator_norm(result.unitary - v0)}
+                "final_distance": operator_norm(result.last - v0)}
     assert {k: measured[k] for k in want} == want
 
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from dense_reference import random_blocks
 from equifix.groups import cyclic_group, make_group
-from equifix.matfun import operator_norm
-from equifix.galgebra import matrix_algebra
-from equifix.cocycles import (Cocycle, coboundary, one_step_cobound,
+from equifix.matfun import Blocks, adjoint, exp_skew, operator_norm, polar_unitary
+from equifix.galgebra import BlockMismatchError, GAlgebra, matrix_algebra
+from equifix.cocycles import (coboundary, cocycle, mismatch, one_step_cobound,
                               trivialize, verify_integral_estimate)
-from equifix.repcorrect import DefectTooLargeError
+from equifix.repcorrect import ApproxRep, DefectTooLargeError
 from equifix.scenarios import (exact_rep_values, random_skew, random_unitary,
                                trial_rng)
 
@@ -20,21 +22,23 @@ def action_algebra(spec, dim, seed, group=None):
 
 
 def cocycle_defect_oracle(w):
-    """Independent double-loop defect computation."""
+    """Independent double-loop defect computation: the largest defect and
+    the first pair (row-major) attaining it."""
     G = w.group
-    worst = 0.0
+    worst, pair = -1.0, None
     for g in range(G.order):
         for h in range(G.order):
-            worst = max(worst, operator_norm(
-                w.values[G.mul(g, h)] -
-                w.values[g] @ w.algebra.act(g, w.values[h])))
-    return worst
+            d = operator_norm(w.values[G.mul(g, h)] -
+                              w.values[g] @ w.act(g, w.values[h]))
+            if d > worst:
+                worst, pair = d, (g, h)
+    return worst, pair
 
 
 def test_trivial_cocycle():
     alg, _ = action_algebra({"kind": "cyclic", "params": 3}, 3, 0)
     vals = np.stack([np.eye(3, dtype=complex)] * 3)
-    assert Cocycle(alg, vals).defect() <= 1e-12
+    assert cocycle(alg, vals).defect() <= 1e-12
 
 
 def test_coboundary_is_cocycle():
@@ -50,8 +54,8 @@ def test_defect_matches_oracle():
     w = coboundary(alg, v)
     noisy_vals = np.stack([w.values[g] @ expm(0.05 * random_skew(rng, 3))
                            for g in range(4)])
-    noisy = Cocycle(alg, noisy_vals)
-    assert noisy.defect() == pytest.approx(cocycle_defect_oracle(noisy), abs=1e-13)
+    noisy = cocycle(alg, noisy_vals)
+    assert noisy.defect() == pytest.approx(cocycle_defect_oracle(noisy)[0], abs=1e-13)
 
 
 def test_one_step_fixed_point():
@@ -72,9 +76,9 @@ def test_one_step_paper_bounds():
         v = random_unitary(rng, dim)
         w = coboundary(alg, v)
         v0 = v @ expm(mag * random_skew(rng, dim))
-        r, _ = w.mismatch(v0)
+        r, _ = mismatch(w, v0)
         z = one_step_cobound(w, v0)
-        assert w.mismatch(z)[0] <= 10 * r ** 2 + 1e-11
+        assert mismatch(w, z)[0] <= 10 * r ** 2 + 1e-11
         assert operator_norm(z - v0) <= 2 * r + 1e-11
 
 
@@ -84,7 +88,7 @@ def test_one_step_requires_exact_cocycle():
     vals = np.stack([coboundary(alg, v).values[g] @ expm(0.05 * random_skew(rng, 3))
                      for g in range(3)])
     with pytest.raises(DefectTooLargeError, match="exact"):
-        one_step_cobound(Cocycle(alg, vals), v)
+        one_step_cobound(cocycle(alg, vals), v)
 
 
 def test_one_step_rejects_large_mismatch():
@@ -92,7 +96,7 @@ def test_one_step_rejects_large_mismatch():
     v = random_unitary(rng, 3)
     w = coboundary(alg, v)
     far = v @ expm(1.5 * random_skew(rng, 3))
-    if w.mismatch(far)[0] > 1 / 5:
+    if mismatch(w, far)[0] > 1 / 5:
         with pytest.raises(DefectTooLargeError, match="1/5"):
             one_step_cobound(w, far)
 
@@ -111,7 +115,7 @@ def test_one_step_invariant_conjugation_covariance():
     s = np.kron(np.eye(3), random_unitary(rng, 2))
     assert max(operator_norm(alg.act(k, s) - s) for k in range(3)) <= 1e-12
     z = one_step_cobound(w, v0)
-    w2 = Cocycle(alg, np.stack([s @ w.values[k] @ s.conj().T for k in range(3)]))
+    w2 = cocycle(alg, np.stack([s @ w.values[k] @ s.conj().T for k in range(3)]))
     z2 = one_step_cobound(w2, s @ v0 @ s.conj().T)
     assert operator_norm(z2 - s @ z @ s.conj().T) <= 1e-11
 
@@ -119,8 +123,8 @@ def test_one_step_invariant_conjugation_covariance():
 def test_trivialize_trivial():
     alg, _ = action_algebra({"kind": "cyclic", "params": 4}, 3, 10)
     vals = np.stack([np.eye(3, dtype=complex)] * 4)
-    res = trivialize(Cocycle(alg, vals))
-    assert operator_norm(res.unitary - np.eye(3)) <= 1e-12
+    res = trivialize(cocycle(alg, vals))
+    assert operator_norm(res.last - np.eye(3)) <= 1e-12
     assert res.iterations == 0
 
 
@@ -129,10 +133,10 @@ def test_trivialize_bounds():
     v = random_unitary(rng, 4)
     w = coboundary(alg, v)
     v0 = v @ expm(0.02 * random_skew(rng, 4))
-    r, _ = w.mismatch(v0)
+    r, _ = mismatch(w, v0)
     res = trivialize(w, v0)
-    assert res.mismatch <= 1e-12
-    assert operator_norm(res.unitary - v0) <= 2 * r / (1 - 10 * r) + 1e-10
+    assert res.trace[-1][1] <= 1e-12
+    assert operator_norm(res.last - v0) <= 2 * r / (1 - 10 * r) + 1e-10
     # mismatch cascade r (10 r)^m
     for m, mism, _ in res.trace:
         assert mism <= r * (10 * r) ** m + 1e-10 * max(m, 1)
@@ -143,7 +147,7 @@ def test_trivialize_rejects_large_seed_mismatch():
     v = random_unitary(rng, 3)
     w = coboundary(alg, v)
     far = v @ expm(0.8 * random_skew(rng, 3))
-    if w.mismatch(far)[0] >= 1 / 10:
+    if mismatch(w, far)[0] >= 1 / 10:
         with pytest.raises(DefectTooLargeError, match="1/10"):
             trivialize(w, far)
 
@@ -168,7 +172,51 @@ def test_trivialize_tower_quotient_pinned():
     v0 = v @ expm(0.03 * k)
     res = trivialize(w, v0, quotient=quotient)
     assert res.quotient_drift <= 1e-12
-    assert res.mismatch <= 1e-12
+    assert res.trace[-1][1] <= 1e-12
+
+
+def test_cocycle_refuses_values_that_do_not_fit_the_algebra():
+    alg, rng = action_algebra({"kind": "cyclic", "params": 3}, 3, 16)
+    w = coboundary(alg, random_unitary(rng, 3))
+    with pytest.raises(BlockMismatchError, match="dense element"):
+        cocycle(alg, w.values[:, :2, :2])
+    with pytest.raises(BlockMismatchError, match="element blocks"):
+        cocycle(alg, Blocks((np.stack([w.values, w.values], axis=1),)))
+
+
+def test_cocycle_refuses_non_unitary_values():
+    alg, rng = action_algebra({"kind": "cyclic", "params": 3}, 3, 17)
+    vals = 1.01 * coboundary(alg, random_unitary(rng, 3)).values
+    with pytest.raises(ValueError, match="values flagged unitary but defect is"):
+        cocycle(alg, vals)
+
+
+GROUP_SPECS = [{"kind": "cyclic", "params": 2}, {"kind": "cyclic", "params": 5},
+               {"kind": "dihedral", "params": 3}, {"kind": "symmetric", "params": 3}]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(GROUP_SPECS),
+       st.sampled_from([(1,), (3,), (1, 2), (2, 2)]),
+       st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.1))
+def test_twisted_defect_matches_oracle(seed, spec, blocks, magnitude):
+    # A twisted ApproxRep on a block algebra (dense values for one block):
+    # its cached defect and pair are those of the per-pair loop.
+    rng = trial_rng(seed, 0)
+    group = make_group(spec["kind"], spec["params"])
+    actions = [exact_rep_values(spec, group, b, rng) for b in blocks]
+    alg = GAlgebra(blocks, group, np.tile(np.arange(len(blocks)), (group.order, 1)),
+                   tuple(tuple(a[g] for a in actions) for g in group.elements()))
+    k = random_blocks(blocks, rng, (group.order,))
+    k = k - adjoint(k)
+    vals = (coboundary(alg, polar_unitary(random_blocks(blocks, rng))).values @
+            exp_skew(magnitude / np.max(operator_norm(k)) * k))
+    if len(blocks) == 1:
+        vals = vals.parts[0][:, 0]
+    w = ApproxRep(group, vals, unital=False, act=alg.act)
+    worst, pair = cocycle_defect_oracle(w)
+    assert w.defect_with_argmax()[1] == pair
+    assert abs(w.defect() - worst) <= 1e-13
 
 
 # --- averaging estimate --------------------------------------------------------

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dense_reference import random_blocks
+from dense_reference import random_blocks, trivial_algebra
 from equifix.groups import cyclic_group
-from equifix.galgebra import (BlockMismatchError, GAlgebra, Tower,
-                              trivial_action_algebra)
+from equifix.galgebra import BlockMismatchError, GAlgebra, Tower
 from equifix.matfun import Blocks, operator_norm
 from equifix.repcorrect import ApproxRep
 
@@ -41,7 +40,7 @@ def test_identity_acts_trivially():
 
 
 def test_trivial_action():
-    alg = trivial_action_algebra((2, 3), cyclic_group(3))
+    alg = trivial_algebra((2, 3), cyclic_group(3))
     rng = np.random.default_rng(1)
     a = random_blocks(alg.blocks, rng)
     for g in range(3):
@@ -78,7 +77,7 @@ def test_dimension_mismatch_rejected():
 def test_conform_rejects_off_block_mass():
     # A dense matrix, whose off-block part block storage cannot hold, and
     # blocks of the wrong sizes are both refused at the algebra's boundary.
-    alg = trivial_action_algebra((2, 3), cyclic_group(2))
+    alg = trivial_algebra((2, 3), cyclic_group(2))
     with pytest.raises(BlockMismatchError, match="dense element"):
         alg.act(1, np.ones((5, 5), dtype=complex))
     with pytest.raises(BlockMismatchError, match="element blocks"):
@@ -88,7 +87,7 @@ def test_conform_rejects_off_block_mass():
 # --- towers ------------------------------------------------------------------
 
 def three_block_tower():
-    alg = trivial_action_algebra((2, 2, 2), cyclic_group(2))
+    alg = trivial_algebra((2, 2, 2), cyclic_group(2))
     return Tower(algebra=alg, ideals=(frozenset(), frozenset({0}),
                                       frozenset({0, 1})))
 
@@ -149,7 +148,7 @@ def test_noninvariant_ideal_rejected():
 
 
 def test_nonincreasing_chain_rejected():
-    alg = trivial_action_algebra((2, 2), cyclic_group(2))
+    alg = trivial_algebra((2, 2), cyclic_group(2))
     with pytest.raises(ValueError, match="increasing"):
         Tower(algebra=alg, ideals=(frozenset({0}), frozenset({1})))
 

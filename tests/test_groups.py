@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from equifix import galgebra
 from equifix.galgebra import group_mean
-from equifix.groups import (CircleWeights, GroupConstructionError, circle_average,
-                            cyclic_group, make_group)
+from equifix.groups import GroupConstructionError, cyclic_group, make_group
 from equifix.matfun import Blocks
 
 GROUP_SPECS = [
@@ -138,73 +137,3 @@ def test_haar_is_a_running_sum_whatever_the_chunks(seed, order, dim, entries, bl
                          family, order)
     assert np.array_equal(got.parts[0][0] if blocks else got, want)
 
-
-# --- circle averaging ------------------------------------------------------
-
-def circle_average_oracle(weights, v, m):
-    """Entrywise symbolic oracle: entry (i, j) carries zeta-degree
-    k_i - k_j + m and survives the integral iff that degree is zero."""
-    k = np.asarray(weights.weights)
-    deg = k[:, None] - k[None, :] + m
-    return np.where(deg == 0, np.asarray(v, dtype=complex), 0.0)
-
-
-def test_circle_trivial_weights():
-    w = CircleWeights((2, 2, 2))
-    v = np.arange(9, dtype=complex).reshape(3, 3)
-    assert np.allclose(circle_average(w, v, 0), v, atol=1e-14)
-
-
-def test_circle_matrix_units_against_oracle():
-    w = CircleWeights((0, 1))
-    e_entry_12 = np.array([[0, 1], [0, 0]], dtype=complex)   # entry (1,2)
-    e_entry_21 = e_entry_12.T.copy()
-    for v in (e_entry_12, e_entry_21):
-        got = circle_average(w, v, -1)
-        assert np.allclose(got, circle_average_oracle(w, v, -1), atol=1e-13)
-    # entry (2,1) has degree k_2 - k_1 - 1 = 0 and survives; (1,2) dies
-    assert np.allclose(circle_average(w, e_entry_21, -1), e_entry_21, atol=1e-13)
-    assert np.linalg.norm(circle_average(w, e_entry_12, -1)) < 1e-13
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_circle_oracle_and_node_invariance(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 6))
-    weights = CircleWeights(tuple(int(x) for x in rng.integers(-4, 5, size=n)))
-    m = int(rng.integers(-4, 5))
-    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    nodes = weights.default_nodes(m)
-    a = circle_average(weights, v, m, nodes=nodes)
-    b = circle_average(weights, v, m, nodes=nodes + 1)
-    assert np.linalg.norm(a - b, 2) <= 1e-13
-    assert np.allclose(a, circle_average_oracle(weights, v, m), atol=1e-13)
-
-
-def test_circle_covariance():
-    # gamma_eta(a) = eta^{-m} a for the averaged element
-    rng = np.random.default_rng(5)
-    weights = CircleWeights((0, 2, -1))
-    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    m = -1
-    a = circle_average(weights, v, m)
-    for eta in np.exp(2j * np.pi * rng.random(4)):
-        u = weights.unitary_at(eta)
-        lhs = u @ a @ u.conj().T
-        assert np.linalg.norm(lhs - eta ** (-m) * a, 2) <= 1e-12
-
-
-def test_circle_rejects_uncertified():
-    w = CircleWeights((0, 3))
-    v = np.eye(2, dtype=complex)
-    # D = max|k_i - k_j| + |m|, and the default rule takes 2D + 3 nodes.
-    assert (w.degree_bound(0), w.default_nodes(0)) == (3, 9)
-    assert (CircleWeights((0, 1, -2)).degree_bound(-1),
-            CircleWeights((0, 1, -2)).default_nodes(-1)) == (4, 11)
-    with pytest.raises(ValueError):
-        circle_average(w, v, 0, nodes=4)    # degree 3 needs > 6 nodes
-    with pytest.raises(TypeError):
-        circle_average(w, lambda z: np.eye(2), 0)
-    with pytest.raises(ValueError):
-        circle_average(w, np.eye(3), 0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dense_reference import trivial_algebra
 from equifix.groups import cyclic_group, make_group
-from equifix.galgebra import Tower, matrix_algebra, trivial_action_algebra
+from equifix.galgebra import Tower, matrix_algebra
 from equifix.matfun import Blocks, identity_like, operator_norm
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError,
                                 LiftError, SourceAction, correct_to_rep,
@@ -96,7 +97,7 @@ def test_correct_exact_input_zero_iterations():
     group, exact, _ = make_perturbed({"kind": "cyclic", "params": 4}, 3, 0.0, 8)
     res = correct_to_rep(ApproxRep(group, exact))
     assert res.iterations == 0
-    assert res.rep.distance_to(ApproxRep(group, exact)) == 0.0
+    assert res.last.distance_to(ApproxRep(group, exact)) == 0.0
 
 
 def test_correct_distance_bound_and_cascade():
@@ -104,8 +105,8 @@ def test_correct_distance_bound_and_cascade():
     rep = ApproxRep(group, vals)
     r = rep.defect()
     res = correct_to_rep(rep)
-    assert res.rep.defect() <= 1e-12
-    assert rep.distance_to(res.rep) <= 2 * r / (1 - 17 * r) + 1e-10
+    assert res.last.defect() <= 1e-12
+    assert rep.distance_to(res.last) <= 2 * r / (1 - 17 * r) + 1e-10
     # squaring cascade: defect after m steps <= r (17 r)^m + slack
     for m, defect, _ in res.trace:
         assert defect <= r * (17 * r) ** m + 1e-10 * max(m, 1)
@@ -127,7 +128,7 @@ def test_correct_quotient_pinned():
     rng = trial_rng(s.seed, 0)
     group = make_group("cyclic", 4)
     dim = 3
-    algebra = trivial_action_algebra((dim, dim), group)
+    algebra = trivial_algebra((dim, dim), group)
     tower = Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
     base = exact_rep_values(s.group, group, dim, rng)
     moved = perturb_rep_values(base, 0.02, rng)       # the block the quotient kills
@@ -135,7 +136,7 @@ def test_correct_quotient_pinned():
     quotient = lambda a: tower.project_to_top(0, a)
     res = correct_to_rep(rep, quotient=quotient)
     assert res.quotient_drift <= 1e-12
-    assert res.rep.defect() <= 1e-12
+    assert res.last.defect() <= 1e-12
 
 
 def test_correct_quotient_requires_exact_downstairs():
@@ -249,7 +250,7 @@ def test_intertwiner_tower_quotient_is_one():
     from scipy.linalg import expm
     group = cyclic_group(3)
     dim = 3
-    algebra = trivial_action_algebra((dim, dim), group)
+    algebra = trivial_algebra((dim, dim), group)
     tower = Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
     rng = trial_rng(20, 0)
     base = exact_rep_values({"kind": "cyclic", "params": 3}, group, dim, rng)

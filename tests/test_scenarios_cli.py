@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equifix import cli as cli_module, scenarios as scenarios_module
+from equifix import cli as cli_module, cocycles, scenarios as scenarios_module
 from equifix.cli import SUBCOMMANDS, main as cli_main
 from equifix.scenarios import (SCENARIO_KINDS, SUITE, Scenario, ScenarioError,
                                run_scenario, suite_scenarios, trial_rng,
@@ -398,6 +398,17 @@ def test_unwritable_output_file_exits_two_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert str(tmp_path / "trace.csv") in err and "Traceback" not in err
+
+
+def test_violated_averaging_bound_exits_one(tmp_path, capsys, monkeypatch):
+    # A wrong exponential breaks the averaging estimate: the trial's checks
+    # name the violated bound, and the run exits 1 instead of raising.
+    real = cocycles.exp_skew
+    monkeypatch.setattr(cocycles, "exp_skew", lambda x: -real(x))
+    rc = cli_main(["estimate", "--trials", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "bound integral_estimate violated" in err and "Traceback" not in err
 
 
 def test_failure_lines_name_the_failed_check(tmp_path, monkeypatch):

@@ -13,20 +13,17 @@ MODULES = ("groups", "matfun", "galgebra", "repcorrect", "cocycles",
 # Each function or method with defaulted parameters, and who sets them.
 SETTABLE = {
     "groups.FiniteGroup.__init__": {"name"},          # every constructor
-    "groups.CircleWeights.degree_bound": {"monomial"},     # circle_average
-    "groups.CircleWeights.default_nodes": {"monomial"},
-    "groups.circle_average": {"monomial", "nodes"},   # the criterion 9 tests
     "matfun.largest_norm": {"floor"},                 # every screened gate
     "galgebra.GAlgebra.__init__": {"action_tol", "check"},  # restrict: no check
     "galgebra.GAlgebra.action_defect": {"samples", "floor"},   # its self-check
     "galgebra.matrix_algebra": {"action_unitaries", "action_tol"},  # the corner
     "galgebra.max_pair_defect": {"act"},              # the cocycle defect
-    "repcorrect.ApproxRep.__init__": {"unitary", "unital"},   # the lift's maps
-    "repcorrect.RepCorrection.__init__": {"quotient_drift"},
+    "repcorrect.ApproxRep.__init__": {"unitary", "unital",   # the lift's maps
+                                      "act"},                # cocycles.cocycle
+    "repcorrect.Correction.__init__": {"quotient_drift"},    # the driver
     "repcorrect.correct_to_rep": {"tol", "quotient", "max_iter", "on_iterate"},
     "repcorrect.intertwiner": {"quotient"},           # the lift
     "repcorrect.lift_group_rep": {"tol"},             # a scenario's tolerance
-    "cocycles.Trivialization.__init__": {"quotient_drift"},
     "cocycles.trivialize": {"v0", "tol", "quotient", "max_iter"},
     "relations.measure_partition_seeds": {"unit"},    # the tracial residuals
     "graded.graded_correct": {"tol"},
