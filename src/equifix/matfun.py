@@ -68,13 +68,39 @@ Van Loan, Matrix Computations, 2.3), and costs one pass over the entries.
 A slice with F at or under a gate's tolerance passes it.  The slice of
 largest lower bound F/sqrt(rank) (in a stack of one shape, of largest F)
 is SVD'd alone first; a slice with F under its exact norm cannot be the
-maximum, and one batched SVD then takes only the slices left.  That extra
-SVD pays where a maximum over g is one stacked call per chunk of g, not
-one per g.  The screen is exact: both comparisons carry the relative
-margin SCREEN_MARGIN (plus 1e-14 per entry), far above the rounding of
-either computed norm, and an absolute 1e-150 for underflow in the squared
-entries, so a skipped slice is one whose computed operator norm could not
-have changed the answer.
+maximum.  The slices left take a second bound, the Schatten-8 norm
+
+    ||x|| <= ||x||_8 = (sum_j s_j^8)^(1/8) = F ||(y y*)^2||_F^(1/4),
+
+over the singular values s_j, with y = x / F and y y* the Gram of its
+smaller side (Bhatia, Matrix Analysis, IV.2): two batched products and
+one einsum.  Since ||x||_8 <= rank^(1/8) ||x||, where F over-reads a
+spread spectrum by up to sqrt(rank), ||x||_8 over-reads it by at most
+rank^(1/8) (1.54 at rank 32).  One batched SVD then takes only the slices
+whose Schatten-8 bound reaches the cut.  The exact floor's extra SVD pays where a maximum over g
+is one stacked call per chunk of g, not one per g.
+
+The screen is exact: the comparisons of both bounds carry the relative
+margin SCREEN_MARGIN plus 1e-14 l k^(3/2), with k = min(m, n) and
+l = max(m, n), far above the rounding of either computed bound, and an
+absolute 1e-150 for underflow in the squared entries, so a skipped slice
+is one whose computed operator norm could not have changed the answer.
+With u = 2^-53 the rounding runs as follows.  F, a sum of 2mn squares, is
+good to mn u.  y = x / F has ||y||_F = 1 to that rounding and no entry
+over 1, so no power of an entry overflows, and an underflowing product is
+off by at most 2^-1074.  The computed Gram g = y y* is off by at most
+sqrt(2) (l + 2) u ||y||_F^2 in Frobenius norm (Higham, Accuracy and
+Stability of Numerical Algorithms, 3.5-3.6, for complex products), and
+h = g^2 then by sqrt(2) (2l + k + 6) u to first order, as ||g||_F <= 1.
+Since ||h||_F^2 = sum_j s_j^8 >= k^-3 (sum_j s_j^2)^4 = k^-3 for y, the
+relative error of ||h||_F is at most sqrt(2) k^(3/2) (2l + k + 6) u,
+growing like n^(5/2) u for n x n slices, and the fourth root divides it
+by 4; the division by F, the einsum and the last powers add
+(k^2/4 + sqrt(k) + 3) u.  All of it stays under 8 l k^(3/2) u, less than
+1e-15 l k^(3/2) (4e-12 to first order at n = 64) and so a tenth of the
+size term, and an SVD's relative error, a modest multiple of n u, lies
+far under SCREEN_MARGIN.  A slice whose squares underflow to F = 0 has
+norm far under 1e-150 and reads 0, inside the absolute term.
 Values and first maximizing slices are bit for bit those of a full batched
 SVD, whose slices do not depend on the rest of the stack.  The Frobenius
 pass is also the finiteness check of the kernel's input.
@@ -137,7 +163,7 @@ _ARCSIN, _RHO2_LIMITS = _truncation(
     lambda t: 1 / (1 - t), ARCSIN_CAP)
 _EXP, _RHO_LIMITS = _truncation(lambda k: 1 / math.factorial(k), math.exp, EXP_CAP)
 
-# Relative margin of the Frobenius screen (module docstring).
+# Relative margin of the Frobenius and Schatten-8 screens (module docstring).
 SCREEN_MARGIN = 1e-10
 _UNDERFLOW = 1e-150
 
@@ -275,15 +301,30 @@ def _svd_norms(a: np.ndarray) -> np.ndarray:
 def _screen(a: np.ndarray):
     """The squared Frobenius norms of the slices of a complex stack
     (..., m, n), flattened to (k,), the largest of them, the stack's float
-    view (k, m, 2n) and the screen's factor 1 + margin.  Raises ValueError
-    on a non-finite entry; squares that overflow give an infinite norm."""
+    view (k, m, 2n) and the screen's factor 1 + margin (module docstring).
+    Raises ValueError on a non-finite entry; squares that overflow give an
+    infinite norm."""
     m, n = a.shape[-2:]
     x = np.ascontiguousarray(a).reshape(math.prod(a.shape[:-2]), m, n).view(np.float64)
     f2 = np.einsum("kij,kij->k", x, x)
     top = float(f2.max()) if f2.size else 0.0
     if not math.isfinite(top) and not np.isfinite(x).all():
         raise ValueError("matrix has non-finite entries")
-    return f2, top, x, 1 + SCREEN_MARGIN + 1e-14 * m * n
+    return f2, top, x, 1 + SCREEN_MARGIN + 1e-14 * max(m, n) * min(m, n) ** 1.5
+
+
+def _schatten8(x: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """The Schatten-8 norm F ||(y y*)^2||_F^(1/4), y = x / F, of each slice
+    of a complex stack x (k, m, n) with squared Frobenius norms f2, with
+    y y* the Gram of the smaller side: an upper bound on the operator norm
+    (module docstring).  A slice with f2 = 0 reads 0."""
+    f = np.sqrt(f2)
+    y = x / np.where(f > 0, f, 1)[:, None, None]
+    if y.shape[-2] > y.shape[-1]:
+        y = adjoint(y)
+    g = y @ adjoint(y)
+    g = (g @ g).view(np.float64)
+    return f * np.einsum("kij,kij->k", g, g) ** 0.125
 
 
 def largest_norm(a, floor: float = 0.0):
@@ -292,9 +333,10 @@ def largest_norm(a, floor: float = 0.0):
     norm), and the flat index of the first slice attaining it; (floor, None)
     when no norm exceeds ``floor``.  A single matrix is a stack of one.
 
-    Screened by Frobenius norms (module docstring): a slice is SVD'd only
-    if its upper bound exceeds ``floor`` and reaches the exact norm of the
-    slice of largest lower bound, SVD'd first; an exactly zero slice takes none.
+    Screened by two upper bounds (module docstring): a slice is SVD'd only
+    if its Frobenius norm and then its Schatten-8 norm exceed ``floor`` and
+    reach the exact norm of the slice of largest lower bound, SVD'd first;
+    an exactly zero slice takes none.
     So ``largest_norm(x, tol)`` is a gate that takes no SVD when every
     slice is well under tol, and a loop over slabs that passes its running
     maximum as ``floor`` skips the slices that cannot beat earlier slabs
@@ -303,10 +345,11 @@ def largest_norm(a, floor: float = 0.0):
     parts = [np.asarray(p, dtype=complex) for p in (a.parts if blocks else (a,))]
     screens = [_screen(p) for p in parts]
     per = [p.shape[-3] if blocks else 1 for p in parts]    # slices per element
-    # A slice is kept when its upper bound f (1 + margin) + _UNDERFLOW
-    # beats max(floor, 0), or reaches the exact norm, if higher, of the
-    # slice of largest lower bound f (1 - margin) / sqrt(min(m, n)), SVD'd
-    # alone first: no slice has a larger lower bound.
+    # A slice is kept when its upper bounds f and then s8, each times
+    # (1 + margin) plus _UNDERFLOW, beat max(floor, 0), or reach the exact
+    # norm, if higher, of the slice of largest lower bound
+    # f (1 - margin) / sqrt(min(m, n)), SVD'd alone first: no slice has a
+    # larger lower bound.
     lo, strict = max(floor, 0.0), True
     best, first, done = -math.inf, None, (-1, -1)
     lows = [math.sqrt(top) * (2 - scale) / math.sqrt(max(1, min(p.shape[-2:])))
@@ -320,13 +363,18 @@ def largest_norm(a, floor: float = 0.0):
         lo, strict = (best, False) if best > lo else (lo, strict)
     for s, (f2, top, x, scale) in enumerate(screens):
         cut = (lo - _UNDERFLOW) / scale
-        if cut >= 0 and math.isfinite(top):
+        bounded = cut >= 0 and math.isfinite(top)
+        if bounded:
             keep = f2 > cut * cut if strict else f2 >= cut * cut
         else:                 # every nonzero slice, also when squares overflow
             keep = x.any(axis=(1, 2))
         if s == done[0]:
             keep[done[1]] = False
         index = keep.nonzero()[0]
+        if bounded and index.size:
+            # The same cut on the Schatten-8 bound of the slices left.
+            s8 = _schatten8(x.view(complex)[index], f2[index])
+            index = index[s8 > cut if strict else s8 >= cut]
         if index.size:
             norms = _svd_norms(x.view(complex)[index])
             i = int(norms.argmax())

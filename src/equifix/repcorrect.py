@@ -94,9 +94,19 @@ class ApproxRep:
         return ApproxRep(self.group, vals, unitary=self.unitary, unital=self.unital)
 
 
+def _require_untwisted(rep: ApproxRep, name: str):
+    """Refuse a cocycle (``act`` set): its cached defect is the twisted one,
+    which says nothing of v(gh) - v(g) v(h)."""
+    if rep.act is not None:
+        raise ValueError(f"{name} must be a representation, not a cocycle "
+                         f"(its act is set)")
+
+
 def one_step(rep: ApproxRep) -> ApproxRep:
-    """One correction step.  Requires measured defect r <= 1/5; the output
-    has defect at most 17 r^2 and is within 2r of the input pointwise."""
+    """One correction step.  Requires a representation (no ``act``) of
+    measured defect r <= 1/5; the output has defect at most 17 r^2 and is
+    within 2r of the input pointwise."""
+    _require_untwisted(rep, "rep")
     r, pair = rep.defect_with_argmax()
     if r > ONE_STEP_MAX_DEFECT:
         raise DefectTooLargeError(
@@ -149,13 +159,15 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
                    max_iter: int = ITERATION_CAP,
                    on_iterate: Optional[Callable[[int, ApproxRep], None]] = None
                    ) -> Correction:
-    """Iterate the one-step corrector until the defect is below tol.
+    """Iterate the one-step corrector on a representation (no ``act``)
+    until the defect is below tol.
 
     If a quotient map kappa is supplied, kappa o rep must already be an
     exact representation (defect <= 1e-12 downstairs); the iteration then
     leaves the downstairs image unchanged, and the drift is measured and
     returned.  kappa takes the whole (|G|, ...) stack of values.
     """
+    _require_untwisted(rep, "rep")
     r0, pair = rep.defect_with_argmax()
     if r0 >= ITERATE_MAX_DEFECT:
         raise DefectTooLargeError(
@@ -313,13 +325,15 @@ def unitarize_values(values):
 def intertwiner(rho: ApproxRep, sigma: ApproxRep,
                 quotient: Optional[Callable[[np.ndarray], np.ndarray]] = None
                 ) -> np.ndarray:
-    """Unitary u with u rho(g) u* = sigma(g) for two representations, exact
-    to 1e-11, at pointwise distance < 1: the polar part of avg_h sigma(h)* rho(h).
+    """Unitary u with u rho(g) u* = sigma(g) for two representations (no
+    ``act``), exact to 1e-11, at pointwise distance < 1: the polar part of
+    avg_h sigma(h)* rho(h).
 
     When a quotient map kappa (taking a stack of values) with
     kappa o rho = kappa o sigma is supplied, u satisfies kappa(u) = 1.
     """
     for name, rep in (("rho", rho), ("sigma", sigma)):
+        _require_untwisted(rep, name)
         d = rep.defect()
         if d > 1e-11:
             raise DefectTooLargeError(f"{name} is not exact: defect {d:.3e}")

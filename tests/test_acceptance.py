@@ -333,9 +333,9 @@ def test_criterion_8_graded_correction():
             f"residual {worst_comp:.2e} <= 1e-12")
 
 
-def test_criterion_9_circle_averaging():
-    # Criterion 9 is the finite-group Haar average (it was circle averaging):
-    # the group mean of g -> alpha_g(x) is fixed by every alpha_h.
+def test_criterion_9_haar_average():
+    # The finite-group Haar average: the group mean of g -> alpha_g(x) is
+    # fixed by every alpha_h.
     worst = 0.0
     for i in range(50):
         rng = trial_rng(9000, i)

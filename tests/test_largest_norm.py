@@ -1,8 +1,9 @@
 """Property tests for the screened norm kernel ``largest_norm`` against a
-full batched SVD of every slice, cases for its exact floor (the slice of
-largest Frobenius norm, SVD'd first), and guard tests that the
-correctors' gates take no SVD on valid input yet still reject input just
-over them with the same message."""
+full batched SVD of every slice, also at the cut, cases for its exact
+floor (the slice of largest Frobenius norm, SVD'd first) and its
+Schatten-8 screen, and guard tests that the correctors' gates take no SVD
+on valid input yet still reject input just over them with the same
+message."""
 
 import math
 
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equifix.galgebra import matrix_algebra
+from equifix.galgebra import matrix_algebra, max_pair_defect, pair_chunks
 from equifix.groups import cyclic_group
-from equifix.matfun import (Blocks, adjoint, exp_skew, largest_norm,
-                            principal_log_unitary)
-from equifix.repcorrect import ApproxRep
-from equifix.scenarios import random_skew, random_unitary, trial_rng
+from equifix.matfun import (_UNDERFLOW, Blocks, _screen, adjoint, exp_skew,
+                            largest_norm, principal_log_unitary)
+from equifix.repcorrect import ApproxRep, one_step
+from equifix.scenarios import (exact_rep_values, group_of, perturb_rep_values,
+                               random_skew, random_unitary, trial_rng)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 # Slice kinds: generic, rank one (||x|| = ||x||_F, the edge of the screen),
@@ -84,6 +86,56 @@ def test_stack_matches_full_svd(seed, slice_kinds, m, n, ties):
     if len(a) and len(a) % 2 == 0:
         b = a.reshape(2, len(a) // 2, m, n)
         assert largest_norm(b, -1.0) == reference(full_norms(b), -1.0)
+
+
+# Slices at the cut, all of operator norm c times at most 1: "peak" has
+# singular values (c, c t_2, ...), so every peak slice ties the largest norm
+# up to rounding; "flat" is c times an isometry, which the Frobenius and
+# Schatten-8 bounds over-read most; "rank1" is where both bounds are exact.
+cut_kinds = st.sampled_from(["peak", "flat", "rank1", "zero", "generic"])
+
+
+def draw_at_cut(rng, kind, m, n, c):
+    k = min(m, n)
+    if kind == "generic":
+        x = draw_slice(rng, "generic", m, n)
+        return c * rng.uniform(0.5, 1.0) * x / full_norms(x)
+    s = {"peak": np.concatenate([[1.0], rng.uniform(0.0, 1.0, k - 1)]),
+         "flat": np.ones(k), "rank1": np.eye(k)[0], "zero": np.zeros(k)}[kind]
+    u = random_unitary(rng, m)[:, :k]
+    v = random_unitary(rng, n)[:, :k]
+    return c * (u * s) @ v.conj().T
+
+
+def cut_floors(norms):
+    """Every computed norm and the floats on either side of it."""
+    out = [-1.0, 0.0]
+    for t in np.unique(norms):
+        out += [float(t), float(np.nextafter(t, -np.inf)), float(np.nextafter(t, np.inf))]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.lists(cut_kinds, min_size=1, max_size=8), st.integers(1, 6),
+       st.integers(1, 6), st.sampled_from([1.0, 1e-160, 1e150]), st.booleans(),
+       st.integers(1, 4))
+def test_stack_at_the_cut_matches_full_svd(seed, slice_kinds, m, n, c, ties, slab):
+    """Near ties, rank one, zero, wide and tall slices, with entries whose
+    squares underflow (1e-160) or come near overflow (1e150), at floors on
+    and beside every slice's norm, and in slabs that pass the running
+    maximum on as the floor (ties across slabs go to the earlier one)."""
+    rng = np.random.default_rng(seed)
+    a = np.stack([draw_at_cut(rng, k, m, n, c) for k in slice_kinds])
+    if ties and len(a) > 1:
+        a[rng.integers(1, len(a))::2] = a[rng.integers(len(a))]
+    norms = full_norms(a)
+    for floor in cut_floors(norms):
+        assert largest_norm(a, floor) == reference(norms, floor)
+    worst, first = -1.0, None
+    for start in range(0, len(a), slab):
+        worst, i = largest_norm(a[start:start + slab], worst)
+        first = first if i is None else start + i
+    assert (worst, first) == reference(norms, -1.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,6 +251,39 @@ def test_dominant_slice_takes_fewer_svd_slices(svd_counter):
     assert largest_norm(a) == reference(full_norms(a), 0.0)
     svd_counter.pop()                  # the reference's
     assert sum(math.prod(s[:-2]) for s in svd_counter) == 1
+
+
+def test_slice_exactly_at_the_exact_floor_cut_takes_an_svd(svd_counter):
+    # Slice 0 has the largest Frobenius norm and exact norm 1, the floor.
+    # Slice 1 is c at one entry, c the cut (1 - 1e-150) / (1 + margin):
+    # its Frobenius and Schatten-8 bounds equal the cut exactly, and the
+    # comparisons after an exact floor are non-strict, so it is SVD'd;
+    # slice 2 is well under the cut and is not.
+    a = np.zeros((3, 2, 2), dtype=complex)
+    a[0, 0, 0] = 1.0
+    a[1, 1, 0] = c = (1.0 - _UNDERFLOW) / _screen(a)[3]
+    a[2] = 0.5 * c * np.eye(2)
+    svd_counter.clear()
+    assert largest_norm(a) == (1.0, 0)
+    assert [math.prod(s[:-2]) for s in svd_counter] == [1, 1]
+
+
+def test_pair_defect_at_dimension_32_svds_few_slices(svd_counter):
+    # symmetric(4) at dimension 32: max_pair_defect takes 12 chunks of 48
+    # pairs.  On a corrector iterate the Frobenius screen alone SVDs 44
+    # slices of every chunk after the first (506 in all); with the
+    # Schatten-8 screen those chunks SVD only their exact floor's slice,
+    # and the whole call fewer slices than one chunk holds (29-33).
+    spec = {"kind": "symmetric", "params": 4}
+    group = group_of(spec)
+    rng = trial_rng(0, 0)
+    rep = ApproxRep(group, perturb_rep_values(exact_rep_values(spec, group, 32, rng),
+                                              0.01, rng))
+    iterate = one_step(rep).values
+    assert len(pair_chunks(iterate, group.order)) == 12
+    svd_counter.clear()
+    max_pair_defect(iterate, group.mult)
+    assert sum(math.prod(s[:-2]) for s in svd_counter) <= 48
 
 
 # --- no SVD on valid input -------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from dense_reference import trivial_algebra
 from equifix.groups import cyclic_group, make_group
+from equifix.cocycles import coboundary
 from equifix.galgebra import Tower, matrix_algebra
 from equifix.matfun import Blocks, identity_like, operator_norm
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError,
@@ -144,6 +145,23 @@ def test_correct_quotient_requires_exact_downstairs():
     rep = ApproxRep(group, vals)
     with pytest.raises(DefectTooLargeError, match="quotient"):
         correct_to_rep(rep, quotient=lambda a: a)   # identity quotient: not exact
+
+
+def test_correctors_refuse_a_cocycle():
+    """A coboundary on cyclic(3) at dim 3 is an exact cocycle (twisted
+    defect 2e-15) whose untwisted pair defect is 0.63: read as a
+    representation, correct_to_rep would return it after 0 iterations."""
+    group = cyclic_group(3)
+    rng = trial_rng(0, 0)
+    exact = exact_rep_values({"kind": "cyclic", "params": 3}, group, 3, rng)
+    w = coboundary(matrix_algebra(3, group, list(exact)), random_unitary(rng, 3))
+    assert w.defect() <= 1e-14
+    assert defect_oracle(group, w.values) > 0.6
+    rep = ApproxRep(group, exact)
+    for call in (lambda: one_step(w), lambda: correct_to_rep(w),
+                 lambda: intertwiner(w, rep), lambda: intertwiner(rep, w)):
+        with pytest.raises(ValueError, match="not a cocycle"):
+            call()
 
 
 # --- symmetrize / unitarize ---------------------------------------------------
