@@ -65,10 +65,11 @@ Every maximum of norms and every norm gate goes through one screened
 kernel, :func:`largest_norm`.  A slice's Frobenius norm F bounds its
 operator norm from both sides, ||x|| <= F <= sqrt(rank) ||x|| (Golub and
 Van Loan, Matrix Computations, 2.3), and costs one pass over the entries.
-A slice with F at or under a gate's tolerance passes it.  The slice of
-largest lower bound F/sqrt(rank) (in a stack of one shape, of largest F)
-is SVD'd alone first; a slice with F under its exact norm cannot be the
-maximum.  The slices left take a second bound, the Schatten-8 norm
+If every F, with the screen's margin (below), is at or under a floor >= 0
+(a gate's tolerance), that pass is all: no computed norm can exceed it.
+Else the slice of largest lower bound F/sqrt(rank) (of largest F in a
+stack of one shape) is SVD'd alone first; a slice with F under its exact
+norm cannot be the maximum.  The rest take the Schatten-8 bound
 
     ||x|| <= ||x||_8 = (sum_j s_j^8)^(1/8) = F ||(y y*)^2||_F^(1/4),
 
@@ -77,8 +78,7 @@ smaller side (Bhatia, Matrix Analysis, IV.2): two batched products and
 one einsum.  Since ||x||_8 <= rank^(1/8) ||x||, where F over-reads a
 spread spectrum by up to sqrt(rank), ||x||_8 over-reads it by at most
 rank^(1/8) (1.54 at rank 32).  One batched SVD then takes only the slices
-whose Schatten-8 bound reaches the cut.  The exact floor's extra SVD pays where a maximum over g
-is one stacked call per chunk of g, not one per g.
+whose Schatten-8 bound reaches the cut.
 
 The screen is exact: the comparisons of both bounds carry the relative
 margin SCREEN_MARGIN plus 1e-14 l k^(3/2), with k = min(m, n) and
@@ -336,25 +336,27 @@ def largest_norm(a, floor: float = 0.0):
     Screened by two upper bounds (module docstring): a slice is SVD'd only
     if its Frobenius norm and then its Schatten-8 norm exceed ``floor`` and
     reach the exact norm of the slice of largest lower bound, SVD'd first;
-    an exactly zero slice takes none.
-    So ``largest_norm(x, tol)`` is a gate that takes no SVD when every
-    slice is well under tol, and a loop over slabs that passes its running
-    maximum as ``floor`` skips the slices that cannot beat earlier slabs
-    (ties go to the earlier slab)."""
+    an exactly zero slice takes none.  A gate ``largest_norm(x, tol)``
+    whose slices all have F (1 + margin) + 1e-150 <= tol returns after the
+    Frobenius pass, as no computed norm can then exceed tol, and a loop
+    over slabs that passes its running maximum as ``floor`` skips the
+    slices that cannot beat earlier slabs (ties go to the earlier slab)."""
     blocks = isinstance(a, Blocks)
     parts = [np.asarray(p, dtype=complex) for p in (a.parts if blocks else (a,))]
     screens = [_screen(p) for p in parts]
-    per = [p.shape[-3] if blocks else 1 for p in parts]    # slices per element
     # A slice is kept when its upper bounds f and then s8, each times
     # (1 + margin) plus _UNDERFLOW, beat max(floor, 0), or reach the exact
-    # norm, if higher, of the slice of largest lower bound
-    # f (1 - margin) / sqrt(min(m, n)), SVD'd alone first: no slice has a
-    # larger lower bound.
+    # norm, if higher, of the slice of largest lower bound, SVD'd alone
+    # first.  When no f beats a floor >= 0, none is: return at once.
+    if floor >= 0 and all(math.sqrt(top) * scale + _UNDERFLOW <= floor
+                          for _, top, _, scale in screens):
+        return floor, None
+    per = [p.shape[-3] if blocks else 1 for p in parts]    # slices per element
     lo, strict = max(floor, 0.0), True
     best, first, done = -math.inf, None, (-1, -1)
     lows = [math.sqrt(top) * (2 - scale) / math.sqrt(max(1, min(p.shape[-2:])))
             for p, (_, top, _, scale) in zip(parts, screens)]
-    s = int(np.argmax(lows or [0.0]))
+    s = max(range(len(lows)), key=lows.__getitem__, default=0)
     f2, top, x, scale = screens[s] if screens else (None, 0.0, None, 1.0)
     if 0 < top and math.sqrt(top) * scale + _UNDERFLOW > lo:
         done = s, int(f2.argmax())
@@ -456,10 +458,10 @@ def principal_log_unitary(u) -> np.ndarray:
     if isinstance(u, Blocks):
         return u.map(principal_log_unitary)
     u = _require_square(u)
-    n = u.shape[-1]
-    _reject_worst(adjoint(u) @ u - np.eye(n), 1e-10,
+    n, one = u.shape[-1], np.eye(u.shape[-1])
+    _reject_worst(adjoint(u) @ u - one, 1e-10,
                   "input is not unitary: ||u*u - 1|| = %.3e")
-    _reject_worst(u - np.eye(n), HALF_PLANE_RADIUS,
+    _reject_worst(u - one, HALF_PLANE_RADIUS,
                   "unitary outside the log's disc: ||u - 1|| = %.3e > 1/2")
     s = u.reshape(math.prod(u.shape[:-2]), n, n)
     a = (s - adjoint(s)) * 0.5
@@ -490,11 +492,13 @@ def exp_skew(x) -> np.ndarray:
     if not math.isfinite(top):
         raise ValueError("input too large to exponentiate: ||x||_F overflows"
                          + _at_slice(int(np.argmax(f2)), x.shape[:-2]))
-    rho = np.sqrt(f2) * scale
-    squarings = np.where(rho > EXP_CAP, np.frexp(rho / EXP_CAP)[1], 0)
-    y *= np.ldexp(1.0, -squarings)[:, None, None]
-    e = _series(y, _EXP, np.searchsorted(_RHO_LIMITS, np.ldexp(rho, -squarings)))
-    for t in range(int(squarings.max(initial=0))):
+    rho, squarings = np.sqrt(f2) * scale, 0
+    if math.sqrt(top) * scale > EXP_CAP:      # the largest rho: some slice squares
+        squarings = np.where(rho > EXP_CAP, np.frexp(rho / EXP_CAP)[1], 0)
+        y *= np.ldexp(1.0, -squarings)[:, None, None]
+        rho = np.ldexp(rho, -squarings)
+    e = _series(y, _EXP, np.searchsorted(_RHO_LIMITS, rho))
+    for t in range(int(np.max(squarings))):
         i = np.flatnonzero(squarings > t)
         f = e[i] @ e[i]
         e[i] = f - 0.5 * (f @ (adjoint(f) @ f - np.eye(n)))

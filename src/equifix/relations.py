@@ -11,6 +11,7 @@ p_g -> p_{hg}, and ``unit_sum``, the distance of the sum from the unit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -61,6 +62,7 @@ def _averaged_seeds(algebra: GAlgebra, seeds: np.ndarray) -> np.ndarray:
     return (sym + sym.conj().transpose(0, 2, 1)) / 2
 
 
+@functools.lru_cache(maxsize=32)
 def partition_admissibility_threshold(d: int) -> float:
     """Conservative seed-defect bound under which the correction pipeline is
     guaranteed: propagate a uniform seed defect delta through symmetrization
@@ -69,7 +71,7 @@ def partition_admissibility_threshold(d: int) -> float:
     (d+1) delta with M = 1 + 2 delta), the polar step (movement
     max(1 - sqrt(1-eta), sqrt(1+eta) - 1)), and the spectral-rounding margin
     (eigenvalue argument within pi/(2d) of a d-th root, the half-gap
-    condition).  Solved numerically by bisection."""
+    condition).  Solved numerically by bisection, once per d (cached)."""
 
     def admissible(delta):
         M = 1 + 2 * delta
@@ -81,16 +83,12 @@ def partition_admissibility_threshold(d: int) -> float:
         # Distance from the polar unitary to the exactly encoded element of a
         # nearby true partition: symmetrization displacement (<= delta per
         # block, d blocks) plus seed distance (<= delta per block) plus tau.
-        drift = tau + 2 * d * delta
-        return drift < math.sin(math.pi / (2 * d))
+        return tau + 2 * d * delta < math.sin(math.pi / (2 * d))
 
     lo, hi = 0.0, 0.5
     for _ in range(60):
         mid = (lo + hi) / 2
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if admissible(mid) else (lo, mid)
     return lo
 
 

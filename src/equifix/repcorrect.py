@@ -63,15 +63,14 @@ class ApproxRep:
     _defect: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        v = read_only_copy(group_stack(self.values, self.group.order))
-        self.values = v
+        self.values = v = read_only_copy(group_stack(self.values, self.group.order))
+        one = identity_like(v[0]) if isinstance(v, Blocks) else np.eye(v.shape[-1])
         if self.unitary:
-            worst = largest_norm(adjoint(v) @ v - identity_like(v), 1e-10)[0]
+            worst = largest_norm(adjoint(v) @ v - one, 1e-10)[0]
             if worst > 1e-10:
                 raise ValueError(f"values flagged unitary but defect is {worst:.3e}")
         if self.unital:
-            e = v[self.group.identity]
-            err = largest_norm(e - identity_like(e), 1e-10)[0]
+            err = largest_norm(v[self.group.identity] - one, 1e-10)[0]
             if err > 1e-10:
                 raise ValueError(f"values flagged unital but rho(e) is off by {err:.3e}")
 
@@ -111,14 +110,13 @@ def one_step(rep: ApproxRep) -> ApproxRep:
     if r > ONE_STEP_MAX_DEFECT:
         raise DefectTooLargeError(
             f"defect {r:.6g} exceeds 1/5; attained at pair {pair}")
-    G = rep.group
-    v = rep.values
+    G, v = rep.group, rep.values
     v_adj = adjoint(v)
     # One (g, k) stack per chunk of g, m[g, k] = rho(k)* rho(kg) rho(g)*:
     # one log of the whole stack and one mean over k.
-    x = concatenate([principal_log_unitary(
-        v_adj[None] @ v[G.mult.T[c]] @ v_adj[c, None]).mean(axis=1)
-        for c in pair_chunks(v, G.order)])
+    x = [principal_log_unitary(v_adj[None] @ v[G.mult.T[c]] @ v_adj[c, None])
+         .mean(axis=1) for c in pair_chunks(v, G.order)]
+    x = x[0] if len(x) == 1 else concatenate(x)
     return ApproxRep(G, exp_skew(x) @ v, unitary=rep.unitary, unital=rep.unital)
 
 

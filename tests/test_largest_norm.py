@@ -1,20 +1,22 @@
 """Property tests for the screened norm kernel ``largest_norm`` against a
-full batched SVD of every slice, also at the cut, cases for its exact
-floor (the slice of largest Frobenius norm, SVD'd first) and its
-Schatten-8 screen, and guard tests that the correctors' gates take no SVD
-on valid input yet still reject input just over them with the same
-message."""
+full batched SVD of every slice, also at the cut and at the bound of its
+early exit, cases for its exact floor (the slice of largest Frobenius
+norm, SVD'd first) and its Schatten-8 screen, and guard tests that the
+correctors' gates take no SVD on valid input yet still reject input just
+over them with the same message."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equifix import matfun
 from equifix.galgebra import matrix_algebra, max_pair_defect, pair_chunks
 from equifix.groups import cyclic_group
-from equifix.matfun import (_UNDERFLOW, Blocks, _screen, adjoint, exp_skew,
-                            largest_norm, principal_log_unitary)
+from equifix.matfun import (_UNDERFLOW, EXP_CAP, Blocks, _screen, adjoint,
+                            exp_skew, largest_norm, principal_log_unitary)
 from equifix.repcorrect import ApproxRep, one_step
 from equifix.scenarios import (exact_rep_values, group_of, perturb_rep_values,
                                random_skew, random_unitary, trial_rng)
@@ -286,6 +288,91 @@ def test_pair_defect_at_dimension_32_svds_few_slices(svd_counter):
     assert sum(math.prod(s[:-2]) for s in svd_counter) <= 48
 
 
+# --- the early exit -----------------------------------------------------------
+
+def exit_bound(a):
+    """sqrt(top) (1 + margin) + 1e-150 of a dense stack, top its largest
+    squared Frobenius norm: a floor >= 0 at or over it ends the call after
+    the Frobenius pass."""
+    _, top, _, scale = _screen(a)
+    return math.sqrt(top) * scale + _UNDERFLOW
+
+
+def beside(t):
+    """t and the floats one ulp below and above it."""
+    return [t, float(np.nextafter(t, -np.inf)), float(np.nextafter(t, np.inf))]
+
+
+@contextlib.contextmanager
+def screened_calls():
+    """The shapes passed to ``np.linalg.svd`` and ``matfun._schatten8``
+    while the block runs."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((np.linalg, "svd"), (matfun, "_schatten8")):
+            real = getattr(owner, name)
+            mp.setattr(owner, name, lambda a, *args, _real=real, **kwargs:
+                       calls.append(np.shape(a)) or _real(a, *args, **kwargs))
+        yield calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.lists(kinds.filter(lambda k: k != "huge"), min_size=1, max_size=6),
+       st.integers(1, 5), st.integers(1, 5), st.sampled_from([1.0, 1e-160, 1e150]))
+def test_early_exit_at_its_bound_matches_full_svd(seed, slice_kinds, m, n, c):
+    """Floors at the exit bound and one ulp to either side, on stacks with
+    rank-one slices (||x|| = F), zero slices and squares that underflow:
+    the value is the full SVD's, and at the bound or over it the call
+    takes no SVD and no Schatten-8 bound."""
+    rng = np.random.default_rng(seed)
+    a = c * draw_stack(rng, slice_kinds, m, n, False)
+    norms, bound = full_norms(a), exit_bound(a)
+    for floor in beside(bound):
+        with screened_calls() as calls:
+            got = largest_norm(a, floor)
+        assert got == reference(norms, floor)
+        assert floor < bound or calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.booleans())
+def test_zero_stacks_at_floors_zero_and_minus_one(count, m, n, blocks):
+    """All-zero stacks, empty ones and Blocks included: floor 0 gives
+    (0, None), floor -1 gives (0, first slice) when there is a slice."""
+    a = np.zeros((count, m, n), dtype=complex)
+    x = Blocks([a[:, None]]) if blocks and m == n > 0 else a
+    for floor in (0.0, -1.0):
+        assert largest_norm(x, floor) == reference(full_norms(a), floor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+       st.floats(1.0, 3.0), st.booleans(), st.sampled_from([1.0, 1e-160, 1e150]))
+def test_blocks_with_one_part_under_the_floor_and_one_over(seed, count, b, extra,
+                                                          ratio, larger_under, c):
+    """Floors at one part's exit bound and one ulp to either side, with the
+    other part's Frobenius bound over them: the value is the full SVD's,
+    whether or not a norm of the part over them beats the floor; the part
+    under them alone exits with no SVD."""
+    rng = np.random.default_rng(seed)
+    under_size, over_size = (b + extra, b) if larger_under else (b, b + extra)
+    under = c * draw_stack(rng, ["generic"] * count, under_size, under_size,
+                           False)[:, None]
+    bound = exit_bound(under)
+    over = draw_stack(rng, ["generic"] * 2 * count, over_size, over_size, False)
+    over = over.reshape(count, 2, over_size, over_size)
+    over *= ratio * bound / math.sqrt(_screen(over)[1])
+    assert exit_bound(over) > bound
+    parts = {under_size: under, over_size: over}
+    x = Blocks([parts[size] for size in sorted(parts)])
+    norms = np.max([full_norms(p).max(axis=-1) for p in x.parts], axis=0)
+    for floor in beside(bound):
+        assert largest_norm(x, floor) == reference(norms, floor)
+    with screened_calls() as calls:
+        assert largest_norm(Blocks([under]), bound) == (bound, None)
+    assert calls == []
+
+
 # --- no SVD on valid input -------------------------------------------------
 
 def test_log_and_exp_of_valid_half_plane_input_take_no_svd(svd_counter):
@@ -296,6 +383,39 @@ def test_log_and_exp_of_valid_half_plane_input_take_no_svd(svd_counter):
     principal_log_unitary(u)
     principal_log_unitary(u.reshape(3, 4, 6, 6))
     assert svd_counter == []
+
+
+def test_one_step_log_gates_take_no_svd_or_schatten8():
+    # The stack one_step logs on cyclic(6) at dimension 6, 36 slices of
+    # 6 x 6: both of the log's gates pass on their Frobenius pass.
+    spec = {"kind": "cyclic", "params": 6}
+    group = group_of(spec)
+    rng = trial_rng(0, 0)
+    v = ApproxRep(group, perturb_rep_values(exact_rep_values(spec, group, 6, rng),
+                                            0.01, rng)).values
+    m = adjoint(v)[None] @ v[group.mult.T] @ adjoint(v)[:, None]
+    assert m.shape == (6, 6, 6, 6)
+    with screened_calls() as calls:
+        principal_log_unitary(m)
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.lists(st.floats(0.01, 60.0), min_size=3, max_size=6),
+       st.integers(1, 6))
+def test_exp_of_a_stack_across_the_cap_matches_each_slice_alone(seed, norms, n):
+    """A slice under EXP_CAP is scaled by 2^0 in a stack with one over it
+    and not scaled at all alone; either way its bits are the same, and so
+    are those of a slice that squares, also of one whose Frobenius norm is
+    under the cap and over it with the screen's margin."""
+    rng = np.random.default_rng(seed)
+    x = np.stack([random_skew(rng, n) for _ in norms])
+    x *= (np.array(norms) / np.linalg.norm(x, axis=(1, 2)))[:, None, None]
+    for i, f in enumerate([0.5, 2.0, 1 - 1e-12]):     # under, over, margin
+        x[i] *= f * EXP_CAP / np.linalg.norm(x[i])
+    e = exp_skew(x)
+    for i in range(len(x)):
+        assert e[i].tobytes() == exp_skew(x[i]).tobytes()
 
 
 def test_approx_rep_of_unitary_values_takes_no_svd(svd_counter):
