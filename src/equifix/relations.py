@@ -2,11 +2,12 @@
 cyclic group action (the Rokhlin-type families), including the
 corner-compressed tracial variant.
 
-Both correctors measure the five partition defects of their seeds and
-their output with one kernel, ``measure_partition_seeds``, under the names
-reported: ``projection`` (idempotency), ``self_adjoint``,
-``orthogonality``, ``equivariance`` under the group's permutation
-p_g -> p_{hg}, and ``unit_sum``, the distance of the sum from the unit.
+The five partition defects of a family are ``projection`` (idempotency),
+``self_adjoint``, ``orthogonality``, ``equivariance`` under the group's
+permutation p_g -> p_{hg}, and ``unit_sum``, the distance of the sum from
+the unit.  Both correctors measure their seeds as one maximum,
+``partition_defect``, and their output by name, ``measure_partition_seeds``:
+the two walk the same stacks.
 """
 
 from __future__ import annotations
@@ -25,31 +26,47 @@ from .galgebra import GAlgebra, group_mean, matrix_algebra, pair_chunks
 from .repcorrect import DefectTooLargeError
 
 
-def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
-                            unit: Optional[np.ndarray] = None) -> dict:
-    """The five partition defects of a family p_g, by name: ``projection``
-    ||p_g^2 - p_g||, ``self_adjoint`` ||p_g - p_g*||, ``orthogonality``
-    ||p_g p_h|| for g != h, ``equivariance`` ||alpha_g(p_h) - p_{gh}|| and
-    ``unit_sum`` ||sum_g p_g - unit|| (unit defaults to 1), each maximized
-    over the family.  The two pairwise defects take one stacked call per
-    chunk of g (``pair_chunks``), the products p_g p_h and one stacked
-    action on the whole family, so no (d, d, n, n) array larger than a
-    chunk is built."""
-    G = algebra.group
-    seeds = np.asarray(seeds, dtype=complex)
-    if unit is None:
-        unit = np.eye(algebra.dim)
-    orth = eq = 0.0
+def _partition_stacks(algebra: GAlgebra, seeds: np.ndarray, unit: np.ndarray):
+    """(name, stack) for the five partition defects of a family p_g:
+    ``unit_sum`` sum_g p_g - unit, ``projection`` p_g^2 - p_g,
+    ``self_adjoint`` p_g - p_g*, and per chunk of g (``pair_chunks``, so no
+    (d, d, n, n) array larger than a chunk is built) ``orthogonality``
+    p_g p_h for g != h and ``equivariance`` alpha_g(p_h) - p_{gh}."""
+    G, seeds = algebra.group, np.asarray(seeds, dtype=complex)
+    yield "unit_sum", seeds.sum(axis=0) - unit
+    yield "projection", seeds @ seeds - seeds
+    yield "self_adjoint", seeds - seeds.conj().transpose(0, 2, 1)
     for c in pair_chunks(seeds, G.order):
         g = np.arange(G.order)[c]
         products = seeds[c, None] @ seeds
         products[np.arange(len(g)), g] = 0.0     # p_g p_g is not a pair
-        orth = largest_norm(products, orth)[0]
-        eq = largest_norm(algebra.act(g[:, None], seeds) - seeds[G.mult[c]], eq)[0]
-    return {"projection": largest_norm(seeds @ seeds - seeds)[0],
-            "self_adjoint": largest_norm(seeds - seeds.conj().transpose(0, 2, 1))[0],
-            "orthogonality": orth, "equivariance": eq,
-            "unit_sum": operator_norm(seeds.sum(axis=0) - unit)}
+        yield "orthogonality", products
+        yield "equivariance", algebra.act(g[:, None], seeds) - seeds[G.mult[c]]
+
+
+def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
+                            unit: Optional[np.ndarray] = None) -> dict:
+    """The five partition defects of a family by name (``_partition_stacks``,
+    unit defaulting to 1), each maximized over the family."""
+    defects = dict.fromkeys(("projection", "self_adjoint", "orthogonality",
+                             "equivariance", "unit_sum"), 0.0)
+    for name, x in _partition_stacks(algebra, seeds,
+                                     np.eye(algebra.dim) if unit is None else unit):
+        defects[name] = operator_norm(x) if name == "unit_sum" else \
+            largest_norm(x, defects[name])[0]
+    return defects
+
+
+def partition_defect(algebra: GAlgebra, seeds: np.ndarray) -> float:
+    """The largest of the five partition defects (unit 1), bit for bit that
+    of ``measure_partition_seeds``: one running floor through ``largest_norm``
+    over the same stacks, ``unit_sum`` first, so a stack that cannot beat
+    the defects already measured takes no SVD (a maximum of exact norms
+    does not depend on their order)."""
+    worst = 0.0
+    for _, x in _partition_stacks(algebra, seeds, np.eye(algebra.dim)):
+        worst = largest_norm(x, worst)[0]
+    return worst
 
 
 def _averaged_seeds(algebra: GAlgebra, seeds: np.ndarray) -> np.ndarray:
@@ -96,7 +113,7 @@ def partition_admissibility_threshold(d: int) -> float:
 class PartitionCorrection:
     projections: np.ndarray
     displacement: float
-    seed_defects: dict
+    seed_defect: float
     certificate: dict
     residuals: dict
 
@@ -108,12 +125,11 @@ def _require_standard_cyclic(group: FiniteGroup):
 
 
 def _round_partition(algebra: GAlgebra, seeds: np.ndarray):
-    """The rounding core of both correctors: the seeds' defects, and the
-    exact partition their averaged family rounds to with its certificate
-    (the stages of ``stabilize_partition``)."""
+    """The rounding core of both correctors: the exact partition the
+    averaged seeds round to, and its certificate, which opens with the
+    seeds' defect (the stages of ``stabilize_partition``)."""
     d, n = algebra.group.order, algebra.dim
-    defects = measure_partition_seeds(algebra, seeds)
-    seed_defect = max(defects.values())
+    seed_defect = partition_defect(algebra, seeds)
     threshold = partition_admissibility_threshold(d)
     certificate = {"seed_defect": seed_defect, "a_priori_threshold": threshold}
 
@@ -156,7 +172,7 @@ def _round_partition(algebra: GAlgebra, seeds: np.ndarray):
             f"from the d-th roots, beyond the admissible margin {half_gap:.6g}")
 
     projections = np.stack([v[:, ks == g] @ v[:, ks == g].conj().T for g in range(d)])
-    return projections, defects, certificate
+    return projections, certificate
 
 
 def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrection:
@@ -176,24 +192,18 @@ def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrec
     seeds = np.asarray(seeds, dtype=complex)
     if seeds.shape != (d, n, n):
         raise ValueError(f"seeds shape {seeds.shape}, expected {(d, n, n)}")
-    projections, defects, certificate = _round_partition(algebra, seeds)
-    residuals = measure_partition_seeds(algebra, projections)
-    displacement = largest_norm(projections - seeds)[0]
-    return PartitionCorrection(projections=projections, displacement=displacement,
-                               seed_defects=defects, certificate=certificate,
-                               residuals=residuals)
+    projections, certificate = _round_partition(algebra, seeds)
+    return PartitionCorrection(
+        projections=projections, displacement=largest_norm(projections - seeds)[0],
+        seed_defect=certificate["seed_defect"], certificate=certificate,
+        residuals=measure_partition_seeds(algebra, projections))
 
 
 @dataclass
-class TracialPartitionCorrection:
-    projections: np.ndarray
+class TracialPartitionCorrection(PartitionCorrection):
     corner_projection: np.ndarray
     witness_compression_norm: float
     complement_rank: int
-    displacement: float
-    seed_defects: dict
-    certificate: dict
-    residuals: dict
 
 
 def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
@@ -208,11 +218,10 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     d, n = G.order, algebra.dim
     seeds = np.asarray(seeds, dtype=complex)
     witness = np.asarray(witness, dtype=complex)
-    wnorm = operator_norm(witness)
     if largest_norm(witness - witness.conj().T, 1e-10)[0] > 1e-10 or \
-            abs(wnorm - 1) > 1e-10:
+            abs(operator_norm(witness) - 1) > 1e-10:
         raise ValueError("witness must be positive with norm 1")
-    defects = measure_partition_seeds(algebra, seeds)   # unit_sum is vs 1 here
+    seed_defect = partition_defect(algebra, seeds)   # unit_sum is vs 1 here
 
     sym = _averaged_seeds(algebra, seeds)
     s = sym.sum(axis=0)
@@ -227,17 +236,14 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     u = np.stack([algebra.unitaries[g][0] for g in range(d)])
     corner = matrix_algebra(r, G, polar_unitary(adjoint(iso) @ u @ iso),
                             action_tol=1e-10)
-    corner_seeds = adjoint(iso) @ sym @ iso
 
-    inner, _, certificate = _round_partition(corner, corner_seeds)
+    inner, certificate = _round_partition(corner, adjoint(iso) @ sym @ iso)
     projections = iso @ inner @ iso.conj().T
 
-    residuals = measure_partition_seeds(algebra, projections, q)
-    exe = operator_norm(q @ witness @ q)
-    displacement = largest_norm(projections - seeds)[0]
     certificate["corner_rank"] = r
     return TracialPartitionCorrection(
-        projections=projections, corner_projection=q,
-        witness_compression_norm=exe, complement_rank=n - r,
-        displacement=displacement, seed_defects=defects,
-        certificate=certificate, residuals=residuals)
+        projections=projections, displacement=largest_norm(projections - seeds)[0],
+        seed_defect=seed_defect, certificate=certificate,
+        residuals=measure_partition_seeds(algebra, projections, q),
+        corner_projection=q, witness_compression_norm=operator_norm(q @ witness @ q),
+        complement_rank=n - r)

@@ -684,8 +684,13 @@ def build_rokhlin_scenario(d: int, block: int, magnitude: float,
     return algebra, exact, q @ exact @ adjoint(q)
 
 
-def _residual_checks(result, names):
-    return [(f"residual_{k}", result.residuals[k], 1e-12, 0.0) for k in names]
+def _partition_outcome(result, measured: dict):
+    """A partition trial's measured values followed by its residuals, the
+    residual checks (1e-12 each) and its one trace row."""
+    res = result.residuals
+    return ({**measured, **{f"residual_{k}": v for k, v in res.items()}},
+            [(f"residual_{k}", v, 1e-12, 0.0) for k, v in res.items()],
+            [(0, max(res.values()), result.displacement)])
 
 
 @_trial_runner
@@ -694,13 +699,8 @@ def run_rokhlin_trial(s: Scenario, rng):
     block = max(1, s.dimension // d)
     algebra, exact, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng)
     result = stabilize_partition(algebra, seeds)
-    measured = {
-        "seed_defect": max(result.seed_defects.values()),
-        "displacement": result.displacement,
-        **{f"residual_{k}": v for k, v in result.residuals.items()},
-    }
-    rows = [(0, max(result.residuals.values()), result.displacement)]
-    return measured, _residual_checks(result, result.residuals), rows
+    return _partition_outcome(result, {"seed_defect": result.seed_defect,
+                                       "displacement": result.displacement})
 
 
 @_trial_runner
@@ -714,16 +714,10 @@ def run_tracial_trial(s: Scenario, rng):
     x = y @ y.conj().T
     x = x / operator_norm(x)
     result = stabilize_tracial_partition(algebra, seeds, x)
-    measured = {
+    return _partition_outcome(result, {
         "displacement": result.displacement,
         "witness_compression": result.witness_compression_norm,
-        "complement_rank": result.complement_rank,
-        **{f"residual_{k}": v for k, v in result.residuals.items()},
-    }
-    checks = _residual_checks(result, ("projection", "self_adjoint", "orthogonality",
-                                       "equivariance", "unit_sum"))
-    rows = [(0, max(result.residuals.values()), result.displacement)]
-    return measured, checks, rows
+        "complement_rank": result.complement_rank})
 
 
 @_trial_runner

@@ -230,12 +230,15 @@ def test_tracial_rejects_bad_witness():
 
 
 def test_tracial_trial_measures_three_families(monkeypatch):
-    # The seeds, the corner seeds and the output; the corner's own output
-    # is not measured, since the tracial corrector reports only the output.
+    # The seeds and the corner seeds as one maximum each, and the output by
+    # name; the corner's own output is not measured, since the tracial
+    # corrector reports only the output.
     calls = []
-    real = relations.measure_partition_seeds
-    monkeypatch.setattr(relations, "measure_partition_seeds",
-                        lambda *args: calls.append(1) or real(*args))
+    for name in ("partition_defect", "measure_partition_seeds"):
+        real = getattr(relations, name)
+        monkeypatch.setattr(relations, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
     report = run_tracial_trial(Scenario.from_dict(SUITE["tracial"][1], seed=0), 0)
     assert report.all_passed()
-    assert len(calls) == 3
+    assert calls == ["partition_defect", "partition_defect",
+                     "measure_partition_seeds"]

@@ -8,10 +8,13 @@ equivariance and action defects and the group averages (``symmetrize``,
 chunk, the stacked Fourier projection against its per-character loop,
 the character table and the broadcast character checks against their
 loops, the batched graded gates' messages, and
-``SourceAction``'s stacked checks against its loop; and guards on the
-memory and the ``eigh`` calls of the log that ``one_step`` takes, and on
-the memory and the norm calls of ``measure_partition_seeds``."""
+``SourceAction``'s stacked checks against its loop, the one-maximum
+``partition_defect`` against the named defects; and guards on the memory
+and the ``eigh`` calls of the log that ``one_step`` takes, on the memory
+and the norm calls of ``measure_partition_seeds``, and on the SVDs of
+``partition_defect``."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -29,11 +32,12 @@ from equifix.graded import (GradedAlgebra, _validate_characters,
 from equifix.groups import cyclic_group, make_group
 from equifix.matfun import (Blocks, adjoint, exp_skew, operator_norm,
                             principal_log_unitary)
-from equifix.relations import measure_partition_seeds, stabilize_partition
+from equifix.relations import (measure_partition_seeds, partition_defect,
+                               stabilize_partition)
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError, SourceAction,
                                 equivariance_defect, one_step, symmetrize,
                                 translation_source_action)
-from equifix.scenarios import (Scenario, build_lift_scenario,
+from equifix.scenarios import (SUITE, Scenario, build_lift_scenario,
                                build_rokhlin_scenario, exact_rep_values,
                                perturb_rep_values, random_skew,
                                random_unitary, trial_rng)
@@ -294,22 +298,29 @@ def test_stacked_act_on_tower_levels_is_bit_equal_to_the_loop(seed, config, lead
         assert_paired(level.act, paired, xn, lead)
 
 
+def partition_family(seed, family, d, magnitude, corank):
+    """An algebra, a family of d seeds in it and the units to measure its
+    sum against: a Rokhlin family of 2 x 2 blocks, rotated by ``magnitude``
+    and with ``corank`` fixed coordinates, or a random dense one of 3 x 3
+    matrices over one of ``GROUP_SPECS``."""
+    rng = trial_rng(seed, 0)
+    if family == "rokhlin":
+        algebra, exact, fam = build_rokhlin_scenario(d, 2, magnitude, rng, corank)
+        return algebra, fam, (None, exact.sum(axis=0))
+    spec = GROUP_SPECS[d % len(GROUP_SPECS)]
+    group = make_group(spec["kind"], spec["params"])
+    algebra = algebra_for(spec, group, rng, 3, None)
+    fam = rng.standard_normal((group.order, 3, 3)) + \
+        1j * rng.standard_normal((group.order, 3, 3))
+    return algebra, fam, (None,)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.sampled_from(["rokhlin", "random"]), st.integers(1, 6),
        st.floats(0.0, 0.2), slabs)
 def test_chunked_partition_defects_are_bit_equal_to_one_chunk(seed, family, d,
                                                                magnitude, entries):
-    rng = trial_rng(seed, 0)
-    if family == "rokhlin":
-        algebra, exact, fam = build_rokhlin_scenario(d, 2, magnitude, rng, 1)
-        units = (None, exact.sum(axis=0))
-    else:
-        spec = GROUP_SPECS[d % len(GROUP_SPECS)]
-        group = make_group(spec["kind"], spec["params"])
-        algebra = algebra_for(spec, group, rng, 3, None)
-        fam = rng.standard_normal((group.order, 3, 3)) + \
-            1j * rng.standard_normal((group.order, 3, 3))
-        units = (None,)
+    algebra, fam, units = partition_family(seed, family, d, magnitude, 1)
     for unit in units:
         whole = measure_partition_seeds(algebra, fam, unit)
         with slab(entries):
@@ -363,8 +374,8 @@ def test_chunked_stabilize_partition_is_bit_equal_to_one_chunk(seed, d, block,
     with slab(entries):
         chunked = stabilize_partition(algebra, fam)
     assert same(chunked.projections, whole.projections)
-    assert (chunked.seed_defects, chunked.certificate, chunked.residuals) == \
-        (whole.seed_defects, whole.certificate, whole.residuals)
+    assert (chunked.seed_defect, chunked.certificate, chunked.residuals) == \
+        (whole.seed_defect, whole.certificate, whole.residuals)
 
 
 @settings(max_examples=30, deadline=None)
@@ -432,6 +443,63 @@ def test_partition_defects_take_two_norms_per_chunk(monkeypatch, entries):
         assert len(calls) == 2 * len(pair_chunks(seeds, 6)) + 2
     if entries is None:
         assert len(calls) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from(["rokhlin", "random"]), st.integers(1, 6),
+       st.floats(0.0, 0.2), st.integers(0, 1))
+def test_partition_defect_is_bit_equal_to_the_largest_named_defect(seed, family, d,
+                                                                   magnitude, corank):
+    # A Rokhlin family at corank 1 sums to less than 1, so unit_sum (near 1)
+    # floors every later stack; at corank 0 the other four defects set it.
+    algebra, fam, _ = partition_family(seed, family, d, magnitude, corank)
+    want = max(measure_partition_seeds(algebra, fam).values())
+    for entries in (1, 200, None):
+        with slab(entries):
+            assert partition_defect(algebra, fam) == want
+
+
+def test_partition_defect_of_zero_and_non_finite_families(svd_counter):
+    algebra, _, seeds = build_rokhlin_scenario(3, 2, 0.01, trial_rng(0, 0))
+    zero = np.zeros_like(seeds)
+    # Every stack of the zero family is exactly zero but its unit sum, 0 - 1.
+    assert measure_partition_seeds(algebra, zero) == {
+        "projection": 0.0, "self_adjoint": 0.0, "orthogonality": 0.0,
+        "equivariance": 0.0, "unit_sum": 1.0}
+    svd_counter.clear()
+    assert partition_defect(algebra, zero) == 1.0
+    assert svd_counter == [(6, 6)]            # the unit sum's one slice
+    for bad in (np.nan, np.inf, -np.inf):
+        fam = seeds.copy()
+        fam[1, 2, 0] = bad
+        raised = []
+        for f in (measure_partition_seeds, partition_defect):
+            with pytest.raises(ValueError) as exc:
+                f(algebra, fam)
+            raised.append(str(exc.value))
+        assert raised == ["matrix has non-finite entries"] * 2
+
+
+def test_partition_defect_svds_few_slices(svd_counter):
+    # The tracial suite scenario's seeds sum to a corner, so unit_sum
+    # (about 1) is SVD'd alone and floors the other four stacks.
+    s = Scenario.from_dict(SUITE["tracial"][1], seed=0)
+    d = int(s.group["params"])
+    block = (s.dimension - s.corner_corank) // d
+    algebra, _, seeds = build_rokhlin_scenario(d, block, s.magnitude, trial_rng(0, 0),
+                                               s.corner_corank)
+    svd_counter.clear()
+    assert partition_defect(algebra, seeds) >= 1
+    assert svd_counter == [(algebra.dim, algebra.dim)]
+    # rokhlin-cyclic4 (dimension 24) across its magnitude range: the five
+    # named maxima SVD 8-21 slices here, the one maximum at most 5.
+    for trial in range(3):
+        for magnitude in (0.01, 0.015, 0.02):
+            algebra, _, seeds = build_rokhlin_scenario(4, 6, magnitude,
+                                                       trial_rng(trial, 0))
+            svd_counter.clear()
+            partition_defect(algebra, seeds)
+            assert sum(math.prod(shape[:-2]) for shape in svd_counter) <= 5
 
 
 # --- the graded path --------------------------------------------------------------
