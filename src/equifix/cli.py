@@ -10,7 +10,8 @@ Each accepts ``--scenario FILE`` to load a JSON scenario instead, plus
 the scenario schema checks like the file.  The default output directory
 is $EQUIFIX_OUT when set.  Exit code is 0 iff every checked bound
 passed; violated bounds are named to stderr (exit 1), and input that
-cannot run, or an output that cannot be made or written, exits 2.
+cannot run, an output that cannot be made or written, or a scenario file
+that is one of the run's own outputs, exits 2.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ def _load_scenario(args, label: str) -> Scenario:
                               tolerance=args.tolerance)
 
 
+def _refuse_own_output(scenario: Path, out: Path):
+    """Refuse a scenario file that the run's output would overwrite."""
+    for target in (out / "trace.csv", out / "report.json"):
+        if scenario.resolve() == target.resolve() or (
+                scenario.exists() and target.exists() and
+                os.path.samefile(scenario, target)):
+            raise ScenarioError(f"{scenario}: the scenario file is the output "
+                                f"{target}, which the run would overwrite")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = args.out or Path(os.environ.get("EQUIFIX_OUT") or "out")
@@ -83,6 +94,8 @@ def main(argv=None) -> int:
                     print(f"  {label}: {line}", file=sys.stderr)
                 ok = ok and report.all_passed
             return 0 if ok else 1
+        if args.scenario is not None:
+            _refuse_own_output(args.scenario, out)
         scenario = _load_scenario(args, SUBCOMMANDS[args.command])
         report = run_scenario(scenario, out)
         print(f"{scenario.kind}: {len(report.trials)} trials, "

@@ -8,8 +8,10 @@ form.  An element is stored as :class:`~equifix.matfun.Blocks`: the blocks
 of one size b_s share one stack ``(..., K_s, b_s, b_s)``.  The action of g
 gathers each stack by the block permutation and conjugates every block by
 its unitary, one batched product per block size, for one g or for an
-array of g broadcast against the stack; an element's norm is its largest
-block norm.  A one-block algebra takes a dense ``(..., n, n)`` too.
+array of g broadcast against the stack; a size whose unitaries are all
+monomial (one nonzero per row) takes one gather of the moved entries
+times their weights instead.  An element's norm is its largest block
+norm.  A one-block algebra takes a dense ``(..., n, n)`` too.
 
 A Tower adds an increasing chain of invariant ideals (unions of blocks).
 The quotient at level n is the G-algebra on the blocks outside J_n, and
@@ -50,8 +52,11 @@ class GAlgebra:
     ``unitaries[g][p]`` is the unitary applied at target position p.  The
     automorphism of g moves block j to position p and conjugates it by the
     unitary there.  Stacks hold the blocks of one size in position order,
-    sizes ascending.  ``check=False`` skips the composition self-check, for
-    restrictions of a checked action.
+    sizes ascending.  Construction records, per block size, whether every
+    unitary of that size has one nonzero per row, and then the gather
+    ``act`` takes for it; the input decides, no option does.
+    ``check=False`` skips the composition self-check, for restrictions of
+    a checked action.
     """
 
     blocks: tuple
@@ -93,6 +98,21 @@ class GAlgebra:
             for cls in classes))
         object.__setattr__(self, "_u", us)
         object.__setattr__(self, "_uh", tuple(adjoint(u) for u in us))
+        # A class whose unitaries have one nonzero per row, u[i, c_i], acts
+        # by a gather: (u x u*)[i, j] = u[i, c_i] x[c_i, c_j] conj(u[j, c_j]).
+        # Its _idx holds, per g, the offsets of those entries in the
+        # flattened (K_s, b, b) stack, and its _w the weights, None when all
+        # are 1; a dense class has None for both.
+        idx, w = [None] * len(us), [None] * len(us)
+        for k, (u, s) in enumerate(zip(us, self._src)):
+            if u.size and np.all(np.count_nonzero(u, axis=-1) == 1):
+                c, b = np.argmax(u != 0, axis=-1), u.shape[-1]
+                d = np.take_along_axis(u, c[..., None], -1)[..., 0]
+                idx[k] = (s[..., None, None] * b + c[..., :, None]) * b + c[..., None, :]
+                weights = d[..., :, None] * d.conj()[..., None, :]
+                w[k] = None if np.all(weights == 1) else weights
+        object.__setattr__(self, "_idx", tuple(idx))
+        object.__setattr__(self, "_w", tuple(w))
         object.__setattr__(self, "_shapes", tuple(u.shape[1:] for u in us))
         # The stored data must compose: Ad(W_g) Ad(W_h) = Ad(W_gh).  Checked
         # on a random element; skipped for very large groups.
@@ -122,19 +142,30 @@ class GAlgebra:
         return Blocks((a[..., None, :, :],))
 
     def act(self, g, a):
-        """Apply the automorphism of g to one element or a stack: gather the
-        blocks by the permutation, then conjugate each by its unitary, one
-        batched product per block size.  An index array g broadcasts against
-        the leading axes of a, as numpy index arrays do: g of shape (k,)
-        with a (k, ...) stack pairs them, act(g, a)[i] = act(g[i], a[i]),
-        and g[:, None] with an (m, ...) stack gives the (k, m, ...) stack of
+        """Apply the automorphism of g to one element or a stack, one block
+        size at a time.  Where every unitary of a size has one nonzero per
+        row (a permutation with phases), that size is one gather of the
+        moved entries times their weights; otherwise the blocks are gathered
+        by the permutation and each is conjugated by its unitary, one
+        batched product.  An index array g broadcasts against the leading
+        axes of a, as numpy index arrays do: g of shape (k,) with a (k, ...)
+        stack pairs them, act(g, a)[i] = act(g[i], a[i]), and g[:, None]
+        with an (m, ...) stack gives the (k, m, ...) stack of
         act(g[i], a[j]).  A dense argument gives a dense result."""
         x = self.as_blocks(a)
         # Open grids over the leading axes of a and the block index s[g]
         # broadcast as g does against a, and gather whole blocks.
         ix = np.indices(x.lead + (1,), sparse=True)[:-1]
-        out = Blocks(u[g] @ p[(*ix, s[g])] @ uh[g]
-                     for p, s, u, uh in zip(x.parts, self._src, self._u, self._uh))
+        parts = []
+        for p, s, u, uh, idx, w in zip(x.parts, self._src, self._u, self._uh,
+                                       self._idx, self._w):
+            if idx is None:
+                parts.append(u[g] @ p[(*ix, s[g])] @ uh[g])
+            else:
+                flat = p.reshape(x.lead + (p.shape[-3] * p.shape[-2] * p.shape[-1],))
+                moved = flat[(*(i[..., None, None] for i in ix), idx[g])]
+                parts.append(moved if w is None else moved * w[g])
+        out = Blocks(parts)
         return out if isinstance(a, Blocks) else out.parts[0][..., 0, :, :]
 
     def action_defect(self, samples: int = 2, floor: float = 0.0) -> float:
@@ -170,8 +201,10 @@ class GAlgebra:
                             np.reshape(perms, (self.group.order, len(keep))),
                             unitaries, self.action_tol, check=False)
         if not self.perms.flags.writeable:
-            for a in (quotient.perms, *quotient._u, *quotient._uh, *quotient._src):
-                a.flags.writeable = False
+            for a in (quotient.perms, *quotient._u, *quotient._uh, *quotient._src,
+                      *quotient._idx, *quotient._w):
+                if a is not None:
+                    a.flags.writeable = False
         return quotient
 
     def take(self, a: Blocks, keep) -> Blocks:
@@ -246,11 +279,16 @@ class Tower:
         """Quotient map pi_{n,m} from level m to level n (m <= n): drops the
         blocks of J_n.  Compositions pi_{n,m} o pi_{m,l} = pi_{n,l} hold
         exactly because dropping is nested."""
+        keep = self.kept(n, m)
+        return self.level(m).take(self.level(m).as_blocks(a), keep)
+
+    def kept(self, n: int, m: int) -> list:
+        """The positions, among the blocks of level m, of the blocks that
+        pi_{n,m} keeps (m <= n)."""
         if not 0 <= m <= n <= self.top:
             raise ValueError(f"levels must satisfy 0 <= m <= n <= {self.top}, "
                              f"got (n={n}, m={m})")
-        keep = [i for i, j in enumerate(self._live(m)) if j not in self.ideals[n]]
-        return self.level(m).take(self.level(m).as_blocks(a), keep)
+        return [i for i, j in enumerate(self._live(m)) if j not in self.ideals[n]]
 
     def project_to_top(self, m: int, a: Blocks) -> Blocks:
         return self.project(self.top, m, a)

@@ -294,23 +294,27 @@ def symmetrize(values, act: Callable, source_action: SourceAction):
     return group_mean(terms, values, G.order)
 
 
+def _polar_parts(a):
+    """One batched SVD u diag(s) vh of a stack of matrices: the polar parts
+    u vh and each slice's distance max |s - 1| from the unitaries."""
+    u, s, vh = np.linalg.svd(require_finite(a))
+    return u @ vh, np.max(np.abs(s - 1.0), axis=-1, initial=0.0)
+
+
 def unitarize_values(values):
     """Replace each value by its polar part.  Every value must be within
     UNITARIZE_EPS = eps0/2 (eps0 = 1/(6*34)) of a unitary, measured as
     max |s - 1| over its singular values s; the polar parts then move each
-    value by less than eps0.  One batched SVD u diag(s) vh per block size
-    gives both the distances and the polar parts u vh; a rejection names
-    the first value that is too far."""
-    def polar(a):
-        u, s, vh = np.linalg.svd(require_finite(a))
-        return u @ vh, np.max(np.abs(s - 1.0), axis=-1, initial=0.0)
-
+    value by less than eps0.  One batched SVD per block size
+    (``_polar_parts``, which the lift's level scan shares) gives both the
+    distances and the polar parts; a rejection names the first value that
+    is too far."""
     if isinstance(values, Blocks):
-        pairs = [polar(p) for p in values.parts]
+        pairs = [_polar_parts(p) for p in values.parts]
         out = Blocks(q for q, _ in pairs)
         dists = np.max([d.max(axis=-1) for _, d in pairs], axis=0)
     else:
-        out, dists = polar(values)
+        out, dists = _polar_parts(values)
     far = np.flatnonzero(dists >= UNITARIZE_EPS)
     if far.size:
         i = int(far[0])
@@ -389,12 +393,13 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
     unitary=False and unital=False: the lift's own gates decide.
 
     Every stage runs on the blocks live at its level.  Pipeline: a
-    nonequivariant seed at level 0 -> scan levels in increasing order,
-    accepting the first whose symmetrized and unitarized family has defect
-    below min(1/34, eps0) -> iterated correction with the top quotient
-    pinned -> conjugation by an intertwiner back onto the seed (when the
-    seed restricts to an exact representation, as it does for the classical
-    pipeline).
+    nonequivariant seed at level 0, symmetrized and polar-decomposed once
+    there -> scan levels in increasing order, each taking its live blocks
+    of those, accepting the first whose symmetrized and unitarized family
+    has defect below min(1/34, eps0) -> iterated correction with the top
+    quotient pinned -> conjugation by an intertwiner back onto the seed
+    (when the seed restricts to an exact representation, as it does for
+    the classical pipeline).
     """
     H = source_action.source
     top = tower.top
@@ -411,19 +416,28 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
         raise ValueError(
             f"seed does not project to phi at the top (off by {mismatch:.3e})")
 
+    # The action and the ideals go block by block, so a level's symmetrized
+    # family, its polar parts and their distances from the unitaries are
+    # level 0's on its live blocks: one symmetrization and one SVD per block
+    # size serve the whole scan, and a level is unitarizable when each of
+    # its live blocks is within UNITARIZE_EPS, as unitarize_values requires.
+    level0 = tower.level(0)
+    pairs = [_polar_parts(p) for p in symmetrize(
+        tower.project(0, 0, seed.values), level0.act, source_action).parts]
+    polar = Blocks(q for q, _ in pairs)
+    dists = Blocks(d[..., None, None] for _, d in pairs)   # (|H|, K_s, 1, 1)
     table = []
     for level in range(top):
         act = tower.level(level).act
+        kept = tower.kept(level, 0)
         # Each defect is measured once: the reps cache it for the corrector
         # and the intertwiner.
         seed_rep = ApproxRep(H, tower.project(level, 0, seed.values),
                              unitary=False, unital=False)
         eq = equivariance_defect(seed_rep.values, act, source_action)
-        try:
-            rho0 = ApproxRep(H, unitarize_values(symmetrize(seed_rep.values, act,
-                                                            source_action)))
-        except DefectTooLargeError:
-            rho0 = None
+        rho0 = None
+        if all(np.all(d < UNITARIZE_EPS) for d in level0.take(dists, kept).parts):
+            rho0 = ApproxRep(H, level0.take(polar, kept))
         uni_defect = None if rho0 is None else rho0.defect()
         accepted = uni_defect is not None and uni_defect < LEVEL_ACCEPT_THRESHOLD
         table.append(LevelReport(level, eq, seed_rep.defect(), rho0 is not None,

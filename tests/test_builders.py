@@ -136,10 +136,16 @@ def test_cached_models_are_read_only():
     assert scenarios.run_rep_trial(
         Scenario.from_dict(SUITE["rep_tower"][1], seed=0), 0).all_passed()
     levels = (tower.level(0), rep_tower.level(1))
+    # The gather arrays of the monomial sizes too: offsets everywhere,
+    # weights where the unitaries carry phases (the lift's).
+    assert all(w is None for w in (algebra._w[0], rep_tower.level(1)._w[0]))
     for x in (*menu, exact, algebra.perms, algebra.unitaries[1][0], algebra._u[0],
-              tower.algebra.unitaries[1][0], tower.algebra._uh[0], action.scalar,
+              algebra._idx[0], tower.algebra.unitaries[1][0], tower.algebra._uh[0],
+              tower.algebra._idx[0], tower.algebra._w[0], action.scalar,
               action.perm, rep_tower.algebra._u[0], rep_tower.algebra.group.mult,
-              *(a for q in levels for a in (q.perms, q._u[0], q._uh[0], q._src[0]))):
+              rep_tower.algebra._idx[0], tower.level(0)._w[0],
+              *(a for q in levels for a in (q.perms, q._u[0], q._uh[0], q._src[0],
+                                            q._idx[0]))):
         with pytest.raises(ValueError, match="read-only"):
             x[(0,) * x.ndim] = 2
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from dense_reference import trivial_algebra
+from equifix import repcorrect
 from equifix.groups import cyclic_group, make_group
 from equifix.cocycles import coboundary
 from equifix.galgebra import Tower, matrix_algebra
-from equifix.matfun import Blocks, identity_like, operator_norm
-from equifix.repcorrect import (ApproxRep, DefectTooLargeError,
-                                LiftError, SourceAction, correct_to_rep,
+from equifix.matfun import Blocks, adjoint, identity_like, operator_norm
+from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
+                                DefectTooLargeError, LevelReport, LiftError,
+                                SourceAction, correct_to_rep,
                                 equivariance_defect, intertwiner, lift_group_rep,
                                 one_step, symmetrize, translation_source_action,
                                 unitarize_values)
@@ -331,6 +333,70 @@ def test_lift_translation_covariance_realized():
         assert operator_norm(lhs - zeta ** (-a) * z) <= 1e-11
     z_d = z.map(lambda p: np.linalg.matrix_power(p, d))
     assert operator_norm(z_d - identity_like(z_d)) <= 1e-11
+
+
+def per_level_lift(tower, phi, source_action, seed):
+    """The lift with every scanned level symmetrizing and unitarizing its
+    own live blocks: (level, table, rep values, correction, equivariance
+    and projection residuals).  phi and the seed are exact here, so the
+    intertwiner always runs."""
+    H, top = source_action.source, tower.top
+    table = []
+    for level in range(top):
+        act = tower.level(level).act
+        seed_rep = ApproxRep(H, tower.project(level, 0, seed.values),
+                             unitary=False, unital=False)
+        eq = equivariance_defect(seed_rep.values, act, source_action)
+        try:
+            rho0 = ApproxRep(H, unitarize_values(symmetrize(seed_rep.values, act,
+                                                            source_action)))
+        except DefectTooLargeError:
+            rho0 = None
+        uni = None if rho0 is None else rho0.defect()
+        accepted = uni is not None and uni < LEVEL_ACCEPT_THRESHOLD
+        table.append(LevelReport(level, eq, seed_rep.defect(), rho0 is not None,
+                                 uni, accepted))
+        if accepted:
+            break
+
+    def quotient(a):
+        return tower.project(top, level, a)
+
+    correction = correct_to_rep(rho0, tol=1e-12, quotient=quotient)
+    u = intertwiner(seed_rep, correction.last, quotient=quotient)
+    final = u @ seed_rep.values @ adjoint(u)
+    return (level, table, final, correction,
+            equivariance_defect(final, act, source_action),
+            operator_norm(quotient(final) - phi.values).max())
+
+
+@pytest.mark.parametrize("model,order,base,ratio,levels,accept", [
+    ("translation", 4, 0.6, 0.4, 7, 3),     # phases: the weighted gather
+    ("inversion", 4, 0.6, 0.3, 6, 2)])      # a permutation: the bare gather
+def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, order,
+                                                           base, ratio, levels, accept):
+    # The scan symmetrizes and polar-decomposes level 0 once, and each
+    # level takes its live blocks of those.
+    s = Scenario(kind="lift", seed=31, source={"model": model, "order": order},
+                 group={"kind": "cyclic", "params": 2 if model == "inversion" else order},
+                 tower={"levels": levels, "base": base, "ratio": ratio}, trials=1)
+    tower, phi, action, seed = build_lift_scenario(s, trial_rng(s.seed, 0))
+    level, table, final, correction, eq, proj = per_level_lift(tower, phi, action, seed)
+    calls = {"symmetrize": 0, "_polar_parts": 0}
+    for name in calls:
+        real = getattr(repcorrect, name)
+        monkeypatch.setattr(repcorrect, name, lambda *a, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(*a))
+    res = lift_group_rep(tower, phi, action, seed=seed)
+    assert calls == {"symmetrize": 1, "_polar_parts": 1}
+    assert res.level == level == accept
+    assert [row.unitarizable for row in table] == [False] * accept + [True]
+    assert res.table == table
+    assert all(np.array_equal(p, q) for p, q in zip(res.rep.values.parts, final.parts))
+    assert (res.correction.trace, res.correction.iterations,
+            res.correction.quotient_drift) == (correction.trace, correction.iterations,
+                                               correction.quotient_drift)
+    assert (res.equivariance_residual, res.projection_residual) == (eq, proj)
 
 
 def test_lift_too_coarse_tower_fails_with_table():

@@ -400,6 +400,32 @@ def test_unwritable_output_file_exits_two_naming_it(tmp_path, capsys):
     assert str(tmp_path / "trace.csv") in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("via", ["path", "hard link"])
+@pytest.mark.parametrize("name", ["trace.csv", "report.json"])
+def test_scenario_file_that_is_an_output_exits_two_unchanged(tmp_path, capsys, name,
+                                                             via):
+    # The run would overwrite its own input: refused before the first trial,
+    # whether the file is named by a path into --out or is a hard link there.
+    out = tmp_path / "out"
+    out.mkdir()
+    text = json.dumps({"kind": "rep", "seed": 1, "group": {"kind": "cyclic", "params": 3},
+                       "dimension": 3, "magnitude": 0.01, "trials": 1})
+    target = out / name
+    if via == "path":
+        target.write_text(text)
+        scenario = tmp_path / "out" / ".." / "out" / name
+    else:
+        scenario = tmp_path / "s.json"
+        scenario.write_text(text)
+        os.link(scenario, target)
+    rc = cli_main(["stabilize", "--scenario", str(scenario), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(target) in err and "Traceback" not in err
+    assert scenario.read_text() == target.read_text() == text
+    assert sorted(os.listdir(out)) == [name]
+
+
 def test_violated_averaging_bound_exits_one(tmp_path, capsys, monkeypatch):
     # A wrong exponential breaks the averaging estimate: the trial's checks
     # name the violated bound, and the run exits 1 instead of raising.

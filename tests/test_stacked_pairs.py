@@ -298,6 +298,54 @@ def test_stacked_act_on_tower_levels_is_bit_equal_to_the_loop(seed, config, lead
         assert_paired(level.act, paired, xn, lead)
 
 
+def monomial_algebra(config, rng, phases, dense_size):
+    """``permuted_algebra`` with permutation matrices (times random phases
+    when ``phases``) for the per-block V, so that every unitary has one
+    nonzero per row, except random V on the blocks of ``dense_size``."""
+    blocks, d, perm = config
+    vs = [random_unitary(rng, b) if b == dense_size else
+          np.eye(b)[rng.permutation(b)] * (np.exp(2j * np.pi * rng.random(b))
+                                           if phases else 1.0)
+          for b in blocks]
+    powers = [np.arange(len(blocks))]
+    for _ in range(d - 1):
+        powers.append(np.asarray(perm)[powers[-1]])
+    unitaries = [tuple(vs[p] @ vs[src[p]].conj().T for p in range(len(blocks)))
+                 for src in map(np.argsort, powers)]
+    return GAlgebra(blocks, cyclic_group(d), np.array(powers), tuple(unitaries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from(CONFIGS), st.sampled_from([(), (3,), (2, 3)]),
+       st.booleans(), st.booleans(), st.data())
+def test_gather_act_matches_the_dense_route(seed, config, lead, phases, mixed, data):
+    # Sizes whose unitaries have one nonzero per row act by a gather, the
+    # others (here the 3 x 3 blocks, when mixed) by dense products.
+    # Against W_g a W_g*: bit for bit on the gathered blocks where the
+    # unitaries are permutations, to rounding elsewhere; on the algebra and
+    # on every level of a tower restricted from it, for one g, g paired
+    # with the stack and the outer g[:, None].
+    rng = np.random.default_rng(seed)
+    dense_size = 3 if mixed else None
+    algebra = monomial_algebra(config, rng, phases, dense_size)
+    sizes = sorted(set(config[0]))
+    assert [i is None for i in algebra._idx] == [b == dense_size for b in sizes]
+    assert phases or all(w is None for w in algebra._w)
+    tower = orbit_tower(algebra)
+    for alg in (algebra, *map(tower.level, range(1, tower.top + 1))):
+        x = random_blocks(alg.blocks, rng, lead)
+        dense, ref = embed(alg.blocks, x), dense_act(alg)
+        gathered = embed(alg.blocks, Blocks(np.full(p.shape[-3:], p.shape[-1] != dense_size)
+                                            for p in x.parts)).real == 1
+        idx = data.draw(index_arrays(alg.group.order))
+        for g in (int(rng.integers(alg.group.order)),
+                  rng.integers(0, alg.group.order, lead), outer(idx, lead)):
+            got, want = embed(alg.blocks, alg.act(g, x)), ref(g, dense)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+            assert phases or np.array_equal(got[..., gathered], want[..., gathered])
+
+
 def partition_family(seed, family, d, magnitude, corank):
     """An algebra, a family of d seeds in it and the units to measure its
     sum against: a Rokhlin family of 2 x 2 blocks, rotated by ``magnitude``
