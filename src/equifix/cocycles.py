@@ -54,18 +54,18 @@ def mismatch(w: ApproxRep, v):
 
 
 def one_step_cobound(w: ApproxRep, v):
-    """One coboundary-correction step.  Requires w exact (defect <= 1e-11)
-    and mismatch r <= 1/5; the output z satisfies
+    """One coboundary-correction step.  Requires w exact (defect <= 1e-11,
+    a screened gate) and mismatch r <= 1/5; the output z satisfies
     || z alpha_g(z)* - w(g) || <= 10 r^2 and || z - v || <= 2r."""
+    if not w.defect_at_most(1e-11):
+        raise DefectTooLargeError(
+            f"cocycle must be exact before correction (defect {w.defect():.3e})")
     return _cobound_step(w, v, mismatch(w, v))
 
 
 def _cobound_step(w: ApproxRep, v, measured):
-    """``one_step_cobound(w, v)``, given ``measured = mismatch(w, v)``."""
-    cd = w.defect()
-    if cd > 1e-11:
-        raise DefectTooLargeError(
-            f"cocycle must be exact before correction (defect {cd:.3e})")
+    """``one_step_cobound(w, v)``, given ``measured = mismatch(w, v)``; the
+    caller has checked that w is exact."""
     r, g = measured
     if r > ONE_STEP_MAX_MISMATCH:
         raise DefectTooLargeError(
@@ -85,12 +85,13 @@ def trivialize(w: ApproxRep, v0=None, tol: float = 1e-12,
     is within 1/10 of trivial; otherwise the caller supplies a seed with
     mismatch below 1/10.  With a quotient map kappa whose downstairs seed
     already trivializes kappa(w) exactly, kappa(v) = kappa(v0) is preserved;
-    kappa takes one element or a stack.
+    kappa takes one element or a stack.  The cocycle's exactness (defect
+    <= 1e-11) is one screened gate per call, which on an exact cocycle
+    ends after the Frobenius pass; its steps do not repeat it.
     """
-    cd = w.defect()
-    if cd > 1e-11:
+    if not w.defect_at_most(1e-11):
         raise DefectTooLargeError(
-            f"cocycle must be exact before trivialization (defect {cd:.3e}); "
+            f"cocycle must be exact before trivialization (defect {w.defect():.3e}); "
             f"approximately multiplicative cocycles are reported, not corrected")
     if v0 is None:
         v0 = identity_like(w.values[0])

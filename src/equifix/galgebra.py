@@ -17,14 +17,15 @@ A Tower adds an increasing chain of invariant ideals (unions of blocks).
 The quotient at level n is the G-algebra on the blocks outside J_n, and
 the quotient maps drop blocks, which makes their compatibility exact.
 ``max_pair_defect`` measures the largest ||v(gh) - v(g) v(h)|| over all
-pairs, and its twisted (cocycle) form, with one stacked product and one
-screened norm over the (|G|, |G|, ...) stack of pairs, as do the action's
-self-check and the equivariance and partition defects.  Such stacks take
-one stacked call per chunk of g (``pair_chunks``) of about SLAB_ENTRIES
-entries, so a large group at a large dimension never holds all pairs at
-once; every group the benchmarks run fits one chunk.  Every average over
-a group is ``group_mean``, a running sum of such chunks' term stacks.  A
-map from a group into a level is held as an ``ApproxRep``.
+pairs, and its twisted (cocycle) form, or gates it at a floor, with one
+stacked product and one screened norm over the (|G|, |G|, ...) stack of
+pairs, as do the action's self-check and the equivariance and partition
+defects.  Such stacks take one stacked call per chunk of g
+(``pair_chunks``) of about SLAB_ENTRIES entries, so a large group at a
+large dimension never holds all pairs at once; every group the benchmarks
+run fits one chunk.  Every average over a group is ``group_mean``, a
+running sum of such chunks' term stacks.  A map from a group into a level
+is held as an ``ApproxRep``.
 """
 
 from __future__ import annotations
@@ -339,19 +340,29 @@ def group_mean(f, family, count: int):
     return total / count
 
 
-def max_pair_defect(values, mult: np.ndarray, act=None):
+def _pair_stacks(values, mult: np.ndarray, act):
+    """Per chunk c of g (``pair_chunks``), c and the (k, |G|, ...) stack of
+    v(gh) - v(g) a_g(v(h)) over its pairs, as ``max_pair_defect`` takes them."""
+    order = len(mult)
+    for c in pair_chunks(values, order):
+        twisted = values[None] if act is None else act(np.arange(order)[c, None], values)
+        yield c, values[mult[c]] - values[c, None] @ twisted
+
+
+def max_pair_defect(values, mult: np.ndarray, act=None, floor: float = -1.0):
     """The largest ||v(gh) - v(g) a_g(v(h))|| over pairs (g, h) and the
     first pair (row-major) attaining it, with ``mult[g, h]`` the index of
     gh and a_g = ``act(g, .)``, or the identity when act is None.  Each
     chunk of g takes one stacked product over its (g, h) pairs and one
     screened norm whose floor is the running maximum of earlier chunks, so
-    ties go to the first pair."""
-    order = len(mult)
-    worst, pair = -1.0, None
-    for c in pair_chunks(values, order):
-        twisted = values[None] if act is None else act(np.arange(order)[c, None], values)
-        worst, i = largest_norm(values[mult[c]] - values[c, None] @ twisted, worst)
+    ties go to the first pair.  A floor >= 0 makes it a gate: (floor,
+    None) when no pair exceeds it, which on exact input the Frobenius pass
+    decides, and otherwise the exact figure and pair, as at the default
+    floor, which measures every family."""
+    worst, pair = floor, None
+    for c, stack in _pair_stacks(values, mult, act):
+        worst, i = largest_norm(stack, worst)
         if i is not None:
-            g, h = divmod(i, order)
+            g, h = divmod(i, len(mult))
             pair = (c.start + g, h)
     return worst, pair

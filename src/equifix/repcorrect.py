@@ -26,8 +26,8 @@ from .groups import FiniteGroup
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, adjoint, concatenate,
                      exp_skew, identity_like, largest_norm, polar_unitary,
                      principal_log_unitary, read_only_copy, require_finite)
-from .galgebra import (Tower, group_mean, group_stack, max_pair_defect,
-                       pair_chunks)
+from .galgebra import (GAlgebra, Tower, _pair_stacks, group_mean, group_stack,
+                       max_pair_defect, pair_chunks)
 
 ONE_STEP_MAX_DEFECT = 1.0 / 5
 ITERATE_MAX_DEFECT = 1.0 / 17
@@ -53,7 +53,9 @@ class ApproxRep:
     largest ||v(gh) - v(g) a_g(v(h))||, where a_g is the identity for a
     representation and ``act(g, .)`` for a cocycle over an action.  The
     values are copied and made read-only, so the defect is measured once
-    and cached."""
+    and cached.  An exactness gate is ``defect_at_most(tol)``: a screened
+    pass that on exact input ends after the Frobenius norms, and that
+    caches the exact defect and pair when it fails."""
 
     group: FiniteGroup
     values: object                # (|G|, n, n) array or Blocks
@@ -63,6 +65,7 @@ class ApproxRep:
     _defect: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        self._defect = None
         self.values = v = read_only_copy(group_stack(self.values, self.group.order))
         one = identity_like(v[0]) if isinstance(v, Blocks) else np.eye(v.shape[-1])
         if self.unitary:
@@ -84,10 +87,28 @@ class ApproxRep:
             self._defect = max_pair_defect(self.values, self.group.mult, self.act)
         return self._defect
 
+    def defect_at_most(self, tol: float) -> bool:
+        """Whether ``defect() <= tol``: the cached defect when there is one,
+        else ``max_pair_defect`` at floor tol.  A pair over tol makes that
+        the exact figure and pair (the floor rule), which are then cached;
+        a pass caches nothing."""
+        if self._defect is None:
+            found = max_pair_defect(self.values, self.group.mult, self.act, tol)
+            if found[1] is None:
+                return True
+            self._defect = found
+        return self._defect[0] <= tol
+
     def distance_to(self, other: "ApproxRep") -> float:
         return largest_norm(self.values - other.values)[0]
 
     def conjugate(self, u: np.ndarray) -> "ApproxRep":
+        """The representation g -> u v(g) u* of a dense representation.  A
+        cocycle is refused, since u w(g) u* is not a cocycle for the same
+        action, and so are Blocks values, since u is one dense matrix."""
+        _require_untwisted(self, "conjugated family")
+        if isinstance(self.values, Blocks):
+            raise ValueError("conjugation takes dense values, not Blocks")
         u = np.asarray(u, dtype=complex)
         vals = u @ self.values @ u.conj().T
         return ApproxRep(self.group, vals, unitary=self.unitary, unital=self.unital)
@@ -173,11 +194,10 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
     if quotient is not None:
         down = ApproxRep(rep.group, quotient(rep.values),
                          unitary=False, unital=False)
-        dd = down.defect()
-        if dd > 1e-12:
+        if not down.defect_at_most(1e-12):
             raise DefectTooLargeError(
                 f"quotient of the input is not an exact representation "
-                f"(defect {dd:.3e})")
+                f"(defect {down.defect():.3e})")
 
     def step(it, current):
         current = one_step(current)
@@ -260,18 +280,27 @@ def translation_source_action(d: int, group: FiniteGroup,
     return SourceAction(group=group, source=source, perm=perm, scalar=scalar)
 
 
-def equivariance_defect(values, act: Callable, source_action: SourceAction) -> float:
-    """Max over (g, x) of || gamma_g(psi(u_x)) - psi(alpha_g(u_x)) ||: per
-    chunk of g, one stacked call ``act(g[:, None], values)``, the (k, |H|,
-    ...) stack of an array or Blocks that ``GAlgebra.act`` gives for an
-    index array broadcast against the values, and one screened norm over
-    the running maximum."""
+def _equivariance_stacks(values, act: Callable, source_action: SourceAction):
+    """Per chunk c of g, c and the (k, |H|, ...) stack gamma_g(psi(u_x)) -
+    psi(alpha_g(u_x)): one stacked call ``act(g[:, None], values)``, which
+    ``GAlgebra.act`` gives for an index array broadcast against the values."""
     values = group_stack(values, source_action.source.order)
     perm, scalar = source_action.perm, source_action.scalar
-    worst, order = 0.0, source_action.group.order
+    order = source_action.group.order
     for c in pair_chunks(values, order):
-        worst = largest_norm(act(np.arange(order)[c, None], values) -
-                             scalar[c, :, None, None] * values[perm[c]], worst)[0]
+        yield c, (act(np.arange(order)[c, None], values) -
+                  scalar[c, :, None, None] * values[perm[c]])
+
+
+def equivariance_defect(values, act: Callable, source_action: SourceAction,
+                        floor: float = 0.0) -> float:
+    """Max over (g, x) of || gamma_g(psi(u_x)) - psi(alpha_g(u_x)) ||, or
+    ``floor`` if that is larger: one screened norm per chunk of g over the
+    running maximum, so a gate at tolerance ``floor`` takes no SVD on
+    slices that are screened under it."""
+    worst = floor
+    for _, stack in _equivariance_stacks(values, act, source_action):
+        worst = largest_norm(stack, worst)[0]
     return worst
 
 
@@ -336,9 +365,8 @@ def intertwiner(rho: ApproxRep, sigma: ApproxRep,
     """
     for name, rep in (("rho", rho), ("sigma", sigma)):
         _require_untwisted(rep, name)
-        d = rep.defect()
-        if d > 1e-11:
-            raise DefectTooLargeError(f"{name} is not exact: defect {d:.3e}")
+        if not rep.defect_at_most(1e-11):
+            raise DefectTooLargeError(f"{name} is not exact: defect {rep.defect():.3e}")
     dist, g = largest_norm(rho.values - sigma.values, BELOW_ONE)
     if g is not None:
         raise DefectTooLargeError(
@@ -385,12 +413,39 @@ class LiftResult:
 LEVEL_ACCEPT_THRESHOLD = min(1.0 / (2 * 17), EPS0)
 
 
+def _level_maxima(stacks, algebra: GAlgebra, keeps: list, floor: float):
+    """Per scanned level, the largest norm over the blocks it keeps
+    (``keeps[i]``, positions among the algebra's blocks) of the elements of
+    the (c, stack) pairs, each stack indexed (g in chunk c, x) and made of
+    the algebra's elements, or ``floor`` if that is larger; and the first
+    (g, x), row-major, at which the deepest level's figure is attained,
+    None if at no pair.  Deepest level first, every block of a stack enters
+    one screened norm: the blocks a level keeps and the next level drops,
+    with the next level's figure, and the level's own from earlier stacks,
+    as floor."""
+    worst, pair = [floor] * len(keeps), None
+    extra = [sorted(set(k) - set(deeper)) for k, deeper in zip(keeps, keeps[1:])]
+    extra += keeps[-1:]
+    for c, stack in stacks:
+        below = floor
+        for i in reversed(range(len(keeps))):
+            below = max(worst[i], below)
+            if extra[i]:
+                below, at = largest_norm(algebra.take(stack, extra[i]), below)
+                if at is not None and i == len(keeps) - 1:
+                    g, x = divmod(at, stack.lead[-1])
+                    pair = (c.start + g, x)
+            worst[i] = below
+    return worst, pair
+
+
 def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
                    seed: ApproxRep, tol: float = 1e-12) -> LiftResult:
     """Lift an exact equivariant representation phi of a finite group H at
     the top of a tower to an exact equivariant representation at a finite
     level below the top.  phi, seed and the result are ApproxReps with
-    unitary=False and unital=False: the lift's own gates decide.
+    unitary=False and unital=False: the lift's own gates decide; phi's
+    exactness and equivariance are screened gates at 1e-11.
 
     Every stage runs on the blocks live at its level.  Pipeline: a
     nonequivariant seed at level 0, symmetrized and polar-decomposed once
@@ -399,17 +454,22 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
     has defect below min(1/34, eps0) -> iterated correction with the top
     quotient pinned -> conjugation by an intertwiner back onto the seed
     (when the seed restricts to an exact representation, as it does for
-    the classical pipeline).
+    the classical pipeline).  The table's seed figures, its equivariance
+    and multiplicativity defects at each scanned level, come from one
+    pass over level 0's stacks of each (``_level_maxima``), one figure's
+    stacks at a time; the accepted level's multiplicativity defect and pair
+    are its seed's, which the intertwiner's exactness gate then reads.
     """
     H = source_action.source
     top = tower.top
     phi_vals = phi.values
-    phi_rep_defect = phi.defect()
-    phi_eq = equivariance_defect(phi_vals, tower.level(top).act, source_action)
-    if phi_rep_defect > 1e-11 or phi_eq > 1e-11:
+    top_act = tower.level(top).act
+    if not (phi.defect_at_most(1e-11) and
+            equivariance_defect(phi_vals, top_act, source_action, 1e-11) <= 1e-11):
         raise DefectTooLargeError(
             f"phi must be exact and equivariant at the top "
-            f"(defect {phi_rep_defect:.3e}, equivariance {phi_eq:.3e})")
+            f"(defect {phi.defect():.3e}, equivariance "
+            f"{equivariance_defect(phi_vals, top_act, source_action):.3e})")
     mismatch = largest_norm(tower.project(top, 0, seed.values) - phi_vals,
                             1e-11)[0]
     if mismatch > 1e-11:
@@ -421,30 +481,35 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
     # level 0's on its live blocks: one symmetrization and one SVD per block
     # size serve the whole scan, and a level is unitarizable when each of
     # its live blocks is within UNITARIZE_EPS, as unitarize_values requires.
+    # The seed's figures are likewise level 0's stacks on the live blocks.
     level0 = tower.level(0)
-    pairs = [_polar_parts(p) for p in symmetrize(
-        tower.project(0, 0, seed.values), level0.act, source_action).parts]
+    seed0 = tower.project(0, 0, seed.values)
+    pairs = [_polar_parts(p) for p in symmetrize(seed0, level0.act,
+                                                 source_action).parts]
     polar = Blocks(q for q, _ in pairs)
     dists = Blocks(d[..., None, None] for _, d in pairs)   # (|H|, K_s, 1, 1)
     table = []
     for level in range(top):
-        act = tower.level(level).act
         kept = tower.kept(level, 0)
-        # Each defect is measured once: the reps cache it for the corrector
-        # and the intertwiner.
-        seed_rep = ApproxRep(H, tower.project(level, 0, seed.values),
-                             unitary=False, unital=False)
-        eq = equivariance_defect(seed_rep.values, act, source_action)
         rho0 = None
         if all(np.all(d < UNITARIZE_EPS) for d in level0.take(dists, kept).parts):
             rho0 = ApproxRep(H, level0.take(polar, kept))
+        # The defect is measured once: the rep caches it for the corrector.
         uni_defect = None if rho0 is None else rho0.defect()
         accepted = uni_defect is not None and uni_defect < LEVEL_ACCEPT_THRESHOLD
-        table.append(LevelReport(level, eq, seed_rep.defect(), rho0 is not None,
+        table.append(LevelReport(level, None, None, rho0 is not None,
                                  uni_defect, accepted))
         if accepted:
             break
-    else:
+    # The floors are equivariance_defect's and max_pair_defect's.
+    keeps = [tower.kept(row.level, 0) for row in table]
+    eqs = _level_maxima(_equivariance_stacks(seed0, level0.act, source_action),
+                        level0, keeps, 0.0)[0]
+    mults, seed_pair = _level_maxima(_pair_stacks(seed0, H.mult, None), level0,
+                                     keeps, -1.0)
+    for row, eq, mult in zip(table, eqs, mults):
+        row.equivariance_defect, row.mult_defect = eq, mult
+    if not (table and table[-1].accepted):
         raise LiftError("no tower level admits the correction "
                         "(tower too coarse for the defect threshold)", table)
 
@@ -458,6 +523,9 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
     # the seed is itself an exact representation (the classical situation);
     # the corrected representation is returned either way.
     final_vals = corrected.values
+    seed_rep = ApproxRep(H, tower.project(level, 0, seed.values),
+                         unitary=False, unital=False)
+    seed_rep._defect = (mults[-1], seed_pair)
     seed_vals = seed_rep.values
     if seed_rep.defect() <= 1e-11 and \
             largest_norm(adjoint(seed_vals) @ seed_vals - identity_like(seed_vals),
@@ -466,7 +534,7 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
         u = intertwiner(seed_rep, corrected, quotient=quotient)
         final_vals = u @ seed_vals @ adjoint(u)
 
-    eq_res = equivariance_defect(final_vals, act, source_action)
+    eq_res = equivariance_defect(final_vals, tower.level(level).act, source_action)
     proj_res = largest_norm(quotient(final_vals) - phi_vals)[0]
     return LiftResult(level=level,
                       rep=ApproxRep(H, final_vals, unitary=False, unital=False),

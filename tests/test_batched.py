@@ -25,11 +25,12 @@ from equifix import cocycles
 from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, _cobound_step, coboundary,
                               cocycle, mismatch, one_step_cobound, trivialize)
 from dense_reference import (dense_act, eigh_exp_skew, eigh_half_plane_log, embed,
-                             random_blocks, schur_eigensystem, trivial_algebra)
-from equifix.galgebra import (BlockMismatchError, Tower, matrix_algebra,
+                             layout, random_blocks, schur_eigensystem,
+                             trivial_algebra)
+from equifix.galgebra import (BlockMismatchError, GAlgebra, Tower, matrix_algebra,
                               max_pair_defect)
 from equifix.groups import make_group
-from equifix.matfun import (EXP_CAP, UNITARIZE_EPS, Blocks, exp_skew,
+from equifix.matfun import (EXP_CAP, UNITARIZE_EPS, Blocks, adjoint, exp_skew,
                             operator_norm, polar_unitary, principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
 from equifix.repcorrect import (ITERATE_MAX_DEFECT, ITERATION_CAP, ApproxRep,
@@ -375,6 +376,62 @@ def test_cocycle_defect_and_mismatch_match_per_pair_loops(seed, spec, dim, magni
     worst, g = first_max(per_g)
     r, arg = mismatch(w, v)
     assert arg == g and abs(r - worst) <= 1e-12
+
+
+def gate_family(seed, spec, blocks, magnitude, twisted):
+    """A perturbed map of the group into the algebra on ``blocks`` (dense
+    values for one block), whose action is by exact representations: that
+    representation itself, or with ``twisted`` a coboundary, and the act
+    of its defect (None for a representation)."""
+    rng = trial_rng(seed, 0)
+    group = make_group(spec["kind"], spec["params"])
+    actions = [exact_rep_values(spec, group, b, rng) for b in blocks]
+    alg = GAlgebra(blocks, group, np.tile(np.arange(len(blocks)), (group.order, 1)),
+                   tuple(tuple(a[g] for a in actions) for g in group.elements()))
+    if twisted:
+        vals = coboundary(alg, polar_unitary(random_blocks(blocks, rng))).values
+    else:
+        vals = Blocks(np.stack([actions[j] for j in pos], axis=1)
+                      for _, pos in layout(blocks))
+    k = random_blocks(blocks, rng, (group.order,))
+    k = k - adjoint(k)
+    vals = vals @ exp_skew(magnitude / np.max(operator_norm(k)) * k)
+    if len(blocks) == 1:
+        vals = vals.parts[0][:, 0]
+    return group, vals, alg.act if twisted else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from(GROUP_SPECS), st.sampled_from([(3,), (1, 2), (2, 2)]),
+       st.sampled_from([0.0, 1e-13]) | st.floats(0.0, 0.1), st.booleans(),
+       st.sampled_from([-1, 0, 1]))
+def test_defect_gate_is_the_defect_against_its_tolerance(seed, spec, blocks, magnitude,
+                                                         twisted, ulps):
+    # defect_at_most(tol) against defect() <= tol, at the defect and one
+    # ulp either side, for representations and cocycles, dense and Blocks.
+    group, vals, act = gate_family(seed, spec, blocks, magnitude, twisted)
+
+    def fresh():
+        return ApproxRep(group, vals, unital=False, act=act)
+    want = fresh().defect_with_argmax()
+    tol = want[0] if ulps == 0 else float(np.nextafter(want[0], ulps * np.inf))
+    rep = fresh()
+    passed = rep.defect_at_most(tol)
+    assert passed is (want[0] <= tol)
+    # A pass caches nothing; a failure caches the exact defect and pair.
+    assert rep._defect == (None if passed else want)
+    assert rep.defect_with_argmax() == want
+    assert rep.defect_at_most(tol) is (want[0] <= tol)       # from the cache
+
+
+def test_defect_gate_on_an_exactly_multiplicative_family():
+    # The regular representation's products are exact: its defect is 0.0
+    # at pair (0, 0), which passes a gate at 0 and fails one just below.
+    group = make_group("dihedral", 3)
+    rep = ApproxRep(group, regular_rep(group))
+    assert rep.defect_at_most(0.0) and rep._defect is None
+    assert not rep.defect_at_most(-5e-324)
+    assert rep._defect == (0.0, (0, 0)) == ApproxRep(group, rep.values).defect_with_argmax()
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,7 +3,8 @@ full batched SVD of every slice, also at the cut and at the bound of its
 early exit, cases for its exact floor (the slice of largest Frobenius
 norm, SVD'd first) and its Schatten-8 screen, and guard tests that the
 correctors' gates take no SVD on valid input yet still reject input just
-over them with the same message."""
+over them with the same message, the exactness gates of the cocycle, the
+pinned quotient and the lift's phi among them."""
 
 import contextlib
 import math
@@ -12,14 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equifix import matfun
-from equifix.galgebra import matrix_algebra, max_pair_defect, pair_chunks
+from equifix import matfun, repcorrect
+from equifix.cocycles import coboundary, cocycle, one_step_cobound, trivialize
+from equifix.galgebra import Tower, matrix_algebra, max_pair_defect, pair_chunks
 from equifix.groups import cyclic_group
 from equifix.matfun import (_UNDERFLOW, EXP_CAP, Blocks, _screen, adjoint,
                             exp_skew, largest_norm, principal_log_unitary)
-from equifix.repcorrect import ApproxRep, one_step
-from equifix.scenarios import (exact_rep_values, group_of, perturb_rep_values,
-                               random_skew, random_unitary, trial_rng)
+from equifix.repcorrect import (ApproxRep, DefectTooLargeError, correct_to_rep,
+                                equivariance_defect, lift_group_rep, one_step,
+                                translation_source_action)
+from equifix.scenarios import (Scenario, build_lift_scenario, exact_rep_values,
+                               group_of, perturb_rep_values, random_skew,
+                               random_unitary, trial_rng)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 # Slice kinds: generic, rank one (||x|| = ||x||_F, the edge of the screen),
@@ -435,6 +440,58 @@ def test_matrix_algebra_self_check_takes_no_svd(svd_counter):
     assert svd_counter == []
 
 
+def test_trivialize_of_the_seed_a_cocycle_was_made_from_takes_no_svd(svd_counter):
+    # The cocycle's exactness gate ends after its Frobenius pass, and the
+    # mismatch of the seed it was made from is exactly zero.
+    rng = trial_rng(3, 0)
+    spec = {"kind": "cyclic", "params": 4}
+    group = group_of(spec)
+    alg = matrix_algebra(4, group, list(exact_rep_values(spec, group, 4, rng)))
+    v0 = random_unitary(rng, 4)
+    w = coboundary(alg, v0)
+    svd_counter.clear()
+    assert trivialize(w, v0).iterations == 0
+    assert svd_counter == []
+
+
+def test_pinned_quotient_gate_takes_no_svd(svd_counter):
+    # An exact representation in two diagonal blocks, pinned on the first:
+    # with its own defect measured beforehand, the run takes no SVD, since
+    # the quotient's gate ends after its Frobenius pass, no step runs and
+    # the drift is exactly zero.
+    rng = trial_rng(4, 0)
+    spec = {"kind": "dihedral", "params": 3}
+    group = group_of(spec)
+    values = np.zeros((group.order, 5, 5), dtype=complex)
+    values[:, :3, :3] = exact_rep_values(spec, group, 3, rng)
+    values[:, 3:, 3:] = exact_rep_values(spec, group, 2, rng)
+    rep = ApproxRep(group, values)
+    assert rep.defect() <= 1e-12
+    svd_counter.clear()
+    result = correct_to_rep(rep, quotient=lambda x: x[:, :3, :3])
+    assert (result.iterations, result.quotient_drift) == (0, 0.0)
+    assert svd_counter == []
+
+
+class StopLift(Exception):
+    """Raised in place of the lift's first stage after its checks on phi."""
+
+
+def test_lift_gates_on_phi_take_no_svd(monkeypatch, svd_counter):
+    s = Scenario(kind="lift", seed=1, group={"kind": "cyclic", "params": 6},
+                 source={"model": "translation", "order": 6},
+                 tower={"levels": 8, "base": 0.2, "ratio": 0.2}, trials=1)
+    tower, phi, action, seed = build_lift_scenario(s, trial_rng(s.seed, 0))
+
+    def stop(*args):
+        raise StopLift
+    monkeypatch.setattr(repcorrect, "symmetrize", stop)
+    svd_counter.clear()
+    with pytest.raises(StopLift):
+        lift_group_rep(tower, phi, action, seed=seed)
+    assert svd_counter == []
+
+
 # --- just over each gate: rejected with the same message --------------------
 
 def over(tol):
@@ -483,3 +540,67 @@ def test_matrix_algebra_rejects_action_just_over_its_tolerance():
     with pytest.raises(ValueError) as err:
         matrix_algebra(2, G, [np.eye(2), u], action_tol=defect / (1 + 1e-6))
     assert str(err.value) == f"action data is not a homomorphism (defect {defect:.3e})"
+
+
+def test_cocycle_gates_reject_a_cocycle_just_over_them():
+    # Z/2 acting trivially on M_2 and w(1) = diag(1, e^{it}): the pair
+    # (1, 1) has defect |1 - e^{2it}| = 2t, just over 1e-11.  Each refusal
+    # names the exact defect, which the cocycle then caches.
+    t = 0.5e-11 * (1 + 1e-6)
+    values = np.stack([np.eye(2), np.diag([1.0, np.exp(1j * t)])]).astype(complex)
+    alg = matrix_algebra(2, cyclic_group(2))
+    exact = cocycle(alg, values).defect_with_argmax()
+    assert 1e-11 < exact[0] <= 1e-11 * (1 + 1e-5)
+    for run, message in [
+            (trivialize, f"cocycle must be exact before trivialization (defect "
+                         f"{exact[0]:.3e}); approximately multiplicative cocycles "
+                         f"are reported, not corrected"),
+            (lambda w: one_step_cobound(w, np.eye(2)),
+             f"cocycle must be exact before correction (defect {exact[0]:.3e})")]:
+        w = cocycle(alg, values)
+        with pytest.raises(DefectTooLargeError) as err:
+            run(w)
+        assert str(err.value) == message
+        assert w.defect_with_argmax() == exact
+
+
+def test_pinned_quotient_just_over_its_gate_is_rejected():
+    # Z/2 by diag(1, e^{it}, -1), pinned on its first two coordinates: the
+    # quotient's defect is 2t, just over 1e-12.
+    t = 0.5e-12 * (1 + 1e-6)
+    group = cyclic_group(2)
+    values = np.stack([np.eye(3), np.diag([1.0, np.exp(1j * t), -1.0])]).astype(complex)
+
+    def quotient(x):
+        return x[:, :2, :2]
+    down = ApproxRep(group, quotient(values), unitary=False, unital=False).defect()
+    assert 1e-12 < down <= 1e-12 * (1 + 1e-5)
+    with pytest.raises(DefectTooLargeError) as err:
+        correct_to_rep(ApproxRep(group, values), quotient=quotient)
+    assert str(err.value) == (f"quotient of the input is not an exact "
+                              f"representation (defect {down:.3e})")
+
+
+@pytest.mark.parametrize("which", ["defect", "equivariance"])
+def test_lift_rejects_phi_just_over_its_gates(which):
+    # Z/2 acting on M_2 by Ad(diag(1, -1)), the translation action of Z/2
+    # on its group algebra, and phi(1) the swap: an exact equivariant
+    # representation.  A phase e^{it} on phi(1) makes its defect 2t, and
+    # diagonal entries (-t, t) its equivariance defect 2t instead.
+    G = cyclic_group(2)
+    alg = matrix_algebra(2, G, [np.diag([1.0, np.exp(-1j * np.pi * g)]) for g in range(2)])
+    action = translation_source_action(2, G, G)
+    t = 0.5e-11 * (1 + 1e-6)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    one = np.exp(1j * t) * swap if which == "defect" else swap + np.diag([-t, t])
+    values = np.stack([np.eye(2), one]).astype(complex)
+    phi = ApproxRep(G, values, unitary=False, unital=False)
+    defect = ApproxRep(G, values, unitary=False, unital=False).defect()
+    eq = equivariance_defect(values, alg.act, action)
+    # The rounding of e^{-i pi} adds about 1.2e-16 to the equivariance defect.
+    assert 1e-11 < {"defect": defect, "equivariance": eq}[which] <= 1e-11 * (1 + 1e-4)
+    assert min(defect, eq) <= 1e-15
+    with pytest.raises(DefectTooLargeError) as err:
+        lift_group_rep(Tower(alg, (frozenset(),)), phi, action, seed=phi)
+    assert str(err.value) == (f"phi must be exact and equivariant at the top "
+                              f"(defect {defect:.3e}, equivariance {eq:.3e})")

@@ -5,7 +5,7 @@ from dense_reference import trivial_algebra
 from equifix import repcorrect
 from equifix.groups import cyclic_group, make_group
 from equifix.cocycles import coboundary
-from equifix.galgebra import Tower, matrix_algebra
+from equifix.galgebra import GAlgebra, Tower, matrix_algebra
 from equifix.matfun import Blocks, adjoint, identity_like, operator_norm
 from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
                                 DefectTooLargeError, LevelReport, LiftError,
@@ -164,6 +164,28 @@ def test_correctors_refuse_a_cocycle():
                  lambda: intertwiner(w, rep), lambda: intertwiner(rep, w)):
         with pytest.raises(ValueError, match="not a cocycle"):
             call()
+
+
+def test_conjugate_refuses_a_cocycle_and_blocks():
+    """u w(g) u* is not a cocycle for the same action, and dropping the
+    action would make the exact cocycle of test_correctors_refuse_a_cocycle
+    (twisted defect 2e-15) read its untwisted defect, 0.63, after
+    conjugation by the identity.  Blocks values take no dense u.  Both are
+    refused; a dense representation conjugates as before."""
+    group = cyclic_group(3)
+    rng = trial_rng(0, 0)
+    exact = exact_rep_values({"kind": "cyclic", "params": 3}, group, 3, rng)
+    w = coboundary(matrix_algebra(3, group, list(exact)), random_unitary(rng, 3))
+    assert w.defect() <= 1e-14
+    assert ApproxRep(group, w.values, unital=False).defect() > 0.6
+    with pytest.raises(ValueError, match="not a cocycle"):
+        w.conjugate(np.eye(3))
+    blocks = ApproxRep(group, Blocks((np.stack([exact, exact], axis=1),)))
+    with pytest.raises(ValueError, match="dense values, not Blocks"):
+        blocks.conjugate(np.eye(3))
+    v = random_unitary(rng, 3)
+    assert np.allclose(ApproxRep(group, exact).conjugate(v).values,
+                       v @ exact @ v.conj().T, atol=1e-14)
 
 
 # --- symmetrize / unitarize ---------------------------------------------------
@@ -335,14 +357,13 @@ def test_lift_translation_covariance_realized():
     assert operator_norm(z_d - identity_like(z_d)) <= 1e-11
 
 
-def per_level_lift(tower, phi, source_action, seed):
-    """The lift with every scanned level symmetrizing and unitarizing its
-    own live blocks: (level, table, rep values, correction, equivariance
-    and projection residuals).  phi and the seed are exact here, so the
-    intertwiner always runs."""
-    H, top = source_action.source, tower.top
+def per_level_scan(tower, source_action, seed):
+    """The level scan with every scanned level symmetrizing, unitarizing and
+    measuring its own live blocks, down to the first accepted level or the
+    top: its table, and its last level's seed and unitarized family."""
+    H = source_action.source
     table = []
-    for level in range(top):
+    for level in range(tower.top):
         act = tower.level(level).act
         seed_rep = ApproxRep(H, tower.project(level, 0, seed.values),
                              unitary=False, unital=False)
@@ -358,9 +379,18 @@ def per_level_lift(tower, phi, source_action, seed):
                                  uni, accepted))
         if accepted:
             break
+    return table, seed_rep, rho0
+
+
+def per_level_lift(tower, phi, source_action, seed):
+    """The lift over ``per_level_scan``: (level, table, rep values,
+    correction, equivariance and projection residuals).  phi and the seed
+    are exact here, so the intertwiner always runs."""
+    table, seed_rep, rho0 = per_level_scan(tower, source_action, seed)
+    level, act = table[-1].level, tower.level(table[-1].level).act
 
     def quotient(a):
-        return tower.project(top, level, a)
+        return tower.project(tower.top, level, a)
 
     correction = correct_to_rep(rho0, tol=1e-12, quotient=quotient)
     u = intertwiner(seed_rep, correction.last, quotient=quotient)
@@ -370,33 +400,108 @@ def per_level_lift(tower, phi, source_action, seed):
             operator_norm(quotient(final) - phi.values).max())
 
 
-@pytest.mark.parametrize("model,order,base,ratio,levels,accept", [
-    ("translation", 4, 0.6, 0.4, 7, 3),     # phases: the weighted gather
-    ("inversion", 4, 0.6, 0.3, 6, 2)])      # a permutation: the bare gather
-def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, order,
-                                                           base, ratio, levels, accept):
-    # The scan symmetrizes and polar-decomposes level 0 once, and each
-    # level takes its live blocks of those.
+def lift_case(model, order, base, ratio, levels):
     s = Scenario(kind="lift", seed=31, source={"model": model, "order": order},
                  group={"kind": "cyclic", "params": 2 if model == "inversion" else order},
                  tower={"levels": levels, "base": base, "ratio": ratio}, trials=1)
-    tower, phi, action, seed = build_lift_scenario(s, trial_rng(s.seed, 0))
+    return build_lift_scenario(s, trial_rng(s.seed, 0))
+
+
+def spy_level_figures(monkeypatch):
+    """Per call of the lift's one-pass figure helper, the block positions of
+    each of its screened norms, one list per stack."""
+    calls, inside = [], []
+    real_maxima, real_take = repcorrect._level_maxima, GAlgebra.take
+    real_norm = repcorrect.largest_norm
+
+    def maxima(stacks, algebra, keeps, floor):
+        def counted():
+            for item in stacks:
+                calls[-1].append([])
+                yield item
+        calls.append([])
+        inside.append(algebra)
+        try:
+            return real_maxima(counted(), algebra, keeps, floor)
+        finally:
+            inside.pop()
+
+    def take(self, a, keep):
+        if inside and self is inside[-1]:
+            calls[-1][-1].append(list(keep))
+        return real_take(self, a, keep)
+
+    def norm(a, floor=0.0):
+        if inside:
+            calls[-1][-1].append("norm")
+        return real_norm(a, floor)
+    monkeypatch.setattr(repcorrect, "_level_maxima", maxima)
+    monkeypatch.setattr(GAlgebra, "take", take)
+    monkeypatch.setattr(repcorrect, "largest_norm", norm)
+    return calls
+
+
+def assert_one_norm_per_block(calls, tower):
+    # Two figures, one stack each (every benchmark group fits one chunk),
+    # and each of level 0's blocks in exactly one screened norm per stack.
+    blocks = list(range(len(tower.level(0).blocks)))
+    assert len(calls) == 2 and all(len(stacks) == 1 for stacks in calls)
+    for (entries,) in calls:
+        keeps, norms = entries[0::2], entries[1::2]
+        assert norms == ["norm"] * len(keeps)
+        assert sorted(j for keep in keeps for j in keep) == blocks
+
+
+@pytest.mark.parametrize("model,order,base,ratio,levels,accept", [
+    ("translation", 6, 0.2, 0.2, 8, 1),     # the benchmark's lift
+    ("translation", 4, 0.6, 0.4, 7, 3),     # phases: the weighted gather
+    ("inversion", 4, 0.6, 0.3, 6, 2),       # a permutation: the bare gather
+    ("translation", 4, 0.9, 0.5, 8, 4),
+    ("inversion", 4, 0.0, 0.3, 4, 0)])      # an exact seed: zero pair defects
+def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, order,
+                                                           base, ratio, levels, accept):
+    # The scan symmetrizes and polar-decomposes level 0 once, and each
+    # level takes its live blocks of those; the table's seed figures come
+    # from one pass over level 0's stacks.
+    tower, phi, action, seed = lift_case(model, order, base, ratio, levels)
     level, table, final, correction, eq, proj = per_level_lift(tower, phi, action, seed)
     calls = {"symmetrize": 0, "_polar_parts": 0}
     for name in calls:
         real = getattr(repcorrect, name)
         monkeypatch.setattr(repcorrect, name, lambda *a, real=real, name=name:
                             calls.__setitem__(name, calls[name] + 1) or real(*a))
+    seeds = []
+    real_intertwiner = repcorrect.intertwiner
+    monkeypatch.setattr(repcorrect, "intertwiner", lambda rho, sigma, quotient:
+                        seeds.append(rho) or real_intertwiner(rho, sigma, quotient))
+    figures = spy_level_figures(monkeypatch)
     res = lift_group_rep(tower, phi, action, seed=seed)
     assert calls == {"symmetrize": 1, "_polar_parts": 1}
+    assert_one_norm_per_block(figures, tower)
     assert res.level == level == accept
     assert [row.unitarizable for row in table] == [False] * accept + [True]
     assert res.table == table
+    # The seed the intertwiner gates holds the defect and pair the table
+    # pass found, those a fresh measurement gives.
+    (rho,) = seeds
+    assert rho._defect == ApproxRep(rho.group, rho.values, unitary=False,
+                                    unital=False).defect_with_argmax()
     assert all(np.array_equal(p, q) for p, q in zip(res.rep.values.parts, final.parts))
     assert (res.correction.trace, res.correction.iterations,
             res.correction.quotient_drift) == (correction.trace, correction.iterations,
                                                correction.quotient_drift)
     assert (res.equivariance_residual, res.projection_residual) == (eq, proj)
+
+
+def test_failing_lift_table_is_bit_equal_to_the_per_level_loop(monkeypatch):
+    tower, phi, action, seed = lift_case("translation", 4, 0.9, 0.6, 5)
+    table = per_level_scan(tower, action, seed)[0]
+    assert len(table) == tower.top == 4 and not table[-1].accepted
+    figures = spy_level_figures(monkeypatch)
+    with pytest.raises(LiftError) as err:
+        lift_group_rep(tower, phi, action, seed=seed)
+    assert err.value.table == table
+    assert_one_norm_per_block(figures, tower)
 
 
 def test_lift_too_coarse_tower_fails_with_table():

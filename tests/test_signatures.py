@@ -17,12 +17,14 @@ SETTABLE = {
     "galgebra.GAlgebra.__init__": {"action_tol", "check"},  # restrict: no check
     "galgebra.GAlgebra.action_defect": {"samples", "floor"},   # its self-check
     "galgebra.matrix_algebra": {"action_unitaries", "action_tol"},  # the corner
-    "galgebra.max_pair_defect": {"act"},              # the cocycle defect
+    "galgebra.max_pair_defect": {"act",               # the cocycle defect
+                                 "floor"},            # ApproxRep.defect_at_most
     "repcorrect.ApproxRep.__init__": {"unitary", "unital",   # the lift's maps
                                       "act"},                # cocycles.cocycle
     "repcorrect.Correction.__init__": {"quotient_drift"},    # the driver
     "repcorrect.correct_to_rep": {"tol", "quotient", "max_iter", "on_iterate"},
     "repcorrect.intertwiner": {"quotient"},           # the lift
+    "repcorrect.equivariance_defect": {"floor"},      # the lift's phi gate
     "repcorrect.lift_group_rep": {"tol"},             # a scenario's tolerance
     "cocycles.trivialize": {"v0", "tol", "quotient", "max_iter"},
     "relations.measure_partition_seeds": {"unit"},    # the tracial residuals
