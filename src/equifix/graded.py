@@ -251,7 +251,6 @@ def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
 
     result = correct_to_rep(rho0, tol=tol, max_iter=ITERATION_CAP,
                             on_iterate=check_components)
-    distance = rho0.distance_to(result.last)
     return GradedCorrection(rep=result.last, iterations=result.iterations,
                             trace=result.trace, component_residuals=residuals,
-                            distance=distance)
+                            distance=result.trace[-1][2])

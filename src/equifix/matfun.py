@@ -16,7 +16,12 @@ are kept, each block of three coefficients is one contraction over them
 slice takes its own degree; one evaluation takes a stack to its largest,
 with a slice's coefficients past its own degree set to zero.  The terms so
 added are exact zeros, so a slice's result (its zeros made +0) does not
-depend on the rest of its stack.
+depend on the rest of its stack.  A stack of degree at most 1 skips the
+powers and the contraction: its series is the two-term c_0 + c_1 z, entry
+by entry, since the contraction's other terms, 0 z^2 and 1 times the
+Horner product (still zero), are exact zeros; adding a zero changes no
+value but may flip the sign of a zero result, and each kernel's closing
+``+ 0.0`` makes every zero +0, so the bits are those of the contraction.
 
 The correctors only take logs within HALF_PLANE_RADIUS = 1/2 of 1: the
 one-step correctors log rho(k)* rho(kg) rho(g)* and its cocycle analogue,
@@ -37,7 +42,13 @@ rho c_{K+1} rho^(2K+2) / (1 - rho^2) (the c_k decrease), and each slice
 takes the least K with c_{K+1} rho^(2K+2) / (1 - rho^2) <= 2^-53, under
 the rounding of ||log u||.  A bound over the cap counts as the cap, whose
 degree is K = 21: its remainder factor, 4.8e-17, leaves room for the
-rounding of the radius test and a unitarity defect of 1e-10.
+rounding of the radius test and a unitarity defect of 1e-10.  At K = 0
+(rho^2 under 6.7e-16, where a corrector's last steps sit) q = 1 and the
+log is first order: a q = a adds only exact zeros, and the odd part
+(x - x*)/2 of x = a is a to the bit, as a = -a* exactly.  Since
+||a^2||_F <= ||a||_F^2, the kernel returns a + 0 with no a^2 when the
+whole stack's ||a||_F^2, with the margins of the one-pass exit below,
+is under that limit.
 
 The exponential of a skew-Hermitian x is its Taylor series (Higham,
 Functions of Matrices, SIAM 2008, ch. 10; Moler and Van Loan, SIAM Rev.
@@ -67,6 +78,12 @@ operator norm from both sides, ||x|| <= F <= sqrt(rank) ||x|| (Golub and
 Van Loan, Matrix Computations, 2.3), and costs one pass over the entries.
 If every F, with the screen's margin (below), is at or under a floor >= 0
 (a gate's tolerance), that pass is all: no computed norm can exceed it.
+A finite floor > 0 is first tried with one pass over the whole stack, one
+``vdot`` per part: the largest slice F is at most the stack's Frobenius
+norm, so if that norm meets the floor every F does.  A sum of 2N squares
+(N entries) is good to 2N u relative, so this exit adds 2N u to the
+screen's margin; an infinite or NaN sum goes on to the per-slice pass,
+which reports a non-finite entry.
 Else the slice of largest lower bound F/sqrt(rank) (of largest F in a
 stack of one shape) is SVD'd alone first; a slice with F under its exact
 norm cannot be the maximum.  The rest take the Schatten-8 bound
@@ -298,6 +315,11 @@ def _svd_norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
+def _scale(m: int, n: int) -> float:
+    """The screen's factor 1 + margin for slices m x n (module docstring)."""
+    return 1 + SCREEN_MARGIN + 1e-14 * max(m, n) * min(m, n) ** 1.5
+
+
 def _screen(a: np.ndarray):
     """The squared Frobenius norms of the slices of a complex stack
     (..., m, n), flattened to (k,), the largest of them, the stack's float
@@ -310,7 +332,17 @@ def _screen(a: np.ndarray):
     top = float(f2.max()) if f2.size else 0.0
     if not math.isfinite(top) and not np.isfinite(x).all():
         raise ValueError("matrix has non-finite entries")
-    return f2, top, x, 1 + SCREEN_MARGIN + 1e-14 * max(m, n) * min(m, n) ** 1.5
+    return f2, top, x, _scale(m, n)
+
+
+def _stack_bound(a: np.ndarray) -> float:
+    """An upper bound on the Frobenius norm of every slice of a complex
+    stack (..., m, n): the Frobenius norm of the whole stack, from one
+    ``vdot`` of its float view, times the screen's factor plus the
+    rounding of a sum of 2 a.size squares (module docstring).  Infinite or
+    NaN when the sum overflows or an entry is not finite."""
+    x = a.reshape(-1).view(np.float64)
+    return math.sqrt(np.vdot(x, x)) * (_scale(*a.shape[-2:]) + a.size * 2.0 ** -52)
 
 
 def _schatten8(x: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -337,12 +369,20 @@ def largest_norm(a, floor: float = 0.0):
     if its Frobenius norm and then its Schatten-8 norm exceed ``floor`` and
     reach the exact norm of the slice of largest lower bound, SVD'd first;
     an exactly zero slice takes none.  A gate ``largest_norm(x, tol)``
-    whose slices all have F (1 + margin) + 1e-150 <= tol returns after the
-    Frobenius pass, as no computed norm can then exceed tol, and a loop
+    whose whole stack has Frobenius norm F (1 + margin + 2N u) + 1e-150
+    <= tol returns after one pass over it, one whose slices all have
+    F (1 + margin) + 1e-150 <= tol after the per-slice Frobenius pass, as
+    no computed norm can then exceed tol, and a loop
     over slabs that passes its running maximum as ``floor`` skips the
     slices that cannot beat earlier slabs (ties go to the earlier slab)."""
     blocks = isinstance(a, Blocks)
     parts = [np.asarray(p, dtype=complex) for p in (a.parts if blocks else (a,))]
+    # No slice's norm exceeds the Frobenius norm of its whole stack: a gate
+    # that bound meets ends after one pass per part, with no per-slice one.
+    # A non-finite or overflowing sum fails the test and goes on.
+    if 0 < floor < math.inf and all(_stack_bound(p) + _UNDERFLOW <= floor
+                                     for p in parts):
+        return floor, None
     screens = [_screen(p) for p in parts]
     # A slice is kept when its upper bounds f and then s8, each times
     # (1 + margin) plus _UNDERFLOW, beat max(floor, 0), or reach the exact
@@ -426,10 +466,17 @@ def polar_unitary(a) -> np.ndarray:
 def _series(z: np.ndarray, coef: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """sum_k c_k z^k for each slice of a stack (m, n, n), with c its row of
     ``coef`` (``_truncation``) at its entry of ``degree``: one
-    Paterson-Stockmeyer evaluation to the largest degree (module
-    docstring).  The result is written over z."""
+    Paterson-Stockmeyer evaluation to the largest degree, or c_0 + c_1 z
+    when that is at most 1 (module docstring).  The result is written over
+    z."""
     m, n = z.shape[0], z.shape[-1]
-    blocks = -(-(int(degree.max(initial=0)) + 1) // _SERIES_STEP)
+    top = int(degree.max(initial=0))
+    if top <= 1:
+        c = coef[degree, 0]
+        z *= c[:, 1, None, None]
+        z.reshape(m, n * n)[:, ::n + 1] += c[:, :1]
+        return z
+    blocks = -(-(top + 1) // _SERIES_STEP)
     c = coef[degree, :blocks]
     # Each slice's kept powers z, z^2 and the Horner product of the blocks
     # above side by side, so that a block is one contraction.
@@ -465,6 +512,12 @@ def principal_log_unitary(u) -> np.ndarray:
                   "unitary outside the log's disc: ||u - 1|| = %.3e > 1/2")
     s = u.reshape(math.prod(u.shape[:-2]), n, n)
     a = (s - adjoint(s)) * 0.5
+    # ||a^2||_F <= ||a||_F^2: when that puts every slice at degree 0, the
+    # series is 1 and log u = a.
+    bound = _stack_bound(a)
+    if bound * bound <= _RHO2_LIMITS[0]:
+        a += 0.0
+        return a.reshape(u.shape)
     z = a @ a
     del a
     f2, _, _, scale = _screen(z)

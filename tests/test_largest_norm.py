@@ -1,10 +1,12 @@
 """Property tests for the screened norm kernel ``largest_norm`` against a
-full batched SVD of every slice, also at the cut and at the bound of its
-early exit, cases for its exact floor (the slice of largest Frobenius
-norm, SVD'd first) and its Schatten-8 screen, and guard tests that the
-correctors' gates take no SVD on valid input yet still reject input just
-over them with the same message, the exactness gates of the cocycle, the
-pinned quotient and the lift's phi among them."""
+full batched SVD of every slice, also at the cut and at the bounds of its
+per-slice and one-pass early exits, cases for its exact floor (the slice
+of largest Frobenius norm, SVD'd first) and its Schatten-8 screen, guard
+tests that the correctors' gates take no SVD on valid input yet still
+reject input just over them with the same message, the exactness gates of
+the cocycle, the pinned quotient and the lift's phi among them, and count
+tests that a corrector's last step takes no per-slice screen in its gates,
+no a^2 or series in its log and no power stack in its exp."""
 
 import contextlib
 import math
@@ -178,11 +180,11 @@ def test_non_finite_entries_are_rejected(seed, count, n, bad):
     rng = np.random.default_rng(seed)
     a = draw_stack(rng, ["generic"] * count, n, n, False)
     a[rng.integers(count), rng.integers(n), rng.integers(n)] = bad
-    for floor in (-1.0, 0.0, 1e300):
+    for floor in (-1.0, 0.0, 1e300, np.inf):
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
             largest_norm(a, floor)
-    with pytest.raises(ValueError, match="matrix has non-finite entries"):
-        largest_norm(Blocks([a[:, None]]), 0.0)
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            largest_norm(Blocks([a[:, None]]), floor)
 
 
 def test_empty_stacks():
@@ -309,16 +311,22 @@ def beside(t):
 
 
 @contextlib.contextmanager
-def screened_calls():
-    """The shapes passed to ``np.linalg.svd`` and ``matfun._schatten8``
-    while the block runs."""
+def recorded(*targets):
+    """The shapes of the first arguments passed to the (owner, name)
+    functions of ``targets`` while the block runs."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        for owner, name in ((np.linalg, "svd"), (matfun, "_schatten8")):
+        for owner, name in targets:
             real = getattr(owner, name)
             mp.setattr(owner, name, lambda a, *args, _real=real, **kwargs:
                        calls.append(np.shape(a)) or _real(a, *args, **kwargs))
         yield calls
+
+
+def screened_calls():
+    """The shapes passed to ``np.linalg.svd`` and ``matfun._schatten8``
+    while the block runs."""
+    return recorded((np.linalg, "svd"), (matfun, "_schatten8"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -378,6 +386,42 @@ def test_blocks_with_one_part_under_the_floor_and_one_over(seed, count, b, extra
     assert calls == []
 
 
+def without_one_pass_exit(x, floors):
+    """largest_norm at each floor by the route its one-pass exit bypasses:
+    the per-slice Frobenius pass and what follows it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matfun, "_stack_bound", lambda p: math.inf)
+        return [largest_norm(x, floor) for floor in floors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.lists(kinds, min_size=1, max_size=6), st.integers(1, 5),
+       st.integers(1, 5), st.sampled_from([1.0, 1e-160, 1e150]), st.booleans())
+def test_one_pass_exit_matches_the_route_it_bypasses(seed, slice_kinds, m, n, c,
+                                                     blocks):
+    """Floors at the whole stack's bound ``_stack_bound + 1e-150`` and one
+    ulp to either side, at and beside every slice's norm, and huge floors,
+    on stacks and single-part Blocks with rank-one slices (||x|| = F),
+    squares that underflow and squares whose sum overflows: the value is
+    the full SVD's and that of the route without the exit, and at a
+    finite bound or over it the call runs no per-slice screen."""
+    rng = np.random.default_rng(seed)
+    c = 1.0 if c > 1 and "huge" in slice_kinds else c     # entries stay finite
+    a = c * draw_stack(rng, slice_kinds, m, n, False)
+    x = Blocks([a[:, None]]) if blocks and m == n else a
+    norms = full_norms(a)
+    bound = matfun._stack_bound(a) + _UNDERFLOW
+    floors = beside(bound) + cut_floors(norms) + [1.8e199, 1e300]
+    got = []
+    with recorded((matfun, "_screen")) as calls:
+        for floor in floors:
+            calls.clear()
+            got.append(largest_norm(x, floor))
+            assert not bound <= floor < math.inf or calls == []
+    assert got == [reference(norms, floor) for floor in floors]
+    assert got == without_one_pass_exit(x, floors)
+
+
 # --- no SVD on valid input -------------------------------------------------
 
 def test_log_and_exp_of_valid_half_plane_input_take_no_svd(svd_counter):
@@ -390,19 +434,78 @@ def test_log_and_exp_of_valid_half_plane_input_take_no_svd(svd_counter):
     assert svd_counter == []
 
 
-def test_one_step_log_gates_take_no_svd_or_schatten8():
-    # The stack one_step logs on cyclic(6) at dimension 6, 36 slices of
-    # 6 x 6: both of the log's gates pass on their Frobenius pass.
+def cyclic6_rep():
+    """A rep on cyclic(6) at dimension 6, perturbed by 0.01."""
     spec = {"kind": "cyclic", "params": 6}
     group = group_of(spec)
     rng = trial_rng(0, 0)
-    v = ApproxRep(group, perturb_rep_values(exact_rep_values(spec, group, 6, rng),
-                                            0.01, rng)).values
-    m = adjoint(v)[None] @ v[group.mult.T] @ adjoint(v)[:, None]
+    return ApproxRep(group, perturb_rep_values(exact_rep_values(spec, group, 6, rng),
+                                               0.01, rng))
+
+
+def log_stack(rep):
+    """The (g, k) stack rho(k)* rho(kg) rho(g)* that one_step logs."""
+    v = rep.values
+    return adjoint(v)[None] @ v[rep.group.mult.T] @ adjoint(v)[:, None]
+
+
+def test_one_step_log_gates_take_no_svd_or_schatten8():
+    # The stack one_step logs on cyclic(6) at dimension 6, 36 slices of
+    # 6 x 6: both of the log's gates pass on their Frobenius pass.
+    m = log_stack(cyclic6_rep())
     assert m.shape == (6, 6, 6, 6)
     with screened_calls() as calls:
         principal_log_unitary(m)
     assert calls == []
+
+
+def test_passing_gates_on_the_one_step_stack_take_no_per_slice_screen():
+    # The whole stack's Frobenius norm decides both of the log's gates.
+    m = log_stack(cyclic6_rep())
+    one = np.eye(6)
+    with recorded((matfun, "_screen")) as calls:
+        assert largest_norm(adjoint(m) @ m - one, 1e-10) == (1e-10, None)
+        assert largest_norm(m - one, 0.5) == (0.5, None)
+    assert calls == []
+
+
+def last_step_iterate():
+    """(input rep, the iterate correct_to_rep takes its last step from):
+    defects 0.02 and 4.4e-11."""
+    rep, iterates = cyclic6_rep(), []
+    correct_to_rep(rep, on_iterate=lambda it, current: iterates.append(current))
+    assert len(iterates) == 3
+    return rep, iterates[-2]
+
+
+def test_log_of_the_last_step_stack_takes_no_square_or_series():
+    # Every slice has degree 0: the log screens no a @ a and runs no series,
+    # where the first step's log does both.
+    rep, last = last_step_iterate()
+    targets = (matfun, "_screen"), (matfun, "_series")
+    with recorded(*targets) as calls:
+        principal_log_unitary(log_stack(rep))
+    assert calls == [(36, 6, 6), (36, 6, 6)]
+    with recorded(*targets) as calls:
+        principal_log_unitary(log_stack(last))
+    assert calls == []
+
+
+def test_one_step_on_the_last_step_iterate_builds_no_power_stack(monkeypatch):
+    # The exp's series to degree 1 is c_0 + c_1 z: no Paterson-Stockmeyer
+    # stack of powers (m, 3, n, n), which the first step builds for both
+    # series.
+    rep, last = last_step_iterate()
+    shapes, real = [], np.zeros
+    monkeypatch.setattr(np, "zeros", lambda shape, *args, **kwargs:
+                        shapes.append(shape) or real(shape, *args, **kwargs))
+    powers = lambda: [s for s in shapes if isinstance(s, tuple) and len(s) == 4
+                      and s[1] == matfun._SERIES_STEP]
+    one_step(rep)
+    assert powers() == [(36, 3, 6, 6), (6, 3, 6, 6)]
+    shapes.clear()
+    one_step(last)
+    assert powers() == []
 
 
 @settings(max_examples=40, deadline=None)
