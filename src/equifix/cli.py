@@ -5,13 +5,13 @@ Subcommands map to correctors: ``stabilize`` (representation correction),
 and ``suite`` (the full battery).  The subcommands and their default
 scenarios are the entries of ``scenarios.SUITE``: a subcommand runs its
 entry, and ``suite`` runs every entry, entry k at seed ``--seed`` + k.
-Each accepts ``--scenario FILE`` to load a JSON scenario instead, plus
-``--out``, ``--seed``, ``--trials`` and ``--tolerance`` overrides, which
-the scenario schema checks like the file.  The default output directory
-is $EQUIFIX_OUT when set.  Exit code is 0 iff every checked bound
-passed; violated bounds are named to stderr (exit 1), and input that
-cannot run, an output that cannot be made or written, or a scenario file
-that is one of the run's own outputs, exits 2.
+Subcommands but ``suite`` accept ``--scenario FILE`` to load a JSON
+scenario instead; all take ``--out``, ``--seed``, ``--trials`` and
+``--tolerance`` overrides, which the scenario schema checks like a file.
+The default output directory is $EQUIFIX_OUT when set.  Exit code is 0
+iff every checked bound passed; violated bounds are named to stderr
+(exit 1); input that cannot run (``suite --scenario`` too), an output that
+cannot be made or written, or a scenario file that is a run output, exits 2.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def main(argv=None) -> int:
     out = args.out or Path(os.environ.get("EQUIFIX_OUT") or "out")
     try:
         if args.command == "suite":
+            if args.scenario is not None:
+                raise ScenarioError(f"{args.scenario}: suite takes no --scenario")
             entries = suite_scenarios(0 if args.seed is None else args.seed,
                                       trials=args.trials, tolerance=args.tolerance)
             ok = True

@@ -220,34 +220,72 @@ class ScenarioError(ValueError):
     pass
 
 
-@functools.lru_cache(maxsize=None)
-def _validator():
-    """The schema's validator, with an integer only an int (Draft 2020-12
-    also counts 2.0) and a number only a finite one (Python's JSON reader
-    takes NaN and Infinity)."""
-    import jsonschema
-    base = jsonschema.Draft202012Validator
-    checker = base.TYPE_CHECKER.redefine_many({
-        "integer": lambda _, x: isinstance(x, int) and not isinstance(x, bool),
-        "number": lambda _, x: not isinstance(x, bool) and (
-            isinstance(x, int) or isinstance(x, float) and math.isfinite(x)),
-    })
-    return jsonschema.validators.extend(base, type_checker=checker)(SCENARIO_SCHEMA)
+# The schema's JSON types: an integer is an int (Draft 2020-12 also counts
+# 2.0) and a number a finite one (Python's JSON reader takes NaN and Infinity).
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "number": lambda x: not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and math.isfinite(x)),
+}
+
+# The Draft 2020-12 keywords that the checker implements, each with the type
+# of instance it applies to (None: every instance).
+_KEYWORD_TYPES = {"type": None, "enum": None, "minimum": "number", "maximum": "number",
+                  "exclusiveMinimum": "number", "minItems": "array", "maxItems": "array",
+                  "items": "array", "required": "object", "properties": "object",
+                  "additionalProperties": "object"}
+
+# jsonschema's words for an instance that fails a keyword on its own, else a
+# false value.  The schema's enums list strings, for which == is JSON's.
+_FAILS = {
+    "type": lambda x, t: not _TYPES[t](x) and f"is not of type {t!r}",
+    "enum": lambda x, v: x not in v and f"is not one of {v!r}",
+    "minimum": lambda x, v: x < v and f"is less than the minimum of {v!r}",
+    "maximum": lambda x, v: x > v and f"is greater than the maximum of {v!r}",
+    "exclusiveMinimum": lambda x, v: x <= v and (
+        f"is less than or equal to the minimum of {v!r}"),
+    "minItems": lambda x, v: len(x) < v and (
+        "should be non-empty" if v == 1 else "is too short"),
+    "maxItems": lambda x, v: len(x) > v and (
+        "is expected to be empty" if v == 0 else "is too long"),
+}
 
 
-def _message(error) -> str:
-    x = error.instance
-    if isinstance(x, float) and not math.isfinite(x):
-        return f"{x!r} is not a finite number"
-    return error.message
+def _violations(x, schema: dict, path: tuple = ()):
+    """(path, message) for each keyword of ``schema`` that ``x`` breaks, in
+    jsonschema's order (depth first, the schema's keyword order) and words,
+    but a non-finite float is said not to be a finite number."""
+    for key, v in schema.items():
+        if (applies := _KEYWORD_TYPES[key]) and not _TYPES[applies](x):
+            continue
+        if key == "properties":
+            for name, sub in v.items():
+                if name in x:
+                    yield from _violations(x[name], sub, (*path, name))
+        elif key == "items":
+            for i, item in enumerate(x):
+                yield from _violations(item, v, (*path, i))
+        elif key == "required":
+            yield from ((path, f"{n!r} is a required property") for n in v if n not in x)
+        elif key == "additionalProperties":
+            extras = sorted(set(x) - set(schema.get("properties", ())), key=str)
+            if extras and v is False:
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extras))} "
+                             f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif words := _FAILS[key](x, v):
+            if isinstance(x, float) and not math.isfinite(x):
+                words = "is not a finite number"
+            yield path, f"{x!r} {words}"
 
 
 def validate_scenario(data: dict):
-    errors = sorted(_validator().iter_errors(data), key=lambda e: list(e.absolute_path))
+    errors = sorted(_violations(data, SCENARIO_SCHEMA), key=lambda e: e[0])
     if errors:
         raise ScenarioError("scenario schema violations:" + "".join(
-            f"\n/{'/'.join(str(p) for p in e.absolute_path)}: {_message(e)}"
-            for e in errors))
+            f"\n/{'/'.join(map(str, path))}: {message}" for path, message in errors))
 
 
 def suite_scenarios(seed: int = 0, **overrides) -> List[Tuple[str, Scenario]]:

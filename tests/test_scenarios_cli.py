@@ -300,7 +300,10 @@ def test_cli_rejects_unrunnable_input_with_exit_two(tmp_path, capsys, fields,
      for sub in [*SUBCOMMANDS, "suite"]] + [
     (["suite", "--tolerance", "nan"], "/tolerance: nan is not a finite number"),
     (["stabilize", "--tolerance", "inf"], "/tolerance: inf is not a finite number"),
-    (["graded", "--tolerance=-inf"], "/tolerance: -inf is not a finite number")])
+    (["graded", "--tolerance=-inf"], "/tolerance: -inf is not a finite number"),
+    # The suite runs its own battery: a scenario file is refused, not ignored.
+    (["suite", "--scenario", "/nonexistent/nothing.json", "--trials", "1"],
+     "/nonexistent/nothing.json: suite takes no --scenario")])
 def test_overrides_outside_the_schema_exit_two(tmp_path, capsys, argv, message):
     rc = cli_main([*argv, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -487,14 +490,16 @@ def test_graded_data_key_is_formed_once_per_scenario(tmp_path, monkeypatch):
 
 def test_no_cli_run_imports_scipy(tmp_path):
     # Every subcommand, spectral rounding (rokhlin, tracial) included, and
-    # the suite run on numpy alone.
+    # the suite run on numpy alone: neither scipy nor jsonschema (with its
+    # referencing and rpds) is imported.
     assert {"rokhlin", "tracial"} <= set(cli_module.SUBCOMMANDS)
     code = f"""
 import sys
 from equifix.cli import SUBCOMMANDS, main
 for name in [*SUBCOMMANDS, "suite"]:
     assert main([name, "--trials", "2", "--out", {str(tmp_path)!r} + "/" + name]) == 0, name
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "jsonschema", "referencing", "rpds")))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -575,6 +580,10 @@ def test_partition_average_memory_is_linear_in_the_order(tmp_path, kind):
     d = 32
     s = Scenario(kind=kind, seed=0, group={"kind": "cyclic", "params": d},
                  dimension=d, magnitude=1e-4, trials=1)
+    # One untraced run first builds the cached cyclic(32) group and model,
+    # which the first run would otherwise count (11.9 MB against 8.6 MB warm
+    # for tracial).
+    run_scenario(s, tmp_path / "warm-up")
     tracemalloc.start()
     try:
         report = run_scenario(s, tmp_path)
