@@ -8,14 +8,14 @@ correction and equivariant lifting (repcorrect), cocycle trivialization
 abelian gradings (graded), and the scenario runner (scenarios, cli).
 Each gate's tolerance is a constant of the kernel that gates with it; a
 map from a group, exact or not, a representation or a cocycle, is an
-ApproxRep, and both iterated correctors return a Correction.
+ApproxRep, and every iterated corrector, graded too, returns a Correction.
 """
 
 from .groups import (FiniteGroup, cyclic_group, dihedral_group, make_group,
                      product_group, symmetric_group)
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, exp_skew, largest_norm,
                      operator_norm, polar_unitary, principal_log_unitary,
-                     round_to_projection, spectral_round_unitary)
+                     spectral_round_unitary)
 from .galgebra import GAlgebra, Tower, matrix_algebra
 from .repcorrect import (ApproxRep, Correction, SourceAction, correct_to_rep,
                          intertwiner, lift_group_rep, one_step, symmetrize,

@@ -23,8 +23,7 @@ from .groups import FiniteGroup
 from .matfun import (Blocks, adjoint, exp_skew, identity_like, largest_norm,
                      operator_norm, principal_log_unitary)
 from .galgebra import GAlgebra
-from .repcorrect import (ApproxRep, Correction, DefectTooLargeError,
-                         ITERATION_CAP, _iterate)
+from .repcorrect import ApproxRep, Correction, DefectTooLargeError, _iterate
 
 ONE_STEP_MAX_MISMATCH = 1.0 / 5
 TRIVIALIZE_MAX_MISMATCH = 1.0 / 10
@@ -77,8 +76,7 @@ def _cobound_step(w: ApproxRep, v, measured):
 
 
 def trivialize(w: ApproxRep, v0=None, tol: float = 1e-12,
-               quotient: Optional[Callable] = None,
-               max_iter: int = ITERATION_CAP) -> Correction:
+               quotient: Optional[Callable] = None) -> Correction:
     """Iterate the coboundary correction until v alpha_g(v)* = w(g) to tol.
 
     The seed defaults to the identity, which is admissible when the cocycle
@@ -115,8 +113,7 @@ def trivialize(w: ApproxRep, v0=None, tol: float = 1e-12,
         return last[0]
 
     return _iterate(v0, r0, lambda it, v: _cobound_step(w, v, last), measure,
-                    lambda v: largest_norm(v - v0)[0], tol, max_iter, "mismatch",
-                    quotient)
+                    lambda v: largest_norm(v - v0)[0], tol, "mismatch", quotient)
 
 
 def verify_integral_estimate(group: FiniteGroup, values: np.ndarray):

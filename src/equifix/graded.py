@@ -24,8 +24,8 @@ import numpy as np
 from .galgebra import chunks, group_mean
 from .groups import FiniteGroup
 from .matfun import UNITARIZE_EPS, adjoint, largest_norm, operator_norm
-from .repcorrect import (ApproxRep, DefectTooLargeError, correct_to_rep,
-                         ITERATION_CAP)
+from .repcorrect import (ApproxRep, Correction, DefectTooLargeError,
+                         correct_to_rep)
 
 
 class NonAbelianError(ValueError):
@@ -192,20 +192,12 @@ def regular_graded_model(group: FiniteGroup):
     return algebra, left
 
 
-@dataclass
-class GradedCorrection:
-    rep: ApproxRep
-    iterations: int
-    trace: list
-    component_residuals: list       # per iterate: max_g ||rho(g) - P_g rho(g)||
-    distance: float
-
-
 def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
-                   tol: float = 1e-12) -> GradedCorrection:
+                   tol: float = 1e-12) -> tuple[Correction, list]:
     """Correct an approximately graded approximately multiplicative unitary
     family into an exact representation with each value exactly in its
-    grading component.
+    grading component.  Returns the iterated corrector's Correction and the
+    component residuals max_g ||rho(g) - P_g rho(g)||, one per iterate.
 
     For each g the component part c_g = P_g(psi(g)) must be within eps =
     UNITARIZE_EPS of psi(g) and invertible; the polar parts seed the
@@ -249,8 +241,4 @@ def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
                 f"iterate {iteration} left its grading component "
                 f"(residual {res:.3e})")
 
-    result = correct_to_rep(rho0, tol=tol, max_iter=ITERATION_CAP,
-                            on_iterate=check_components)
-    return GradedCorrection(rep=result.last, iterations=result.iterations,
-                            trace=result.trace, component_residuals=residuals,
-                            distance=result.trace[-1][2])
+    return correct_to_rep(rho0, tol=tol, on_iterate=check_components), residuals

@@ -612,9 +612,3 @@ def _range_isometry(b) -> np.ndarray:
             f"eigenvalue {vals[inside][0]:.6g} lies in the forbidden band [0.4, 0.6]")
     return vecs[:, vals > 0.5]
 
-
-def round_to_projection(b) -> np.ndarray:
-    """Spectral projection iso iso* of a self-adjoint matrix onto its
-    eigenvalues > 1/2, iso the isometry of ``_range_isometry``."""
-    iso = _range_isometry(b)
-    return iso @ iso.conj().T

@@ -230,7 +230,7 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
         raise DefectTooLargeError(
             f"summed seeds not invariant after averaging (gap {inv_gap:.3e})")
     iso = _range_isometry(s)                 # n x r isometry onto the corner
-    q = iso @ adjoint(iso)                   # round_to_projection(s)
+    q = iso @ adjoint(iso)                   # the corner's projection
     r = iso.shape[1]
     # Dense seeds: a one-block algebra, whose unitaries compress to the corner.
     u = np.stack([algebra.unitaries[g][0] for g in range(d)])

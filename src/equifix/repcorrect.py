@@ -102,17 +102,6 @@ class ApproxRep:
     def distance_to(self, other: "ApproxRep") -> float:
         return largest_norm(self.values - other.values)[0]
 
-    def conjugate(self, u: np.ndarray) -> "ApproxRep":
-        """The representation g -> u v(g) u* of a dense representation.  A
-        cocycle is refused, since u w(g) u* is not a cocycle for the same
-        action, and so are Blocks values, since u is one dense matrix."""
-        _require_untwisted(self, "conjugated family")
-        if isinstance(self.values, Blocks):
-            raise ValueError("conjugation takes dense values, not Blocks")
-        u = np.asarray(u, dtype=complex)
-        vals = u @ self.values @ u.conj().T
-        return ApproxRep(self.group, vals, unitary=self.unitary, unital=self.unital)
-
 
 def _require_untwisted(rep: ApproxRep, name: str):
     """Refuse a cocycle (``act`` set): its cached defect is the twisted one,
@@ -153,18 +142,18 @@ class Correction:
     quotient_drift: Optional[float] = None
 
 
-def _iterate(x0, r0, step, measure, distance, tol, max_iter, what, image=None):
+def _iterate(x0, r0, step, measure, distance, tol, what, image=None):
     """Apply ``step(it, x)`` from x0 until ``measure(x)`` is at most tol,
     measuring each iterate once.  The trace of (iteration, measured,
     distance(x)) rows starts from (0, r0, 0.0); with an image map, the
     drift ||image(x) - image(x0)|| of the last iterate is measured too.
-    Raises ConvergenceError after max_iter steps."""
+    Raises ConvergenceError after ITERATION_CAP steps."""
     trace = [(0, r0, 0.0)]
     x, it = x0, 0
     while trace[-1][1] > tol:
-        if it == max_iter:
+        if it == ITERATION_CAP:
             raise ConvergenceError(
-                f"{what} still {trace[-1][1]:.3e} after {max_iter} iterations",
+                f"{what} still {trace[-1][1]:.3e} after {ITERATION_CAP} iterations",
                 trace)
         it += 1
         x = step(it, x)
@@ -175,7 +164,6 @@ def _iterate(x0, r0, step, measure, distance, tol, max_iter, what, image=None):
 
 def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
                    quotient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                   max_iter: int = ITERATION_CAP,
                    on_iterate: Optional[Callable[[int, ApproxRep], None]] = None
                    ) -> Correction:
     """Iterate the one-step corrector on a representation (no ``act``)
@@ -207,7 +195,7 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
 
     image = None if quotient is None else lambda current: quotient(current.values)
     return _iterate(rep, r0, step, ApproxRep.defect, rep.distance_to, tol,
-                    max_iter, "defect", image)
+                    "defect", image)
 
 
 @dataclass(frozen=True, eq=False)

@@ -454,7 +454,7 @@ def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
 
 
 def perturb_rep_values(values: np.ndarray, magnitude: float,
-                       rng: np.random.Generator, skip_identity: int = 0,
+                       rng: np.random.Generator,
                        draw: Optional[int] = None) -> np.ndarray:
     """Multiply each value by exp(magnitude * K), the Ks drawn by one counted
     ``random_skew`` call in the order of the values and exponentiated in one
@@ -462,7 +462,7 @@ def perturb_rep_values(values: np.ndarray, magnitude: float,
     The identity slot is left alone so the family stays unital."""
     out = np.array(values, dtype=complex)
     n = out.shape[1]
-    moved = [g for g in range(len(out)) if g != skip_identity]
+    moved = np.arange(1, len(out))          # all but the identity, index 0
     k = random_skew(rng, draw or n, None if draw is None else n, count=len(moved))
     out[moved] = out[moved] @ exp_skew(magnitude * k)
     return out
@@ -655,8 +655,8 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     """A tower of stage algebras, each with a conjugated copy of a known
     exact covariant representation, with geometrically decaying conjugation
     angles; the top stage is the exact answer."""
-    src = s.source or {"model": "translation", "order": 3}
-    tower_spec = s.tower or {"levels": 8, "base": 0.2, "ratio": 0.2}
+    src = s.source or {}
+    tower_spec = s.tower or {}
     levels = int(tower_spec.get("levels", 8))
     base = float(tower_spec.get("base", 0.2))
     ratio = float(tower_spec.get("ratio", 0.2))
@@ -762,13 +762,12 @@ def run_tracial_trial(s: Scenario, rng):
 def run_graded_trial(s: Scenario, rng):
     algebra, values = s.graded_model
     if s.graded_data is None:
-        values = perturb_rep_values(values, s.magnitude, rng,
-                                    skip_identity=algebra.group.identity)
-    result = graded_correct(algebra, values, tol=s.tolerance)
+        values = perturb_rep_values(values, s.magnitude, rng)
+    result, residuals = graded_correct(algebra, values, tol=s.tolerance)
     measured = {
-        "final_defect": result.rep.defect(),
-        "distance": result.distance,
-        "component_residual": max(result.component_residuals),
+        "final_defect": result.last.defect(),
+        "distance": result.trace[-1][2],
+        "component_residual": max(residuals),
         "iterations": result.iterations,
     }
     cap = 2 * (6 * EPS0) / (1 - 17 * 6 * EPS0)

@@ -292,11 +292,12 @@ def loop_random_skew(rng, n, corner=None):
     return k
 
 
-def loop_perturb_rep_values(values, magnitude, rng, skip_identity=0, draw=None):
-    """perturb_rep_values with one random_skew draw per moved value."""
+def loop_perturb_rep_values(values, magnitude, rng, draw=None):
+    """perturb_rep_values with one random_skew draw per moved value, every
+    value but the identity's, index 0."""
     out = np.array(values, dtype=complex)
     n = out.shape[1]
-    moved = [g for g in range(len(out)) if g != skip_identity]
+    moved = [g for g in range(len(out)) if g != 0]
     k = np.array([loop_random_skew(rng, n) if draw is None else
                   loop_random_skew(rng, draw, n) for _ in moved]).reshape(-1, n, n)
     out[moved] = out[moved] @ exp_skew(magnitude * k)

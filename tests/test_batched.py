@@ -1,16 +1,16 @@
 """Property tests for the stacked log/exp kernels, for the correctors that
-take one stacked log per step, for the stacked defect, conjugation,
-group-average, partition-defect and unitarization paths, for
+take one stacked log per step, for the stacked defect, group-average,
+partition-defect and unitarization paths, for
 the shared iteration driver, for the one-step figures the trial
 runners read off it, and for the block-fit gate and the fresh copies
 tower projections return.  Each fast path is compared with the route it
 replaced: the per-matrix Schur eigensystem and the batched ``eigh``
 half-plane route for the log, the batched ``eigh`` route and SciPy's
 ``expm`` for the exp, the per-pair
-Python loop for the correctors, the defects and the averages, the
-three-operand einsum for the conjugation, each corrector's own loop for
-the driver, an explicit first step for the one-step figures, and a
-per-value SVD loop for the unitarization."""
+Python loop for the correctors, the defects and the averages, each
+corrector's own loop for the driver (its cap patched, as
+``repcorrect.ITERATION_CAP``), an explicit first step for the one-step
+figures, and a per-value SVD loop for the unitarization."""
 
 import json
 from types import SimpleNamespace
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from equifix import cocycles
+from equifix import cocycles, repcorrect
 from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, _cobound_step, coboundary,
                               cocycle, mismatch, one_step_cobound, trivialize)
 from dense_reference import (dense_act, eigh_exp_skew, eigh_half_plane_log, embed,
@@ -33,11 +33,10 @@ from equifix.groups import make_group
 from equifix.matfun import (EXP_CAP, UNITARIZE_EPS, Blocks, adjoint, exp_skew,
                             operator_norm, polar_unitary, principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
-from equifix.repcorrect import (ITERATE_MAX_DEFECT, ITERATION_CAP, ApproxRep,
-                                ConvergenceError, DefectTooLargeError, _iterate,
-                                correct_to_rep, equivariance_defect, one_step,
-                                symmetrize, translation_source_action,
-                                unitarize_values)
+from equifix.repcorrect import (ITERATE_MAX_DEFECT, ApproxRep, ConvergenceError,
+                                DefectTooLargeError, _iterate, correct_to_rep,
+                                equivariance_defect, one_step, symmetrize,
+                                translation_source_action, unitarize_values)
 from equifix import scenarios
 from equifix.scenarios import (Scenario, build_lift_scenario,
                                build_rokhlin_scenario, exact_rep_values,
@@ -452,16 +451,6 @@ def test_equivariance_defect_matches_per_pair_loop(seed, d, noise):
     assert abs(equivariance_defect(vals, alg.act, action) - loop) <= 1e-12
 
 
-@settings(max_examples=30, deadline=None)
-@given(seeds, st.sampled_from(DEFECT_SPECS), st.integers(1, 6))
-def test_matmul_conjugation_matches_einsum(seed, spec, dim):
-    group, rng, vals = family(seed, spec, dim, 0.01, False)
-    u = random_unitary(rng, dim)
-    want = np.einsum("ij,gjk,lk->gil", u, vals, u.conj())
-    got = ApproxRep(group, vals).conjugate(u).values
-    assert np.max(operator_norm(got - want)) <= 1e-12
-
-
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.sampled_from([(1, 2), (2, 3), (3, 1, 2)]),
        st.sampled_from([(), (3,)]))
@@ -587,7 +576,9 @@ def test_correct_to_rep_trace_matches_its_loop(seed, spec, dim, magnitude, tol,
                                                max_iter):
     group, _, vals = family(seed, spec, dim, magnitude, False)
     rep = ApproxRep(group, vals)
-    got = outcome(lambda: correct_to_rep(rep, tol=tol, max_iter=max_iter))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repcorrect, "ITERATION_CAP", max_iter)
+        got = outcome(lambda: correct_to_rep(rep, tol=tol))
     want = outcome(lambda: reference_correct_to_rep(rep, tol, max_iter))
     assert got[:2] == want[:2]
     if len(got) == 3:
@@ -605,7 +596,9 @@ def test_trivialize_trace_matches_its_loop(seed, spec, dim, magnitude, tol,
     v = random_unitary(rng, dim)
     w = coboundary(alg, v)
     v0 = v @ expm(magnitude * random_skew(rng, dim))
-    got = outcome(lambda: trivialize(w, v0, tol=tol, max_iter=max_iter))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repcorrect, "ITERATION_CAP", max_iter)
+        got = outcome(lambda: trivialize(w, v0, tol=tol))
     want = outcome(lambda: reference_trivialize(w, v0, tol, max_iter))
     assert got[:2] == want[:2]
     if len(got) == 3:
@@ -621,14 +614,15 @@ def cocycle_case(seed=11, magnitude=0.02):
     return coboundary(alg, v), v @ expm(magnitude * random_skew(rng, 3)), rng
 
 
-def test_one_iteration_cap_raises_with_the_first_step_traced():
+def test_one_iteration_cap_raises_with_the_first_step_traced(monkeypatch):
     w, v0, _ = cocycle_case()
     group, _, vals = family(12, {"kind": "cyclic", "params": 3}, 3, 0.02, False)
-    runs = [(lambda: correct_to_rep(ApproxRep(group, vals), tol=1e-300, max_iter=1),
+    runs = [(lambda: correct_to_rep(ApproxRep(group, vals), tol=1e-300),
              lambda: reference_correct_to_rep(ApproxRep(group, vals), 1e-300, 1),
              "defect"),
-            (lambda: trivialize(w, v0, tol=1e-300, max_iter=1),
+            (lambda: trivialize(w, v0, tol=1e-300),
              lambda: reference_trivialize(w, v0, 1e-300, 1), "mismatch")]
+    monkeypatch.setattr(repcorrect, "ITERATION_CAP", 1)
     for run, reference, what in runs:
         with pytest.raises(ConvergenceError,
                            match=f"{what} still .* after 1 iterations") as got:
@@ -643,8 +637,8 @@ def test_driver_measures_the_drift_from_the_input():
     # The drift compares the last iterate's image with the input's, not
     # with its own.
     result = _iterate(np.zeros((1, 2, 2)), 1.0, lambda it, x: x + np.eye(2),
-                      lambda x: 0.0, lambda x: 0.0, 1e-12, ITERATION_CAP,
-                      "defect", lambda x: 2 * x)
+                      lambda x: 0.0, lambda x: 0.0, 1e-12, "defect",
+                      lambda x: 2 * x)
     assert result.iterations == 1 and result.trace == [(0, 1.0, 0.0), (1, 0.0, 0.0)]
     assert result.quotient_drift == 2.0
 

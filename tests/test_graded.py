@@ -101,39 +101,39 @@ def test_component_multiplication_and_star():
 def test_graded_correct_exact_input():
     g = cyclic_group(3)
     alg, left = regular_graded_model(g)
-    res = graded_correct(alg, left)
+    res, residuals = graded_correct(alg, left)
     assert res.iterations == 0
-    assert res.distance <= 1e-12
-    assert max(res.component_residuals) <= 1e-13
+    assert res.trace[-1][2] <= 1e-12
+    assert max(residuals) <= 1e-13
 
 
 def test_graded_correct_perturbed_z4():
     g = cyclic_group(4)
     alg, left = regular_graded_model(g)
     rng = trial_rng(3, 0)
-    values = perturb_rep_values(left, 0.002, rng, skip_identity=0)
-    res = graded_correct(alg, values)
-    assert res.rep.defect() <= 1e-12
+    values = perturb_rep_values(left, 0.002, rng)
+    res, residuals = graded_correct(alg, values)
+    assert res.last.defect() <= 1e-12
     # per-iterate component membership, not just at the limit
-    assert len(res.component_residuals) == res.iterations + 1
-    assert max(res.component_residuals) <= 1e-12
-    assert alg.component_residual(res.rep.values) <= 1e-12
+    assert len(residuals) == res.iterations + 1
+    assert max(residuals) <= 1e-12
+    assert alg.component_residual(res.last.values) <= 1e-12
     cap = 2 * (6 * EPS0) / (1 - 17 * 6 * EPS0)
-    assert res.distance <= cap + 1e-10
+    assert res.trace[-1][2] <= cap + 1e-10
 
 
 def test_graded_correct_distance_in_measured_bound():
     g = cyclic_group(3)
     alg, left = regular_graded_model(g)
     rng = trial_rng(4, 0)
-    values = perturb_rep_values(left, 0.0015, rng, skip_identity=0)
+    values = perturb_rep_values(left, 0.0015, rng)
     comps = np.stack([alg.projection(k, values[k]) for k in range(3)])
     from equifix.matfun import polar_unitary
     from equifix.repcorrect import ApproxRep
     rho0 = np.stack([polar_unitary(c) for c in comps])
     r = ApproxRep(g, rho0).defect()
-    res = graded_correct(alg, values)
-    assert res.distance <= 2 * r / (1 - 17 * r) + 1e-10
+    res, _ = graded_correct(alg, values)
+    assert res.trace[-1][2] <= 2 * r / (1 - 17 * r) + 1e-10
 
 
 def test_graded_correct_rejects_offcomponent_excess():

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import root_projections, schur_round_unitary
-from equifix.matfun import (EPS0, UNITARIZE_EPS, MidpointError, exp_skew,
-                            largest_norm, operator_norm, polar_unitary,
-                            principal_log_unitary, round_to_projection,
-                            spectral_round_unitary)
+from equifix.matfun import (EPS0, UNITARIZE_EPS, MidpointError, _range_isometry,
+                            exp_skew, largest_norm, operator_norm, polar_unitary,
+                            principal_log_unitary, spectral_round_unitary)
 
 
 def rand_unitary(rng, n):
@@ -252,6 +251,13 @@ def test_round_midpoint_rejected():
 
 # --- projection rounding ----------------------------------------------------
 
+def round_to_projection(b):
+    """The spectral projection iso iso* onto the eigenvalues > 1/2, iso the
+    isometry of ``_range_isometry``, as the tracial corrector forms it."""
+    iso = _range_isometry(b)
+    return iso @ iso.conj().T
+
+
 def test_projection_round_diagonal():
     b = np.diag([0.9, 0.1]).astype(complex)
     assert operator_norm(round_to_projection(b) - np.diag([1.0, 0.0])) <= 1e-13
@@ -285,9 +291,9 @@ def test_projection_round_perturbation():
 
 def test_projection_round_band_rejected():
     with pytest.raises(ValueError, match="forbidden band"):
-        round_to_projection(np.diag([0.5, 1.0]))
+        _range_isometry(np.diag([0.5, 1.0]))
     with pytest.raises(ValueError, match="self-adjoint"):
-        round_to_projection(np.array([[0j, 1], [0, 0]]))
+        _range_isometry(np.array([[0j, 1], [0, 0]]))
 
 
 # --- conjugation covariance and the rounding's eigenvectors -----------------

@@ -563,6 +563,13 @@ EDGE_CASES = {
     # The schema leaves source.model optional; like source, it defaults to
     # translation.
     "lift-source-without-model": {"kind": "lift", "source": {"order": 3}},
+    # rokhlin and tracial run M_(d block + corank), with block =
+    # max(1, (dimension - corank) // d): M_6 here, and M_12 below.
+    "rokhlin-dim-off-the-order": {"kind": "rokhlin", "dimension": 7,
+                                  "group": {"kind": "cyclic", "params": 3}},
+    "tracial-corank-over-dimension": {"kind": "tracial", "dimension": 4,
+                                      "corner_corank": 9,
+                                      "group": {"kind": "cyclic", "params": 3}},
 }
 
 

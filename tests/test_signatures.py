@@ -1,11 +1,15 @@
-"""The settable surface of the library.  Every defaulted parameter of a
-public function or method of an ``equifix`` module is one that a scenario,
-a CLI path or a test sets to a value other than its default; a gate's
-tolerance is a constant of the kernel that gates with it.  A defaulted
-parameter added anywhere fails here until it is listed with its caller."""
+"""The settable and exported surface of the library.  Every defaulted
+parameter of a public function or method of an ``equifix`` module is one
+that a scenario, a CLI path or a test sets to a value other than its
+default; a gate's tolerance is a constant of the kernel that gates with it.
+Every name the package exports is one that a scenario kind, the CLI or a
+test of a paper claim uses.  A defaulted parameter or an export added
+anywhere fails here until it is listed with its caller."""
 
 import importlib
 import inspect
+
+import equifix
 
 MODULES = ("groups", "matfun", "galgebra", "repcorrect", "cocycles",
            "relations", "graded", "scenarios", "cli")
@@ -22,11 +26,11 @@ SETTABLE = {
     "repcorrect.ApproxRep.__init__": {"unitary", "unital",   # the lift's maps
                                       "act"},                # cocycles.cocycle
     "repcorrect.Correction.__init__": {"quotient_drift"},    # the driver
-    "repcorrect.correct_to_rep": {"tol", "quotient", "max_iter", "on_iterate"},
+    "repcorrect.correct_to_rep": {"tol", "quotient", "on_iterate"},
     "repcorrect.intertwiner": {"quotient"},           # the lift
     "repcorrect.equivariance_defect": {"floor"},      # the lift's phi gate
     "repcorrect.lift_group_rep": {"tol"},             # a scenario's tolerance
-    "cocycles.trivialize": {"v0", "tol", "quotient", "max_iter"},
+    "cocycles.trivialize": {"v0", "tol", "quotient"},
     "relations.measure_partition_seeds": {"unit"},    # the tracial residuals
     "graded.graded_correct": {"tol"},
     "scenarios.Scenario.__init__": {"group", "dimension", "magnitude", "trials",
@@ -34,10 +38,34 @@ SETTABLE = {
                                     "corner_corank", "graded_data"},
     "scenarios.suite_scenarios": {"seed"},            # equifix suite --seed
     "scenarios.random_skew": {"corner", "count"},
-    "scenarios.perturb_rep_values": {"skip_identity", "draw"},
+    "scenarios.perturb_rep_values": {"draw"},
     "scenarios.TrialReport.__init__": {"error"},      # a trial that raised
     "scenarios.build_rokhlin_scenario": {"corank"},   # the tracial trials
     "cli.main": {"argv"},
+}
+
+# The names ``equifix`` exports, by who uses them.
+EXPORTS = {
+    "make_group, for every scenario": {
+        "FiniteGroup", "cyclic_group", "dihedral_group", "make_group",
+        "product_group", "symmetric_group"},
+    "every corrector's kernels and gates": {
+        "EPS0", "UNITARIZE_EPS", "Blocks", "exp_skew", "largest_norm",
+        "operator_norm", "polar_unitary", "principal_log_unitary",
+        "spectral_round_unitary"},
+    "the cocycle, lift, rokhlin and tracial kinds": {
+        "GAlgebra", "Tower", "matrix_algebra"},
+    "the rep kind": {"ApproxRep", "Correction", "correct_to_rep", "one_step"},
+    "the lift kind": {"SourceAction", "intertwiner", "lift_group_rep",
+                      "symmetrize", "translation_source_action"},
+    "the tests of the lift's level scan": {"unitarize_values"},
+    "the cocycle kind": {"coboundary", "cocycle", "mismatch",
+                         "one_step_cobound", "trivialize"},
+    "the integral_estimate kind": {"verify_integral_estimate"},
+    "the rokhlin and tracial kinds": {"stabilize_partition",
+                                      "stabilize_tracial_partition"},
+    "the graded kind": {"GradedAlgebra", "character_table", "graded_correct",
+                        "regular_graded_model"},
 }
 
 
@@ -68,3 +96,11 @@ def test_defaulted_parameters_are_the_ones_callers_set():
             if params:
                 found[name] = params
     assert found == SETTABLE
+
+
+def test_exports_are_the_ones_callers_use():
+    listed = [name for names in EXPORTS.values() for name in names]
+    assert len(listed) == len(set(listed))
+    exported = {name for name, obj in vars(equifix).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert exported == set(listed)
