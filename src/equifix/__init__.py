@@ -19,7 +19,7 @@ from .matfun import (EPS0, UNITARIZE_EPS, Blocks, exp_skew, largest_norm,
 from .galgebra import GAlgebra, Tower, matrix_algebra
 from .repcorrect import (ApproxRep, Correction, SourceAction, correct_to_rep,
                          intertwiner, lift_group_rep, one_step, symmetrize,
-                         translation_source_action, unitarize_values)
+                         translation_source_action)
 from .cocycles import (coboundary, cocycle, mismatch, one_step_cobound,
                        trivialize, verify_integral_estimate)
 from .relations import stabilize_partition, stabilize_tracial_partition

@@ -291,9 +291,6 @@ class Tower:
                              f"got (n={n}, m={m})")
         return [i for i, j in enumerate(self._live(m)) if j not in self.ideals[n]]
 
-    def project_to_top(self, m: int, a: Blocks) -> Blocks:
-        return self.project(self.top, m, a)
-
 
 def group_stack(values, order: int):
     """values as a stack with one element per group element: Blocks as

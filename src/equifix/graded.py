@@ -17,7 +17,8 @@ components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .galgebra import chunks, group_mean
 from .groups import FiniteGroup
 from .matfun import UNITARIZE_EPS, adjoint, largest_norm, operator_norm
 from .repcorrect import (ApproxRep, Correction, DefectTooLargeError,
-                         correct_to_rep)
+                         _polar_parts, correct_to_rep)
 
 
 class NonAbelianError(ValueError):
@@ -34,98 +35,78 @@ class NonAbelianError(ValueError):
 
 def character_table(group: FiniteGroup) -> np.ndarray:
     """Character table chi[tau, g] of a finite abelian group, with entries
-    rounded to exact roots of unity.
+    exact roots of unity: rows sorted by their tuple of angles, then the
+    trivial character swapped to the front.
 
-    Computed by simultaneously diagonalizing the commuting left-regular
-    permutation matrices: a random real combination splits the common
-    eigenspaces, each common eigenvector carries one character.  The table
-    is validated for multiplicativity and row orthogonality, to 1e-10,
-    after rounding.
+    Built from the multiplication table in integers.  With N the group's
+    exponent, a character is a row of exponents e, chi(g) = exp(2 pi i
+    e(g) / N), known on the subgroup spanned so far.  The first element g
+    outside it, with g^k its least power inside, spans k cosets more; each
+    character extends in the k ways c with k c = e(g^k) mod N, which k
+    divides because some extension exists and has values in the N-th roots
+    of unity.
     """
     if not group.is_abelian():
         raise NonAbelianError(f"{group.name} is not abelian")
-    n = group.order
-    ids = np.arange(n)
+    n, mult = group.order, group.mult
     orders = [group.element_order(g) for g in range(n)]
+    top = math.lcm(*orders)
+    exps = np.zeros((1, n), dtype=np.intp)
+    inside = np.arange(n) == group.identity
+    while not inside.all():
+        span = np.flatnonzero(inside)
+        g = int(np.argmin(inside))
+        powers, x = [group.identity], g
+        while not inside[x]:
+            powers.append(x)
+            x = mult[x, g]
+        k = len(powers)
+        c = exps[:, x, None] // k + np.arange(k) * (top // k)   # (t, j): e(g)
+        cosets = mult[np.ix_(powers, span)]                     # (i, h): g^i h
+        # The j-th extension of character t at g^i h is e(h) + i c[t, j].
+        ext = exps[:, None, None, span] + (c[..., None] * np.arange(k))[..., None]
+        exps = np.empty((c.size, n), dtype=np.intp)
+        exps[:, cosets] = ext.reshape(c.size, k, len(span)) % top
+        inside[cosets] = True
     # roots[m][k] = exp(2 pi i k / m), for each element order m.
     roots = {m: np.array([np.exp(2j * np.pi * k / m) for k in range(m)])
              for m in set(orders)}
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        coeffs = rng.standard_normal(n)
-        # sum_g coeffs[g] L_g, with L_g the left-regular permutation matrix
-        # of g: entry (gh, h) is coeffs[g].
-        combo = np.zeros((n, n))
-        combo[group.mult, ids] = coeffs[:, None]
-        # Permutation matrices are real-orthogonal and commute; the combo is
-        # normal, and generically has simple spectrum.
-        vals, vecs = np.linalg.eig(combo)
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        # lam[t, g] = v_t* L_g v_t = sum_h conj(v_t[gh]) v_t[h], for a chunk
-        # of g at a time.
-        lam = np.concatenate([np.einsum("ght,ht->tg", vecs[group.mult[c]].conj(),
-                                        vecs) for c in chunks(n, n * n)], axis=1)
-        if np.any(np.abs(np.abs(lam) - 1) > 1e-6):
-            continue
-        chars = np.empty((n, n), dtype=complex)
-        for g, m in enumerate(orders):
-            k = np.round(np.angle(lam[:, g]) * m / (2 * np.pi)).astype(int) % m
-            chars[:, g] = roots[m][k]
-        # Deduplicate and validate.
-        rows = []
-        for t in range(n):
-            if not any(np.max(np.abs(chars[t] - r)) < 1e-8 for r in rows):
-                rows.append(chars[t])
-        if len(rows) != n:
-            continue
-        table = np.array(sorted(rows, key=lambda r: tuple(np.round(np.angle(r), 9))))
-        # Put the trivial character first.
-        triv = np.argmin([np.max(np.abs(r - 1)) for r in table])
-        table[[0, triv]] = table[[triv, 0]]
-        if _validate_characters(group, table, 1e-10):
-            return table
-    raise RuntimeError("failed to compute a valid character table")
-
-
-def _validate_characters(group, table, tol):
-    """Every row multiplicative, chi(gh) = chi(g) chi(h), to tol, and the
-    rows orthonormal; one broadcast comparison per chunk of rows."""
-    n = group.order
-    for c in chunks(n, n * n):
-        rows = table[c]
-        if np.any(np.abs(rows[:, group.mult] -
-                         rows[:, :, None] * rows[:, None, :]) > tol):
-            return False
-    gram = table @ table.conj().T / n
-    return bool(np.max(np.abs(gram - np.eye(n))) < tol)
+    chars = np.empty((n, n), dtype=complex)
+    for g, m in enumerate(orders):
+        chars[:, g] = roots[m][exps[:, g] * m // top]
+    table = np.array(sorted(chars, key=lambda r: tuple(np.round(np.angle(r), 9))))
+    # Put the trivial character first.
+    triv = np.argmin([np.max(np.abs(r - 1)) for r in table])
+    table[[0, triv]] = table[[triv, 0]]
+    return table
 
 
 @dataclass(frozen=True, eq=False)
 class GradedAlgebra:
     """A matrix algebra graded by a finite abelian group through a dual
     action: one conjugating unitary per character, with the trivial
-    character acting as the identity."""
+    character acting as the identity.  The characters are the rows of
+    ``character_table(group)``, in its order; ``dim`` is the side of the
+    dual unitaries."""
 
     group: FiniteGroup
-    dim: int
     dual_unitaries: np.ndarray        # (|G^|, n, n), indexed like the table rows
-    chars: np.ndarray                 # (|G^|, |G|) character table
+    dim: int = field(init=False)
+    chars: np.ndarray = field(init=False)   # (|G^|, |G|) character table
 
     def __post_init__(self):
-        if not self.group.is_abelian():
-            raise NonAbelianError(f"{self.group.name} is not abelian; only "
-                                  f"abelian gradings are supported")
+        object.__setattr__(self, "chars", character_table(self.group))
         du = np.asarray(self.dual_unitaries, dtype=complex)
         object.__setattr__(self, "dual_unitaries", du)
-        n = self.group.order
-        if du.shape != (n, self.dim, self.dim):
+        n, dim = self.group.order, du.shape[-1] if du.ndim else 0
+        object.__setattr__(self, "dim", dim)
+        if du.shape != (n, dim, dim):
             raise ValueError(f"dual unitaries shape {du.shape}")
         if largest_norm(du[0] - np.eye(self.dim), 1e-12)[0] > 1e-12:
             # The trivial character must act trivially for sum_g P_g = id.
             raise ValueError("dual_unitaries[0] must be the identity "
                              "(trivial character)")
         dm = self._dual_mult()
-        object.__setattr__(self, "_dual_mult_table", dm)
         # Homomorphism of automorphisms: du[s] du[t] equals du[dm[s, t]] up
         # to a phase, checked over a chunk of s at a time; a failure names
         # the first (s, t) in row-major order.
@@ -153,8 +134,6 @@ class GradedAlgebra:
             s, t = divmod(pairs[c], n)
             prod = chars[s] * chars[t]
             hits = np.max(np.abs(chars[None] - prod[:, None]), axis=-1) < 1e-8
-            if np.any(hits.sum(axis=-1) != 1):
-                raise ValueError("character table is not closed under products")
             dm[c] = hits.argmax(axis=-1)
         return dm.reshape(n, n)
 
@@ -185,7 +164,7 @@ def regular_graded_model(group: FiniteGroup):
     chars = character_table(group)
     n = group.order
     dual = np.stack([np.diag(chars[t]) for t in range(n)])
-    algebra = GradedAlgebra(group=group, dim=n, dual_unitaries=dual, chars=chars)
+    algebra = GradedAlgebra(group=group, dual_unitaries=dual)
     left = np.zeros((n, n, n), dtype=complex)
     ids = np.arange(n)
     left[ids[:, None], group.mult, ids] = 1.0
@@ -214,7 +193,7 @@ def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
     parts = algebra.projection(np.arange(G.order), values)
     # A norm exceeds the float below eps exactly when it is >= eps.
     far = largest_norm(values - parts, np.nextafter(eps, 0.0))[1] is not None
-    u, s, vh = np.linalg.svd(parts)
+    comps, s = _polar_parts(parts)
     singular = s[:, -1] <= 1e-10
     if far or singular.any():
         # Name the first g that fails either test, as a loop over g would.
@@ -227,7 +206,6 @@ def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
         raise DefectTooLargeError(
             f"component part at g={g} is numerically singular "
             f"(sigma_min = {s[g, -1]:.3e})")
-    comps = u @ vh
 
     unital_gap = largest_norm(comps[G.identity] - np.eye(algebra.dim), 1e-10)[0]
     rho0 = ApproxRep(G, comps, unitary=True, unital=unital_gap <= 1e-10)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -30,31 +30,32 @@ class FiniteGroup:
 
     Attributes
     ----------
-    order : int
-        Number of elements.
     mult : (order, order) int array
         ``mult[g, h]`` is the index of the product g*h.
-    inv : (order,) int array
-        ``inv[g]`` is the index of the inverse of g.
-    identity : int
-        Index of the identity element, always 0.
     name : str
         Short description, e.g. ``"cyclic(4)"``.
+    order : int
+        Number of elements, the side of ``mult``.
+    inv : (order,) int array
+        ``inv[g]`` is the index of the inverse of g: the column of the
+        identity in row g of ``mult``.
+    identity : int
+        Index of the identity element, always 0.
     """
 
-    order: int
     mult: np.ndarray
-    inv: np.ndarray
-    identity: ClassVar[int] = 0
     name: str = "group"
+    order: int = field(init=False)
+    inv: np.ndarray = field(init=False)
+    identity: ClassVar[int] = 0
 
     def __post_init__(self):
         m = np.asarray(self.mult, dtype=np.intp)
         object.__setattr__(self, "mult", m)
-        object.__setattr__(self, "inv", np.asarray(self.inv, dtype=np.intp))
-        if m.shape != (self.order, self.order):
+        if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
             raise GroupConstructionError(
-                f"mult table has shape {m.shape}, expected {(self.order, self.order)}")
+                f"mult table has shape {m.shape}, expected a nonempty square table")
+        object.__setattr__(self, "order", len(m))
         ids, e = np.arange(self.order), self.identity
         if not (np.all(m[e, :] == ids) and np.all(m[:, e] == ids)):
             raise GroupConstructionError("identity is not a two-sided unit")
@@ -65,10 +66,9 @@ class FiniteGroup:
         if bad.any():
             raise GroupConstructionError(
                 f"row/column {np.argmax(bad)} of mult is not a permutation")
-        if not np.all(m[ids, self.inv] == e):
-            raise GroupConstructionError("inv is not a right inverse")
-        if not np.all(m[self.inv, ids] == e):
-            raise GroupConstructionError("inv is not a left inverse")
+        # Each row holds the identity exactly once; in a group the right
+        # inverse found there is also the left one.
+        object.__setattr__(self, "inv", np.argmax(m == e, axis=1))
         self._check_associativity()
 
     def _check_associativity(self):
@@ -87,19 +87,10 @@ class FiniteGroup:
             if np.any(m[m[g, h], k] != m[g, m[h, k]]):
                 raise GroupConstructionError("mult not associative (sampled triple)")
 
-    def mul(self, g: int, h: int) -> int:
-        return int(self.mult[g, h])
-
-    def inverse(self, g: int) -> int:
-        return int(self.inv[g])
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def element_order(self, g: int) -> int:
         k, x = 1, g
         while x != self.identity:
-            x = self.mul(x, g)
+            x = self.mult[x, g]
             k += 1
         return k
 
@@ -119,8 +110,7 @@ def cyclic_group(d: int) -> FiniteGroup:
     if d < 1:
         raise GroupConstructionError(f"cyclic order must be >= 1, got {d}")
     ids = np.arange(d)
-    return FiniteGroup(order=d, mult=np.add.outer(ids, ids) % d, inv=-ids % d,
-                       name=f"cyclic({d})")
+    return FiniteGroup(mult=np.add.outer(ids, ids) % d, name=f"cyclic({d})")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -130,8 +120,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     x = np.arange(2 * n)
     a, b = x % n, x // n
     mult = (a[:, None] + np.where(b[:, None], -a, a)) % n + n * ((b[:, None] + b) % 2)
-    inv = np.where(b, x, -a % n)
-    return FiniteGroup(order=2 * n, mult=mult, inv=inv, name=f"dihedral({n})")
+    return FiniteGroup(mult=mult, name=f"dihedral({n})")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -143,12 +132,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     weights = n ** np.arange(n - 1, -1, -1)
     codes = perms @ weights
-
-    def rank(p):
-        return np.searchsorted(codes, p @ weights)
-
-    return FiniteGroup(order=len(perms), mult=rank(perms[:, perms]),
-                       inv=rank(np.argsort(perms, axis=1)), name=f"symmetric({n})")
+    mult = np.searchsorted(codes, perms[:, perms] @ weights)
+    return FiniteGroup(mult=mult, name=f"symmetric({n})")
 
 
 def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -157,9 +142,7 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     a = np.arange(n)
     x1, x2 = a // n2, a % n2
     mult = (g1.mult[np.ix_(x1, x1)] * n2 + g2.mult[np.ix_(x2, x2)])
-    inv = g1.inv[x1] * n2 + g2.inv[x2]
-    return FiniteGroup(order=n, mult=mult, inv=inv,
-                       name=f"product({g1.name},{g2.name})")
+    return FiniteGroup(mult=mult, name=f"product({g1.name},{g2.name})")
 
 
 def make_group(kind: str, params) -> FiniteGroup:

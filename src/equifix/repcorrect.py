@@ -313,32 +313,9 @@ def symmetrize(values, act: Callable, source_action: SourceAction):
 
 def _polar_parts(a):
     """One batched SVD u diag(s) vh of a stack of matrices: the polar parts
-    u vh and each slice's distance max |s - 1| from the unitaries."""
+    u vh and the singular values s, largest first."""
     u, s, vh = np.linalg.svd(require_finite(a))
-    return u @ vh, np.max(np.abs(s - 1.0), axis=-1, initial=0.0)
-
-
-def unitarize_values(values):
-    """Replace each value by its polar part.  Every value must be within
-    UNITARIZE_EPS = eps0/2 (eps0 = 1/(6*34)) of a unitary, measured as
-    max |s - 1| over its singular values s; the polar parts then move each
-    value by less than eps0.  One batched SVD per block size
-    (``_polar_parts``, which the lift's level scan shares) gives both the
-    distances and the polar parts; a rejection names the first value that
-    is too far."""
-    if isinstance(values, Blocks):
-        pairs = [_polar_parts(p) for p in values.parts]
-        out = Blocks(q for q, _ in pairs)
-        dists = np.max([d.max(axis=-1) for _, d in pairs], axis=0)
-    else:
-        out, dists = _polar_parts(values)
-    far = np.flatnonzero(dists >= UNITARIZE_EPS)
-    if far.size:
-        i = int(far[0])
-        raise DefectTooLargeError(
-            f"value {i} is at distance {dists[i]:.6g} from the unitaries; "
-            f"unitarization requires < {UNITARIZE_EPS:.6g}")
-    return out
+    return u @ vh, s
 
 
 def intertwiner(rho: ApproxRep, sigma: ApproxRep,
@@ -468,14 +445,16 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
     # family, its polar parts and their distances from the unitaries are
     # level 0's on its live blocks: one symmetrization and one SVD per block
     # size serve the whole scan, and a level is unitarizable when each of
-    # its live blocks is within UNITARIZE_EPS, as unitarize_values requires.
-    # The seed's figures are likewise level 0's stacks on the live blocks.
+    # its live blocks is within UNITARIZE_EPS, measured as max |s - 1| over
+    # its singular values s.  The seed's figures are likewise level 0's
+    # stacks on the live blocks.
     level0 = tower.level(0)
     seed0 = tower.project(0, 0, seed.values)
     pairs = [_polar_parts(p) for p in symmetrize(seed0, level0.act,
                                                  source_action).parts]
     polar = Blocks(q for q, _ in pairs)
-    dists = Blocks(d[..., None, None] for _, d in pairs)   # (|H|, K_s, 1, 1)
+    dists = Blocks(np.max(np.abs(s - 1.0), axis=-1, initial=0.0)[..., None, None]
+                   for _, s in pairs)                    # (|H|, K_s, 1, 1)
     table = []
     for level in range(top):
         kept = tower.kept(level, 0)

@@ -37,8 +37,7 @@ from .repcorrect import (ApproxRep, SourceAction, correct_to_rep,
 from .cocycles import (coboundary, mismatch, one_step_cobound, trivialize,
                        verify_integral_estimate)
 from .relations import stabilize_partition, stabilize_tracial_partition
-from .graded import (GradedAlgebra, character_table, graded_correct,
-                     regular_graded_model)
+from .graded import GradedAlgebra, graded_correct, regular_graded_model
 
 # The default battery, keyed by suite label: the subcommand that runs the
 # entry alone (None for the tower-pinned rep, which only the suite runs) and
@@ -160,10 +159,8 @@ def _graded_input(graded_data: dict, group: FiniteGroup):
         stacks.append(np.array([[[complex(re, im) for re, im in row] for row in m]
                                 for m in mats]))
     dual, seeds = stacks
-    chars = character_table(group)
     try:
-        algebra = GradedAlgebra(group=group, dim=dim, dual_unitaries=dual,
-                                chars=chars)
+        algebra = GradedAlgebra(group=group, dual_unitaries=dual)
     except ValueError as exc:
         raise ScenarioError(f"/graded_data/dual_unitaries: {exc}") from None
     return algebra, seeds
@@ -570,7 +567,7 @@ def run_rep_trial(s: Scenario, rng):
         # Only the first block, which the quotient kills, is perturbed.
         vals = Blocks((np.stack([perturb_rep_values(base, s.magnitude, rng,
                                                     draw=2 * dim), base], axis=1),))
-        quotient = lambda a: tower.project_to_top(0, a)
+        quotient = lambda a: tower.project(tower.top, 0, a)
     else:
         vals = exact_rep_values(s.group, group, s.dimension, rng)
         vals = perturb_rep_values(vals, s.magnitude, rng)
@@ -598,7 +595,7 @@ def run_cocycle_trial(s: Scenario, rng):
         # first, and only that block of the seed is moved.
         tower = _two_block_tower(group, action)
         algebra = tower.algebra
-        quotient = lambda a: tower.project_to_top(0, a)
+        quotient = lambda a: tower.project(tower.top, 0, a)
         v = np.stack([random_unitary(rng, dim), random_unitary(rng, dim)])
         v0 = v.copy()
         v0[0] = v[0] @ exp_skew(s.magnitude * random_skew(rng, 2 * dim, dim))
@@ -671,7 +668,7 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     q = exp_skew(angles)
     seed_vals = q @ stage_rep[:, None] @ adjoint(q)
     seed = ApproxRep(H, Blocks((seed_vals,)), unitary=False, unital=False)
-    phi = ApproxRep(H, tower.project_to_top(0, seed.values), unitary=False,
+    phi = ApproxRep(H, tower.project(tower.top, 0, seed.values), unitary=False,
                     unital=False)
     return tower, phi, source_action, seed
 

@@ -19,11 +19,11 @@ from scipy.linalg import expm
 
 from equifix.cocycles import coboundary, trivialize
 from equifix.galgebra import GAlgebra, matrix_algebra
-from equifix.matfun import Blocks, adjoint, exp_skew, operator_norm
+from equifix.matfun import UNITARIZE_EPS, Blocks, adjoint, exp_skew, operator_norm
 from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
-                                DefectTooLargeError, correct_to_rep,
-                                equivariance_defect, intertwiner, symmetrize,
-                                unitarize_values)
+                                DefectTooLargeError, _polar_parts,
+                                correct_to_rep, equivariance_defect,
+                                intertwiner, symmetrize)
 from equifix.scenarios import (exact_rep_values, make_group,
                                nontrivial_action_rep, random_skew,
                                random_unitary, trial_rng)
@@ -113,7 +113,7 @@ def random_blocks(blocks, rng, lead=()):
 def trivial_algebra(blocks, group):
     """The G-algebra on ``blocks`` on which every g acts as the identity."""
     return GAlgebra(blocks, group, np.tile(np.arange(len(blocks)), (group.order, 1)),
-                    tuple(tuple(np.eye(b) for b in blocks) for _ in group.elements()))
+                    tuple(tuple(np.eye(b) for b in blocks) for _ in range(group.order)))
 
 
 def full_unitary(algebra, g):
@@ -133,6 +133,31 @@ def dense_act(algebra):
     def act(g, a):
         return ws[g] @ a @ adjoint(ws[g])
     return act
+
+
+def unitarize_values(values):
+    """Replace each value by its polar part.  Every value must be within
+    UNITARIZE_EPS = eps0/2 (eps0 = 1/(6*34)) of a unitary, measured as
+    max |s - 1| over its singular values s; the polar parts then move each
+    value by less than eps0.  One batched SVD per block size
+    (``_polar_parts``, which the lift's level scan shares) gives both the
+    distances and the polar parts; a rejection names the first value that
+    is too far.  The per-value unitarization the lift's level scan
+    replaced."""
+    if isinstance(values, Blocks):
+        pairs = [_polar_parts(p) for p in values.parts]
+        out = Blocks(q for q, _ in pairs)
+        dists = np.max([np.abs(s - 1.0).max(axis=(-2, -1)) for _, s in pairs], axis=0)
+    else:
+        out, s = _polar_parts(values)
+        dists = np.abs(s - 1.0).max(axis=-1, initial=0.0)
+    far = np.flatnonzero(dists >= UNITARIZE_EPS)
+    if far.size:
+        i = int(far[0])
+        raise DefectTooLargeError(
+            f"value {i} is at distance {dists[i]:.6g} from the unitaries; "
+            f"unitarization requires < {UNITARIZE_EPS:.6g}")
+    return out
 
 
 def level_mask(tower, n):

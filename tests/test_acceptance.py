@@ -120,7 +120,7 @@ def test_criterion_2_full_correction(rep_trials):
             vals[g, 0] = base[g] @ expm(0.02 * random_skew(rng, 2 * dim, dim))
         rep = ApproxRep(group, Blocks((vals,)))
         res = correct_to_rep(rep, tol=1e-12,
-                             quotient=lambda a: tower.project_to_top(0, a))
+                             quotient=lambda a: tower.project(tower.top, 0, a))
         assert res.last.defect() <= 1e-12
         assert res.quotient_drift <= 1e-12
         worst_drift = max(worst_drift, res.quotient_drift)
@@ -204,7 +204,7 @@ def test_criterion_5_intertwiner():
             rho = ApproxRep(group, Blocks((np.stack([base, base], axis=1),)))
             sigma = ApproxRep(group, Blocks((np.stack(
                 [v @ base @ v.conj().T, base], axis=1),)))
-            quotient = lambda a: tower.project_to_top(0, a)
+            quotient = lambda a: tower.project(tower.top, 0, a)
         else:
             vals = exact_rep_values({"kind": spec[0], "params": spec[1]},
                                     group, dim, rng)
@@ -349,7 +349,7 @@ def test_criterion_9_haar_average():
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x /= operator_norm(x)
         avg = group_mean(lambda g: algebra.act(g, x), x, group.order)
-        for h in group.elements():
+        for h in range(group.order):
             worst = max(worst, operator_norm(algebra.act(h, avg) - avg))
     _report("criterion 9 (finite-group Haar average)", worst <= 1e-12,
             f"50 draws: the group mean is fixed by every alpha_h to "

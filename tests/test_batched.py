@@ -26,7 +26,7 @@ from equifix.cocycles import (TRIVIALIZE_MAX_MISMATCH, _cobound_step, coboundary
                               cocycle, mismatch, one_step_cobound, trivialize)
 from dense_reference import (dense_act, eigh_exp_skew, eigh_half_plane_log, embed,
                              layout, random_blocks, schur_eigensystem,
-                             trivial_algebra)
+                             trivial_algebra, unitarize_values)
 from equifix.galgebra import (BlockMismatchError, GAlgebra, Tower, matrix_algebra,
                               max_pair_defect)
 from equifix.groups import make_group
@@ -36,7 +36,7 @@ from equifix.relations import _averaged_seeds, measure_partition_seeds
 from equifix.repcorrect import (ITERATE_MAX_DEFECT, ApproxRep, ConvergenceError,
                                 DefectTooLargeError, _iterate, correct_to_rep,
                                 equivariance_defect, one_step, symmetrize,
-                                translation_source_action, unitarize_values)
+                                translation_source_action)
 from equifix import scenarios
 from equifix.scenarios import (Scenario, build_lift_scenario,
                                build_rokhlin_scenario, exact_rep_values,
@@ -251,7 +251,7 @@ def reference_one_step(rep):
     G, v = rep.group, rep.values
     new = np.empty_like(v)
     for g in range(G.order):
-        logs = [reference_log(v[k].conj().T @ v[G.mul(k, g)] @ v[g].conj().T)
+        logs = [reference_log(v[k].conj().T @ v[G.mult[k, g]] @ v[g].conj().T)
                 for k in range(G.order)]
         new[g] = expm(np.mean(logs, axis=0)) @ v[g]
     return new
@@ -260,8 +260,8 @@ def reference_one_step(rep):
 def reference_one_step_cobound(w, v):
     """One coboundary-correction step, one log per group element h."""
     G = w.group
-    logs = [reference_log(v.conj().T @ w.act(G.inverse(h), w.values[h].conj().T @ v))
-            for h in G.elements()]
+    logs = [reference_log(v.conj().T @ w.act(G.inv[h], w.values[h].conj().T @ v))
+            for h in range(G.order)]
     return v @ expm(np.mean(logs, axis=0))
 
 
@@ -323,7 +323,7 @@ def regular_rep(group):
     """Permutation matrices of the left regular representation: products
     are exact, so every defect is exactly 0 and all pairs tie."""
     v = np.zeros((group.order, group.order, group.order), dtype=complex)
-    for g in group.elements():
+    for g in range(group.order):
         v[g, group.mult[g], np.arange(group.order)] = 1.0
     return v
 
@@ -340,8 +340,8 @@ def family(seed, spec, dim, magnitude, regular):
        st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.1), st.booleans())
 def test_max_pair_defect_matches_per_pair_loop(seed, spec, dim, magnitude, regular):
     group, _, vals = family(seed, spec, dim, magnitude, regular)
-    pairs = {(g, h): operator_norm(vals[group.mul(g, h)] - vals[g] @ vals[h])
-             for g in group.elements() for h in group.elements()}
+    pairs = {(g, h): operator_norm(vals[group.mult[g, h]] - vals[g] @ vals[h])
+             for g in range(group.order) for h in range(group.order)}
     worst, pair = first_max(pairs)
     got, got_pair = max_pair_defect(vals, group.mult)
     assert got_pair == pair and abs(got - worst) <= 1e-12
@@ -363,15 +363,15 @@ def test_cocycle_defect_and_mismatch_match_per_pair_loops(seed, spec, dim, magni
     alg = matrix_algebra(dim, group, list(exact_rep_values(spec, group, dim, rng)))
     w = coboundary(alg, random_unitary(rng, dim))
     w = cocycle(alg, perturb_rep_values(w.values, magnitude, rng))
-    pairs = {(g, h): operator_norm(w.values[group.mul(g, h)] -
+    pairs = {(g, h): operator_norm(w.values[group.mult[g, h]] -
                                    w.values[g] @ alg.act(g, w.values[h]))
-             for g in group.elements() for h in group.elements()}
+             for g in range(group.order) for h in range(group.order)}
     worst, pair = first_max(pairs)
     assert w.defect_with_argmax()[1] == pair
     assert abs(w.defect() - worst) <= 1e-12
     v = random_unitary(rng, dim)
     per_g = {g: operator_norm(v @ alg.act(g, v).conj().T - w.values[g])
-             for g in group.elements()}
+             for g in range(group.order)}
     worst, g = first_max(per_g)
     r, arg = mismatch(w, v)
     assert arg == g and abs(r - worst) <= 1e-12
@@ -386,7 +386,7 @@ def gate_family(seed, spec, blocks, magnitude, twisted):
     group = make_group(spec["kind"], spec["params"])
     actions = [exact_rep_values(spec, group, b, rng) for b in blocks]
     alg = GAlgebra(blocks, group, np.tile(np.arange(len(blocks)), (group.order, 1)),
-                   tuple(tuple(a[g] for a in actions) for g in group.elements()))
+                   tuple(tuple(a[g] for a in actions) for g in range(group.order)))
     if twisted:
         vals = coboundary(alg, polar_unitary(random_blocks(blocks, rng))).values
     else:
@@ -686,8 +686,8 @@ def reference_symmetrize(values, act, source_action):
     out = np.zeros_like(values)
     for x in range(H.order):
         terms = []
-        for g in G.elements():
-            ginv = G.inverse(g)
+        for g in range(G.order):
+            ginv = G.inv[g]
             c = source_action.scalar[ginv, x]
             terms.append(act(g, c * values[source_action.perm[ginv, x]]))
         out[x] = np.mean(terms, axis=0)
@@ -721,7 +721,7 @@ def reference_partition_defects(algebra, fam, unit):
             max(operator_norm(fam[g] - fam[g].conj().T) for g in range(d)),
             max((operator_norm(fam[g] @ fam[h])
                  for g in range(d) for h in range(d) if g != h), default=0.0),
-            max(operator_norm(algebra.act(g, fam[h]) - fam[G.mul(g, h)])
+            max(operator_norm(algebra.act(g, fam[h]) - fam[G.mult[g, h]])
                 for g in range(d) for h in range(d)),
             operator_norm(fam.sum(axis=0) - unit))
 
@@ -743,7 +743,7 @@ def test_partition_defects_match_per_pair_loop(seed, d, block, corank, magnitude
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
     G = algebra.group
     averaged = np.stack([
-        sum(algebra.act(h, fam[G.mul(G.inverse(h), g)]) for h in range(d)) / d
+        sum(algebra.act(h, fam[G.mult[G.inv[h], g]]) for h in range(d)) / d
         for g in range(d)])
     averaged = (averaged + averaged.conj().transpose(0, 2, 1)) / 2
     assert np.max(operator_norm(_averaged_seeds(algebra, fam) - averaged)) <= 1e-12

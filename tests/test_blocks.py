@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from dense_reference import (cocycle_tower_trace, dense_act, embed,
                              level_mask, lift_trace, random_blocks,
-                             rep_tower_trace)
+                             rep_tower_trace, unitarize_values)
 from equifix.galgebra import GAlgebra, Tower, max_pair_defect
 from equifix.groups import cyclic_group
 from equifix.matfun import operator_norm
 from equifix.repcorrect import (equivariance_defect, lift_group_rep,
-                                symmetrize, translation_source_action,
-                                unitarize_values)
+                                symmetrize, translation_source_action)
 from equifix.scenarios import (Scenario, build_lift_scenario,
                                run_cocycle_trial, run_rep_trial,
                                random_unitary, trial_rng)
@@ -106,9 +105,9 @@ def test_group_defects_and_averages_match_the_dense_route(seed, config, noise):
     dense = embed(alg.blocks, values)
     act = dense_act(alg)
 
-    pairs = np.array([[operator_norm(dense[G.mul(g, h)] - dense[g] @ dense[h])
+    pairs = np.array([[operator_norm(dense[G.mult[g, h]] - dense[g] @ dense[h])
                        for h in range(d)] for g in range(d)])
-    per_pair = np.array([[operator_norm(values[G.mul(g, h)] - values[g] @ values[h])
+    per_pair = np.array([[operator_norm(values[G.mult[g, h]] - values[g] @ values[h])
                           for h in range(d)] for g in range(d)])
     assert np.max(np.abs(per_pair - pairs)) <= 1e-12
     # The two routes round differently, so the first pair is checked on the
@@ -125,7 +124,7 @@ def test_group_defects_and_averages_match_the_dense_route(seed, config, noise):
     want = np.zeros_like(dense)
     for x in range(d):
         for g in range(d):
-            ginv = G.inverse(g)
+            ginv = G.inv[g]
             want[x] += act(g, action.scalar[ginv, x] *
                            dense[action.perm[ginv, x]]) / d
     sym = symmetrize(values, alg.act, action)

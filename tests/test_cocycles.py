@@ -28,7 +28,7 @@ def cocycle_defect_oracle(w):
     worst, pair = -1.0, None
     for g in range(G.order):
         for h in range(G.order):
-            d = operator_norm(w.values[G.mul(g, h)] -
+            d = operator_norm(w.values[G.mult[g, h]] -
                               w.values[g] @ w.act(g, w.values[h]))
             if d > worst:
                 worst, pair = d, (g, h)
@@ -206,7 +206,7 @@ def test_twisted_defect_matches_oracle(seed, spec, blocks, magnitude):
     group = make_group(spec["kind"], spec["params"])
     actions = [exact_rep_values(spec, group, b, rng) for b in blocks]
     alg = GAlgebra(blocks, group, np.tile(np.arange(len(blocks)), (group.order, 1)),
-                   tuple(tuple(a[g] for a in actions) for g in group.elements()))
+                   tuple(tuple(a[g] for a in actions) for g in range(group.order)))
     k = random_blocks(blocks, rng, (group.order,))
     k = k - adjoint(k)
     vals = (coboundary(alg, polar_unitary(random_blocks(blocks, rng))).values @

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from equifix import galgebra
 from equifix.galgebra import group_mean
-from equifix.groups import GroupConstructionError, cyclic_group, make_group
+from equifix.groups import (FiniteGroup, GroupConstructionError, cyclic_group,
+                            make_group)
 from equifix.matfun import Blocks
 
 GROUP_SPECS = [
@@ -38,19 +40,18 @@ def test_group_axioms_exhaustive(kind, params):
 def test_cyclic_trivial():
     g = make_group("cyclic", 1)
     assert g.order == 1
-    assert g.mul(0, 0) == 0
+    assert g.mult[0, 0] == 0
 
 
 def test_cyclic_four_table():
     g = make_group("cyclic", 4)
     assert g.order == 4
-    assert g.mul(1, 3) == 0
-    assert g.mul(2, 3) == 1
+    assert g.mult[1, 3] == 0
+    assert g.mult[2, 3] == 1
 
 
 def test_symmetric_three_element_orders():
     # Independent oracle: compose the permutations directly.
-    import itertools
     perms = sorted(itertools.permutations(range(3)))
     def compose(p, q):
         return tuple(p[q[i]] for i in range(3))
@@ -63,7 +64,7 @@ def test_symmetric_three_element_orders():
         orders.append(k)
     g = make_group("symmetric", 3)
     assert g.order == 6
-    assert sorted(g.element_order(x) for x in g.elements()) == sorted(orders)
+    assert sorted(g.element_order(x) for x in range(g.order)) == sorted(orders)
     assert sorted(orders).count(3) == 2
 
 
@@ -77,10 +78,40 @@ def test_order_cap():
 
 
 def test_bad_table_rejected():
-    from equifix.groups import FiniteGroup
     mult = np.zeros((2, 2), dtype=int)   # not a latin square
     with pytest.raises(GroupConstructionError):
-        FiniteGroup(order=2, mult=mult, inv=np.array([0, 1]))
+        FiniteGroup(mult)
+    for mult in (np.zeros((2, 3), dtype=int), np.arange(3), np.int64(0),
+                 np.zeros((0, 0), dtype=int)):
+        with pytest.raises(GroupConstructionError, match="square table"):
+            FiniteGroup(mult)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("cyclic", d) for d in (1, 2, 5, 12)] + [("dihedral", n) for n in (1, 2, 3, 7)] + [
+    ("symmetric", n) for n in (1, 2, 3, 4, 5)] + [
+    ("product", (a, b)) for a, b in [(("cyclic", 2), ("cyclic", 3)),
+                                     (("dihedral", 3), ("cyclic", 4)),
+                                     (("symmetric", 3), ("dihedral", 2))]])
+def test_inverses_are_the_ones_the_constructors_computed(kind, params):
+    # The inverses each constructor used to pass next to its table.
+    g = make_group(kind, params)
+    if kind == "cyclic":
+        want = -np.arange(params) % params
+    elif kind == "dihedral":
+        x = np.arange(2 * params)
+        a, b = x % params, x // params
+        want = np.where(b, x, -a % params)
+    elif kind == "symmetric":
+        perms = np.array(list(itertools.permutations(range(params))))
+        weights = params ** np.arange(params - 1, -1, -1)
+        want = np.searchsorted(perms @ weights, np.argsort(perms, axis=1) @ weights)
+    else:
+        g1, g2 = (make_group(*spec) for spec in params)
+        x = np.arange(g.order)
+        want = g1.inv[x // g2.order] * g2.order + g2.inv[x % g2.order]
+    assert g.inv.dtype == np.intp
+    assert np.array_equal(g.inv, want)
 
 
 def test_haar_constant():
@@ -114,7 +145,7 @@ def test_haar_linear_and_contractive(seed):
     b = group_mean(lambda x: 2.5 * mats[x], mats[0], g.order)
     assert np.allclose(b, 2.5 * a, atol=1e-12)
     assert np.linalg.norm(a, 2) <= max(np.linalg.norm(mats[x], 2)
-                                       for x in g.elements()) + 1e-12
+                                       for x in range(g.order)) + 1e-12
 
 
 @settings(max_examples=25, deadline=None)

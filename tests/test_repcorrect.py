@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_reference import trivial_algebra
+from dense_reference import trivial_algebra, unitarize_values
 from equifix import repcorrect
 from equifix.groups import cyclic_group, make_group
 from equifix.cocycles import coboundary
@@ -11,8 +11,7 @@ from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
                                 DefectTooLargeError, LevelReport, LiftError,
                                 SourceAction, correct_to_rep,
                                 equivariance_defect, intertwiner, lift_group_rep,
-                                one_step, symmetrize, translation_source_action,
-                                unitarize_values)
+                                one_step, symmetrize, translation_source_action)
 from equifix.scenarios import (Scenario, build_lift_scenario, exact_rep_values,
                                perturb_rep_values, random_skew, random_unitary,
                                trial_rng)
@@ -23,7 +22,7 @@ def defect_oracle(group, values):
     worst = 0.0
     for g in range(group.order):
         for h in range(group.order):
-            worst = max(worst, operator_norm(values[group.mul(g, h)] -
+            worst = max(worst, operator_norm(values[group.mult[g, h]] -
                                              values[g] @ values[h]))
     return worst
 
@@ -136,7 +135,7 @@ def test_correct_quotient_pinned():
     base = exact_rep_values(s.group, group, dim, rng)
     moved = perturb_rep_values(base, 0.02, rng)       # the block the quotient kills
     rep = ApproxRep(group, Blocks((np.stack([moved, base], axis=1),)))
-    quotient = lambda a: tower.project_to_top(0, a)
+    quotient = lambda a: tower.project(tower.top, 0, a)
     res = correct_to_rep(rep, quotient=quotient)
     assert res.quotient_drift <= 1e-12
     assert res.last.defect() <= 1e-12
@@ -278,7 +277,7 @@ def test_intertwiner_tower_quotient_is_one():
     rho = ApproxRep(group, Blocks((np.stack([base, base], axis=1),)))
     sigma = ApproxRep(group, Blocks((np.stack([v @ base @ v.conj().T, base],
                                               axis=1),)))
-    quotient = lambda a: tower.project_to_top(0, a)
+    quotient = lambda a: tower.project(tower.top, 0, a)
     u = intertwiner(rho, sigma, quotient=quotient)
     assert operator_norm(quotient(u) - quotient(identity_like(u))) <= 1e-11
     worst = np.max(operator_norm(u @ rho.values @ u.conj().swapaxes(-1, -2) -

@@ -58,7 +58,6 @@ EXPORTS = {
     "the rep kind": {"ApproxRep", "Correction", "correct_to_rep", "one_step"},
     "the lift kind": {"SourceAction", "intertwiner", "lift_group_rep",
                       "symmetrize", "translation_source_action"},
-    "the tests of the lift's level scan": {"unitarize_values"},
     "the cocycle kind": {"coboundary", "cocycle", "mismatch",
                          "one_step_cobound", "trivialize"},
     "the integral_estimate kind": {"verify_integral_estimate"},
