@@ -10,12 +10,12 @@ g -> v alpha_g(v)* is within r <= 1/5 of w, the one-step correction
 
 squares the mismatch (at most 10 r^2) while moving v by at most 2r;
 iterating from r < 1/10 produces an exact trivializer within 2r/(1-10r),
-by the iteration driver the representation corrector runs.
+by the iteration driver and pinned-quotient split the rep corrector runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .groups import FiniteGroup
 from .matfun import (Blocks, adjoint, exp_skew, identity_like, largest_norm,
                      operator_norm, principal_log_unitary)
 from .galgebra import GAlgebra
-from .repcorrect import ApproxRep, Correction, DefectTooLargeError, _iterate
+from .repcorrect import (ApproxRep, Correction, DefectTooLargeError, _iterate,
+                         _pinned)
 
 ONE_STEP_MAX_MISMATCH = 1.0 / 5
 TRIVIALIZE_MAX_MISMATCH = 1.0 / 10
@@ -76,16 +77,17 @@ def _cobound_step(w: ApproxRep, v, measured):
 
 
 def trivialize(w: ApproxRep, v0=None, tol: float = 1e-12,
-               quotient: Optional[Callable] = None) -> Correction:
+               pin: Optional[tuple] = None) -> Correction:
     """Iterate the coboundary correction until v alpha_g(v)* = w(g) to tol.
 
     The seed defaults to the identity, which is admissible when the cocycle
     is within 1/10 of trivial; otherwise the caller supplies a seed with
-    mismatch below 1/10.  With a quotient map kappa whose downstairs seed
-    already trivializes kappa(w) exactly, kappa(v) = kappa(v0) is preserved;
-    kappa takes one element or a stack.  The cocycle's exactness (defect
-    <= 1e-11) is one screened gate per call, which on an exact cocycle
-    ends after the Frobenius pass; its steps do not repeat it.
+    mismatch below 1/10.  With ``pin=(tower, level)``, w over that level,
+    the seed must already trivialize w on the top quotient's blocks
+    (mismatch <= 1e-12), which are split off as in ``correct_to_rep``.
+    The cocycle's exactness (defect <= 1e-11) is one screened gate per
+    call, which on an exact cocycle ends after the Frobenius pass; its
+    steps do not repeat it.
     """
     if not w.defect_at_most(1e-11):
         raise DefectTooLargeError(
@@ -100,20 +102,27 @@ def trivialize(w: ApproxRep, v0=None, tol: float = 1e-12,
     if r0 >= TRIVIALIZE_MAX_MISMATCH:
         raise DefectTooLargeError(
             f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
-    if quotient is not None:
-        down = largest_norm(quotient(_coboundary_values(w.act, w.group, v0)) -
-                            quotient(w.values), 1e-12)[0]
-        if down > 1e-12:
-            raise DefectTooLargeError(
-                f"seed does not trivialize the cocycle downstairs (off by {down:.3e})")
+    moving, start, frozen = w, v0, (-1.0, None)
+    if pin is not None:
+        down, frozen, keep, start, attach = _pinned(
+            pin, r0, tol, v0, lambda down: largest_norm(
+                down(_coboundary_values(w.act, w.group, v0) - w.values), -1.0),
+            "seed does not trivialize the cocycle downstairs (off by {:.3e})")
+        algebra = pin[0].level(pin[1])
+        rest = [j for j in range(len(algebra.blocks)) if j not in keep]
+        moving = cocycle(algebra.restrict(rest), algebra.split(w.values, keep)[0])
 
     def measure(v):
         nonlocal last
-        last = mismatch(w, v)
-        return last[0]
+        last = mismatch(moving, v)
+        return max(last[0], frozen[0])
 
-    return _iterate(v0, r0, lambda it, v: _cobound_step(w, v, last), measure,
-                    lambda v: largest_norm(v - v0)[0], tol, "mismatch", quotient)
+    correction = _iterate(start, r0, lambda it, v: _cobound_step(moving, v, last),
+                          measure, lambda v: largest_norm(v - start)[0], tol, "mismatch")
+    if pin is not None:
+        correction.last = attach(correction.last)
+        correction.quotient_drift = largest_norm(down(correction.last - v0))[0]
+    return correction
 
 
 def verify_integral_estimate(group: FiniteGroup, values: np.ndarray):

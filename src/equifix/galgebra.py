@@ -219,6 +219,25 @@ class GAlgebra:
                 parts.append(p[..., idx, :, :])
         return Blocks(parts)
 
+    def split(self, a, keep):
+        """The blocks of a (an element or a stack) outside the sorted
+        positions ``keep``, as ``take`` gives them and dense when they are
+        one block, and the map that puts a new such part in their place,
+        leaving the blocks at ``keep`` unchanged (dense when a is)."""
+        x = self.as_blocks(a)
+        rest = [j for j in range(len(self.blocks)) if j not in keep]
+        moving = self.take(x, rest)
+
+        def attach(moved):
+            parts = iter((moved[..., None, :, :],) if len(rest) == 1 else moved.parts)
+            out = [p.copy() for p in x.parts]
+            for p, cls in zip(out, self._classes):
+                idx = [k for k, j in enumerate(cls) if j in rest]
+                if idx:
+                    p[..., idx, :, :] = next(parts)
+            return Blocks(out) if isinstance(a, Blocks) else out[0][..., 0, :, :]
+        return (moving.parts[0][..., 0, :, :] if len(rest) == 1 else moving), attach
+
 
 def matrix_algebra(n: int, group: FiniteGroup, action_unitaries=None,
                    action_tol: float = 1e-12) -> GAlgebra:

@@ -9,15 +9,16 @@ The one-step corrector replaces rho by
 which squares the multiplicativity defect (defect r gives at most 17 r^2)
 while moving each value by at most 2r.  Iterating from r < 1/17 converges
 to an exact representation within 2r/(1-17r) of the input, and any quotient
-under which the input was already exact is left untouched.  The lifting
-pipeline combines a nonequivariant seed, a level search, group-averaging
-symmetrization, polar unitarization, the iterated corrector, and an
-intertwining unitary.
+under which the input was already exact is left untouched, so a pinned one
+(``pin``) is split off.  The lifting pipeline combines a nonequivariant seed,
+a level search, group-averaging symmetrization, polar unitarization, the
+iterated corrector, and an intertwining unitary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -134,20 +135,19 @@ def one_step(rep: ApproxRep) -> ApproxRep:
 class Correction:
     """What an iterated corrector returns: its last iterate, the iteration
     count, the trace of (iteration, measured, distance from the input)
-    rows, and how far a pinned quotient image moved, when one is pinned."""
+    rows, and how far a pinned quotient's blocks moved (``pin``), if any."""
 
     last: object
     iterations: int
     trace: list
-    quotient_drift: Optional[float] = None
+    quotient_drift: Optional[float]
 
 
-def _iterate(x0, r0, step, measure, distance, tol, what, image=None):
+def _iterate(x0, r0, step, measure, distance, tol, what):
     """Apply ``step(it, x)`` from x0 until ``measure(x)`` is at most tol,
     measuring each iterate once.  The trace of (iteration, measured,
-    distance(x)) rows starts from (0, r0, 0.0); with an image map, the
-    drift ||image(x) - image(x0)|| of the last iterate is measured too.
-    Raises ConvergenceError after ITERATION_CAP steps."""
+    distance(x)) rows starts from (0, r0, 0.0).  Raises ConvergenceError
+    after ITERATION_CAP steps."""
     trace = [(0, r0, 0.0)]
     x, it = x0, 0
     while trace[-1][1] > tol:
@@ -158,34 +158,50 @@ def _iterate(x0, r0, step, measure, distance, tol, what, image=None):
         it += 1
         x = step(it, x)
         trace.append((it, measure(x), distance(x)))
-    drift = None if image is None else largest_norm(image(x) - image(x0))[0]
-    return Correction(last=x, iterations=it, trace=trace, quotient_drift=drift)
+    return Correction(last=x, iterations=it, trace=trace, quotient_drift=None)
 
 
-def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
-                   quotient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+def _pinned(pin, r0, tol, x0, figure, message):
+    """For ``pin=(tower, level)``: the projection ``down`` onto the top
+    quotient's blocks, their figure and where it is attained,
+    ``figure(down)`` (over 1e-12 raises ``message``), frozen when below the
+    whole figure r0 and at most tol (else (-1.0, None) and none), and x0's
+    moving part and re-attaching map (``split``), whose figure is then r0."""
+    tower, level = pin
+    down = partial(tower.project, tower.top, level)
+    frozen, keep = figure(down), tower.kept(tower.top, level)
+    if frozen[0] > 1e-12:
+        raise DefectTooLargeError(message.format(frozen[0]))
+    if frozen[0] > tol or frozen[0] >= r0:
+        frozen, keep = (-1.0, None), []
+    return (down, frozen, keep, *tower.level(level).split(x0, keep))
+
+
+def correct_to_rep(rep: ApproxRep, tol: float = 1e-12, pin: Optional[tuple] = None,
                    on_iterate: Optional[Callable[[int, ApproxRep], None]] = None
                    ) -> Correction:
     """Iterate the one-step corrector on a representation (no ``act``)
     until the defect is below tol.
 
-    If a quotient map kappa is supplied, kappa o rep must already be an
-    exact representation (defect <= 1e-12 downstairs); the iteration then
-    leaves the downstairs image unchanged, and the drift is measured and
-    returned.  kappa takes the whole (|G|, ...) stack of values.
+    With ``pin=(tower, level)``, values in that level, the top quotient's
+    blocks must already be exact: their defect is measured once, <= 1e-12.
+    The step leaves them fixed, so they are split off (``_pinned``) and
+    only the others iterate, each iterate measured as the larger of their
+    defect and the frozen one; the pinned blocks' drift is returned.
     """
     _require_untwisted(rep, "rep")
     r0, pair = rep.defect_with_argmax()
     if r0 >= ITERATE_MAX_DEFECT:
         raise DefectTooLargeError(
             f"defect {r0:.6g} is not below 1/17; attained at pair {pair}")
-    if quotient is not None:
-        down = ApproxRep(rep.group, quotient(rep.values),
-                         unitary=False, unital=False)
-        if not down.defect_at_most(1e-12):
-            raise DefectTooLargeError(
-                f"quotient of the input is not an exact representation "
-                f"(defect {down.defect():.3e})")
+    G, moving, frozen = rep.group, rep, (-1.0, None)
+    if pin is not None:
+        down, frozen, _, values, attach = _pinned(
+            pin, r0, tol, rep.values,
+            lambda down: max_pair_defect(down(rep.values), G.mult),
+            "quotient of the input is not an exact representation (defect {:.3e})")
+        moving = ApproxRep(G, values, unitary=rep.unitary, unital=rep.unital)
+        moving._defect = (r0, pair)     # the frozen figure is below r0
 
     def step(it, current):
         current = one_step(current)
@@ -193,9 +209,18 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12,
             on_iterate(it, current)
         return current
 
-    image = None if quotient is None else lambda current: quotient(current.values)
-    return _iterate(rep, r0, step, ApproxRep.defect, rep.distance_to, tol,
-                    "defect", image)
+    correction = _iterate(moving, r0, step, lambda x: max(x.defect(), frozen[0]),
+                          moving.distance_to, tol, "defect")
+    if pin is not None:
+        # The whole's defect is the larger part's, at its first pair.
+        found = min(correction.last.defect_with_argmax(), frozen,
+                    key=lambda d: (-d[0], d[1]))
+        correction.last = ApproxRep(G, attach(correction.last.values),
+                                    unitary=rep.unitary, unital=rep.unital)
+        correction.last._defect = found
+        correction.quotient_drift = largest_norm(down(correction.last.values -
+                                                      rep.values))[0]
+    return correction
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,27 +343,26 @@ def _polar_parts(a):
     return u @ vh, s
 
 
-def intertwiner(rho: ApproxRep, sigma: ApproxRep,
-                quotient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+def intertwiner(rho: ApproxRep, sigma: ApproxRep, pin: Optional[tuple] = None
                 ) -> np.ndarray:
     """Unitary u with u rho(g) u* = sigma(g) for two representations (no
     ``act``), exact to 1e-11, at pointwise distance < 1: the polar part of
     avg_h sigma(h)* rho(h).
 
-    When a quotient map kappa (taking a stack of values) with
-    kappa o rho = kappa o sigma is supplied, u satisfies kappa(u) = 1.
+    With ``pin=(tower, level)``, values in ``tower.level(level)`` that
+    agree to 1e-11 on the top quotient's blocks, u is 1 on those blocks.
     """
     for name, rep in (("rho", rho), ("sigma", sigma)):
         _require_untwisted(rep, name)
         if not rep.defect_at_most(1e-11):
             raise DefectTooLargeError(f"{name} is not exact: defect {rep.defect():.3e}")
-    dist, g = largest_norm(rho.values - sigma.values, BELOW_ONE)
+    diff = rho.values - sigma.values
+    dist, g = largest_norm(diff, BELOW_ONE)
     if g is not None:
         raise DefectTooLargeError(
             f"representations are at distance {dist:.6g} >= 1 (attained at g={g})")
-    if quotient is not None:
-        mismatch = largest_norm(quotient(rho.values) - quotient(sigma.values),
-                                1e-11)[0]
+    if pin is not None:
+        mismatch = largest_norm(pin[0].project(pin[0].top, pin[1], diff), 1e-11)[0]
         if mismatch > 1e-11:
             raise DefectTooLargeError(
                 f"quotients of rho and sigma differ by {mismatch:.3e}")
@@ -480,10 +504,7 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
         raise LiftError("no tower level admits the correction "
                         "(tower too coarse for the defect threshold)", table)
 
-    def quotient(a):
-        return tower.project(top, level, a)
-
-    correction = correct_to_rep(rho0, tol=tol, quotient=quotient)
+    correction = correct_to_rep(rho0, tol=tol, pin=(tower, level))
     corrected = correction.last
 
     # Conjugate the seed restriction onto the corrected representation when
@@ -498,11 +519,11 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
             largest_norm(adjoint(seed_vals) @ seed_vals - identity_like(seed_vals),
                          1e-10)[0] <= 1e-10 and \
             largest_norm(corrected.values - seed_vals, BELOW_ONE)[1] is None:
-        u = intertwiner(seed_rep, corrected, quotient=quotient)
+        u = intertwiner(seed_rep, corrected, pin=(tower, level))
         final_vals = u @ seed_vals @ adjoint(u)
 
     eq_res = equivariance_defect(final_vals, tower.level(level).act, source_action)
-    proj_res = largest_norm(quotient(final_vals) - phi_vals)[0]
+    proj_res = largest_norm(tower.project(top, level, final_vals) - phi_vals)[0]
     return LiftResult(level=level,
                       rep=ApproxRep(H, final_vals, unitary=False, unital=False),
                       table=table, correction=correction,

@@ -518,7 +518,7 @@ def _trial_runner(body):
 
 def _two_block_tower(group, unitaries):
     """Two copies of M_dim, each acted on by Ad(unitaries[g]); the quotient
-    kills the first block.  Used for the kappa-pinned variants of the
+    kills the first block.  Used for the pinned variants of the
     correctors."""
     perms = np.tile(np.arange(2, dtype=np.intp), (group.order, 1))
     algebra = GAlgebra(blocks=(len(unitaries[0]),) * 2, group=group, perms=perms,
@@ -537,7 +537,7 @@ def _iterated_checks(word, c, result, tol, first_step):
     """Measured figures and checks of an iterated corrector (the defect or
     mismatch ``word`` with constant ``c``) from an input off by r, the first
     row of its trace: one step within c r^2 and 2r, the last iterate within
-    tol and 2r/(1-c r), and a pinned quotient kept to rounding.  The first
+    tol and 2r/(1-c r), and a pinned quotient's blocks kept.  The first
     step is read off the trace; ``first_step()`` measures it for an input
     already within tolerance, which the corrector leaves alone."""
     r = result.trace[0][1]
@@ -567,13 +567,13 @@ def run_rep_trial(s: Scenario, rng):
         # Only the first block, which the quotient kills, is perturbed.
         vals = Blocks((np.stack([perturb_rep_values(base, s.magnitude, rng,
                                                     draw=2 * dim), base], axis=1),))
-        quotient = lambda a: tower.project(tower.top, 0, a)
+        pin = (tower, 0)
     else:
         vals = exact_rep_values(s.group, group, s.dimension, rng)
         vals = perturb_rep_values(vals, s.magnitude, rng)
-        quotient = None
+        pin = None
     rep = ApproxRep(group, vals, unitary=True, unital=True)
-    result = correct_to_rep(rep, tol=s.tolerance, quotient=quotient)
+    result = correct_to_rep(rep, tol=s.tolerance, pin=pin)
 
     def first_step():
         stepped = one_step(rep)
@@ -594,19 +594,17 @@ def run_cocycle_trial(s: Scenario, rng):
         # Two copies of M_dim under the same action; the quotient kills the
         # first, and only that block of the seed is moved.
         tower = _two_block_tower(group, action)
-        algebra = tower.algebra
-        quotient = lambda a: tower.project(tower.top, 0, a)
+        algebra, pin = tower.level(0), (tower, 0)
         v = np.stack([random_unitary(rng, dim), random_unitary(rng, dim)])
         v0 = v.copy()
         v0[0] = v[0] @ exp_skew(s.magnitude * random_skew(rng, 2 * dim, dim))
         v, v0 = Blocks((v,)), Blocks((v0,))
     else:
-        algebra = matrix_algebra(dim, group, list(action))
-        quotient = None
+        algebra, pin = matrix_algebra(dim, group, list(action)), None
         v = random_unitary(rng, dim)
         v0 = v @ exp_skew(s.magnitude * random_skew(rng, dim))
     w = coboundary(algebra, v)
-    result = trivialize(w, v0, tol=s.tolerance, quotient=quotient)
+    result = trivialize(w, v0, tol=s.tolerance, pin=pin)
 
     def first_step():
         z = one_step_cobound(w, v0)

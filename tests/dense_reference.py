@@ -8,7 +8,8 @@ Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
 a tower level zeroes the blocks of its ideal.  This is the route the block
 storage replaced; the property tests compare the two.  The lift, tower-rep
-and tower-cocycle references are that route's trial runners.
+and tower-cocycle references are that route's trial runners, whose
+correctors step every block: no quotient is pinned.
 """
 
 import itertools
@@ -194,16 +195,10 @@ def lift_trace(tower, phi, source_action, seed, tol=1e-12):
     embedding = np.zeros((A.dim, live.size))
     embedding[live, np.arange(live.size)] = 1.0
 
-    def expand(sub):
-        return embedding @ sub @ embedding.T
-
-    def quotient(sub):
-        return (expand(sub) * top_mask)[..., live[:, None], live]
-
-    correction = correct_to_rep(ApproxRep(H, rho0), tol=tol, quotient=quotient)
+    correction = correct_to_rep(ApproxRep(H, rho0), tol=tol)
     seed_sub = level_vals[:, live[:, None], live]
-    u = intertwiner(ApproxRep(H, seed_sub), correction.last, quotient=quotient)
-    final = expand(u @ seed_sub @ u.conj().T)
+    u = intertwiner(ApproxRep(H, seed_sub), correction.last)
+    final = embedding @ (u @ seed_sub @ u.conj().T) @ embedding.T
     return (level, correction.trace, equivariance_defect(final, act, source_action),
             float(np.max(operator_norm(final * top_mask - phi_vals))))
 
@@ -226,9 +221,7 @@ def rep_tower_trace(s, trial):
     vals = np.stack([np.kron(np.eye(2), b) for b in base])
     for g in range(1, group.order):
         vals[g] = vals[g] @ expm(s.magnitude * masked_skew(rng, 2 * dim, dim))
-    keep = np.kron(np.diag([0.0, 1.0]), np.ones((dim, dim)))
-    return correct_to_rep(ApproxRep(group, vals), tol=s.tolerance,
-                          quotient=lambda a: a * keep).trace
+    return correct_to_rep(ApproxRep(group, vals), tol=s.tolerance).trace
 
 
 def cocycle_tower_trace(s, trial):
@@ -238,12 +231,11 @@ def cocycle_tower_trace(s, trial):
     dim = s.dimension
     action = nontrivial_action_rep(s.group, group, dim, rng)
     algebra = matrix_algebra(2 * dim, group, [np.kron(np.eye(2), a) for a in action])
-    keep = np.kron(np.diag([0.0, 1.0]), np.ones((dim, dim)))
     v1, v2 = random_unitary(rng, dim), random_unitary(rng, dim)
     v = np.kron(np.diag([1.0, 0.0]), v1) + np.kron(np.diag([0.0, 1.0]), v2)
     w = coboundary(algebra, v)
     v0 = v @ expm(s.magnitude * masked_skew(rng, 2 * dim, dim))
-    return trivialize(w, v0, tol=s.tolerance, quotient=lambda a: a * keep).trace
+    return trivialize(w, v0, tol=s.tolerance).trace
 
 
 def loop_menu(kind, params):

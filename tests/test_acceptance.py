@@ -119,8 +119,7 @@ def test_criterion_2_full_correction(rep_trials):
             # the block the quotient kills
             vals[g, 0] = base[g] @ expm(0.02 * random_skew(rng, 2 * dim, dim))
         rep = ApproxRep(group, Blocks((vals,)))
-        res = correct_to_rep(rep, tol=1e-12,
-                             quotient=lambda a: tower.project(tower.top, 0, a))
+        res = correct_to_rep(rep, tol=1e-12, pin=(tower, 0))
         assert res.last.defect() <= 1e-12
         assert res.quotient_drift <= 1e-12
         worst_drift = max(worst_drift, res.quotient_drift)
@@ -204,7 +203,7 @@ def test_criterion_5_intertwiner():
             rho = ApproxRep(group, Blocks((np.stack([base, base], axis=1),)))
             sigma = ApproxRep(group, Blocks((np.stack(
                 [v @ base @ v.conj().T, base], axis=1),)))
-            quotient = lambda a: tower.project(tower.top, 0, a)
+            pin = (tower, 0)
         else:
             vals = exact_rep_values({"kind": spec[0], "params": spec[1]},
                                     group, dim, rng)
@@ -212,15 +211,15 @@ def test_criterion_5_intertwiner():
             rho = ApproxRep(group, vals)
             v = expm(rng.uniform(0.05, 0.4) * k)
             sigma = ApproxRep(group, v @ vals @ v.conj().T)
-            quotient = None
+            pin = None
         assert rho.distance_to(sigma) < 1.0
-        u = intertwiner(rho, sigma, quotient=quotient)
+        u = intertwiner(rho, sigma, pin=pin)
         conj = max(operator_norm(u @ rho.values[g] @ adjoint(u) - sigma.values[g])
                    for g in range(group.order))
         assert conj <= 1e-11
         worst_conj = max(worst_conj, conj)
-        if quotient is not None:
-            down = operator_norm(quotient(u) - quotient(identity_like(u)))
+        if pin is not None:
+            down = operator_norm(tower.project(tower.top, 0, u - identity_like(u)))
             assert down <= 1e-11
             worst_down = max(worst_down, down)
     _report("criterion 5 (intertwiner)", True,

@@ -34,7 +34,7 @@ from equifix.matfun import (EXP_CAP, UNITARIZE_EPS, Blocks, adjoint, exp_skew,
                             operator_norm, polar_unitary, principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
 from equifix.repcorrect import (ITERATE_MAX_DEFECT, ApproxRep, ConvergenceError,
-                                DefectTooLargeError, _iterate, correct_to_rep,
+                                DefectTooLargeError, correct_to_rep,
                                 equivariance_defect, one_step, symmetrize,
                                 translation_source_action)
 from equifix import scenarios
@@ -633,14 +633,30 @@ def test_one_iteration_cap_raises_with_the_first_step_traced(monkeypatch):
         assert got.value.trace == want.value.trace and len(got.value.trace) == 2
 
 
-def test_driver_measures_the_drift_from_the_input():
-    # The drift compares the last iterate's image with the input's, not
-    # with its own.
-    result = _iterate(np.zeros((1, 2, 2)), 1.0, lambda it, x: x + np.eye(2),
-                      lambda x: 0.0, lambda x: 0.0, 1e-12, "defect",
-                      lambda x: 2 * x)
-    assert result.iterations == 1 and result.trace == [(0, 1.0, 0.0), (1, 0.0, 0.0)]
-    assert result.quotient_drift == 2.0
+def test_corrector_measures_the_drift_from_the_input(monkeypatch):
+    # Z/2 in blocks of sizes 2 and 1, pinned on the first, whose defect is
+    # 2t; a step that returns an exact representation, -1 on g = 1 in both
+    # blocks.  At tol >= 2t the pinned block is split off and comes back
+    # unchanged; below it every block steps, and the drift compares the
+    # last iterate's pinned block with the input's, not with its own.
+    t, s = 1e-14, 0.01
+    group = make_group("cyclic", 2)
+    tower = Tower(algebra=trivial_algebra((2, 1), group),
+                  ideals=(frozenset(), frozenset({1})))
+    values = Blocks((np.array([1.0, -np.exp(1j * s)]).reshape(2, 1, 1, 1),
+                     np.stack([np.eye(2), np.diag([1.0, np.exp(1j * t)])])[:, None]))
+    exact = Blocks((np.array([1.0, -1.0]).reshape(2, 1, 1, 1),
+                    np.stack([np.eye(2), np.diag([1.0, -1.0])])[:, None]))
+    monkeypatch.setattr(repcorrect, "one_step", lambda rep: ApproxRep(
+        group, exact if isinstance(rep.values, Blocks) else exact.parts[0][:, 0]))
+    rep = ApproxRep(group, values)
+    kept = rep.values.parts[1]
+    for tol, drift in ((1e-12, 0.0), (1e-14, 2.0)):
+        result = correct_to_rep(rep, tol=tol, pin=(tower, 0))
+        assert result.iterations == 1 and result.quotient_drift == drift
+        assert np.array_equal(result.last.values.parts[0], exact.parts[0])
+        assert np.array_equal(result.last.values.parts[1],
+                              kept if drift == 0.0 else exact.parts[1])
 
 
 def test_trivialize_measures_each_iterate_once(monkeypatch):
@@ -764,23 +780,41 @@ def test_one_step_figures_match_an_explicit_step(seed, kind, spec, dim, tower,
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append((args, corrector(*args, **kwargs)))
-        return calls[-1][1]
+        calls.append((args, kwargs["pin"], corrector(*args, **kwargs)))
+        return calls[-1][-1]
 
     with mock.patch.object(scenarios, corrector.__name__, spy):
         measured = scenarios.TRIAL_RUNNERS[kind](s, 0).measured
-    [(args, result)] = calls
+    [(args, pin, result)] = calls
+    # A tower trial's trace steps the blocks outside the pinned quotient,
+    # which is measured once; an input already within tolerance is stepped
+    # whole by the trial itself.
+    frozen, split = 0.0, None
+    if pin is not None and result.iterations:
+        algebra, keep = pin[0].level(0), pin[0].kept(pin[0].top, 0)
+        split = lambda a: algebra.split(a, keep)[0]
     if kind == "rep":
         rep, = args
-        stepped = one_step(rep)
-        want = {"one_step_defect": stepped.defect(),
-                "one_step_distance": rep.distance_to(stepped),
+        moving = rep
+        if split is not None:
+            frozen = max_pair_defect(pin[0].project(1, 0, rep.values), rep.group.mult)[0]
+            moving = ApproxRep(rep.group, split(rep.values))
+        stepped = one_step(moving)
+        want = {"one_step_defect": max(stepped.defect(), frozen),
+                "one_step_distance": moving.distance_to(stepped),
                 "final_distance": rep.distance_to(result.last)}
     else:
         w, v0 = args
-        z = one_step_cobound(w, v0)
-        want = {"r": mismatch(w, v0)[0], "one_step_mismatch": mismatch(w, z)[0],
-                "one_step_distance": operator_norm(z - v0),
+        w_moving, v0_moving = w, v0
+        if split is not None:
+            frozen = mismatch(cocycle(pin[0].level(1), pin[0].project(1, 0, w.values)),
+                              pin[0].project(1, 0, v0))[0]
+            w_moving = cocycle(algebra.restrict([0]), split(w.values))
+            v0_moving = split(v0)
+        z = one_step_cobound(w_moving, v0_moving)
+        want = {"r": mismatch(w, v0)[0],
+                "one_step_mismatch": max(mismatch(w_moving, z)[0], frozen),
+                "one_step_distance": operator_norm(z - v0_moving),
                 "final_distance": operator_norm(result.last - v0)}
     assert {k: measured[k] for k in want} == want
 

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from dense_reference import random_blocks
 from equifix.groups import cyclic_group, make_group
 from equifix.matfun import Blocks, adjoint, exp_skew, operator_norm, polar_unitary
-from equifix.galgebra import BlockMismatchError, GAlgebra, matrix_algebra
+from equifix.galgebra import BlockMismatchError, GAlgebra, Tower, matrix_algebra
 from equifix.cocycles import (coboundary, cocycle, mismatch, one_step_cobound,
                               trivialize, verify_integral_estimate)
 from equifix.repcorrect import ApproxRep, DefectTooLargeError
@@ -157,21 +157,17 @@ def test_trivialize_tower_quotient_pinned():
     dim = 3
     rng = trial_rng(13, 0)
     base = exact_rep_values({"kind": "cyclic", "params": 3}, group, dim, rng)
-    unitaries = [np.block([[base[g], np.zeros((dim, dim))],
-                           [np.zeros((dim, dim)), base[g]]])
-                 for g in range(group.order)]
-    alg = matrix_algebra(2 * dim, group, unitaries)
-    mask = np.zeros((2 * dim, 2 * dim))
-    mask[:dim, :dim] = 1.0
-    quotient = lambda a: a * (1 - mask)
-    v = np.block([[random_unitary(rng, dim), np.zeros((dim, dim))],
-                  [np.zeros((dim, dim)), random_unitary(rng, dim)]])
-    w = coboundary(alg, v)
-    k = random_skew(rng, 2 * dim) * mask
-    k /= operator_norm(k)
-    v0 = v @ expm(0.03 * k)
-    res = trivialize(w, v0, quotient=quotient)
-    assert res.quotient_drift <= 1e-12
+    # Two copies of M_dim under Ad(base); the top quotient kills the first.
+    alg = GAlgebra((dim, dim), group, np.zeros((group.order, 2), dtype=int) + [0, 1],
+                   tuple((base[g], base[g]) for g in range(group.order)))
+    tower = Tower(algebra=alg, ideals=(frozenset(), frozenset({0})))
+    v = np.stack([random_unitary(rng, dim), random_unitary(rng, dim)])
+    w = coboundary(tower.level(0), Blocks((v,)))
+    v0 = v.copy()
+    v0[0] = v[0] @ expm(0.03 * random_skew(rng, dim))
+    res = trivialize(w, Blocks((v0,)), pin=(tower, 0))
+    assert res.quotient_drift == 0.0
+    assert np.array_equal(res.last.parts[0][1], v0[1])
     assert res.trace[-1][1] <= 1e-12
 
 

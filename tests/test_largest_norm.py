@@ -4,7 +4,8 @@ per-slice and one-pass early exits, cases for its exact floor (the slice
 of largest Frobenius norm, SVD'd first) and its Schatten-8 screen, guard
 tests that the correctors' gates take no SVD on valid input yet still
 reject input just over them with the same message, the exactness gates of
-the cocycle, the pinned quotient and the lift's phi among them, and count
+the cocycle and the lift's phi among them (a pinned quotient's defect is
+measured exactly, once, and rejected just over its bound), and count
 tests that a corrector's last step takes no per-slice screen in its gates,
 no a^2 or series in its log and no power stack in its exp."""
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import trivial_algebra
 from equifix import matfun, repcorrect
 from equifix.cocycles import coboundary, cocycle, one_step_cobound, trivialize
 from equifix.galgebra import Tower, matrix_algebra, max_pair_defect, pair_chunks
@@ -557,23 +559,27 @@ def test_trivialize_of_the_seed_a_cocycle_was_made_from_takes_no_svd(svd_counter
     assert svd_counter == []
 
 
-def test_pinned_quotient_gate_takes_no_svd(svd_counter):
-    # An exact representation in two diagonal blocks, pinned on the first:
-    # with its own defect measured beforehand, the run takes no SVD, since
-    # the quotient's gate ends after its Frobenius pass, no step runs and
-    # the drift is exactly zero.
+def test_pinned_exact_input_takes_only_the_frozen_figure_svds(svd_counter):
+    # An exact representation in two blocks, of sizes 2 and 3, pinned on
+    # the second: with its own defect measured beforehand, the run's only
+    # SVDs are those of the frozen blocks' exact defect, measured once; no
+    # step runs and the drift is exactly zero.
     rng = trial_rng(4, 0)
     spec = {"kind": "dihedral", "params": 3}
     group = group_of(spec)
-    values = np.zeros((group.order, 5, 5), dtype=complex)
-    values[:, :3, :3] = exact_rep_values(spec, group, 3, rng)
-    values[:, 3:, 3:] = exact_rep_values(spec, group, 2, rng)
+    tower = Tower(algebra=trivial_algebra((2, 3), group),
+                  ideals=(frozenset(), frozenset({0})))
+    values = Blocks((exact_rep_values(spec, group, 2, rng)[:, None],
+                     exact_rep_values(spec, group, 3, rng)[:, None]))
     rep = ApproxRep(group, values)
     assert rep.defect() <= 1e-12
     svd_counter.clear()
-    result = correct_to_rep(rep, quotient=lambda x: x[:, :3, :3])
+    max_pair_defect(tower.project(1, 0, values), group.mult)
+    frozen = list(svd_counter)
+    svd_counter.clear()
+    result = correct_to_rep(rep, pin=(tower, 0))
     assert (result.iterations, result.quotient_drift) == (0, 0.0)
-    assert svd_counter == []
+    assert svd_counter == frozen
 
 
 class StopLift(Exception):
@@ -668,18 +674,18 @@ def test_cocycle_gates_reject_a_cocycle_just_over_them():
 
 
 def test_pinned_quotient_just_over_its_gate_is_rejected():
-    # Z/2 by diag(1, e^{it}, -1), pinned on its first two coordinates: the
-    # quotient's defect is 2t, just over 1e-12.
+    # Z/2 by diag(1, e^{it}) + (-1) in blocks of sizes 2 and 1, pinned on
+    # the first: the quotient's defect is 2t, just over 1e-12.
     t = 0.5e-12 * (1 + 1e-6)
     group = cyclic_group(2)
-    values = np.stack([np.eye(3), np.diag([1.0, np.exp(1j * t), -1.0])]).astype(complex)
-
-    def quotient(x):
-        return x[:, :2, :2]
-    down = ApproxRep(group, quotient(values), unitary=False, unital=False).defect()
+    tower = Tower(algebra=trivial_algebra((2, 1), group),
+                  ideals=(frozenset(), frozenset({1})))
+    pinned = np.stack([np.eye(2), np.diag([1.0, np.exp(1j * t)])]).astype(complex)
+    values = Blocks((np.array([1.0, -1.0]).reshape(2, 1, 1, 1), pinned[:, None]))
+    down = ApproxRep(group, pinned, unitary=False, unital=False).defect()
     assert 1e-12 < down <= 1e-12 * (1 + 1e-5)
     with pytest.raises(DefectTooLargeError) as err:
-        correct_to_rep(ApproxRep(group, values), quotient=quotient)
+        correct_to_rep(ApproxRep(group, values), pin=(tower, 0))
     assert str(err.value) == (f"quotient of the input is not an exact "
                               f"representation (defect {down:.3e})")
 

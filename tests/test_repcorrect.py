@@ -135,17 +135,18 @@ def test_correct_quotient_pinned():
     base = exact_rep_values(s.group, group, dim, rng)
     moved = perturb_rep_values(base, 0.02, rng)       # the block the quotient kills
     rep = ApproxRep(group, Blocks((np.stack([moved, base], axis=1),)))
-    quotient = lambda a: tower.project(tower.top, 0, a)
-    res = correct_to_rep(rep, quotient=quotient)
-    assert res.quotient_drift <= 1e-12
+    res = correct_to_rep(rep, pin=(tower, 0))
+    assert res.quotient_drift == 0.0
     assert res.last.defect() <= 1e-12
 
 
 def test_correct_quotient_requires_exact_downstairs():
     group, _, vals = make_perturbed({"kind": "cyclic", "params": 3}, 4, 0.02, 11)
     rep = ApproxRep(group, vals)
+    # A one-level tower: its top quotient is the identity, not exact.
+    tower = Tower(algebra=trivial_algebra((4,), group), ideals=(frozenset(),))
     with pytest.raises(DefectTooLargeError, match="quotient"):
-        correct_to_rep(rep, quotient=lambda a: a)   # identity quotient: not exact
+        correct_to_rep(rep, pin=(tower, 0))
 
 
 def test_correctors_refuse_a_cocycle():
@@ -277,9 +278,8 @@ def test_intertwiner_tower_quotient_is_one():
     rho = ApproxRep(group, Blocks((np.stack([base, base], axis=1),)))
     sigma = ApproxRep(group, Blocks((np.stack([v @ base @ v.conj().T, base],
                                               axis=1),)))
-    quotient = lambda a: tower.project(tower.top, 0, a)
-    u = intertwiner(rho, sigma, quotient=quotient)
-    assert operator_norm(quotient(u) - quotient(identity_like(u))) <= 1e-11
+    u = intertwiner(rho, sigma, pin=(tower, 0))
+    assert operator_norm(tower.project(tower.top, 0, u - identity_like(u))) <= 1e-11
     worst = np.max(operator_norm(u @ rho.values @ u.conj().swapaxes(-1, -2) -
                                  sigma.values))
     assert worst <= 1e-11
@@ -366,15 +366,12 @@ def per_level_lift(tower, phi, source_action, seed):
     table, seed_rep, rho0 = per_level_scan(tower, source_action, seed)
     level, act = table[-1].level, tower.level(table[-1].level).act
 
-    def quotient(a):
-        return tower.project(tower.top, level, a)
-
-    correction = correct_to_rep(rho0, tol=1e-12, quotient=quotient)
-    u = intertwiner(seed_rep, correction.last, quotient=quotient)
+    correction = correct_to_rep(rho0, tol=1e-12, pin=(tower, level))
+    u = intertwiner(seed_rep, correction.last, pin=(tower, level))
     final = u @ seed_rep.values @ adjoint(u)
     return (level, table, final, correction,
             equivariance_defect(final, act, source_action),
-            operator_norm(quotient(final) - phi.values).max())
+            operator_norm(tower.project(tower.top, level, final) - phi.values).max())
 
 
 def lift_case(model, order, base, ratio, levels):
@@ -449,8 +446,8 @@ def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, o
                             calls.__setitem__(name, calls[name] + 1) or real(*a))
     seeds = []
     real_intertwiner = repcorrect.intertwiner
-    monkeypatch.setattr(repcorrect, "intertwiner", lambda rho, sigma, quotient:
-                        seeds.append(rho) or real_intertwiner(rho, sigma, quotient))
+    monkeypatch.setattr(repcorrect, "intertwiner", lambda rho, sigma, pin:
+                        seeds.append(rho) or real_intertwiner(rho, sigma, pin))
     figures = spy_level_figures(monkeypatch)
     res = lift_group_rep(tower, phi, action, seed=seed)
     assert calls == {"symmetrize": 1, "_polar_parts": 1}

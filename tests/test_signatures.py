@@ -25,12 +25,11 @@ SETTABLE = {
                                  "floor"},            # ApproxRep.defect_at_most
     "repcorrect.ApproxRep.__init__": {"unitary", "unital",   # the lift's maps
                                       "act"},                # cocycles.cocycle
-    "repcorrect.Correction.__init__": {"quotient_drift"},    # the driver
-    "repcorrect.correct_to_rep": {"tol", "quotient", "on_iterate"},
-    "repcorrect.intertwiner": {"quotient"},           # the lift
+    "repcorrect.correct_to_rep": {"tol", "pin", "on_iterate"},
+    "repcorrect.intertwiner": {"pin"},                # the lift
     "repcorrect.equivariance_defect": {"floor"},      # the lift's phi gate
     "repcorrect.lift_group_rep": {"tol"},             # a scenario's tolerance
-    "cocycles.trivialize": {"v0", "tol", "quotient"},
+    "cocycles.trivialize": {"v0", "tol", "pin"},
     "relations.measure_partition_seeds": {"unit"},    # the tracial residuals
     "graded.graded_correct": {"tol"},
     "scenarios.Scenario.__init__": {"group", "dimension", "magnitude", "trials",
