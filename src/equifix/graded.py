@@ -10,9 +10,9 @@ an action of the dual group; the Fourier projections
 recover them.  A projection takes an index array g over a stack of values
 as well, as one stacked mean over the characters.  The graded corrector
 projects the whole family onto its components at once, gates the gaps
-with one screened norm, unitarizes with one batched SVD, and runs the
-iterated representation correction, whose steps provably stay inside the
-components.
+with one screened norm, unitarizes with one batched SVD, and iterates the
+one-step corrector, whose steps provably stay inside the components,
+gating each iterate on staying there.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import numpy as np
 
 from .galgebra import chunks, group_mean
 from .groups import FiniteGroup
-from .matfun import UNITARIZE_EPS, adjoint, largest_norm, operator_norm
+from .matfun import (UNITARIZE_EPS, _polar_parts, adjoint, largest_norm,
+                     operator_norm)
 from .repcorrect import (ApproxRep, Correction, DefectTooLargeError,
-                         _polar_parts, correct_to_rep)
+                         _admitted_defect, _iterate, one_step)
 
 
 class NonAbelianError(ValueError):
@@ -36,16 +37,19 @@ class NonAbelianError(ValueError):
 def character_table(group: FiniteGroup) -> np.ndarray:
     """Character table chi[tau, g] of a finite abelian group, with entries
     exact roots of unity: rows sorted by their tuple of angles, then the
-    trivial character swapped to the front.
+    trivial character swapped to the front (``_character_rows``)."""
+    return _character_rows(group)[0]
 
-    Built from the multiplication table in integers.  With N the group's
-    exponent, a character is a row of exponents e, chi(g) = exp(2 pi i
-    e(g) / N), known on the subgroup spanned so far.  The first element g
-    outside it, with g^k its least power inside, spans k cosets more; each
-    character extends in the k ways c with k c = e(g^k) mod N, which k
-    divides because some extension exists and has values in the N-th roots
-    of unity.
-    """
+
+def _character_rows(group: FiniteGroup):
+    """The character table, its rows of exponents e in the same order and
+    the group's exponent N, chi(g) = exp(2 pi i e(g) / N), built from the
+    multiplication table in integers.  A character is a row of exponents,
+    known on the subgroup spanned so far.  The first element g outside it,
+    with g^k its least power inside, spans k cosets more; each character
+    extends in the k ways c with k c = e(g^k) mod N, which k divides
+    because some extension exists and has values in the N-th roots of
+    unity."""
     if not group.is_abelian():
         raise NonAbelianError(f"{group.name} is not abelian")
     n, mult = group.order, group.mult
@@ -74,11 +78,17 @@ def character_table(group: FiniteGroup) -> np.ndarray:
     chars = np.empty((n, n), dtype=complex)
     for g, m in enumerate(orders):
         chars[:, g] = roots[m][exps[:, g] * m // top]
-    table = np.array(sorted(chars, key=lambda r: tuple(np.round(np.angle(r), 9))))
-    # Put the trivial character first.
-    triv = np.argmin([np.max(np.abs(r - 1)) for r in table])
-    table[[0, triv]] = table[[triv, 0]]
-    return table
+    rows = sorted(range(n), key=lambda t: tuple(np.round(np.angle(chars[t]), 9)))
+    triv = rows.index(0)        # the trivial character, built as row 0, goes first
+    rows[0], rows[triv] = 0, rows[0]
+    return chars[rows], exps[rows], top
+
+
+def _dual_mult(exps: np.ndarray, top: int) -> np.ndarray:
+    """dm[s, t]: the table row of the product of rows s and t, whose
+    exponents (``_character_rows``) are (e_s + e_t) mod N, looked up exactly."""
+    row = {e.tobytes(): i for i, e in enumerate(exps)}
+    return np.array([[row[e.tobytes()] for e in (es + exps) % top] for es in exps])
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +105,8 @@ class GradedAlgebra:
     chars: np.ndarray = field(init=False)   # (|G^|, |G|) character table
 
     def __post_init__(self):
-        object.__setattr__(self, "chars", character_table(self.group))
+        chars, exps, top = _character_rows(self.group)
+        object.__setattr__(self, "chars", chars)
         du = np.asarray(self.dual_unitaries, dtype=complex)
         object.__setattr__(self, "dual_unitaries", du)
         n, dim = self.group.order, du.shape[-1] if du.ndim else 0
@@ -106,7 +117,7 @@ class GradedAlgebra:
             # The trivial character must act trivially for sum_g P_g = id.
             raise ValueError("dual_unitaries[0] must be the identity "
                              "(trivial character)")
-        dm = self._dual_mult()
+        dm = _dual_mult(exps, top)
         # Homomorphism of automorphisms: du[s] du[t] equals du[dm[s, t]] up
         # to a phase, checked over a chunk of s at a time; a failure names
         # the first (s, t) in row-major order.
@@ -122,20 +133,6 @@ class GradedAlgebra:
                 s, t = divmod(int(np.flatnonzero(bad)[0]), n)
                 raise ValueError(
                     f"dual action is not a homomorphism at ({c.start + s},{t})")
-
-    def _dual_mult(self):
-        """dm[s, t]: the one row of the table within 1e-8 of the product of
-        rows s and t, matched for a chunk of (s, t) pairs at a time."""
-        chars = self.chars
-        n = self.group.order
-        dm = np.empty(n * n, dtype=np.intp)
-        pairs = np.arange(n * n)
-        for c in chunks(n * n, n * chars.shape[1]):
-            s, t = divmod(pairs[c], n)
-            prod = chars[s] * chars[t]
-            hits = np.max(np.abs(chars[None] - prod[:, None]), axis=-1) < 1e-8
-            dm[c] = hits.argmax(axis=-1)
-        return dm.reshape(n, n)
 
     def projection(self, g, x: np.ndarray) -> np.ndarray:
         """Fourier projection onto the g-component:
@@ -161,9 +158,8 @@ def regular_graded_model(group: FiniteGroup):
     dual action by the diagonal character unitaries, and the left-regular
     permutation unitaries as an exact graded representation (L_g sits in the
     g-component)."""
-    chars = character_table(group)
     n = group.order
-    dual = np.stack([np.diag(chars[t]) for t in range(n)])
+    dual = np.stack([np.diag(row) for row in character_table(group)])
     algebra = GradedAlgebra(group=group, dual_unitaries=dual)
     left = np.zeros((n, n, n), dtype=complex)
     ids = np.arange(n)
@@ -180,11 +176,12 @@ def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
 
     For each g the component part c_g = P_g(psi(g)) must be within eps =
     UNITARIZE_EPS of psi(g) and invertible; the polar parts seed the
-    iterated corrector, and every iterate is checked to stay in its
-    component to 1e-12.  The parts of the whole family come from one
-    stacked projection, their gaps from one screened norm, and their
-    smallest singular values and polar parts from one batched SVD; a
-    rejection names the first g that fails.
+    iterated corrector (admitted below 1/17 as by ``correct_to_rep``), whose
+    step is ``one_step`` and a check that each value stays in its component
+    to 1e-12.  The parts of the whole family come from one stacked
+    projection, their gaps from one screened norm, and their smallest
+    singular values and polar parts from one batched SVD; a rejection names
+    the first g that fails.
     """
     G, eps = algebra.group, UNITARIZE_EPS
     values = np.asarray(values, dtype=complex)
@@ -211,12 +208,16 @@ def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
     rho0 = ApproxRep(G, comps, unitary=True, unital=unital_gap <= 1e-10)
     residuals = [algebra.component_residual(comps)]
 
-    def check_components(iteration, rep):
+    def step(iteration, rep):
+        rep = one_step(rep)
         res = algebra.component_residual(rep.values)
         residuals.append(res)
         if res > 1e-12:
             raise DefectTooLargeError(
                 f"iterate {iteration} left its grading component "
                 f"(residual {res:.3e})")
+        return rep
 
-    return correct_to_rep(rho0, tol=tol, on_iterate=check_components), residuals
+    r0 = _admitted_defect(rho0)[0]
+    return _iterate(rho0, r0, step, ApproxRep.defect, rho0.distance_to, tol,
+                    "defect"), residuals

@@ -447,20 +447,24 @@ def operator_norm(a):
     return norms if a.ndim > 2 else float(norms)
 
 
+def _polar_parts(a):
+    """Polar parts u vh of a stack and its singular values s, from one SVD."""
+    u, s, vh = np.linalg.svd(require_finite(a))
+    return u @ vh, s
+
+
 def polar_unitary(a) -> np.ndarray:
-    """Polar part a (a*a)^(-1/2) of an invertible matrix, via SVD; slice by
-    slice for a stack or Blocks.  Rejects a smallest singular value at or
-    under 1e-10."""
+    """Polar part a (a*a)^(-1/2) of an invertible matrix, slice by slice for
+    a stack or Blocks; rejects a smallest singular value at or under 1e-10."""
     if isinstance(a, Blocks):
         return a.map(polar_unitary)
-    a = require_finite(a)
-    u, s, vh = np.linalg.svd(a)
+    q, s = _polar_parts(a)
     smallest = np.min(s[..., -1])
     if smallest <= 1e-10:
         raise ValueError(
             f"matrix is numerically singular: smallest singular value "
             f"{smallest:.3e} <= 1e-10")
-    return u @ vh
+    return q
 
 
 def _series(z: np.ndarray, coef: np.ndarray, degree: np.ndarray) -> np.ndarray:

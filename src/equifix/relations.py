@@ -7,7 +7,7 @@ The five partition defects of a family are ``projection`` (idempotency),
 permutation p_g -> p_{hg}, and ``unit_sum``, the distance of the sum from
 the unit.  Both correctors measure their seeds as one maximum,
 ``partition_defect``, and their output by name, ``measure_partition_seeds``:
-the two walk the same stacks.
+the two walk the same stacks.  Each correction averages over the group once.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import (MidpointError, _range_isometry, adjoint, largest_norm,
-                     operator_norm, polar_unitary, spectral_round_unitary)
+from .matfun import (MidpointError, _polar_parts, _range_isometry, adjoint,
+                     largest_norm, operator_norm, polar_unitary,
+                     spectral_round_unitary)
 from .galgebra import GAlgebra, group_mean, matrix_algebra, pair_chunks
 from .repcorrect import DefectTooLargeError
 
@@ -124,32 +125,28 @@ def _require_standard_cyclic(group: FiniteGroup):
                          "standard form (element i = generator**i)")
 
 
-def _round_partition(algebra: GAlgebra, seeds: np.ndarray):
-    """The rounding core of both correctors: the exact partition the
-    averaged seeds round to, and its certificate, which opens with the
-    seeds' defect (the stages of ``stabilize_partition``)."""
-    d, n = algebra.group.order, algebra.dim
-    seed_defect = partition_defect(algebra, seeds)
+def _round_partition(algebra: GAlgebra, sym: np.ndarray, seed_defect: float):
+    """Both correctors' rounding: the exact partition the exactly permuted
+    family b of ``_averaged_seeds`` rounds to, and its certificate, opening
+    with the seeds' defect.  w0 = sum_g zeta^g b_g is exactly covariant; one
+    SVD gives its polar part and ||w0* w0 - 1|| = max |s^2 - 1|, which under
+    0.75 puts every s over 1/2, so no singular gate is needed."""
+    d = algebra.group.order
     threshold = partition_admissibility_threshold(d)
     certificate = {"seed_defect": seed_defect, "a_priori_threshold": threshold}
-
-    sym = _averaged_seeds(algebra, seeds)
 
     zeta = np.exp(2j * np.pi / d)
     phase = np.array([zeta ** g for g in range(d)])[:, None, None]
     w0 = sum(phase * sym)
-    # Covariance averaging (idempotent once the family is exactly permuted).
-    a = group_mean(lambda g: phase[g] * algebra.act(g, w0), w0, d)
-    eta = operator_norm(a.conj().T @ a - np.eye(n))
+    w, s = _polar_parts(w0)
+    eta = float(np.max(np.abs(s * s - 1)))
     certificate["encoded_unitarity_gap"] = eta
     if eta >= 0.75:
         raise DefectTooLargeError(
             f"seeds too rough: ||w0* w0 - 1|| = {eta:.6g} >= 0.75 "
             f"(seed defect {seed_defect:.6g}, a-priori threshold {threshold:.6g})")
-    w = polar_unitary(a)
-    cov = largest_norm(algebra.act(np.arange(d), w) -
-                       np.stack([(zeta ** (-g)) * w for g in range(d)]))[0]
-    certificate["covariance_residual"] = cov
+    certificate["covariance_residual"] = largest_norm(
+        algebra.act(np.arange(d), w) - phase.conj() * w)[0]
 
     # The half-gap condition: every eigenvalue argument within pi/(2d) of a
     # d-th root; one at m from its cell's midpoint is pi/d - m from its root.
@@ -180,22 +177,23 @@ def stabilize_partition(algebra: GAlgebra, seeds: np.ndarray) -> PartitionCorrec
     a cyclic group action into an exact one.
 
     Pipeline: group-average the seeds into an exactly permuted family, encode
-    it as w0 = sum_g zeta^g b_g (zeta = exp(2 pi i / d)), average to the
-    exactly covariant a = (1/d) sum_lambda lambda gamma_lambda(w0), take the
-    polar unitary, round its spectrum onto the d-th roots of unity, and read
-    off the eigenprojections.  The output family consists of exact mutually
-    orthogonal projections summing to one and exactly permuted by the
-    action; each stage validates its own measured precondition.
+    it as w0 = sum_g zeta^g b_g (zeta = exp(2 pi i / d)), exactly covariant,
+    take the polar unitary, round its spectrum onto the d-th roots of unity,
+    and read off the eigenprojections.  The output family consists of exact
+    mutually orthogonal projections summing to one and exactly permuted by
+    the action; each stage validates its own measured precondition.
     """
     _require_standard_cyclic(algebra.group)
     d, n = algebra.group.order, algebra.dim
     seeds = np.asarray(seeds, dtype=complex)
     if seeds.shape != (d, n, n):
         raise ValueError(f"seeds shape {seeds.shape}, expected {(d, n, n)}")
-    projections, certificate = _round_partition(algebra, seeds)
+    seed_defect = partition_defect(algebra, seeds)
+    projections, certificate = _round_partition(
+        algebra, _averaged_seeds(algebra, seeds), seed_defect)
     return PartitionCorrection(
         projections=projections, displacement=largest_norm(projections - seeds)[0],
-        seed_defect=certificate["seed_defect"], certificate=certificate,
+        seed_defect=seed_defect, certificate=certificate,
         residuals=measure_partition_seeds(algebra, projections))
 
 
@@ -237,7 +235,10 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     corner = matrix_algebra(r, G, polar_unitary(adjoint(iso) @ u @ iso),
                             action_tol=1e-10)
 
-    inner, certificate = _round_partition(corner, adjoint(iso) @ sym @ iso)
+    # q is invariant to the gate above, so the corner's action permutes the
+    # compressed family to that order: the rounding takes it as it is.
+    inner, certificate = _round_partition(corner, adjoint(iso) @ sym @ iso,
+                                          seed_defect)
     projections = iso @ inner @ iso.conj().T
 
     certificate["corner_rank"] = r

@@ -24,9 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import (EPS0, UNITARIZE_EPS, Blocks, adjoint, concatenate,
-                     exp_skew, identity_like, largest_norm, polar_unitary,
-                     principal_log_unitary, read_only_copy, require_finite)
+from .matfun import (EPS0, UNITARIZE_EPS, Blocks, _polar_parts, adjoint,
+                     concatenate, exp_skew, identity_like, largest_norm,
+                     polar_unitary, principal_log_unitary, read_only_copy)
 from .galgebra import (GAlgebra, Tower, _pair_stacks, group_mean, group_stack,
                        max_pair_defect, pair_chunks)
 
@@ -177,8 +177,18 @@ def _pinned(pin, r0, tol, x0, figure, message):
     return (down, frozen, keep, *tower.level(level).split(x0, keep))
 
 
-def correct_to_rep(rep: ApproxRep, tol: float = 1e-12, pin: Optional[tuple] = None,
-                   on_iterate: Optional[Callable[[int, ApproxRep], None]] = None
+def _admitted_defect(rep: ApproxRep):
+    """The defect of a representation (no ``act``) and its pair, which the
+    iterated corrector admits only below 1/17."""
+    _require_untwisted(rep, "rep")
+    r0, pair = rep.defect_with_argmax()
+    if r0 >= ITERATE_MAX_DEFECT:
+        raise DefectTooLargeError(
+            f"defect {r0:.6g} is not below 1/17; attained at pair {pair}")
+    return r0, pair
+
+
+def correct_to_rep(rep: ApproxRep, tol: float = 1e-12, pin: Optional[tuple] = None
                    ) -> Correction:
     """Iterate the one-step corrector on a representation (no ``act``)
     until the defect is below tol.
@@ -189,11 +199,7 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12, pin: Optional[tuple] = No
     only the others iterate, each iterate measured as the larger of their
     defect and the frozen one; the pinned blocks' drift is returned.
     """
-    _require_untwisted(rep, "rep")
-    r0, pair = rep.defect_with_argmax()
-    if r0 >= ITERATE_MAX_DEFECT:
-        raise DefectTooLargeError(
-            f"defect {r0:.6g} is not below 1/17; attained at pair {pair}")
+    r0, pair = _admitted_defect(rep)
     G, moving, frozen = rep.group, rep, (-1.0, None)
     if pin is not None:
         down, frozen, _, values, attach = _pinned(
@@ -203,13 +209,8 @@ def correct_to_rep(rep: ApproxRep, tol: float = 1e-12, pin: Optional[tuple] = No
         moving = ApproxRep(G, values, unitary=rep.unitary, unital=rep.unital)
         moving._defect = (r0, pair)     # the frozen figure is below r0
 
-    def step(it, current):
-        current = one_step(current)
-        if on_iterate is not None:
-            on_iterate(it, current)
-        return current
-
-    correction = _iterate(moving, r0, step, lambda x: max(x.defect(), frozen[0]),
+    correction = _iterate(moving, r0, lambda it, x: one_step(x),
+                          lambda x: max(x.defect(), frozen[0]),
                           moving.distance_to, tol, "defect")
     if pin is not None:
         # The whole's defect is the larger part's, at its first pair.
@@ -334,13 +335,6 @@ def symmetrize(values, act: Callable, source_action: SourceAction):
         ginv = G.inv[g]
         return act(g[:, None], scalar[ginv][..., None, None] * values[perm[ginv]])
     return group_mean(terms, values, G.order)
-
-
-def _polar_parts(a):
-    """One batched SVD u diag(s) vh of a stack of matrices: the polar parts
-    u vh and the singular values s, largest first."""
-    u, s, vh = np.linalg.svd(require_finite(a))
-    return u @ vh, s
 
 
 def intertwiner(rho: ApproxRep, sigma: ApproxRep, pin: Optional[tuple] = None

@@ -187,8 +187,7 @@ class Scenario:
         data = copy.deepcopy(data)
         data.update((k, v) for k, v in overrides.items() if v is not None)
         validate_scenario(data)
-        known = {f for f in Scenario.__dataclass_fields__}
-        return Scenario(**{k: v for k, v in data.items() if k in known})
+        return Scenario(**data)
 
     @functools.cached_property
     def graded_model(self):

@@ -10,6 +10,12 @@ a tower level zeroes the blocks of its ideal.  This is the route the block
 storage replaced; the property tests compare the two.  The lift, tower-rep
 and tower-cocycle references are that route's trial runners, whose
 correctors step every block: no quotient is pinned.
+
+The partition references are the correctors' route before each took one
+group average: the rounding averages its seeds again, takes the
+covariance average of the encoded element and measures its unitarity gap
+with a norm SVD apart from the polar one, and the tracial corrector
+measures its corner seeds' defect as well.
 """
 
 import itertools
@@ -19,12 +25,17 @@ import scipy.linalg
 from scipy.linalg import expm
 
 from equifix.cocycles import coboundary, trivialize
-from equifix.galgebra import GAlgebra, matrix_algebra
-from equifix.matfun import UNITARIZE_EPS, Blocks, adjoint, exp_skew, operator_norm
+from equifix.galgebra import GAlgebra, group_mean, matrix_algebra
+from equifix.matfun import (UNITARIZE_EPS, Blocks, MidpointError, _polar_parts,
+                            _range_isometry, adjoint, exp_skew, largest_norm,
+                            operator_norm, polar_unitary, spectral_round_unitary)
+from equifix.relations import (PartitionCorrection, TracialPartitionCorrection,
+                               _averaged_seeds, measure_partition_seeds,
+                               partition_admissibility_threshold,
+                               partition_defect)
 from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
-                                DefectTooLargeError, _polar_parts,
-                                correct_to_rep, equivariance_defect,
-                                intertwiner, symmetrize)
+                                DefectTooLargeError, correct_to_rep,
+                                equivariance_defect, intertwiner, symmetrize)
 from equifix.scenarios import (exact_rep_values, make_group,
                                nontrivial_action_rep, random_skew,
                                random_unitary, trial_rng)
@@ -347,3 +358,85 @@ def loop_lift_seed_values(n, levels, base, ratio, rng):
     shift = np.roll(np.eye(n), 1, axis=0).astype(complex)
     stage_rep = np.stack([np.linalg.matrix_power(shift, k) for k in range(n)])
     return q @ stage_rep[:, None] @ adjoint(q)
+
+
+def reference_round_partition(algebra, seeds):
+    """The rounding core on raw seeds: their defect, the group average, the
+    covariance average a of the encoded w0, ||a* a - 1|| from a norm SVD,
+    and the gated polar part of a (``polar_unitary`` of this module, which
+    a test may replace)."""
+    d, n = algebra.group.order, algebra.dim
+    seed_defect = partition_defect(algebra, seeds)
+    threshold = partition_admissibility_threshold(d)
+    certificate = {"seed_defect": seed_defect, "a_priori_threshold": threshold}
+    sym = _averaged_seeds(algebra, seeds)
+    zeta = np.exp(2j * np.pi / d)
+    phase = np.array([zeta ** g for g in range(d)])[:, None, None]
+    w0 = sum(phase * sym)
+    a = group_mean(lambda g: phase[g] * algebra.act(g, w0), w0, d)
+    eta = operator_norm(a.conj().T @ a - np.eye(n))
+    certificate["encoded_unitarity_gap"] = eta
+    if eta >= 0.75:
+        raise DefectTooLargeError(
+            f"seeds too rough: ||w0* w0 - 1|| = {eta:.6g} >= 0.75 "
+            f"(seed defect {seed_defect:.6g}, a-priori threshold {threshold:.6g})")
+    w = polar_unitary(a)
+    certificate["covariance_residual"] = largest_norm(
+        algebra.act(np.arange(d), w) -
+        np.stack([(zeta ** (-g)) * w for g in range(d)]))[0]
+    half_gap = np.pi / (2 * d)
+    try:
+        _, v, ks, margin = spectral_round_unitary(w, d)
+    except MidpointError:
+        raise
+    except ValueError as exc:
+        raise DefectTooLargeError(
+            f"spectrum of the encoded unitary strays beyond the admissible "
+            f"margin {half_gap:.6g} from the d-th roots: {exc}") from None
+    certificate["midpoint_margin"] = margin
+    certificate["required_arg_margin"] = half_gap
+    if margin <= half_gap:
+        raise DefectTooLargeError(
+            f"spectrum of the encoded unitary strays {np.pi / d - margin:.6g} rad "
+            f"from the d-th roots, beyond the admissible margin {half_gap:.6g}")
+    return root_projections(v, ks, d), certificate
+
+
+def reference_stabilize_partition(algebra, seeds):
+    """stabilize_partition through ``reference_round_partition``."""
+    projections, certificate = reference_round_partition(algebra, seeds)
+    return PartitionCorrection(
+        projections=projections, displacement=largest_norm(projections - seeds)[0],
+        seed_defect=certificate["seed_defect"], certificate=certificate,
+        residuals=measure_partition_seeds(algebra, projections))
+
+
+def reference_stabilize_tracial_partition(algebra, seeds, witness):
+    """stabilize_tracial_partition through ``reference_round_partition``
+    on the corner's compression of the averaged seeds, which it averages
+    again under the corner's action and whose defect opens its
+    certificate."""
+    G = algebra.group
+    d, n = G.order, algebra.dim
+    seed_defect = partition_defect(algebra, seeds)
+    sym = _averaged_seeds(algebra, seeds)
+    s = sym.sum(axis=0)
+    inv_gap = largest_norm(algebra.act(np.arange(d), s) - s, 1e-10)[0]
+    if inv_gap > 1e-10:
+        raise DefectTooLargeError(
+            f"summed seeds not invariant after averaging (gap {inv_gap:.3e})")
+    iso = _range_isometry(s)
+    q = iso @ adjoint(iso)
+    r = iso.shape[1]
+    u = np.stack([algebra.unitaries[g][0] for g in range(d)])
+    corner = matrix_algebra(r, G, polar_unitary(adjoint(iso) @ u @ iso),
+                            action_tol=1e-10)
+    inner, certificate = reference_round_partition(corner, adjoint(iso) @ sym @ iso)
+    projections = iso @ inner @ iso.conj().T
+    certificate["corner_rank"] = r
+    return TracialPartitionCorrection(
+        projections=projections, displacement=largest_norm(projections - seeds)[0],
+        seed_defect=seed_defect, certificate=certificate,
+        residuals=measure_partition_seeds(algebra, projections, q),
+        corner_projection=q, witness_compression_norm=operator_norm(q @ witness @ q),
+        complement_rank=n - r)

@@ -153,6 +153,23 @@ def test_graded_correct_rejects_singular_component():
         graded_correct(alg, values)
 
 
+def test_graded_correct_admits_as_the_iterated_corrector():
+    # Values exactly in their components, left-regular unitaries times
+    # diagonal phases, but far from multiplicative: refused at 1/17 with
+    # the message correct_to_rep gives.
+    from equifix.repcorrect import ApproxRep, correct_to_rep
+    g = cyclic_group(4)
+    alg, left = regular_graded_model(g)
+    phases = np.exp(0.2j * trial_rng(7, 0).standard_normal((4, 1, 4)))
+    values = left * phases
+    assert alg.component_residual(values) <= 1e-13
+    with pytest.raises(DefectTooLargeError, match="not below 1/17") as want:
+        correct_to_rep(ApproxRep(g, values, unital=False))
+    with pytest.raises(DefectTooLargeError) as got:
+        graded_correct(alg, values)
+    assert str(got.value) == str(want.value)
+
+
 def test_dual_action_must_be_homomorphism():
     g = cyclic_group(2)
     rng = trial_rng(6, 0)

@@ -474,9 +474,13 @@ def test_passing_gates_on_the_one_step_stack_take_no_per_slice_screen():
 def last_step_iterate():
     """(input rep, the iterate correct_to_rep takes its last step from):
     defects 0.02 and 4.4e-11."""
-    rep, iterates = cyclic6_rep(), []
-    correct_to_rep(rep, on_iterate=lambda it, current: iterates.append(current))
-    assert len(iterates) == 3
+    rep = cyclic6_rep()
+    iterates = [one_step(rep)]
+    while iterates[-1].defect() > 1e-12:
+        iterates.append(one_step(iterates[-1]))
+    correction = correct_to_rep(rep)
+    assert len(iterates) == 3 == correction.iterations
+    assert np.array_equal(iterates[-1].values, correction.last.values)
     return rep, iterates[-2]
 
 

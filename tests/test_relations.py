@@ -2,18 +2,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dense_reference import schur_round_unitary
+import dense_reference
+from dense_reference import (reference_stabilize_partition,
+                             reference_stabilize_tracial_partition,
+                             schur_round_unitary)
 from equifix import relations
 from equifix.groups import cyclic_group
 from equifix.galgebra import matrix_algebra
-from equifix.matfun import largest_norm, operator_norm, spectral_round_unitary
+from equifix.matfun import (_polar_parts, largest_norm, operator_norm,
+                            spectral_round_unitary)
 from equifix.relations import (measure_partition_seeds,
                                partition_admissibility_threshold,
                                stabilize_partition, stabilize_tracial_partition)
 from equifix.repcorrect import DefectTooLargeError
 from equifix.scenarios import (SUITE, Scenario, build_rokhlin_scenario,
-                               random_unitary, run_tracial_trial, trial_rng)
+                               random_unitary, run_rokhlin_trial,
+                               run_tracial_trial, trial_rng)
 
 
 def swap_action_algebra():
@@ -121,10 +127,22 @@ def with_spectrum(rng, args):
 
 def rounded_as_encoded(monkeypatch, w, d):
     """stabilize_partition on exact seeds of Z/d on M_n (n = len(w)), with
-    its encoded unitary, the polar step's output, replaced by w."""
+    its encoded unitary, the polar step's output, replaced by w.  The
+    reference route, so encoded, gives the same projections to 1e-12 or
+    raises an error of the same class and message."""
     algebra, exact, _ = build_rokhlin_scenario(d, len(w) // d, 0.0, trial_rng(0, 0))
-    monkeypatch.setattr(relations, "polar_unitary", lambda a: w)
-    return stabilize_partition(algebra, exact)
+    monkeypatch.setattr(relations, "_polar_parts", lambda a: (w, _polar_parts(a)[1]))
+    monkeypatch.setattr(dense_reference, "polar_unitary", lambda a: w)
+    try:
+        want = reference_stabilize_partition(algebra, exact)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            stabilize_partition(algebra, exact)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        raise raised.value
+    res = stabilize_partition(algebra, exact)
+    assert largest_norm(res.projections - want.projections)[0] <= 1e-12
+    return res
 
 
 def half_gap_message(margin, d):
@@ -229,16 +247,73 @@ def test_tracial_rejects_bad_witness():
         stabilize_tracial_partition(algebra, seeds, 2 * np.eye(5, dtype=complex))
 
 
-def test_tracial_trial_measures_three_families(monkeypatch):
-    # The seeds and the corner seeds as one maximum each, and the output by
-    # name; the corner's own output is not measured, since the tracial
-    # corrector reports only the output.
+@pytest.mark.parametrize("run", [run_rokhlin_trial, run_tracial_trial],
+                         ids=["rokhlin", "tracial"])
+def test_partition_trials_average_once_and_measure_two_families(monkeypatch, run):
+    # One group average and one seed defect, both of the full seeds, and
+    # the output by name: the rounding takes the averaged family as it is,
+    # and the tracial corrector neither averages nor measures its corner
+    # seeds again.
     calls = []
-    for name in ("partition_defect", "measure_partition_seeds"):
+    for name in ("partition_defect", "group_mean", "measure_partition_seeds"):
         real = getattr(relations, name)
         monkeypatch.setattr(relations, name, lambda *args, name=name, real=real:
-                            calls.append(name) or real(*args))
-    report = run_tracial_trial(Scenario.from_dict(SUITE["tracial"][1], seed=0), 0)
+                            calls.append((name, args[1].shape)) or real(*args))
+    kind = "rokhlin" if run is run_rokhlin_trial else "tracial"
+    report = run(Scenario.from_dict(SUITE[kind][1], seed=0), 0)
     assert report.all_passed()
-    assert calls == ["partition_defect", "partition_defect",
-                     "measure_partition_seeds"]
+    n = {"rokhlin": 6, "tracial": 5}[kind]
+    d = SUITE[kind][1]["group"]["params"]
+    assert calls == [(name, (d, n, n)) for name in
+                     ("partition_defect", "group_mean", "measure_partition_seeds")]
+
+
+def assert_matches_reference(got, want):
+    """Two partition corrections agree: projections within 1e-12, the same
+    residual names, each residual at most 1e-12, and the same certificate
+    keys."""
+    assert largest_norm(got.projections - want.projections)[0] <= 1e-12
+    assert list(got.residuals) == list(want.residuals)
+    assert max(got.residuals.values()) <= 1e-12
+    assert max(want.residuals.values()) <= 1e-12
+    assert list(got.certificate) == list(want.certificate)
+
+
+def outcome(corrector, *args):
+    """A correction, or the class and message of the error it raised."""
+    try:
+        return corrector(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 16))
+def test_partition_correctors_match_the_reference_route(d, block, corank,
+                                                        magnitude, seed):
+    # The reference averages the seeds again in the rounding, takes the
+    # covariance average of w0 and, for the tracial corrector, measures
+    # the corner seeds: the outputs agree, and a refusal is refused alike.
+    # The plain corrector's refusal says the same; the tracial one's
+    # certificate opens with the full seeds' defect rather than the
+    # corner's, which its message may quote.
+    rng = trial_rng(seed, 0)
+    algebra, _, seeds = build_rokhlin_scenario(d, block, magnitude, rng, corank)
+    n = algebra.dim
+    y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    witness = y @ y.conj().T
+    witness /= operator_norm(witness)
+    plain = (outcome(stabilize_partition, algebra, seeds),
+             outcome(reference_stabilize_partition, algebra, seeds))
+    tracial = (outcome(stabilize_tracial_partition, algebra, seeds, witness),
+               outcome(reference_stabilize_tracial_partition, algebra, seeds,
+                       witness))
+    for (got, want), same_message in ((plain, True), (tracial, False)):
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got[0] is want[0]
+            assert got == want or not same_message
+            continue
+        assert not isinstance(got, tuple), got
+        assert_matches_reference(got, want)
+        assert got.seed_defect == want.seed_defect == got.certificate["seed_defect"]

@@ -13,7 +13,7 @@ import jsonschema
 from hypothesis import given, settings, strategies as st
 
 from equifix.scenarios import (_KEYWORD_TYPES, _TYPES, SCENARIO_SCHEMA,
-                               ScenarioError, validate_scenario)
+                               Scenario, ScenarioError, validate_scenario)
 
 _BASE = jsonschema.Draft202012Validator
 _CHECKER = _BASE.TYPE_CHECKER.redefine_many({
@@ -155,3 +155,10 @@ def keywords(schema):
 def test_schema_uses_only_keywords_the_checker_implements():
     used = set(keywords(SCENARIO_SCHEMA))
     assert used <= set(_KEYWORD_TYPES), used - set(_KEYWORD_TYPES)
+
+
+def test_schema_properties_are_the_scenario_fields():
+    # A dict the schema admits has no key but a field's, so
+    # Scenario.from_dict passes it to Scenario whole.
+    assert SCENARIO_SCHEMA["additionalProperties"] is False
+    assert set(SCENARIO_SCHEMA["properties"]) == set(Scenario.__dataclass_fields__)

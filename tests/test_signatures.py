@@ -25,7 +25,7 @@ SETTABLE = {
                                  "floor"},            # ApproxRep.defect_at_most
     "repcorrect.ApproxRep.__init__": {"unitary", "unital",   # the lift's maps
                                       "act"},                # cocycles.cocycle
-    "repcorrect.correct_to_rep": {"tol", "pin", "on_iterate"},
+    "repcorrect.correct_to_rep": {"tol", "pin"},
     "repcorrect.intertwiner": {"pin"},                # the lift
     "repcorrect.equivariance_defect": {"floor"},      # the lift's phi gate
     "repcorrect.lift_group_rep": {"tol"},             # a scenario's tolerance
