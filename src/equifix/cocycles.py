@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import (Blocks, adjoint, exp_skew, identity_like, largest_norm,
-                     operator_norm, principal_log_unitary)
+from .matfun import (Blocks, adjoint, exp_skew, largest_norm, operator_norm,
+                     principal_log_unitary)
 from .galgebra import GAlgebra
 from .repcorrect import (ApproxRep, Correction, DefectTooLargeError, _iterate,
                          _pinned)
@@ -76,14 +76,13 @@ def _cobound_step(w: ApproxRep, v, measured):
     return v @ exp_skew(principal_log_unitary(m).mean(axis=0))
 
 
-def trivialize(w: ApproxRep, v0=None, tol: float = 1e-12,
+def trivialize(w: ApproxRep, v0, tol: float = 1e-12,
                pin: Optional[tuple] = None) -> Correction:
     """Iterate the coboundary correction until v alpha_g(v)* = w(g) to tol.
 
-    The seed defaults to the identity, which is admissible when the cocycle
-    is within 1/10 of trivial; otherwise the caller supplies a seed with
-    mismatch below 1/10.  With ``pin=(tower, level)``, w over that level,
-    the seed must already trivialize w on the top quotient's blocks
+    The seed v0 must have mismatch below 1/10, as the identity has when
+    the cocycle is within 1/10 of trivial.  With ``pin=(tower, level)``, w
+    over that level, the seed must already trivialize w on the top quotient's blocks
     (mismatch <= 1e-12), which are split off as in ``correct_to_rep``.
     The cocycle's exactness (defect <= 1e-11) is one screened gate per
     call, which on an exact cocycle ends after the Frobenius pass; its
@@ -93,9 +92,7 @@ def trivialize(w: ApproxRep, v0=None, tol: float = 1e-12,
         raise DefectTooLargeError(
             f"cocycle must be exact before trivialization (defect {w.defect():.3e}); "
             f"approximately multiplicative cocycles are reported, not corrected")
-    if v0 is None:
-        v0 = identity_like(w.values[0])
-    elif not isinstance(v0, Blocks):
+    if not isinstance(v0, Blocks):
         v0 = np.asarray(v0, dtype=complex)
 
     r0, g = last = mismatch(w, v0)     # the newest iterate's, for its step

@@ -35,7 +35,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import Blocks, adjoint, largest_norm
+from .matfun import Blocks, adjoint, largest_norm, read_only
 
 # The most matrix entries one stacked call over a family of pairs holds.
 SLAB_ENTRIES = 2 ** 16
@@ -201,12 +201,7 @@ class GAlgebra:
         quotient = GAlgebra(tuple(self.blocks[j] for j in keep), self.group,
                             np.reshape(perms, (self.group.order, len(keep))),
                             unitaries, self.action_tol, check=False)
-        if not self.perms.flags.writeable:
-            for a in (quotient.perms, *quotient._u, *quotient._uh, *quotient._src,
-                      *quotient._idx, *quotient._w):
-                if a is not None:
-                    a.flags.writeable = False
-        return quotient
+        return quotient if self.perms.flags.writeable else read_only(quotient)
 
     def take(self, a: Blocks, keep) -> Blocks:
         """A fresh copy of the blocks at the sorted positions ``keep`` of a
@@ -239,11 +234,10 @@ class GAlgebra:
         return (moving.parts[0][..., 0, :, :] if len(rest) == 1 else moving), attach
 
 
-def matrix_algebra(n: int, group: FiniteGroup, action_unitaries=None,
+def matrix_algebra(n: int, group: FiniteGroup, action_unitaries,
                    action_tol: float = 1e-12) -> GAlgebra:
-    """Single-block M_n with the action g |-> Ad(u_g) (trivial if omitted)."""
-    if action_unitaries is None:
-        action_unitaries = [np.eye(n, dtype=complex) for _ in range(group.order)]
+    """Single-block M_n with the action g |-> Ad(u_g), ``action_unitaries``
+    holding u_g in the order of the group elements."""
     perms = np.zeros((group.order, 1), dtype=np.intp)
     unitaries = tuple((np.asarray(u, dtype=complex),) for u in action_unitaries)
     return GAlgebra(blocks=(n,), group=group, perms=perms, unitaries=unitaries,

@@ -149,9 +149,13 @@ def make_group(kind: str, params) -> FiniteGroup:
     """Build a finite group by kind: cyclic, dihedral, symmetric or product.
 
     ``params`` is an int for cyclic/dihedral/symmetric and a pair of
-    FiniteGroups (or (kind, params) specs) for product.  Rejects any request
-    whose resulting order exceeds ORDER_CAP.
+    FiniteGroups (or (kind, params) specs) for product.  Rejects a count
+    that is not an integer (a bool is not one), and any request whose
+    resulting order exceeds ORDER_CAP.
     """
+    if kind in ("cyclic", "dihedral", "symmetric") and (
+            isinstance(params, bool) or not isinstance(params, (int, np.integer))):
+        raise GroupConstructionError(f"{kind} needs an integer count, got {params!r}")
     if kind == "cyclic":
         d = int(params)
         if d > ORDER_CAP:

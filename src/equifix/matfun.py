@@ -269,6 +269,18 @@ def read_only_copy(a):
     return v
 
 
+def read_only(model):
+    """``model``, with every array it holds (through tuples, lists and
+    object fields) made read-only: a model shared by many callers, such as
+    a cached one, then raises on a write instead of changing under them."""
+    if isinstance(model, np.ndarray):
+        model.flags.writeable = False
+    elif isinstance(model, (tuple, list)) or hasattr(model, "__dict__"):
+        for part in vars(model).values() if hasattr(model, "__dict__") else model:
+            read_only(part)
+    return model
+
+
 def identity_like(a):
     """The identity, shaped like the element or stack a."""
     if isinstance(a, Blocks):

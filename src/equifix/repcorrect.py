@@ -10,9 +10,9 @@ which squares the multiplicativity defect (defect r gives at most 17 r^2)
 while moving each value by at most 2r.  Iterating from r < 1/17 converges
 to an exact representation within 2r/(1-17r) of the input, and any quotient
 under which the input was already exact is left untouched, so a pinned one
-(``pin``) is split off.  The lifting pipeline combines a nonequivariant seed,
-a level search, group-averaging symmetrization, polar unitarization, the
-iterated corrector, and an intertwining unitary.
+(``pin``) is split off.  The lifting pipeline lifts a nonequivariant seed's
+top image, combining a level search, group-averaging symmetrization, polar
+unitarization, the iterated corrector, and an intertwining unitary.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, cyclic_group
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, _polar_parts, adjoint,
                      concatenate, exp_skew, identity_like, largest_norm,
                      polar_unitary, principal_log_unitary, read_only_copy)
@@ -279,19 +279,15 @@ class SourceAction:
             raise ValueError("scalar fails the composition rule")
 
 
-def translation_source_action(d: int, group: FiniteGroup,
-                              source: FiniteGroup) -> SourceAction:
-    """The dual-translation action of Z/d on the group algebra of Z/d:
-    alpha_a(u^k) = zeta^{-ak} u^k with zeta = exp(2 pi i / d)."""
-    if group.order != d or source.order != d:
-        raise ValueError("both groups must be Z/d in standard form")
-    if not (group.is_cyclic_standard() and source.is_cyclic_standard()):
-        raise ValueError("translation action requires standard cyclic tables")
+def translation_source_action(d: int) -> SourceAction:
+    """The dual-translation action of Z/d (``cyclic_group(d)``) on its own
+    group algebra: alpha_a(u^k) = zeta^{-ak} u^k, zeta = exp(2 pi i / d)."""
+    zd = cyclic_group(d)
     a = np.arange(d).reshape(-1, 1)
     k = np.arange(d).reshape(1, -1)
     scalar = np.exp(-2j * np.pi * a * k / d)
     perm = np.tile(np.arange(d, dtype=np.intp), (d, 1))
-    return SourceAction(group=group, source=source, perm=perm, scalar=scalar)
+    return SourceAction(group=zd, source=zd, perm=perm, scalar=scalar)
 
 
 def _equivariance_stacks(values, act: Callable, source_action: SourceAction):
@@ -337,29 +333,20 @@ def symmetrize(values, act: Callable, source_action: SourceAction):
     return group_mean(terms, values, G.order)
 
 
-def intertwiner(rho: ApproxRep, sigma: ApproxRep, pin: Optional[tuple] = None
-                ) -> np.ndarray:
+def intertwiner(rho: ApproxRep, sigma: ApproxRep) -> np.ndarray:
     """Unitary u with u rho(g) u* = sigma(g) for two representations (no
     ``act``), exact to 1e-11, at pointwise distance < 1: the polar part of
-    avg_h sigma(h)* rho(h).
-
-    With ``pin=(tower, level)``, values in ``tower.level(level)`` that
-    agree to 1e-11 on the top quotient's blocks, u is 1 on those blocks.
+    avg_h sigma(h)* rho(h).  Where rho and sigma agree on some blocks of a
+    block algebra, the average is 1 there, and so is u.
     """
     for name, rep in (("rho", rho), ("sigma", sigma)):
         _require_untwisted(rep, name)
         if not rep.defect_at_most(1e-11):
             raise DefectTooLargeError(f"{name} is not exact: defect {rep.defect():.3e}")
-    diff = rho.values - sigma.values
-    dist, g = largest_norm(diff, BELOW_ONE)
+    dist, g = largest_norm(rho.values - sigma.values, BELOW_ONE)
     if g is not None:
         raise DefectTooLargeError(
             f"representations are at distance {dist:.6g} >= 1 (attained at g={g})")
-    if pin is not None:
-        mismatch = largest_norm(pin[0].project(pin[0].top, pin[1], diff), 1e-11)[0]
-        if mismatch > 1e-11:
-            raise DefectTooLargeError(
-                f"quotients of rho and sigma differ by {mismatch:.3e}")
     return polar_unitary((adjoint(sigma.values) @ rho.values).mean(axis=0))
 
 
@@ -422,13 +409,14 @@ def _level_maxima(stacks, algebra: GAlgebra, keeps: list, floor: float):
     return worst, pair
 
 
-def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
-                   seed: ApproxRep, tol: float = 1e-12) -> LiftResult:
+def lift_group_rep(tower: Tower, source_action: SourceAction, seed: ApproxRep,
+                   tol: float = 1e-12) -> LiftResult:
     """Lift an exact equivariant representation phi of a finite group H at
-    the top of a tower to an exact equivariant representation at a finite
-    level below the top.  phi, seed and the result are ApproxReps with
-    unitary=False and unital=False: the lift's own gates decide; phi's
-    exactness and equivariance are screened gates at 1e-11.
+    the top of a tower, the image there of a seed at level 0, to an exact
+    equivariant representation at a finite level below the top.  phi, the
+    seed and the result are ApproxReps with unitary=False and unital=False:
+    the lift's own gates decide; phi's exactness and equivariance are
+    screened gates at 1e-11.
 
     Every stage runs on the blocks live at its level.  Pipeline: a
     nonequivariant seed at level 0, symmetrized and polar-decomposed once
@@ -437,7 +425,9 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
     has defect below min(1/34, eps0) -> iterated correction with the top
     quotient pinned -> conjugation by an intertwiner back onto the seed
     (when the seed restricts to an exact representation, as it does for
-    the classical pipeline).  The table's seed figures, its equivariance
+    the classical pipeline; the two must agree to 1e-11 on the top
+    quotient's blocks, which the correction keeps).  The table's seed
+    figures, its equivariance
     and multiplicativity defects at each scanned level, come from one
     pass over level 0's stacks of each (``_level_maxima``), one figure's
     stacks at a time; the accepted level's multiplicativity defect and pair
@@ -445,6 +435,8 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
     """
     H = source_action.source
     top = tower.top
+    phi = ApproxRep(H, tower.project(top, 0, seed.values), unitary=False,
+                    unital=False)
     phi_vals = phi.values
     top_act = tower.level(top).act
     if not (phi.defect_at_most(1e-11) and
@@ -453,11 +445,6 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
             f"phi must be exact and equivariant at the top "
             f"(defect {phi.defect():.3e}, equivariance "
             f"{equivariance_defect(phi_vals, top_act, source_action):.3e})")
-    mismatch = largest_norm(tower.project(top, 0, seed.values) - phi_vals,
-                            1e-11)[0]
-    if mismatch > 1e-11:
-        raise ValueError(
-            f"seed does not project to phi at the top (off by {mismatch:.3e})")
 
     # The action and the ideals go block by block, so a level's symmetrized
     # family, its polar parts and their distances from the unitaries are
@@ -513,7 +500,12 @@ def lift_group_rep(tower: Tower, phi: ApproxRep, source_action: SourceAction,
             largest_norm(adjoint(seed_vals) @ seed_vals - identity_like(seed_vals),
                          1e-10)[0] <= 1e-10 and \
             largest_norm(corrected.values - seed_vals, BELOW_ONE)[1] is None:
-        u = intertwiner(seed_rep, corrected, pin=(tower, level))
+        u = intertwiner(seed_rep, corrected)
+        mismatch = largest_norm(tower.project(top, level, seed_vals - final_vals),
+                                1e-11)[0]
+        if mismatch > 1e-11:
+            raise DefectTooLargeError(
+                f"quotients of rho and sigma differ by {mismatch:.3e}")
         final_vals = u @ seed_vals @ adjoint(u)
 
     eq_res = equivariance_defect(final_vals, tower.level(level).act, source_action)

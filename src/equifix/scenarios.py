@@ -30,7 +30,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, cyclic_group, make_group
-from .matfun import EPS0, Blocks, adjoint, exp_skew, largest_norm, operator_norm
+from .matfun import (EPS0, Blocks, adjoint, exp_skew, largest_norm, operator_norm,
+                     read_only)
 from .galgebra import GAlgebra, Tower, matrix_algebra
 from .repcorrect import (ApproxRep, SourceAction, correct_to_rep,
                          lift_group_rep, one_step, translation_source_action)
@@ -201,9 +202,9 @@ class Scenario:
         out = {"kind": self.kind, "seed": self.seed, "group": self.group,
                "dimension": self.dimension, "magnitude": self.magnitude,
                "trials": self.trials, "tolerance": self.tolerance}
-        if self.tower:
+        if self.tower is not None:
             out["tower"] = self.tower
-        if self.source:
+        if self.source is not None:
             out["source"] = self.source
         if self.kind == "tracial":
             out["corner_corank"] = self.corner_corank
@@ -303,18 +304,6 @@ MODELS = 8
 _key = functools.partial(json.dumps, sort_keys=True)     # a JSON spec's cache key
 
 
-def _read_only(model):
-    """``model``, with every array it holds (through tuples, lists and
-    object fields) made read-only: a cached model is shared by every
-    trial, so a trial that writes to it raises instead."""
-    if isinstance(model, np.ndarray):
-        model.flags.writeable = False
-    elif isinstance(model, (tuple, list)) or hasattr(model, "__dict__"):
-        for part in vars(model).values() if hasattr(model, "__dict__") else model:
-            _read_only(part)
-    return model
-
-
 @functools.lru_cache(maxsize=32)
 def _built(spec: str) -> FiniteGroup:
     """The group a JSON group spec builds, once per spec, since every trial
@@ -337,7 +326,7 @@ def _graded(spec: str, data: Optional[str]):
         algebra, values = regular_graded_model(group)
     else:
         algebra, values = _graded_input(json.loads(data), group)
-    return algebra, _read_only(values)          # shared by every trial
+    return algebra, read_only(values)          # shared by every trial
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -382,7 +371,7 @@ def _menu(spec: str) -> tuple:
     kind, params = spec["kind"], spec.get("params")
     if kind == "cyclic":
         d = int(params)
-        return _read_only(tuple(np.exp(1j * (2 * np.pi * np.arange(d)[:, None]
+        return read_only(tuple(np.exp(1j * (2 * np.pi * np.arange(d)[:, None]
                                              * np.arange(d) / d))[..., None, None]))
     if kind == "dihedral":
         n = int(params)
@@ -395,21 +384,21 @@ def _menu(spec: str) -> tuple:
             c, s = np.cos(t), np.sin(t)
             menu.append(np.stack([c, -s * flip, s, c * flip], -1).reshape(-1, 2, 2)
                         .astype(complex))
-        return _read_only(tuple(menu))
+        return read_only(tuple(menu))
     if kind == "symmetric":
         m = int(params)
         elems = np.array(sorted(itertools.permutations(range(m))))
         sign = np.array([(-1.0) ** sum(a > b for a, b in itertools.combinations(p, 2))
                          for p in elems.tolist()])
         # The natural representation: e_j goes to e_p(j).
-        return _read_only((np.ones((len(elems), 1, 1), dtype=complex),
+        return read_only((np.ones((len(elems), 1, 1), dtype=complex),
                            sign[:, None, None] + 0j,
                            np.eye(m, dtype=complex)[:, elems].transpose(1, 0, 2)))
     if kind == "product":
         menu_a, menu_b = (_menu(_key({"kind": k, "params": p})) for k, p in params)
         nb = len(menu_b[0])
         g = np.arange(len(menu_a[0]) * nb)
-        return _read_only(tuple(
+        return read_only(tuple(
             (a[g // nb, :, None, :, None] * b[g % nb, None, :, None, :]).reshape(
                 len(g), a.shape[1] * b.shape[1], -1) for a in menu_a for b in menu_b))
     raise ScenarioError(f"no representation menu for group kind {kind!r}")
@@ -515,21 +504,22 @@ def _trial_runner(body):
 # ---------------------------------------------------------------------------
 # Per-kind trial bodies.
 
-def _two_block_tower(group, unitaries):
-    """Two copies of M_dim, each acted on by Ad(unitaries[g]); the quotient
-    kills the first block.  Used for the pinned variants of the
-    correctors."""
-    perms = np.tile(np.arange(2, dtype=np.intp), (group.order, 1))
-    algebra = GAlgebra(blocks=(len(unitaries[0]),) * 2, group=group, perms=perms,
-                       unitaries=tuple((u, u) for u in unitaries))
-    return Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
+def _copies_tower(group, unitaries, levels=2):
+    """``levels`` copies of M_n, each acted on by Ad(unitaries[g]); level j
+    kills the first j blocks.  Two levels make the pinned variants of the
+    correctors, and the lift's tower has one level per stage."""
+    perms = np.tile(np.arange(levels, dtype=np.intp), (group.order, 1))
+    algebra = GAlgebra(blocks=(len(unitaries[0]),) * levels, group=group,
+                       perms=perms, unitaries=tuple((u,) * levels for u in unitaries))
+    return Tower(algebra=algebra,
+                 ideals=tuple(frozenset(range(j)) for j in range(levels)))
 
 
 @functools.lru_cache(maxsize=MODELS)
 def _identity_tower(spec: str, dim: int) -> Tower:
     """The pinned rep scenario's two-block tower under the trivial action."""
     group = _built(spec)
-    return _read_only(_two_block_tower(group, [np.eye(dim)] * group.order))
+    return read_only(_copies_tower(group, [np.eye(dim)] * group.order))
 
 
 def _iterated_checks(word, c, result, tol, first_step):
@@ -559,7 +549,7 @@ def _iterated_checks(word, c, result, tol, first_step):
 @_trial_runner
 def run_rep_trial(s: Scenario, rng):
     group = group_of(s.group)
-    if s.tower:
+    if s.tower is not None:
         dim = s.dimension
         tower = _identity_tower(_key(s.group), dim)
         base = exact_rep_values(s.group, group, dim, rng)
@@ -589,10 +579,10 @@ def run_cocycle_trial(s: Scenario, rng):
     group = group_of(s.group)
     dim = s.dimension
     action = nontrivial_action_rep(s.group, group, dim, rng)
-    if s.tower:
+    if s.tower is not None:
         # Two copies of M_dim under the same action; the quotient kills the
         # first, and only that block of the seed is moved.
-        tower = _two_block_tower(group, action)
+        tower = _copies_tower(group, action)
         algebra, pin = tower.level(0), (tower, 0)
         v = np.stack([random_unitary(rng, dim), random_unitary(rng, dim)])
         v0 = v.copy()
@@ -619,17 +609,14 @@ def _lift_model(model: str, n: int, levels: int):
     """The lift's tower (``levels`` stages of M_n), source action and stage
     representation, which depend on the source model, its order and the
     level count alone."""
-    H = cyclic_group(n)
     if model == "translation":
-        G = cyclic_group(n)
-        source_action = translation_source_action(n, G, H)
+        source_action = translation_source_action(n)
         dstage = np.diag(np.exp(2j * np.pi / n) ** (-np.arange(n)))
         stage_unitaries = [np.linalg.matrix_power(dstage, a) for a in range(n)]
     elif model == "inversion":
-        G = cyclic_group(2)
         perm = np.stack([np.arange(n), (-np.arange(n)) % n]).astype(np.intp)
-        source_action = SourceAction(group=G, source=H, perm=perm,
-                                     scalar=np.ones((2, n), dtype=complex))
+        source_action = SourceAction(group=cyclic_group(2), source=cyclic_group(n),
+                                     perm=perm, scalar=np.ones((2, n), dtype=complex))
         # The flip sends e_y to e_(-y).
         flip = np.eye(n, dtype=complex)[:, perm[1]]
         stage_unitaries = [np.eye(n, dtype=complex), flip]
@@ -637,18 +624,15 @@ def _lift_model(model: str, n: int, levels: int):
         raise ScenarioError(f"unknown lift source model {model!r}")
     shift = np.roll(np.eye(n), 1, axis=0).astype(complex)
     stage_rep = np.stack([np.linalg.matrix_power(shift, k) for k in range(n)])
-
-    perms = np.tile(np.arange(levels, dtype=np.intp), (G.order, 1))
-    unitaries = tuple((stage_unitaries[g],) * levels for g in range(G.order))
-    algebra = GAlgebra(blocks=(n,) * levels, group=G, perms=perms, unitaries=unitaries)
-    ideals = tuple(frozenset(range(j)) for j in range(levels))
-    return _read_only((Tower(algebra=algebra, ideals=ideals), source_action, stage_rep))
+    tower = _copies_tower(source_action.group, stage_unitaries, levels)
+    return read_only((tower, source_action, stage_rep))
 
 
 def build_lift_scenario(s: Scenario, rng: np.random.Generator):
-    """A tower of stage algebras, each with a conjugated copy of a known
-    exact covariant representation, with geometrically decaying conjugation
-    angles; the top stage is the exact answer."""
+    """The lift's (tower, source action, seed): a tower of stage algebras,
+    the seed a conjugated copy of a known exact covariant representation
+    in each, with geometrically decaying conjugation angles; the top stage
+    is exact, and is the lift's phi."""
     src = s.source or {}
     tower_spec = s.tower or {}
     levels = int(tower_spec.get("levels", 8))
@@ -664,17 +648,14 @@ def build_lift_scenario(s: Scenario, rng: np.random.Generator):
     angles[:-1] = scales[:, None, None] * random_skew(rng, n, count=levels - 1)
     q = exp_skew(angles)
     seed_vals = q @ stage_rep[:, None] @ adjoint(q)
-    seed = ApproxRep(H, Blocks((seed_vals,)), unitary=False, unital=False)
-    phi = ApproxRep(H, tower.project(tower.top, 0, seed.values), unitary=False,
-                    unital=False)
-    return tower, phi, source_action, seed
+    return tower, source_action, ApproxRep(H, Blocks((seed_vals,)), unitary=False,
+                                           unital=False)
 
 
 @_trial_runner
 def run_lift_trial(s: Scenario, rng):
-    tower, phi, source_action, seed = build_lift_scenario(s, rng)
-    result = lift_group_rep(tower, phi, source_action, seed=seed,
-                            tol=s.tolerance)
+    tower, source_action, seed = build_lift_scenario(s, rng)
+    result = lift_group_rep(tower, source_action, seed, tol=s.tolerance)
     measured = {
         "level": result.level,
         "rep_defect": result.rep.defect(),
@@ -700,7 +681,7 @@ def _rokhlin_model(d: int, block: int, corank: int):
     exact = np.zeros((d, n, n), dtype=complex)
     exact[:, c, c] = c // block == g
     unitaries = np.eye(n, dtype=complex)[:, to].transpose(1, 0, 2)
-    return _read_only((matrix_algebra(n, G, unitaries), exact))
+    return read_only((matrix_algebra(n, G, unitaries), exact))
 
 
 def build_rokhlin_scenario(d: int, block: int, magnitude: float,

@@ -1,8 +1,9 @@
 """Small references for the property tests: the dense route for the
 block-stored G-algebras, the ``eigh`` routes for the half-plane log and
 the exponential of skew-Hermitian matrices, the Schur route for the
-eigensystem of a unitary and its spectral rounding, and the per-element
-loops the stacked scenario builders replaced.
+eigensystem of a unitary and its spectral rounding, the per-element
+loops the stacked scenario builders replaced, and the towers of copies of
+M_n built by hand before one builder made them all.
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -25,7 +26,7 @@ import scipy.linalg
 from scipy.linalg import expm
 
 from equifix.cocycles import coboundary, trivialize
-from equifix.galgebra import GAlgebra, group_mean, matrix_algebra
+from equifix.galgebra import GAlgebra, Tower, group_mean, matrix_algebra
 from equifix.matfun import (UNITARIZE_EPS, Blocks, MidpointError, _polar_parts,
                             _range_isometry, adjoint, exp_skew, largest_norm,
                             operator_norm, polar_unitary, spectral_round_unitary)
@@ -181,7 +182,7 @@ def level_mask(tower, n):
     return mask
 
 
-def lift_trace(tower, phi, source_action, seed, tol=1e-12):
+def lift_trace(tower, source_action, seed, tol=1e-12):
     """The dense lift: every level on the full algebra, zero-padded, with
     the live corner cut out by index arrays.  Returns (level, correction
     trace, equivariance residual, projection residual)."""
@@ -212,6 +213,38 @@ def lift_trace(tower, phi, source_action, seed, tol=1e-12):
     final = embedding @ (u @ seed_sub @ u.conj().T) @ embedding.T
     return (level, correction.trace, equivariance_defect(final, act, source_action),
             float(np.max(operator_norm(final * top_mask - phi_vals))))
+
+
+def two_block_tower(group, unitaries):
+    """Two copies of M_dim, each acted on by Ad(unitaries[g]); the quotient
+    kills the first block: the pinned correctors' tower as it was built by
+    hand."""
+    perms = np.tile(np.arange(2, dtype=np.intp), (group.order, 1))
+    algebra = GAlgebra(blocks=(len(unitaries[0]),) * 2, group=group, perms=perms,
+                       unitaries=tuple((u, u) for u in unitaries))
+    return Tower(algebra=algebra, ideals=(frozenset(), frozenset({0})))
+
+
+def stage_unitaries(model, n):
+    """The unitaries of the lift's stage action on M_n, per element of G:
+    the powers of diag(zeta^-y) for the translation model, and the identity
+    and the flip e_y -> e_(-y) for the inversion model."""
+    if model == "translation":
+        dstage = np.diag(np.exp(2j * np.pi / n) ** (-np.arange(n)))
+        return [np.linalg.matrix_power(dstage, a) for a in range(n)]
+    flip = np.eye(n, dtype=complex)[:, (-np.arange(n)) % n]
+    return [np.eye(n, dtype=complex), flip]
+
+
+def stage_tower(group, unitaries, levels):
+    """The lift's tower, ``levels`` stages of M_n, level j killing the first
+    j, as it was built by hand."""
+    n = len(unitaries[0])
+    perms = np.tile(np.arange(levels, dtype=np.intp), (group.order, 1))
+    unitaries = tuple((unitaries[g],) * levels for g in range(group.order))
+    algebra = GAlgebra(blocks=(n,) * levels, group=group, perms=perms, unitaries=unitaries)
+    ideals = tuple(frozenset(range(j)) for j in range(levels))
+    return Tower(algebra=algebra, ideals=ideals)
 
 
 def masked_skew(rng, n, dim):

@@ -437,8 +437,8 @@ def test_defect_gate_on_an_exactly_multiplicative_family():
 @given(seeds, st.integers(2, 5), st.floats(0.0, 0.1))
 def test_equivariance_defect_matches_per_pair_loop(seed, d, noise):
     rng = trial_rng(seed, 0)
-    G = make_group("cyclic", d)
-    action = translation_source_action(d, G, G)
+    action = translation_source_action(d)
+    G = action.group
     alg = matrix_algebra(d, G, [np.diag(np.exp(-2j * np.pi * g * np.arange(d) / d))
                                 for g in range(d)])
     shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
@@ -717,7 +717,7 @@ def test_stacked_symmetrize_matches_per_pair_loop(seed, model, order, noise):
     s = Scenario(kind="lift", seed=seed, source={"model": model, "order": order},
                  tower={"levels": 3, "base": 0.2, "ratio": 0.2})
     rng = trial_rng(seed, 0)
-    tower, _, source_action, lift_seed = build_lift_scenario(s, rng)
+    tower, source_action, lift_seed = build_lift_scenario(s, rng)
     blocks = tower.algebra.blocks
     act = dense_act(tower.algebra)
     for level in range(tower.top + 1):

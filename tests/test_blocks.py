@@ -97,7 +97,7 @@ def test_group_defects_and_averages_match_the_dense_route(seed, config, noise):
     alg = permuted_algebra(config, rng)
     G = alg.group
     d = G.order
-    action = translation_source_action(d, G, cyclic_group(d))
+    action = translation_source_action(d)
     # Values near the unitaries, so that unitarization accepts most draws.
     u = random_blocks(alg.blocks, rng, lead=(d,)).map(
         lambda p: np.linalg.qr(p)[0])
@@ -152,9 +152,9 @@ def test_lift_trace_matches_the_dense_route(seed, source, levels):
     model, order = source
     s = Scenario(kind="lift", seed=seed, source={"model": model, "order": order},
                  tower={"levels": levels, "base": 0.2, "ratio": 0.2}, trials=1)
-    tower, phi, action, lift_seed = build_lift_scenario(s, trial_rng(seed, 0))
-    res = lift_group_rep(tower, phi, action, seed=lift_seed)
-    level, trace, eq, proj = lift_trace(tower, phi, action, lift_seed)
+    tower, action, lift_seed = build_lift_scenario(s, trial_rng(seed, 0))
+    res = lift_group_rep(tower, action, lift_seed)
+    level, trace, eq, proj = lift_trace(tower, action, lift_seed)
     assert res.level == level
     assert_traces_match(res.correction.trace, trace)
     # The residuals are rounding-level figures (~1e-14 on the inversion

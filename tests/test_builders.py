@@ -111,10 +111,43 @@ def test_lift_seed_matches_the_per_stage_loop(model, order, levels, base, ratio)
                            tower={"levels": levels, "base": base, "ratio": ratio})
     for trial in range(2):
         rng, loop_rng = trial_rng(9, trial), trial_rng(9, trial)
-        _, _, _, seed = build_lift_scenario(s, rng)
+        _, _, seed = build_lift_scenario(s, rng)
         assert_same_bits(seed.values.parts[0],
                          ref.loop_lift_seed_values(order, levels, base, ratio, loop_rng))
         assert_same_state(rng, loop_rng)
+
+
+def assert_same_tower(tower, want):
+    """The same blocks, perms, unitary bytes (as given and as stacked) and
+    ideals."""
+    got, ref_alg = tower.algebra, want.algebra
+    assert got.blocks == ref_alg.blocks and tower.ideals == want.ideals
+    assert_same_bits(got.perms, ref_alg.perms)
+    for us, ref_us in zip(got.unitaries, ref_alg.unitaries, strict=True):
+        for u, ref_u in zip(us, ref_us, strict=True):
+            assert_same_bits(np.asarray(u), np.asarray(ref_u))
+    for u, ref_u in zip(got._u, ref_alg._u, strict=True):
+        assert_same_bits(u, ref_u)
+
+
+@pytest.mark.parametrize("spec", SPECS[:6])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_copies_tower_matches_the_two_block_tower(spec, dim):
+    group = make_group(spec["kind"], spec["params"])
+    assert_same_tower(scenarios._identity_tower(scenarios._key(spec), dim),
+                      ref.two_block_tower(group, [np.eye(dim)] * group.order))
+    action = exact_rep_values(spec, group, dim, trial_rng(3, dim))
+    assert_same_tower(scenarios._copies_tower(group, action),
+                      ref.two_block_tower(group, action))
+
+
+@pytest.mark.parametrize("model, order, levels", [
+    ("translation", 3, 8), ("translation", 1, 2), ("translation", 6, 4),
+    ("inversion", 4, 5), ("inversion", 1, 3)])
+def test_copies_tower_matches_the_lift_stage_tower(model, order, levels):
+    tower, action, _ = scenarios._lift_model(model, order, levels)
+    assert_same_tower(tower, ref.stage_tower(action.group,
+                                             ref.stage_unitaries(model, order), levels))
 
 
 # --- the models shared between trials -----------------------------------------
@@ -127,7 +160,7 @@ def test_cached_models_are_read_only():
     menu = scenarios._menu(scenarios._key({"kind": "dihedral", "params": 3}))
     algebra, exact, _ = build_rokhlin_scenario(3, 2, 0.02, trial_rng(0, 0))
     lift = Scenario.from_dict(SUITE["lift"][1], seed=0)
-    tower, _, action, _ = build_lift_scenario(lift, trial_rng(0, 0))
+    tower, action, _ = build_lift_scenario(lift, trial_rng(0, 0))
     rep_tower = scenarios._identity_tower(
         scenarios._key(SUITE["rep_tower"][1]["group"]), 4)
     # The level quotients a trial builds in a cached tower are cached too.

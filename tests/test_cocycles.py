@@ -123,7 +123,7 @@ def test_one_step_invariant_conjugation_covariance():
 def test_trivialize_trivial():
     alg, _ = action_algebra({"kind": "cyclic", "params": 4}, 3, 10)
     vals = np.stack([np.eye(3, dtype=complex)] * 4)
-    res = trivialize(cocycle(alg, vals))
+    res = trivialize(cocycle(alg, vals), np.eye(3, dtype=complex))
     assert operator_norm(res.last - np.eye(3)) <= 1e-12
     assert res.iterations == 0
 

@@ -594,14 +594,14 @@ def test_lift_gates_on_phi_take_no_svd(monkeypatch, svd_counter):
     s = Scenario(kind="lift", seed=1, group={"kind": "cyclic", "params": 6},
                  source={"model": "translation", "order": 6},
                  tower={"levels": 8, "base": 0.2, "ratio": 0.2}, trials=1)
-    tower, phi, action, seed = build_lift_scenario(s, trial_rng(s.seed, 0))
+    tower, action, seed = build_lift_scenario(s, trial_rng(s.seed, 0))
 
     def stop(*args):
         raise StopLift
     monkeypatch.setattr(repcorrect, "symmetrize", stop)
     svd_counter.clear()
     with pytest.raises(StopLift):
-        lift_group_rep(tower, phi, action, seed=seed)
+        lift_group_rep(tower, action, seed)
     assert svd_counter == []
 
 
@@ -661,11 +661,11 @@ def test_cocycle_gates_reject_a_cocycle_just_over_them():
     # names the exact defect, which the cocycle then caches.
     t = 0.5e-11 * (1 + 1e-6)
     values = np.stack([np.eye(2), np.diag([1.0, np.exp(1j * t)])]).astype(complex)
-    alg = matrix_algebra(2, cyclic_group(2))
+    alg = matrix_algebra(2, cyclic_group(2), [np.eye(2)] * 2)
     exact = cocycle(alg, values).defect_with_argmax()
     assert 1e-11 < exact[0] <= 1e-11 * (1 + 1e-5)
     for run, message in [
-            (trivialize, f"cocycle must be exact before trivialization (defect "
+            (lambda w: trivialize(w, np.eye(2)), f"cocycle must be exact before trivialization (defect "
                          f"{exact[0]:.3e}); approximately multiplicative cocycles "
                          f"are reported, not corrected"),
             (lambda w: one_step_cobound(w, np.eye(2)),
@@ -700,9 +700,9 @@ def test_lift_rejects_phi_just_over_its_gates(which):
     # on its group algebra, and phi(1) the swap: an exact equivariant
     # representation.  A phase e^{it} on phi(1) makes its defect 2t, and
     # diagonal entries (-t, t) its equivariance defect 2t instead.
-    G = cyclic_group(2)
+    action = translation_source_action(2)
+    G = action.group
     alg = matrix_algebra(2, G, [np.diag([1.0, np.exp(-1j * np.pi * g)]) for g in range(2)])
-    action = translation_source_action(2, G, G)
     t = 0.5e-11 * (1 + 1e-6)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     one = np.exp(1j * t) * swap if which == "defect" else swap + np.diag([-t, t])
@@ -714,6 +714,6 @@ def test_lift_rejects_phi_just_over_its_gates(which):
     assert 1e-11 < {"defect": defect, "equivariance": eq}[which] <= 1e-11 * (1 + 1e-4)
     assert min(defect, eq) <= 1e-15
     with pytest.raises(DefectTooLargeError) as err:
-        lift_group_rep(Tower(alg, (frozenset(),)), phi, action, seed=phi)
+        lift_group_rep(Tower(alg, (frozenset(),)), action, phi)
     assert str(err.value) == (f"phi must be exact and equivariant at the top "
                               f"(defect {defect:.3e}, equivariance {eq:.3e})")

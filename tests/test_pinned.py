@@ -140,7 +140,7 @@ def test_pinned_lift_correction_matches_the_whole_stack_route(seed, source, leve
     model, order = source
     s = Scenario(kind="lift", seed=seed, source={"model": model, "order": order},
                  tower={"levels": levels, "base": 0.2, "ratio": 0.2}, trials=1)
-    tower, phi, action, lift_seed = build_lift_scenario(s, trial_rng(seed, 0))
+    tower, action, lift_seed = build_lift_scenario(s, trial_rng(seed, 0))
     calls = []
 
     def spy(rep, tol, pin):
@@ -149,7 +149,7 @@ def test_pinned_lift_correction_matches_the_whole_stack_route(seed, source, leve
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(repcorrect, "correct_to_rep", spy)
-        result = lift_group_rep(tower, phi, action, seed=lift_seed)
+        result = lift_group_rep(tower, action, lift_seed)
     [(rho0, (pinned_tower, level), pinned)] = calls
     assert pinned_tower is tower and level == result.level
     whole = correct_to_rep(ApproxRep(rho0.group, rho0.values))

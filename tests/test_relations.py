@@ -98,7 +98,7 @@ def test_stabilize_rejects_rough_seeds():
 def test_stabilize_requires_standard_cyclic():
     from equifix.groups import make_group
     g = make_group("symmetric", 3)
-    alg = matrix_algebra(2, g)
+    alg = matrix_algebra(2, g, [np.eye(2)] * g.order)
     with pytest.raises(ValueError, match="cyclic"):
         stabilize_partition(alg, np.zeros((6, 2, 2), dtype=complex))
 

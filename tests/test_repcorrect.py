@@ -6,7 +6,8 @@ from equifix import repcorrect
 from equifix.groups import cyclic_group, make_group
 from equifix.cocycles import coboundary
 from equifix.galgebra import GAlgebra, Tower, matrix_algebra
-from equifix.matfun import Blocks, adjoint, identity_like, operator_norm
+from equifix.matfun import (Blocks, adjoint, exp_skew, identity_like, largest_norm,
+                            operator_norm)
 from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
                                 DefectTooLargeError, LevelReport, LiftError,
                                 SourceAction, correct_to_rep,
@@ -172,9 +173,8 @@ def translation_setup(d, seed, stage_noise):
     """Single-stage translation model with a conjugated exact rep."""
     from scipy.linalg import expm
     rng = trial_rng(seed, 0)
-    G = cyclic_group(d)
-    H = cyclic_group(d)
-    action = translation_source_action(d, G, H)
+    action = translation_source_action(d)
+    G, H = action.group, action.source
     zeta = np.exp(2j * np.pi / d)
     dmat = np.diag(zeta ** (-np.arange(d)))
     act = matrix_algebra(d, G, [np.linalg.matrix_power(dmat, g) for g in range(d)]).act
@@ -278,7 +278,7 @@ def test_intertwiner_tower_quotient_is_one():
     rho = ApproxRep(group, Blocks((np.stack([base, base], axis=1),)))
     sigma = ApproxRep(group, Blocks((np.stack([v @ base @ v.conj().T, base],
                                               axis=1),)))
-    u = intertwiner(rho, sigma, pin=(tower, 0))
+    u = intertwiner(rho, sigma)
     assert operator_norm(tower.project(tower.top, 0, u - identity_like(u))) <= 1e-11
     worst = np.max(operator_norm(u @ rho.values @ u.conj().swapaxes(-1, -2) -
                                  sigma.values))
@@ -292,8 +292,8 @@ def test_lift_exact_tower_returns_level_zero():
                  source={"model": "translation", "order": 3},
                  tower={"levels": 4, "base": 0.0, "ratio": 0.5}, trials=1)
     rng = trial_rng(s.seed, 0)
-    tower, phi, action, seed = build_lift_scenario(s, rng)
-    res = lift_group_rep(tower, phi, action, seed=seed)
+    tower, action, seed = build_lift_scenario(s, rng)
+    res = lift_group_rep(tower, action, seed)
     assert res.level == 0
     assert res.equivariance_residual <= 1e-11
     assert res.projection_residual <= 1e-11
@@ -304,8 +304,8 @@ def test_lift_decaying_tower_end_to_end():
                  source={"model": "translation", "order": 4},
                  tower={"levels": 8, "base": 0.2, "ratio": 0.2}, trials=1)
     rng = trial_rng(s.seed, 0)
-    tower, phi, action, seed = build_lift_scenario(s, rng)
-    res = lift_group_rep(tower, phi, action, seed=seed)
+    tower, action, seed = build_lift_scenario(s, rng)
+    res = lift_group_rep(tower, action, seed)
     assert 0 < res.level < tower.top
     assert res.rep.defect() <= 1e-11
     assert res.equivariance_residual <= 1e-11
@@ -322,8 +322,8 @@ def test_lift_translation_covariance_realized():
                  source={"model": "translation", "order": d},
                  tower={"levels": 6, "base": 0.1, "ratio": 0.2}, trials=1)
     rng = trial_rng(s.seed, 0)
-    tower, phi, action, seed = build_lift_scenario(s, rng)
-    res = lift_group_rep(tower, phi, action, seed=seed)
+    tower, action, seed = build_lift_scenario(s, rng)
+    res = lift_group_rep(tower, action, seed)
     z = res.rep.values[1]
     zeta = np.exp(2j * np.pi / d)
     algebra = tower.level(res.level)
@@ -359,19 +359,23 @@ def per_level_scan(tower, source_action, seed):
     return table, seed_rep, rho0
 
 
-def per_level_lift(tower, phi, source_action, seed):
+def per_level_lift(tower, source_action, seed):
     """The lift over ``per_level_scan``: (level, table, rep values,
-    correction, equivariance and projection residuals).  phi and the seed
-    are exact here, so the intertwiner always runs."""
+    correction, equivariance and projection residuals).  phi (the seed at
+    the top) and the seed are exact here, so the intertwiner always runs,
+    and the correction keeps the top quotient's blocks."""
     table, seed_rep, rho0 = per_level_scan(tower, source_action, seed)
     level, act = table[-1].level, tower.level(table[-1].level).act
 
     correction = correct_to_rep(rho0, tol=1e-12, pin=(tower, level))
-    u = intertwiner(seed_rep, correction.last, pin=(tower, level))
+    u = intertwiner(seed_rep, correction.last)
+    assert operator_norm(tower.project(tower.top, level, seed_rep.values -
+                                       correction.last.values)).max() <= 1e-11
     final = u @ seed_rep.values @ adjoint(u)
+    phi = tower.project(tower.top, 0, seed.values)
     return (level, table, final, correction,
             equivariance_defect(final, act, source_action),
-            operator_norm(tower.project(tower.top, level, final) - phi.values).max())
+            operator_norm(tower.project(tower.top, level, final) - phi).max())
 
 
 def lift_case(model, order, base, ratio, levels):
@@ -437,8 +441,8 @@ def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, o
     # The scan symmetrizes and polar-decomposes level 0 once, and each
     # level takes its live blocks of those; the table's seed figures come
     # from one pass over level 0's stacks.
-    tower, phi, action, seed = lift_case(model, order, base, ratio, levels)
-    level, table, final, correction, eq, proj = per_level_lift(tower, phi, action, seed)
+    tower, action, seed = lift_case(model, order, base, ratio, levels)
+    level, table, final, correction, eq, proj = per_level_lift(tower, action, seed)
     calls = {"symmetrize": 0, "_polar_parts": 0}
     for name in calls:
         real = getattr(repcorrect, name)
@@ -446,10 +450,10 @@ def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, o
                             calls.__setitem__(name, calls[name] + 1) or real(*a))
     seeds = []
     real_intertwiner = repcorrect.intertwiner
-    monkeypatch.setattr(repcorrect, "intertwiner", lambda rho, sigma, pin:
-                        seeds.append(rho) or real_intertwiner(rho, sigma, pin))
+    monkeypatch.setattr(repcorrect, "intertwiner", lambda rho, sigma:
+                        seeds.append(rho) or real_intertwiner(rho, sigma))
     figures = spy_level_figures(monkeypatch)
-    res = lift_group_rep(tower, phi, action, seed=seed)
+    res = lift_group_rep(tower, action, seed)
     assert calls == {"symmetrize": 1, "_polar_parts": 1}
     assert_one_norm_per_block(figures, tower)
     assert res.level == level == accept
@@ -468,12 +472,12 @@ def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, o
 
 
 def test_failing_lift_table_is_bit_equal_to_the_per_level_loop(monkeypatch):
-    tower, phi, action, seed = lift_case("translation", 4, 0.9, 0.6, 5)
+    tower, action, seed = lift_case("translation", 4, 0.9, 0.6, 5)
     table = per_level_scan(tower, action, seed)[0]
     assert len(table) == tower.top == 4 and not table[-1].accepted
     figures = spy_level_figures(monkeypatch)
     with pytest.raises(LiftError) as err:
-        lift_group_rep(tower, phi, action, seed=seed)
+        lift_group_rep(tower, action, seed)
     assert err.value.table == table
     assert_one_norm_per_block(figures, tower)
 
@@ -483,9 +487,9 @@ def test_lift_too_coarse_tower_fails_with_table():
                  source={"model": "translation", "order": 3},
                  tower={"levels": 3, "base": 0.4, "ratio": 0.9}, trials=1)
     rng = trial_rng(s.seed, 0)
-    tower, phi, action, seed = build_lift_scenario(s, rng)
+    tower, action, seed = build_lift_scenario(s, rng)
     with pytest.raises(LiftError) as err:
-        lift_group_rep(tower, phi, action, seed=seed)
+        lift_group_rep(tower, action, seed)
     assert len(err.value.table) == tower.top
 
 
@@ -494,12 +498,41 @@ def test_lift_rejects_inexact_phi():
                  source={"model": "translation", "order": 3},
                  tower={"levels": 4, "base": 0.1, "ratio": 0.2}, trials=1)
     rng = trial_rng(s.seed, 0)
-    tower, phi, action, seed = build_lift_scenario(s, rng)
-    bad = phi.values.map(np.copy)
-    bad.parts[0][1] *= np.exp(0.2j)
-    with pytest.raises(DefectTooLargeError):
-        lift_group_rep(tower, ApproxRep(action.source, bad, unitary=False,
-                                        unital=False), action, seed=seed)
+    tower, action, seed = build_lift_scenario(s, rng)
+    bad = seed.values.map(np.copy)
+    bad.parts[0][1, -1] *= np.exp(0.2j)         # the top block of u_1
+    with pytest.raises(DefectTooLargeError, match="phi must be exact"):
+        lift_group_rep(tower, action, ApproxRep(action.source, bad, unitary=False,
+                                                unital=False))
+
+
+def test_lift_refuses_a_correction_that_moves_the_top_quotient(monkeypatch):
+    # A correction that conjugates the top quotient's block by a unitary
+    # near 1 leaves an exact representation near the seed: the intertwiner
+    # takes it, and the lift's own gate on the quotient, after it, refuses.
+    tower, action, seed = lift_case("translation", 6, 0.2, 0.2, 8)
+    v = exp_skew(0.01 * random_skew(trial_rng(3, 0), 6))
+    moved, calls = [], []
+    real_correct, real_intertwiner = repcorrect.correct_to_rep, repcorrect.intertwiner
+
+    def correct(rep, tol, pin):
+        correction = real_correct(rep, tol=tol, pin=pin)
+        part = correction.last.values.parts[0].copy()
+        part[:, -1] = v @ part[:, -1] @ adjoint(v)
+        correction.last = ApproxRep(rep.group, Blocks((part,)))
+        moved.append((pin[1], correction.last.values))
+        return correction
+    monkeypatch.setattr(repcorrect, "correct_to_rep", correct)
+    monkeypatch.setattr(repcorrect, "intertwiner", lambda rho, sigma:
+                        calls.append(rho) or real_intertwiner(rho, sigma))
+    with pytest.raises(DefectTooLargeError) as err:
+        lift_group_rep(tower, action, seed)
+    [(level, values)] = moved
+    assert len(calls) == 1
+    mismatch = largest_norm(tower.project(tower.top, level, tower.project(
+        level, 0, seed.values) - values))[0]
+    assert mismatch > 1e-11
+    assert str(err.value) == f"quotients of rho and sigma differ by {mismatch:.3e}"
 
 
 def test_source_action_validation():

@@ -215,6 +215,21 @@ def test_unrunnable_scenario_is_rejected_before_any_trial(tmp_path, kind, group,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("fields", [{"kind": "rep", "tower": {}},
+                                    {"kind": "cocycle", "tower": {}},
+                                    {"kind": "lift", "tower": {}, "source": {}}])
+def test_empty_tower_and_source_are_run_and_echoed(tmp_path, fields):
+    # A tower selects the pinned variant, an empty one at its defaults.
+    s = Scenario.from_dict({"seed": 0, "trials": 2, **fields})
+    assert run_scenario(s, tmp_path).all_passed
+    payload = json.loads((tmp_path / "report.json").read_text())
+    echoed = {key: payload["scenario"][key] for key in ("tower", "source")
+              if key in payload["scenario"]}
+    assert echoed == {key: {} for key in fields if key != "kind"}
+    if fields["kind"] != "lift":
+        assert all("quotient_drift" in t["measured"] for t in payload["trials"])
+
+
 def test_cli_dihedral_rokhlin_file_exits_two(tmp_path, capsys):
     f = tmp_path / "rokhlin.json"
     f.write_text(json.dumps({"kind": "rokhlin", "seed": 0,
@@ -275,6 +290,19 @@ def one_by_one(z):
                                          [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]],
                       "seeds": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 2}},
      "graded", "/graded_data/dual_unitaries: dual action is not a homomorphism"),
+    # A group's count is an integer, and a bool is not one, in a product's
+    # factors too.
+    ({"kind": "rep", "group": {"kind": "cyclic", "params": 3.5}},
+     "stabilize", "/group/params: 3.5 does not build a cyclic group"),
+    ({"kind": "rep", "group": {"kind": "cyclic", "params": "4"}},
+     "stabilize", "/group/params: '4' does not build a cyclic group"),
+    ({"kind": "rep", "group": {"kind": "cyclic", "params": True}},
+     "stabilize", "/group/params: True does not build a cyclic group"),
+    ({"kind": "rokhlin", "group": {"kind": "cyclic", "params": 2.0}},
+     "rokhlin", "/group/params: 2.0 does not build a cyclic group"),
+    ({"kind": "cocycle", "group": {"kind": "product",
+                                   "params": [["cyclic", 2], ["dihedral", 3.0]]}},
+     "cocycle", "/group/params: [['cyclic', 2], ['dihedral', 3.0]] does not build"),
 ])
 def test_cli_rejects_unrunnable_input_with_exit_two(tmp_path, capsys, fields,
                                                     subcommand, pointer):

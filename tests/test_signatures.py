@@ -20,16 +20,15 @@ SETTABLE = {
     "matfun.largest_norm": {"floor"},                 # every screened gate
     "galgebra.GAlgebra.__init__": {"action_tol", "check"},  # restrict: no check
     "galgebra.GAlgebra.action_defect": {"samples", "floor"},   # its self-check
-    "galgebra.matrix_algebra": {"action_unitaries", "action_tol"},  # the corner
+    "galgebra.matrix_algebra": {"action_tol"},        # the corner
     "galgebra.max_pair_defect": {"act",               # the cocycle defect
                                  "floor"},            # ApproxRep.defect_at_most
     "repcorrect.ApproxRep.__init__": {"unitary", "unital",   # the lift's maps
                                       "act"},                # cocycles.cocycle
     "repcorrect.correct_to_rep": {"tol", "pin"},
-    "repcorrect.intertwiner": {"pin"},                # the lift
     "repcorrect.equivariance_defect": {"floor"},      # the lift's phi gate
     "repcorrect.lift_group_rep": {"tol"},             # a scenario's tolerance
-    "cocycles.trivialize": {"v0", "tol", "pin"},
+    "cocycles.trivialize": {"tol", "pin"},
     "relations.measure_partition_seeds": {"unit"},    # the tracial residuals
     "graded.graded_correct": {"tol"},
     "scenarios.Scenario.__init__": {"group", "dimension", "magnitude", "trials",

@@ -385,7 +385,7 @@ def test_chunked_equivariance_defect_is_bit_equal_to_one_chunk(seed, model, orde
     s = Scenario(kind="lift", seed=seed, source={"model": model, "order": order},
                  tower={"levels": 3, "base": 0.2, "ratio": 0.2})
     rng = trial_rng(seed, 0)
-    tower, _, source_action, lift_seed = build_lift_scenario(s, rng)
+    tower, source_action, lift_seed = build_lift_scenario(s, rng)
     for level in range(tower.top + 1):
         vals = tower.project(level, 0, lift_seed.values)
         vals = vals + noise * vals.map(lambda p: rng.standard_normal(p.shape))
@@ -403,7 +403,7 @@ def test_chunked_symmetrize_is_bit_equal_to_one_chunk(seed, model, order, noise,
     s = Scenario(kind="lift", seed=seed, source={"model": model, "order": order},
                  tower={"levels": 3, "base": 0.2, "ratio": 0.2})
     rng = trial_rng(seed, 0)
-    tower, _, source_action, lift_seed = build_lift_scenario(s, rng)
+    tower, source_action, lift_seed = build_lift_scenario(s, rng)
     for level in range(tower.top + 1):
         vals = tower.project(level, 0, lift_seed.values)
         vals = vals + noise * vals.map(lambda p: rng.standard_normal(p.shape))
@@ -766,13 +766,12 @@ def source_action_message(G, H, perm, scalar):
                                  "automorphism"]), max_size=3))
 def test_source_action_checks_match_the_loop(seed, model, d, corruptions):
     rng = np.random.default_rng(seed)
-    H = cyclic_group(d)
     if model == "translation":
-        G = H
-        action = translation_source_action(d, G, H)
+        action = translation_source_action(d)
+        G, H = action.group, action.source
         perm, scalar = action.perm.copy(), action.scalar.copy()
     else:
-        G = cyclic_group(2)
+        G, H = cyclic_group(2), cyclic_group(d)
         perm = np.stack([np.arange(d), (-np.arange(d)) % d])
         scalar = np.ones((2, d), dtype=complex)
     g = rng.integers(0, G.order)       # corruptions meet at one g
