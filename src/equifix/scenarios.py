@@ -195,8 +195,7 @@ class Scenario:
         """``_graded`` of the group and graded_data, keyed by their JSON text
         and looked up once per scenario rather than once per trial."""
         data = self.graded_data
-        return _graded(json.dumps(self.group, sort_keys=True),
-                       None if data is None else json.dumps(data, sort_keys=True))
+        return _graded(_key(self.group), None if data is None else _key(data))
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "seed": self.seed, "group": self.group,
@@ -787,11 +786,11 @@ class ScenarioReport:
 def _check_scenario(s: Scenario):
     """Raise ScenarioError for what the schema cannot see: group params
     that do not build a group, a group or dimension the kind does not
-    support, and graded_data that is not a grading of the group.  Run
-    before any trial, since a ScenarioError inside a trial would be
-    recorded as a failed trial instead of rejecting the scenario."""
-    if s.kind == "lift":            # its groups come from the source model
-        return
+    support, and graded_data that is not a grading of the group.  A lift's
+    group is checked too, though its trials take their groups from the
+    source model.  Run before any trial, since a ScenarioError inside a
+    trial would be recorded as a failed trial instead of rejecting the
+    scenario."""
     spec = s.group
     if s.kind in ("rokhlin", "tracial"):
         if spec["kind"] != "cyclic":
@@ -822,7 +821,11 @@ def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
     """Run all trials of a scenario, write trace.csv and report.json into
     ``out_dir``, and return the collected report.  A scenario the trials
     cannot run, or an unusable ``out_dir``, raises ScenarioError before
-    anything is written, and a file that cannot be written raises it too."""
+    anything is written, and a file that cannot be written raises it too.
+
+    Each output is written as a new file: an existing entry of its name, a
+    symlink included, is removed first and never written through, since
+    ext4 flushes a truncated file's new data when it is closed."""
     _check_scenario(scenario)
     out = Path(out_dir)
     try:
@@ -858,10 +861,12 @@ def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
     }
     for name, text in (("trace.csv", "\n".join(lines) + "\n"),
                        ("report.json", json.dumps(payload, indent=2, sort_keys=True))):
+        path = out / name
         try:
-            (out / name).write_text(text)
+            path.unlink(missing_ok=True)
+            path.write_text(text)
         except OSError as exc:
-            raise ScenarioError(f"{out / name}: cannot write ({exc.strerror})") from None
+            raise ScenarioError(f"{path}: cannot write ({exc.strerror})") from None
     return ScenarioReport(scenario=scenario, trials=reports,
                           all_passed=not failures, failures=failures)
 

@@ -230,6 +230,16 @@ def test_empty_tower_and_source_are_run_and_echoed(tmp_path, fields):
         assert all("quotient_drift" in t["measured"] for t in payload["trials"])
 
 
+def test_cli_lift_with_a_valid_group_runs_and_echoes_it(tmp_path, capsys):
+    group = {"kind": "cyclic", "params": 4}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"kind": "lift", "seed": 0, "trials": 1, "group": group}))
+    rc = cli_main(["lift", "--scenario", str(f), "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().err
+    assert json.loads((tmp_path / "o" / "report.json").read_text())[
+        "scenario"]["group"] == group
+
+
 def test_cli_dihedral_rokhlin_file_exits_two(tmp_path, capsys):
     f = tmp_path / "rokhlin.json"
     f.write_text(json.dumps({"kind": "rokhlin", "seed": 0,
@@ -303,6 +313,14 @@ def one_by_one(z):
     ({"kind": "cocycle", "group": {"kind": "product",
                                    "params": [["cyclic", 2], ["dihedral", 3.0]]}},
      "cocycle", "/group/params: [['cyclic', 2], ['dihedral', 3.0]] does not build"),
+    # A lift's trials take their groups from the source model, but its group
+    # is checked like every other kind's.
+    ({"kind": "lift", "group": {"kind": "cyclic", "params": 3.5}},
+     "lift", "/group/params: 3.5 does not build a cyclic group"),
+    ({"kind": "lift", "group": {"kind": "cyclic", "params": "4"}},
+     "lift", "/group/params: '4' does not build a cyclic group"),
+    ({"kind": "lift", "group": {"kind": "cyclic", "params": True}},
+     "lift", "/group/params: True does not build a cyclic group"),
 ])
 def test_cli_rejects_unrunnable_input_with_exit_two(tmp_path, capsys, fields,
                                                     subcommand, pointer):
@@ -431,6 +449,42 @@ def test_unwritable_output_file_exits_two_naming_it(tmp_path, capsys):
     assert str(tmp_path / "trace.csv") in err and "Traceback" not in err
 
 
+def _estimate(seed=0, trials=1):
+    return Scenario(kind="integral_estimate", seed=seed, trials=trials)
+
+
+def test_rerun_leaves_a_hard_link_to_the_old_report_unchanged(tmp_path):
+    # Each output is a new file: the old one is neither truncated nor written.
+    out = tmp_path / "out"
+    run_scenario(_estimate(seed=0), out)
+    os.link(out / "report.json", tmp_path / "held")
+    old = (tmp_path / "held").read_bytes()
+    run_scenario(_estimate(seed=1), out)
+    assert (tmp_path / "held").read_bytes() == old
+    assert json.loads((out / "report.json").read_text())["scenario"]["seed"] == 1
+
+
+def test_symlink_at_an_output_is_replaced_not_written_through(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "target"
+    target.write_text("kept\n")
+    (out / "trace.csv").symlink_to(target)
+    run_scenario(_estimate(), out)
+    assert target.read_text() == "kept\n"
+    assert not (out / "trace.csv").is_symlink() and (out / "trace.csv").is_file()
+    assert (out / "trace.csv").read_text().startswith("trial,iteration,defect,distance\n")
+
+
+def test_rerun_into_a_used_directory_matches_a_fresh_run(tmp_path):
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    run_scenario(_estimate(seed=3, trials=3), used)     # a longer trace first
+    run_scenario(_estimate(), used)
+    run_scenario(_estimate(), fresh)
+    assert (used / "trace.csv").read_bytes() == (fresh / "trace.csv").read_bytes()
+    assert sorted(os.listdir(used)) == ["report.json", "trace.csv"]
+
+
 @pytest.mark.parametrize("via", ["path", "hard link"])
 @pytest.mark.parametrize("name", ["trace.csv", "report.json"])
 def test_scenario_file_that_is_an_output_exits_two_unchanged(tmp_path, capsys, name,
@@ -508,10 +562,9 @@ def test_graded_data_key_is_formed_once_per_scenario(tmp_path, monkeypatch):
     # the scenario check and all four trials.
     s = explicit_graded_scenario(4, 4)
     keyed = []
-    real = json.dumps
-    monkeypatch.setattr(scenarios_module.json, "dumps",
-                        lambda obj, *a, **k: keyed.append(obj is s.graded_data)
-                        or real(obj, *a, **k))
+    real = scenarios_module._key
+    monkeypatch.setattr(scenarios_module, "_key",
+                        lambda obj: keyed.append(obj is s.graded_data) or real(obj))
     assert run_scenario(s, tmp_path).all_passed
     assert keyed.count(True) == 1
 
