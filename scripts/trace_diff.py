@@ -15,7 +15,8 @@ process importing that tree's ``src/`` with one BLAS thread: the
 * every difference in trace rows, iteration counts, ``passes``, bound
   names, measured names, errors or ``failures``;
 * the worst value excess: the largest |a - b| / (1e-14 + 1e-12 |b|) over
-  every trace value, measured value and bound, b the other checkout's.
+  every trace value, measured value and bound, b the other checkout's;
+* the line count of each tree's ``src/equifix/*.py``, the other's first.
 
 Exits 0 when nothing differs but values, and every value is within its
 allowance (excess at most 1); 1 otherwise.
@@ -71,6 +72,12 @@ def start(tree: Path, out: Path, work) -> subprocess.Popen:
     proc.stdin.write(json.dumps(work))
     proc.stdin.close()
     return proc
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of the tree's ``src/equifix/*.py``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (tree / "src" / "equifix").glob("*.py"))
 
 
 class Diff:
@@ -185,6 +192,7 @@ def main(argv):
     excess, where = diff.worst
     print(f"worst value excess over 1e-14 + 1e-12|v|: {excess:.3g}"
           + (f" ({where})" if where else ""))
+    print(f"src/equifix lines: {src_lines(other):,} -> {src_lines(ROOT):,}")
     return 0 if not diff.problems and excess <= 1 else 1
 
 

@@ -14,8 +14,7 @@ ApproxRep, and every iterated corrector, graded too, returns a Correction.
 from .groups import (FiniteGroup, cyclic_group, dihedral_group, make_group,
                      product_group, symmetric_group)
 from .matfun import (EPS0, UNITARIZE_EPS, Blocks, exp_skew, largest_norm,
-                     operator_norm, polar_unitary, principal_log_unitary,
-                     spectral_round_unitary)
+                     polar_unitary, principal_log_unitary, spectral_round_unitary)
 from .galgebra import GAlgebra, Tower, matrix_algebra
 from .repcorrect import (ApproxRep, Correction, SourceAction, correct_to_rep,
                          intertwiner, lift_group_rep, one_step, symmetrize,

@@ -20,14 +20,15 @@ from typing import Optional
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import (Blocks, adjoint, exp_skew, largest_norm, operator_norm,
-                     principal_log_unitary)
+from .matfun import Blocks, adjoint, exp_skew, largest_norm, principal_log_unitary
 from .galgebra import GAlgebra
 from .repcorrect import (ApproxRep, Correction, DefectTooLargeError, _iterate,
                          _pinned)
 
+# A step takes mismatch r to at most CONTRACTION r^2.
+CONTRACTION = 10
 ONE_STEP_MAX_MISMATCH = 1.0 / 5
-TRIVIALIZE_MAX_MISMATCH = 1.0 / 10
+TRIVIALIZE_MAX_MISMATCH = 1.0 / CONTRACTION
 
 
 def cocycle(algebra: GAlgebra, values) -> ApproxRep:
@@ -76,7 +77,7 @@ def _cobound_step(w: ApproxRep, v, measured):
     return v @ exp_skew(principal_log_unitary(m).mean(axis=0))
 
 
-def trivialize(w: ApproxRep, v0, tol: float = 1e-12,
+def trivialize(w: ApproxRep, v0, tol: float,
                pin: Optional[tuple] = None) -> Correction:
     """Iterate the coboundary correction until v alpha_g(v)* = w(g) to tol.
 
@@ -98,7 +99,7 @@ def trivialize(w: ApproxRep, v0, tol: float = 1e-12,
     r0, g = last = mismatch(w, v0)     # the newest iterate's, for its step
     if r0 >= TRIVIALIZE_MAX_MISMATCH:
         raise DefectTooLargeError(
-            f"seed mismatch {r0:.6g} is not below 1/10 (attained at g={g})")
+            f"seed mismatch {r0:.6g} is not below 1/{CONTRACTION} (attained at g={g})")
     moving, start, frozen = w, v0, (-1.0, None)
     if pin is not None:
         down, frozen, keep, start, attach = _pinned(
@@ -139,6 +140,6 @@ def verify_integral_estimate(group: FiniteGroup, values: np.ndarray):
         raise DefectTooLargeError(f"||u(g) - 1|| = {r:.6g} exceeds 1/2")
     avg = values.mean(axis=0)
     logavg = principal_log_unitary(values).mean(axis=0)
-    lhs = operator_norm(avg - exp_skew(logavg))
+    lhs = largest_norm(avg - exp_skew(logavg))[0]
     bound = 5 * r ** 2 / (2 * (1 - 2 * r)) if r < 0.5 else np.inf
-    return lhs, bound, r, operator_norm(avg)
+    return lhs, bound, r, largest_norm(avg)[0]

@@ -24,8 +24,7 @@ import numpy as np
 
 from .galgebra import chunks, group_mean
 from .groups import FiniteGroup
-from .matfun import (UNITARIZE_EPS, _polar_parts, adjoint, largest_norm,
-                     operator_norm)
+from .matfun import UNITARIZE_EPS, _polar_parts, _svd_norms, adjoint, largest_norm
 from .repcorrect import (ApproxRep, Correction, DefectTooLargeError,
                          _admitted_defect, _iterate, one_step)
 
@@ -121,15 +120,15 @@ class GradedAlgebra:
         # Homomorphism of automorphisms: du[s] du[t] equals du[dm[s, t]] up
         # to a phase, checked over a chunk of s at a time; a failure names
         # the first (s, t) in row-major order.
-        tol = 1e-12
         for c in chunks(n, n * self.dim ** 2):
             prod = du[c, None] @ du[None]
             target = du[dm[c]]
             phase = np.trace(adjoint(target) @ prod, axis1=-2, axis2=-1) / self.dim
             off = prod - phase[..., None, None] * target
             bad = np.abs(np.abs(phase) - 1) > 1e-9
-            if bad.any() or largest_norm(off, tol * 10)[1] is not None:
-                bad |= operator_norm(off) > tol * 10
+            # Screened first: it refuses non-finite entries, which an SVD takes.
+            if largest_norm(off, 1e-11)[1] is not None or bad.any():
+                bad |= _svd_norms(off) > 1e-11
                 s, t = divmod(int(np.flatnonzero(bad)[0]), n)
                 raise ValueError(
                     f"dual action is not a homomorphism at ({c.start + s},{t})")
@@ -168,7 +167,7 @@ def regular_graded_model(group: FiniteGroup):
 
 
 def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
-                   tol: float = 1e-12) -> tuple[Correction, list]:
+                   tol: float) -> tuple[Correction, list]:
     """Correct an approximately graded approximately multiplicative unitary
     family into an exact representation with each value exactly in its
     grading component.  Returns the iterated corrector's Correction and the
@@ -194,7 +193,7 @@ def graded_correct(algebra: GradedAlgebra, values: np.ndarray,
     singular = s[:, -1] <= 1e-10
     if far or singular.any():
         # Name the first g that fails either test, as a loop over g would.
-        gaps = operator_norm(values - parts)
+        gaps = _svd_norms(values - parts)
         g = int(np.flatnonzero((gaps >= eps) | singular)[0])
         if gaps[g] >= eps:
             raise DefectTooLargeError(

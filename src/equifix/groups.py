@@ -10,7 +10,6 @@ of g.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -151,35 +150,28 @@ def make_group(kind: str, params) -> FiniteGroup:
     ``params`` is an int for cyclic/dihedral/symmetric and a pair of
     FiniteGroups (or (kind, params) specs) for product.  Rejects a count
     that is not an integer (a bool is not one), and any request whose
-    resulting order exceeds ORDER_CAP.
+    resulting order exceeds ORDER_CAP, before the group is built.
     """
-    if kind in ("cyclic", "dihedral", "symmetric") and (
-            isinstance(params, bool) or not isinstance(params, (int, np.integer))):
-        raise GroupConstructionError(f"{kind} needs an integer count, got {params!r}")
-    if kind == "cyclic":
-        d = int(params)
-        if d > ORDER_CAP:
-            raise GroupConstructionError(f"order {d} exceeds cap {ORDER_CAP}")
-        return cyclic_group(d)
-    if kind == "dihedral":
-        n = int(params)
-        if 2 * n > ORDER_CAP:
-            raise GroupConstructionError(f"order {2 * n} exceeds cap {ORDER_CAP}")
-        return dihedral_group(n)
-    if kind == "symmetric":
-        n = int(params)
-        order = math.factorial(n) if n <= 6 else ORDER_CAP + 1
-        if order > ORDER_CAP:
-            raise GroupConstructionError(f"symmetric({n}) exceeds cap {ORDER_CAP}")
-        return symmetric_group(n)
+    builders = {"cyclic": cyclic_group, "dihedral": dihedral_group,
+                "symmetric": symmetric_group}
     if kind == "product":
-        a, b = params
-        if not isinstance(a, FiniteGroup):
-            a = make_group(a[0], a[1])
-        if not isinstance(b, FiniteGroup):
-            b = make_group(b[0], b[1])
-        if a.order * b.order > ORDER_CAP:
+        a, b = (p if isinstance(p, FiniteGroup) else make_group(p[0], p[1])
+                for p in params)
+        order, label = a.order * b.order, f"product({a.name},{b.name})"
+    elif kind in builders:
+        if isinstance(params, bool) or not isinstance(params, (int, np.integer)):
             raise GroupConstructionError(
-                f"order {a.order * b.order} exceeds cap {ORDER_CAP}")
-        return product_group(a, b)
-    raise GroupConstructionError(f"unknown group kind {kind!r}")
+                f"{kind} needs an integer count, got {params!r}")
+        n = int(params)
+        order, label = 2 * n if kind == "dihedral" else n, f"{kind}({n})"
+        if kind == "symmetric":      # n!, its product cut once past the cap
+            order = 1
+            for k in range(2, n + 1):
+                order *= k
+                if order > ORDER_CAP:
+                    break
+    else:
+        raise GroupConstructionError(f"unknown group kind {kind!r}")
+    if order > ORDER_CAP:
+        raise GroupConstructionError(f"{label} exceeds the order cap {ORDER_CAP}")
+    return product_group(a, b) if kind == "product" else builders[kind](n)

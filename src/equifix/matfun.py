@@ -2,12 +2,14 @@
 correction pipelines: operator norm, polar part, principal logarithm of
 unitaries, exponential of skew-Hermitian matrices, spectral rounding.
 
-Matrices are plain complex numpy arrays.  The norm, defect, log, exp and
-polar kernels also accept stacks ``(..., n, n)`` and work slice by slice,
-and block-diagonal elements stored block by block (:class:`Blocks`), which
-they take one batched call per block size; the norm of such an element is
-its largest block norm.  Each gate's tolerance is a constant of the kernel
-that gates with it, and its docstring names it.
+Matrices are plain complex numpy arrays.  The log, exp and polar kernels
+also accept stacks ``(..., n, n)`` and work slice by slice, and
+block-diagonal elements stored block by block (:class:`Blocks`), which
+they take one batched call per block size.  The one norm kernel,
+:func:`largest_norm`, takes the largest operator norm over such a stack
+(the norm of a Blocks element is its largest block norm), so the norm of
+one matrix is ``largest_norm(x)[0]``.  Each gate's tolerance is a constant
+of the kernel that gates with it, and its docstring names it.
 
 The log and the exp are truncated power series, evaluated by one
 Paterson-Stockmeyer kernel (SIAM J. Comput. 2, 1973): the powers z and z^2
@@ -446,17 +448,6 @@ def _reject_worst(x, tol: float, message: str):
     worst, i = largest_norm(x, tol)
     if i is not None:
         raise ValueError((message % worst) + _at_slice(i, x.shape[:-2]))
-
-
-def operator_norm(a):
-    """Largest singular value.  A stack (..., m, n) gives an array with one
-    norm per slice, and Blocks the largest block norm per element."""
-    if isinstance(a, Blocks):
-        norms = np.concatenate([operator_norm(p) for p in a.parts], axis=-1)
-        return norms.max(axis=-1) if a.lead else float(norms.max())
-    a = require_finite(a)
-    norms = _svd_norms(a)
-    return norms if a.ndim > 2 else float(norms)
 
 
 def _polar_parts(a):

@@ -21,8 +21,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .matfun import (MidpointError, _polar_parts, _range_isometry, adjoint,
-                     largest_norm, operator_norm, polar_unitary,
-                     spectral_round_unitary)
+                     largest_norm, polar_unitary, spectral_round_unitary)
 from .galgebra import GAlgebra, group_mean, matrix_algebra, pair_chunks
 from .repcorrect import DefectTooLargeError
 
@@ -53,8 +52,7 @@ def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
                              "equivariance", "unit_sum"), 0.0)
     for name, x in _partition_stacks(algebra, seeds,
                                      np.eye(algebra.dim) if unit is None else unit):
-        defects[name] = operator_norm(x) if name == "unit_sum" else \
-            largest_norm(x, defects[name])[0]
+        defects[name] = largest_norm(x, defects[name])[0]
     return defects
 
 
@@ -217,7 +215,7 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     seeds = np.asarray(seeds, dtype=complex)
     witness = np.asarray(witness, dtype=complex)
     if largest_norm(witness - witness.conj().T, 1e-10)[0] > 1e-10 or \
-            abs(operator_norm(witness) - 1) > 1e-10:
+            abs(largest_norm(witness)[0] - 1) > 1e-10:
         raise ValueError("witness must be positive with norm 1")
     seed_defect = partition_defect(algebra, seeds)   # unit_sum is vs 1 here
 
@@ -246,5 +244,5 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
         projections=projections, displacement=largest_norm(projections - seeds)[0],
         seed_defect=seed_defect, certificate=certificate,
         residuals=measure_partition_seeds(algebra, projections, q),
-        corner_projection=q, witness_compression_norm=operator_norm(q @ witness @ q),
+        corner_projection=q, witness_compression_norm=largest_norm(q @ witness @ q)[0],
         complement_rank=n - r)

@@ -30,8 +30,10 @@ from .matfun import (EPS0, UNITARIZE_EPS, Blocks, _polar_parts, adjoint,
 from .galgebra import (GAlgebra, Tower, _pair_stacks, group_mean, group_stack,
                        max_pair_defect, pair_chunks)
 
+# A step takes defect r to at most CONTRACTION r^2.
+CONTRACTION = 17
 ONE_STEP_MAX_DEFECT = 1.0 / 5
-ITERATE_MAX_DEFECT = 1.0 / 17
+ITERATE_MAX_DEFECT = 1.0 / CONTRACTION
 ITERATION_CAP = 64
 # The largest float below 1: a norm exceeds it exactly when it is >= 1.
 BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -184,11 +186,11 @@ def _admitted_defect(rep: ApproxRep):
     r0, pair = rep.defect_with_argmax()
     if r0 >= ITERATE_MAX_DEFECT:
         raise DefectTooLargeError(
-            f"defect {r0:.6g} is not below 1/17; attained at pair {pair}")
+            f"defect {r0:.6g} is not below 1/{CONTRACTION}; attained at pair {pair}")
     return r0, pair
 
 
-def correct_to_rep(rep: ApproxRep, tol: float = 1e-12, pin: Optional[tuple] = None
+def correct_to_rep(rep: ApproxRep, tol: float, pin: Optional[tuple] = None
                    ) -> Correction:
     """Iterate the one-step corrector on a representation (no ``act``)
     until the defect is below tol.
@@ -380,7 +382,7 @@ class LiftResult:
 
 # First level whose symmetrized-and-unitarized defect clears this threshold
 # is accepted; it leaves the iterated corrector a comfortable margin.
-LEVEL_ACCEPT_THRESHOLD = min(1.0 / (2 * 17), EPS0)
+LEVEL_ACCEPT_THRESHOLD = min(1.0 / (2 * CONTRACTION), EPS0)
 
 
 def _level_maxima(stacks, algebra: GAlgebra, keeps: list, floor: float):
@@ -410,7 +412,7 @@ def _level_maxima(stacks, algebra: GAlgebra, keeps: list, floor: float):
 
 
 def lift_group_rep(tower: Tower, source_action: SourceAction, seed: ApproxRep,
-                   tol: float = 1e-12) -> LiftResult:
+                   tol: float) -> LiftResult:
     """Lift an exact equivariant representation phi of a finite group H at
     the top of a tower, the image there of a seed at level 0, to an exact
     equivariant representation at a finite level below the top.  phi, the

@@ -23,18 +23,20 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .groups import FiniteGroup, cyclic_group, make_group
-from .matfun import (EPS0, Blocks, adjoint, exp_skew, largest_norm, operator_norm,
+from .matfun import (EPS0, Blocks, _svd_norms, adjoint, exp_skew, largest_norm,
                      read_only)
 from .galgebra import GAlgebra, Tower, matrix_algebra
+from .repcorrect import CONTRACTION as REP_CONTRACTION
 from .repcorrect import (ApproxRep, SourceAction, correct_to_rep,
                          lift_group_rep, one_step, translation_source_action)
+from .cocycles import CONTRACTION as COCYCLE_CONTRACTION
 from .cocycles import (coboundary, mismatch, one_step_cobound, trivialize,
                        verify_integral_estimate)
 from .relations import stabilize_partition, stabilize_tracial_partition
@@ -198,18 +200,11 @@ class Scenario:
         return _graded(_key(self.group), None if data is None else _key(data))
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "seed": self.seed, "group": self.group,
-               "dimension": self.dimension, "magnitude": self.magnitude,
-               "trials": self.trials, "tolerance": self.tolerance}
-        if self.tower is not None:
-            out["tower"] = self.tower
-        if self.source is not None:
-            out["source"] = self.source
-        if self.kind == "tracial":
-            out["corner_corank"] = self.corner_corank
-        if self.graded_data is not None:
-            out["graded_data"] = self.graded_data
-        return out
+        """Every field that is not None, ``corner_corank`` only for tracial;
+        ``fields``, since ``vars`` holds the cached ``graded_model`` too."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None
+                and (f.name != "corner_corank" or self.kind == "tracial")}
 
 
 class ScenarioError(ValueError):
@@ -356,7 +351,7 @@ def random_skew(rng: np.random.Generator, n: int, corner: Optional[int] = None,
     k = (a - adjoint(a)) / 2
     for size in (n,) if corner is None else (n, corner):
         k = k[:, :size, :size]
-        norm = operator_norm(k)[:, None, None]
+        norm = _svd_norms(k)[:, None, None]
         k = k / np.where(norm > 0, norm, 1.0)
     return k[0] if count is None else k
 
@@ -567,8 +562,8 @@ def run_rep_trial(s: Scenario, rng):
         stepped = one_step(rep)
         return stepped.defect(), rep.distance_to(stepped)
 
-    measured, checks = _iterated_checks("defect", 17, result, s.tolerance,
-                                        first_step)
+    measured, checks = _iterated_checks("defect", REP_CONTRACTION, result,
+                                        s.tolerance, first_step)
     checks.append(("iterations", result.iterations, 20, 0))
     return measured, checks, result.trace
 
@@ -596,10 +591,10 @@ def run_cocycle_trial(s: Scenario, rng):
 
     def first_step():
         z = one_step_cobound(w, v0)
-        return mismatch(w, z)[0], operator_norm(z - v0)
+        return mismatch(w, z)[0], largest_norm(z - v0)[0]
 
-    measured, checks = _iterated_checks("mismatch", 10, result, s.tolerance,
-                                        first_step)
+    measured, checks = _iterated_checks("mismatch", COCYCLE_CONTRACTION, result,
+                                        s.tolerance, first_step)
     return measured, checks, result.trace
 
 
@@ -707,7 +702,7 @@ def _partition_outcome(result, measured: dict):
 
 @_trial_runner
 def run_rokhlin_trial(s: Scenario, rng):
-    d = int(s.group.get("params", 2))
+    d = group_of(s.group).order
     block = max(1, s.dimension // d)
     algebra, exact, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng)
     result = stabilize_partition(algebra, seeds)
@@ -717,14 +712,14 @@ def run_rokhlin_trial(s: Scenario, rng):
 
 @_trial_runner
 def run_tracial_trial(s: Scenario, rng):
-    d = int(s.group.get("params", 2))
+    d = group_of(s.group).order
     block = max(1, (s.dimension - s.corner_corank) // d)
     corank = int(s.corner_corank)
     algebra, _, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng, corank)
     n = algebra.dim
     y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = y @ y.conj().T
-    x = x / operator_norm(x)
+    x = x / largest_norm(x)[0]
     result = stabilize_tracial_partition(algebra, seeds, x)
     return _partition_outcome(result, {
         "displacement": result.displacement,
@@ -744,7 +739,7 @@ def run_graded_trial(s: Scenario, rng):
         "component_residual": max(residuals),
         "iterations": result.iterations,
     }
-    cap = 2 * (6 * EPS0) / (1 - 17 * 6 * EPS0)
+    cap = 2 * (6 * EPS0) / (1 - REP_CONTRACTION * 6 * EPS0)
     checks = [("final_defect", measured["final_defect"], s.tolerance, 0.0),
               ("component_residual", measured["component_residual"], 1e-12, 0.0),
               ("distance", measured["distance"], cap, 1e-10)]
@@ -786,22 +781,29 @@ class ScenarioReport:
 def _check_scenario(s: Scenario):
     """Raise ScenarioError for what the schema cannot see: group params
     that do not build a group, a group or dimension the kind does not
-    support, and graded_data that is not a grading of the group.  A lift's
-    group is checked too, though its trials take their groups from the
-    source model.  Run before any trial, since a ScenarioError inside a
+    support, a group order that would size a model's matrices past the
+    largest dimension, and graded_data that is not a grading of the group.
+    A lift's group is checked too, though its trials take their groups from
+    the source model.  Run before any trial, since a ScenarioError inside a
     trial would be recorded as a failed trial instead of rejecting the
     scenario."""
     spec = s.group
-    if s.kind in ("rokhlin", "tracial"):
-        if spec["kind"] != "cyclic":
-            raise ScenarioError(f"/group/kind: {s.kind} scenarios require a "
-                                f"cyclic group, got {spec['kind']!r}")
-        spec = {"params": 2, **spec}
+    if s.kind in ("rokhlin", "tracial") and spec["kind"] != "cyclic":
+        raise ScenarioError(f"/group/kind: {s.kind} scenarios require a "
+                            f"cyclic group, got {spec['kind']!r}")
     try:
         group = group_of(spec)
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise ScenarioError(f"/group/params: {spec.get('params')!r} does not "
                             f"build a {spec['kind']} group ({exc})") from None
+    # A partition kind runs M_n with n >= |G|, and a graded one without data
+    # the regular model on M_|G|: refused before the model is built.
+    side = SCENARIO_SCHEMA["properties"]["dimension"]["maximum"]
+    if group.order > side and (s.kind in ("rokhlin", "tracial") or
+                               s.kind == "graded" and s.graded_data is None):
+        raise ScenarioError(f"/group/params: {s.kind} scenarios run matrices of "
+                            f"side at least the group order, {group.order} for "
+                            f"{group.name}, over the largest dimension {side}")
     if s.kind == "graded" and not group.is_abelian():
         raise ScenarioError(f"/group: graded scenarios require an abelian "
                             f"group, got {group.name}")

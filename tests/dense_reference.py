@@ -1,9 +1,10 @@
-"""Small references for the property tests: the dense route for the
-block-stored G-algebras, the ``eigh`` routes for the half-plane log and
-the exponential of skew-Hermitian matrices, the Schur route for the
-eigensystem of a unitary and its spectral rounding, the per-element
-loops the stacked scenario builders replaced, and the towers of copies of
-M_n built by hand before one builder made them all.
+"""Small references for the property tests: the plain-SVD operator norm
+that ``largest_norm`` screens, the dense route for the block-stored
+G-algebras, the ``eigh`` routes for the half-plane log and the exponential
+of skew-Hermitian matrices, the Schur route for the eigensystem of a
+unitary and its spectral rounding, the per-element loops the stacked
+scenario builders replaced, and the towers of copies of M_n built by hand
+before one builder made them all.
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -29,7 +30,7 @@ from equifix.cocycles import coboundary, trivialize
 from equifix.galgebra import GAlgebra, Tower, group_mean, matrix_algebra
 from equifix.matfun import (UNITARIZE_EPS, Blocks, MidpointError, _polar_parts,
                             _range_isometry, adjoint, exp_skew, largest_norm,
-                            operator_norm, polar_unitary, spectral_round_unitary)
+                            polar_unitary, spectral_round_unitary)
 from equifix.relations import (PartitionCorrection, TracialPartitionCorrection,
                                _averaged_seeds, measure_partition_seeds,
                                partition_admissibility_threshold,
@@ -40,6 +41,19 @@ from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
 from equifix.scenarios import (exact_rep_values, make_group,
                                nontrivial_action_rep, random_skew,
                                random_unitary, trial_rng)
+
+
+def operator_norm(a):
+    """Largest singular value by plain SVD, the route ``largest_norm``
+    screens: a stack (..., m, n) gives one norm per slice, and Blocks the
+    largest block norm per element."""
+    if isinstance(a, Blocks):
+        norms = np.concatenate([operator_norm(p) for p in a.parts], axis=-1)
+        return norms.max(axis=-1) if a.lead else float(norms.max())
+    a = np.asarray(a, dtype=complex)
+    norms = np.linalg.svd(a, compute_uv=False)[..., 0] if a.size else \
+        np.zeros(a.shape[:-2])
+    return norms if a.ndim > 2 else float(norms)
 
 
 def schur_eigensystem(a):

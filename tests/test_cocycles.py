@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from dense_reference import random_blocks
+from dense_reference import operator_norm, random_blocks
 from equifix.groups import cyclic_group, make_group
-from equifix.matfun import Blocks, adjoint, exp_skew, operator_norm, polar_unitary
+from equifix.matfun import Blocks, adjoint, exp_skew, polar_unitary
 from equifix.galgebra import BlockMismatchError, GAlgebra, Tower, matrix_algebra
 from equifix.cocycles import (coboundary, cocycle, mismatch, one_step_cobound,
                               trivialize, verify_integral_estimate)
@@ -123,7 +123,7 @@ def test_one_step_invariant_conjugation_covariance():
 def test_trivialize_trivial():
     alg, _ = action_algebra({"kind": "cyclic", "params": 4}, 3, 10)
     vals = np.stack([np.eye(3, dtype=complex)] * 4)
-    res = trivialize(cocycle(alg, vals), np.eye(3, dtype=complex))
+    res = trivialize(cocycle(alg, vals), np.eye(3, dtype=complex), tol=1e-12)
     assert operator_norm(res.last - np.eye(3)) <= 1e-12
     assert res.iterations == 0
 
@@ -134,7 +134,7 @@ def test_trivialize_bounds():
     w = coboundary(alg, v)
     v0 = v @ expm(0.02 * random_skew(rng, 4))
     r, _ = mismatch(w, v0)
-    res = trivialize(w, v0)
+    res = trivialize(w, v0, tol=1e-12)
     assert res.trace[-1][1] <= 1e-12
     assert operator_norm(res.last - v0) <= 2 * r / (1 - 10 * r) + 1e-10
     # mismatch cascade r (10 r)^m
@@ -149,7 +149,7 @@ def test_trivialize_rejects_large_seed_mismatch():
     far = v @ expm(0.8 * random_skew(rng, 3))
     if mismatch(w, far)[0] >= 1 / 10:
         with pytest.raises(DefectTooLargeError, match="1/10"):
-            trivialize(w, far)
+            trivialize(w, far, tol=1e-12)
 
 
 def test_trivialize_tower_quotient_pinned():
@@ -165,7 +165,7 @@ def test_trivialize_tower_quotient_pinned():
     w = coboundary(tower.level(0), Blocks((v,)))
     v0 = v.copy()
     v0[0] = v[0] @ expm(0.03 * random_skew(rng, dim))
-    res = trivialize(w, Blocks((v0,)), pin=(tower, 0))
+    res = trivialize(w, Blocks((v0,)), tol=1e-12, pin=(tower, 0))
     assert res.quotient_drift == 0.0
     assert np.array_equal(res.last.parts[0][1], v0[1])
     assert res.trace[-1][1] <= 1e-12

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dense_reference import random_blocks, trivial_algebra
+from dense_reference import operator_norm, random_blocks, trivial_algebra
 from equifix.groups import cyclic_group
 from equifix.galgebra import BlockMismatchError, GAlgebra, Tower
-from equifix.matfun import Blocks, operator_norm
+from equifix.matfun import Blocks
 from equifix.repcorrect import ApproxRep
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dense_reference import operator_norm
 from equifix.groups import cyclic_group, make_group
-from equifix.matfun import EPS0, operator_norm
+from equifix.matfun import EPS0
 from equifix.graded import (GradedAlgebra, NonAbelianError, character_table,
                             graded_correct, regular_graded_model)
 from equifix.repcorrect import DefectTooLargeError
@@ -99,7 +100,7 @@ def test_component_multiplication_and_star():
 def test_graded_correct_exact_input():
     g = cyclic_group(3)
     alg, left = regular_graded_model(g)
-    res, residuals = graded_correct(alg, left)
+    res, residuals = graded_correct(alg, left, tol=1e-12)
     assert res.iterations == 0
     assert res.trace[-1][2] <= 1e-12
     assert max(residuals) <= 1e-13
@@ -110,7 +111,7 @@ def test_graded_correct_perturbed_z4():
     alg, left = regular_graded_model(g)
     rng = trial_rng(3, 0)
     values = perturb_rep_values(left, 0.002, rng)
-    res, residuals = graded_correct(alg, values)
+    res, residuals = graded_correct(alg, values, tol=1e-12)
     assert res.last.defect() <= 1e-12
     # per-iterate component membership, not just at the limit
     assert len(residuals) == res.iterations + 1
@@ -130,7 +131,7 @@ def test_graded_correct_distance_in_measured_bound():
     from equifix.repcorrect import ApproxRep
     rho0 = np.stack([polar_unitary(c) for c in comps])
     r = ApproxRep(g, rho0).defect()
-    res, _ = graded_correct(alg, values)
+    res, _ = graded_correct(alg, values, tol=1e-12)
     assert res.trace[-1][2] <= 2 * r / (1 - 17 * r) + 1e-10
 
 
@@ -141,7 +142,7 @@ def test_graded_correct_rejects_offcomponent_excess():
     values = left.copy()
     values[1] = values[1] @ expm(0.2 * random_skew(rng, 3))
     with pytest.raises(DefectTooLargeError, match="component"):
-        graded_correct(alg, values)
+        graded_correct(alg, values, tol=1e-12)
 
 
 def test_graded_correct_rejects_singular_component():
@@ -150,7 +151,7 @@ def test_graded_correct_rejects_singular_component():
     values = left.copy()
     values[1] = np.zeros((2, 2), dtype=complex)
     with pytest.raises(DefectTooLargeError):
-        graded_correct(alg, values)
+        graded_correct(alg, values, tol=1e-12)
 
 
 def test_graded_correct_admits_as_the_iterated_corrector():
@@ -164,9 +165,9 @@ def test_graded_correct_admits_as_the_iterated_corrector():
     values = left * phases
     assert alg.component_residual(values) <= 1e-13
     with pytest.raises(DefectTooLargeError, match="not below 1/17") as want:
-        correct_to_rep(ApproxRep(g, values, unital=False))
+        correct_to_rep(ApproxRep(g, values, unital=False), tol=1e-12)
     with pytest.raises(DefectTooLargeError) as got:
-        graded_correct(alg, values)
+        graded_correct(alg, values, tol=1e-12)
     assert str(got.value) == str(want.value)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from equifix import galgebra
 from equifix.galgebra import group_mean
-from equifix.groups import (FiniteGroup, GroupConstructionError, cyclic_group,
-                            make_group)
+from equifix.groups import (ORDER_CAP, FiniteGroup, GroupConstructionError,
+                            cyclic_group, make_group)
 from equifix.matfun import Blocks
 
 GROUP_SPECS = [
@@ -75,6 +76,26 @@ def test_order_cap():
         make_group("symmetric", 7)
     with pytest.raises(GroupConstructionError):
         make_group("product", (("symmetric", 6), ("cyclic", 2)))
+
+
+@pytest.mark.parametrize("kind,params,label", [
+    ("cyclic", 721, "cyclic(721)"), ("dihedral", 361, "dihedral(361)"),
+    ("symmetric", 7, "symmetric(7)"),
+    # The factorial is cut once past the cap, so a huge count costs nothing.
+    ("symmetric", 10 ** 18, f"symmetric({10 ** 18})"),
+    ("product", (("cyclic", 30), ("dihedral", 13)),
+     "product(cyclic(30),dihedral(13))")])
+def test_order_cap_names_the_group_it_refuses(kind, params, label):
+    with pytest.raises(GroupConstructionError,
+                       match=re.escape(f"{label} exceeds the order cap {ORDER_CAP}")):
+        make_group(kind, params)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("cyclic", 720), ("dihedral", 360), ("symmetric", 6),
+    ("product", (("symmetric", 3), ("cyclic", 120)))])
+def test_order_cap_admits_the_cap_itself(kind, params):
+    assert make_group(kind, params).order == ORDER_CAP
 
 
 def test_bad_table_rejected():

@@ -478,7 +478,7 @@ def last_step_iterate():
     iterates = [one_step(rep)]
     while iterates[-1].defect() > 1e-12:
         iterates.append(one_step(iterates[-1]))
-    correction = correct_to_rep(rep)
+    correction = correct_to_rep(rep, tol=1e-12)
     assert len(iterates) == 3 == correction.iterations
     assert np.array_equal(iterates[-1].values, correction.last.values)
     return rep, iterates[-2]
@@ -559,7 +559,7 @@ def test_trivialize_of_the_seed_a_cocycle_was_made_from_takes_no_svd(svd_counter
     v0 = random_unitary(rng, 4)
     w = coboundary(alg, v0)
     svd_counter.clear()
-    assert trivialize(w, v0).iterations == 0
+    assert trivialize(w, v0, tol=1e-12).iterations == 0
     assert svd_counter == []
 
 
@@ -581,7 +581,7 @@ def test_pinned_exact_input_takes_only_the_frozen_figure_svds(svd_counter):
     max_pair_defect(tower.project(1, 0, values), group.mult)
     frozen = list(svd_counter)
     svd_counter.clear()
-    result = correct_to_rep(rep, pin=(tower, 0))
+    result = correct_to_rep(rep, tol=1e-12, pin=(tower, 0))
     assert (result.iterations, result.quotient_drift) == (0, 0.0)
     assert svd_counter == frozen
 
@@ -601,7 +601,7 @@ def test_lift_gates_on_phi_take_no_svd(monkeypatch, svd_counter):
     monkeypatch.setattr(repcorrect, "symmetrize", stop)
     svd_counter.clear()
     with pytest.raises(StopLift):
-        lift_group_rep(tower, action, seed)
+        lift_group_rep(tower, action, seed, tol=1e-12)
     assert svd_counter == []
 
 
@@ -665,9 +665,10 @@ def test_cocycle_gates_reject_a_cocycle_just_over_them():
     exact = cocycle(alg, values).defect_with_argmax()
     assert 1e-11 < exact[0] <= 1e-11 * (1 + 1e-5)
     for run, message in [
-            (lambda w: trivialize(w, np.eye(2)), f"cocycle must be exact before trivialization (defect "
-                         f"{exact[0]:.3e}); approximately multiplicative cocycles "
-                         f"are reported, not corrected"),
+            (lambda w: trivialize(w, np.eye(2), tol=1e-12),
+             f"cocycle must be exact before trivialization (defect "
+             f"{exact[0]:.3e}); approximately multiplicative cocycles "
+             f"are reported, not corrected"),
             (lambda w: one_step_cobound(w, np.eye(2)),
              f"cocycle must be exact before correction (defect {exact[0]:.3e})")]:
         w = cocycle(alg, values)
@@ -689,7 +690,7 @@ def test_pinned_quotient_just_over_its_gate_is_rejected():
     down = ApproxRep(group, pinned, unitary=False, unital=False).defect()
     assert 1e-12 < down <= 1e-12 * (1 + 1e-5)
     with pytest.raises(DefectTooLargeError) as err:
-        correct_to_rep(ApproxRep(group, values), pin=(tower, 0))
+        correct_to_rep(ApproxRep(group, values), tol=1e-12, pin=(tower, 0))
     assert str(err.value) == (f"quotient of the input is not an exact "
                               f"representation (defect {down:.3e})")
 
@@ -714,6 +715,6 @@ def test_lift_rejects_phi_just_over_its_gates(which):
     assert 1e-11 < {"defect": defect, "equivariance": eq}[which] <= 1e-11 * (1 + 1e-4)
     assert min(defect, eq) <= 1e-15
     with pytest.raises(DefectTooLargeError) as err:
-        lift_group_rep(Tower(alg, (frozenset(),)), action, phi)
+        lift_group_rep(Tower(alg, (frozenset(),)), action, phi, tol=1e-12)
     assert str(err.value) == (f"phi must be exact and equivariant at the top "
                               f"(defect {defect:.3e}, equivariance {eq:.3e})")

@@ -41,6 +41,16 @@ def test_benchmark_workloads_pass_at_one_trial(tmp_path, workload):
         assert (tmp_path / label / "trace.csv").is_file()
 
 
+def test_suite_entries_and_benchmark_templates_are_admitted():
+    # Every scenario the suite and the benchmark run passes the checks made
+    # before the first trial, the group-order bound on model sizes included.
+    templates = [fields for _, fields in scenarios.SUITE.values()]
+    templates += [t for entries in workloads.IN_PROCESS.values()
+                  for _, t, _, _ in entries]
+    for template in templates:
+        scenarios._check_scenario(scenarios.Scenario.from_dict({**template, "seed": 0}))
+
+
 def test_names_the_benchmark_child_reads_exist():
     assert callable(scenarios.run_scenario) and callable(cli.run_scenario)
     assert callable(cli.main)

@@ -117,8 +117,8 @@ def cocycle_case(seed, spec, d, name, magnitude, frozen_noise=0.0):
 @given(seeds, specs, st.integers(1, 3), towers, st.floats(0.001, 0.015))
 def test_pinned_rep_matches_the_whole_stack_route(seed, spec, d, name, magnitude):
     rep, tower, level = rep_case(seed, spec, d, name, magnitude)
-    pinned = correct_to_rep(rep, pin=(tower, level))
-    whole = correct_to_rep(ApproxRep(rep.group, rep.values))
+    pinned = correct_to_rep(rep, tol=1e-12, pin=(tower, level))
+    whole = correct_to_rep(ApproxRep(rep.group, rep.values), tol=1e-12)
     assert_routes_agree(pinned, whole, tower, level, rep.values, lambda r: r.values)
     assert_defect_is_measured(pinned.last)
 
@@ -127,8 +127,8 @@ def test_pinned_rep_matches_the_whole_stack_route(seed, spec, d, name, magnitude
 @given(seeds, specs, st.integers(1, 3), towers, st.floats(0.001, 0.015))
 def test_pinned_cocycle_matches_the_whole_stack_route(seed, spec, d, name, magnitude):
     w, v0, tower, level = cocycle_case(seed, spec, d, name, magnitude)
-    pinned = trivialize(w, v0, pin=(tower, level))
-    whole = trivialize(w, v0)
+    pinned = trivialize(w, v0, tol=1e-12, pin=(tower, level))
+    whole = trivialize(w, v0, tol=1e-12)
     assert_routes_agree(pinned, whole, tower, level, v0, lambda v: v)
     assert mismatch(w, pinned.last)[0] <= 1e-12
 
@@ -149,10 +149,10 @@ def test_pinned_lift_correction_matches_the_whole_stack_route(seed, source, leve
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(repcorrect, "correct_to_rep", spy)
-        result = lift_group_rep(tower, action, lift_seed)
+        result = lift_group_rep(tower, action, lift_seed, tol=1e-12)
     [(rho0, (pinned_tower, level), pinned)] = calls
     assert pinned_tower is tower and level == result.level
-    whole = correct_to_rep(ApproxRep(rho0.group, rho0.values))
+    whole = correct_to_rep(ApproxRep(rho0.group, rho0.values), tol=1e-12)
     assert_routes_agree(pinned, whole, tower, level, rho0.values, lambda r: r.values)
     assert_defect_is_measured(pinned.last)
 
@@ -192,7 +192,7 @@ def test_inexact_pinned_quotient_is_rejected_before_any_step(monkeypatch, name):
     defect = max_pair_defect(down, rep.group.mult)[0]
     assert defect > 1e-12
     with pytest.raises(DefectTooLargeError) as err:
-        correct_to_rep(rep, pin=(tower, level))
+        correct_to_rep(rep, tol=1e-12, pin=(tower, level))
     assert str(err.value) == (f"quotient of the input is not an exact "
                               f"representation (defect {defect:.3e})")
     w, v0, tower, level = cocycle_case(2, spec, 2, name, 0.01, frozen_noise=1e-9)
@@ -201,7 +201,7 @@ def test_inexact_pinned_quotient_is_rejected_before_any_step(monkeypatch, name):
                    tower.project(tower.top, level, v0))[0]
     assert off > 1e-12
     with pytest.raises(DefectTooLargeError) as err:
-        trivialize(w, v0, pin=(tower, level))
+        trivialize(w, v0, tol=1e-12, pin=(tower, level))
     assert str(err.value) == (f"seed does not trivialize the cocycle downstairs "
                               f"(off by {off:.3e})")
     assert steps == []

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference
-from dense_reference import (reference_stabilize_partition,
+from dense_reference import (operator_norm, reference_stabilize_partition,
                              reference_stabilize_tracial_partition,
                              schur_round_unitary)
 from equifix import relations
 from equifix.groups import cyclic_group
 from equifix.galgebra import matrix_algebra
-from equifix.matfun import (_polar_parts, largest_norm, operator_norm,
-                            spectral_round_unitary)
+from equifix.matfun import _polar_parts, largest_norm, spectral_round_unitary
 from equifix.relations import (measure_partition_seeds,
                                partition_admissibility_threshold,
                                stabilize_partition, stabilize_tracial_partition)

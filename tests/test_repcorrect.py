@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from dense_reference import trivial_algebra, unitarize_values
+from dense_reference import operator_norm, trivial_algebra, unitarize_values
 from equifix import repcorrect
 from equifix.groups import cyclic_group, make_group
 from equifix.cocycles import coboundary
 from equifix.galgebra import GAlgebra, Tower, matrix_algebra
-from equifix.matfun import (Blocks, adjoint, exp_skew, identity_like, largest_norm,
-                            operator_norm)
+from equifix.matfun import Blocks, adjoint, exp_skew, identity_like, largest_norm
 from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
                                 DefectTooLargeError, LevelReport, LiftError,
                                 SourceAction, correct_to_rep,
@@ -98,7 +97,7 @@ def test_one_step_rejects_large_defect():
 
 def test_correct_exact_input_zero_iterations():
     group, exact, _ = make_perturbed({"kind": "cyclic", "params": 4}, 3, 0.0, 8)
-    res = correct_to_rep(ApproxRep(group, exact))
+    res = correct_to_rep(ApproxRep(group, exact), tol=1e-12)
     assert res.iterations == 0
     assert res.last.distance_to(ApproxRep(group, exact)) == 0.0
 
@@ -107,7 +106,7 @@ def test_correct_distance_bound_and_cascade():
     group, _, vals = make_perturbed({"kind": "dihedral", "params": 3}, 4, 0.02, 9)
     rep = ApproxRep(group, vals)
     r = rep.defect()
-    res = correct_to_rep(rep)
+    res = correct_to_rep(rep, tol=1e-12)
     assert res.last.defect() <= 1e-12
     assert rep.distance_to(res.last) <= 2 * r / (1 - 17 * r) + 1e-10
     # squaring cascade: defect after m steps <= r (17 r)^m + slack
@@ -122,7 +121,7 @@ def test_correct_rejects_defect_at_seventeenth():
     rep = ApproxRep(g, vals)
     assert rep.defect() > 1 / 17
     with pytest.raises(DefectTooLargeError):
-        correct_to_rep(rep)
+        correct_to_rep(rep, tol=1e-12)
 
 
 def test_correct_quotient_pinned():
@@ -136,7 +135,7 @@ def test_correct_quotient_pinned():
     base = exact_rep_values(s.group, group, dim, rng)
     moved = perturb_rep_values(base, 0.02, rng)       # the block the quotient kills
     rep = ApproxRep(group, Blocks((np.stack([moved, base], axis=1),)))
-    res = correct_to_rep(rep, pin=(tower, 0))
+    res = correct_to_rep(rep, tol=1e-12, pin=(tower, 0))
     assert res.quotient_drift == 0.0
     assert res.last.defect() <= 1e-12
 
@@ -147,7 +146,7 @@ def test_correct_quotient_requires_exact_downstairs():
     # A one-level tower: its top quotient is the identity, not exact.
     tower = Tower(algebra=trivial_algebra((4,), group), ideals=(frozenset(),))
     with pytest.raises(DefectTooLargeError, match="quotient"):
-        correct_to_rep(rep, pin=(tower, 0))
+        correct_to_rep(rep, tol=1e-12, pin=(tower, 0))
 
 
 def test_correctors_refuse_a_cocycle():
@@ -161,7 +160,7 @@ def test_correctors_refuse_a_cocycle():
     assert w.defect() <= 1e-14
     assert defect_oracle(group, w.values) > 0.6
     rep = ApproxRep(group, exact)
-    for call in (lambda: one_step(w), lambda: correct_to_rep(w),
+    for call in (lambda: one_step(w), lambda: correct_to_rep(w, tol=1e-12),
                  lambda: intertwiner(w, rep), lambda: intertwiner(rep, w)):
         with pytest.raises(ValueError, match="not a cocycle"):
             call()
@@ -293,7 +292,7 @@ def test_lift_exact_tower_returns_level_zero():
                  tower={"levels": 4, "base": 0.0, "ratio": 0.5}, trials=1)
     rng = trial_rng(s.seed, 0)
     tower, action, seed = build_lift_scenario(s, rng)
-    res = lift_group_rep(tower, action, seed)
+    res = lift_group_rep(tower, action, seed, tol=1e-12)
     assert res.level == 0
     assert res.equivariance_residual <= 1e-11
     assert res.projection_residual <= 1e-11
@@ -305,7 +304,7 @@ def test_lift_decaying_tower_end_to_end():
                  tower={"levels": 8, "base": 0.2, "ratio": 0.2}, trials=1)
     rng = trial_rng(s.seed, 0)
     tower, action, seed = build_lift_scenario(s, rng)
-    res = lift_group_rep(tower, action, seed)
+    res = lift_group_rep(tower, action, seed, tol=1e-12)
     assert 0 < res.level < tower.top
     assert res.rep.defect() <= 1e-11
     assert res.equivariance_residual <= 1e-11
@@ -323,7 +322,7 @@ def test_lift_translation_covariance_realized():
                  tower={"levels": 6, "base": 0.1, "ratio": 0.2}, trials=1)
     rng = trial_rng(s.seed, 0)
     tower, action, seed = build_lift_scenario(s, rng)
-    res = lift_group_rep(tower, action, seed)
+    res = lift_group_rep(tower, action, seed, tol=1e-12)
     z = res.rep.values[1]
     zeta = np.exp(2j * np.pi / d)
     algebra = tower.level(res.level)
@@ -453,7 +452,7 @@ def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, o
     monkeypatch.setattr(repcorrect, "intertwiner", lambda rho, sigma:
                         seeds.append(rho) or real_intertwiner(rho, sigma))
     figures = spy_level_figures(monkeypatch)
-    res = lift_group_rep(tower, action, seed)
+    res = lift_group_rep(tower, action, seed, tol=1e-12)
     assert calls == {"symmetrize": 1, "_polar_parts": 1}
     assert_one_norm_per_block(figures, tower)
     assert res.level == level == accept
@@ -477,7 +476,7 @@ def test_failing_lift_table_is_bit_equal_to_the_per_level_loop(monkeypatch):
     assert len(table) == tower.top == 4 and not table[-1].accepted
     figures = spy_level_figures(monkeypatch)
     with pytest.raises(LiftError) as err:
-        lift_group_rep(tower, action, seed)
+        lift_group_rep(tower, action, seed, tol=1e-12)
     assert err.value.table == table
     assert_one_norm_per_block(figures, tower)
 
@@ -489,7 +488,7 @@ def test_lift_too_coarse_tower_fails_with_table():
     rng = trial_rng(s.seed, 0)
     tower, action, seed = build_lift_scenario(s, rng)
     with pytest.raises(LiftError) as err:
-        lift_group_rep(tower, action, seed)
+        lift_group_rep(tower, action, seed, tol=1e-12)
     assert len(err.value.table) == tower.top
 
 
@@ -503,7 +502,7 @@ def test_lift_rejects_inexact_phi():
     bad.parts[0][1, -1] *= np.exp(0.2j)         # the top block of u_1
     with pytest.raises(DefectTooLargeError, match="phi must be exact"):
         lift_group_rep(tower, action, ApproxRep(action.source, bad, unitary=False,
-                                                unital=False))
+                                                unital=False), tol=1e-12)
 
 
 def test_lift_refuses_a_correction_that_moves_the_top_quotient(monkeypatch):
@@ -526,7 +525,7 @@ def test_lift_refuses_a_correction_that_moves_the_top_quotient(monkeypatch):
     monkeypatch.setattr(repcorrect, "intertwiner", lambda rho, sigma:
                         calls.append(rho) or real_intertwiner(rho, sigma))
     with pytest.raises(DefectTooLargeError) as err:
-        lift_group_rep(tower, action, seed)
+        lift_group_rep(tower, action, seed, tol=1e-12)
     [(level, values)] = moved
     assert len(calls) == 1
     mismatch = largest_norm(tower.project(tower.top, level, tower.project(

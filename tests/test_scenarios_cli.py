@@ -270,6 +270,32 @@ def test_cli_corner_corank_over_the_cap_exits_two(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind,subcommand", [("rokhlin", "rokhlin"),
+                                              ("tracial", "tracial"),
+                                              ("graded", "graded")])
+def test_group_order_over_the_largest_dimension_exits_two(tmp_path, capsys,
+                                                          monkeypatch, kind,
+                                                          subcommand):
+    # A partition kind runs M_n with n >= d, and a graded one without data
+    # the regular model on M_|G|; cyclic(65) sizes either past the 64 that
+    # dimension allows, so no model may be built nor any trial start.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built or a trial ran")
+    for name in ("_rokhlin_model", "regular_graded_model"):
+        monkeypatch.setattr(scenarios_module, name, refuse)
+    monkeypatch.setattr(scenarios_module, "TRIAL_RUNNERS",
+                        {k: refuse for k in SCENARIO_KINDS})
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"kind": kind, "seed": 0, "trials": 1,
+                             "group": {"kind": "cyclic", "params": 65}}))
+    rc = cli_main([subcommand, "--scenario", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "/group/params" in err and "65" in err and "64" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def one_by_one(z):
     return [[[z.real, z.imag]]]
 
@@ -321,6 +347,17 @@ def one_by_one(z):
      "lift", "/group/params: '4' does not build a cyclic group"),
     ({"kind": "lift", "group": {"kind": "cyclic", "params": True}},
      "lift", "/group/params: True does not build a cyclic group"),
+    # A partition kind's order is its group's, so a group without a count
+    # is refused for these kinds as for every other.
+    ({"kind": "rokhlin", "group": {"kind": "cyclic"}},
+     "rokhlin", "/group/params: None does not build a cyclic group"),
+    ({"kind": "tracial", "group": {"kind": "cyclic"}},
+     "tracial", "/group/params: None does not build a cyclic group"),
+    # Products of a dual unitary of 1e200 overflow: refused as non-finite.
+    ({"kind": "graded", "group": {"kind": "cyclic", "params": 2},
+      "graded_data": {"dual_unitaries": [one_by_one(1), one_by_one(1e200)],
+                      "seeds": [one_by_one(1), one_by_one(1)]}},
+     "graded", "/graded_data/dual_unitaries: matrix has non-finite entries"),
 ])
 def test_cli_rejects_unrunnable_input_with_exit_two(tmp_path, capsys, fields,
                                                     subcommand, pointer):

@@ -1,7 +1,8 @@
 """The settable and exported surface of the library.  Every defaulted
 parameter of a public function or method of an ``equifix`` module is one
 that a scenario, a CLI path or a test sets to a value other than its
-default; a gate's tolerance is a constant of the kernel that gates with it.
+default; a gate's tolerance is a constant of the kernel that gates with it,
+and a corrector's has no default, since every caller passes its scenario's.
 Every name the package exports is one that a scenario kind, the CLI or a
 test of a paper claim uses.  A defaulted parameter or an export added
 anywhere fails here until it is listed with its caller."""
@@ -25,12 +26,10 @@ SETTABLE = {
                                  "floor"},            # ApproxRep.defect_at_most
     "repcorrect.ApproxRep.__init__": {"unitary", "unital",   # the lift's maps
                                       "act"},                # cocycles.cocycle
-    "repcorrect.correct_to_rep": {"tol", "pin"},
+    "repcorrect.correct_to_rep": {"pin"},
     "repcorrect.equivariance_defect": {"floor"},      # the lift's phi gate
-    "repcorrect.lift_group_rep": {"tol"},             # a scenario's tolerance
-    "cocycles.trivialize": {"tol", "pin"},
+    "cocycles.trivialize": {"pin"},
     "relations.measure_partition_seeds": {"unit"},    # the tracial residuals
-    "graded.graded_correct": {"tol"},
     "scenarios.Scenario.__init__": {"group", "dimension", "magnitude", "trials",
                                     "tolerance", "tower", "source",
                                     "corner_corank", "graded_data"},
@@ -49,8 +48,7 @@ EXPORTS = {
         "product_group", "symmetric_group"},
     "every corrector's kernels and gates": {
         "EPS0", "UNITARIZE_EPS", "Blocks", "exp_skew", "largest_norm",
-        "operator_norm", "polar_unitary", "principal_log_unitary",
-        "spectral_round_unitary"},
+        "polar_unitary", "principal_log_unitary", "spectral_round_unitary"},
     "the cocycle, lift, rokhlin and tracial kinds": {
         "GAlgebra", "Tower", "matrix_algebra"},
     "the rep kind": {"ApproxRep", "Correction", "correct_to_rep", "one_step"},

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import dense_act, embed, random_blocks
+from dense_reference import dense_act, embed, operator_norm, random_blocks
 from equifix import galgebra, relations, repcorrect
 from equifix.galgebra import (GAlgebra, matrix_algebra, max_pair_defect,
                               pair_chunks)
@@ -30,8 +30,7 @@ from equifix.graded import (GradedAlgebra, _character_rows, _dual_mult,
                             character_table, graded_correct,
                             regular_graded_model)
 from equifix.groups import cyclic_group, make_group
-from equifix.matfun import (Blocks, adjoint, exp_skew, operator_norm,
-                            principal_log_unitary)
+from equifix.matfun import Blocks, adjoint, exp_skew, principal_log_unitary
 from equifix.relations import (measure_partition_seeds, partition_defect,
                                stabilize_partition)
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError, SourceAction,
@@ -476,8 +475,8 @@ def test_partition_defects_memory_stays_near_the_slab(monkeypatch):
 @pytest.mark.parametrize("entries", [1, 200, None])
 def test_partition_defects_take_two_norms_per_chunk(monkeypatch, entries):
     # Orthogonality and equivariance take one screened norm per chunk of g
-    # each, and idempotency and self-adjointness one each: 4 calls in one
-    # chunk on cyclic(6), where one norm per g took 2d + 2 = 14.
+    # each, and the unit sum, idempotency and self-adjointness one each:
+    # 5 calls in one chunk on cyclic(6), where one norm per g took 2d + 3 = 15.
     algebra, _, seeds = build_rokhlin_scenario(6, 2, 0.01, trial_rng(1, 0))
     calls, real = [], relations.largest_norm
 
@@ -488,9 +487,9 @@ def test_partition_defects_take_two_norms_per_chunk(monkeypatch, entries):
     monkeypatch.setattr(relations, "largest_norm", counted)
     with slab(entries):
         measure_partition_seeds(algebra, seeds)
-        assert len(calls) == 2 * len(pair_chunks(seeds, 6)) + 2
+        assert len(calls) == 2 * len(pair_chunks(seeds, 6)) + 3
     if entries is None:
-        assert len(calls) == 4
+        assert len(calls) == 5
 
 
 @settings(max_examples=40, deadline=None)
@@ -703,7 +702,7 @@ def test_graded_gap_message_names_the_first_far_value():
     gap = operator_norm(values[1] - algebra.projection(1, values[1]))
     with pytest.raises(DefectTooLargeError,
                        match=rf"value at g=1 is {gap:.6g} away from its grading"):
-        graded_correct(algebra, values)
+        graded_correct(algebra, values, tol=1e-12)
 
 
 def test_graded_singular_message_names_the_first_singular_part():
@@ -713,7 +712,7 @@ def test_graded_singular_message_names_the_first_singular_part():
     with pytest.raises(DefectTooLargeError,
                        match=r"component part at g=1 is numerically singular "
                              r"\(sigma_min = 1\.000e-11\)"):
-        graded_correct(algebra, values)
+        graded_correct(algebra, values, tol=1e-12)
 
 
 @pytest.mark.parametrize("first", ["far", "singular"])
@@ -723,7 +722,7 @@ def test_graded_first_failing_value_decides_the_message(first):
     values[1], values[2] = (far, 0.0) if first == "far" else (0.0, far)
     message = "g=1 is .* away" if first == "far" else "g=1 is numerically singular"
     with pytest.raises(DefectTooLargeError, match=message):
-        graded_correct(algebra, values)
+        graded_correct(algebra, values, tol=1e-12)
 
 
 # --- SourceAction ---------------------------------------------------------------
