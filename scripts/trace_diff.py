@@ -9,9 +9,10 @@ process importing that tree's ``src/`` with one BLAS thread: the
 ``perfbench/workloads.py`` (this checkout's) at seeds 1 and 7919, rounds
 0-2, and the ``suite`` battery at seeds 0 and 11.  It then reports
 
-* how many ``trace.csv`` files, and how many ``report.json`` files with
-  their ``wall_time`` fields left out, are byte-identical, and the
-  scenarios where either is not;
+* how many ``trace.csv`` files are byte-identical, how many
+  ``report.json`` files are equal when parsed, their ``wall_time`` fields
+  aside (the bytes of a report are not compared), and the scenarios where
+  either is not;
 * every difference in trace rows, iteration counts, ``passes``, bound
   names, measured names, errors or ``failures``;
 * the worst value excess: the largest |a - b| / (1e-14 + 1e-12 |b|) over
@@ -182,10 +183,10 @@ def main(argv):
             compare_trace(diff, str(d), a / "trace.csv", b / "trace.csv")
             compare_report(diff, str(d), ra, rb)
     print(f"scenarios: {len(dirs)}")
-    print(f"byte-identical: trace.csv {same_trace}/{len(dirs)}, "
-          f"report.json without wall_time {same_report}/{len(dirs)}")
+    print(f"trace.csv byte-identical: {same_trace}/{len(dirs)}")
+    print(f"report.json equal when parsed, wall_time aside: {same_report}/{len(dirs)}")
     for name in changed:
-        print(f"  not identical: {name}")
+        print(f"  differs: {name}")
     print(f"differences other than values: {len(diff.problems)}")
     for line in diff.problems[:50]:
         print(f"  {line}")

@@ -13,11 +13,12 @@ ApproxRep, and every iterated corrector, graded too, returns a Correction.
 
 from .groups import (FiniteGroup, cyclic_group, dihedral_group, make_group,
                      product_group, symmetric_group)
-from .matfun import (EPS0, UNITARIZE_EPS, Blocks, exp_skew, largest_norm,
-                     polar_unitary, principal_log_unitary, spectral_round_unitary)
+from .matfun import (Blocks, exp_skew, largest_norm, polar_unitary,
+                     principal_log_unitary, spectral_round_unitary)
 from .galgebra import GAlgebra, Tower, matrix_algebra
-from .repcorrect import (ApproxRep, Correction, SourceAction, correct_to_rep,
-                         intertwiner, lift_group_rep, one_step, symmetrize,
+from .repcorrect import (EPS0, UNITARIZE_EPS, ApproxRep, Correction,
+                         SourceAction, correct_to_rep, intertwiner,
+                         lift_group_rep, one_step, symmetrize,
                          translation_source_action)
 from .cocycles import (coboundary, cocycle, mismatch, one_step_cobound,
                        trivialize, verify_integral_estimate)

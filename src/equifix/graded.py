@@ -24,9 +24,10 @@ import numpy as np
 
 from .galgebra import chunks, group_mean
 from .groups import FiniteGroup
-from .matfun import UNITARIZE_EPS, _polar_parts, _svd_norms, adjoint, largest_norm
-from .repcorrect import (ApproxRep, Correction, DefectTooLargeError,
-                         _admitted_defect, _iterate, one_step)
+from .matfun import _polar_parts, _svd_norms, adjoint, largest_norm
+from .repcorrect import (UNITARIZE_EPS, ApproxRep, Correction,
+                         DefectTooLargeError, _admitted_defect, _iterate,
+                         one_step)
 
 
 class NonAbelianError(ValueError):

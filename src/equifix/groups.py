@@ -10,6 +10,7 @@ of g.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -125,9 +126,12 @@ def dihedral_group(n: int) -> FiniteGroup:
 def symmetric_group(n: int) -> FiniteGroup:
     """The permutations of range(n) in lexicographic order, so index 0 is
     the identity; p q is the permutation i -> p[q[i]], and a permutation's
-    index is the rank of its base-n code among those of the elements."""
-    if not 1 <= n <= 6:
-        raise GroupConstructionError(f"symmetric group supported for n <= 6, got {n}")
+    index is the rank of its base-n code among those of the elements.
+    Refuses n under 1 or with n! over ORDER_CAP."""
+    largest = next(k for k in itertools.count(1) if math.factorial(k + 1) > ORDER_CAP)
+    if not 1 <= n <= largest:
+        raise GroupConstructionError(
+            f"symmetric group supported for n <= {largest}, got {n}")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     weights = n ** np.arange(n - 1, -1, -1)
     codes = perms @ weights

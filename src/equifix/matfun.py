@@ -81,14 +81,13 @@ Van Loan, Matrix Computations, 2.3), and costs one pass over the entries.
 If every F, with the screen's margin (below), is at or under a floor >= 0
 (a gate's tolerance), that pass is all: no computed norm can exceed it.
 A finite floor > 0 is first tried with one pass over the whole stack, one
-``vdot`` per part: the largest slice F is at most the stack's Frobenius
-norm, so if that norm meets the floor every F does.  A sum of 2N squares
-(N entries) is good to 2N u relative, so this exit adds 2N u to the
-screen's margin; an infinite or NaN sum goes on to the per-slice pass,
-which reports a non-finite entry.
-Else the slice of largest lower bound F/sqrt(rank) (of largest F in a
-stack of one shape) is SVD'd alone first; a slice with F under its exact
-norm cannot be the maximum.  The rest take the Schatten-8 bound
+``vdot``: the largest slice F is at most the stack's Frobenius norm, so if
+that norm meets the floor every F does.  A sum of 2N squares (N entries)
+is good to 2N u relative, so this exit adds 2N u to the screen's margin;
+an infinite or NaN sum goes on to the per-slice pass, which reports a
+non-finite entry.
+Else the slice of largest F is SVD'd alone first; a slice with F under its
+exact norm cannot be the maximum.  The rest take the Schatten-8 bound
 
     ||x|| <= ||x||_8 = (sum_j s_j^8)^(1/8) = F ||(y y*)^2||_F^(1/4),
 
@@ -127,17 +126,10 @@ pass is also the finiteness check of the kernel's input.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-
-# Unitarization constants used by the lifting pipelines.  EPS0 is the polar
-# target radius; values are unitarized only when within UNITARIZE_EPS of a
-# unitary, which guarantees the polar part moves them by less than EPS0
-# (singular values are 1-Lipschitz in the operand, so
-# ||polar(a) - u|| <= ||polar(a) - a|| + ||a - u|| < 2 * UNITARIZE_EPS).
-EPS0 = 1.0 / (6 * 34)
-UNITARIZE_EPS = EPS0 / 2
 
 # Logs are taken of unitaries within this distance of 1.
 HALF_PLANE_RADIUS = 0.5
@@ -329,24 +321,27 @@ def _svd_norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
+@functools.lru_cache
 def _scale(m: int, n: int) -> float:
     """The screen's factor 1 + margin for slices m x n (module docstring)."""
     return 1 + SCREEN_MARGIN + 1e-14 * max(m, n) * min(m, n) ** 1.5
 
 
 def _screen(a: np.ndarray):
-    """The squared Frobenius norms of the slices of a complex stack
-    (..., m, n), flattened to (k,), the largest of them, the stack's float
-    view (k, m, 2n) and the screen's factor 1 + margin (module docstring).
-    Raises ValueError on a non-finite entry; squares that overflow give an
-    infinite norm."""
+    """The squared Frobenius norms f2 of the slices of a complex stack
+    (..., m, n), flattened to (k,), the index i of the first largest and
+    its value top (0 and 0.0 for no slice), and the stack as a contiguous
+    (k, m, n) array.  Raises ValueError on a non-finite entry; squares that
+    overflow give an infinite norm."""
     m, n = a.shape[-2:]
-    x = np.ascontiguousarray(a).reshape(math.prod(a.shape[:-2]), m, n).view(np.float64)
-    f2 = np.einsum("kij,kij->k", x, x)
-    top = float(f2.max()) if f2.size else 0.0
-    if not math.isfinite(top) and not np.isfinite(x).all():
+    x = np.ascontiguousarray(a).reshape(math.prod(a.shape[:-2]), m, n)
+    f = x.view(np.float64)
+    f2 = np.einsum("kij,kij->k", f, f)
+    i = int(f2.argmax()) if f2.size else 0
+    top = float(f2[i]) if f2.size else 0.0
+    if not math.isfinite(top) and not np.isfinite(f).all():
         raise ValueError("matrix has non-finite entries")
-    return f2, top, x, _scale(m, n)
+    return f2, i, top, x
 
 
 def _stack_bound(a: np.ndarray) -> float:
@@ -381,63 +376,65 @@ def largest_norm(a, floor: float = 0.0):
 
     Screened by two upper bounds (module docstring): a slice is SVD'd only
     if its Frobenius norm and then its Schatten-8 norm exceed ``floor`` and
-    reach the exact norm of the slice of largest lower bound, SVD'd first;
-    an exactly zero slice takes none.  A gate ``largest_norm(x, tol)``
+    reach the exact norm of the slice of largest Frobenius norm, SVD'd
+    first; an exactly zero slice takes none.  A gate ``largest_norm(x, tol)``
     whose whole stack has Frobenius norm F (1 + margin + 2N u) + 1e-150
     <= tol returns after one pass over it, one whose slices all have
     F (1 + margin) + 1e-150 <= tol after the per-slice Frobenius pass, as
-    no computed norm can then exceed tol, and a loop
-    over slabs that passes its running maximum as ``floor`` skips the
-    slices that cannot beat earlier slabs (ties go to the earlier slab)."""
+    no computed norm can then exceed tol, and a loop over slabs that passes
+    its running maximum as ``floor`` skips the slices that cannot beat
+    earlier slabs (ties go to the earlier slab).  Blocks of mixed sizes
+    are such a loop over their sizes, with ties going to the earlier
+    element."""
     blocks = isinstance(a, Blocks)
-    parts = [np.asarray(p, dtype=complex) for p in (a.parts if blocks else (a,))]
-    # No slice's norm exceeds the Frobenius norm of its whole stack: a gate
-    # that bound meets ends after one pass per part, with no per-slice one.
-    # A non-finite or overflowing sum fails the test and goes on.
-    if 0 < floor < math.inf and all(_stack_bound(p) + _UNDERFLOW <= floor
-                                     for p in parts):
+    if blocks and len(a.parts) != 1:
+        best, first = floor, None
+        for p in a.parts:
+            v, at = largest_norm(Blocks((p,)), best if first is None else
+                                 math.nextafter(best, -math.inf))
+            if at is not None and (first is None or v > best or at < first):
+                best, first = v, at
+        return best, first
+    a = np.asarray(a.parts[0] if blocks else a, dtype=complex)
+    per = a.shape[-3] if blocks else 1                  # slices per element
+    # No slice's norm exceeds the Frobenius norm of the whole stack: a gate
+    # that bound meets ends after one pass, with no per-slice one.  A
+    # non-finite or overflowing sum fails the test and goes on.
+    if 0 < floor < math.inf and _stack_bound(a) + _UNDERFLOW <= floor:
         return floor, None
-    screens = [_screen(p) for p in parts]
+    f2, i, top, x = _screen(a)
+    scale = _scale(*a.shape[-2:])
     # A slice is kept when its upper bounds f and then s8, each times
     # (1 + margin) plus _UNDERFLOW, beat max(floor, 0), or reach the exact
-    # norm, if higher, of the slice of largest lower bound, SVD'd alone
-    # first.  When no f beats a floor >= 0, none is: return at once.
-    if floor >= 0 and all(math.sqrt(top) * scale + _UNDERFLOW <= floor
-                          for _, top, _, scale in screens):
+    # norm, if higher, of slice i (largest f), SVD'd alone first.  When no
+    # f beats the floor, none is: return at once.
+    bound = math.sqrt(top) * scale + _UNDERFLOW
+    if bound <= floor:
         return floor, None
-    per = [p.shape[-3] if blocks else 1 for p in parts]    # slices per element
-    lo, strict = max(floor, 0.0), True
-    best, first, done = -math.inf, None, (-1, -1)
-    lows = [math.sqrt(top) * (2 - scale) / math.sqrt(max(1, min(p.shape[-2:])))
-            for p, (_, top, _, scale) in zip(parts, screens)]
-    s = max(range(len(lows)), key=lows.__getitem__, default=0)
-    f2, top, x, scale = screens[s] if screens else (None, 0.0, None, 1.0)
-    if 0 < top and math.sqrt(top) * scale + _UNDERFLOW > lo:
-        done = s, int(f2.argmax())
-        best = float(_svd_norms(x.view(complex)[done[1]]))
-        first = done[1] // per[s]
+    lo, strict, best, first = max(floor, 0.0), True, -math.inf, None
+    if 0 < top and bound > lo:
+        best, first = float(_svd_norms(x[i])), i // per
         lo, strict = (best, False) if best > lo else (lo, strict)
-    for s, (f2, top, x, scale) in enumerate(screens):
-        cut = (lo - _UNDERFLOW) / scale
-        bounded = cut >= 0 and math.isfinite(top)
-        if bounded:
-            keep = f2 > cut * cut if strict else f2 >= cut * cut
-        else:                 # every nonzero slice, also when squares overflow
-            keep = x.any(axis=(1, 2))
-        if s == done[0]:
-            keep[done[1]] = False
-        index = keep.nonzero()[0]
-        if bounded and index.size:
-            # The same cut on the Schatten-8 bound of the slices left.
-            s8 = _schatten8(x.view(complex)[index], f2[index])
-            index = index[s8 > cut if strict else s8 >= cut]
-        if index.size:
-            norms = _svd_norms(x.view(complex)[index])
-            i = int(norms.argmax())
-            at = int(index[i]) // per[s]
-            if norms[i] > best or (norms[i] == best and at < first):
-                best, first = float(norms[i]), at
-    if first is None and floor < 0 and any(s[0].size for s in screens):
+    cut = (lo - _UNDERFLOW) / scale
+    bounded = cut >= 0 and math.isfinite(top)
+    if bounded:
+        keep = f2 > cut * cut if strict else f2 >= cut * cut
+    else:                     # every nonzero slice, also when squares overflow
+        keep = x.any(axis=(1, 2))
+    if first is not None:
+        keep[i] = False
+    index = keep.nonzero()[0]
+    if bounded and index.size:
+        # The same cut on the Schatten-8 bound of the slices left.
+        s8 = _schatten8(x[index], f2[index])
+        index = index[s8 > cut if strict else s8 >= cut]
+    if index.size:
+        norms = _svd_norms(x[index])
+        j = int(norms.argmax())
+        at = int(index[j]) // per
+        if norms[j] > best or (norms[j] == best and at < first):
+            best, first = float(norms[j]), at
+    if first is None and floor < 0 and f2.size:
         return 0.0, 0         # every slice is exactly zero
     return (best, first) if best > floor else (floor, None)
 
@@ -527,8 +524,8 @@ def principal_log_unitary(u) -> np.ndarray:
         return a.reshape(u.shape)
     z = a @ a
     del a
-    f2, _, _, scale = _screen(z)
-    p = _series(z, _ARCSIN, np.searchsorted(_RHO2_LIMITS, np.sqrt(f2) * scale))
+    p = _series(z, _ARCSIN, np.searchsorted(_RHO2_LIMITS,
+                                            np.sqrt(_screen(z)[0]) * _scale(n, n)))
     x = ((s - adjoint(s)) * 0.5) @ p
     np.subtract(x, adjoint(x), out=p)
     p *= 0.5
@@ -548,10 +545,11 @@ def exp_skew(x) -> np.ndarray:
                   "input is not skew-Hermitian: ||x + x*|| = %.3e")
     n = x.shape[-1]
     y = (x - adjoint(x)).reshape(math.prod(x.shape[:-2]), n, n) * 0.5
-    f2, top, _, scale = _screen(y)
+    f2, i, top, _ = _screen(y)
+    scale = _scale(n, n)
     if not math.isfinite(top):
         raise ValueError("input too large to exponentiate: ||x||_F overflows"
-                         + _at_slice(int(np.argmax(f2)), x.shape[:-2]))
+                         + _at_slice(i, x.shape[:-2]))
     rho, squarings = np.sqrt(f2) * scale, 0
     if math.sqrt(top) * scale > EXP_CAP:      # the largest rho: some slice squares
         squarings = np.where(rho > EXP_CAP, np.frexp(rho / EXP_CAP)[1], 0)

@@ -24,9 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import FiniteGroup, cyclic_group
-from .matfun import (EPS0, UNITARIZE_EPS, Blocks, _polar_parts, adjoint,
-                     concatenate, exp_skew, identity_like, largest_norm,
-                     polar_unitary, principal_log_unitary, read_only_copy)
+from .matfun import (Blocks, _polar_parts, adjoint, concatenate, exp_skew,
+                     identity_like, largest_norm, polar_unitary,
+                     principal_log_unitary, read_only_copy)
 from .galgebra import (GAlgebra, Tower, _pair_stacks, group_mean, group_stack,
                        max_pair_defect, pair_chunks)
 
@@ -37,6 +37,13 @@ ITERATE_MAX_DEFECT = 1.0 / CONTRACTION
 ITERATION_CAP = 64
 # The largest float below 1: a norm exceeds it exactly when it is >= 1.
 BELOW_ONE = np.nextafter(1.0, 0.0)
+# Unitarization constants of the lift and the graded corrector.  EPS0 is
+# the polar target radius; values are unitarized only when within
+# UNITARIZE_EPS of a unitary, which guarantees the polar part moves them by
+# less than EPS0 (singular values are 1-Lipschitz in the operand, so
+# ||polar(a) - u|| <= ||polar(a) - a|| + ||a - u|| < 2 * UNITARIZE_EPS).
+EPS0 = 1.0 / (12 * CONTRACTION)
+UNITARIZE_EPS = EPS0 / 2
 
 
 class DefectTooLargeError(ValueError):
@@ -382,7 +389,7 @@ class LiftResult:
 
 # First level whose symmetrized-and-unitarized defect clears this threshold
 # is accepted; it leaves the iterated corrector a comfortable margin.
-LEVEL_ACCEPT_THRESHOLD = min(1.0 / (2 * CONTRACTION), EPS0)
+LEVEL_ACCEPT_THRESHOLD = EPS0
 
 
 def _level_maxima(stacks, algebra: GAlgebra, keeps: list, floor: float):

@@ -30,11 +30,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, cyclic_group, make_group
-from .matfun import (EPS0, Blocks, _svd_norms, adjoint, exp_skew, largest_norm,
+from .matfun import (Blocks, _svd_norms, adjoint, exp_skew, largest_norm,
                      read_only)
 from .galgebra import GAlgebra, Tower, matrix_algebra
 from .repcorrect import CONTRACTION as REP_CONTRACTION
-from .repcorrect import (ApproxRep, SourceAction, correct_to_rep,
+from .repcorrect import (EPS0, ApproxRep, SourceAction, correct_to_rep,
                          lift_group_rep, one_step, translation_source_action)
 from .cocycles import CONTRACTION as COCYCLE_CONTRACTION
 from .cocycles import (coboundary, mismatch, one_step_cobound, trivialize,
@@ -325,10 +325,11 @@ def _graded(spec: str, data: Optional[str]):
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Philox (counter-based) stream for one trial: key = scenario seed,
-    counter advanced by trial * 2^40."""
-    bg = np.random.Philox(key=np.uint64(seed))
-    bg.advance(int(trial) * (1 << 40))
-    return np.random.Generator(bg)
+    counter set to trial * 2^40, a 256-bit integer in 64-bit words, low
+    first."""
+    c = int(trial) << 40
+    return np.random.Generator(np.random.Philox(
+        counter=[c & (2 ** 64 - 1), c >> 64, 0, 0], key=np.uint64(seed)))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -862,7 +863,7 @@ def run_scenario(scenario: Scenario, out_dir) -> ScenarioReport:
         "failures": failures,
     }
     for name, text in (("trace.csv", "\n".join(lines) + "\n"),
-                       ("report.json", json.dumps(payload, indent=2, sort_keys=True))):
+                       ("report.json", json.dumps(payload, sort_keys=True))):
         path = out / name
         try:
             path.unlink(missing_ok=True)

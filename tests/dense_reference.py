@@ -1,10 +1,10 @@
 """Small references for the property tests: the plain-SVD operator norm
-that ``largest_norm`` screens, the dense route for the block-stored
-G-algebras, the ``eigh`` routes for the half-plane log and the exponential
-of skew-Hermitian matrices, the Schur route for the eigensystem of a
-unitary and its spectral rounding, the per-element loops the stacked
-scenario builders replaced, and the towers of copies of M_n built by hand
-before one builder made them all.
+that ``largest_norm`` screens and that kernel's per-part form, the dense
+route for the block-stored G-algebras, the ``eigh`` routes for the
+half-plane log and the exponential of skew-Hermitian matrices, the Schur
+route for the eigensystem of a unitary and its spectral rounding, the
+per-element loops the stacked scenario builders replaced, and the towers
+of copies of M_n built by hand before one builder made them all.
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -21,6 +21,7 @@ measures its corner seeds' defect as well.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -28,14 +29,15 @@ from scipy.linalg import expm
 
 from equifix.cocycles import coboundary, trivialize
 from equifix.galgebra import GAlgebra, Tower, group_mean, matrix_algebra
-from equifix.matfun import (UNITARIZE_EPS, Blocks, MidpointError, _polar_parts,
-                            _range_isometry, adjoint, exp_skew, largest_norm,
+from equifix.matfun import (_UNDERFLOW, Blocks, MidpointError, _polar_parts,
+                            _range_isometry, _scale, _schatten8, _stack_bound,
+                            _svd_norms, adjoint, exp_skew, largest_norm,
                             polar_unitary, spectral_round_unitary)
 from equifix.relations import (PartitionCorrection, TracialPartitionCorrection,
                                _averaged_seeds, measure_partition_seeds,
                                partition_admissibility_threshold,
                                partition_defect)
-from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
+from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, UNITARIZE_EPS, ApproxRep,
                                 DefectTooLargeError, correct_to_rep,
                                 equivariance_defect, intertwiner, symmetrize)
 from equifix.scenarios import (exact_rep_values, make_group,
@@ -54,6 +56,64 @@ def operator_norm(a):
     norms = np.linalg.svd(a, compute_uv=False)[..., 0] if a.size else \
         np.zeros(a.shape[:-2])
     return norms if a.ndim > 2 else float(norms)
+
+
+def per_part_largest_norm(a, floor: float = 0.0):
+    """``largest_norm`` as it was before its one-part route: every call
+    builds a list of parts (one, for a dense stack) and screens them all,
+    SVDs first the slice of largest lower bound F / sqrt(rank) over every
+    part, then cuts each part in turn."""
+    blocks = isinstance(a, Blocks)
+    parts = [np.asarray(p, dtype=complex) for p in (a.parts if blocks else (a,))]
+    if 0 < floor < math.inf and all(_stack_bound(p) + _UNDERFLOW <= floor
+                                     for p in parts):
+        return floor, None
+    screens = []
+    for p in parts:
+        m, n = p.shape[-2:]
+        x = np.ascontiguousarray(p).reshape(math.prod(p.shape[:-2]), m, n).view(np.float64)
+        f2 = np.einsum("kij,kij->k", x, x)
+        top = float(f2.max()) if f2.size else 0.0
+        if not math.isfinite(top) and not np.isfinite(x).all():
+            raise ValueError("matrix has non-finite entries")
+        screens.append((f2, top, x, _scale(m, n)))
+    if floor >= 0 and all(math.sqrt(top) * scale + _UNDERFLOW <= floor
+                          for _, top, _, scale in screens):
+        return floor, None
+    per = [p.shape[-3] if blocks else 1 for p in parts]
+    lo, strict = max(floor, 0.0), True
+    best, first, done = -math.inf, None, (-1, -1)
+    lows = [math.sqrt(top) * (2 - scale) / math.sqrt(max(1, min(p.shape[-2:])))
+            for p, (_, top, _, scale) in zip(parts, screens)]
+    s = max(range(len(lows)), key=lows.__getitem__, default=0)
+    f2, top, x, scale = screens[s] if screens else (None, 0.0, None, 1.0)
+    if 0 < top and math.sqrt(top) * scale + _UNDERFLOW > lo:
+        done = s, int(f2.argmax())
+        best = float(_svd_norms(x.view(complex)[done[1]]))
+        first = done[1] // per[s]
+        lo, strict = (best, False) if best > lo else (lo, strict)
+    for s, (f2, top, x, scale) in enumerate(screens):
+        cut = (lo - _UNDERFLOW) / scale
+        bounded = cut >= 0 and math.isfinite(top)
+        if bounded:
+            keep = f2 > cut * cut if strict else f2 >= cut * cut
+        else:
+            keep = x.any(axis=(1, 2))
+        if s == done[0]:
+            keep[done[1]] = False
+        index = keep.nonzero()[0]
+        if bounded and index.size:
+            s8 = _schatten8(x.view(complex)[index], f2[index])
+            index = index[s8 > cut if strict else s8 >= cut]
+        if index.size:
+            norms = _svd_norms(x.view(complex)[index])
+            i = int(norms.argmax())
+            at = int(index[i]) // per[s]
+            if norms[i] > best or (norms[i] == best and at < first):
+                best, first = float(norms[i]), at
+    if first is None and floor < 0 and any(s[0].size for s in screens):
+        return 0.0, 0
+    return (best, first) if best > floor else (floor, None)
 
 
 def schur_eigensystem(a):
@@ -164,7 +224,7 @@ def dense_act(algebra):
 
 def unitarize_values(values):
     """Replace each value by its polar part.  Every value must be within
-    UNITARIZE_EPS = eps0/2 (eps0 = 1/(6*34)) of a unitary, measured as
+    UNITARIZE_EPS = eps0/2 (eps0 = 1/(12*17)) of a unitary, measured as
     max |s - 1| over its singular values s; the polar parts then move each
     value by less than eps0.  One batched SVD per block size
     (``_polar_parts``, which the lift's level scan shares) gives both the

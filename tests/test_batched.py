@@ -30,13 +30,13 @@ from dense_reference import (dense_act, eigh_exp_skew, eigh_half_plane_log, embe
 from equifix.galgebra import (BlockMismatchError, GAlgebra, Tower, matrix_algebra,
                               max_pair_defect)
 from equifix.groups import make_group
-from equifix.matfun import (EXP_CAP, UNITARIZE_EPS, Blocks, adjoint, exp_skew,
-                            polar_unitary, principal_log_unitary)
+from equifix.matfun import (EXP_CAP, Blocks, adjoint, exp_skew, polar_unitary,
+                            principal_log_unitary)
 from equifix.relations import _averaged_seeds, measure_partition_seeds
-from equifix.repcorrect import (ITERATE_MAX_DEFECT, ApproxRep, ConvergenceError,
-                                DefectTooLargeError, correct_to_rep,
-                                equivariance_defect, one_step, symmetrize,
-                                translation_source_action)
+from equifix.repcorrect import (ITERATE_MAX_DEFECT, UNITARIZE_EPS, ApproxRep,
+                                ConvergenceError, DefectTooLargeError,
+                                correct_to_rep, equivariance_defect, one_step,
+                                symmetrize, translation_source_action)
 from equifix import scenarios
 from equifix.scenarios import (Scenario, build_lift_scenario,
                                build_rokhlin_scenario, exact_rep_values,

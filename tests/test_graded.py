@@ -4,10 +4,9 @@ from scipy.linalg import expm
 
 from dense_reference import operator_norm
 from equifix.groups import cyclic_group, make_group
-from equifix.matfun import EPS0
 from equifix.graded import (GradedAlgebra, NonAbelianError, character_table,
                             graded_correct, regular_graded_model)
-from equifix.repcorrect import DefectTooLargeError
+from equifix.repcorrect import EPS0, DefectTooLargeError
 from equifix.scenarios import perturb_rep_values, random_skew, trial_rng
 
 

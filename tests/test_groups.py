@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from unittest import mock
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equifix import galgebra
+from equifix import galgebra, groups
 from equifix.galgebra import group_mean
 from equifix.groups import (ORDER_CAP, FiniteGroup, GroupConstructionError,
-                            cyclic_group, make_group)
+                            cyclic_group, make_group, symmetric_group)
 from equifix.matfun import Blocks
 
 GROUP_SPECS = [
@@ -89,6 +90,17 @@ def test_order_cap_names_the_group_it_refuses(kind, params, label):
     with pytest.raises(GroupConstructionError,
                        match=re.escape(f"{label} exceeds the order cap {ORDER_CAP}")):
         make_group(kind, params)
+
+
+@pytest.mark.parametrize("cap,largest", [(1, 1), (23, 3), (24, 4), (120, 5),
+                                         (ORDER_CAP, 6)])
+def test_symmetric_group_limit_follows_the_order_cap(monkeypatch, cap, largest):
+    monkeypatch.setattr(groups, "ORDER_CAP", cap)
+    assert symmetric_group(largest).order == math.factorial(largest)
+    for n in (0, largest + 1):
+        with pytest.raises(GroupConstructionError, match=re.escape(
+                f"symmetric group supported for n <= {largest}, got {n}")):
+            symmetric_group(n)
 
 
 @pytest.mark.parametrize("kind,params", [

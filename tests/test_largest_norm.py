@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import trivial_algebra
+from dense_reference import per_part_largest_norm, trivial_algebra
 from equifix import matfun, repcorrect
 from equifix.cocycles import coboundary, cocycle, one_step_cobound, trivialize
 from equifix.galgebra import Tower, matrix_algebra, max_pair_defect, pair_chunks
@@ -221,6 +221,91 @@ def test_gate_rejection_names_the_worst_slice(seed, count, n, ratio, rank1):
                                   f"{worst:.3e} at slice ({i},)")
 
 
+# --- the one-part route against the per-part kernel ---------------------------
+
+def both_kernels(x, floor):
+    """largest_norm and its per-part reference at one floor: each result,
+    or each ValueError's message."""
+    out = []
+    for kernel in (largest_norm, per_part_largest_norm):
+        try:
+            out.append(kernel(x, floor))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(0, 4), st.lists(st.integers(1, 4), min_size=1, max_size=3,
+                                          unique=True),
+       st.lists(kinds, min_size=1, max_size=6), st.booleans(), st.booleans(),
+       st.sampled_from([None, np.nan, -np.inf, 1j * np.inf]), st.integers(1, 3))
+def test_kernel_matches_its_per_part_reference(seed, count, sizes, slice_kinds,
+                                              dense, ties, bad, slab):
+    """Dense stacks (wide and tall too), Blocks of one size and of mixed
+    sizes, empty stacks, all-zero ones, ties, and a non-finite entry (the
+    same ValueError): at floors -1 and 0, a gate tolerance, at and beside
+    the largest norm, and as the running maximum of a loop over slabs, the
+    value and first index are those of the per-part kernel, bit for bit."""
+    rng = np.random.default_rng(seed)
+    draw = [slice_kinds[j % len(slice_kinds)] for j in range(4 * count)]
+    if dense:
+        x = draw_stack(rng, draw[:count], sizes[0], sizes[-1], ties)
+        entries = [x]
+    else:
+        entries = []
+        for b in sorted(sizes):
+            k = int(rng.integers(1, 3))
+            p = draw_stack(rng, draw[:count * k], b, b, False).reshape(count, k, b, b)
+            if ties and count > 1:
+                p[rng.integers(1, count)::2] = p[0]
+            entries.append(p)
+        top = max((float(np.abs(p).max()) for p in entries if p.size), default=0.0)
+        if ties and count > 1 and len(entries) > 1 and top < 1e100:
+            # A norm t over all others, a power of 2 so that t times the
+            # identity has norm t exactly, at the last element in the first
+            # size and at element 0 in the last: element 0 wins the tie.
+            t = 2.0 ** math.ceil(math.log2(1 + 8 * top))
+            for p, e in ((entries[0], -1), (entries[-1], 0)):
+                p[e, 0] = t * np.eye(p.shape[-1])
+            assert per_part_largest_norm(Blocks(entries), -1.0) == (t, 0)
+        x = Blocks(entries)
+    if bad is not None and count:
+        p = entries[rng.integers(len(entries))]
+        p[np.unravel_index(rng.integers(p.size), p.shape)] = bad
+    top = both_kernels(x, -1.0)
+    assert top[0] == top[1]
+    floors = [-1.0, 0.0, 1e-10, 0.5]
+    if isinstance(top[0], tuple):
+        floors += beside(top[0][0]) + [top[0][0] * (1 + 1e-12)]
+    for floor in floors:
+        got, want = both_kernels(x, floor)
+        assert got == want
+    runs = []
+    for kernel in (largest_norm, per_part_largest_norm):
+        worst, first = -1.0, None
+        try:
+            for start in range(0, count, slab):
+                worst, i = kernel(x[start:start + slab], worst)
+                first = first if i is None else start + i
+        except ValueError as exc:
+            worst, first = str(exc), None
+        runs.append((worst, first))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0), (3, 0, 2), (0, 0, 0),
+                                   (3, 2), (0, 2, 1, 1), (2, 3, 2, 2)])
+def test_empty_and_zero_stacks_match_the_per_part_reference(shape):
+    a = np.zeros(shape, dtype=complex)
+    xs = [a] + ([Blocks([a]), Blocks([a, np.zeros(shape[:-2] + (3, 3))])]
+                if len(shape) == 4 else [])
+    for x in xs:
+        for floor in (-1.0, 0.0, 1e-10, 0.5):
+            got, want = both_kernels(x, floor)
+            assert got == want
+
+
 # --- the exact floor ----------------------------------------------------------
 
 def test_tie_with_the_largest_frobenius_slice_goes_to_the_earlier_slice():
@@ -249,6 +334,16 @@ def test_blocks_whose_largest_frobenius_slice_is_in_a_later_size(tie):
             (1.0 if tie else 1.5, 0)
 
 
+def test_tie_in_a_later_size_goes_to_the_earlier_element():
+    # Element 1's 1 x 1 block and element 0's 3 x 3 block both have norm
+    # 1, the largest: element 0 wins, though its size comes second.
+    one = np.array([[[[0.5]]], [[[1.0]]]], dtype=complex)
+    three = np.stack([np.eye(3), 0.1 * np.eye(3)])[:, None].astype(complex)
+    x = Blocks([one, three])
+    for floor in (-1.0, 0.0, 0.9):
+        assert largest_norm(x, floor) == (1.0, 0)
+
+
 def test_dominant_slice_takes_fewer_svd_slices(svd_counter):
     # 19 generic 4 x 4 slices with Frobenius norm 8 (operator norm under 8)
     # and a rank-one slice of norm 10.  The lower bound F / sqrt(4) = 5
@@ -272,7 +367,7 @@ def test_slice_exactly_at_the_exact_floor_cut_takes_an_svd(svd_counter):
     # slice 2 is well under the cut and is not.
     a = np.zeros((3, 2, 2), dtype=complex)
     a[0, 0, 0] = 1.0
-    a[1, 1, 0] = c = (1.0 - _UNDERFLOW) / _screen(a)[3]
+    a[1, 1, 0] = c = (1.0 - _UNDERFLOW) / matfun._scale(2, 2)
     a[2] = 0.5 * c * np.eye(2)
     svd_counter.clear()
     assert largest_norm(a) == (1.0, 0)
@@ -303,8 +398,7 @@ def exit_bound(a):
     """sqrt(top) (1 + margin) + 1e-150 of a dense stack, top its largest
     squared Frobenius norm: a floor >= 0 at or over it ends the call after
     the Frobenius pass."""
-    _, top, _, scale = _screen(a)
-    return math.sqrt(top) * scale + _UNDERFLOW
+    return math.sqrt(_screen(a)[2]) * matfun._scale(*a.shape[-2:]) + _UNDERFLOW
 
 
 def beside(t):
@@ -376,7 +470,7 @@ def test_blocks_with_one_part_under_the_floor_and_one_over(seed, count, b, extra
     bound = exit_bound(under)
     over = draw_stack(rng, ["generic"] * 2 * count, over_size, over_size, False)
     over = over.reshape(count, 2, over_size, over_size)
-    over *= ratio * bound / math.sqrt(_screen(over)[1])
+    over *= ratio * bound / math.sqrt(_screen(over)[2])
     assert exit_bound(over) > bound
     parts = {under_size: under, over_size: over}
     x = Blocks([parts[size] for size in sorted(parts)])

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import operator_norm, root_projections, schur_round_unitary
-from equifix.matfun import (EPS0, UNITARIZE_EPS, MidpointError, _range_isometry,
-                            exp_skew, largest_norm, polar_unitary,
-                            principal_log_unitary, spectral_round_unitary)
+from equifix.matfun import (MidpointError, _range_isometry, exp_skew, largest_norm,
+                            polar_unitary, principal_log_unitary,
+                            spectral_round_unitary)
+from equifix.repcorrect import EPS0, UNITARIZE_EPS
 
 
 def rand_unitary(rng, n):

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equifix import matfun
-from equifix.matfun import (_ARCSIN, _EXP, _RHO2_LIMITS, _SERIES_STEP, _screen,
-                            _series, adjoint, exp_skew, principal_log_unitary)
+from equifix.matfun import (_ARCSIN, _EXP, _RHO2_LIMITS, _SERIES_STEP, _scale,
+                            _screen, _series, adjoint, exp_skew,
+                            principal_log_unitary)
 from equifix.scenarios import random_skew
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -51,8 +52,7 @@ def series_log(u):
     s = u.reshape(-1, n, n)
     a = (s - adjoint(s)) * 0.5
     z = a @ a
-    f2, _, _, scale = _screen(z)
-    degree = np.searchsorted(_RHO2_LIMITS, np.sqrt(f2) * scale)
+    degree = np.searchsorted(_RHO2_LIMITS, np.sqrt(_screen(z)[0]) * _scale(n, n))
     x = a @ paterson_stockmeyer(z, _ARCSIN, degree)
     return ((x - adjoint(x)) * 0.5 + 0.0).reshape(u.shape), degree
 

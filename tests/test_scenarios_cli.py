@@ -43,6 +43,23 @@ def test_trial_rng_deterministic_and_distinct():
     assert not np.array_equal(a, c)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from([0, 1, 2 ** 32 + 5,
+                                                              2 ** 64 - 1])),
+       st.one_of(st.integers(0, 2 ** 30), st.sampled_from([0, 1, 2, 99_999, 2 ** 24 - 1,
+                                                           2 ** 24, 2 ** 30])))
+def test_trial_rng_is_the_key_stream_advanced_to_the_trial(seed, trial):
+    """The generator set at counter trial * 2^40 is the one built at 0 and
+    advanced there: same state, same draws."""
+    advanced = np.random.Philox(key=np.uint64(seed))
+    advanced.advance(trial * (1 << 40))
+    want, got = np.random.Generator(advanced), trial_rng(seed, trial)
+    assert got.bit_generator.state["state"]["counter"].tolist() == \
+        want.bit_generator.state["state"]["counter"].tolist()
+    assert np.array_equal(got.integers(0, 2 ** 63, 9), want.integers(0, 2 ** 63, 9))
+    assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+
+
 def test_run_scenario_writes_outputs(tmp_path):
     s = Scenario(kind="rep", seed=3, group={"kind": "cyclic", "params": 3},
                  dimension=3, magnitude=0.01, trials=2)
@@ -103,6 +120,13 @@ def test_cli_subcommand_writes_and_exits_zero(tmp_path):
     assert rc == 0
     assert (tmp_path / "trace.csv").exists()
     assert (tmp_path / "report.json").exists()
+
+
+def test_cli_report_json_is_one_compact_sorted_line(tmp_path):
+    assert cli_main(["stabilize", "--out", str(tmp_path), "--trials", "2",
+                     "--seed", "9"]) == 0
+    text = (tmp_path / "report.json").read_text()
+    assert json.dumps(json.loads(text), sort_keys=True) == text
 
 
 def test_cli_scenario_file_and_kind_mismatch(tmp_path):
