@@ -15,15 +15,18 @@ The log and the exp are truncated power series, evaluated by one
 Paterson-Stockmeyer kernel (SIAM J. Comput. 2, 1973): the powers z and z^2
 are kept, each block of three coefficients is one contraction over them
 (and the Horner product of the blocks above), and Horner runs in z^3.  Each
-slice takes its own degree; one evaluation takes a stack to its largest,
-with a slice's coefficients past its own degree set to zero.  The terms so
-added are exact zeros, so a slice's result (its zeros made +0) does not
-depend on the rest of its stack.  A stack of degree at most 1 skips the
-powers and the contraction: its series is the two-term c_0 + c_1 z, entry
-by entry, since the contraction's other terms, 0 z^2 and 1 times the
-Horner product (still zero), are exact zeros; adding a zero changes no
-value but may flip the sign of a zero result, and each kernel's closing
-``+ 0.0`` makes every zero +0, so the bits are those of the contraction.
+slice takes its own degree; one evaluation takes the slices it is given
+to the largest, with a slice's coefficients past its own degree set to
+zero.  The terms so added are exact zeros, so a slice's result (its zeros
+made +0) does not depend on the rest of its stack, and the log takes each
+degree class apart: the slices of degree 0 (below) take no series, those
+of degree at most 1 one evaluation, and the rest another, to their
+largest degree.  A stack of degree at most 1 skips the powers and the
+contraction: its series is the two-term c_0 + c_1 z, entry by entry,
+since the contraction's other terms, 0 z^2 and 1 times the Horner product
+(still zero), are exact zeros; adding a zero changes no value but may flip
+the sign of a zero result, and each kernel's closing ``+ 0.0`` makes
+every zero +0, so the bits are those of the contraction.
 
 The correctors only take logs within HALF_PLANE_RADIUS = 1/2 of 1: the
 one-step correctors log rho(k)* rho(kg) rho(g)* and its cocycle analogue,
@@ -48,9 +51,12 @@ rounding of the radius test and a unitarity defect of 1e-10.  At K = 0
 (rho^2 under 6.7e-16, where a corrector's last steps sit) q = 1 and the
 log is first order: a q = a adds only exact zeros, and the odd part
 (x - x*)/2 of x = a is a to the bit, as a = -a* exactly.  Since
-||a^2||_F <= ||a||_F^2, the kernel returns a + 0 with no a^2 when the
-whole stack's ||a||_F^2, with the margins of the one-pass exit below,
-is under that limit.
+||a^2||_F <= ||a||_F^2, a slice whose ||a||_F^2, times the square of the
+screen's factor, is under that limit has degree 0, and its log is a + 0
+with no a^2: the computed ||a^2||_F exceeds ||a||_F^2 by a rounding far
+under the screen's margin.  One ``vdot`` first tries the whole stack, with
+the margins of the one-pass exit below, and the slices a per-slice pass
+leaves take a^2 and the series.
 
 The exponential of a skew-Hermitian x is its Taylor series (Higham,
 Functions of Matrices, SIAM 2008, ch. 10; Moler and Van Loan, SIAM Rev.
@@ -73,6 +79,15 @@ one-to-one and the eigenspaces of the Hermitian part are those of w.  A
 residual gate ||w V - V diag(lam)|| <= 1e-9 max(1, ||w||) refuses what it
 cannot separate: near collisions cos(x) = cos(-x) outside that set or
 within about 1e-7 of its edge.
+
+Every LAPACK call goes through one entry point per decomposition: the
+singular values, the full SVD behind the polar part, the Hermitian
+``eigh`` and the reduced QR.  Each calls numpy.linalg's own gufunc in
+``numpy.linalg._umath_linalg`` (private numpy API, named otherwise in
+numpy 1.x) with the signature and error state that np.linalg gives it, and
+skips np.linalg's Python wrapper: its bits are np.linalg's, and a failure
+raises np.linalg's LinAlgError with numpy's message.  A numpy without
+these names fails the import, naming them.
 
 Every maximum of norms and every norm gate goes through one screened
 kernel, :func:`largest_norm`.  A slice's Frobenius norm F bounds its
@@ -130,6 +145,13 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
+
+_MISSING = [g for g in ("svd", "svd_f", "eigh_lo", "qr_r_raw", "qr_reduced")
+            if not hasattr(_umath_linalg, g)]
+if _MISSING:
+    raise ImportError(f"equifix needs numpy >= 2.4.6; numpy {np.__version__} lacks "
+                      f"numpy.linalg._umath_linalg.{{{', '.join(_MISSING)}}}")
 
 # Logs are taken of unitaries within this distance of 1.
 HALF_PLANE_RADIUS = 0.5
@@ -313,12 +335,43 @@ def _at_slice(i: int, shape: tuple) -> str:
     return f" at slice {tuple(int(j) for j in np.unravel_index(i, shape))}"
 
 
+def _lapack(name: str, signature: str, message: str):
+    """The entry point to numpy.linalg's LAPACK gufunc ``name`` (module
+    docstring): it takes np.linalg's signature for complex input and runs
+    in np.linalg's error state, where a failure raises LinAlgError(message)."""
+    def fail(err, flag):
+        raise LinAlgError(message)
+
+    @np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                 under="ignore")
+    def call(*args):
+        return getattr(_umath_linalg, name)(*args, signature=signature)
+    return call
+
+
+# Singular values (descending), the full SVD (u, s, vh), the eigensystem of
+# a Hermitian stack from its lower triangle (values ascending), and QR.
+_svdvals = _lapack("svd", "D->d", "SVD did not converge")
+_svd = _lapack("svd_f", "D->DdD", "SVD did not converge")
+_eigh = _lapack("eigh_lo", "D->dD", "Eigenvalues did not converge")
+_QR_FAILED = "Incorrect argument found while performing QR factorization"
+_qr_r, _qr_q = (_lapack(g, sig, _QR_FAILED) for g, sig in (("qr_r_raw", "D->D"),
+                                                          ("qr_reduced", "DD->D")))
+
+
+def _qr(a):
+    """q, r: the reduced QR decomposition of each slice of a complex stack."""
+    a = np.array(a, dtype=complex)
+    tau = _qr_r(a)                                        # writes r over a
+    return _qr_q(a, tau), np.triu(a[..., :min(a.shape[-2:]), :])
+
+
 def _svd_norms(a: np.ndarray) -> np.ndarray:
     """Largest singular value of each slice of a stack (0 for empty slices);
     an empty stack takes no SVD."""
     if a.size == 0:
         return np.zeros(a.shape[:-2])
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
+    return _svdvals(a)[..., 0]
 
 
 @functools.lru_cache
@@ -449,7 +502,7 @@ def _reject_worst(x, tol: float, message: str):
 
 def _polar_parts(a):
     """Polar parts u vh of a stack and its singular values s, from one SVD."""
-    u, s, vh = np.linalg.svd(require_finite(a))
+    u, s, vh = _svd(require_finite(a))
     return u @ vh, s
 
 
@@ -459,7 +512,7 @@ def polar_unitary(a) -> np.ndarray:
     if isinstance(a, Blocks):
         return a.map(polar_unitary)
     q, s = _polar_parts(a)
-    smallest = np.min(s[..., -1])
+    smallest = s.min(initial=math.inf)
     if smallest <= 1e-10:
         raise ValueError(
             f"matrix is numerically singular: smallest singular value "
@@ -515,22 +568,33 @@ def principal_log_unitary(u) -> np.ndarray:
     _reject_worst(u - one, HALF_PLANE_RADIUS,
                   "unitary outside the log's disc: ||u - 1|| = %.3e > 1/2")
     s = u.reshape(math.prod(u.shape[:-2]), n, n)
-    a = (s - adjoint(s)) * 0.5
-    # ||a^2||_F <= ||a||_F^2: when that puts every slice at degree 0, the
-    # series is 1 and log u = a.
-    bound = _stack_bound(a)
-    if bound * bound <= _RHO2_LIMITS[0]:
-        a += 0.0
-        return a.reshape(u.shape)
-    z = a @ a
-    del a
-    p = _series(z, _ARCSIN, np.searchsorted(_RHO2_LIMITS,
-                                            np.sqrt(_screen(z)[0]) * _scale(n, n)))
-    x = ((s - adjoint(s)) * 0.5) @ p
-    np.subtract(x, adjoint(x), out=p)
-    p *= 0.5
-    p += 0.0
-    return p.reshape(u.shape)
+    a, scale = (s - adjoint(s)) * 0.5, _scale(n, n)
+    # The degree classes of the module docstring.  The slices that their
+    # ||a||_F does not put at degree 0 take a^2, and of those, the slices of
+    # degree at most 1 take their series apart from the rest.  The series
+    # holds 5 stacks of its r slices: a (k slices) is kept for x = a p
+    # while k + 5r <= 5k, and made again after the series if not.
+    rest = np.flatnonzero(_screen(a)[0] * (scale * scale) > _RHO2_LIMITS[0]) \
+        if _stack_bound(a) ** 2 > _RHO2_LIMITS[0] else ()
+    if len(rest):
+        z, keep = a[rest], 5 * len(rest) <= 4 * len(a)
+        z, a = z @ z, a if keep else None
+        degree = np.searchsorted(_RHO2_LIMITS, np.sqrt(_screen(z)[0]) * scale)
+        high = degree > 1
+        if high.all() or not high.any():
+            p = _series(z, _ARCSIN, degree)
+        else:
+            low, z = _series(z[~high], _ARCSIN, degree[~high]), z[high]
+            z = _series(z, _ARCSIN, degree[high])
+            p = np.empty((len(degree), n, n), dtype=complex)
+            p[high], p[~high] = z, low
+        a = a if keep else (s - adjoint(s)) * 0.5
+        x = a[rest] @ p
+        np.subtract(x, adjoint(x), out=p)
+        p *= 0.5
+        a[rest] = p
+    a += 0.0
+    return a.reshape(u.shape)
 
 
 def exp_skew(x) -> np.ndarray:
@@ -541,10 +605,9 @@ def exp_skew(x) -> np.ndarray:
     if isinstance(x, Blocks):
         return x.map(exp_skew)
     x = _require_square(x)
-    _reject_worst(x + adjoint(x), 1e-10,
-                  "input is not skew-Hermitian: ||x + x*|| = %.3e")
-    n = x.shape[-1]
-    y = (x - adjoint(x)).reshape(math.prod(x.shape[:-2]), n, n) * 0.5
+    xh, n = adjoint(x), x.shape[-1]
+    _reject_worst(x + xh, 1e-10, "input is not skew-Hermitian: ||x + x*|| = %.3e")
+    y = (x - xh).reshape(math.prod(x.shape[:-2]), n, n) * 0.5
     f2, i, top, _ = _screen(y)
     scale = _scale(n, n)
     if not math.isfinite(top):
@@ -585,7 +648,7 @@ def spectral_round_unitary(w, d: int):
     _reject_worst(adjoint(w) @ w - np.eye(w.shape[-1]), 1e-10,
                   "input is not unitary: ||w*w - 1|| = %.3e")
     h = np.exp(-0.5j * np.pi / d) * w
-    v = np.linalg.eigh((h + adjoint(h)) / 2)[1]
+    v = _eigh((h + adjoint(h)) / 2)[1]
     wv = w @ v
     lam = np.einsum("ij,ij->j", v.conj(), wv)
     _reject_worst(wv - v * lam, 1e-9 * largest_norm(w, 1.0)[0], "eigenvalues not "
@@ -610,7 +673,7 @@ def _range_isometry(b) -> np.ndarray:
     b = require_finite(b)
     _reject_worst(b - adjoint(b), 1e-10,
                   "input is not self-adjoint: ||b - b*|| = %.3e")
-    vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
+    vals, vecs = _eigh((b + b.conj().T) / 2)
     inside = (vals >= 0.4) & (vals <= 0.6)
     if inside.any():
         raise ValueError(

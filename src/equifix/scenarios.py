@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, cyclic_group, make_group
-from .matfun import (Blocks, _svd_norms, adjoint, exp_skew, largest_norm,
+from .matfun import (Blocks, _qr, _svd_norms, adjoint, exp_skew, largest_norm,
                      read_only)
 from .galgebra import GAlgebra, Tower, matrix_algebra
 from .repcorrect import CONTRACTION as REP_CONTRACTION
@@ -334,7 +334,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
+    q, r = _qr(a)
     d = np.diag(r)
     return q * (d / np.abs(d))
 

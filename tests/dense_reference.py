@@ -1,10 +1,11 @@
 """Small references for the property tests: the plain-SVD operator norm
 that ``largest_norm`` screens and that kernel's per-part form, the dense
 route for the block-stored G-algebras, the ``eigh`` routes for the
-half-plane log and the exponential of skew-Hermitian matrices, the Schur
-route for the eigensystem of a unitary and its spectral rounding, the
-per-element loops the stacked scenario builders replaced, and the towers
-of copies of M_n built by hand before one builder made them all.
+half-plane log and the exponential of skew-Hermitian matrices, the series
+log before its degree classes, the Schur route for the eigensystem of a
+unitary and its spectral rounding, the per-element loops the stacked
+scenario builders replaced, and the towers of copies of M_n built by hand
+before one builder made them all.
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -29,10 +30,12 @@ from scipy.linalg import expm
 
 from equifix.cocycles import coboundary, trivialize
 from equifix.galgebra import GAlgebra, Tower, group_mean, matrix_algebra
-from equifix.matfun import (_UNDERFLOW, Blocks, MidpointError, _polar_parts,
-                            _range_isometry, _scale, _schatten8, _stack_bound,
-                            _svd_norms, adjoint, exp_skew, largest_norm,
-                            polar_unitary, spectral_round_unitary)
+from equifix.matfun import (_ARCSIN, _RHO2_LIMITS, _UNDERFLOW, HALF_PLANE_RADIUS,
+                            Blocks, MidpointError, _polar_parts, _range_isometry,
+                            _reject_worst, _require_square, _scale, _schatten8,
+                            _screen, _series, _stack_bound, _svd_norms, adjoint,
+                            exp_skew, largest_norm, polar_unitary,
+                            spectral_round_unitary)
 from equifix.relations import (PartitionCorrection, TracialPartitionCorrection,
                                _averaged_seeds, measure_partition_seeds,
                                partition_admissibility_threshold,
@@ -155,6 +158,37 @@ def eigh_half_plane_log(u):
     args = np.arcsin(np.clip(sines, -1.0, 1.0))
     x = (v * (1j * args)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (x - x.conj().swapaxes(-1, -2)) / 2
+
+
+def whole_stack_log(u) -> np.ndarray:
+    """``principal_log_unitary`` as it was before its degree classes: one
+    evaluation takes every slice to the stack's largest degree, and only a
+    stack whose whole ||a||_F^2 is under the degree-0 limit skips a^2."""
+    if isinstance(u, Blocks):
+        return u.map(whole_stack_log)
+    u = _require_square(u)
+    n, one = u.shape[-1], np.eye(u.shape[-1])
+    _reject_worst(adjoint(u) @ u - one, 1e-10,
+                  "input is not unitary: ||u*u - 1|| = %.3e")
+    _reject_worst(u - one, HALF_PLANE_RADIUS,
+                  "unitary outside the log's disc: ||u - 1|| = %.3e > 1/2")
+    s = u.reshape(math.prod(u.shape[:-2]), n, n)
+    a = (s - adjoint(s)) * 0.5
+    # ||a^2||_F <= ||a||_F^2: when that puts every slice at degree 0, the
+    # series is 1 and log u = a.
+    bound = _stack_bound(a)
+    if bound * bound <= _RHO2_LIMITS[0]:
+        a += 0.0
+        return a.reshape(u.shape)
+    z = a @ a
+    del a
+    p = _series(z, _ARCSIN, np.searchsorted(_RHO2_LIMITS,
+                                            np.sqrt(_screen(z)[0]) * _scale(n, n)))
+    x = ((s - adjoint(s)) * 0.5) @ p
+    np.subtract(x, adjoint(x), out=p)
+    p *= 0.5
+    p += 0.0
+    return p.reshape(u.shape)
 
 
 def eigh_exp_skew(x):

@@ -381,3 +381,11 @@ def test_rounding_matches_the_schur_reference(seed, d, n, cluster, mirrored):
     assert np.array_equal(np.bincount(ks, minlength=d), np.bincount(ks_ref, minlength=d))
     assert largest_norm(root_projections(vecs, ks, d) - projections)[0] <= 1e-12
     assert abs(margin - margin_ref) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 0), (2, 0, 3, 3), (0, 0)])
+def test_polar_of_empty_input_is_empty(shape):
+    # No slice, or slices with no entries: nothing to be singular, so the
+    # polar part is the empty stack, as the norm of empty input is.
+    q = polar_unitary(np.zeros(shape, dtype=complex))
+    assert q.shape == shape and q.dtype == complex

@@ -3,7 +3,8 @@ log: the series to degree one evaluates c_0 + c_1 z directly, and a log
 whose every slice has degree 0 returns a = (u - u*)/2.  Each is compared
 bit for bit with the route it bypasses, kept here as the reference: the
 Paterson-Stockmeyer evaluation, and the log's a^2, screen, series and
-product with a."""
+product with a.  The log's degree classes are compared with the log that
+takes a whole stack to its largest degree (``dense_reference``)."""
 
 import math
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import whole_stack_log
 from equifix import matfun
 from equifix.matfun import (_ARCSIN, _EXP, _RHO2_LIMITS, _SERIES_STEP, _scale,
                             _screen, _series, adjoint, exp_skew,
@@ -150,3 +152,59 @@ def test_log_at_degree_zero_matches_the_series_route(seed, n, weights, total,
         assert calls == []
     if len(u) == 1 and not lead:
         assert principal_log_unitary(u[0]).tobytes() == want[0].tobytes()
+
+
+# --- degree classes -----------------------------------------------------------
+
+def rank_one_unitary(rng, n, sine2):
+    """1 + (e^(i theta) - 1) v v* for a random unit v, sin^2 theta = sine2:
+    its a = (u - u*)/2 is i sin(theta) v v*, with ||a^2||_F = ||a||_F^2 =
+    sine2 to rounding."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    theta = math.asin(math.sqrt(sine2))
+    return np.eye(n) + (np.exp(1j * theta) - 1) * np.outer(v, v.conj())
+
+
+def class_slice(rng, n, kind):
+    """One n x n unitary of the given kind: the exact identity, the identity
+    to rounding, a rank-one slice whose sin^2 theta sits at a factor of a
+    degree limit (on either side of the limit and of the per-slice screen's
+    two margins), one at the cap degree, or exp of a random skew matrix."""
+    scale = _scale(n, n)
+    if kind == "identity":
+        return np.eye(n, dtype=complex)
+    if kind == "rounding":
+        q = exp_skew(random_skew(rng, n))
+        return q @ adjoint(q)
+    if kind == "cap":
+        return rank_one_unitary(rng, n, 0.23)          # over _RHO2_LIMITS[-1]
+    if kind.startswith("limit"):
+        j, power = int(kind[5]), float(kind[7:])
+        return rank_one_unitary(rng, n, _RHO2_LIMITS[j] * scale ** power)
+    return exp_skew(float(kind) * random_skew(rng, n))
+
+
+CLASS_KINDS = (["identity", "rounding", "cap", "1e-9", "1e-4", "0.1"]
+               + [f"limit{j} {p}" for j in (0, 1) for p in (-3, -1.5, -0.5, 0.5, 1.5)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.integers(1, 6), st.lists(st.sampled_from(CLASS_KINDS), max_size=8),
+       st.booleans())
+def test_log_degree_classes_match_the_whole_stack_log(seed, n, kinds, lead):
+    """Stacks that mix exact identities, rounding-level slices, rank-one
+    slices on either side of the first two degree limits and of the screen's
+    margins, slices at the cap degree and generic ones, empty stacks among
+    them: the log is bit for bit the one that takes the whole stack to its
+    largest degree, and each slice's log is that of the slice alone."""
+    rng = np.random.default_rng(seed)
+    u = np.stack([class_slice(rng, n, k) for k in kinds]) if kinds else \
+        np.zeros((0, n, n), dtype=complex)
+    if lead and len(u) % 2 == 0:
+        u = u.reshape(2, len(u) // 2, n, n)
+    got = principal_log_unitary(u)
+    assert got.shape == u.shape
+    assert got.tobytes() == whole_stack_log(u).tobytes()
+    for ui, gi in zip(u.reshape(-1, n, n), got.reshape(-1, n, n)):
+        assert principal_log_unitary(ui).tobytes() == gi.tobytes()
