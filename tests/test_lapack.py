@@ -1,8 +1,10 @@
 """The package's one route to LAPACK: ``matfun``'s entry points call
 numpy.linalg's gufuncs directly.  Their bits are np.linalg's, a LAPACK
 failure raises np.linalg's LinAlgError with numpy's message, no warning
-leaks out, and no module of the package calls np.linalg for an SVD, an
-eigh or a QR (the SVD and eigh counters count the entry points)."""
+leaks out, and no module of the package takes anything from numpy.linalg
+or scipy.linalg but the error, the gufuncs and ``matrix_power``, so no
+decomposition escapes the SVD and eigh counters, which count the entry
+points."""
 
 import ast
 import subprocess
@@ -21,19 +23,84 @@ SRC = Path(matfun.__file__).parent
 seeds = st.integers(0, 2 ** 32 - 1)
 
 
-def test_no_module_calls_np_linalg_for_a_decomposition():
-    decompositions = {"svd", "svdvals", "eigh", "eigvalsh", "qr"}
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and node.attr in decompositions
-                    and isinstance(node.value, ast.Attribute)
-                    and node.value.attr == "linalg"):
-                found.append(f"{path.name}:{node.lineno}")
-            if isinstance(node, ast.ImportFrom) and node.module in (
-                    "numpy.linalg", "scipy.linalg"):
-                found += [f"{path.name}:{node.lineno}" for alias in node.names
-                          if alias.name in decompositions]
+# What a module of the package may take from numpy.linalg: the error it
+# raises, the gufunc module that matfun's entry points call, and
+# matrix_power, which takes no decomposition.
+ALLOWED = {"LinAlgError", "_umath_linalg", "matrix_power"}
+
+
+def linalg_uses(source):
+    """The lines of ``source`` that use numpy.linalg for anything outside
+    ALLOWED, or scipy.linalg at all: a name or attribute that resolves to
+    numpy.linalg (``np.linalg``, ``numpy.linalg``, aliases from ``import
+    numpy.linalg as la`` or ``from numpy import linalg``) counts unless it
+    is read for an ALLOWED name, and a name imported from numpy.linalg
+    counts unless it is ALLOWED."""
+    tree = ast.parse(source)
+    numpy, linalg, found = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("scipy"):
+                    found.append(node.lineno)
+                elif alias.name == "numpy.linalg" and alias.asname:
+                    linalg.add(alias.asname)
+                elif alias.name in ("numpy", "numpy.linalg"):
+                    numpy.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [(a.name, a.asname or a.name) for a in node.names]
+            if node.module.startswith("scipy"):
+                found.append(node.lineno)
+            elif node.module == "numpy":
+                linalg.update(bound for name, bound in names if name == "linalg")
+            elif node.module == "numpy.linalg":
+                found += [node.lineno for name, _ in names if name not in ALLOWED]
+    allowed_reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ALLOWED:
+            allowed_reads.add(id(node.value))
+    for node in ast.walk(tree):
+        is_linalg = (isinstance(node, ast.Name) and node.id in linalg) or (
+            isinstance(node, ast.Attribute) and node.attr == "linalg"
+            and isinstance(node.value, ast.Name) and node.value.id in numpy)
+        if is_linalg and id(node) not in allowed_reads:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nnp.linalg.svd(a)",
+    "import numpy\nnumpy.linalg.eigh(a)",
+    "import numpy.linalg\nnumpy.linalg.qr(a)",
+    "import numpy.linalg as la\nla.svd(a)",
+    "from numpy import linalg\nlinalg.eigvalsh(a)",
+    "from numpy import linalg as la\nla.cond(a)",
+    "from numpy.linalg import svd",
+    "from numpy.linalg import norm as n\nn(a, 2)",
+    "import numpy as np\nnp.linalg.norm(a, ord=2)",
+    "import numpy as np\nnp.linalg.pinv(a)",
+    "import numpy as np\nnp.linalg.matrix_rank(a)",
+    "import numpy as np\nnp.linalg.lstsq(a, b)",
+    "import numpy as np\nla = np.linalg",
+    "import numpy as np\ngetattr(np.linalg, 'svd')(a)",
+    "import scipy.linalg",
+    "from scipy.linalg import svd",
+    "from scipy import linalg",
+])
+def test_the_guard_sees_each_route_to_np_linalg(source):
+    assert linalg_uses(source) != []
+
+
+def test_the_guard_lets_the_allowed_names_through():
+    assert linalg_uses("import numpy as np\n"
+                       "from numpy.linalg import LinAlgError, _umath_linalg\n"
+                       "np.linalg.matrix_power(a, 2)\n"
+                       "raise np.linalg.LinAlgError('x')") == []
+
+
+def test_no_module_uses_np_linalg_but_through_the_entry_points():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in linalg_uses(path.read_text())]
     assert found == []
 
 

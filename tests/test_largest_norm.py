@@ -585,7 +585,7 @@ def test_log_of_the_last_step_stack_takes_no_square_or_series():
     # rounding: a's per-slice screen leaves 25 slices to the square and the
     # series.
     rep, last = last_step_iterate()
-    targets = (matfun, "_screen"), (matfun, "_series")
+    targets = (matfun, "_frobenius2"), (matfun, "_series")
     with recorded(*targets) as calls:
         principal_log_unitary(log_stack(rep))
     assert calls == [(36, 6, 6), (25, 6, 6), (25, 6, 6)]

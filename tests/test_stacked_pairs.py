@@ -184,20 +184,26 @@ def test_one_step_memory_stays_near_the_slab(monkeypatch):
 
 
 def test_log_memory_stays_under_the_eigh_route():
-    # one_step's (g, k) stack on symmetric(4) at dim 32 in one chunk: 576
-    # slices of 32 x 32, 9.4 MB.  The batched eigh route this log replaced
-    # peaked at 6.05 such stacks (57.1 MB); the series keeps z, z^2, z^3
-    # and two work stacks.
+    # 576 slices of 32 x 32 are 9.4 MB.  The batched eigh route this log
+    # replaced peaked at 6.05 such stacks (57.1 MB); the series keeps z,
+    # z^2, z^3 and two work stacks, and the skew part is made again after
+    # it rather than kept through it.  The stacks: one_step's (g, k) stack
+    # on symmetric(4) at dim 32 in one chunk, 47 of its slices (g or k the
+    # identity) at degree 0, and unitaries exp(x) with ||x|| ~ 0.01, none
+    # at degree 0.
     group, _, values = near_rep(0, {"kind": "symmetric", "params": 4}, 32, 0.01, None)
     v_adj = adjoint(values)
-    m = v_adj[None] @ values[group.mult.T] @ v_adj[:, None]
-    tracemalloc.start()
-    try:
-        principal_log_unitary(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6.05 * m.nbytes
+    re, im = np.random.default_rng(0).standard_normal((2, 576, 32, 32))
+    x = (re + 1j * im) * (0.01 / 32)
+    for m in (v_adj[None] @ values[group.mult.T] @ v_adj[:, None],
+              exp_skew(x - adjoint(x))):
+        tracemalloc.start()
+        try:
+            principal_log_unitary(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.05 * m.nbytes
 
 
 def test_one_step_log_takes_no_eigh(eigh_counter):
