@@ -17,18 +17,25 @@ process importing that tree's ``src/`` with one BLAS thread: the
   names, measured names, errors or ``failures``;
 * the worst value excess: the largest |a - b| / (1e-14 + 1e-12 |b|) over
   every trace value, measured value and bound, b the other checkout's;
-* the line count of each tree's ``src/equifix/*.py``, the other's first.
+* the line count of each tree's ``src/equifix/*.py``, the other's first,
+  and its split into code, docstring, comment and blank lines: a
+  docstring line lies in a string that is a whole statement, a comment
+  line holds a comment and nothing else, and a blank line outside those
+  strings holds nothing.
 
 Exits 0 when nothing differs but values, and every value is within its
 allowance (excess at most 1); 1 otherwise.
 """
 
+import ast
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,10 +82,29 @@ def start(tree: Path, out: Path, work) -> subprocess.Popen:
     return proc
 
 
-def src_lines(tree: Path) -> int:
-    """The lines of the tree's ``src/equifix/*.py``, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n")
-               for p in (tree / "src" / "equifix").glob("*.py"))
+KINDS = ("code", "docstring", "comment", "blank")
+
+
+def src_lines(tree: Path) -> dict:
+    """The lines of the tree's ``src/equifix/*.py``, as ``wc -l`` counts
+    them, by kind (module docstring) and in all."""
+    counts = dict.fromkeys(KINDS, 0)
+    for path in (tree / "src" / "equifix").glob("*.py"):
+        text = path.read_text()
+        lines = text.split("\n")[:text.count("\n")]
+        kind = ["code" if line.strip() else "blank" for line in lines]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+                    and isinstance(node.value.value, str):
+                kind[node.lineno - 1:node.end_lineno] = \
+                    ["docstring"] * (node.end_lineno - node.lineno + 1)
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            row, col = tok.start
+            if tok.type == tokenize.COMMENT and not lines[row - 1][:col].strip():
+                kind[row - 1] = "comment"
+        for k in kind:
+            counts[k] += 1
+    return {**counts, "total": sum(counts.values())}
 
 
 class Diff:
@@ -193,7 +219,9 @@ def main(argv):
     excess, where = diff.worst
     print(f"worst value excess over 1e-14 + 1e-12|v|: {excess:.3g}"
           + (f" ({where})" if where else ""))
-    print(f"src/equifix lines: {src_lines(other):,} -> {src_lines(ROOT):,}")
+    before, after = src_lines(other), src_lines(ROOT)
+    print(f"src/equifix lines: {before['total']:,} -> {after['total']:,} ("
+          + ", ".join(f"{k} {before[k]:,} -> {after[k]:,}" for k in KINDS) + ")")
     return 0 if not diff.problems and excess <= 1 else 1
 
 

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .scenarios import (SUITE, Scenario, ScenarioError, run_scenario,
-                        suite_scenarios, validate_scenario)
+                        suite_scenarios)
 
 # Subcommand -> the suite label of its default entry.
 SUBCOMMANDS = {sub: label for label, (sub, _) in SUITE.items() if sub}
@@ -49,33 +49,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(args, label: str) -> Scenario:
+def _load_scenario(args, label: str, out: Path) -> Scenario:
+    """The subcommand's suite entry, or its scenario file, with the overrides.
+    A file that the run's output would overwrite is refused."""
     fields = SUITE[label][1]
+    data = {"seed": 0, **fields}
     if args.scenario is not None:
         try:
-            data = json.loads(Path(args.scenario).read_text())
-        except (OSError, ValueError) as exc:
+            data = json.loads(args.scenario.read_text())
+        except (OSError, ValueError, RecursionError) as exc:
             raise ScenarioError(f"{args.scenario}: cannot read a JSON scenario "
                                 f"({exc})") from None
-        validate_scenario(data)
-        if data["kind"] != fields["kind"]:
-            raise ScenarioError(
-                f"scenario kind {data['kind']!r} does not match subcommand "
-                f"({fields['kind']!r} expected)")
-    else:
-        data = {"seed": 0, **fields}
-    return Scenario.from_dict(data, seed=args.seed, trials=args.trials,
-                              tolerance=args.tolerance)
-
-
-def _refuse_own_output(scenario: Path, out: Path):
-    """Refuse a scenario file that the run's output would overwrite."""
-    for target in (out / "trace.csv", out / "report.json"):
-        if scenario.resolve() == target.resolve() or (
-                scenario.exists() and target.exists() and
-                os.path.samefile(scenario, target)):
-            raise ScenarioError(f"{scenario}: the scenario file is the output "
-                                f"{target}, which the run would overwrite")
+        for target in (out / "trace.csv", out / "report.json"):
+            if target.exists() and os.path.samefile(args.scenario, target):
+                raise ScenarioError(f"{args.scenario}: the scenario file is the "
+                                    f"output {target}, which the run would overwrite")
+    scenario = Scenario.from_dict(data, seed=args.seed, trials=args.trials,
+                                  tolerance=args.tolerance)
+    if scenario.kind != fields["kind"]:
+        raise ScenarioError(f"scenario kind {scenario.kind!r} does not match "
+                            f"subcommand ({fields['kind']!r} expected)")
+    return scenario
 
 
 def main(argv=None) -> int:
@@ -96,9 +90,7 @@ def main(argv=None) -> int:
                     print(f"  {label}: {line}", file=sys.stderr)
                 ok = ok and report.all_passed
             return 0 if ok else 1
-        if args.scenario is not None:
-            _refuse_own_output(args.scenario, out)
-        scenario = _load_scenario(args, SUBCOMMANDS[args.command])
+        scenario = _load_scenario(args, SUBCOMMANDS[args.command], out)
         report = run_scenario(scenario, out)
         print(f"{scenario.kind}: {len(report.trials)} trials, "
               f"{'all bounds passed' if report.all_passed else 'BOUND VIOLATIONS'}")

@@ -169,7 +169,7 @@ class GAlgebra:
         out = Blocks(parts)
         return out if isinstance(a, Blocks) else out.parts[0][..., 0, :, :]
 
-    def action_defect(self, samples: int = 2, floor: float = 0.0) -> float:
+    def action_defect(self, samples: int, floor: float) -> float:
         """Max over (g, h) of ||act(h, act(g, a)) - act(hg, a)|| on random
         elements a (seed 0), plus the identity-acts-trivially defect, or
         ``floor`` if that is larger: a gate at tolerance ``floor`` takes no

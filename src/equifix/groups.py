@@ -152,16 +152,19 @@ def make_group(kind: str, params) -> FiniteGroup:
     """Build a finite group by kind: cyclic, dihedral, symmetric or product.
 
     ``params`` is an int for cyclic/dihedral/symmetric and a pair of
-    FiniteGroups (or (kind, params) specs) for product.  Rejects a count
-    that is not an integer (a bool is not one), and any request whose
-    resulting order exceeds ORDER_CAP, before the group is built.
+    (kind, params) specs for product.  Rejects a count that is not an
+    integer (a bool is not one), a product factor of order 1, and any
+    request whose resulting order exceeds ORDER_CAP, before the group is
+    built: each factor at least doubles a product's order, so
+    ORDER_CAP < 2^10 bounds every product at 9 factors.
     """
     builders = {"cyclic": cyclic_group, "dihedral": dihedral_group,
                 "symmetric": symmetric_group}
     if kind == "product":
-        a, b = (p if isinstance(p, FiniteGroup) else make_group(p[0], p[1])
-                for p in params)
+        a, b = (make_group(p[0], p[1]) for p in params)
         order, label = a.order * b.order, f"product({a.name},{b.name})"
+        if min(a.order, b.order) == 1:
+            raise GroupConstructionError(f"{label} has a factor of order 1")
     elif kind in builders:
         if isinstance(params, bool) or not isinstance(params, (int, np.integer)):
             raise GroupConstructionError(

@@ -18,9 +18,8 @@ are kept, each block of three coefficients is one contraction over them
 slice takes its own degree; one evaluation takes the slices it is given
 to the largest, with a slice's coefficients past its own degree set to
 zero.  The terms so added are exact zeros, so a slice's result (its zeros
-made +0) does not depend on the rest of its stack, and the log takes each
-degree class apart: the slices of degree 0 (below) take no series, those
-of degree at most 1 one evaluation, and the rest another, to their
+made +0) does not depend on the rest of its stack: the log's slices of
+degree 0 (below) take no series, and the rest one evaluation, to their
 largest degree.  A stack of degree at most 1 skips the powers and the
 contraction: its series is the two-term c_0 + c_1 z, entry by entry,
 since the contraction's other terms, 0 z^2 and 1 times the Horner product
@@ -575,26 +574,18 @@ def principal_log_unitary(u) -> np.ndarray:
                   "unitary outside the log's disc: ||u - 1|| = %.3e > 1/2")
     s = u.reshape(math.prod(u.shape[:-2]), n, n)
     a, scale = (s - adjoint(s)) * 0.5, _scale(n, n)
-    # The degree classes of the module docstring.  The slices that their
-    # ||a||_F does not put at degree 0 take a^2, and of those, the slices of
-    # degree at most 1 take their series apart from the rest.  a is dropped
-    # while the series holds its five stacks and made again for x = a p:
-    # keeping it raised the peak by one stack, to 6.05 stacks on a stack
-    # with no degree-0 slice.
+    # The slices that their ||a||_F does not put at degree 0 (module
+    # docstring) take a^2 and one series, to their largest degree.  a is
+    # dropped while the series holds its five stacks and made again for
+    # x = a p: keeping it raised the peak by one stack, to 6.05 stacks on a
+    # stack with no degree-0 slice.
     rest = np.flatnonzero(_frobenius2(a) * (scale * scale) > _RHO2_LIMITS[0]) \
         if _stack_bound(a) ** 2 > _RHO2_LIMITS[0] else ()
     if len(rest):
         z, a = a[rest], None
         z = z @ z
-        degree = np.searchsorted(_RHO2_LIMITS, np.sqrt(_frobenius2(z)) * scale)
-        high = degree > 1
-        if np.count_nonzero(high) in (0, len(high)):
-            p = _series(z, _ARCSIN, degree)
-        else:
-            low, z = _series(z[~high], _ARCSIN, degree[~high]), z[high]
-            z = _series(z, _ARCSIN, degree[high])
-            p = np.empty((len(degree), n, n), dtype=complex)
-            p[high], p[~high] = z, low
+        p = _series(z, _ARCSIN,
+                    np.searchsorted(_RHO2_LIMITS, np.sqrt(_frobenius2(z)) * scale))
         a = (s - adjoint(s)) * 0.5
         x = a[rest] @ p
         np.subtract(x, adjoint(x), out=p)

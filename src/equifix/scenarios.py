@@ -17,7 +17,6 @@ scenario + seed reproduce identical outputs byte for byte.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import json
@@ -131,8 +130,9 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 # One dual unitary per character (trivial first), one seed
-                # per group element.
-                "dual_unitaries": {"type": "array", "items": MATRIX_SCHEMA},
+                # per group element; the first dual unitary's side is the
+                # model's (``_side``).
+                "dual_unitaries": {"type": "array", "minItems": 1, "items": MATRIX_SCHEMA},
                 "seeds": {"type": "array", "items": MATRIX_SCHEMA},
             },
         },
@@ -186,9 +186,10 @@ class Scenario:
     @staticmethod
     def from_dict(data: dict, **overrides) -> "Scenario":
         """The scenario of ``data`` with every override that is not None,
-        checked by the schema; ``data`` itself is left alone."""
-        data = copy.deepcopy(data)
-        data.update((k, v) for k, v in overrides.items() if v is not None)
+        checked by the schema.  ``data`` itself is left alone: the overrides
+        go into a new top-level dict, which shares ``data``'s nested values."""
+        if isinstance(data, dict):
+            data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
         validate_scenario(data)
         return Scenario(**data)
 
@@ -279,7 +280,7 @@ def validate_scenario(data: dict):
             f"\n/{'/'.join(map(str, path))}: {message}" for path, message in errors))
 
 
-def suite_scenarios(seed: int = 0, **overrides) -> List[Tuple[str, Scenario]]:
+def suite_scenarios(seed: int, **overrides) -> List[Tuple[str, Scenario]]:
     """The default battery as (label, scenario) pairs, entry k of ``SUITE``
     at seed + k, with the ``overrides`` of ``Scenario.from_dict``."""
     entries = []
@@ -701,11 +702,27 @@ def _partition_outcome(result, measured: dict):
             [(0, max(res.values()), result.displacement)])
 
 
+def _side(s: Scenario, order: int) -> Tuple[int, int]:
+    """The side of the matrices a rokhlin, tracial or graded trial runs over
+    a group of the given order, and a partition trial's block size.  A
+    partition trial has d = order blocks of size max(1, (dimension -
+    corank) // d) and then the corank, tracial's corner_corank (0 for
+    rokhlin): side d * block + corank.  A graded trial runs M_|G|, or the
+    side of graded_data's first matrix.  The other kinds, whose sides the
+    schema bounds, read 0."""
+    corank = s.corner_corank if s.kind == "tracial" else 0
+    block = max(1, (s.dimension - corank) // order)
+    if s.kind == "graded" and s.graded_data is not None:
+        return len(s.graded_data["dual_unitaries"][0]), block
+    side = {"rokhlin": order * block, "tracial": order * block + corank,
+            "graded": order}
+    return side.get(s.kind, 0), block
+
+
 @_trial_runner
 def run_rokhlin_trial(s: Scenario, rng):
     d = group_of(s.group).order
-    block = max(1, s.dimension // d)
-    algebra, exact, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng)
+    algebra, _, seeds = build_rokhlin_scenario(d, _side(s, d)[1], s.magnitude, rng)
     result = stabilize_partition(algebra, seeds)
     return _partition_outcome(result, {"seed_defect": result.seed_defect,
                                        "displacement": result.displacement})
@@ -714,9 +731,8 @@ def run_rokhlin_trial(s: Scenario, rng):
 @_trial_runner
 def run_tracial_trial(s: Scenario, rng):
     d = group_of(s.group).order
-    block = max(1, (s.dimension - s.corner_corank) // d)
-    corank = int(s.corner_corank)
-    algebra, _, seeds = build_rokhlin_scenario(d, block, s.magnitude, rng, corank)
+    algebra, _, seeds = build_rokhlin_scenario(d, _side(s, d)[1], s.magnitude, rng,
+                                               int(s.corner_corank))
     n = algebra.dim
     y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = y @ y.conj().T
@@ -781,9 +797,9 @@ class ScenarioReport:
 
 def _check_scenario(s: Scenario):
     """Raise ScenarioError for what the schema cannot see: group params
-    that do not build a group, a group or dimension the kind does not
-    support, a group order that would size a model's matrices past the
-    largest dimension, and graded_data that is not a grading of the group.
+    that do not build a group, or nest too deeply to, a group or dimension
+    the kind does not support, a model side (``_side``) past the largest
+    dimension, and graded_data that is not a grading of the group.
     A lift's group is checked too, though its trials take their groups from
     the source model.  Run before any trial, since a ScenarioError inside a
     trial would be recorded as a failed trial instead of rejecting the
@@ -794,17 +810,25 @@ def _check_scenario(s: Scenario):
                             f"cyclic group, got {spec['kind']!r}")
     try:
         group = group_of(spec)
+    except RecursionError:
+        raise ScenarioError(f"/group/params: nested too deeply to build a "
+                            f"{spec['kind']} group") from None
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise ScenarioError(f"/group/params: {spec.get('params')!r} does not "
                             f"build a {spec['kind']} group ({exc})") from None
-    # A partition kind runs M_n with n >= |G|, and a graded one without data
-    # the regular model on M_|G|: refused before the model is built.
-    side = SCENARIO_SCHEMA["properties"]["dimension"]["maximum"]
-    if group.order > side and (s.kind in ("rokhlin", "tracial") or
-                               s.kind == "graded" and s.graded_data is None):
+    # A partition or graded model whose side (``_side``) passes the largest
+    # dimension is refused before it is built, naming the group when the
+    # side is at least its order, else graded_data or the corank.
+    cap = SCENARIO_SCHEMA["properties"]["dimension"]["maximum"]
+    side = _side(s, group.order)[0]
+    if side >= group.order > cap:
         raise ScenarioError(f"/group/params: {s.kind} scenarios run matrices of "
                             f"side at least the group order, {group.order} for "
-                            f"{group.name}, over the largest dimension {side}")
+                            f"{group.name}, over the largest dimension {cap}")
+    if side > cap:
+        where = "/graded_data/dual_unitaries" if s.kind == "graded" else "/corner_corank"
+        raise ScenarioError(f"{where}: {s.kind} scenarios run matrices of side "
+                            f"{side}, over the largest dimension {cap}")
     if s.kind == "graded" and not group.is_abelian():
         raise ScenarioError(f"/group: graded scenarios require an abelian "
                             f"group, got {group.name}")

@@ -71,7 +71,7 @@ def test_act_and_norm_match_the_dense_route(seed, config):
     for g in range(alg.group.order):
         got = embed(alg.blocks, alg.act(g, x))
         assert np.max(operator_norm(got - act(g, dense))) <= 1e-12
-    assert alg.action_defect() <= 1e-12
+    assert alg.action_defect(2, 0.0) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

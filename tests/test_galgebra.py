@@ -63,7 +63,7 @@ def test_action_is_isometric_and_homomorphic():
     alg = block_swap_algebra(rand_involution(rng, 2))
     a = random_blocks(alg.blocks, rng)
     assert operator_norm(alg.act(1, a)) == pytest.approx(operator_norm(a), abs=1e-12)
-    assert alg.action_defect() <= 1e-12
+    assert alg.action_defect(2, 0.0) <= 1e-12
 
 
 def test_dimension_mismatch_rejected():

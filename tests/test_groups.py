@@ -110,6 +110,17 @@ def test_order_cap_admits_the_cap_itself(kind, params):
     assert make_group(kind, params).order == ORDER_CAP
 
 
+@pytest.mark.parametrize("params", [(("cyclic", 1), ("cyclic", 2)),
+                                    (("dihedral", 3), ("symmetric", 1)),
+                                    (("product", (("cyclic", 2), ("cyclic", 2))),
+                                     ("cyclic", 1))])
+def test_product_refuses_a_factor_of_order_one(params):
+    # Each factor then at least doubles the order, so ORDER_CAP < 2^10
+    # bounds a product's nesting at 9 factors.
+    with pytest.raises(GroupConstructionError, match="has a factor of order 1"):
+        make_group("product", params)
+
+
 def test_bad_table_rejected():
     mult = np.zeros((2, 2), dtype=int)   # not a latin square
     with pytest.raises(GroupConstructionError):

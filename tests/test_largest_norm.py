@@ -744,7 +744,7 @@ def test_matrix_algebra_rejects_action_just_over_its_tolerance():
     to a defect D; action_tol D passes and D / (1 + 1e-6) is rejected."""
     u = np.diag([1.0, np.exp(5e-6j)])
     G = cyclic_group(2)
-    defect = matrix_algebra(2, G, [np.eye(2), u], action_tol=1.0).action_defect(samples=1)
+    defect = matrix_algebra(2, G, [np.eye(2), u], action_tol=1.0).action_defect(1, 0.0)
     assert defect > 1e-8
     matrix_algebra(2, G, [np.eye(2), u], action_tol=defect)
     with pytest.raises(ValueError) as err:

@@ -208,7 +208,7 @@ def test_precondition_violation_gives_exit_one(tmp_path):
 
 
 def test_suite_battery_covers_all_kinds():
-    entries = suite_scenarios()
+    entries = suite_scenarios(0)
     assert [label for label, _ in entries] == list(SUITE)
     assert {s.kind for _, s in entries} == set(SCENARIO_KINDS) == {
         "rep", "cocycle", "lift", "rokhlin", "tracial", "graded",
@@ -224,12 +224,23 @@ def test_suite_graded_default_is_inside_the_corrector_domain(tmp_path):
     assert run_scenario(graded[0], tmp_path).all_passed
 
 
+def nested_products(depth, factor):
+    """Group params of ``depth`` products nested in their first factor."""
+    params = [factor, factor]
+    for _ in range(depth):
+        params = [["product", params], factor]
+    return params
+
+
 @pytest.mark.parametrize("kind,group,message", [
     ("rokhlin", {"kind": "dihedral", "params": 3}, "/group/kind: rokhlin .* cyclic"),
     ("tracial", {"kind": "symmetric", "params": 3}, "/group/kind: tracial .* cyclic"),
     ("rep", {"kind": "cyclic", "params": {}}, "/group/params"),
     ("cocycle", {"kind": "product", "params": 5}, "/group/params"),
     ("graded", {"kind": "dihedral", "params": 3}, "/group: graded .* abelian"),
+    # Deeper than the recursion limit, which no JSON file reaches.
+    ("rep", {"kind": "product", "params": nested_products(2000, ["cyclic", 2])},
+     "/group/params: nested too deeply"),
 ])
 def test_unrunnable_scenario_is_rejected_before_any_trial(tmp_path, kind, group,
                                                           message):
@@ -316,6 +327,68 @@ def test_group_order_over_the_largest_dimension_exits_two(tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 2
     assert "/group/params" in err and "65" in err and "64" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def refuse_models_and_trials(monkeypatch):
+    """Make every model builder and every trial runner raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built or a trial ran")
+    for name in ("_rokhlin_model", "regular_graded_model", "GradedAlgebra"):
+        monkeypatch.setattr(scenarios_module, name, refuse)
+    monkeypatch.setattr(scenarios_module, "TRIAL_RUNNERS",
+                        {k: refuse for k in SCENARIO_KINDS})
+
+
+@pytest.mark.parametrize("text,message", [
+    # json.loads itself recurses once per level.
+    ('{"kind": "rep", "seed": 0, "dimension": ' + "[" * 2000 + "]" * 2000 + "}",
+     "s.json: cannot read a JSON scenario"),
+    (json.dumps({"kind": "rep", "seed": 0, "group": {
+        "kind": "product", "params": nested_products(300, ["cyclic", 2])}}),
+     "/group/params"),
+    # Trivial factors would keep the order at 1 however deep the nesting.
+    (json.dumps({"kind": "rep", "seed": 0, "group": {
+        "kind": "product", "params": nested_products(450, ["cyclic", 1])}}),
+     "/group/params"),
+    ("[1]", "/: [1] is not of type 'object'"),
+    ('"x"', "/: 'x' is not of type 'object'")],
+    ids=["deep-dimension", "deep-product", "deep-trivial-product", "list",
+         "string"])
+def test_deep_or_non_object_scenario_file_exits_two(tmp_path, capsys, monkeypatch,
+                                                     text, message):
+    refuse_models_and_trials(monkeypatch)
+    f = tmp_path / "s.json"
+    f.write_text(text)
+    rc = cli_main(["stabilize", "--scenario", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fields,pointer", [
+    # One block per element of cyclic(64), then the corank: side 128.
+    ({"kind": "tracial", "group": {"kind": "cyclic", "params": 64},
+      "dimension": 64, "corner_corank": 64}, "/corner_corank: tracial"),
+    ({"kind": "graded", "group": {"kind": "cyclic", "params": 2},
+      "graded_data": {key: [[[[float(i == j), 0.0] for j in range(80)]
+                             for i in range(80)]] * 2
+                      for key in ("dual_unitaries", "seeds")}},
+     "/graded_data/dual_unitaries: graded")])
+def test_model_side_over_the_largest_dimension_exits_two(tmp_path, capsys,
+                                                         monkeypatch, fields,
+                                                         pointer):
+    refuse_models_and_trials(monkeypatch)
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"seed": 0, "trials": 1, **fields}))
+    rc = cli_main([SUBCOMMAND_OF[fields["kind"]], "--scenario", str(f),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert pointer in err and "64" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -763,8 +836,7 @@ GROUPS = st.sampled_from(
     + [{"kind": "dihedral", "params": n} for n in (1, 2, 3)]
     + [{"kind": "symmetric", "params": n} for n in (1, 2, 3)]
     + [{"kind": "product", "params": [["cyclic", 2], ["cyclic", 3]]},
-       {"kind": "product", "params": [["cyclic", 2], ["cyclic", 2]]},
-       {"kind": "product", "params": [["cyclic", 1], ["dihedral", 3]]}])
+       {"kind": "product", "params": [["cyclic", 2], ["cyclic", 2]]}])
 BAD_GROUPS = st.sampled_from([
     {"kind": "cyclic"}, {"kind": "cyclic", "params": 0},
     {"kind": "cyclic", "params": -2}, {"kind": "cyclic", "params": "x"},
@@ -772,6 +844,7 @@ BAD_GROUPS = st.sampled_from([
     {"kind": "symmetric", "params": 9}, {"kind": "product", "params": 5},
     {"kind": "product", "params": [["cyclic", 2]]},
     {"kind": "product", "params": [["bogus", 2], ["cyclic", 2]]},
+    {"kind": "product", "params": [["cyclic", 1], ["dihedral", 3]]},
     {"kind": "bogus", "params": 2}, {"params": 2}, [], "cyclic"])
 
 

@@ -20,7 +20,6 @@ SETTABLE = {
     "groups.FiniteGroup.__init__": {"name"},          # every constructor
     "matfun.largest_norm": {"floor"},                 # every screened gate
     "galgebra.GAlgebra.__init__": {"action_tol", "check"},  # restrict: no check
-    "galgebra.GAlgebra.action_defect": {"samples", "floor"},   # its self-check
     "galgebra.matrix_algebra": {"action_tol"},        # the corner
     "galgebra.max_pair_defect": {"act",               # the cocycle defect
                                  "floor"},            # ApproxRep.defect_at_most
@@ -33,7 +32,6 @@ SETTABLE = {
     "scenarios.Scenario.__init__": {"group", "dimension", "magnitude", "trials",
                                     "tolerance", "tower", "source",
                                     "corner_corank", "graded_data"},
-    "scenarios.suite_scenarios": {"seed"},            # equifix suite --seed
     "scenarios.random_skew": {"corner", "count"},
     "scenarios.perturb_rep_values": {"draw"},
     "scenarios.TrialReport.__init__": {"error"},      # a trial that raised

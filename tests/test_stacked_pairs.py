@@ -457,9 +457,9 @@ def test_chunked_action_defect_is_bit_equal_to_one_chunk(seed, spec, dim, blocks
     else:
         algebra = permuted_algebra(CONFIGS[seed % len(CONFIGS)],
                                    np.random.default_rng(seed))
-    whole = algebra.action_defect()
+    whole = algebra.action_defect(2, 0.0)
     with slab(entries):
-        assert algebra.action_defect() == whole
+        assert algebra.action_defect(2, 0.0) == whole
 
 
 def test_partition_defects_memory_stays_near_the_slab(monkeypatch):
