@@ -10,8 +10,11 @@ gathers each stack by the block permutation and conjugates every block by
 its unitary, one batched product per block size, for one g or for an
 array of g broadcast against the stack; a size whose unitaries are all
 monomial (one nonzero per row) takes one gather of the moved entries
-times their weights instead.  An element's norm is its largest block
-norm.  A one-block algebra takes a dense ``(..., n, n)`` too.
+times their weights instead.  Each size stores only the maps it needs: a
+size whose blocks no g moves takes no gather, only the products, and a
+monomial size whose entries no g moves takes only its weights (the
+lift's diagonal phases).  An element's norm is its largest block norm.
+A one-block algebra takes a dense ``(..., n, n)`` too.
 
 A Tower adds an increasing chain of invariant ideals (unions of blocks).
 The quotient at level n is the G-algebra on the blocks outside J_n, and
@@ -55,7 +58,9 @@ class GAlgebra:
     unitary there.  Stacks hold the blocks of one size in position order,
     sizes ascending.  Construction records, per block size, whether every
     unitary of that size has one nonzero per row, and then the gather
-    ``act`` takes for it; the input decides, no option does.
+    ``act`` takes for it, and whether any g moves a block of that size
+    (or, for such a size, an entry within its blocks); the input decides,
+    no option does.
     ``check=False`` skips the composition self-check, for restrictions of
     a checked action.
     """
@@ -103,17 +108,24 @@ class GAlgebra:
         # by a gather: (u x u*)[i, j] = u[i, c_i] x[c_i, c_j] conj(u[j, c_j]).
         # Its _idx holds, per g, the offsets of those entries in the
         # flattened (K_s, b, b) stack, and its _w the weights, None when all
-        # are 1; a dense class has None for both.
-        idx, w = [None] * len(us), [None] * len(us)
+        # are 1; a dense class has None for both.  _gather is whether act
+        # gathers: a dense class's blocks or a monomial class's entries move
+        # under some g, or the class's every map is the identity, whose
+        # gather is its copy.
+        idx, w, gather = [None] * len(us), [None] * len(us), []
         for k, (u, s) in enumerate(zip(us, self._src)):
+            moves = bool((s != np.arange(s.shape[1])).any())
             if u.size and np.all(np.count_nonzero(u, axis=-1) == 1):
                 c, b = np.argmax(u != 0, axis=-1), u.shape[-1]
                 d = np.take_along_axis(u, c[..., None], -1)[..., 0]
                 idx[k] = (s[..., None, None] * b + c[..., :, None]) * b + c[..., None, :]
                 weights = d[..., :, None] * d.conj()[..., None, :]
                 w[k] = None if np.all(weights == 1) else weights
+                moves = moves or bool((c != np.arange(b)).any()) or w[k] is None
+            gather.append(moves)
         object.__setattr__(self, "_idx", tuple(idx))
         object.__setattr__(self, "_w", tuple(w))
+        object.__setattr__(self, "_gather", tuple(gather))
         object.__setattr__(self, "_shapes", tuple(u.shape[1:] for u in us))
         # The stored data must compose: Ad(W_g) Ad(W_h) = Ad(W_gh).  Checked
         # on a random element; skipped for very large groups.
@@ -146,22 +158,31 @@ class GAlgebra:
         """Apply the automorphism of g to one element or a stack, one block
         size at a time.  Where every unitary of a size has one nonzero per
         row (a permutation with phases), that size is one gather of the
-        moved entries times their weights; otherwise the blocks are gathered
-        by the permutation and each is conjugated by its unitary, one
-        batched product.  An index array g broadcasts against the leading
-        axes of a, as numpy index arrays do: g of shape (k,) with a (k, ...)
-        stack pairs them, act(g, a)[i] = act(g[i], a[i]), and g[:, None]
-        with an (m, ...) stack gives the (k, m, ...) stack of
-        act(g[i], a[j]).  A dense argument gives a dense result."""
+        moved entries times their weights, or only the product by the
+        weights when no entry moves; otherwise the blocks are gathered by
+        the permutation, unless none moves, and each is conjugated by its
+        unitary, one batched product.  A size on which every g acts as the
+        identity is gathered, which copies it: every result is a fresh
+        array.  An index array g broadcasts against the leading axes of a,
+        as numpy index arrays do: g of shape (k,) with a (k, ...) stack
+        pairs them, act(g, a)[i] = act(g[i], a[i]), and g[:, None] with an
+        (m, ...) stack gives the (k, m, ...) stack of act(g[i], a[j]).  A
+        dense argument gives a dense result."""
         x = self.as_blocks(a)
-        # Open grids over the leading axes of a and the block index s[g]
-        # broadcast as g does against a, and gather whole blocks.
-        ix = np.indices(x.lead + (1,), sparse=True)[:-1]
-        parts = []
-        for p, s, u, uh, idx, w in zip(x.parts, self._src, self._u, self._uh,
-                                       self._idx, self._w):
+        ix, parts = None, []
+        for p, s, u, uh, idx, w, gather in zip(x.parts, self._src, self._u, self._uh,
+                                               self._idx, self._w, self._gather):
+            if gather and ix is None:
+                # Open grids over the leading axes of a, which with the
+                # block index s[g] broadcast as g does against a.
+                ix = np.indices(x.lead + (1,), sparse=True)[:-1]
             if idx is None:
-                parts.append(u[g] @ p[(*ix, s[g])] @ uh[g])
+                parts.append(u[g] @ (p[(*ix, s[g])] if gather else p) @ uh[g])
+            elif not gather:
+                # p first takes the axes g adds: numpy multiplies one-entry
+                # operands with unequal axis counts by another loop, whose
+                # rounding differs from the gather's.
+                parts.append(p[(None,) * (np.ndim(g) - len(x.lead))] * w[g])
             else:
                 flat = p.reshape(x.lead + (p.shape[-3] * p.shape[-2] * p.shape[-1],))
                 moved = flat[(*(i[..., None, None] for i in ix), idx[g])]

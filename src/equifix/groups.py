@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -168,9 +169,9 @@ def make_group(kind: str, params) -> FiniteGroup:
     elif kind in builders:
         if isinstance(params, bool) or not isinstance(params, (int, np.integer)):
             raise GroupConstructionError(
-                f"{kind} needs an integer count, got {params!r}")
+                f"{kind} needs an integer count, got {reprlib.repr(params)}")
         n = int(params)
-        order, label = 2 * n if kind == "dihedral" else n, f"{kind}({n})"
+        order, label = 2 * n if kind == "dihedral" else n, f"{kind}({reprlib.repr(n)})"
         if kind == "symmetric":      # n!, its product cut once past the cap
             order = 1
             for k in range(2, n + 1):
@@ -178,7 +179,7 @@ def make_group(kind: str, params) -> FiniteGroup:
                 if order > ORDER_CAP:
                     break
     else:
-        raise GroupConstructionError(f"unknown group kind {kind!r}")
+        raise GroupConstructionError(f"unknown group kind {reprlib.repr(kind)}")
     if order > ORDER_CAP:
         raise GroupConstructionError(f"{label} exceeds the order cap {ORDER_CAP}")
     return product_group(a, b) if kind == "product" else builders[kind](n)

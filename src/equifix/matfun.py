@@ -92,6 +92,8 @@ Every maximum of norms and every norm gate goes through one screened
 kernel, :func:`largest_norm`.  A slice's Frobenius norm F bounds its
 operator norm from both sides, ||x|| <= F <= sqrt(rank) ||x|| (Golub and
 Van Loan, Matrix Computations, 2.3), and costs one pass over the entries.
+The lower side alone settles a test ||x|| > floor (``_norm_exceeds``) when
+a slice's F, over sqrt(min(m, n)) and the screen's margin, exceeds floor.
 If every F, with the screen's margin (below), is at or under a floor >= 0
 (a gate's tolerance), that pass is all: no computed norm can exceed it.
 A finite floor > 0 is first tried with one pass over the whole stack, one
@@ -495,6 +497,18 @@ def largest_norm(a, floor: float = 0.0):
     if first is None and floor < 0 and f2.size:
         return 0.0, 0         # every slice is exactly zero
     return (best, first) if best > floor else (floor, None)
+
+
+def _norm_exceeds(a, floor: float) -> bool:
+    """Whether some slice of a stack (..., m, n) has operator norm over
+    ``floor`` >= 0, as ``largest_norm(a, floor)`` says, with no SVD when
+    some slice's squared Frobenius norm exceeds floor^2 min(m, n) times
+    the square of the screen's factor: its norm is then over the floor by
+    the screen's margin (module docstring)."""
+    m, n = a.shape[-2:]
+    if _screen(a)[2] > floor * floor * min(m, n) * _scale(m, n) ** 2:
+        return True
+    return largest_norm(a, floor)[1] is not None
 
 
 def _reject_worst(x, tol: float, message: str):

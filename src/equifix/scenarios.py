@@ -21,6 +21,7 @@ import functools
 import itertools
 import json
 import math
+import reprlib
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -29,8 +30,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .groups import FiniteGroup, cyclic_group, make_group
-from .matfun import (Blocks, _qr, _svd_norms, adjoint, exp_skew, largest_norm,
-                     read_only)
+from .matfun import (Blocks, _norm_exceeds, _qr, _svd_norms, adjoint, exp_skew,
+                     largest_norm, read_only)
 from .galgebra import GAlgebra, Tower, matrix_algebra
 from .repcorrect import CONTRACTION as REP_CONTRACTION
 from .repcorrect import (EPS0, ApproxRep, SourceAction, correct_to_rep,
@@ -427,8 +428,7 @@ def nontrivial_action_rep(group_spec: dict, group: FiniteGroup, dim: int,
         vals = exact_rep_values(group_spec, group, dim, rng)
         others = np.delete(vals, group.identity, axis=0)
         means = np.trace(others, axis1=1, axis2=2) / dim
-        dist = largest_norm(others - means[:, None, None] * np.eye(dim), 0.3)[0]
-        if dist > 0.3:
+        if _norm_exceeds(others - means[:, None, None] * np.eye(dim), 0.3):
             return vals
     raise ScenarioError(
         f"could not draw a nontrivial action for {group.name} at dim {dim}")
@@ -814,8 +814,8 @@ def _check_scenario(s: Scenario):
         raise ScenarioError(f"/group/params: nested too deeply to build a "
                             f"{spec['kind']} group") from None
     except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise ScenarioError(f"/group/params: {spec.get('params')!r} does not "
-                            f"build a {spec['kind']} group ({exc})") from None
+        raise ScenarioError(f"/group/params: {reprlib.repr(spec.get('params'))} "
+                            f"does not build a {spec['kind']} group ({exc})") from None
     # A partition or graded model whose side (``_side``) passes the largest
     # dimension is refused before it is built, naming the group when the
     # side is at least its order, else graded_data or the corank.

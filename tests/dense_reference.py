@@ -4,8 +4,10 @@ route for the block-stored G-algebras, the ``eigh`` routes for the
 half-plane log and the exponential of skew-Hermitian matrices, the series
 log before its degree classes, the Schur route for the eigensystem of a
 unitary and its spectral rounding, the per-element loops the stacked
-scenario builders replaced, and the towers of copies of M_n built by hand
-before one builder made them all.
+scenario builders replaced, the towers of copies of M_n built by hand
+before one builder made them all, the block action that gathers every
+size (``gather_act``) and the nontrivial action draw decided by exact
+norms alone.
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -43,7 +45,7 @@ from equifix.relations import (PartitionCorrection, TracialPartitionCorrection,
 from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, UNITARIZE_EPS, ApproxRep,
                                 DefectTooLargeError, correct_to_rep,
                                 equivariance_defect, intertwiner, symmetrize)
-from equifix.scenarios import (exact_rep_values, make_group,
+from equifix.scenarios import (ScenarioError, exact_rep_values, make_group,
                                nontrivial_action_rep, random_skew,
                                random_unitary, trial_rng)
 
@@ -256,6 +258,29 @@ def dense_act(algebra):
     return act
 
 
+def gather_act(algebra):
+    """``GAlgebra.act`` before a size whose blocks no g moves skipped the
+    gather: every dense size gathers its blocks by the permutation and
+    conjugates them, and every monomial size gathers its entries, times
+    their weights, for an int g or an index array g broadcast against the
+    leading axes of a."""
+    def act(g, a):
+        x = algebra.as_blocks(a)
+        ix = np.indices(x.lead + (1,), sparse=True)[:-1]
+        parts = []
+        for p, s, u, uh, idx, w in zip(x.parts, algebra._src, algebra._u,
+                                       algebra._uh, algebra._idx, algebra._w):
+            if idx is None:
+                parts.append(u[g] @ p[(*ix, s[g])] @ uh[g])
+            else:
+                flat = p.reshape(x.lead + (p.shape[-3] * p.shape[-2] * p.shape[-1],))
+                moved = flat[(*(i[..., None, None] for i in ix), idx[g])]
+                parts.append(moved if w is None else moved * w[g])
+        out = Blocks(parts)
+        return out if isinstance(a, Blocks) else out.parts[0][..., 0, :, :]
+    return act
+
+
 def unitarize_values(values):
     """Replace each value by its polar part.  Every value must be within
     UNITARIZE_EPS = eps0/2 (eps0 = 1/(12*17)) of a unitary, measured as
@@ -443,6 +468,20 @@ def loop_exact_rep_values(group_spec, group, dim, rng):
         full[:, at:at + k, at:at + k] = [fn(g) for g in range(group.order)]
         at += k
     return np.stack([v @ f @ v.conj().T for f in full])
+
+
+def reference_action_rep(group_spec, group, dim, rng):
+    """``nontrivial_action_rep`` with every draw decided by the exact norm
+    ``largest_norm(x, 0.3)``, as before its Frobenius exit."""
+    for _ in range(16):
+        vals = exact_rep_values(group_spec, group, dim, rng)
+        others = np.delete(vals, group.identity, axis=0)
+        means = np.trace(others, axis1=1, axis2=2) / dim
+        x = others - means[:, None, None] * np.eye(dim)
+        if largest_norm(x, 0.3)[0] > 0.3:
+            return vals
+    raise ScenarioError(
+        f"could not draw a nontrivial action for {group.name} at dim {dim}")
 
 
 def loop_random_skew(rng, n, corner=None):

@@ -369,6 +369,32 @@ def test_deep_or_non_object_scenario_file_exits_two(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("params,kind,error", [
+    (nested_products(300, ["cyclic", 2]), "product", "exceeds the order cap 720"),
+    (nested_products(450, ["cyclic", 1]), "product", "has a factor of order 1"),
+    ("x" * 5000, "cyclic", "cyclic needs an integer count, got 'xxx"),
+    ([["y" * 5000, 2], ["cyclic", 2]], "product", "unknown group kind 'yyy"),
+    ([["cyclic", list(range(3000))], ["cyclic", 2]], "product",
+     "cyclic needs an integer count, got [0, 1, 2"),
+    (10 ** 4000, "cyclic", "exceeds the order cap 720")],
+    ids=["deep-product", "deep-trivial-product", "long-count", "long-kind",
+         "long-list", "long-int"])
+def test_group_params_refusal_is_bounded(tmp_path, capsys, monkeypatch, params,
+                                         kind, error):
+    # The params and the group error are echoed with their long parts cut.
+    refuse_models_and_trials(monkeypatch)
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"kind": "rep", "seed": 0,
+                             "group": {"kind": kind, "params": params}}))
+    rc = cli_main(["stabilize", "--scenario", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("/group/params: ") and f"a {kind} group (" in err
+    assert error in err
+    assert len(err.encode()) < 1024
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("fields,pointer", [
     # One block per element of cyclic(64), then the corank: side 128.
     ({"kind": "tracial", "group": {"kind": "cyclic", "params": 64},
