@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .groups import FiniteGroup
-from .matfun import Blocks, adjoint, exp_skew, largest_norm, principal_log_unitary
+from .matfun import (Blocks, adjoint, exp_skew, largest_norm, principal_log_unitary,
+                     readout_norm)
 from .galgebra import GAlgebra
 from .repcorrect import (ApproxRep, Correction, DefectTooLargeError, _iterate,
                          _pinned)
@@ -119,7 +120,7 @@ def trivialize(w: ApproxRep, v0, tol: float,
                           measure, lambda v: largest_norm(v - start)[0], tol, "mismatch")
     if pin is not None:
         correction.last = attach(correction.last)
-        correction.quotient_drift = largest_norm(down(correction.last - v0))[0]
+        correction.quotient_drift = readout_norm(down(correction.last - v0), 0.0)
     return correction
 
 

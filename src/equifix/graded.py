@@ -122,10 +122,11 @@ class GradedAlgebra:
         # to a phase, checked over a chunk of s at a time; a failure names
         # the first (s, t) in row-major order.
         for c in chunks(n, n * self.dim ** 2):
-            prod = du[c, None] @ du[None]
             target = du[dm[c]]
-            phase = np.trace(adjoint(target) @ prod, axis1=-2, axis2=-1) / self.dim
-            off = prod - phase[..., None, None] * target
+            with np.errstate(over="ignore", invalid="ignore"):   # refused below
+                prod = du[c, None] @ du[None]
+                phase = np.trace(adjoint(target) @ prod, axis1=-2, axis2=-1) / self.dim
+                off = prod - phase[..., None, None] * target
             bad = np.abs(np.abs(phase) - 1) > 1e-9
             # Screened first: it refuses non-finite entries, which an SVD takes.
             if largest_norm(off, 1e-11)[1] is not None or bad.any():

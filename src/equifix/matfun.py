@@ -8,8 +8,10 @@ block-diagonal elements stored block by block (:class:`Blocks`), which
 they take one batched call per block size.  The one norm kernel,
 :func:`largest_norm`, takes the largest operator norm over such a stack
 (the norm of a Blocks element is its largest block norm), so the norm of
-one matrix is ``largest_norm(x)[0]``.  Each gate's tolerance is a constant
-of the kernel that gates with it, and its docstring names it.
+one matrix is ``largest_norm(x)[0]``; :func:`readout_norm` reads a
+certified figure at rounding level as its screen bound.  Each gate's
+tolerance is a constant of the kernel that gates with it, and its
+docstring names it.
 
 The log and the exp are truncated power series, evaluated by one
 Paterson-Stockmeyer kernel (SIAM J. Comput. 2, 1973): the powers z and z^2
@@ -200,6 +202,8 @@ _EXP, _RHO_LIMITS = _truncation(lambda k: 1 / math.factorial(k), math.exp, EXP_C
 # Relative margin of the Frobenius and Schatten-8 screens (module docstring).
 SCREEN_MARGIN = 1e-10
 _UNDERFLOW = 1e-150
+# At most this, a readout is the screen's bound (``readout_norm``).
+READOUT_FLOOR = 1e-14
 
 
 class MidpointError(ValueError):
@@ -497,6 +501,26 @@ def largest_norm(a, floor: float = 0.0):
     if first is None and floor < 0 and f2.size:
         return 0.0, 0         # every slice is exactly zero
     return (best, first) if best > floor else (floor, None)
+
+
+def readout_norm(a, floor: float) -> float:
+    """``largest_norm(a, floor)[0]``, floor >= 0, for a figure a check
+    compares with a fixed bound, with no SVD of a slice whose screen bound
+    (its Frobenius norm times the screen's factor, plus 1e-150; 0.0 for a
+    zero slice) is at most READOUT_FLOOR: that bound stands in for its
+    norm.  So the figure is never below the exact one, exact when over
+    READOUT_FLOOR, and a maximum over slices, the same in any chunking."""
+    for part in a.parts if isinstance(a, Blocks) else (a,):
+        f2, _, top, x = _screen(np.asarray(part, dtype=complex))
+        scale, high = _scale(*x.shape[-2:]), None
+        if math.sqrt(top) * scale + _UNDERFLOW > READOUT_FLOOR:   # some slice's SVD
+            high = np.sqrt(f2) * scale + _UNDERFLOW > READOUT_FLOOR
+            top = float(f2[~high].max(initial=0.0))
+        if top:
+            floor = max(floor, math.sqrt(top) * scale + _UNDERFLOW)
+        if high is not None:
+            floor = largest_norm(x if high.all() else x[high], floor)[0]
+    return floor
 
 
 def _norm_exceeds(a, floor: float) -> bool:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .matfun import (MidpointError, _polar_parts, _range_isometry, adjoint,
-                     largest_norm, polar_unitary, spectral_round_unitary)
+                     largest_norm, polar_unitary, readout_norm,
+                     spectral_round_unitary)
 from .galgebra import GAlgebra, group_mean, matrix_algebra, pair_chunks
 from .repcorrect import DefectTooLargeError
 
@@ -47,21 +48,21 @@ def _partition_stacks(algebra: GAlgebra, seeds: np.ndarray, unit: np.ndarray):
 def measure_partition_seeds(algebra: GAlgebra, seeds: np.ndarray,
                             unit: Optional[np.ndarray] = None) -> dict:
     """The five partition defects of a family by name (``_partition_stacks``,
-    unit defaulting to 1), each maximized over the family."""
+    unit defaulting to 1), each maximized over the family as a readout."""
     defects = dict.fromkeys(("projection", "self_adjoint", "orthogonality",
                              "equivariance", "unit_sum"), 0.0)
     for name, x in _partition_stacks(algebra, seeds,
                                      np.eye(algebra.dim) if unit is None else unit):
-        defects[name] = largest_norm(x, defects[name])[0]
+        defects[name] = readout_norm(x, defects[name])
     return defects
 
 
 def partition_defect(algebra: GAlgebra, seeds: np.ndarray) -> float:
-    """The largest of the five partition defects (unit 1), bit for bit that
-    of ``measure_partition_seeds``: one running floor through ``largest_norm``
-    over the same stacks, ``unit_sum`` first, so a stack that cannot beat
-    the defects already measured takes no SVD (a maximum of exact norms
-    does not depend on their order)."""
+    """The largest of the five partition defects (unit 1), as exact norms:
+    one running floor through ``largest_norm`` over the stacks of
+    ``measure_partition_seeds``, ``unit_sum`` first, so a stack that cannot
+    beat the defects already measured takes no SVD (a maximum of exact
+    norms does not depend on their order)."""
     worst = 0.0
     for _, x in _partition_stacks(algebra, seeds, np.eye(algebra.dim)):
         worst = largest_norm(x, worst)[0]
@@ -143,8 +144,8 @@ def _round_partition(algebra: GAlgebra, sym: np.ndarray, seed_defect: float):
         raise DefectTooLargeError(
             f"seeds too rough: ||w0* w0 - 1|| = {eta:.6g} >= 0.75 "
             f"(seed defect {seed_defect:.6g}, a-priori threshold {threshold:.6g})")
-    certificate["covariance_residual"] = largest_norm(
-        algebra.act(np.arange(d), w) - phase.conj() * w)[0]
+    certificate["covariance_residual"] = readout_norm(
+        algebra.act(np.arange(d), w) - phase.conj() * w, 0.0)
 
     # The half-gap condition: every eigenvalue argument within pi/(2d) of a
     # d-th root; one at m from its cell's midpoint is pi/d - m from its root.

@@ -26,7 +26,7 @@ import numpy as np
 from .groups import FiniteGroup, cyclic_group
 from .matfun import (Blocks, _polar_parts, adjoint, concatenate, exp_skew,
                      identity_like, largest_norm, polar_unitary,
-                     principal_log_unitary, read_only_copy)
+                     principal_log_unitary, read_only_copy, readout_norm)
 from .galgebra import (GAlgebra, Tower, _pair_stacks, group_mean, group_stack,
                        max_pair_defect, pair_chunks)
 
@@ -228,8 +228,8 @@ def correct_to_rep(rep: ApproxRep, tol: float, pin: Optional[tuple] = None
         correction.last = ApproxRep(G, attach(correction.last.values),
                                     unitary=rep.unitary, unital=rep.unital)
         correction.last._defect = found
-        correction.quotient_drift = largest_norm(down(correction.last.values -
-                                                      rep.values))[0]
+        correction.quotient_drift = readout_norm(down(correction.last.values -
+                                                      rep.values), 0.0)
     return correction
 
 
@@ -517,8 +517,9 @@ def lift_group_rep(tower: Tower, source_action: SourceAction, seed: ApproxRep,
                 f"quotients of rho and sigma differ by {mismatch:.3e}")
         final_vals = u @ seed_vals @ adjoint(u)
 
-    eq_res = equivariance_defect(final_vals, tower.level(level).act, source_action)
-    proj_res = largest_norm(tower.project(top, level, final_vals) - phi_vals)[0]
+    eq_res = max(readout_norm(stack, 0.0) for _, stack in
+                 _equivariance_stacks(final_vals, tower.level(level).act, source_action))
+    proj_res = readout_norm(tower.project(top, level, final_vals) - phi_vals, 0.0)
     return LiftResult(level=level,
                       rep=ApproxRep(H, final_vals, unitary=False, unital=False),
                       table=table, correction=correction,

@@ -7,7 +7,8 @@ unitary and its spectral rounding, the per-element loops the stacked
 scenario builders replaced, the towers of copies of M_n built by hand
 before one builder made them all, the block action that gathers every
 size (``gather_act``) and the nontrivial action draw decided by exact
-norms alone.
+norms alone; and the sandwich a certification readout keeps about the
+exact norm it replaces (``assert_readout``).
 
 Every element is one block-diagonal n x n matrix, the automorphism of g is
 conjugation by the full block-permutation unitary W_g, and the quotient at
@@ -33,11 +34,11 @@ from scipy.linalg import expm
 from equifix.cocycles import coboundary, trivialize
 from equifix.galgebra import GAlgebra, Tower, group_mean, matrix_algebra
 from equifix.matfun import (_ARCSIN, _RHO2_LIMITS, _UNDERFLOW, HALF_PLANE_RADIUS,
-                            Blocks, MidpointError, _polar_parts, _range_isometry,
-                            _reject_worst, _require_square, _scale, _schatten8,
-                            _screen, _series, _stack_bound, _svd_norms, adjoint,
-                            exp_skew, largest_norm, polar_unitary,
-                            spectral_round_unitary)
+                            READOUT_FLOOR, Blocks, MidpointError, _polar_parts,
+                            _range_isometry, _reject_worst, _require_square,
+                            _scale, _schatten8, _screen, _series, _stack_bound,
+                            _svd_norms, adjoint, exp_skew, largest_norm,
+                            polar_unitary, spectral_round_unitary)
 from equifix.relations import (PartitionCorrection, TracialPartitionCorrection,
                                _averaged_seeds, measure_partition_seeds,
                                partition_admissibility_threshold,
@@ -61,6 +62,14 @@ def operator_norm(a):
     norms = np.linalg.svd(a, compute_uv=False)[..., 0] if a.size else \
         np.zeros(a.shape[:-2])
     return norms if a.ndim > 2 else float(norms)
+
+
+def assert_readout(readout: float, exact: float):
+    """A certification readout (``readout_norm``) of a figure whose exact
+    norm is ``exact``: that norm bit for bit above READOUT_FLOOR, and at or
+    under it an upper bound on it, so within READOUT_FLOOR of it."""
+    assert exact <= readout
+    assert readout == exact or readout <= READOUT_FLOOR, (readout, exact)
 
 
 def per_part_largest_norm(a, floor: float = 0.0):

@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import dense_act, embed, operator_norm, random_blocks
+from dense_reference import (assert_readout, dense_act, embed, operator_norm,
+                             random_blocks)
 from equifix import galgebra, relations, repcorrect
 from equifix.galgebra import (GAlgebra, matrix_algebra, max_pair_defect,
                               pair_chunks)
@@ -30,9 +31,10 @@ from equifix.graded import (GradedAlgebra, _character_rows, _dual_mult,
                             character_table, graded_correct,
                             regular_graded_model)
 from equifix.groups import cyclic_group, make_group
-from equifix.matfun import Blocks, adjoint, exp_skew, principal_log_unitary
-from equifix.relations import (measure_partition_seeds, partition_defect,
-                               stabilize_partition)
+from equifix.matfun import (Blocks, adjoint, exp_skew, largest_norm,
+                            principal_log_unitary)
+from equifix.relations import (_partition_stacks, measure_partition_seeds,
+                               partition_defect, stabilize_partition)
 from equifix.repcorrect import (ApproxRep, DefectTooLargeError, SourceAction,
                                 equivariance_defect, one_step, symmetrize,
                                 translation_source_action)
@@ -368,6 +370,15 @@ def partition_family(seed, family, d, magnitude, corank):
     return algebra, fam, (None,)
 
 
+def exact_partition_defects(algebra, fam):
+    """The five partition defects of a family (unit 1) by name, each the
+    largest exact norm over its stacks."""
+    exact = {}
+    for name, x in _partition_stacks(algebra, fam, np.eye(algebra.dim)):
+        exact[name] = largest_norm(x, exact.get(name, 0.0))[0]
+    return exact
+
+
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.sampled_from(["rokhlin", "random"]), st.integers(1, 6),
        st.floats(0.0, 0.2), slabs)
@@ -429,6 +440,10 @@ def test_chunked_stabilize_partition_is_bit_equal_to_one_chunk(seed, d, block,
     assert same(chunked.projections, whole.projections)
     assert (chunked.seed_defect, chunked.certificate, chunked.residuals) == \
         (whole.seed_defect, whole.certificate, whole.residuals)
+    # The residuals are readouts of the exact defects.
+    exact = exact_partition_defects(algebra, whole.projections)
+    for name, value in whole.residuals.items():
+        assert_readout(value, exact[name])
 
 
 @settings(max_examples=30, deadline=None)
@@ -480,17 +495,17 @@ def test_partition_defects_memory_stays_near_the_slab(monkeypatch):
 
 @pytest.mark.parametrize("entries", [1, 200, None])
 def test_partition_defects_take_two_norms_per_chunk(monkeypatch, entries):
-    # Orthogonality and equivariance take one screened norm per chunk of g
-    # each, and the unit sum, idempotency and self-adjointness one each:
-    # 5 calls in one chunk on cyclic(6), where one norm per g took 2d + 3 = 15.
+    # Orthogonality and equivariance take one readout per chunk of g each,
+    # and the unit sum, idempotency and self-adjointness one each: 5 calls
+    # in one chunk on cyclic(6), where one norm per g took 2d + 3 = 15.
     algebra, _, seeds = build_rokhlin_scenario(6, 2, 0.01, trial_rng(1, 0))
-    calls, real = [], relations.largest_norm
+    calls, real = [], relations.readout_norm
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(relations, "largest_norm", counted)
+    monkeypatch.setattr(relations, "readout_norm", counted)
     with slab(entries):
         measure_partition_seeds(algebra, seeds)
         assert len(calls) == 2 * len(pair_chunks(seeds, 6)) + 3
@@ -505,11 +520,14 @@ def test_partition_defect_is_bit_equal_to_the_largest_named_defect(seed, family,
                                                                    magnitude, corank):
     # A Rokhlin family at corank 1 sums to less than 1, so unit_sum (near 1)
     # floors every later stack; at corank 0 the other four defects set it.
+    # The named defects are readouts of the exact ones.
     algebra, fam, _ = partition_family(seed, family, d, magnitude, corank)
-    want = max(measure_partition_seeds(algebra, fam).values())
+    exact = exact_partition_defects(algebra, fam)
+    for name, value in measure_partition_seeds(algebra, fam).items():
+        assert_readout(value, exact[name])
     for entries in (1, 200, None):
         with slab(entries):
-            assert partition_defect(algebra, fam) == want
+            assert partition_defect(algebra, fam) == max(exact.values())
 
 
 def test_partition_defect_of_zero_and_non_finite_families(svd_counter):
