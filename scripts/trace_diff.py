@@ -21,7 +21,10 @@ process importing that tree's ``src/`` with one BLAS thread: the
   and its split into code, docstring, comment and blank lines: a
   docstring line lies in a string that is a whole statement, a comment
   line holds a comment and nothing else, and a blank line outside those
-  strings holds nothing.
+  strings holds nothing;
+* each tree's settable count, the other's first: the number of names in
+  ``SETTABLE`` of its ``tests/test_signatures.py``, ``n/a`` for a tree
+  without that file.
 
 Exits 0 when nothing differs but values, and every value is within its
 allowance (excess at most 1); 1 otherwise.
@@ -105,6 +108,18 @@ def src_lines(tree: Path) -> dict:
         for k in kind:
             counts[k] += 1
     return {**counts, "total": sum(counts.values())}
+
+
+def settable_count(tree: Path) -> str:
+    """The number of names in ``SETTABLE`` of the tree's
+    ``tests/test_signatures.py``, or ``n/a`` when it has none."""
+    path = tree / "tests" / "test_signatures.py"
+    if path.exists():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "SETTABLE" for t in node.targets):
+                return str(sum(len(names.elts) for names in node.value.values))
+    return "n/a"
 
 
 class Diff:
@@ -222,6 +237,7 @@ def main(argv):
     before, after = src_lines(other), src_lines(ROOT)
     print(f"src/equifix lines: {before['total']:,} -> {after['total']:,} ("
           + ", ".join(f"{k} {before[k]:,} -> {after[k]:,}" for k in KINDS) + ")")
+    print(f"settable values: {settable_count(other)} -> {settable_count(ROOT)}")
     return 0 if not diff.problems and excess <= 1 else 1
 
 

@@ -26,9 +26,10 @@ pairs, as do the action's self-check and the equivariance and partition
 defects.  Such stacks take one stacked call per chunk of g
 (``pair_chunks``) of about SLAB_ENTRIES entries, so a large group at a
 large dimension never holds all pairs at once; every group the benchmarks
-run fits one chunk.  Every average over a group is ``group_mean``, a
-running sum of such chunks' term stacks.  A map from a group into a level
-is held as an ``ApproxRep``.
+run fits one chunk.  An average whose terms are built per chunk of g is
+``group_mean``, a running sum of such chunks' term stacks; a family
+already stacked over the group is averaged by ``.mean`` over its group
+axis.  A map from a group into a level is held as an ``ApproxRep``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .matfun import Blocks, adjoint, largest_norm, read_only
 
 # The most matrix entries one stacked call over a family of pairs holds.
 SLAB_ENTRIES = 2 ** 16
+# The tolerance of every algebra's composition self-check.
+ACTION_TOL = 1e-12
 
 
 class BlockMismatchError(ValueError):
@@ -69,7 +72,6 @@ class GAlgebra:
     group: FiniteGroup
     perms: np.ndarray          # (|G|, K) int
     unitaries: tuple           # per g: tuple of per-target-block unitaries
-    action_tol: float = 1e-12
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
@@ -130,8 +132,8 @@ class GAlgebra:
         # The stored data must compose: Ad(W_g) Ad(W_h) = Ad(W_gh).  Checked
         # on a random element; skipped for very large groups.
         if check and order <= 64:
-            defect = self.action_defect(samples=1, floor=self.action_tol)
-            if defect > self.action_tol:
+            defect = self.action_defect(samples=1, floor=ACTION_TOL)
+            if defect > ACTION_TOL:
                 raise ValueError(
                     f"action data is not a homomorphism (defect {defect:.3e})")
 
@@ -221,7 +223,7 @@ class GAlgebra:
                           for g in range(self.group.order))
         quotient = GAlgebra(tuple(self.blocks[j] for j in keep), self.group,
                             np.reshape(perms, (self.group.order, len(keep))),
-                            unitaries, self.action_tol, check=False)
+                            unitaries, check=False)
         return quotient if self.perms.flags.writeable else read_only(quotient)
 
     def take(self, a: Blocks, keep) -> Blocks:
@@ -255,14 +257,12 @@ class GAlgebra:
         return (moving.parts[0][..., 0, :, :] if len(rest) == 1 else moving), attach
 
 
-def matrix_algebra(n: int, group: FiniteGroup, action_unitaries,
-                   action_tol: float = 1e-12) -> GAlgebra:
+def matrix_algebra(n: int, group: FiniteGroup, action_unitaries) -> GAlgebra:
     """Single-block M_n with the action g |-> Ad(u_g), ``action_unitaries``
     holding u_g in the order of the group elements."""
     perms = np.zeros((group.order, 1), dtype=np.intp)
     unitaries = tuple((np.asarray(u, dtype=complex),) for u in action_unitaries)
-    return GAlgebra(blocks=(n,), group=group, perms=perms, unitaries=unitaries,
-                    action_tol=action_tol)
+    return GAlgebra(blocks=(n,), group=group, perms=perms, unitaries=unitaries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,15 +371,6 @@ def group_mean(f, family, count: int):
     return total / count
 
 
-def _pair_stacks(values, mult: np.ndarray, act):
-    """Per chunk c of g (``pair_chunks``), c and the (k, |G|, ...) stack of
-    v(gh) - v(g) a_g(v(h)) over its pairs, as ``max_pair_defect`` takes them."""
-    order = len(mult)
-    for c in pair_chunks(values, order):
-        twisted = values[None] if act is None else act(np.arange(order)[c, None], values)
-        yield c, values[mult[c]] - values[c, None] @ twisted
-
-
 def max_pair_defect(values, mult: np.ndarray, act=None, floor: float = -1.0):
     """The largest ||v(gh) - v(g) a_g(v(h))|| over pairs (g, h) and the
     first pair (row-major) attaining it, with ``mult[g, h]`` the index of
@@ -390,10 +381,12 @@ def max_pair_defect(values, mult: np.ndarray, act=None, floor: float = -1.0):
     None) when no pair exceeds it, which on exact input the Frobenius pass
     decides, and otherwise the exact figure and pair, as at the default
     floor, which measures every family."""
+    order = len(mult)
     worst, pair = floor, None
-    for c, stack in _pair_stacks(values, mult, act):
-        worst, i = largest_norm(stack, worst)
+    for c in pair_chunks(values, order):
+        twisted = values[None] if act is None else act(np.arange(order)[c, None], values)
+        worst, i = largest_norm(values[mult[c]] - values[c, None] @ twisted, worst)
         if i is not None:
-            g, h = divmod(i, len(mult))
+            g, h = divmod(i, order)
             pair = (c.start + g, h)
     return worst, pair

@@ -3,8 +3,8 @@ arithmetic.
 
 Elements of a finite group are indices ``0 .. order-1``; the identity is
 always index 0.  An average over a finite group (its Haar measure is the
-uniform average) is ``galgebra.group_mean``, one stacked mean per chunk
-of g.
+uniform average) is ``galgebra.group_mean`` when its terms are built per
+chunk of g, and ``.mean`` over the group axis of a family already stacked.
 """
 
 from __future__ import annotations

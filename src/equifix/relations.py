@@ -231,8 +231,7 @@ def stabilize_tracial_partition(algebra: GAlgebra, seeds: np.ndarray,
     r = iso.shape[1]
     # Dense seeds: a one-block algebra, whose unitaries compress to the corner.
     u = np.stack([algebra.unitaries[g][0] for g in range(d)])
-    corner = matrix_algebra(r, G, polar_unitary(adjoint(iso) @ u @ iso),
-                            action_tol=1e-10)
+    corner = matrix_algebra(r, G, polar_unitary(adjoint(iso) @ u @ iso))
 
     # q is invariant to the gate above, so the corner's action permutes the
     # compressed family to that order: the rounding takes it as it is.

@@ -27,8 +27,8 @@ from .groups import FiniteGroup, cyclic_group
 from .matfun import (Blocks, _polar_parts, adjoint, concatenate, exp_skew,
                      identity_like, largest_norm, polar_unitary,
                      principal_log_unitary, read_only_copy, readout_norm)
-from .galgebra import (GAlgebra, Tower, _pair_stacks, group_mean, group_stack,
-                       max_pair_defect, pair_chunks)
+from .galgebra import (GAlgebra, Tower, group_mean, group_stack, max_pair_defect,
+                       pair_chunks)
 
 # A step takes defect r to at most CONTRACTION r^2.
 CONTRACTION = 17
@@ -261,22 +261,16 @@ class SourceAction:
         tol = 1e-12
         # Each g in turn: perm[g] a permutation, then pairs (x, y) in
         # row-major order, an automorphism failure at a pair named before a
-        # multiplicativity failure at it.  Rows that are not permutations
-        # index H through the identity instead, and are reported first.
-        ids = np.arange(H.order)
-        not_perm = np.any(np.sort(perm, axis=1) != ids, axis=1)
-        p = np.where(not_perm[:, None], ids, perm)
-        auto = p[:, H.mult] != H.mult[p[:, :, None], p[:, None, :]]
-        mult = np.abs(scalar[:, H.mult] - scalar[:, :, None] * scalar[:, None, :]) > tol
-        auto, mult = auto.reshape(G.order, -1), mult.reshape(G.order, -1)
-        rows = np.flatnonzero(not_perm | np.any(auto | mult, axis=1))
-        if rows.size:
-            g = int(rows[0])
-            if not_perm[g]:
+        # multiplicativity failure at it.
+        for g, (p, s) in enumerate(zip(perm, scalar)):
+            if np.any(np.sort(p) != np.arange(H.order)):
                 raise ValueError(f"perm[{g}] is not a permutation of H")
-            if auto[g, np.argmax(auto[g] | mult[g])]:
-                raise ValueError(f"perm[{g}] is not an automorphism of H")
-            raise ValueError(f"scalar[{g}] is not multiplicative over H")
+            auto = (p[H.mult] != H.mult[p[:, None], p]).ravel()
+            mult = (np.abs(s[H.mult] - s[:, None] * s) > tol).ravel()
+            if np.any(auto | mult):
+                if auto[np.argmax(auto | mult)]:
+                    raise ValueError(f"perm[{g}] is not an automorphism of H")
+                raise ValueError(f"scalar[{g}] is not multiplicative over H")
         # Then pairs (g, h) in row-major order: perm[gh] = perm[g] o perm[h]
         # before scalar[gh, x] = scalar[g, perm[h, x]] scalar[h, x].
         hom = np.any(perm[G.mult] != perm[:, perm], axis=-1).ravel()
@@ -300,15 +294,15 @@ def translation_source_action(d: int) -> SourceAction:
 
 
 def _equivariance_stacks(values, act: Callable, source_action: SourceAction):
-    """Per chunk c of g, c and the (k, |H|, ...) stack gamma_g(psi(u_x)) -
+    """Per chunk c of g, the (k, |H|, ...) stack gamma_g(psi(u_x)) -
     psi(alpha_g(u_x)): one stacked call ``act(g[:, None], values)``, which
     ``GAlgebra.act`` gives for an index array broadcast against the values."""
     values = group_stack(values, source_action.source.order)
     perm, scalar = source_action.perm, source_action.scalar
     order = source_action.group.order
     for c in pair_chunks(values, order):
-        yield c, (act(np.arange(order)[c, None], values) -
-                  scalar[c, :, None, None] * values[perm[c]])
+        yield (act(np.arange(order)[c, None], values) -
+               scalar[c, :, None, None] * values[perm[c]])
 
 
 def equivariance_defect(values, act: Callable, source_action: SourceAction,
@@ -318,7 +312,7 @@ def equivariance_defect(values, act: Callable, source_action: SourceAction,
     running maximum, so a gate at tolerance ``floor`` takes no SVD on
     slices that are screened under it."""
     worst = floor
-    for _, stack in _equivariance_stacks(values, act, source_action):
+    for stack in _equivariance_stacks(values, act, source_action):
         worst = largest_norm(stack, worst)[0]
     return worst
 
@@ -363,7 +357,6 @@ def intertwiner(rho: ApproxRep, sigma: ApproxRep) -> np.ndarray:
 class LevelReport:
     level: int
     equivariance_defect: float
-    mult_defect: float
     unitarizable: bool
     unitarized_defect: Optional[float]
     accepted: bool
@@ -392,30 +385,24 @@ class LiftResult:
 LEVEL_ACCEPT_THRESHOLD = EPS0
 
 
-def _level_maxima(stacks, algebra: GAlgebra, keeps: list, floor: float):
+def _level_maxima(stacks, algebra: GAlgebra, keeps: list) -> list:
     """Per scanned level, the largest norm over the blocks it keeps
     (``keeps[i]``, positions among the algebra's blocks) of the elements of
-    the (c, stack) pairs, each stack indexed (g in chunk c, x) and made of
-    the algebra's elements, or ``floor`` if that is larger; and the first
-    (g, x), row-major, at which the deepest level's figure is attained,
-    None if at no pair.  Deepest level first, every block of a stack enters
-    one screened norm: the blocks a level keeps and the next level drops,
-    with the next level's figure, and the level's own from earlier stacks,
-    as floor."""
-    worst, pair = [floor] * len(keeps), None
+    the stacks, each made of the algebra's elements.  Deepest level first,
+    every block of a stack enters one screened norm: the blocks a level
+    keeps and the next level drops, with the next level's figure, and the
+    level's own from earlier stacks, as floor."""
+    worst = [0.0] * len(keeps)
     extra = [sorted(set(k) - set(deeper)) for k, deeper in zip(keeps, keeps[1:])]
     extra += keeps[-1:]
-    for c, stack in stacks:
-        below = floor
+    for stack in stacks:
+        below = 0.0
         for i in reversed(range(len(keeps))):
             below = max(worst[i], below)
             if extra[i]:
-                below, at = largest_norm(algebra.take(stack, extra[i]), below)
-                if at is not None and i == len(keeps) - 1:
-                    g, x = divmod(at, stack.lead[-1])
-                    pair = (c.start + g, x)
+                below = largest_norm(algebra.take(stack, extra[i]), below)[0]
             worst[i] = below
-    return worst, pair
+    return worst
 
 
 def lift_group_rep(tower: Tower, source_action: SourceAction, seed: ApproxRep,
@@ -432,15 +419,13 @@ def lift_group_rep(tower: Tower, source_action: SourceAction, seed: ApproxRep,
     there -> scan levels in increasing order, each taking its live blocks
     of those, accepting the first whose symmetrized and unitarized family
     has defect below min(1/34, eps0) -> iterated correction with the top
-    quotient pinned -> conjugation by an intertwiner back onto the seed
-    (when the seed restricts to an exact representation, as it does for
-    the classical pipeline; the two must agree to 1e-11 on the top
-    quotient's blocks, which the correction keeps).  The table's seed
-    figures, its equivariance
-    and multiplicativity defects at each scanned level, come from one
-    pass over level 0's stacks of each (``_level_maxima``), one figure's
-    stacks at a time; the accepted level's multiplicativity defect and pair
-    are its seed's, which the intertwiner's exactness gate then reads.
+    quotient pinned -> conjugation by an intertwiner back onto the seed's
+    restriction to the accepted level, always.  That restriction is gated
+    as unitary, and the intertwiner's gates (exact to 1e-11, at distance
+    below 1) are its only other checks; the two must agree to 1e-11 on the
+    top quotient's blocks, which the correction keeps.  The table's one
+    seed figure, its equivariance defect at each scanned level, comes from
+    one pass over level 0's stacks (``_level_maxima``).
     """
     H = source_action.source
     top = tower.top
@@ -478,46 +463,28 @@ def lift_group_rep(tower: Tower, source_action: SourceAction, seed: ApproxRep,
         # The defect is measured once: the rep caches it for the corrector.
         uni_defect = None if rho0 is None else rho0.defect()
         accepted = uni_defect is not None and uni_defect < LEVEL_ACCEPT_THRESHOLD
-        table.append(LevelReport(level, None, None, rho0 is not None,
-                                 uni_defect, accepted))
+        table.append(LevelReport(level, None, rho0 is not None, uni_defect,
+                                 accepted))
         if accepted:
             break
-    # The floors are equivariance_defect's and max_pair_defect's.
-    keeps = [tower.kept(row.level, 0) for row in table]
     eqs = _level_maxima(_equivariance_stacks(seed0, level0.act, source_action),
-                        level0, keeps, 0.0)[0]
-    mults, seed_pair = _level_maxima(_pair_stacks(seed0, H.mult, None), level0,
-                                     keeps, -1.0)
-    for row, eq, mult in zip(table, eqs, mults):
-        row.equivariance_defect, row.mult_defect = eq, mult
+                        level0, [tower.kept(row.level, 0) for row in table])
+    for row, eq in zip(table, eqs):
+        row.equivariance_defect = eq
     if not (table and table[-1].accepted):
         raise LiftError("no tower level admits the correction "
                         "(tower too coarse for the defect threshold)", table)
 
+    seed_rep = ApproxRep(H, tower.project(level, 0, seed.values), unital=False)
     correction = correct_to_rep(rho0, tol=tol, pin=(tower, level))
-    corrected = correction.last
+    seed_vals, corrected = seed_rep.values, correction.last.values
+    u = intertwiner(seed_rep, correction.last)
+    mismatch = largest_norm(tower.project(top, level, seed_vals - corrected), 1e-11)[0]
+    if mismatch > 1e-11:
+        raise DefectTooLargeError(f"quotients of rho and sigma differ by {mismatch:.3e}")
+    final_vals = u @ seed_vals @ adjoint(u)
 
-    # Conjugate the seed restriction onto the corrected representation when
-    # the seed is itself an exact representation (the classical situation);
-    # the corrected representation is returned either way.
-    final_vals = corrected.values
-    seed_rep = ApproxRep(H, tower.project(level, 0, seed.values),
-                         unitary=False, unital=False)
-    seed_rep._defect = (mults[-1], seed_pair)
-    seed_vals = seed_rep.values
-    if seed_rep.defect() <= 1e-11 and \
-            largest_norm(adjoint(seed_vals) @ seed_vals - identity_like(seed_vals),
-                         1e-10)[0] <= 1e-10 and \
-            largest_norm(corrected.values - seed_vals, BELOW_ONE)[1] is None:
-        u = intertwiner(seed_rep, corrected)
-        mismatch = largest_norm(tower.project(top, level, seed_vals - final_vals),
-                                1e-11)[0]
-        if mismatch > 1e-11:
-            raise DefectTooLargeError(
-                f"quotients of rho and sigma differ by {mismatch:.3e}")
-        final_vals = u @ seed_vals @ adjoint(u)
-
-    eq_res = max(readout_norm(stack, 0.0) for _, stack in
+    eq_res = max(readout_norm(stack, 0.0) for stack in
                  _equivariance_stacks(final_vals, tower.level(level).act, source_action))
     proj_res = readout_norm(tower.project(top, level, final_vals) - phi_vals, 0.0)
     return LiftResult(level=level,

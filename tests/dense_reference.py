@@ -618,8 +618,7 @@ def reference_stabilize_tracial_partition(algebra, seeds, witness):
     q = iso @ adjoint(iso)
     r = iso.shape[1]
     u = np.stack([algebra.unitaries[g][0] for g in range(d)])
-    corner = matrix_algebra(r, G, polar_unitary(adjoint(iso) @ u @ iso),
-                            action_tol=1e-10)
+    corner = matrix_algebra(r, G, polar_unitary(adjoint(iso) @ u @ iso))
     inner, certificate = reference_round_partition(corner, adjoint(iso) @ sym @ iso)
     projections = iso @ inner @ iso.conj().T
     certificate["corner_rank"] = r

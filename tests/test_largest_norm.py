@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import per_part_largest_norm, trivial_algebra
-from equifix import matfun, repcorrect
+from equifix import galgebra, matfun, repcorrect
 from equifix.cocycles import coboundary, cocycle, one_step_cobound, trivialize
 from equifix.galgebra import Tower, matrix_algebra, max_pair_defect, pair_chunks
 from equifix.groups import cyclic_group
@@ -739,16 +739,19 @@ def test_approx_rep_rejects_values_just_over_its_unitarity_gate():
     assert str(err.value) == f"values flagged unitary but defect is {defect:.3e}"
 
 
-def test_matrix_algebra_rejects_action_just_over_its_tolerance():
+def test_matrix_algebra_rejects_action_just_over_its_tolerance(monkeypatch):
     """An action of Z/2 by Ad(u) with u^2 = diag(1, e^{i t}) composes only up
-    to a defect D; action_tol D passes and D / (1 + 1e-6) is rejected."""
+    to a defect D; ACTION_TOL D passes and D / (1 + 1e-6) is rejected."""
     u = np.diag([1.0, np.exp(5e-6j)])
     G = cyclic_group(2)
-    defect = matrix_algebra(2, G, [np.eye(2), u], action_tol=1.0).action_defect(1, 0.0)
+    monkeypatch.setattr(galgebra, "ACTION_TOL", 1.0)
+    defect = matrix_algebra(2, G, [np.eye(2), u]).action_defect(1, 0.0)
     assert defect > 1e-8
-    matrix_algebra(2, G, [np.eye(2), u], action_tol=defect)
+    monkeypatch.setattr(galgebra, "ACTION_TOL", defect)
+    matrix_algebra(2, G, [np.eye(2), u])
+    monkeypatch.setattr(galgebra, "ACTION_TOL", defect / (1 + 1e-6))
     with pytest.raises(ValueError) as err:
-        matrix_algebra(2, G, [np.eye(2), u], action_tol=defect / (1 + 1e-6))
+        matrix_algebra(2, G, [np.eye(2), u])
     assert str(err.value) == f"action data is not a homomorphism (defect {defect:.3e})"
 
 

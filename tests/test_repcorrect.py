@@ -352,8 +352,7 @@ def per_level_scan(tower, source_action, seed):
             rho0 = None
         uni = None if rho0 is None else rho0.defect()
         accepted = uni is not None and uni < LEVEL_ACCEPT_THRESHOLD
-        table.append(LevelReport(level, eq, seed_rep.defect(), rho0 is not None,
-                                 uni, accepted))
+        table.append(LevelReport(level, eq, rho0 is not None, uni, accepted))
         if accepted:
             break
     return table, seed_rep, rho0
@@ -392,7 +391,7 @@ def spy_level_figures(monkeypatch):
     real_maxima, real_take = repcorrect._level_maxima, GAlgebra.take
     real_norm = repcorrect.largest_norm
 
-    def maxima(stacks, algebra, keeps, floor):
+    def maxima(stacks, algebra, keeps):
         def counted():
             for item in stacks:
                 calls[-1].append([])
@@ -400,7 +399,7 @@ def spy_level_figures(monkeypatch):
         calls.append([])
         inside.append(algebra)
         try:
-            return real_maxima(counted(), algebra, keeps, floor)
+            return real_maxima(counted(), algebra, keeps)
         finally:
             inside.pop()
 
@@ -420,10 +419,10 @@ def spy_level_figures(monkeypatch):
 
 
 def assert_one_norm_per_block(calls, tower):
-    # Two figures, one stack each (every benchmark group fits one chunk),
-    # and each of level 0's blocks in exactly one screened norm per stack.
+    # One figure, one stack (every benchmark group fits one chunk), and
+    # each of level 0's blocks in exactly one screened norm.
     blocks = list(range(len(tower.level(0).blocks)))
-    assert len(calls) == 2 and all(len(stacks) == 1 for stacks in calls)
+    assert len(calls) == 1 and all(len(stacks) == 1 for stacks in calls)
     for (entries,) in calls:
         keeps, norms = entries[0::2], entries[1::2]
         assert norms == ["norm"] * len(keeps)
@@ -459,11 +458,10 @@ def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, o
     assert res.level == level == accept
     assert [row.unitarizable for row in table] == [False] * accept + [True]
     assert res.table == table
-    # The seed the intertwiner gates holds the defect and pair the table
-    # pass found, those a fresh measurement gives.
+    # The intertwiner gates the seed's restriction once.
     (rho,) = seeds
-    assert rho._defect == ApproxRep(rho.group, rho.values, unitary=False,
-                                    unital=False).defect_with_argmax()
+    assert all(np.array_equal(p, q) for p, q in
+               zip(rho.values.parts, tower.project(level, 0, seed.values).parts))
     assert all(np.array_equal(p, q) for p, q in zip(res.rep.values.parts, final.parts))
     assert (res.correction.trace, res.correction.iterations,
             res.correction.quotient_drift) == (correction.trace, correction.iterations,
@@ -535,6 +533,38 @@ def test_lift_refuses_a_correction_that_moves_the_top_quotient(monkeypatch):
         level, 0, seed.values) - values))[0]
     assert mismatch > 1e-11
     assert str(err.value) == f"quotients of rho and sigma differ by {mismatch:.3e}"
+
+
+def lift_with_seed_block(block):
+    """The lift of the benchmark's case (accepted at level 1) with the
+    seed's stage 3, kept there and dropped at the top, replaced by
+    ``block`` of it: phi and the scan's acceptance stay as they were."""
+    tower, action, seed = lift_case("translation", 6, 0.2, 0.2, 8)
+    part = seed.values.parts[0].copy()
+    part[:, 3] = block(part[:, 3])
+    return lift_group_rep(tower, action, ApproxRep(action.source, Blocks((part,)),
+                                                   unitary=False, unital=False),
+                          tol=1e-12)
+
+
+def test_lift_refuses_a_seed_inexact_below_the_top():
+    # u_1's stage 3 times a phase: the restriction to level 1 misses
+    # multiplicativity by about 1e-6, and the intertwiner refuses it.
+    def phase(values):
+        values[1] *= np.exp(1e-6j)
+        return values
+    with pytest.raises(DefectTooLargeError, match="rho is not exact"):
+        lift_with_seed_block(phase)
+
+
+def test_lift_refuses_a_seed_not_unitary_below_the_top():
+    # Stage 3 conjugated by an invertible a about 1e-6 from a unitary: an
+    # exact representation there, but not a unitary one.
+    rng = np.random.default_rng(5)
+    a = np.eye(6) + 1e-6 * (rng.standard_normal((6, 6)) +
+                            1j * rng.standard_normal((6, 6)))
+    with pytest.raises(ValueError, match="values flagged unitary"):
+        lift_with_seed_block(lambda values: a @ values @ np.linalg.inv(a))
 
 
 def test_source_action_validation():

@@ -19,8 +19,7 @@ MODULES = ("groups", "matfun", "galgebra", "repcorrect", "cocycles",
 SETTABLE = {
     "groups.FiniteGroup.__init__": {"name"},          # every constructor
     "matfun.largest_norm": {"floor"},                 # every screened gate
-    "galgebra.GAlgebra.__init__": {"action_tol", "check"},  # restrict: no check
-    "galgebra.matrix_algebra": {"action_tol"},        # the corner
+    "galgebra.GAlgebra.__init__": {"check"},          # restrict: no check
     "galgebra.max_pair_defect": {"act",               # the cocycle defect
                                  "floor"},            # ApproxRep.defect_at_most
     "repcorrect.ApproxRep.__init__": {"unitary", "unital",   # the lift's maps
