@@ -34,6 +34,7 @@ axis.  A map from a group into a level is held as an ``ApproxRep``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -49,6 +50,16 @@ ACTION_TOL = 1e-12
 
 class BlockMismatchError(ValueError):
     pass
+
+
+@functools.lru_cache(maxsize=8)
+def _samples(shapes: tuple, samples: int) -> tuple:
+    """The random elements of ``action_defect`` (seed 0), read-only: drawn
+    once per block shape, of which a run builds a few."""
+    rng = np.random.default_rng(0)
+    return read_only(tuple(
+        Blocks([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in shapes]) for _ in range(samples)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,17 +205,15 @@ class GAlgebra:
 
     def action_defect(self, samples: int, floor: float) -> float:
         """Max over (g, h) of ||act(h, act(g, a)) - act(hg, a)|| on random
-        elements a (seed 0), plus the identity-acts-trivially defect, or
-        ``floor`` if that is larger: a gate at tolerance ``floor`` takes no
-        SVD for slices that are screened under it.  One stacked action and
-        one screened norm per chunk of h, over the stack of images of a.
+        elements a (seed 0, ``_samples``), plus the identity-acts-trivially
+        defect, or ``floor`` if that is larger: a gate at tolerance
+        ``floor`` takes no SVD for slices that are screened under it.  One
+        stacked action and one screened norm per chunk of h, over the stack
+        of images of a.
         Should be at rounding level for a genuine action."""
-        rng = np.random.default_rng(0)
         G = self.group
         worst = floor
-        for _ in range(samples):
-            a = Blocks(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                       for shape in self._shapes)
+        for a in _samples(self._shapes, samples):
             images = self.act(np.arange(G.order), a)
             worst = largest_norm(images[G.identity] - a, worst)[0]
             for c in pair_chunks(images, G.order):
@@ -215,7 +224,10 @@ class GAlgebra:
     def restrict(self, keep) -> "GAlgebra":
         """The G-algebra on the blocks ``keep`` (a sorted, invariant list of
         block positions), with the restricted action; read-only, like a
-        cached algebra, when this algebra's ``perms`` are."""
+        cached algebra, when this algebra's ``perms`` are.  Keeping every
+        block returns this algebra itself."""
+        if list(keep) == list(range(len(self.blocks))):
+            return self
         pos = {j: i for i, j in enumerate(keep)}
         perms = [[pos[int(self.perms[g, j])] for j in keep]
                  for g in range(self.group.order)]
@@ -371,6 +383,15 @@ def group_mean(f, family, count: int):
     return total / count
 
 
+def _pair_stacks(values, mult: np.ndarray, act=None):
+    """Per chunk c of g, c and the (k, |G|, ...) stack of v(gh) - v(g)
+    a_g(v(h)) over its pairs (g, h): one stacked product each."""
+    order = len(mult)
+    for c in pair_chunks(values, order):
+        twisted = values[None] if act is None else act(np.arange(order)[c, None], values)
+        yield c, values[mult[c]] - values[c, None] @ twisted
+
+
 def max_pair_defect(values, mult: np.ndarray, act=None, floor: float = -1.0):
     """The largest ||v(gh) - v(g) a_g(v(h))|| over pairs (g, h) and the
     first pair (row-major) attaining it, with ``mult[g, h]`` the index of
@@ -383,9 +404,8 @@ def max_pair_defect(values, mult: np.ndarray, act=None, floor: float = -1.0):
     floor, which measures every family."""
     order = len(mult)
     worst, pair = floor, None
-    for c in pair_chunks(values, order):
-        twisted = values[None] if act is None else act(np.arange(order)[c, None], values)
-        worst, i = largest_norm(values[mult[c]] - values[c, None] @ twisted, worst)
+    for c, stack in _pair_stacks(values, mult, act):
+        worst, i = largest_norm(stack, worst)
         if i is not None:
             g, h = divmod(i, order)
             pair = (c.start + g, h)

@@ -77,9 +77,11 @@ spectra with every argument within pi/(2d) of a d-th root; there
 theta - pi/(2d) lies on one of the arcs [2 pi k/d - pi/d, 2 pi k/d],
 which with their mirror images tile the circle, so the cosine is
 one-to-one and the eigenspaces of the Hermitian part are those of w.  A
-residual gate ||w V - V diag(lam)|| <= 1e-9 max(1, ||w||) refuses what it
-cannot separate: near collisions cos(x) = cos(-x) outside that set or
-within about 1e-7 of its edge.
+residual gate ||w V - V diag(lam)|| <= 1e-9 refuses what it cannot
+separate: near collisions cos(x) = cos(-x) outside that set or within
+about 1e-7 of its edge.  It needs no factor max(1, ||w||): w passed the
+unitarity gate at 1e-10, so ||w|| <= sqrt(1 + 1e-10), a factor under
+1 + 5e-11.
 
 Every LAPACK call goes through one entry point per decomposition: the
 singular values, the full SVD behind the polar part, the Hermitian
@@ -676,7 +678,8 @@ def spectral_round_unitary(w, d: int):
 
     Exact on the admitted set, margin > pi/(2d) (module docstring); a
     ValueError names the residual where the rotated eigenbasis fails the
-    gate ||w V - V diag|| <= 1e-9 max(1, ||w||).
+    gate ||w V - V diag(lam)|| <= 1e-9, unscaled since ||w|| <= sqrt(1 +
+    1e-10).
     """
     w = _require_square(w)
     if d < 1:
@@ -687,7 +690,7 @@ def spectral_round_unitary(w, d: int):
     v = _eigh((h + adjoint(h)) / 2)[1]
     wv = w @ v
     lam = np.einsum("ij,ij->j", v.conj(), wv)
-    _reject_worst(wv - v * lam, 1e-9 * largest_norm(w, 1.0)[0], "eigenvalues not "
+    _reject_worst(wv - v * lam, 1e-9, "eigenvalues not "
                   "separated after the rotation: residual ||w V - V diag|| = %.3e")
     args = np.angle(lam)
     cell = 2 * np.pi / d

@@ -654,7 +654,7 @@ def run_lift_trial(s: Scenario, rng):
     result = lift_group_rep(tower, source_action, seed, tol=s.tolerance)
     measured = {
         "level": result.level,
-        "rep_defect": result.rep.defect(),
+        "rep_defect": result.defect_residual,
         "equivariance": result.equivariance_residual,
         "projection": result.projection_residual,
         "iterations": result.correction.iterations,

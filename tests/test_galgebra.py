@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from dense_reference import operator_norm, random_blocks, trivial_algebra
+from equifix import galgebra
 from equifix.groups import cyclic_group
-from equifix.galgebra import BlockMismatchError, GAlgebra, Tower
-from equifix.matfun import Blocks
+from equifix.galgebra import BlockMismatchError, GAlgebra, Tower, matrix_algebra
+from equifix.matfun import Blocks, read_only
 from equifix.repcorrect import ApproxRep
+from equifix.scenarios import _copies_tower
 
 
 def rand_unitary(rng, n):
@@ -161,3 +163,48 @@ def test_group_map_defect_measurement():
     bad = np.stack([np.eye(2, dtype=complex), np.diag([1.0, np.exp(0.3j)])])
     h2 = ApproxRep(g, bad, unitary=False, unital=False)
     assert h2.defect() == pytest.approx(abs(np.exp(0.6j) - 1), abs=1e-12)
+
+
+def test_restricting_to_every_block_returns_the_algebra():
+    t = three_block_tower()
+    assert t.algebra.restrict([0, 1, 2]) is t.algebra
+    assert t.algebra.perms.flags.writeable
+    assert t.level(0) is t.algebra
+    proper = t.level(1)
+    assert proper is not t.algebra and proper.blocks == (2, 2)
+    cached = read_only(three_block_tower().algebra)
+    assert cached.restrict([0, 1, 2]) is cached
+    assert not cached.perms.flags.writeable
+    assert not cached.restrict([1, 2]).perms.flags.writeable
+    # The pinned cocycle's tower: level 0 is the algebra it was built on.
+    rng = np.random.default_rng(6)
+    tower = _copies_tower(cyclic_group(2), [np.eye(3), rand_involution(rng, 3)])
+    assert tower.level(0) is tower.algebra
+
+
+def test_the_self_check_draws_once_per_block_shape(monkeypatch):
+    # Algebras of one block shape share the check's seed-0 samples: one
+    # generator and one draw per shape across repeated builds, with the
+    # bits of a fresh draw, read-only.
+    galgebra._samples.cache_clear()
+    real, seeds = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: seeds.append(seed) or real(seed))
+    G = cyclic_group(3)
+    v = rand_unitary(real(7), 4)
+    u = (v * np.exp(2j * np.pi * np.arange(4) / 3)) @ v.conj().T    # u^3 = 1
+    for n, action in ((4, [np.eye(4), u, u @ u]), (4, [np.eye(4)] * 3),
+                      (5, [np.eye(5)] * 3), (4, [np.eye(4)] * 3), (5, [np.eye(5)] * 3)):
+        matrix_algebra(n, G, action)
+    assert seeds == [0, 0]
+    three_block_tower()
+    assert seeds == [0, 0, 0]
+    fresh = real(0)
+    (a,) = galgebra._samples(((1, 4, 4),), 1)
+    assert np.array_equal(a.parts[0], fresh.standard_normal((1, 4, 4)) +
+                          1j * fresh.standard_normal((1, 4, 4)))
+    assert not a.parts[0].flags.writeable
+    # The check still runs on every build.
+    bad = np.diag([1.0, 1.0, 1.0, np.exp(1e-3j)])
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        matrix_algebra(4, G, [np.eye(4), bad, bad])

@@ -196,6 +196,19 @@ def test_round_fixes_exact_spectrum():
     assert operator_norm(spectral_round_unitary(w, 3)[0] - w) <= 1e-12
 
 
+def test_rounding_a_separated_unitary_takes_one_eigh_and_no_svd(svd_counter,
+                                                                eigh_counter):
+    # Both gates are screened on a unitary with a well-separated spectrum,
+    # and the residual gate takes no norm of w.
+    rng = np.random.default_rng(9)
+    v = rand_unitary(rng, 24)
+    args = 2 * np.pi * (np.arange(24) % 4) / 4 + rng.uniform(-0.1, 0.1, 24)
+    w = (v * np.exp(1j * args)) @ v.conj().T
+    z = spectral_round_unitary(w, 4)[0]
+    assert eigh_counter == [(24, 24)] and svd_counter == []
+    assert operator_norm(z - w) <= 0.11
+
+
 def test_round_two_by_two():
     w = np.diag([np.exp(0.1j), np.exp(1j * (np.pi - 0.2))])
     z = spectral_round_unitary(w, 2)[0]

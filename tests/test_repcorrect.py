@@ -16,6 +16,7 @@ from equifix.repcorrect import (LEVEL_ACCEPT_THRESHOLD, ApproxRep,
 from equifix.scenarios import (Scenario, build_lift_scenario, exact_rep_values,
                                perturb_rep_values, random_skew, random_unitary,
                                trial_rng)
+from test_perfbench_workloads import workloads
 
 
 def defect_oracle(group, values):
@@ -467,8 +468,23 @@ def test_deep_lift_scan_is_bit_equal_to_the_per_level_loop(monkeypatch, model, o
             res.correction.quotient_drift) == (correction.trace, correction.iterations,
                                                correction.quotient_drift)
     # The residuals are readouts of the exact figures the loop measures.
+    assert_readout(res.defect_residual, res.rep.defect())
     assert_readout(res.equivariance_residual, eq)
     assert_readout(res.projection_residual, proj)
+
+
+@pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, workloads.HELDOUT_SEED])
+def test_benchmark_lift_reads_out_its_rep_defect(seed):
+    # The lift-translation6 entries of rounds 0-2, each trial: the defect
+    # residual is a readout of the final family's exact pair defect.
+    for r in range(3):
+        data = dict(workloads.round_scenarios("algebra-action", seed, r))
+        s = Scenario.from_dict(data["lift-translation6"])
+        for trial in range(s.trials):
+            tower, action, lift_seed = build_lift_scenario(s, trial_rng(s.seed, trial))
+            res = lift_group_rep(tower, action, lift_seed, tol=s.tolerance)
+            assert res.rep.defect() <= 1e-11
+            assert_readout(res.defect_residual, res.rep.defect())
 
 
 def test_failing_lift_table_is_bit_equal_to_the_per_level_loop(monkeypatch):
